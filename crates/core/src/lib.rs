@@ -51,7 +51,6 @@ pub mod remote;
 pub mod report;
 #[deny(clippy::unwrap_used)]
 pub mod serve;
-mod session;
 
 pub use backend::{
     CpuMeasurement, ExecutionBackend, LayerOutcome, LayerRequest, RealCpuBackend, SimBackend,
@@ -64,7 +63,6 @@ pub use engine::{Engine, PrefetchCounters};
 pub use metrics::{StageMetrics, StepMetrics};
 pub use realexec::RealExecOptions;
 pub use remote::{RemoteBackend, RemoteLayerExecutor, RemoteWorkerOptions};
-pub use session::Session;
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.

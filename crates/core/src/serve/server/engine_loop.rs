@@ -4,6 +4,11 @@
 //! requests over a bounded channel and receive [`StreamEvent`]s back on a
 //! per-request channel; the loop free-runs — pull submissions, step the
 //! batch, deliver tokens — stamping every step with real wall-clock time.
+//!
+//! The loop is also the single owner of every request's lifecycle
+//! (Submitted → Waiting → Running → one of four [`Terminal`]s): its
+//! [`Lifecycle`] counts each transition in one place, and handlers and
+//! `/metrics` read those books only as the one snapshot it publishes.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -14,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use hybrimoe_hw::SimTime;
 
+use crate::serve::server::metrics::Ledger;
 use crate::serve::server::Shared;
 use crate::serve::{ContinuousBatcher, RequestMetrics, RequestSpec, StepOutcome};
 
@@ -46,14 +52,94 @@ pub(crate) enum StreamEvent {
     /// One output token landed; `index` counts from zero (the first
     /// token) up to `decode_tokens`.
     Token { index: u32 },
-    /// The request finished; the stream is complete.
-    Done { metrics: RequestMetrics },
-    /// The request expired past its deadline; the stream ends with a
-    /// terminal `timed_out` chunk.
+    /// The request reached its terminal; the stream is complete.
+    End(Terminal),
+}
+
+/// How a request's life ended. A request is Submitted by a handler,
+/// Waiting once the loop pulls it into the batcher, Running once a step
+/// admits it, and leaves through exactly one of these.
+pub(crate) enum Terminal {
+    /// The full token stream was delivered.
+    Completed(RequestMetrics),
+    /// The client hung up mid-stream; nobody is left to tell.
+    Cancelled,
+    /// The deadline passed, waiting or mid-decode.
     TimedOut,
-    /// An engine panic killed the request in flight; the stream ends
-    /// with a terminal `failed` chunk while the engine is rebuilt.
+    /// An engine panic killed the request in flight.
     Failed,
+}
+
+/// The loop's books on live requests: who listens for each, and how many
+/// reached each stage of the lifecycle.
+#[derive(Default)]
+struct Lifecycle {
+    clients: HashMap<u32, Sender<StreamEvent>>,
+    next_id: u32,
+    ledger: Ledger,
+    /// Terminals counted by [`Lifecycle::terminate`] whose event has not
+    /// been sent yet.
+    farewells: Vec<(u32, Terminal)>,
+}
+
+impl Lifecycle {
+    /// Submitted → Waiting: the one way into the batcher.
+    fn admit(&mut self, sub: Submission, batcher: &mut ContinuousBatcher) {
+        let id = self.next_id;
+        self.next_id = id.wrapping_add(1);
+        self.clients.insert(id, sub.events);
+        batcher.enqueue(RequestSpec {
+            id,
+            arrival: sub.arrival,
+            prompt_tokens: sub.prompt_tokens,
+            decode_tokens: sub.decode_tokens,
+            priority: sub.priority,
+            deadline: sub.deadline,
+        });
+        self.ledger.admitted += 1;
+    }
+
+    /// The one way out: counts the request's terminal, whichever path
+    /// ended it. The terminal event goes out with the next
+    /// [`Lifecycle::say_farewells`], after the books that show it.
+    fn terminate(&mut self, id: u32, how: Terminal) {
+        let counter = match how {
+            Terminal::Completed(_) => &mut self.ledger.completed,
+            Terminal::Cancelled => &mut self.ledger.cancelled,
+            Terminal::TimedOut => &mut self.ledger.timed_out,
+            Terminal::Failed => &mut self.ledger.failed,
+        };
+        *counter += 1;
+        self.farewells.push((id, how));
+    }
+
+    /// Publishes the books. Everything a handler or `/metrics` reads about
+    /// the engine side comes from here, derived from the batcher as it is
+    /// now — never adjusted — so no exit path has accounting of its own.
+    fn publish(&self, batcher: &ContinuousBatcher, shared: &Shared) {
+        let ledger = &self.ledger;
+        debug_assert_eq!(
+            ledger.admitted,
+            ledger.completed
+                + ledger.cancelled
+                + ledger.timed_out
+                + ledger.failed
+                + (batcher.waiting_len() + batcher.running_len()) as u64,
+            "every admitted request is waiting, running, or at exactly one terminal"
+        );
+        shared.snapshot().refresh(ledger, batcher);
+    }
+
+    /// Forgets every terminated request and closes its stream with the
+    /// terminal event. Always called after [`Lifecycle::publish`]: a
+    /// client never hears an outcome `/metrics` does not show yet.
+    fn say_farewells(&mut self) {
+        for (id, how) in self.farewells.drain(..) {
+            if let Some(events) = self.clients.remove(&id) {
+                let _ = events.send(StreamEvent::End(how));
+            }
+        }
+    }
 }
 
 /// Runs the engine loop until shutdown: all submitters gone, or a drain
@@ -71,14 +157,17 @@ pub(crate) fn run(
     shared: Arc<Shared>,
     min_step: Option<Duration>,
 ) {
-    let mut clients: HashMap<u32, Sender<StreamEvent>> = HashMap::new();
-    let mut next_id: u32 = 0;
+    let mut life = Lifecycle::default();
 
     loop {
-        // Pull everything already submitted into the waiting queue.
+        // Pull everything already submitted into the waiting queue, then
+        // publish: the sweep, and whatever the last iteration's hangups or
+        // panic changed.
         while let Ok(sub) = submissions.try_recv() {
-            admit(sub, &mut batcher, &mut clients, &mut next_id, &shared);
+            life.admit(sub, &mut batcher);
         }
+        life.publish(&batcher, &shared);
+        life.say_farewells();
 
         if batcher.is_idle() {
             if shared.draining.load(Ordering::Acquire) {
@@ -86,14 +175,14 @@ pub(crate) fn run(
                 // before the drain flag flipped; give it one grace window.
                 match submissions.recv_timeout(DRAIN_GRACE) {
                     Ok(sub) => {
-                        admit(sub, &mut batcher, &mut clients, &mut next_id, &shared);
+                        life.admit(sub, &mut batcher);
                         continue;
                     }
                     Err(_) => break,
                 }
             }
             match submissions.recv_timeout(IDLE_POLL) {
-                Ok(sub) => admit(sub, &mut batcher, &mut clients, &mut next_id, &shared),
+                Ok(sub) => life.admit(sub, &mut batcher),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
@@ -116,146 +205,67 @@ pub(crate) fn run(
                 shared.now()
             })
         }));
-        let outcome = match stepped {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                // The engine panicked mid-step. Fail every request in
-                // flight with a terminal event, forget the poisoned
-                // batcher, and re-arm with a fresh engine — the listener
-                // and the submission channel live on.
-                shared
-                    .queued
-                    .fetch_sub(batcher.waiting_len(), Ordering::AcqRel);
-                shared
-                    .failed
-                    .fetch_add(clients.len() as u64, Ordering::Relaxed);
-                for (_, events) in clients.drain() {
-                    let _ = events.send(StreamEvent::Failed);
-                }
-                shared.engine_restarts.fetch_add(1, Ordering::Relaxed);
-                batcher = make_batcher();
-                shared.running.store(0, Ordering::Relaxed);
-                shared.store_oldest_wait(None);
-                continue;
+        let Ok(outcome) = stepped else {
+            // The engine panicked mid-step. Every live request fails,
+            // and a fresh engine replaces the poisoned batcher — which
+            // reports an empty queue and batch at the next publish; the
+            // listener and the submission channel live on.
+            let live: Vec<u32> = life.clients.keys().copied().collect();
+            for id in live {
+                life.terminate(id, Terminal::Failed);
             }
+            life.ledger.engine_restarts += 1;
+            batcher = make_batcher();
+            continue;
         };
-        // Publish the admission bookkeeping BEFORE delivering tokens: a
-        // client acts the moment its first chunk lands, and the shed
-        // gate must not still see the stamp of a request that already
-        // left the waiting queue.
-        shared.steps.fetch_add(1, Ordering::Relaxed);
-        shared.queued.fetch_sub(
-            outcome.admitted.len() + outcome.expired_waiting.len(),
-            Ordering::AcqRel,
-        );
-        // Deadline expiries are terminal: close their streams with a
-        // typed event and drop their handlers before token delivery.
+        life.ledger.steps += 1;
+        life.ledger.output_tokens += (outcome.first_tokens.len() + outcome.decoded.len()) as u64;
+        // Every request that left the batcher with this step is terminal.
         for id in outcome
             .expired_waiting
             .iter()
             .chain(&outcome.expired_running)
         {
-            shared.timed_out.fetch_add(1, Ordering::Relaxed);
-            if let Some(events) = clients.remove(id) {
-                let _ = events.send(StreamEvent::TimedOut);
-            }
+            life.terminate(*id, Terminal::TimedOut);
         }
-        shared
-            .running
-            .store(batcher.running_len(), Ordering::Relaxed);
-        shared.store_oldest_wait(batcher.oldest_waiting_arrival());
-        {
-            let engine = batcher.engine();
-            shared.store_engine_stats(
-                engine.prefetch_counters(),
-                engine.predictor_accuracy(),
-                engine.shard_hit_ratios(),
-                engine.worker_health(),
-            );
+        for metrics in &outcome.completed {
+            shared.slo.record(metrics);
+            life.terminate(metrics.id, Terminal::Completed(*metrics));
         }
-        let hung_up = deliver(&outcome, &mut clients, &shared);
-        if !hung_up.is_empty() {
-            // The client is gone: evict its request at this step boundary
-            // so the slot is free for the next admission instead of
-            // decoding to completion for nobody.
-            for id in hung_up {
-                if batcher.cancel(id) {
-                    shared.cancelled.fetch_add(1, Ordering::Relaxed);
-                }
-                clients.remove(&id);
+        // Publish BEFORE delivering tokens: a client acts the moment its
+        // first chunk lands, and neither admission gate may still count a
+        // request that already left the waiting queue.
+        life.publish(&batcher, &shared);
+        let hung_up = deliver_tokens(&outcome, &life.clients);
+        life.say_farewells();
+        // The client is gone: evict its request at this step boundary so
+        // the slot is free for the next admission instead of decoding to
+        // completion for nobody. (A request that completed with this very
+        // step has no slot to reclaim, and `cancel` says so.)
+        for id in hung_up {
+            if batcher.cancel(id) {
+                life.terminate(id, Terminal::Cancelled);
             }
-            shared
-                .running
-                .store(batcher.running_len(), Ordering::Relaxed);
         }
     }
-
-    shared.running.store(0, Ordering::Relaxed);
-    shared.store_oldest_wait(None);
-}
-
-fn admit(
-    sub: Submission,
-    batcher: &mut ContinuousBatcher,
-    clients: &mut HashMap<u32, Sender<StreamEvent>>,
-    next_id: &mut u32,
-    shared: &Shared,
-) {
-    let id = *next_id;
-    *next_id = next_id.wrapping_add(1);
-    clients.insert(id, sub.events);
-    batcher.enqueue(RequestSpec {
-        id,
-        arrival: sub.arrival,
-        prompt_tokens: sub.prompt_tokens,
-        decode_tokens: sub.decode_tokens,
-        priority: sub.priority,
-        deadline: sub.deadline,
-    });
-    shared.admitted.fetch_add(1, Ordering::Relaxed);
-    shared.store_oldest_wait(batcher.oldest_waiting_arrival());
 }
 
 /// Streams this step's tokens to the waiting handlers and returns the ids
-/// whose *token* send failed — the handler dropped its receiver, meaning
-/// the client hung up mid-stream. (A failed `Done` send is not a hangup:
-/// the request already finished, there is no slot left to reclaim.)
-fn deliver(
-    outcome: &StepOutcome,
-    clients: &mut HashMap<u32, Sender<StreamEvent>>,
-    shared: &Shared,
-) -> Vec<u32> {
-    let mut tokens: u64 = 0;
-    let mut hung_up: Vec<u32> = Vec::new();
+/// whose send failed — the handler dropped its receiver, meaning the
+/// client hung up mid-stream.
+fn deliver_tokens(outcome: &StepOutcome, clients: &HashMap<u32, Sender<StreamEvent>>) -> Vec<u32> {
     // First tokens for requests whose prefill completed this step (the
     // admitting step, or the one carrying the last prefill chunk), then
     // one decode token per running request.
-    for id in &outcome.first_tokens {
-        tokens += 1;
-        if let Some(events) = clients.get(id) {
-            if events.send(StreamEvent::Token { index: 0 }).is_err() {
-                hung_up.push(*id);
+    let first = outcome.first_tokens.iter().map(|id| (*id, 0));
+    let tokens = first.chain(outcome.decoded.iter().copied());
+    let mut hung_up: Vec<u32> = Vec::new();
+    for (id, index) in tokens {
+        if let Some(events) = clients.get(&id) {
+            if events.send(StreamEvent::Token { index }).is_err() {
+                hung_up.push(id);
             }
         }
     }
-    for (id, decoded) in &outcome.decoded {
-        tokens += 1;
-        if let Some(events) = clients.get(id) {
-            if events.send(StreamEvent::Token { index: *decoded }).is_err() {
-                hung_up.push(*id);
-            }
-        }
-    }
-    for metrics in &outcome.completed {
-        shared.slo.record(metrics);
-        shared.completed.fetch_add(1, Ordering::Relaxed);
-        if let Some(events) = clients.remove(&metrics.id) {
-            let _ = events.send(StreamEvent::Done { metrics: *metrics });
-        }
-        // A request that completed with this very step has no slot to
-        // reclaim; don't report it as hung up even if its sends failed.
-        hung_up.retain(|id| *id != metrics.id);
-    }
-    shared.output_tokens.fetch_add(tokens, Ordering::Relaxed);
     hung_up
 }

@@ -1,12 +1,16 @@
-//! Per-request SLO accounting for the serving front-end.
+//! The serving front-end's books: the engine loop's published snapshot,
+//! the `/metrics` view built from it, and per-request SLO percentiles.
 
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use hybrimoe_hw::SimDuration;
+use hybrimoe_hw::{SimDuration, SimTime};
+use hybrimoe_worker::WorkerHealthSnapshot;
 use serde::{Deserialize, Serialize};
 
 use crate::serve::summary::percentile;
-use crate::serve::RequestMetrics;
+use crate::serve::{ContinuousBatcher, RequestMetrics};
+use crate::PrefetchCounters;
 
 /// A point-in-time snapshot of the server's SLO accounting, served as JSON
 /// at `GET /metrics`.
@@ -45,17 +49,22 @@ pub struct ServerMetrics {
     pub output_tokens: u64,
     /// Whether the server is draining (admission closed).
     pub draining: bool,
-    /// Median queue wait across completed requests, ms.
+    /// Median queue wait over the last 4096 completed requests, ms.
     pub queue_wait_p50_ms: f64,
-    /// 99th-percentile queue wait, ms.
+    /// 99th-percentile queue wait over the last 4096 completed requests,
+    /// ms.
     pub queue_wait_p99_ms: f64,
-    /// Median time to first token (measured from arrival), ms.
+    /// Median time to first token (measured from arrival) over the last
+    /// 4096 completed requests, ms.
     pub ttft_p50_ms: f64,
-    /// 99th-percentile time to first token, ms.
+    /// 99th-percentile time to first token over the last 4096 completed
+    /// requests, ms.
     pub ttft_p99_ms: f64,
-    /// Median time per output token, ms.
+    /// Median time per output token over the last 4096 completed
+    /// requests, ms.
     pub tpot_p50_ms: f64,
-    /// 99th-percentile time per output token, ms.
+    /// 99th-percentile time per output token over the last 4096 completed
+    /// requests, ms.
     pub tpot_p99_ms: f64,
     /// Background expert transfers issued by the prefetcher since startup.
     pub prefetch_issued: u64,
@@ -92,49 +101,113 @@ pub struct ServerMetrics {
     pub engine_restarts: u64,
 }
 
-/// Accumulates per-request SLO samples behind a mutex. The engine loop
-/// pushes one sample per completion; `/metrics` handlers snapshot.
-#[derive(Debug, Default)]
-pub struct SloRecorder {
-    inner: Mutex<Samples>,
+/// The engine loop's lifecycle counts: one plain, loop-local integer per
+/// transition of a request's life (Submitted → Waiting → Running → one
+/// of four terminals). Only the loop writes them, each at exactly one
+/// place — `admit` and `terminate` in the engine loop.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Ledger {
+    pub admitted: u64,
+    pub completed: u64,
+    pub cancelled: u64,
+    pub timed_out: u64,
+    pub failed: u64,
+    pub engine_restarts: u64,
+    pub steps: u64,
+    pub output_tokens: u64,
 }
 
+/// Everything the engine loop knows, published whole: its [`Ledger`] plus
+/// what the batcher and the engine report *at publish time*. Nothing here
+/// is adjusted in place — a batcher rebuilt after a panic simply reports
+/// an empty queue and batch at the next publish.
 #[derive(Debug, Default)]
-struct Samples {
-    queue_wait: Vec<SimDuration>,
-    ttft: Vec<SimDuration>,
-    tpot: Vec<SimDuration>,
+pub(crate) struct Snapshot {
+    pub ledger: Ledger,
+    /// `batcher.waiting_len()` / `running_len()` / `oldest_waiting_arrival()`.
+    pub waiting: u64,
+    pub running: u64,
+    pub oldest_waiting: Option<SimTime>,
+    pub prefetch: PrefetchCounters,
+    pub predictor_accuracy: Option<f64>,
+    pub shard_hit_ratio: Vec<f64>,
+    /// All-zero unless the remote-worker backend runs.
+    pub workers: WorkerHealthSnapshot,
+}
+
+impl Snapshot {
+    /// Recomputes the snapshot from its two sources.
+    pub fn refresh(&mut self, ledger: &Ledger, batcher: &ContinuousBatcher) {
+        let engine = batcher.engine();
+        self.ledger = *ledger;
+        self.waiting = batcher.waiting_len() as u64;
+        self.running = batcher.running_len() as u64;
+        self.oldest_waiting = batcher.oldest_waiting_arrival();
+        self.prefetch = engine.prefetch_counters();
+        self.predictor_accuracy = engine.predictor_accuracy();
+        self.workers = engine.worker_health().unwrap_or_default();
+        let cache = engine.cache();
+        self.shard_hit_ratio.clear();
+        self.shard_hit_ratio
+            .extend((0..cache.num_shards()).map(|s| cache.shard(s).stats().hit_rate()));
+    }
+
+    /// Requests the loop pulled off the submission channel that have since
+    /// left the waiting queue (into the batch, or to a terminal). Monotone:
+    /// nothing re-enters the queue. Every pulled request is counted
+    /// `admitted`, so this is the loop's half of the admission reservation
+    /// (`queued = reserved − left_waiting`).
+    pub fn left_waiting(&self) -> u64 {
+        self.ledger.admitted - self.waiting
+    }
+}
+
+/// Completions the latency percentiles look back over.
+pub const SLO_WINDOW: usize = 4096;
+
+/// Keeps the SLO samples of the last [`SLO_WINDOW`] completions behind a
+/// mutex, so memory and scrape cost stay constant however long the server
+/// runs. The engine loop pushes one sample per completion; `/metrics`
+/// handlers read percentiles.
+#[derive(Debug, Default)]
+pub struct SloRecorder {
+    /// One `[queue_wait, ttft, tpot]` triple per completion, oldest first.
+    inner: Mutex<VecDeque<[SimDuration; 3]>>,
 }
 
 impl SloRecorder {
-    /// Records one completed request.
+    /// Records one completed request, ageing out the oldest past the
+    /// window.
     ///
-    /// Poison-tolerant: the recorder only ever pushes complete samples, so
-    /// if another thread panicked mid-`record` the worst case is one
-    /// partially-pushed sample — recovering the guard keeps `/metrics` and
-    /// the drain path alive for everyone else.
+    /// Poison-tolerant: every update leaves the ring valid, so if another
+    /// thread panicked holding the lock, recovering the guard keeps
+    /// `/metrics` and the drain path alive for everyone else.
     pub fn record(&self, m: &RequestMetrics) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.queue_wait.push(m.queue_wait());
-        inner.ttft.push(m.ttft());
-        inner.tpot.push(m.tpot());
+        let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if ring.len() == SLO_WINDOW {
+            ring.pop_front();
+        }
+        ring.push_back([m.queue_wait(), m.ttft(), m.tpot()]);
     }
 
-    /// Percentiles over everything recorded so far, in milliseconds:
+    /// Percentiles over the window, in milliseconds:
     /// `(queue_wait p50/p99, ttft p50/p99, tpot p50/p99)`.
-    /// Poison-tolerant like [`SloRecorder::record`].
+    /// Poison-tolerant like [`SloRecorder::record`]. The window is copied
+    /// out and sorted off the lock, so a scrape never holds up the engine
+    /// loop's next `record`.
     pub fn percentiles_ms(&self) -> [f64; 6] {
-        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let Samples {
-            queue_wait,
-            ttft,
-            tpot,
-        } = &mut *guard;
+        let samples: Vec<[SimDuration; 3]> = {
+            let ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            ring.iter().copied().collect()
+        };
+        let mut sorted = Vec::with_capacity(samples.len());
         let mut out = [0.0; 6];
-        for (i, series) in [queue_wait, ttft, tpot].into_iter().enumerate() {
-            series.sort_unstable();
-            out[2 * i] = percentile(series, 50.0).as_millis_f64();
-            out[2 * i + 1] = percentile(series, 99.0).as_millis_f64();
+        for series in 0..3 {
+            sorted.clear();
+            sorted.extend(samples.iter().map(|sample| sample[series]));
+            sorted.sort_unstable();
+            out[2 * series] = percentile(&sorted, 50.0).as_millis_f64();
+            out[2 * series + 1] = percentile(&sorted, 99.0).as_millis_f64();
         }
         out
     }
@@ -144,7 +217,6 @@ impl SloRecorder {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use hybrimoe_hw::SimTime;
 
     fn metrics(id: u32, wait_ms: u64, ttft_ms: u64) -> RequestMetrics {
         RequestMetrics {
@@ -191,5 +263,22 @@ mod tests {
         rec.record(&metrics(1, 6, 12));
         let [qw50, ..] = rec.percentiles_ms();
         assert_eq!(qw50, 4.0);
+    }
+
+    #[test]
+    fn recorder_keeps_only_the_last_window() {
+        let rec = SloRecorder::default();
+        // Three windows of samples, each window slower than the last.
+        for i in 0..3 * SLO_WINDOW {
+            let window = (i / SLO_WINDOW) as u64;
+            rec.record(&metrics(i as u32, 10 * (window + 1), 100));
+        }
+        assert_eq!(rec.inner.lock().unwrap().len(), SLO_WINDOW);
+        // Only the third window (30 ms waits) is left: the 10 ms and
+        // 20 ms samples aged out.
+        let oldest = rec.inner.lock().unwrap().front().copied().unwrap();
+        assert_eq!(oldest[0], SimDuration::from_millis(30));
+        let [qw50, ..] = rec.percentiles_ms();
+        assert_eq!(qw50, 30.0);
     }
 }

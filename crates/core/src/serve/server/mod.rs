@@ -14,7 +14,8 @@
 //!   a completion deadline; a request whose deadline already passed is
 //!   answered `504` without queueing.
 //! * `GET /metrics` returns a [`ServerMetrics`] JSON snapshot: counters
-//!   plus queue-wait/TTFT/TPOT percentiles over completed requests.
+//!   plus queue-wait/TTFT/TPOT percentiles over the last 4096 completed
+//!   requests.
 //! * `GET /healthz` answers liveness probes: `{"ok":true,"status":"ok"}`
 //!   normally, `"status":"degraded"` (with reasons, still HTTP 200) once
 //!   the engine has been restarted after a panic or a worker circuit
@@ -26,7 +27,10 @@
 //! [`ContinuousBatcher`] — the same admission/merge/leave core the
 //! [`ServeSim`](crate::serve::ServeSim) drives, stepped with wall-clock
 //! stamps instead of the modeled clock. Connection handlers talk to it
-//! over a bounded channel, so a slow client never blocks the batch.
+//! over a bounded channel, so a slow client never blocks the batch. The
+//! loop is also the single owner of request and engine state: handlers
+//! write only the admission reservation and the rejection counters, and
+//! read everything else from the one snapshot the loop publishes.
 //!
 //! # Admission control
 //!
@@ -56,19 +60,19 @@ pub use metrics::ServerMetrics;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use hybrimoe_hw::{SimDuration, SimTime};
 use serde::Value;
 
-use crate::serve::server::engine_loop::{StreamEvent, Submission};
-use crate::serve::server::metrics::SloRecorder;
+use crate::serve::server::engine_loop::{StreamEvent, Submission, Terminal};
+use crate::serve::server::metrics::{SloRecorder, Snapshot};
 use crate::serve::{ContinuousBatcher, DEFAULT_PRIORITY};
-use crate::{EngineConfig, PrefetchCounters};
+use crate::EngineConfig;
 
 /// Stack size for connection-handler threads. Handlers only parse one
 /// small request and relay channel events, so a sliver of stack keeps a
@@ -139,57 +143,29 @@ impl ServerConfig {
 }
 
 /// State shared between the acceptor, connection handlers, and the
-/// engine loop.
+/// engine loop. Handlers write the flags, the rejection counters and the
+/// reservation counter; everything else is the engine loop's, which
+/// publishes it whole as the one [`Snapshot`].
 pub(crate) struct Shared {
     /// Admission is closed; accepted requests are running out.
     pub draining: AtomicBool,
     /// The acceptor should exit.
     closed: AtomicBool,
-    /// Requests holding a waiting-queue slot (submitted or queued in the
-    /// batcher, not yet admitted into the batch).
-    pub queued: AtomicUsize,
-    /// Requests currently decoding in the batch.
-    pub running: AtomicUsize,
-    pub admitted: AtomicU64,
-    pub completed: AtomicU64,
-    /// Requests evicted because their client hung up mid-stream.
-    pub cancelled: AtomicU64,
-    /// Admitted requests expired past their deadline.
-    pub timed_out: AtomicU64,
-    /// Admitted requests failed by an engine panic.
-    pub failed: AtomicU64,
     rejected_queue_full: AtomicU64,
     rejected_shed: AtomicU64,
     rejected_draining: AtomicU64,
     rejected_deadline: AtomicU64,
-    /// Times the engine loop rebuilt its engine after a step panic.
-    pub engine_restarts: AtomicU64,
-    pub steps: AtomicU64,
-    pub output_tokens: AtomicU64,
-    /// Arrival stamp (nanos on the server clock) of the oldest request in
-    /// the batcher's waiting queue; `u64::MAX` when the queue is empty.
-    oldest_wait_nanos: AtomicU64,
-    /// Background expert transfers issued / landed / wasted, mirrored
-    /// from the engine's [`PrefetchCounters`] after every step.
-    prefetch_issued: AtomicU64,
-    prefetch_landed: AtomicU64,
-    prefetch_wasted: AtomicU64,
-    /// `f64::to_bits` of the learned predictor's rolling top-k accuracy;
-    /// `u64::MAX` (a NaN pattern no real accuracy produces) when the
-    /// engine runs no predictor.
-    predictor_accuracy_bits: AtomicU64,
-    /// Worker fleet health, mirrored from the engine's backend after
-    /// every step; all-zero unless the remote-worker backend runs.
-    workers_configured: AtomicU64,
-    workers_up: AtomicU64,
-    worker_requests: AtomicU64,
-    worker_failovers: AtomicU64,
-    worker_reconnects: AtomicU64,
-    workers_breaker_open: AtomicU64,
-    workers_breaker_trips: AtomicU64,
-    /// Expert-cache hit ratio per GPU shard, refreshed every engine step.
-    shard_hit_ratios: Mutex<Vec<f64>>,
+    /// Waiting-queue slots handlers have reserved (and handed to the
+    /// engine loop) since startup. With the loop's
+    /// [`Snapshot::left_waiting`] it gives the slots held right now:
+    /// `queued = reserved − left_waiting`, submissions still in the
+    /// channel plus requests in the batcher's waiting queue. A stale
+    /// snapshot only under-reports `left_waiting`, so `queued` can
+    /// over-count for a moment but never under-count.
+    reserved: AtomicU64,
     pub slo: SloRecorder,
+    /// The engine loop's books as of its last publish.
+    snapshot: Mutex<Snapshot>,
     /// The server clock's origin; all `SimTime` stamps count from here.
     origin: Instant,
 }
@@ -199,34 +175,13 @@ impl Shared {
         Shared {
             draining: AtomicBool::new(false),
             closed: AtomicBool::new(false),
-            queued: AtomicUsize::new(0),
-            running: AtomicUsize::new(0),
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
             rejected_queue_full: AtomicU64::new(0),
             rejected_shed: AtomicU64::new(0),
             rejected_draining: AtomicU64::new(0),
             rejected_deadline: AtomicU64::new(0),
-            engine_restarts: AtomicU64::new(0),
-            steps: AtomicU64::new(0),
-            output_tokens: AtomicU64::new(0),
-            oldest_wait_nanos: AtomicU64::new(u64::MAX),
-            prefetch_issued: AtomicU64::new(0),
-            prefetch_landed: AtomicU64::new(0),
-            prefetch_wasted: AtomicU64::new(0),
-            predictor_accuracy_bits: AtomicU64::new(u64::MAX),
-            workers_configured: AtomicU64::new(0),
-            workers_up: AtomicU64::new(0),
-            worker_requests: AtomicU64::new(0),
-            worker_failovers: AtomicU64::new(0),
-            worker_reconnects: AtomicU64::new(0),
-            workers_breaker_open: AtomicU64::new(0),
-            workers_breaker_trips: AtomicU64::new(0),
-            shard_hit_ratios: Mutex::new(Vec::new()),
+            reserved: AtomicU64::new(0),
             slo: SloRecorder::default(),
+            snapshot: Mutex::new(Snapshot::default()),
             origin: Instant::now(),
         }
     }
@@ -236,75 +191,47 @@ impl Shared {
         SimTime::from_nanos(u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX))
     }
 
-    /// Publishes the oldest waiting arrival for the shed watermark.
-    pub fn store_oldest_wait(&self, arrival: Option<SimTime>) {
-        let nanos = arrival.map_or(u64::MAX, SimTime::as_nanos);
-        self.oldest_wait_nanos.store(nanos, Ordering::Release);
-    }
-
-    /// Publishes the engine-side prefetch/cache view. Called only by the
-    /// engine loop after each step; `/metrics` handlers read the snapshot.
-    pub fn store_engine_stats(
-        &self,
-        counters: PrefetchCounters,
-        accuracy: Option<f64>,
-        shards: Vec<f64>,
-        workers: Option<hybrimoe_worker::WorkerHealthSnapshot>,
-    ) {
-        self.prefetch_issued
-            .store(counters.issued, Ordering::Relaxed);
-        self.prefetch_landed
-            .store(counters.landed, Ordering::Relaxed);
-        self.prefetch_wasted
-            .store(counters.wasted, Ordering::Relaxed);
-        let bits = accuracy.map_or(u64::MAX, f64::to_bits);
-        self.predictor_accuracy_bits.store(bits, Ordering::Relaxed);
-        let health = workers.unwrap_or_default();
-        self.workers_configured
-            .store(health.configured, Ordering::Relaxed);
-        self.workers_up.store(health.up, Ordering::Relaxed);
-        self.worker_requests
-            .store(health.requests, Ordering::Relaxed);
-        self.worker_failovers
-            .store(health.failovers, Ordering::Relaxed);
-        self.worker_reconnects
-            .store(health.reconnects, Ordering::Relaxed);
-        self.workers_breaker_open
-            .store(health.breaker_open, Ordering::Relaxed);
-        self.workers_breaker_trips
-            .store(health.breaker_trips, Ordering::Relaxed);
-        *self
-            .shard_hit_ratios
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = shards;
+    /// The engine loop's last published books. Poison-tolerant: the only
+    /// writer overwrites plain fields, which leaves the snapshot valid at
+    /// every step.
+    pub fn snapshot(&self) -> MutexGuard<'_, Snapshot> {
+        self.snapshot.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// How long the oldest waiting request has been queued.
     fn queue_delay(&self) -> SimDuration {
-        let nanos = self.oldest_wait_nanos.load(Ordering::Acquire);
-        if nanos == u64::MAX {
-            return SimDuration::ZERO;
-        }
-        self.now().elapsed_since(SimTime::from_nanos(nanos))
+        let oldest = self.snapshot().oldest_waiting;
+        oldest.map_or(SimDuration::ZERO, |arrival| {
+            self.now().elapsed_since(arrival)
+        })
     }
 
     /// A point-in-time metrics snapshot.
     fn metrics(&self) -> ServerMetrics {
         let [qw50, qw99, ttft50, ttft99, tpot50, tpot99] = self.slo.percentiles_ms();
+        let snap = self.snapshot();
+        let Snapshot {
+            ledger,
+            prefetch,
+            workers,
+            ..
+        } = &*snap;
         ServerMetrics {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
+            admitted: ledger.admitted,
+            completed: ledger.completed,
+            cancelled: ledger.cancelled,
+            timed_out: ledger.timed_out,
+            failed: ledger.failed,
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_shed: self.rejected_shed.load(Ordering::Relaxed),
             rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
             rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
-            queued: self.queued.load(Ordering::Relaxed) as u64,
-            running: self.running.load(Ordering::Relaxed) as u64,
-            engine_steps: self.steps.load(Ordering::Relaxed),
-            output_tokens: self.output_tokens.load(Ordering::Relaxed),
+            // Loaded after the snapshot was taken, so `reserved` is never
+            // behind the `left_waiting` it is compared with.
+            queued: self.reserved.load(Ordering::Acquire) - snap.left_waiting(),
+            running: snap.running,
+            engine_steps: ledger.steps,
+            output_tokens: ledger.output_tokens,
             draining: self.draining.load(Ordering::Relaxed),
             queue_wait_p50_ms: qw50,
             queue_wait_p99_ms: qw99,
@@ -312,26 +239,19 @@ impl Shared {
             ttft_p99_ms: ttft99,
             tpot_p50_ms: tpot50,
             tpot_p99_ms: tpot99,
-            prefetch_issued: self.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_landed: self.prefetch_landed.load(Ordering::Relaxed),
-            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
-            predictor_topk_accuracy: {
-                let bits = self.predictor_accuracy_bits.load(Ordering::Relaxed);
-                (bits != u64::MAX).then(|| f64::from_bits(bits))
-            },
-            shard_hit_ratio: self
-                .shard_hit_ratios
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
-            workers_configured: self.workers_configured.load(Ordering::Relaxed),
-            workers_up: self.workers_up.load(Ordering::Relaxed),
-            worker_requests: self.worker_requests.load(Ordering::Relaxed),
-            worker_failovers: self.worker_failovers.load(Ordering::Relaxed),
-            worker_reconnects: self.worker_reconnects.load(Ordering::Relaxed),
-            worker_breaker_open: self.workers_breaker_open.load(Ordering::Relaxed),
-            worker_breaker_trips: self.workers_breaker_trips.load(Ordering::Relaxed),
-            engine_restarts: self.engine_restarts.load(Ordering::Relaxed),
+            prefetch_issued: prefetch.issued,
+            prefetch_landed: prefetch.landed,
+            prefetch_wasted: prefetch.wasted,
+            predictor_topk_accuracy: snap.predictor_accuracy,
+            shard_hit_ratio: snap.shard_hit_ratio.clone(),
+            workers_configured: workers.configured,
+            workers_up: workers.up,
+            worker_requests: workers.requests,
+            worker_failovers: workers.failovers,
+            worker_reconnects: workers.reconnects,
+            worker_breaker_open: workers.breaker_open,
+            worker_breaker_trips: workers.breaker_trips,
+            engine_restarts: ledger.engine_restarts,
         }
     }
 }
@@ -562,8 +482,10 @@ fn handle_connection(
 /// is open. Degraded stays HTTP 200 (the server is alive and serving);
 /// orchestration that wants to act on degradation reads `status`.
 fn healthz_body(shared: &Shared) -> String {
-    let restarts = shared.engine_restarts.load(Ordering::Relaxed);
-    let breakers = shared.workers_breaker_open.load(Ordering::Relaxed);
+    let (restarts, breakers) = {
+        let snap = shared.snapshot();
+        (snap.ledger.engine_restarts, snap.workers.breaker_open)
+    };
     if restarts == 0 && breakers == 0 {
         return "{\"ok\":true,\"status\":\"ok\"}".to_owned();
     }
@@ -626,10 +548,12 @@ fn handle_generate(
         }
     }
     // Gate 3: reserve a waiting-queue slot or reject (also retryable).
+    // `reserved` is read after `left_waiting`, so it is never behind it.
+    let left_waiting = shared.snapshot().left_waiting();
     let reserved = shared
-        .queued
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |q| {
-            (q < limits.queue_depth).then_some(q + 1)
+        .reserved
+        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |reserved| {
+            (reserved - left_waiting < limits.queue_depth as u64).then_some(reserved + 1)
         });
     if reserved.is_err() {
         shared.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
@@ -654,7 +578,8 @@ fn handle_generate(
         events: events_tx,
     };
     if let Err(err) = submit.try_send(submission) {
-        shared.queued.fetch_sub(1, Ordering::AcqRel);
+        // The loop will never see this submission: hand the slot back.
+        shared.reserved.fetch_sub(1, Ordering::AcqRel);
         let (counter, msg, retryable) = match err {
             // Unreachable by construction (reservation bounds the channel),
             // but never silently drop an accepted request.
@@ -681,7 +606,7 @@ fn stream_events(stream: &mut TcpStream, events: &mpsc::Receiver<StreamEvent>) -
             Ok(StreamEvent::Token { index }) => {
                 http::write_chunk(stream, &format!("{{\"token\":{index}}}\n"))?;
             }
-            Ok(StreamEvent::Done { metrics }) => {
+            Ok(StreamEvent::End(Terminal::Completed(metrics))) => {
                 http::write_chunk(
                     stream,
                     &format!(
@@ -695,17 +620,18 @@ fn stream_events(stream: &mut TcpStream, events: &mpsc::Receiver<StreamEvent>) -
                 )?;
                 return http::end_chunks(stream);
             }
-            Ok(StreamEvent::TimedOut) => {
+            Ok(StreamEvent::End(Terminal::TimedOut)) => {
                 http::write_chunk(stream, "{\"timed_out\":true}\n")?;
                 return http::end_chunks(stream);
             }
-            Ok(StreamEvent::Failed) => {
+            Ok(StreamEvent::End(Terminal::Failed)) => {
                 http::write_chunk(stream, "{\"failed\":true,\"error\":\"engine restarted\"}\n")?;
                 return http::end_chunks(stream);
             }
-            // The engine loop is gone mid-request: terminate the stream
-            // so the client sees a well-formed (if short) response.
-            Err(_) => return http::end_chunks(stream),
+            // The engine loop is gone mid-request (or, for `Cancelled`,
+            // the client is): terminate the stream so whoever still reads
+            // sees a well-formed (if short) response.
+            Ok(StreamEvent::End(Terminal::Cancelled)) | Err(_) => return http::end_chunks(stream),
         }
     }
 }

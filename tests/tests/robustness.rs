@@ -331,6 +331,47 @@ fn engine_panic_is_contained_and_reported_degraded() {
     );
 }
 
+/// Contained panics cost no admission capacity. Every step panics, so
+/// every request fails in the very step that moved it from waiting to
+/// running; if any of those exits kept its waiting-queue reservation, a
+/// server with `queue_depth` slots would answer `503 queue full` from
+/// request `queue_depth + 1` on, forever.
+#[test]
+fn panicking_steps_do_not_leak_queue_reservations() {
+    let queue_depth = 2;
+    let mut config = tiny_config(2, queue_depth, Duration::from_millis(1));
+    config.engine = config.engine.with_fault_plan(FaultPlan {
+        seed: 7,
+        rates: FaultRates {
+            panic_ppm: 1_000_000,
+            ..FaultRates::default()
+        },
+    });
+    let server = Server::start(config).expect("server starts");
+
+    let requests = queue_depth as u64 + 2;
+    for i in 0..requests {
+        let (head, chunks) = generate_with_headers(
+            server.addr(),
+            "{\"prompt_tokens\":4,\"decode_tokens\":4}",
+            &[],
+        );
+        assert_eq!(head.status, 200, "request {i} should be admitted");
+        let last = chunks.last().expect("stream has a terminal chunk");
+        assert!(
+            last.contains("\"failed\":true"),
+            "request {i}: terminal chunk should be typed failed, got {last:?}"
+        );
+    }
+
+    let metrics = server.shutdown();
+    assert_eq!(metrics.rejected_queue_full, 0);
+    assert_eq!(metrics.queued, 0, "a panic leaked a queue reservation");
+    assert_eq!(metrics.running, 0);
+    assert_eq!(metrics.admitted, requests);
+    assert_eq!(metrics.failed, requests);
+}
+
 /// After contained panics the server keeps serving: with the fault plan
 /// off, requests behind a restart-scarred server complete normally.
 #[test]
