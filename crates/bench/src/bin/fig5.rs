@@ -36,7 +36,7 @@ fn main() {
     ] {
         plan.validate(&tasks).expect("plan must be valid");
         let executed = PlanExecutor::new()
-            .execute(plan.to_ops(&ctx))
+            .execute(plan.to_labelled_ops(&ctx))
             .expect("acyclic");
         println!("-- {title} --");
         println!(

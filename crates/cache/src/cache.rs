@@ -1,10 +1,8 @@
 //! The GPU-resident expert cache.
 
-use std::collections::BTreeSet;
-
 use hybrimoe_model::{ExpertId, ExpertKey, LayerId, LayerRouting};
 
-use crate::{CachePolicy, CacheStats};
+use crate::{CachePolicy, CacheStats, Candidates, KeySet, RoutingScores};
 
 /// What happened on an insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +53,13 @@ impl InsertOutcome {
 #[derive(Debug)]
 pub struct ExpertCache {
     capacity: usize,
-    resident: BTreeSet<ExpertKey>,
-    pinned: BTreeSet<ExpertKey>,
+    resident: KeySet,
+    pinned: KeySet,
     policy: Box<dyn CachePolicy>,
     clock: u64,
     stats: CacheStats,
+    /// Reused buffers for handing routings to the policy.
+    scores: RoutingScores,
 }
 
 impl ExpertCache {
@@ -67,11 +67,12 @@ impl ExpertCache {
     pub fn new(capacity: usize, policy: Box<dyn CachePolicy>) -> Self {
         ExpertCache {
             capacity,
-            resident: BTreeSet::new(),
-            pinned: BTreeSet::new(),
+            resident: KeySet::new(),
+            pinned: KeySet::new(),
             policy,
             clock: 0,
             stats: CacheStats::default(),
+            scores: RoutingScores::new(),
         }
     }
 
@@ -107,13 +108,13 @@ impl ExpertCache {
 
     /// Whether `key` is resident, without recording a lookup.
     pub fn contains(&self, key: ExpertKey) -> bool {
-        self.resident.contains(&key)
+        self.resident.contains(key)
     }
 
     /// Looks up `key`, recording a hit or miss and notifying the policy.
     pub fn lookup(&mut self, key: ExpertKey) -> bool {
         self.clock += 1;
-        if self.resident.contains(&key) {
+        if self.resident.contains(key) {
             self.stats.hits += 1;
             self.policy.on_access(key, self.clock);
             true
@@ -126,7 +127,14 @@ impl ExpertCache {
     /// Forwards one layer's routing to the policy (score-aware policies
     /// update their estimates here).
     pub fn note_routing(&mut self, routing: &LayerRouting, activated_k: u16) {
-        self.policy.on_routing(routing, activated_k);
+        self.scores.load(routing, activated_k);
+        self.policy.on_routing(&mut self.scores);
+    }
+
+    /// Shows the policy its share of an already loaded routing (one shard
+    /// of a [`ShardedExpertCache`](crate::ShardedExpertCache)).
+    pub(crate) fn note_scores(&mut self, scores: &mut RoutingScores) {
+        self.policy.on_routing(scores);
     }
 
     /// Inserts `key`, evicting a policy-chosen victim if the cache is full.
@@ -140,7 +148,7 @@ impl ExpertCache {
     /// the ones still queued for computation in the current layer) are not
     /// eligible victims.
     pub fn insert_protected(&mut self, key: ExpertKey, protect: &[ExpertKey]) -> InsertOutcome {
-        if self.resident.contains(&key) {
+        if self.resident.contains(key) {
             return InsertOutcome::AlreadyResident;
         }
         if self.capacity == 0 {
@@ -153,19 +161,14 @@ impl ExpertCache {
             self.policy.on_insert(key, self.clock);
             return InsertOutcome::Inserted;
         }
-        // Candidates: resident, unpinned, unprotected — deterministic order
-        // from the BTreeSet.
-        let candidates: Vec<ExpertKey> = self
-            .resident
-            .iter()
-            .copied()
-            .filter(|k| !self.pinned.contains(k) && !protect.contains(k))
-            .collect();
-        let Some(victim) = self.policy.choose_victim(&candidates) else {
+        // Candidates: resident, unpinned, unprotected — scanned in key
+        // order straight off the residency bits.
+        let candidates = Candidates::new(&self.resident, &self.pinned, protect);
+        let Some(victim) = self.policy.choose_victim(candidates) else {
             return InsertOutcome::Refused;
         };
-        debug_assert!(self.resident.contains(&victim));
-        self.resident.remove(&victim);
+        let was_resident = self.resident.remove(victim);
+        debug_assert!(was_resident, "policy chose a non-resident victim");
         self.policy.on_evict(victim);
         self.stats.evictions += 1;
         self.resident.insert(key);
@@ -177,7 +180,7 @@ impl ExpertCache {
     /// Inserts `key` only if there is free space (the prefetch path: the
     /// paper prefetches into idle capacity rather than forcing evictions).
     pub fn insert_if_free(&mut self, key: ExpertKey) -> InsertOutcome {
-        if self.resident.contains(&key) {
+        if self.resident.contains(key) {
             return InsertOutcome::AlreadyResident;
         }
         if self.is_full() {
@@ -199,25 +202,22 @@ impl ExpertCache {
 
     /// Removes the pin from `key`.
     pub fn unpin(&mut self, key: ExpertKey) {
-        self.pinned.remove(&key);
+        self.pinned.remove(key);
     }
 
     /// Whether `key` is pinned.
     pub fn is_pinned(&self, key: ExpertKey) -> bool {
-        self.pinned.contains(&key)
+        self.pinned.contains(key)
     }
 
     /// The resident experts of `layer`, ascending by expert id.
     pub fn cached_in_layer(&self, layer: LayerId) -> Vec<ExpertId> {
-        self.resident
-            .range(ExpertKey::new(layer, ExpertId(0))..=ExpertKey::new(layer, ExpertId(u16::MAX)))
-            .map(|k| k.expert)
-            .collect()
+        self.resident.in_layer(layer).collect()
     }
 
     /// All resident experts, ascending.
     pub fn resident_keys(&self) -> impl Iterator<Item = ExpertKey> + '_ {
-        self.resident.iter().copied()
+        self.resident.iter()
     }
 
     /// Accumulated statistics.

@@ -1,10 +1,8 @@
 //! Least-frequently-used replacement.
 
-use std::collections::HashMap;
+use hybrimoe_model::ExpertKey;
 
-use hybrimoe_model::{ExpertKey, LayerRouting};
-
-use crate::CachePolicy;
+use crate::{CachePolicy, Candidates, KeyMap, RoutingScores};
 
 /// LFU with recency tie-break: evicts the resident expert with the fewest
 /// recorded accesses, using the older last-access to break ties.
@@ -16,7 +14,7 @@ use crate::CachePolicy;
 /// # Example
 ///
 /// ```
-/// use hybrimoe_cache::{CachePolicy, Lfu};
+/// use hybrimoe_cache::{CachePolicy, KeySet, Lfu};
 /// use hybrimoe_model::{ExpertId, ExpertKey, LayerId};
 ///
 /// let mut lfu = Lfu::new();
@@ -27,12 +25,21 @@ use crate::CachePolicy;
 /// lfu.on_access(a, 3);
 /// lfu.on_access(a, 4);
 /// lfu.on_access(b, 5);
-/// assert_eq!(lfu.choose_victim(&[a, b]), Some(b));
+/// let resident: KeySet = [a, b].into_iter().collect();
+/// assert_eq!(lfu.choose_victim(resident.candidates()), Some(b));
 /// ```
 #[derive(Debug, Default)]
 pub struct Lfu {
-    counts: HashMap<ExpertKey, u64>,
-    last_access: HashMap<ExpertKey, u64>,
+    usage: KeyMap<Usage>,
+}
+
+/// What LFU remembers about one expert; all zero until first seen.
+#[derive(Debug, Default, Clone, Copy)]
+struct Usage {
+    /// Recorded accesses, kept across evictions.
+    count: u64,
+    /// Logical time of the last access; reset to 0 on eviction.
+    last_access: u64,
 }
 
 impl Lfu {
@@ -47,31 +54,28 @@ impl CachePolicy for Lfu {
         "LFU"
     }
 
-    fn on_routing(&mut self, _routing: &LayerRouting, _activated_k: u16) {}
+    fn on_routing(&mut self, _scores: &mut RoutingScores) {}
 
     fn on_access(&mut self, key: ExpertKey, now: u64) {
-        *self.counts.entry(key).or_insert(0) += 1;
-        self.last_access.insert(key, now);
+        let usage = self.usage.slot_mut(key);
+        usage.count += 1;
+        usage.last_access = now;
     }
 
     fn on_insert(&mut self, key: ExpertKey, now: u64) {
-        self.counts.entry(key).or_insert(0);
-        self.last_access.insert(key, now);
+        self.usage.slot_mut(key).last_access = now;
     }
 
     fn on_evict(&mut self, key: ExpertKey) {
         // Frequency history survives eviction (classic LFU keeps global
         // counts), but recency is reset.
-        self.last_access.remove(&key);
+        self.usage.slot_mut(key).last_access = 0;
     }
 
-    fn choose_victim(&mut self, candidates: &[ExpertKey]) -> Option<ExpertKey> {
-        candidates.iter().copied().min_by_key(|k| {
-            (
-                self.counts.get(k).copied().unwrap_or(0),
-                self.last_access.get(k).copied().unwrap_or(0),
-                *k,
-            )
+    fn choose_victim(&mut self, candidates: Candidates<'_>) -> Option<ExpertKey> {
+        candidates.min_by_value(|k| {
+            let usage = self.usage.get(k);
+            (usage.count, usage.last_access)
         })
     }
 }
@@ -79,10 +83,16 @@ impl CachePolicy for Lfu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeySet;
     use hybrimoe_model::{ExpertId, LayerId};
 
     fn key(e: u16) -> ExpertKey {
         ExpertKey::new(LayerId(0), ExpertId(e))
+    }
+
+    fn victim(lfu: &mut Lfu, resident: &[ExpertKey]) -> Option<ExpertKey> {
+        let resident: KeySet = resident.iter().copied().collect();
+        lfu.choose_victim(resident.candidates())
     }
 
     #[test]
@@ -94,7 +104,7 @@ mod tests {
         lfu.on_access(key(0), 1);
         lfu.on_access(key(0), 2);
         lfu.on_access(key(1), 3);
-        assert_eq!(lfu.choose_victim(&[key(0), key(1)]), Some(key(1)));
+        assert_eq!(victim(&mut lfu, &[key(0), key(1)]), Some(key(1)));
     }
 
     #[test]
@@ -104,7 +114,7 @@ mod tests {
         lfu.on_insert(key(1), 0);
         lfu.on_access(key(0), 10);
         lfu.on_access(key(1), 20);
-        assert_eq!(lfu.choose_victim(&[key(0), key(1)]), Some(key(0)));
+        assert_eq!(victim(&mut lfu, &[key(0), key(1)]), Some(key(0)));
     }
 
     #[test]
@@ -118,11 +128,11 @@ mod tests {
         lfu.on_insert(key(1), 3);
         lfu.on_access(key(1), 4);
         // key(0) has 2 historical accesses vs key(1)'s 1.
-        assert_eq!(lfu.choose_victim(&[key(0), key(1)]), Some(key(1)));
+        assert_eq!(victim(&mut lfu, &[key(0), key(1)]), Some(key(1)));
     }
 
     #[test]
     fn empty_candidates_give_none() {
-        assert_eq!(Lfu::new().choose_victim(&[]), None);
+        assert_eq!(victim(&mut Lfu::new(), &[]), None);
     }
 }

@@ -19,6 +19,13 @@
 //! GPU shard, routed by the expert→shard affinity map, so residency and
 //! score estimates stay device-local.
 //!
+//! Every operation here runs on the per-layer critical path of an engine
+//! step, so residency, pins and the policies' per-expert values are dense
+//! arrays indexed by expert key ([`KeySet`], [`KeyMap`]) and an eviction
+//! scans the resident slots in key order ([`Candidates`]) — no hashing, no
+//! per-call collections. [`CachePolicy`] documents the contract a custom
+//! policy has to keep.
+//!
 //! ## Example
 //!
 //! ```
@@ -41,6 +48,9 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod dense;
+#[cfg(test)]
+mod differential;
 mod lfu;
 mod lru;
 mod mrs;
@@ -51,9 +61,10 @@ mod sharded;
 mod stats;
 
 pub use cache::{ExpertCache, InsertOutcome};
+pub use dense::{Candidates, KeyMap, KeySet};
 pub use lfu::Lfu;
 pub use lru::Lru;
 pub use mrs::Mrs;
-pub use policy::CachePolicy;
+pub use policy::{CachePolicy, RoutingScores};
 pub use sharded::ShardedExpertCache;
 pub use stats::CacheStats;

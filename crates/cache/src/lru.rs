@@ -1,10 +1,8 @@
 //! Least-recently-used replacement.
 
-use std::collections::HashMap;
+use hybrimoe_model::ExpertKey;
 
-use hybrimoe_model::{ExpertKey, LayerRouting};
-
-use crate::CachePolicy;
+use crate::{CachePolicy, Candidates, KeyMap, RoutingScores};
 
 /// Classic LRU: evicts the resident expert whose last access is oldest.
 ///
@@ -14,7 +12,7 @@ use crate::CachePolicy;
 /// # Example
 ///
 /// ```
-/// use hybrimoe_cache::{CachePolicy, Lru};
+/// use hybrimoe_cache::{CachePolicy, KeySet, Lru};
 /// use hybrimoe_model::{ExpertId, ExpertKey, LayerId};
 ///
 /// let mut lru = Lru::new();
@@ -23,11 +21,14 @@ use crate::CachePolicy;
 /// lru.on_insert(a, 1);
 /// lru.on_insert(b, 2);
 /// lru.on_access(a, 3);
-/// assert_eq!(lru.choose_victim(&[a, b]), Some(b));
+/// let resident: KeySet = [a, b].into_iter().collect();
+/// assert_eq!(lru.choose_victim(resident.candidates()), Some(b));
 /// ```
 #[derive(Debug, Default)]
 pub struct Lru {
-    last_access: HashMap<ExpertKey, u64>,
+    /// Logical time of the last access; 0 for experts that are not
+    /// resident (forgotten on eviction) or were never seen.
+    last_access: KeyMap<u64>,
 }
 
 impl Lru {
@@ -42,35 +43,38 @@ impl CachePolicy for Lru {
         "LRU"
     }
 
-    fn on_routing(&mut self, _routing: &LayerRouting, _activated_k: u16) {}
+    fn on_routing(&mut self, _scores: &mut RoutingScores) {}
 
     fn on_access(&mut self, key: ExpertKey, now: u64) {
-        self.last_access.insert(key, now);
+        self.last_access.set(key, now);
     }
 
     fn on_insert(&mut self, key: ExpertKey, now: u64) {
-        self.last_access.insert(key, now);
+        self.last_access.set(key, now);
     }
 
     fn on_evict(&mut self, key: ExpertKey) {
-        self.last_access.remove(&key);
+        self.last_access.set(key, 0);
     }
 
-    fn choose_victim(&mut self, candidates: &[ExpertKey]) -> Option<ExpertKey> {
-        candidates
-            .iter()
-            .copied()
-            .min_by_key(|k| (self.last_access.get(k).copied().unwrap_or(0), *k))
+    fn choose_victim(&mut self, candidates: Candidates<'_>) -> Option<ExpertKey> {
+        candidates.min_by_value(|k| self.last_access.get(k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeySet;
     use hybrimoe_model::{ExpertId, LayerId};
 
     fn key(l: u16, e: u16) -> ExpertKey {
         ExpertKey::new(LayerId(l), ExpertId(e))
+    }
+
+    fn victim(lru: &mut Lru, resident: &[ExpertKey]) -> Option<ExpertKey> {
+        let resident: KeySet = resident.iter().copied().collect();
+        lru.choose_victim(resident.candidates())
     }
 
     #[test]
@@ -81,7 +85,7 @@ mod tests {
         lru.on_insert(key(0, 2), 3);
         lru.on_access(key(0, 0), 4);
         assert_eq!(
-            lru.choose_victim(&[key(0, 0), key(0, 1), key(0, 2)]),
+            victim(&mut lru, &[key(0, 0), key(0, 1), key(0, 2)]),
             Some(key(0, 1))
         );
     }
@@ -90,13 +94,13 @@ mod tests {
     fn unknown_candidates_treated_as_oldest() {
         let mut lru = Lru::new();
         lru.on_insert(key(0, 0), 5);
-        assert_eq!(lru.choose_victim(&[key(0, 0), key(0, 9)]), Some(key(0, 9)));
+        assert_eq!(victim(&mut lru, &[key(0, 0), key(0, 9)]), Some(key(0, 9)));
     }
 
     #[test]
     fn empty_candidates_give_none() {
         let mut lru = Lru::new();
-        assert_eq!(lru.choose_victim(&[]), None);
+        assert_eq!(victim(&mut lru, &[]), None);
     }
 
     #[test]
@@ -106,7 +110,7 @@ mod tests {
         lru.on_evict(key(0, 0));
         // Re-inserted later with a fresh timestamp; old one must not linger.
         lru.on_insert(key(0, 1), 1);
-        assert_eq!(lru.choose_victim(&[key(0, 0), key(0, 1)]), Some(key(0, 0)));
+        assert_eq!(victim(&mut lru, &[key(0, 0), key(0, 1)]), Some(key(0, 0)));
     }
 
     #[test]
@@ -114,6 +118,6 @@ mod tests {
         let mut lru = Lru::new();
         lru.on_insert(key(0, 3), 1);
         lru.on_insert(key(0, 1), 1);
-        assert_eq!(lru.choose_victim(&[key(0, 1), key(0, 3)]), Some(key(0, 1)));
+        assert_eq!(victim(&mut lru, &[key(0, 1), key(0, 3)]), Some(key(0, 1)));
     }
 }

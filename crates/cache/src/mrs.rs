@@ -1,10 +1,8 @@
 //! Minus Recent Score (MRS): the paper's score-aware replacement policy.
 
-use std::collections::HashMap;
+use hybrimoe_model::ExpertKey;
 
-use hybrimoe_model::{ExpertKey, LayerRouting};
-
-use crate::CachePolicy;
+use crate::{CachePolicy, Candidates, KeyMap, RoutingScores};
 
 /// The **Minus Recent Score** policy of §IV-D.
 ///
@@ -24,23 +22,26 @@ use crate::CachePolicy;
 /// # Example
 ///
 /// ```
-/// use hybrimoe_cache::{CachePolicy, Mrs};
+/// use hybrimoe_cache::{CachePolicy, KeySet, Mrs, RoutingScores};
 /// use hybrimoe_model::{ExpertId, ExpertKey, LayerId, LayerRouting, RouterOutput};
 ///
 /// let mut mrs = Mrs::new(0.3);
 /// // One token strongly preferring expert 0:
 /// let routing = LayerRouting::from_tokens(
 ///     LayerId(0), 4, &[RouterOutput::route(&[4.0, 2.0, 0.0, 0.0], 1)]);
-/// mrs.on_routing(&routing, 1);
+/// let mut scores = RoutingScores::new();
+/// scores.load(&routing, 1);
+/// mrs.on_routing(&mut scores);
 /// let lo = ExpertKey::new(LayerId(0), ExpertId(3));
 /// let hi = ExpertKey::new(LayerId(0), ExpertId(0));
-/// assert_eq!(mrs.choose_victim(&[hi, lo]), Some(lo));
+/// let resident: KeySet = [hi, lo].into_iter().collect();
+/// assert_eq!(mrs.choose_victim(resident.candidates()), Some(lo));
 /// ```
 #[derive(Debug)]
 pub struct Mrs {
     alpha: f64,
     p_override: Option<u16>,
-    scores: HashMap<ExpertKey, f64>,
+    scores: KeyMap<f64>,
 }
 
 impl Mrs {
@@ -58,7 +59,7 @@ impl Mrs {
         Mrs {
             alpha,
             p_override: None,
-            scores: HashMap::new(),
+            scores: KeyMap::new(),
         }
     }
 
@@ -77,7 +78,7 @@ impl Mrs {
 
     /// The current estimated priority score of `key` (0 if never routed).
     pub fn score(&self, key: ExpertKey) -> f64 {
-        self.scores.get(&key).copied().unwrap_or(0.0)
+        self.scores.get(key)
     }
 
     /// The averaging coefficient α.
@@ -91,27 +92,17 @@ impl CachePolicy for Mrs {
         "MRS"
     }
 
-    fn on_routing(&mut self, routing: &LayerRouting, activated_k: u16) {
-        let mean = routing.mean_scores();
-        let p = self.p_override.unwrap_or_else(|| (2 * activated_k).max(1)) as usize;
-        // Find the top-p cutoff value.
-        let mut sorted: Vec<f32> = mean.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        let cutoff = sorted
-            .get(p.saturating_sub(1))
-            .copied()
-            .unwrap_or(f32::NEG_INFINITY);
-        // Count how many meet the cutoff to keep exactly p under ties.
-        let mut kept = 0usize;
-        for (i, &s) in mean.iter().enumerate() {
-            let key = ExpertKey::new(routing.layer(), hybrimoe_model::ExpertId(i as u16));
-            let top = s >= cutoff && kept < p && s > 0.0;
-            if top {
-                kept += 1;
-            }
-            let contribution = if top { s as f64 } else { 0.0 };
-            let entry = self.scores.entry(key).or_insert(0.0);
-            *entry = self.alpha * contribution + (1.0 - self.alpha) * *entry;
+    fn on_routing(&mut self, scores: &mut RoutingScores) {
+        let p = self
+            .p_override
+            .unwrap_or_else(|| (2 * scores.activated_k()).max(1)) as usize;
+        let layer = scores.layer();
+        let owned = scores.owned_experts();
+        let top = scores.top_p(p);
+        let row = self.scores.row_mut(layer, top.len());
+        for e in owned {
+            let e = e.0 as usize;
+            row[e] = self.alpha * top[e] as f64 + (1.0 - self.alpha) * row[e];
         }
     }
 
@@ -124,32 +115,32 @@ impl CachePolicy for Mrs {
         // its estimate and competes normally when re-inserted.
     }
 
-    fn choose_victim(&mut self, candidates: &[ExpertKey]) -> Option<ExpertKey> {
-        candidates.iter().copied().min_by(|a, b| {
-            let sa = self.score(*a);
-            let sb = self.score(*b);
-            sa.partial_cmp(&sb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        })
+    fn choose_victim(&mut self, candidates: Candidates<'_>) -> Option<ExpertKey> {
+        candidates.min_by_value(|k| self.scores.get(k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybrimoe_model::{ExpertId, LayerId, RouterOutput};
+    use crate::KeySet;
+    use hybrimoe_model::{ExpertId, LayerId, LayerRouting, RouterOutput};
 
     fn key(l: u16, e: u16) -> ExpertKey {
         ExpertKey::new(LayerId(l), ExpertId(e))
     }
 
-    fn routing_from_logits(layer: u16, logits: &[f32], k: usize) -> LayerRouting {
-        LayerRouting::from_tokens(
+    /// One token's routing from its gate logits, as the policy sees it
+    /// (`activated_k` = 1).
+    fn routing_from_logits(layer: u16, logits: &[f32], k: usize) -> RoutingScores {
+        let routing = LayerRouting::from_tokens(
             LayerId(layer),
             logits.len() as u16,
             &[RouterOutput::route(logits, k)],
-        )
+        );
+        let mut scores = RoutingScores::new();
+        scores.load(&routing, 1);
+        scores
     }
 
     #[test]
@@ -161,11 +152,11 @@ mod tests {
     #[test]
     fn scores_follow_ewma() {
         let mut mrs = Mrs::new(0.5);
-        let r = routing_from_logits(0, &[10.0, 0.0, 0.0, 0.0], 1);
-        mrs.on_routing(&r, 1);
+        let mut r = routing_from_logits(0, &[10.0, 0.0, 0.0, 0.0], 1);
+        mrs.on_routing(&mut r);
         let s1 = mrs.score(key(0, 0));
         assert!(s1 > 0.4, "first update should be ~alpha*score, got {s1}");
-        mrs.on_routing(&r, 1);
+        mrs.on_routing(&mut r);
         let s2 = mrs.score(key(0, 0));
         assert!(s2 > s1, "repeated activation grows the estimate");
         assert!(s2 <= 1.0);
@@ -175,10 +166,10 @@ mod tests {
     fn non_top_p_scores_decay() {
         let mut mrs = Mrs::with_top_p(0.5, 1);
         // Round 1: expert 0 dominates, gets credit.
-        mrs.on_routing(&routing_from_logits(0, &[10.0, 0.0, 0.0, 0.0], 1), 1);
+        mrs.on_routing(&mut routing_from_logits(0, &[10.0, 0.0, 0.0, 0.0], 1));
         let before = mrs.score(key(0, 0));
         // Round 2: expert 1 dominates; expert 0 is outside top-1 and decays.
-        mrs.on_routing(&routing_from_logits(0, &[0.0, 10.0, 0.0, 0.0], 1), 1);
+        mrs.on_routing(&mut routing_from_logits(0, &[0.0, 10.0, 0.0, 0.0], 1));
         let after = mrs.score(key(0, 0));
         assert!(after < before);
         assert!((after - before * 0.5).abs() < 1e-9);
@@ -187,19 +178,21 @@ mod tests {
     #[test]
     fn victim_is_lowest_score() {
         let mut mrs = Mrs::new(0.3);
-        mrs.on_routing(&routing_from_logits(0, &[3.0, 2.0, 1.0, 0.0], 2), 1);
-        let cands = vec![key(0, 0), key(0, 1), key(0, 3)];
-        assert_eq!(mrs.choose_victim(&cands), Some(key(0, 3)));
+        mrs.on_routing(&mut routing_from_logits(0, &[3.0, 2.0, 1.0, 0.0], 2));
+        let cands: KeySet = [key(0, 0), key(0, 1), key(0, 3)].into_iter().collect();
+        assert_eq!(mrs.choose_victim(cands.candidates()), Some(key(0, 3)));
     }
 
     #[test]
     fn top_p_defaults_to_twice_k() {
-        let mut mrs = Mrs::new(1.0); // alpha=1: S = TopP(s)
-                                     // 6 experts, k=1 → p=2: only the top two experts get credit.
-        mrs.on_routing(
-            &routing_from_logits(0, &[5.0, 4.0, 3.0, 2.0, 1.0, 0.0], 1),
+        // alpha=1: S = TopP(s). 6 experts, k=1 → p=2: only the top two
+        // experts get credit.
+        let mut mrs = Mrs::new(1.0);
+        mrs.on_routing(&mut routing_from_logits(
+            0,
+            &[5.0, 4.0, 3.0, 2.0, 1.0, 0.0],
             1,
-        );
+        ));
         assert!(mrs.score(key(0, 0)) > 0.0);
         assert!(mrs.score(key(0, 1)) > 0.0);
         assert_eq!(mrs.score(key(0, 2)), 0.0);
@@ -209,7 +202,7 @@ mod tests {
     #[test]
     fn scores_are_per_layer() {
         let mut mrs = Mrs::new(0.5);
-        mrs.on_routing(&routing_from_logits(0, &[10.0, 0.0, 0.0, 0.0], 1), 1);
+        mrs.on_routing(&mut routing_from_logits(0, &[10.0, 0.0, 0.0, 0.0], 1));
         assert!(mrs.score(key(0, 0)) > 0.0);
         assert_eq!(mrs.score(key(1, 0)), 0.0);
     }
@@ -217,7 +210,7 @@ mod tests {
     #[test]
     fn scores_survive_eviction() {
         let mut mrs = Mrs::new(0.5);
-        mrs.on_routing(&routing_from_logits(0, &[10.0, 0.0, 0.0, 0.0], 1), 1);
+        mrs.on_routing(&mut routing_from_logits(0, &[10.0, 0.0, 0.0, 0.0], 1));
         let before = mrs.score(key(0, 0));
         mrs.on_evict(key(0, 0));
         assert_eq!(mrs.score(key(0, 0)), before);
@@ -225,6 +218,9 @@ mod tests {
 
     #[test]
     fn empty_candidates_give_none() {
-        assert_eq!(Mrs::new(0.3).choose_victim(&[]), None);
+        assert_eq!(
+            Mrs::new(0.3).choose_victim(KeySet::new().candidates()),
+            None
+        );
     }
 }

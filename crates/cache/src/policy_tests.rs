@@ -8,7 +8,7 @@
 
 use hybrimoe_model::{ExpertId, ExpertKey, LayerId, LayerRouting};
 
-use crate::{CachePolicy, ExpertCache, Lfu, Lru, Mrs};
+use crate::{CachePolicy, ExpertCache, KeySet, Lfu, Lru, Mrs, RoutingScores};
 
 fn key(l: u16, e: u16) -> ExpertKey {
     ExpertKey::new(LayerId(l), ExpertId(e))
@@ -17,6 +17,13 @@ fn key(l: u16, e: u16) -> ExpertKey {
 /// A single-token routing whose mean scores are exactly `scores`.
 fn routing(layer: u16, scores: &[f32]) -> LayerRouting {
     LayerRouting::from_parts(LayerId(layer), 1, vec![0; scores.len()], scores.to_vec())
+}
+
+/// Shows `mrs` one [`routing`] with `activated_k` experts per token.
+fn observe(mrs: &mut Mrs, layer: u16, scores: &[f32], activated_k: u16) {
+    let mut seen = RoutingScores::new();
+    seen.load(&routing(layer, scores), activated_k);
+    mrs.on_routing(&mut seen);
 }
 
 #[test]
@@ -34,7 +41,7 @@ fn mrs_update_matches_closed_form() {
     let mut mrs = Mrs::with_top_p(alpha, 4);
     let mut expected = [0f64; 4];
     for round in &rounds {
-        mrs.on_routing(&routing(0, round), 2);
+        observe(&mut mrs, 0, round, 2);
         for (e, s) in expected.iter_mut().zip(round.iter()) {
             *e = alpha * f64::from(*s) + (1.0 - alpha) * *e;
         }
@@ -57,11 +64,11 @@ fn mrs_decay_is_geometric_outside_top_p() {
     // from the widened value.
     let s = f64::from(0.9f32);
     let mut mrs = Mrs::with_top_p(alpha, 1);
-    mrs.on_routing(&routing(0, &[0.9, 0.1]), 1);
+    observe(&mut mrs, 0, &[0.9, 0.1], 1);
     let s0 = mrs.score(key(0, 0));
     assert!((s0 - alpha * s).abs() < 1e-9);
     for round in 1..=5 {
-        mrs.on_routing(&routing(0, &[0.0, 0.9]), 1);
+        observe(&mut mrs, 0, &[0.0, 0.9], 1);
         let expect = alpha * s * (1.0 - alpha).powi(round);
         let got = mrs.score(key(0, 0));
         assert!(
@@ -73,13 +80,15 @@ fn mrs_decay_is_geometric_outside_top_p() {
 
 /// Drains `policy` by repeatedly evicting its chosen victim, returning the
 /// eviction order.
-fn drain(policy: &mut dyn CachePolicy, mut resident: Vec<ExpertKey>) -> Vec<ExpertKey> {
+fn drain(policy: &mut dyn CachePolicy, resident: Vec<ExpertKey>) -> Vec<ExpertKey> {
+    let mut resident: KeySet = resident.into_iter().collect();
     let mut order = Vec::new();
     while !resident.is_empty() {
-        resident.sort();
-        let victim = policy.choose_victim(&resident).expect("candidates remain");
+        let victim = policy
+            .choose_victim(resident.candidates())
+            .expect("candidates remain");
         policy.on_evict(victim);
-        resident.retain(|&k| k != victim);
+        resident.remove(victim);
         order.push(victim);
     }
     order

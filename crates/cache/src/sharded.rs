@@ -10,7 +10,7 @@
 
 use hybrimoe_model::{shard_of, ExpertId, ExpertKey, LayerId, LayerRouting};
 
-use crate::{CachePolicy, CacheStats, ExpertCache, InsertOutcome};
+use crate::{CachePolicy, CacheStats, ExpertCache, InsertOutcome, RoutingScores};
 
 /// One expert cache per GPU shard, routed by the expert affinity map.
 ///
@@ -35,6 +35,8 @@ use crate::{CachePolicy, CacheStats, ExpertCache, InsertOutcome};
 #[derive(Debug)]
 pub struct ShardedExpertCache {
     shards: Vec<ExpertCache>,
+    /// Reused buffers for handing routings to the shard policies.
+    scores: RoutingScores,
 }
 
 impl ShardedExpertCache {
@@ -56,7 +58,10 @@ impl ShardedExpertCache {
         let shards = (0..num_shards)
             .map(|s| ExpertCache::new(base + usize::from(s < remainder), policy_builder()))
             .collect();
-        ShardedExpertCache { shards }
+        ShardedExpertCache {
+            shards,
+            scores: RoutingScores::new(),
+        }
     }
 
     /// Number of shards (GPUs).
@@ -121,12 +126,16 @@ impl ShardedExpertCache {
         self.shard_mut(key).lookup(key)
     }
 
-    /// Forwards one layer's routing to every shard's policy: score
-    /// estimates are device-local, but every shard observes the full
-    /// routing so its estimates for its own experts stay current.
+    /// Forwards one layer's routing to every shard's policy. The routing's
+    /// scores (and their top-P cut) are worked out once; each shard's
+    /// policy then updates only the estimates of its own affinity experts,
+    /// the only ones that shard ever reads.
     pub fn note_routing(&mut self, routing: &LayerRouting, activated_k: u16) {
-        for shard in &mut self.shards {
-            shard.note_routing(routing, activated_k);
+        self.scores.load(routing, activated_k);
+        let num_shards = self.shards.len();
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            self.scores.set_owner(s, num_shards);
+            shard.note_scores(&mut self.scores);
         }
     }
 

@@ -4,9 +4,12 @@
 //! (routing, cache lookup, scheduling — always analytic) from schedule
 //! *execution*, which is delegated to an [`ExecutionBackend`]:
 //!
-//! * [`SimBackend`] replays the plan on the analytic device timelines via
-//!   [`PlanExecutor`] — the paper-reproduction path, bit-identical to the
-//!   pre-backend engine and fast enough for full-size models;
+//! * [`SimBackend`] replays the plan on the analytic device clocks
+//!   ([`PlanReplay`]: the makespan and busy times the
+//!   [`PlanExecutor`](hybrimoe_hw::PlanExecutor) reports for the plan's ops,
+//!   without building or labelling them) — the paper-reproduction path,
+//!   bit-identical to the pre-backend engine and fast enough for full-size
+//!   models;
 //! * [`RealCpuBackend`] actually executes each layer's CPU- and
 //!   GPU-assigned expert partitions with the `hybrimoe-kernels` quantized
 //!   FFNs (the GPU partition is CPU-executed too — no GPU in this
@@ -23,10 +26,10 @@
 
 use std::time::Duration;
 
-use hybrimoe_hw::{device_count, CalibrationProfile, Device, PlanExecutor, SimDuration};
+use hybrimoe_hw::{device_count, CalibrationProfile, Device, SimDuration};
 use hybrimoe_model::shard_of;
 use hybrimoe_model::LayerId;
-use hybrimoe_sched::{ScheduleContext, SchedulePlan};
+use hybrimoe_sched::{PlanReplay, ScheduleContext, SchedulePlan};
 use hybrimoe_trace::TokenStates;
 use hybrimoe_worker::WorkerHealthSnapshot;
 
@@ -48,7 +51,7 @@ pub struct LayerRequest<'a> {
 }
 
 /// What executing one layer cost.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LayerOutcome {
     /// End-to-end time of the layer's MoE portion: the maximum finish time
     /// over every device timeline.
@@ -68,8 +71,11 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     /// A short stable name for reports.
     fn name(&self) -> &'static str;
 
-    /// Executes one layer's schedule and reports its device times.
-    fn execute_layer(&mut self, request: &LayerRequest<'_>) -> LayerOutcome;
+    /// Executes one layer's schedule and overwrites `outcome` with its
+    /// device times. The engine hands the same `outcome` in for every
+    /// layer, so a backend that fills `outcome.busy` in place allocates
+    /// nothing per layer.
+    fn execute_layer(&mut self, request: &LayerRequest<'_>, outcome: &mut LayerOutcome);
 
     /// Called at the start of every engine step so per-step state (e.g.
     /// accumulated layer outputs) does not leak across steps.
@@ -95,14 +101,16 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     }
 }
 
-/// The analytic backend: executes plans on the simulated device timelines.
+/// The analytic backend: executes plans on the simulated device clocks.
 #[derive(Debug, Default, Clone)]
-pub struct SimBackend;
+pub struct SimBackend {
+    replay: PlanReplay,
+}
 
 impl SimBackend {
     /// Creates the backend.
     pub fn new() -> Self {
-        SimBackend
+        SimBackend::default()
     }
 }
 
@@ -111,15 +119,10 @@ impl ExecutionBackend for SimBackend {
         "sim"
     }
 
-    fn execute_layer(&mut self, request: &LayerRequest<'_>) -> LayerOutcome {
-        let executed = PlanExecutor::new()
-            .with_gpus(request.ctx.num_gpus.max(1))
-            .execute(request.plan.to_ops(request.ctx))
-            .expect("plans lower to acyclic ops");
-        LayerOutcome {
-            makespan: executed.makespan,
-            busy: executed.timelines.busy_times(),
-        }
+    fn execute_layer(&mut self, request: &LayerRequest<'_>, outcome: &mut LayerOutcome) {
+        outcome.makespan = self.replay.run(request.plan, request.ctx);
+        outcome.busy.clear();
+        outcome.busy.extend_from_slice(self.replay.busy_times());
     }
 }
 
@@ -200,7 +203,7 @@ impl ExecutionBackend for RealCpuBackend {
         "real-cpu"
     }
 
-    fn execute_layer(&mut self, request: &LayerRequest<'_>) -> LayerOutcome {
+    fn execute_layer(&mut self, request: &LayerRequest<'_>, outcome: &mut LayerOutcome) {
         let states = request.states.unwrap_or_else(|| {
             panic!(
                 "RealCpuBackend needs per-token states at {}: generate the trace with \
@@ -249,7 +252,7 @@ impl ExecutionBackend for RealCpuBackend {
             makespan = makespan.max(gpu).max(pcie[g]);
         }
         self.outputs.push(out);
-        LayerOutcome { makespan, busy }
+        *outcome = LayerOutcome { makespan, busy };
     }
 
     fn begin_step(&mut self) {
@@ -268,7 +271,7 @@ impl ExecutionBackend for RealCpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybrimoe_hw::UnitCostModel;
+    use hybrimoe_hw::{PlanExecutor, UnitCostModel};
     use hybrimoe_model::{ExpertId, LayerId, ModelConfig, RouterOutput};
     use hybrimoe_sched::{ExpertTask, HybridScheduler, Scheduler};
 
@@ -315,12 +318,16 @@ mod tests {
         let plan = HybridScheduler::new().schedule(&ctx);
         let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
 
-        let outcome = SimBackend::new().execute_layer(&LayerRequest {
-            layer: LayerId(0),
-            plan: &plan,
-            ctx: &ctx,
-            states: None,
-        });
+        let mut outcome = LayerOutcome::default();
+        SimBackend::new().execute_layer(
+            &LayerRequest {
+                layer: LayerId(0),
+                plan: &plan,
+                ctx: &ctx,
+                states: None,
+            },
+            &mut outcome,
+        );
         assert_eq!(outcome.makespan, executed.makespan);
         assert_eq!(outcome.busy, executed.timelines.busy_times());
     }
@@ -336,12 +343,16 @@ mod tests {
 
         let mut backend = RealCpuBackend::new(model, 7, RealExecOptions::default());
         backend.begin_step();
-        let outcome = backend.execute_layer(&LayerRequest {
-            layer: LayerId(0),
-            plan: &plan,
-            ctx: &ctx,
-            states: Some(&states),
-        });
+        let mut outcome = LayerOutcome::default();
+        backend.execute_layer(
+            &LayerRequest {
+                layer: LayerId(0),
+                plan: &plan,
+                ctx: &ctx,
+                states: Some(&states),
+            },
+            &mut outcome,
+        );
         assert!(outcome.makespan > SimDuration::ZERO);
         let outputs = backend.take_step_outputs();
         assert_eq!(outputs.len(), 1);
@@ -364,12 +375,15 @@ mod tests {
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
         let plan = HybridScheduler::new().schedule(&ctx);
         let mut backend = RealCpuBackend::new(model, 7, RealExecOptions::default());
-        let _ = backend.execute_layer(&LayerRequest {
-            layer: LayerId(0),
-            plan: &plan,
-            ctx: &ctx,
-            states: None,
-        });
+        backend.execute_layer(
+            &LayerRequest {
+                layer: LayerId(0),
+                plan: &plan,
+                ctx: &ctx,
+                states: None,
+            },
+            &mut LayerOutcome::default(),
+        );
     }
 
     #[test]

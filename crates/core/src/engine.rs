@@ -7,14 +7,14 @@ use hybrimoe_fault::{FaultRates, FaultStream};
 use hybrimoe_hw::{
     device_count, AffineCostModel, CalibrationProfile, CostModel, Device, SimDuration,
 };
-use hybrimoe_model::{shard_of, ExpertKey, LayerId, LayerRouting};
+use hybrimoe_model::{shard_of, ExpertId, ExpertKey, LayerId, LayerRouting};
 use hybrimoe_sched::{
-    ExpertPredictor, ExpertTask, PredictedLayer, PrefetchContext, Prefetcher, ScheduleContext,
-    ScheduleScratch, Scheduler, TransitionPredictor,
+    ExpertPredictor, ExpertTask, PredictedLayer, PrefetchContext, PrefetchScratch, Prefetcher,
+    ScheduleContext, ScheduleScratch, Scheduler, TransitionPredictor,
 };
 use hybrimoe_trace::{ActivationTrace, TraceGenerator, TraceStep};
 
-use crate::backend::{ExecutionBackend, LayerRequest};
+use crate::backend::{ExecutionBackend, LayerOutcome, LayerRequest};
 use crate::realexec::RealLayerOutput;
 use crate::{EngineConfig, PlacementKind, PrefetcherKind, StageMetrics, StepMetrics};
 
@@ -99,8 +99,8 @@ pub struct Engine {
     last_routing: Option<LayerRouting>,
     /// Cumulative prefetch accounting (issued / landed / wasted).
     counters: PrefetchCounters,
-    /// Reused per-layer task/protect buffers (no steady-state allocation).
-    scratch: ScheduleScratch,
+    /// Reused per-layer buffers (no steady-state allocation in a step).
+    scratch: StepScratch,
     /// The currently open stage, if any.
     stage: Option<StageAccum>,
     /// Seeded fault injector for the step loop, present only when the
@@ -126,6 +126,66 @@ struct Transfer {
     /// Whether the transfer was issued by the prefetcher (as opposed to a
     /// refill-on-miss), for the issued/landed/wasted accounting.
     prefetch: bool,
+}
+
+/// The buffers one engine step works in, kept across layers and steps so a
+/// steady-state step allocates nothing but the metrics it returns.
+#[derive(Debug, Default)]
+struct StepScratch {
+    /// The layer's tasks, protected keys, scheduler queues and plan.
+    sched: ScheduleScratch,
+    /// The backend's report on the layer just executed.
+    outcome: LayerOutcome,
+    /// Idle PCIe time left on each lane (pipelined prefetch).
+    lane_budgets: Vec<SimDuration>,
+    /// The layer's mean router scores, ranking its missed experts.
+    mean_scores: Vec<f32>,
+    /// The layer's missed experts that no demand transfer covered, ranked
+    /// for refill.
+    missed: Vec<ExpertId>,
+    /// The prefetcher's inputs and working buffers.
+    lookahead: Lookahead,
+    shard_free: Vec<usize>,
+    prefetch: PrefetchScratch,
+}
+
+/// A reusable prefetch lookahead: predicted layers (with the buffers of
+/// the entries beyond `len` kept for the next fill) and, for learned
+/// predictions, their per-distance confidence.
+#[derive(Debug, Default)]
+struct Lookahead {
+    layers: Vec<PredictedLayer>,
+    len: usize,
+    confidence: Vec<f64>,
+}
+
+impl Lookahead {
+    fn clear(&mut self) {
+        self.len = 0;
+        self.confidence.clear();
+    }
+
+    /// Appends an empty prediction for `layer`, reusing a spare entry's
+    /// buffers when there is one.
+    fn push(&mut self, layer: LayerId) -> &mut PredictedLayer {
+        if self.len == self.layers.len() {
+            self.layers.push(PredictedLayer {
+                layer,
+                tasks: Vec::new(),
+                scores: Vec::new(),
+            });
+        }
+        let entry = &mut self.layers[self.len];
+        self.len += 1;
+        entry.layer = layer;
+        entry.tasks.clear();
+        entry.scores.clear();
+        entry
+    }
+
+    fn layers(&self) -> &[PredictedLayer] {
+        &self.layers[..self.len]
+    }
 }
 
 /// Cumulative background-prefetch accounting since the engine was built
@@ -199,7 +259,7 @@ impl Engine {
             pending_commit: Vec::new(),
             last_routing: None,
             counters: PrefetchCounters::default(),
-            scratch: ScheduleScratch::new(),
+            scratch: StepScratch::default(),
             stage: None,
             faults,
         }
@@ -245,14 +305,13 @@ impl Engine {
                 let capacity = self.cache.capacity();
                 self.resident_layers =
                     (capacity / self.config.model.routed_experts.max(1) as usize) as u16;
-                let placement: Vec<ExpertKey> = (0..self
-                    .resident_layers
-                    .min(self.config.model.layers))
-                    .flat_map(|l| {
-                        (0..self.config.model.routed_experts)
-                            .map(move |e| ExpertKey::new(LayerId(l), hybrimoe_model::ExpertId(e)))
-                    })
-                    .collect();
+                let placement: Vec<ExpertKey> =
+                    (0..self.resident_layers.min(self.config.model.layers))
+                        .flat_map(|l| {
+                            (0..self.config.model.routed_experts)
+                                .map(move |e| ExpertKey::new(LayerId(l), ExpertId(e)))
+                        })
+                        .collect();
                 apply_placement(&mut self.cache, &placement, self.config.pinned);
             }
             PlacementKind::PerLayerFrequency => {
@@ -360,43 +419,49 @@ impl Engine {
         };
         let max_inflight = self.config.max_inflight;
         let queue_slots = max_inflight.saturating_sub(self.inflight.len());
-        if queue_slots > 0 {
-            let (lookahead, confidence) = predicted_lookahead(
+        let StepScratch {
+            lookahead,
+            shard_free,
+            prefetch,
+            ..
+        } = &mut self.scratch;
+        if queue_slots > 0
+            && predicted_lookahead(
                 self.predictor.as_ref(),
                 &self.cache,
                 self.config.model.layers as usize,
                 self.config.prefetch_lookahead,
                 &routing,
-            );
-            if !lookahead.is_empty() {
-                let routed_profile = self.config.model.routed_profile();
-                let transfer_time = self.cost.transfer(&routed_profile);
-                let shard_free = shard_free_slots(&self.cache);
-                let pctx = PrefetchContext {
-                    current_layer: routing.layer(),
-                    lookahead: &lookahead,
-                    free_slots: queue_slots,
-                    budget: transfer_time * queue_slots as u64,
-                    tokens: routing.tokens().max(1),
-                    routed_profile,
-                    shared_profile: self.config.model.shared_profile(),
-                    cost: &self.cost,
-                    num_gpus: self.config.num_gpus.max(1),
-                    confidence: Some(&confidence),
-                    shard_free: Some(&shard_free),
-                };
-                for key in self.prefetcher.plan(&pctx) {
-                    if enqueue_background(
-                        &mut self.inflight,
-                        &self.cache,
-                        &self.pending_commit,
-                        max_inflight,
-                        key,
-                        transfer_time,
-                        true,
-                    ) {
-                        self.counters.issued += 1;
-                    }
+                lookahead,
+            )
+        {
+            let routed_profile = self.config.model.routed_profile();
+            let transfer_time = self.cost.transfer(&routed_profile);
+            shard_free_slots(&self.cache, shard_free);
+            let pctx = PrefetchContext {
+                current_layer: routing.layer(),
+                lookahead: lookahead.layers(),
+                free_slots: queue_slots,
+                budget: transfer_time * queue_slots as u64,
+                tokens: routing.tokens().max(1),
+                routed_profile,
+                shared_profile: self.config.model.shared_profile(),
+                cost: &self.cost,
+                num_gpus: self.config.num_gpus.max(1),
+                confidence: Some(&lookahead.confidence),
+                shard_free: Some(shard_free),
+            };
+            for key in self.prefetcher.plan_with(&pctx, prefetch) {
+                if enqueue_background(
+                    &mut self.inflight,
+                    &self.cache,
+                    &self.pending_commit,
+                    max_inflight,
+                    *key,
+                    transfer_time,
+                    true,
+                ) {
+                    self.counters.issued += 1;
                 }
             }
         }
@@ -522,14 +587,27 @@ impl Engine {
         // and refill enqueues) at `max_deferred_experts_per_token × tokens`
         // so a huge prompt cannot monopolize the PCIe link against
         // concurrent decodes. `usize::MAX` = legacy unbounded.
-        let mut deferred_budget: usize = if tokens
-            >= hybrimoe_sched::baselines::PREFILL_BATCH_THRESHOLD
+        let prefill_batch = tokens >= hybrimoe_sched::baselines::PREFILL_BATCH_THRESHOLD;
+        let mut deferred_budget: usize = if prefill_batch
             && self.config.max_deferred_experts_per_token != u32::MAX
         {
             (self.config.max_deferred_experts_per_token as usize).saturating_mul(tokens as usize)
         } else {
             usize::MAX
         };
+
+        // Everything below works in the step scratch; the engine's other
+        // fields are borrowed one by one beside it.
+        let StepScratch {
+            sched,
+            outcome,
+            lane_budgets,
+            mean_scores,
+            missed,
+            lookahead,
+            shard_free,
+            prefetch,
+        } = &mut self.scratch;
 
         for (l, rec) in step.layers.iter().enumerate() {
             let layer = LayerId(l as u16);
@@ -546,9 +624,9 @@ impl Engine {
             // device the layer is mapped to at decode — for prefill batches
             // even CPU layers push the heavy matmuls to the GPU (cuBLAS
             // offload). Everyone else keeps it on the GPU.
-            let prefill_batch = tokens >= hybrimoe_sched::baselines::PREFILL_BATCH_THRESHOLD;
-            let attn_on_gpu =
-                !self.config.attention_follows_layer || prefill_batch || self.layer_resident(layer);
+            let attn_on_gpu = !self.config.attention_follows_layer
+                || prefill_batch
+                || layer_resident(&self.config, self.resident_layers, &self.cache, layer);
             let attn_time = if attn_on_gpu {
                 self.cost.gpu_compute(&attn_profile, tokens)
             } else {
@@ -567,8 +645,13 @@ impl Engine {
             // 3. Cache lookups define the task set; the activated experts
             // are also the protected set (never evicted while in flight).
             // Scratch buffers are reused across layers and steps.
-            let (tasks, protect, queues) = self.scratch.begin_layer();
-            for (expert, load) in rec.routing.activated() {
+            let ScheduleScratch {
+                tasks,
+                protect,
+                queues,
+                plan,
+            } = sched.begin_layer();
+            for (expert, load) in rec.routing.activated_iter() {
                 let key = ExpertKey::new(layer, expert);
                 protect.push(key);
                 tasks.push(ExpertTask {
@@ -588,14 +671,17 @@ impl Engine {
                 &self.cost,
             )
             .with_gpus(num_gpus);
-            let plan = self.scheduler.schedule_with(&ctx, queues);
+            self.scheduler.schedule_into(&ctx, queues, plan);
             debug_assert_eq!(plan.validate(tasks), Ok(()), "invalid plan from scheduler");
-            let outcome = self.backend.execute_layer(&LayerRequest {
-                layer,
-                plan: &plan,
-                ctx: &ctx,
-                states: rec.states.as_ref(),
-            });
+            self.backend.execute_layer(
+                &LayerRequest {
+                    layer,
+                    plan,
+                    ctx: &ctx,
+                    states: rec.states.as_ref(),
+                },
+                outcome,
+            );
             let moe_makespan = outcome.makespan;
 
             cpu_experts += plan.cpu_order.len() as u32;
@@ -637,25 +723,23 @@ impl Engine {
             // gives every shard's lane its own idle window and stages
             // completions until the next step boundary.
             let transfer_time = self.cost.transfer(&routed_profile);
+            let lane_busy = |g: usize| outcome.busy[Device::pcie(g as u8).ordinal(num_gpus)];
             let mut budget = SimDuration::ZERO;
-            let mut lane_budgets: Vec<SimDuration> = Vec::new();
             if pipelined {
-                lane_budgets = (0..num_gpus)
-                    .map(|g| {
-                        let lane_busy = outcome.busy[Device::pcie(g as u8).ordinal(num_gpus)];
-                        moe_makespan.saturating_sub(lane_busy) + attn_time
-                    })
-                    .collect();
+                lane_budgets.clear();
+                lane_budgets.extend(
+                    (0..num_gpus).map(|g| moe_makespan.saturating_sub(lane_busy(g)) + attn_time),
+                );
                 drain_inflight_lanes(
                     &mut self.inflight,
                     num_gpus,
-                    &mut lane_budgets,
+                    lane_budgets,
                     &mut busy,
                     &mut self.pending_commit,
                 );
             } else {
                 let pcie_busy = (0..num_gpus)
-                    .map(|g| outcome.busy[Device::pcie(g as u8).ordinal(num_gpus)])
+                    .map(lane_busy)
                     .fold(SimDuration::ZERO, SimDuration::max);
                 budget = moe_makespan.saturating_sub(pcie_busy) + attn_time;
                 budget = drain_inflight(
@@ -677,28 +761,24 @@ impl Engine {
             // trace record's oracle-decay predictions.
             let queue_slots = max_inflight.saturating_sub(self.inflight.len());
             if queue_slots > 0 && deferred_budget > 0 {
-                let (learned, confidence) = predicted_lookahead(
+                let learned = predicted_lookahead(
                     self.predictor.as_ref(),
                     &self.cache,
                     self.config.model.layers as usize,
                     self.config.prefetch_lookahead,
                     &rec.routing,
+                    lookahead,
                 );
-                let legacy;
-                let (lookahead, conf): (&[PredictedLayer], Option<&[f64]>) = if !learned.is_empty()
-                {
-                    (&learned, Some(&confidence))
-                } else if !rec.predicted.is_empty() {
-                    legacy = build_lookahead(&self.cache, rec);
-                    (&legacy, None)
-                } else {
-                    (&[], None)
-                };
-                if !lookahead.is_empty() {
-                    let shard_free = pipelined.then(|| shard_free_slots(&self.cache));
+                if !learned {
+                    build_lookahead(&self.cache, rec, lookahead);
+                }
+                if !lookahead.layers().is_empty() {
+                    if pipelined {
+                        shard_free_slots(&self.cache, shard_free);
+                    }
                     let pctx = PrefetchContext {
                         current_layer: layer,
-                        lookahead,
+                        lookahead: lookahead.layers(),
                         free_slots: queue_slots,
                         budget: transfer_time * queue_slots as u64,
                         tokens,
@@ -706,10 +786,10 @@ impl Engine {
                         shared_profile,
                         cost: &self.cost,
                         num_gpus,
-                        confidence: conf,
-                        shard_free: shard_free.as_deref(),
+                        confidence: learned.then_some(&lookahead.confidence),
+                        shard_free: pipelined.then_some(shard_free),
                     };
-                    for key in self.prefetcher.plan(&pctx) {
+                    for key in self.prefetcher.plan_with(&pctx, prefetch) {
                         if deferred_budget == 0 {
                             break;
                         }
@@ -718,7 +798,7 @@ impl Engine {
                             &self.cache,
                             &self.pending_commit,
                             max_inflight,
-                            key,
+                            *key,
                             transfer_time,
                             true,
                         ) {
@@ -735,17 +815,25 @@ impl Engine {
             // (background cache update; temporal reuse makes recently
             // missed experts likely to be needed again).
             if self.config.refill_on_miss {
-                let scores = rec.routing.mean_scores();
-                let mut missed: Vec<&ExpertTask> = tasks.iter().filter(|t| !t.cached).collect();
-                missed.retain(|t| !plan.transferred_experts().any(|e| e == t.expert));
-                missed.sort_by(|a, b| {
-                    let sa = scores.get(a.expert.0 as usize).copied().unwrap_or(0.0);
-                    let sb = scores.get(b.expert.0 as usize).copied().unwrap_or(0.0);
-                    sb.partial_cmp(&sa)
+                rec.routing.mean_scores_into(mean_scores);
+                let score = |e: ExpertId| mean_scores.get(e.0 as usize).copied().unwrap_or(0.0);
+                missed.clear();
+                missed.extend(
+                    tasks
+                        .iter()
+                        .filter(|t| !t.cached)
+                        .map(|t| t.expert)
+                        .filter(|e| !plan.transferred_experts().any(|x| x == *e)),
+                );
+                // Experts are distinct, so the order is total and the
+                // unstable sort exact.
+                missed.sort_unstable_by(|a, b| {
+                    score(*b)
+                        .partial_cmp(&score(*a))
                         .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.expert.cmp(&b.expert))
+                        .then(a.cmp(b))
                 });
-                for t in missed {
+                for expert in missed.iter() {
                     if deferred_budget == 0 {
                         break;
                     }
@@ -754,7 +842,7 @@ impl Engine {
                         &self.cache,
                         &self.pending_commit,
                         max_inflight,
-                        ExpertKey::new(layer, t.expert),
+                        ExpertKey::new(layer, *expert),
                         transfer_time,
                         false,
                     ) && deferred_budget != usize::MAX
@@ -770,7 +858,7 @@ impl Engine {
                 drain_inflight_lanes(
                     &mut self.inflight,
                     num_gpus,
-                    &mut lane_budgets,
+                    lane_budgets,
                     &mut busy,
                     &mut self.pending_commit,
                 );
@@ -816,16 +904,21 @@ impl Engine {
         }
         metrics
     }
+}
 
-    /// Whether every routed expert of `layer` is resident (whole-layer
-    /// mapping semantics). Kept lazy: the residency scan only runs for
-    /// configurations whose attention placement depends on it.
-    fn layer_resident(&self, layer: LayerId) -> bool {
-        if self.config.placement == PlacementKind::WholeLayers {
-            return layer.0 < self.resident_layers;
-        }
-        self.cache.cached_in_layer(layer).len() == self.config.model.routed_experts as usize
+/// Whether every routed expert of `layer` is resident (whole-layer mapping
+/// semantics). Kept lazy: the residency scan only runs for configurations
+/// whose attention placement depends on it.
+fn layer_resident(
+    config: &EngineConfig,
+    resident_layers: u16,
+    cache: &ShardedExpertCache,
+    layer: LayerId,
+) -> bool {
+    if config.placement == PlacementKind::WholeLayers {
+        return layer.0 < resident_layers;
     }
+    cache.cached_in_layer(layer).len() == config.model.routed_experts as usize
 }
 
 /// Spends idle PCIe `budget` on the in-flight background transfers;
@@ -945,94 +1038,86 @@ fn enqueue_background(
     true
 }
 
-/// Free slots per cache shard (where a never-evicting prefetch could land).
-fn shard_free_slots(cache: &ShardedExpertCache) -> Vec<usize> {
-    (0..cache.num_shards())
-        .map(|s| cache.shard(s).free_slots())
-        .collect()
+/// Writes the free slots of every cache shard (where a never-evicting
+/// prefetch could land) into `out`.
+fn shard_free_slots(cache: &ShardedExpertCache, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend((0..cache.num_shards()).map(|s| cache.shard(s).free_slots()));
 }
 
-/// Builds the prefetch lookahead from the learned predictor: predicted
-/// expert distributions for the next `depth` layers, wrapping past the
-/// model end into the next forward pass (the oracle lookahead truncates
-/// there, which starves prefetch for the last layers). Per predicted layer
-/// the top `activated-count` experts become tasks with loads proportional
-/// to their predicted probability mass. Empty when no predictor is
-/// configured, it is still cold, or the routing activated nothing — the
-/// caller then falls back to the trace's own predictions.
+/// Fills `out` with the prefetch lookahead of the learned predictor:
+/// predicted expert distributions for the next `depth` layers, wrapping
+/// past the model end into the next forward pass (the oracle lookahead
+/// truncates there, which starves prefetch for the last layers). Per
+/// predicted layer the top `activated-count` experts become tasks with
+/// loads proportional to their predicted probability mass. Returns whether
+/// anything was predicted: nothing is when no predictor is configured, it
+/// is still cold, or the routing activated nothing — the caller then falls
+/// back to the trace's own predictions.
 fn predicted_lookahead(
     predictor: Option<&TransitionPredictor>,
     cache: &ShardedExpertCache,
     layers: usize,
     depth: usize,
     routing: &LayerRouting,
-) -> (Vec<PredictedLayer>, Vec<f64>) {
+    out: &mut Lookahead,
+) -> bool {
+    out.clear();
     let Some(pred) = predictor else {
-        return (Vec::new(), Vec::new());
+        return false;
     };
-    let active = routing.activated();
-    if active.is_empty() || layers == 0 {
-        return (Vec::new(), Vec::new());
+    let breadth = routing.activated_iter().count();
+    if breadth == 0 || layers == 0 {
+        return false;
     }
-    let total_load: u32 = active.iter().map(|(_, l)| *l).sum();
-    let breadth = active.len();
+    let total_load: u32 = routing.activated_iter().map(|(_, l)| l).sum();
     let start = routing.layer().0 as usize % layers;
-    let mut lookahead = Vec::new();
-    let mut confidence = Vec::new();
     for d in 1..=depth.max(1) {
         let Some(scores) = pred.predict(routing, d) else {
             break;
         };
         let layer = LayerId(((start + d) % layers) as u16);
         let mass: f32 = scores.iter().sum();
-        let tasks: Vec<ExpertTask> = hybrimoe_model::top_k(&scores, breadth)
-            .into_iter()
-            .map(|(idx, s)| {
-                let expert = hybrimoe_model::ExpertId(idx as u16);
-                let share = if mass > 0.0 { s / mass } else { 0.0 };
-                ExpertTask {
-                    expert,
-                    load: ((share * total_load as f32).round() as u32).max(1),
-                    cached: cache.contains(ExpertKey::new(layer, expert)),
-                }
-            })
-            .collect();
-        confidence.push(pred.confidence(d));
-        lookahead.push(PredictedLayer {
-            layer,
-            tasks,
-            scores,
-        });
+        let entry = out.push(layer);
+        entry.tasks.extend(
+            hybrimoe_model::top_k(&scores, breadth)
+                .into_iter()
+                .map(|(idx, s)| {
+                    let expert = ExpertId(idx as u16);
+                    let share = if mass > 0.0 { s / mass } else { 0.0 };
+                    ExpertTask {
+                        expert,
+                        load: ((share * total_load as f32).round() as u32).max(1),
+                        cached: cache.contains(ExpertKey::new(layer, expert)),
+                    }
+                }),
+        );
+        entry.scores = scores;
+        out.confidence.push(pred.confidence(d));
     }
-    (lookahead, confidence)
+    !out.layers().is_empty()
 }
 
-/// Converts a record's predicted routings into prefetch inputs with
+/// Fills `out` with a record's predicted routings as prefetch inputs with
 /// current cache residency.
 fn build_lookahead(
     cache: &ShardedExpertCache,
     rec: &hybrimoe_trace::LayerRecord,
-) -> Vec<PredictedLayer> {
-    rec.predicted
-        .iter()
-        .map(|routing| {
-            let layer = routing.layer();
-            let tasks = routing
-                .activated()
-                .into_iter()
-                .map(|(expert, load)| ExpertTask {
-                    expert,
-                    load,
-                    cached: cache.contains(ExpertKey::new(layer, expert)),
-                })
-                .collect();
-            PredictedLayer {
-                layer,
-                tasks,
-                scores: routing.mean_scores(),
-            }
-        })
-        .collect()
+    out: &mut Lookahead,
+) {
+    out.clear();
+    for routing in &rec.predicted {
+        let layer = routing.layer();
+        let entry = out.push(layer);
+        entry
+            .tasks
+            .extend(routing.activated_iter().map(|(expert, load)| ExpertTask {
+                expert,
+                load,
+                cached: cache.contains(ExpertKey::new(layer, expert)),
+            }));
+        routing.mean_scores_into(&mut entry.scores);
+    }
 }
 
 /// Inserts a placement into the cache, protecting the whole placement set
@@ -1085,16 +1170,13 @@ fn place_by_frequency(cache: &mut ShardedExpertCache, config: &EngineConfig) {
         for l in 0..layers {
             let quota = base + usize::from(l < remainder);
             let mut ranked: Vec<(u32, u16)> = (0..experts)
-                .filter(|e| shard_of(hybrimoe_model::ExpertId(*e as u16), num_shards) == s)
+                .filter(|e| shard_of(ExpertId(*e as u16), num_shards) == s)
                 .map(|e| (counts[l * experts + e], e as u16))
                 .collect();
             ranked.sort_by_key(|(c, e)| (std::cmp::Reverse(*c), *e));
             let available = ranked.len();
             for (_, e) in ranked.into_iter().take(quota.min(available)) {
-                placement.push(ExpertKey::new(
-                    LayerId(l as u16),
-                    hybrimoe_model::ExpertId(e),
-                ));
+                placement.push(ExpertKey::new(LayerId(l as u16), ExpertId(e)));
             }
         }
     }

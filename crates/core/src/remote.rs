@@ -767,7 +767,7 @@ impl ExecutionBackend for RemoteBackend {
         "remote-workers"
     }
 
-    fn execute_layer(&mut self, request: &LayerRequest<'_>) -> LayerOutcome {
+    fn execute_layer(&mut self, request: &LayerRequest<'_>, outcome: &mut LayerOutcome) {
         let states = request.states.unwrap_or_else(|| {
             panic!(
                 "RemoteBackend needs per-token states at {}: generate the trace with \
@@ -810,7 +810,7 @@ impl ExecutionBackend for RemoteBackend {
             makespan = makespan.max(gpu).max(pcie[g]);
         }
         self.outputs.push(out);
-        LayerOutcome { makespan, busy }
+        *outcome = LayerOutcome { makespan, busy };
     }
 
     fn begin_step(&mut self) {
@@ -1104,12 +1104,16 @@ mod tests {
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
 
         backend.begin_step();
-        let outcome = backend.execute_layer(&LayerRequest {
-            layer: LayerId(0),
-            plan: &plan,
-            ctx: &ctx,
-            states: Some(&states),
-        });
+        let mut outcome = LayerOutcome::default();
+        backend.execute_layer(
+            &LayerRequest {
+                layer: LayerId(0),
+                plan: &plan,
+                ctx: &ctx,
+                states: Some(&states),
+            },
+            &mut outcome,
+        );
         assert!(outcome.makespan > SimDuration::ZERO);
         let outputs = backend.take_step_outputs();
         assert_eq!(outputs.len(), 1);

@@ -56,4 +56,4 @@ pub use plan::{ExecutedOp, ExecutedPlan, Op, OpId, PlanError, PlanExecutor};
 pub use platform::Platform;
 pub use remote::{RemoteCostModel, RemoteLink, WorkerId};
 pub use time::{SimDuration, SimTime};
-pub use timeline::{Interval, Timeline, TimelineSet};
+pub use timeline::{DeviceClocks, Interval, Timeline, TimelineSet};

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{devices, Device, SimDuration, SimTime};
+use crate::{device_count, devices, Device, SimDuration, SimTime};
 
 /// One busy interval on a device timeline.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -274,10 +274,85 @@ impl Default for TimelineSet {
     }
 }
 
+/// The ready time and accumulated busy time of every device — a
+/// [`TimelineSet`] without the interval log.
+///
+/// Ops start exactly as on a [`Timeline`] (at the later of the device's
+/// ready time and the op's release), so running a plan's ops here gives the
+/// makespan and busy times a [`TimelineSet`] would report, but nothing is
+/// recorded per op and a reused `DeviceClocks` never allocates. This is
+/// what the simulation backend runs every layer on; the interval log (and
+/// its labels) is only worth its cost where a Gantt chart is drawn.
+///
+/// # Example
+///
+/// ```
+/// use hybrimoe_hw::{Device, DeviceClocks, SimDuration, SimTime};
+///
+/// let mut clocks = DeviceClocks::default();
+/// clocks.reset(1);
+/// let arrived = clocks.run(Device::pcie(0), SimTime::ZERO, SimDuration::from_micros(3));
+/// clocks.run(Device::gpu(0), SimTime::ZERO, SimDuration::from_micros(1));
+/// clocks.run(Device::gpu(0), arrived, SimDuration::from_micros(1));
+/// assert_eq!(clocks.makespan(), SimDuration::from_micros(4));
+/// assert_eq!(clocks.busy_times()[1], SimDuration::from_micros(2));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct DeviceClocks {
+    num_gpus: usize,
+    ready: Vec<SimTime>,
+    busy: Vec<SimDuration>,
+}
+
+impl DeviceClocks {
+    /// Sets every device of a platform with `num_gpus` GPUs idle at the
+    /// clock origin with no busy time (keeping the buffers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_gpus` is zero.
+    pub fn reset(&mut self, num_gpus: usize) {
+        assert!(num_gpus > 0, "a platform needs at least one GPU");
+        self.num_gpus = num_gpus;
+        self.ready.clear();
+        self.ready.resize(device_count(num_gpus), SimTime::ZERO);
+        self.busy.clear();
+        self.busy.resize(device_count(num_gpus), SimDuration::ZERO);
+    }
+
+    /// Runs an op released at `release` for `duration` on `device`;
+    /// returns its end time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device's GPU index is out of range.
+    pub fn run(&mut self, device: Device, release: SimTime, duration: SimDuration) -> SimTime {
+        let d = device.ordinal(self.num_gpus);
+        let end = self.ready[d].max(release) + duration;
+        self.ready[d] = end;
+        self.busy[d] += duration;
+        end
+    }
+
+    /// The time at which every device is idle, measured from the clock
+    /// origin.
+    pub fn makespan(&self) -> SimDuration {
+        self.ready
+            .iter()
+            .fold(SimTime::ZERO, |acc, t| acc.max(*t))
+            .elapsed_since(SimTime::ZERO)
+    }
+
+    /// Per-device busy times in canonical device order (the layout of
+    /// step-metric busy vectors).
+    pub fn busy_times(&self) -> &[SimDuration] {
+        &self.busy
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_count;
 
     #[test]
     fn push_respects_release_time() {

@@ -88,10 +88,12 @@ impl ExpertKey {
         ExpertKey { layer, expert }
     }
 
-    /// A dense index given the number of routed experts per layer, suitable
-    /// for flat arrays over all experts of a model.
-    pub fn dense_index(self, experts_per_layer: u16) -> usize {
-        self.layer.0 as usize * experts_per_layer as usize + self.expert.0 as usize
+    /// A dense index given the number of routed experts per layer (or any
+    /// row width above every expert id in use), suitable for flat arrays
+    /// over all experts of a model. Ascending index order is ascending key
+    /// order.
+    pub fn dense_index(self, experts_per_layer: usize) -> usize {
+        self.layer.0 as usize * experts_per_layer + self.expert.0 as usize
     }
 }
 
@@ -145,12 +147,12 @@ mod tests {
 
     #[test]
     fn dense_index_is_bijective() {
-        let per_layer = 8;
+        let per_layer = 8u16;
         let mut seen = std::collections::HashSet::new();
         for l in 0..4u16 {
             for e in 0..per_layer {
                 let k = ExpertKey::new(LayerId(l), ExpertId(e));
-                assert!(seen.insert(k.dense_index(per_layer)));
+                assert!(seen.insert(k.dense_index(per_layer as usize)));
             }
         }
         assert_eq!(seen.len(), 32);

@@ -197,12 +197,17 @@ impl LayerRouting {
 
     /// Experts with nonzero load, with their loads, ascending by expert id.
     pub fn activated(&self) -> Vec<(ExpertId, u32)> {
+        self.activated_iter().collect()
+    }
+
+    /// [`activated`](Self::activated) without the allocation, for per-layer
+    /// hot paths.
+    pub fn activated_iter(&self) -> impl Iterator<Item = (ExpertId, u32)> + '_ {
         self.loads
             .iter()
             .enumerate()
             .filter(|(_, l)| **l > 0)
             .map(|(i, l)| (ExpertId(i as u16), *l))
-            .collect()
     }
 
     /// Merges another routing of the **same layer** into this one, adding
@@ -244,13 +249,21 @@ impl LayerRouting {
     /// Normalized mean score per expert (score mass divided by tokens),
     /// the `s` of the MRS update rule (Eq. 3).
     pub fn mean_scores(&self) -> Vec<f32> {
-        if self.tokens == 0 {
-            return vec![0.0; self.score_mass.len()];
-        }
-        self.score_mass
-            .iter()
-            .map(|m| m / self.tokens as f32)
-            .collect()
+        let mut mean = Vec::new();
+        self.mean_scores_into(&mut mean);
+        mean
+    }
+
+    /// Writes [`mean_scores`](Self::mean_scores) into `out` (cleared
+    /// first), so per-layer hot paths can reuse one buffer.
+    pub fn mean_scores_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        let tokens = self.tokens as f32;
+        out.extend(
+            self.score_mass
+                .iter()
+                .map(|m| if self.tokens == 0 { 0.0 } else { m / tokens }),
+        );
     }
 }
 

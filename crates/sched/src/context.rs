@@ -1,18 +1,20 @@
 //! Inputs to a scheduling decision.
 
-use hybrimoe_hw::{CostModel, ExpertProfile};
+use hybrimoe_hw::{CostModel, ExpertProfile, SimTime};
 use hybrimoe_model::{ExpertKey, LayerId};
 
-use crate::ExpertTask;
+use crate::{ExpertTask, SchedulePlan};
 
 /// Reusable device-queue buffers for one scheduling decision after another.
 ///
 /// The [`HybridScheduler`](crate::HybridScheduler) simulates per-device
-/// queues (one CPU queue, `N` GPU queues, `N` PCIe lane queues) for every
-/// layer of every engine step; allocating them fresh per layer churns the
-/// allocator on the hot path. A `ScheduleQueues` owns those vectors and is
-/// cleared — not freed — between layers. Pass it to
-/// [`Scheduler::schedule_with`](crate::Scheduler::schedule_with);
+/// queues and clocks (one CPU queue, `N` GPU queues, `N` PCIe lane queues)
+/// for every layer of every engine step — and once more per candidate of
+/// the impact-driven prefetcher; allocating them fresh each time churns
+/// the allocator on the hot path. A `ScheduleQueues` owns those vectors
+/// and is cleared — not freed — between uses. Pass it to
+/// [`Scheduler::schedule_into`](crate::Scheduler::schedule_into) or
+/// [`HybridScheduler::makespan`](crate::HybridScheduler::makespan);
 /// schedulers that do not simulate queues ignore it.
 #[derive(Debug, Default, Clone)]
 pub struct ScheduleQueues {
@@ -22,6 +24,10 @@ pub struct ScheduleQueues {
     pub(crate) cpu: Vec<ExpertTask>,
     /// Per-lane PCIe queues.
     pub(crate) pcie: Vec<Vec<ExpertTask>>,
+    /// Per-shard GPU clocks.
+    pub(crate) gpu_t: Vec<SimTime>,
+    /// Per-lane PCIe clocks.
+    pub(crate) pcie_t: Vec<SimTime>,
 }
 
 impl ScheduleQueues {
@@ -37,8 +43,9 @@ impl ScheduleQueues {
 /// fresh task and protect vectors per layer churns the allocator on the hot
 /// path, and the cost grows with batch size (more activated experts per
 /// layer). A `ScheduleScratch` owns those buffers — plus the scheduler's
-/// device-queue buffers ([`ScheduleQueues`]) — and is cleared — not
-/// freed — between layers, so steady-state scheduling allocates nothing.
+/// device-queue buffers ([`ScheduleQueues`]) and the plan it writes
+/// ([`SchedulePlan`]) — and is cleared — not freed — between layers, so
+/// steady-state scheduling allocates nothing.
 ///
 /// # Example
 ///
@@ -47,17 +54,25 @@ impl ScheduleQueues {
 /// use hybrimoe_sched::{ExpertTask, ScheduleScratch};
 ///
 /// let mut scratch = ScheduleScratch::new();
-/// let (tasks, protect, _queues) = scratch.begin_layer();
-/// tasks.push(ExpertTask::cached(ExpertId(0), 1));
-/// protect.push(ExpertKey::new(LayerId(0), ExpertId(0)));
-/// let (tasks, _, _) = scratch.begin_layer();
-/// assert!(tasks.is_empty()); // cleared, capacity retained
+/// let layer = scratch.begin_layer();
+/// layer.tasks.push(ExpertTask::cached(ExpertId(0), 1));
+/// layer.protect.push(ExpertKey::new(LayerId(0), ExpertId(0)));
+/// let layer = scratch.begin_layer();
+/// assert!(layer.tasks.is_empty()); // cleared, capacity retained
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct ScheduleScratch {
-    tasks: Vec<ExpertTask>,
-    protect: Vec<ExpertKey>,
-    queues: ScheduleQueues,
+    /// The layer's activated task set.
+    pub tasks: Vec<ExpertTask>,
+    /// The layer's protected expert keys (shielded from eviction while the
+    /// layer is in flight).
+    pub protect: Vec<ExpertKey>,
+    /// The scheduler's reusable device queues (cleared by the scheduler
+    /// itself).
+    pub queues: ScheduleQueues,
+    /// The plan [`Scheduler::schedule_into`](crate::Scheduler::schedule_into)
+    /// writes (reset by the scheduler itself).
+    pub plan: SchedulePlan,
 }
 
 impl ScheduleScratch {
@@ -67,20 +82,11 @@ impl ScheduleScratch {
     }
 
     /// Clears the task and protect buffers (retaining capacity) and hands
-    /// them out for the next layer's bookkeeping — the activated task set
-    /// and the protected expert keys (shielded from eviction while the
-    /// layer is in flight) — together with the scheduler's reusable device
-    /// queues (cleared by the scheduler itself).
-    pub fn begin_layer(
-        &mut self,
-    ) -> (
-        &mut Vec<ExpertTask>,
-        &mut Vec<ExpertKey>,
-        &mut ScheduleQueues,
-    ) {
+    /// the scratch out for the next layer's bookkeeping.
+    pub fn begin_layer(&mut self) -> &mut ScheduleScratch {
         self.tasks.clear();
         self.protect.clear();
-        (&mut self.tasks, &mut self.protect, &mut self.queues)
+        self
     }
 }
 

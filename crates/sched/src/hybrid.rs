@@ -1,7 +1,7 @@
 //! The HybriMoE hybrid scheduling algorithm (paper §IV-B), generalized to
 //! `N` GPU shards.
 
-use hybrimoe_hw::{GpuId, SimTime};
+use hybrimoe_hw::{GpuId, SimDuration, SimTime};
 use hybrimoe_model::shard_of;
 
 use crate::{
@@ -72,6 +72,15 @@ impl HybridScheduler {
     pub fn without_cpu_steal() -> Self {
         HybridScheduler { cpu_steal: false }
     }
+
+    /// The makespan [`schedule`](Scheduler::schedule) would predict for
+    /// `ctx`, without building the plan: the same simulation, with the
+    /// committed orders dropped instead of recorded. The impact-driven
+    /// prefetcher asks this once per candidate expert, so it runs on the
+    /// caller's reusable `queues` and allocates nothing in steady state.
+    pub fn makespan(&self, ctx: &ScheduleContext<'_>, queues: &mut ScheduleQueues) -> SimDuration {
+        self.simulate(ctx, queues, None)
+    }
 }
 
 impl Default for HybridScheduler {
@@ -106,17 +115,33 @@ impl Scheduler for HybridScheduler {
     }
 
     fn schedule(&self, ctx: &ScheduleContext<'_>) -> SchedulePlan {
-        self.schedule_with(ctx, &mut ScheduleQueues::default())
+        let mut plan = SchedulePlan::empty(ctx.layer, ctx.tokens);
+        self.schedule_into(ctx, &mut ScheduleQueues::default(), &mut plan);
+        plan
     }
 
-    fn schedule_with(
+    fn schedule_into(
         &self,
         ctx: &ScheduleContext<'_>,
         queues: &mut ScheduleQueues,
-    ) -> SchedulePlan {
-        let n = ctx.num_gpus.max(1);
-        let mut plan = SchedulePlan::empty(ctx.layer, ctx.tokens);
+        plan: &mut SchedulePlan,
+    ) {
+        plan.reset(ctx.layer, ctx.tokens);
         plan.shared_on_gpu = ctx.shared_profile.is_some();
+        plan.predicted_makespan = self.simulate(ctx, queues, Some(plan));
+    }
+}
+
+impl HybridScheduler {
+    /// The timeline-filling simulation. Returns the predicted makespan;
+    /// with a `plan`, the committed orders are appended to it.
+    fn simulate(
+        &self,
+        ctx: &ScheduleContext<'_>,
+        queues: &mut ScheduleQueues,
+        mut plan: Option<&mut SchedulePlan>,
+    ) -> SimDuration {
+        let n = ctx.num_gpus.max(1);
 
         // Reset the caller's reusable queues (capacity retained across
         // layers; every sort key below is unique thanks to the expert-id
@@ -125,6 +150,8 @@ impl Scheduler for HybridScheduler {
             gpu: gpu_q,
             cpu: cpu_q,
             pcie: pcie_q,
+            gpu_t,
+            pcie_t,
         } = queues;
         gpu_q.truncate(n);
         gpu_q.resize_with(n, Vec::new);
@@ -167,13 +194,18 @@ impl Scheduler for HybridScheduler {
         let mut computed = 0usize;
 
         let mut cpu_t = SimTime::ZERO;
-        let mut gpu_t = vec![SimTime::ZERO; n];
+        gpu_t.clear();
+        gpu_t.resize(n, SimTime::ZERO);
         if let Some(shared) = ctx.shared_profile {
             // Shared experts are pinned on GPU 0 (the paper's single GPU).
             gpu_t[0] += ctx.cost.gpu_compute(&shared, ctx.tokens);
         }
-        let mut pcie_t = vec![SimTime::ZERO; n];
+        pcie_t.clear();
+        pcie_t.resize(n, SimTime::ZERO);
         let mut cpu_warm = false;
+        // Every routed expert is the same size: one wire time for all.
+        let wire = ctx.cost.transfer(&ctx.routed_profile);
+        let mut costs = ComputeCosts::new(ctx);
 
         while computed < total {
             // Rank is (class, shard): class 0 = CPU, 1 = GPU, 2 = PCIe;
@@ -189,9 +221,7 @@ impl Scheduler for HybridScheduler {
             // CPU: uncached head, else steal the lowest-load cached entry
             // across every shard.
             if let Some(head) = cpu_q.first() {
-                let d = ctx
-                    .cost
-                    .cpu_compute(&ctx.routed_profile, head.load, cpu_warm);
+                let d = costs.cpu(head.load, cpu_warm);
                 consider(cpu_t + d, (0, 0), Candidate::CpuQueueHead);
             } else if self.cpu_steal {
                 // Steal only experts that are genuinely cached (not in
@@ -203,9 +233,7 @@ impl Scheduler for HybridScheduler {
                     .filter(|(_, _, e)| e.ready.is_none())
                     .min_by_key(|(g, _, e)| (e.task.load, e.task.expert, *g));
                 if let Some((g, idx, entry)) = steal {
-                    let d = ctx
-                        .cost
-                        .cpu_compute(&ctx.routed_profile, entry.task.load, cpu_warm);
+                    let d = costs.cpu(entry.task.load, cpu_warm);
                     consider(cpu_t + d, (0, 0), Candidate::CpuSteal(g, idx));
                 }
             }
@@ -215,7 +243,7 @@ impl Scheduler for HybridScheduler {
             for (g, q) in gpu_q.iter().enumerate() {
                 if let Some(head) = q.first() {
                     let start = head.ready.map_or(gpu_t[g], |r| gpu_t[g].max(r));
-                    let d = ctx.cost.gpu_compute(&ctx.routed_profile, head.task.load);
+                    let d = costs.gpu(head.task.load);
                     consider(start + d, (1, g), Candidate::GpuHead(g));
                 }
             }
@@ -228,10 +256,9 @@ impl Scheduler for HybridScheduler {
             // on the GPU *later* than the CPU would have finished it.
             for (g, q) in pcie_q.iter().enumerate() {
                 if let Some(head) = q.first() {
-                    let wire = ctx.cost.transfer(&ctx.routed_profile);
                     let arrival = pcie_t[g] + wire;
                     let compute_start = arrival.max(gpu_t[g]);
-                    let d = ctx.cost.gpu_compute(&ctx.routed_profile, head.load);
+                    let d = costs.gpu(head.load);
                     consider(compute_start + d, (2, g), Candidate::PcieHead(g));
                 }
             }
@@ -248,27 +275,33 @@ impl Scheduler for HybridScheduler {
                     pcie_q[shard_of(task.expert, n)].retain(|t| t.expert != task.expert);
                     cpu_t = finish;
                     cpu_warm = true;
-                    plan.cpu_order.push(task);
+                    if let Some(plan) = plan.as_deref_mut() {
+                        plan.cpu_order.push(task);
+                    }
                     computed += 1;
                 }
                 Candidate::CpuSteal(g, idx) => {
                     let entry = gpu_q[g].remove(idx);
                     cpu_t = finish;
                     cpu_warm = true;
-                    plan.cpu_order.push(entry.task);
+                    if let Some(plan) = plan.as_deref_mut() {
+                        plan.cpu_order.push(entry.task);
+                    }
                     computed += 1;
                 }
                 Candidate::GpuHead(g) => {
                     let entry = gpu_q[g].remove(0);
                     gpu_t[g] = finish;
-                    plan.gpu_order.push(PlannedTask {
-                        task: entry.task,
-                        placement: if entry.ready.is_some() {
-                            DevicePlacement::GpuAfterTransfer(GpuId(g as u8))
-                        } else {
-                            DevicePlacement::Gpu(GpuId(g as u8))
-                        },
-                    });
+                    if let Some(plan) = plan.as_deref_mut() {
+                        plan.gpu_order.push(PlannedTask {
+                            task: entry.task,
+                            placement: if entry.ready.is_some() {
+                                DevicePlacement::GpuAfterTransfer(GpuId(g as u8))
+                            } else {
+                                DevicePlacement::Gpu(GpuId(g as u8))
+                            },
+                        });
+                    }
                     computed += 1;
                 }
                 Candidate::PcieHead(g) => {
@@ -276,9 +309,11 @@ impl Scheduler for HybridScheduler {
                     // selection metric); the wire itself frees earlier.
                     let task = pcie_q[g].remove(0);
                     cpu_q.retain(|t| t.expert != task.expert);
-                    let arrival = pcie_t[g] + ctx.cost.transfer(&ctx.routed_profile);
+                    let arrival = pcie_t[g] + wire;
                     pcie_t[g] = arrival;
-                    plan.pcie_order.push(task);
+                    if let Some(plan) = plan.as_deref_mut() {
+                        plan.pcie_order.push(task);
+                    }
                     insert_by_load(
                         &mut gpu_q[g],
                         GpuEntry {
@@ -292,8 +327,60 @@ impl Scheduler for HybridScheduler {
 
         // Makespan = max over all compute timelines (Eq. 2 generalized).
         let finish = gpu_t.iter().fold(cpu_t, |acc, t| acc.max(*t));
-        plan.predicted_makespan = finish.elapsed_since(SimTime::ZERO);
-        plan
+        finish.elapsed_since(SimTime::ZERO)
+    }
+}
+
+/// The compute cost of a routed expert at a given load, remembering the
+/// last answer per device. The simulation asks for the queue heads' costs
+/// again on every step, and a layer's experts share few distinct loads
+/// (one, at decode), so most of the cost model's float math — the bulk of
+/// a simulation otherwise — is a repeat.
+struct ComputeCosts<'a> {
+    ctx: &'a ScheduleContext<'a>,
+    /// Last CPU cost, cold and warm.
+    cpu: [Option<(u32, SimDuration)>; 2],
+    gpu: Option<(u32, SimDuration)>,
+}
+
+impl<'a> ComputeCosts<'a> {
+    fn new(ctx: &'a ScheduleContext<'a>) -> Self {
+        ComputeCosts {
+            ctx,
+            cpu: [None; 2],
+            gpu: None,
+        }
+    }
+
+    fn cpu(&mut self, load: u32, warm: bool) -> SimDuration {
+        let ctx = self.ctx;
+        remembered(&mut self.cpu[usize::from(warm)], load, || {
+            ctx.cost.cpu_compute(&ctx.routed_profile, load, warm)
+        })
+    }
+
+    fn gpu(&mut self, load: u32) -> SimDuration {
+        let ctx = self.ctx;
+        remembered(&mut self.gpu, load, || {
+            ctx.cost.gpu_compute(&ctx.routed_profile, load)
+        })
+    }
+}
+
+/// `last`'s cost if it was computed for `load`, else `compute()`'s,
+/// remembered.
+fn remembered(
+    last: &mut Option<(u32, SimDuration)>,
+    load: u32,
+    compute: impl FnOnce() -> SimDuration,
+) -> SimDuration {
+    match *last {
+        Some((l, cost)) if l == load => cost,
+        _ => {
+            let cost = compute();
+            *last = Some((load, cost));
+            cost
+        }
     }
 }
 
@@ -558,18 +645,25 @@ mod tests {
     }
 
     #[test]
-    fn schedule_with_reused_queues_is_identical() {
-        // One ScheduleQueues driven across layers and GPU counts (growing
-        // and shrinking the per-shard vectors) must give the same plans as
-        // fresh per-call queues.
+    fn schedule_into_reused_buffers_is_identical() {
+        // One ScheduleQueues and one plan driven across layers and GPU
+        // counts (growing and shrinking the per-shard vectors) must give
+        // the same plans as fresh per-call buffers — and the makespan-only
+        // entry, sharing the queues, the same makespan.
         let cost = UnitCostModel::paper_fig5();
         let mut queues = ScheduleQueues::new();
+        let mut reused = SchedulePlan::empty(LayerId(9), 9);
         for n in [1usize, 3, 2, 1, 4] {
             let tasks = fig5_tasks();
             let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost).with_gpus(n);
             let fresh = HybridScheduler::new().schedule(&ctx);
-            let reused = HybridScheduler::new().schedule_with(&ctx, &mut queues);
+            HybridScheduler::new().schedule_into(&ctx, &mut queues, &mut reused);
             assert_eq!(fresh, reused, "N={n}");
+            assert_eq!(
+                HybridScheduler::new().makespan(&ctx, &mut queues),
+                fresh.predicted_makespan,
+                "N={n}"
+            );
         }
     }
 

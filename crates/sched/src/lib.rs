@@ -52,11 +52,12 @@ mod task;
 pub use context::{ScheduleContext, ScheduleQueues, ScheduleScratch};
 pub use hybrid::HybridScheduler;
 pub use oracle::{oracle_makespan, ORACLE_MAX_TASKS};
-pub use plan::{DevicePlacement, PlannedTask, SchedulePlan};
+pub use plan::{DevicePlacement, PlanReplay, PlannedTask, SchedulePlan};
 pub use predict::{ExpertPredictor, TransitionPredictor};
 pub use prefetch::{
     ImpactDrivenPrefetcher, NextLayerTopKPrefetcher, NoPrefetcher, PredictedLayer,
-    PredictivePrefetcher, PrefetchContext, Prefetcher, PREDICTIVE_MIN_GAIN_PER_TRANSFER,
+    PredictivePrefetcher, PrefetchContext, PrefetchScratch, Prefetcher,
+    PREDICTIVE_MIN_GAIN_PER_TRANSFER,
 };
 pub use task::ExpertTask;
 
@@ -68,17 +69,18 @@ pub trait Scheduler: std::fmt::Debug + Send + Sync {
     /// Produces the execution plan for one layer.
     fn schedule(&self, ctx: &ScheduleContext<'_>) -> SchedulePlan;
 
-    /// Produces the execution plan for one layer, reusing the caller's
-    /// device-queue buffers ([`ScheduleQueues`], typically handed out by
-    /// [`ScheduleScratch::begin_layer`]) so the hot serving loop allocates
-    /// no per-layer queues. The plan is identical to [`Scheduler::schedule`];
-    /// schedulers that do not simulate device queues ignore the buffers.
-    fn schedule_with(
+    /// Writes the execution plan for one layer into `plan`, reusing the
+    /// caller's device-queue buffers and the plan's own vectors (both
+    /// typically a [`ScheduleScratch`]'s) so the hot serving loop allocates
+    /// nothing per layer. The plan is identical to [`Scheduler::schedule`];
+    /// schedulers that keep no reusable state just overwrite `plan`.
+    fn schedule_into(
         &self,
         ctx: &ScheduleContext<'_>,
         queues: &mut ScheduleQueues,
-    ) -> SchedulePlan {
+        plan: &mut SchedulePlan,
+    ) {
         let _ = queues;
-        self.schedule(ctx)
+        *plan = self.schedule(ctx);
     }
 }

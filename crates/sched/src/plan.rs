@@ -1,6 +1,6 @@
 //! The output of a scheduling decision.
 
-use hybrimoe_hw::{Device, GpuId, Op, OpId, SimDuration};
+use hybrimoe_hw::{Device, DeviceClocks, GpuId, Op, OpId, SimDuration, SimTime};
 use hybrimoe_model::{ExpertId, LayerId};
 use serde::{Deserialize, Serialize};
 
@@ -50,7 +50,7 @@ pub struct PlannedTask {
 /// subsequence of `pcie_order` front to back (a transfer rides the lane of
 /// the GPU that consumes it). Shared experts, when present, are a fixed
 /// GPU 0 preamble before the routed experts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulePlan {
     /// The layer this plan belongs to.
     pub layer: LayerId,
@@ -193,70 +193,176 @@ impl SchedulePlan {
             .unwrap_or(GpuId(0))
     }
 
+    /// Clears the plan for reuse as an empty plan of `layer` (the order
+    /// vectors keep their capacity).
+    pub fn reset(&mut self, layer: LayerId, tokens: u32) {
+        self.layer = layer;
+        self.tokens = tokens;
+        self.cpu_order.clear();
+        self.gpu_order.clear();
+        self.pcie_order.clear();
+        self.shared_on_gpu = false;
+        self.transfer_profile = None;
+        self.predicted_makespan = SimDuration::ZERO;
+    }
+
+    /// Visits the plan's hardware ops: the shared-expert preamble, then
+    /// the transfers (so GPU computes can refer back to them), then the
+    /// CPU and GPU computes, each device's ops in plan order. This is the
+    /// one place that decides what each op costs and where it runs.
+    fn lower(&self, ctx: &ScheduleContext<'_>, mut emit: impl FnMut(LoweredOp)) {
+        if self.shared_on_gpu {
+            if let Some(shared) = ctx.shared_profile {
+                emit(LoweredOp {
+                    device: Device::Gpu(GpuId(0)),
+                    duration: ctx.cost.gpu_compute(&shared, ctx.tokens),
+                    kind: OpKind::Shared,
+                });
+            }
+        }
+        let transfer_profile = self.transfer_profile.unwrap_or(ctx.routed_profile);
+        for x in &self.pcie_order {
+            emit(LoweredOp {
+                device: Device::Pcie(self.transfer_lane(x.expert)),
+                duration: ctx.cost.transfer(&transfer_profile),
+                kind: OpKind::Load(x.expert),
+            });
+        }
+        for (i, t) in self.cpu_order.iter().enumerate() {
+            let warm = i > 0;
+            emit(LoweredOp {
+                device: Device::Cpu,
+                duration: ctx.cost.cpu_compute(&ctx.routed_profile, t.load, warm),
+                kind: OpKind::Compute(t.expert, false),
+            });
+        }
+        for g in &self.gpu_order {
+            emit(LoweredOp {
+                device: Device::Gpu(g.placement.gpu().unwrap_or(GpuId(0))),
+                duration: ctx.cost.gpu_compute(&ctx.routed_profile, g.task.load),
+                kind: OpKind::Compute(g.task.expert, g.placement.is_transfer()),
+            });
+        }
+    }
+
     /// Lowers the plan to hardware ops for the
     /// [`PlanExecutor`](hybrimoe_hw::PlanExecutor): compute ops per device
     /// in plan order, transfer ops on the PCIe lane of the consuming GPU,
     /// and a dependency from each transferred expert's GPU compute to its
-    /// transfer.
+    /// transfer. The ops carry no labels; a caller that renders them
+    /// (a Gantt chart) wants [`to_labelled_ops`](Self::to_labelled_ops).
     pub fn to_ops(&self, ctx: &ScheduleContext<'_>) -> Vec<Op> {
-        let mut ops = Vec::new();
-        let mut next_id = 0u32;
-        let mut id = || {
-            let i = next_id;
-            next_id += 1;
-            i
-        };
+        self.ops(ctx, false)
+    }
 
-        if self.shared_on_gpu {
-            if let Some(shared) = ctx.shared_profile {
-                ops.push(Op::new(
-                    id(),
-                    Device::Gpu(GpuId(0)),
-                    ctx.cost.gpu_compute(&shared, ctx.tokens),
-                    format!("{} shared", self.layer),
-                ));
-            }
-        }
+    /// [`to_ops`](Self::to_ops) with a human-readable label on every op
+    /// (`"L3/E17"`, `"L3/E17 load"`, `"L3 shared"`).
+    pub fn to_labelled_ops(&self, ctx: &ScheduleContext<'_>) -> Vec<Op> {
+        self.ops(ctx, true)
+    }
 
-        // Transfers first so GPU computes can reference them.
-        let transfer_profile = self.transfer_profile.unwrap_or(ctx.routed_profile);
+    fn ops(&self, ctx: &ScheduleContext<'_>, labelled: bool) -> Vec<Op> {
+        let mut ops: Vec<Op> = Vec::new();
         let mut transfer_ids: Vec<(ExpertId, OpId)> = Vec::new();
-        for x in &self.pcie_order {
-            let op = Op::new(
-                id(),
-                Device::Pcie(self.transfer_lane(x.expert)),
-                ctx.cost.transfer(&transfer_profile),
-                format!("{}/{} load", self.layer, x.expert),
-            );
-            transfer_ids.push((x.expert, op.id));
-            ops.push(op);
-        }
-
-        for (i, t) in self.cpu_order.iter().enumerate() {
-            let warm = i > 0;
-            ops.push(Op::new(
-                id(),
-                Device::Cpu,
-                ctx.cost.cpu_compute(&ctx.routed_profile, t.load, warm),
-                format!("{}/{}", self.layer, t.expert),
-            ));
-        }
-
-        for g in &self.gpu_order {
-            let mut op = Op::new(
-                id(),
-                Device::Gpu(g.placement.gpu().unwrap_or(GpuId(0))),
-                ctx.cost.gpu_compute(&ctx.routed_profile, g.task.load),
-                format!("{}/{}", self.layer, g.task.expert),
-            );
-            if g.placement.is_transfer() {
-                if let Some((_, dep)) = transfer_ids.iter().find(|(e, _)| *e == g.task.expert) {
-                    op = op.after(*dep);
+        self.lower(ctx, |lowered| {
+            let label = match lowered.kind {
+                _ if !labelled => String::new(),
+                OpKind::Shared => format!("{} shared", self.layer),
+                OpKind::Load(e) => format!("{}/{} load", self.layer, e),
+                OpKind::Compute(e, _) => format!("{}/{}", self.layer, e),
+            };
+            let mut op = Op::new(ops.len() as u32, lowered.device, lowered.duration, label);
+            match lowered.kind {
+                OpKind::Load(e) => transfer_ids.push((e, op.id)),
+                OpKind::Compute(e, true) => {
+                    if let Some((_, dep)) = transfer_ids.iter().find(|(x, _)| *x == e) {
+                        op = op.after(*dep);
+                    }
                 }
+                _ => {}
             }
             ops.push(op);
-        }
+        });
         ops
+    }
+}
+
+/// One hardware op of a lowered plan, before ids and labels.
+struct LoweredOp {
+    device: Device,
+    duration: SimDuration,
+    kind: OpKind,
+}
+
+enum OpKind {
+    /// The shared-expert GPU preamble.
+    Shared,
+    /// The PCIe transfer of an expert.
+    Load(ExpertId),
+    /// The compute of an expert; `true` if it waits for the expert's
+    /// transfer.
+    Compute(ExpertId, bool),
+}
+
+/// Replays plans straight onto device clocks: the makespan and per-device
+/// busy times the [`PlanExecutor`](hybrimoe_hw::PlanExecutor) reports for
+/// [`SchedulePlan::to_ops`], without building the ops, their labels or the
+/// executor's bookkeeping — a reused `PlanReplay` does not allocate. A
+/// plan's ops are fixed per device and only ever wait for transfers, which
+/// wait for nothing, so one pass in lowering order is exact.
+///
+/// # Example
+///
+/// ```
+/// use hybrimoe_hw::UnitCostModel;
+/// use hybrimoe_model::{ExpertId, LayerId};
+/// use hybrimoe_sched::{ExpertTask, HybridScheduler, PlanReplay, ScheduleContext, Scheduler};
+///
+/// let tasks = vec![
+///     ExpertTask::uncached(ExpertId(0), 2),
+///     ExpertTask::cached(ExpertId(1), 2),
+/// ];
+/// let cost = UnitCostModel::paper_fig5();
+/// let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
+/// let plan = HybridScheduler::new().schedule(&ctx);
+/// let mut replay = PlanReplay::default();
+/// assert_eq!(replay.run(&plan, &ctx), plan.predicted_makespan);
+/// assert_eq!(replay.busy_times().len(), 3); // CPU, GPU0, PCIE0
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PlanReplay {
+    clocks: DeviceClocks,
+    /// When each transfer of the plan being replayed arrives.
+    arrivals: Vec<(ExpertId, SimTime)>,
+}
+
+impl PlanReplay {
+    /// Replays `plan` on idle devices and returns its makespan: the finish
+    /// time of the last op on any device, PCIe lanes included.
+    pub fn run(&mut self, plan: &SchedulePlan, ctx: &ScheduleContext<'_>) -> SimDuration {
+        let PlanReplay { clocks, arrivals } = self;
+        clocks.reset(ctx.num_gpus.max(1));
+        arrivals.clear();
+        plan.lower(ctx, |op| {
+            let release = match op.kind {
+                OpKind::Compute(e, true) => arrivals
+                    .iter()
+                    .find(|(x, _)| *x == e)
+                    .map_or(SimTime::ZERO, |(_, arrived)| *arrived),
+                _ => SimTime::ZERO,
+            };
+            let end = clocks.run(op.device, release, op.duration);
+            if let OpKind::Load(e) = op.kind {
+                arrivals.push((e, end));
+            }
+        });
+        clocks.makespan()
+    }
+
+    /// Per-device busy times of the last replayed plan, in canonical
+    /// device order (`CPU, GPU0.., PCIE0..`).
+    pub fn busy_times(&self) -> &[SimDuration] {
+        self.clocks.busy_times()
     }
 }
 
@@ -365,6 +471,55 @@ mod tests {
         let ops = plan.to_ops(&ctx);
         let executed = PlanExecutor::new().execute(ops).unwrap();
         assert_eq!(executed.makespan, plan.predicted_makespan);
+    }
+
+    #[test]
+    fn labels_are_only_built_on_request() {
+        let plan = fig5_plan();
+        let cost = UnitCostModel::paper_fig5();
+        let tasks = fig5_tasks();
+        let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
+        let plain = plan.to_ops(&ctx);
+        let labelled = plan.to_labelled_ops(&ctx);
+        assert!(plain.iter().all(|op| op.label.is_empty()));
+        let labels: Vec<&str> = labelled.iter().map(|op| op.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["L0/E2 load", "L0/E0", "L0/E1", "L0/E4", "L0/E3", "L0/E2"]
+        );
+        // Apart from the labels the two lowerings are the same ops.
+        for (a, b) in plain.iter().zip(&labelled) {
+            assert_eq!(
+                (a.id, a.device, a.duration, &a.deps),
+                (b.id, b.device, b.duration, &b.deps)
+            );
+        }
+        assert_eq!(
+            PlanExecutor::new().execute(labelled).unwrap().makespan,
+            plan.predicted_makespan
+        );
+    }
+
+    #[test]
+    fn replay_matches_the_plan_executor() {
+        let plan = fig5_plan();
+        let cost = UnitCostModel::paper_fig5();
+        let tasks = fig5_tasks();
+        let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
+        let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
+        let mut replay = PlanReplay::default();
+        // A reused replay starts every plan from idle devices.
+        for _ in 0..2 {
+            assert_eq!(replay.run(&plan, &ctx), executed.makespan);
+            assert_eq!(replay.busy_times(), executed.timelines.busy_times());
+        }
+    }
+
+    #[test]
+    fn reset_empties_a_used_plan() {
+        let mut plan = fig5_plan();
+        plan.reset(LayerId(7), 3);
+        assert_eq!(plan, SchedulePlan::empty(LayerId(7), 3));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use hybrimoe_hw::{CostModel, ExpertProfile, SimDuration};
 use hybrimoe_model::{shard_of, ExpertId, ExpertKey, LayerId};
 
-use crate::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+use crate::{ExpertTask, HybridScheduler, ScheduleContext, ScheduleQueues};
 
 /// The predicted routing of one upcoming layer.
 ///
@@ -66,14 +66,41 @@ pub struct PrefetchContext<'a> {
     pub shard_free: Option<&'a [usize]>,
 }
 
+/// Reusable buffers for one prefetch plan after another: the ranking and
+/// selection lists, and the scheduler queues and task set the
+/// impact-driven simulation re-runs on. The engine plans a prefetch on
+/// every layer of every step; with a `PrefetchScratch` kept across calls
+/// that planning allocates nothing in steady state.
+#[derive(Debug, Default, Clone)]
+pub struct PrefetchScratch {
+    queues: ScheduleQueues,
+    tasks: Vec<ExpertTask>,
+    ranked: Vec<(f64, ExpertKey)>,
+    top_gains: Vec<f64>,
+    lane_used: Vec<usize>,
+    shard_left: Vec<usize>,
+    picks: Vec<ExpertKey>,
+}
+
 /// A prefetching policy: returns the expert keys to transfer during idle
 /// PCIe time, best candidate first.
 pub trait Prefetcher: std::fmt::Debug + Send + Sync {
     /// A short stable name for reports.
     fn name(&self) -> &str;
 
-    /// Ranks and caps the prefetch candidates for this step.
-    fn plan(&self, ctx: &PrefetchContext<'_>) -> Vec<ExpertKey>;
+    /// Ranks and caps the prefetch candidates for this step, working in
+    /// (and returning a view of) the caller's reusable `scratch`.
+    fn plan_with<'s>(
+        &self,
+        ctx: &PrefetchContext<'_>,
+        scratch: &'s mut PrefetchScratch,
+    ) -> &'s [ExpertKey];
+
+    /// [`plan_with`](Self::plan_with) on fresh buffers, for one-off calls.
+    fn plan(&self, ctx: &PrefetchContext<'_>) -> Vec<ExpertKey> {
+        self.plan_with(ctx, &mut PrefetchScratch::default())
+            .to_vec()
+    }
 }
 
 /// No prefetching (the ablation baseline).
@@ -92,8 +119,12 @@ impl Prefetcher for NoPrefetcher {
         "none"
     }
 
-    fn plan(&self, _ctx: &PrefetchContext<'_>) -> Vec<ExpertKey> {
-        Vec::new()
+    fn plan_with<'s>(
+        &self,
+        _ctx: &PrefetchContext<'_>,
+        _scratch: &'s mut PrefetchScratch,
+    ) -> &'s [ExpertKey] {
+        &[]
     }
 }
 
@@ -115,30 +146,21 @@ impl Prefetcher for NextLayerTopKPrefetcher {
         "next-layer-topk"
     }
 
-    fn plan(&self, ctx: &PrefetchContext<'_>) -> Vec<ExpertKey> {
-        let Some(next) = ctx.lookahead.first() else {
-            return Vec::new();
-        };
-        let mut candidates: Vec<(f32, ExpertId)> = next
-            .tasks
-            .iter()
-            .filter(|t| !t.cached)
-            .map(|t| {
-                let score = next.scores.get(t.expert.0 as usize).copied().unwrap_or(0.0);
-                (score, t.expert)
-            })
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        select_across_lanes(
-            ctx,
-            candidates
-                .into_iter()
-                .map(|(_, e)| ExpertKey::new(next.layer, e)),
-        )
+    fn plan_with<'s>(
+        &self,
+        ctx: &PrefetchContext<'_>,
+        scratch: &'s mut PrefetchScratch,
+    ) -> &'s [ExpertKey] {
+        scratch.ranked.clear();
+        if let Some(next) = ctx.lookahead.first() {
+            scratch
+                .ranked
+                .extend(next.tasks.iter().filter(|t| !t.cached).map(|t| {
+                    let score = next.scores.get(t.expert.0 as usize).copied().unwrap_or(0.0);
+                    (f64::from(score), ExpertKey::new(next.layer, t.expert))
+                }));
+        }
+        select_across_lanes(ctx, scratch)
     }
 }
 
@@ -252,15 +274,19 @@ impl Prefetcher for ImpactDrivenPrefetcher {
         "impact-driven"
     }
 
-    fn plan(&self, ctx: &PrefetchContext<'_>) -> Vec<ExpertKey> {
+    fn plan_with<'s>(
+        &self,
+        ctx: &PrefetchContext<'_>,
+        scratch: &'s mut PrefetchScratch,
+    ) -> &'s [ExpertKey] {
+        scratch.ranked.clear();
         // Nothing can be selected (no budget, no free slot, no shard
         // space): skip the schedule simulations entirely — they sit on
         // the per-step hot path.
         if max_selectable(ctx) == 0 {
-            return Vec::new();
+            return select_across_lanes(ctx, scratch);
         }
         let scheduler = HybridScheduler::new();
-        let mut scored: Vec<(f64, ExpertKey)> = Vec::new();
 
         // Pruning bound: the final selection keeps at most `free_slots`
         // keys, so once that many gains are known, a candidate whose
@@ -270,7 +296,7 @@ impl Prefetcher for ImpactDrivenPrefetcher {
         // surviving candidates score exactly as before, so the output is
         // bit-identical to the unpruned plan.
         let cap = ctx.free_slots;
-        let mut top_gains: Vec<f64> = Vec::new();
+        scratch.top_gains.clear();
         // The expected-gain floor, in simulated nanoseconds.
         let floor =
             self.min_gain_per_transfer * ctx.cost.transfer(&ctx.routed_profile).as_nanos() as f64;
@@ -279,19 +305,23 @@ impl Prefetcher for ImpactDrivenPrefetcher {
             let discount = confidence_discount(self.distance_discount, ctx, distance);
             // Base makespan memoized once per predicted layer; every
             // candidate of the layer shares it.
-            let base = simulate_makespan(&scheduler, ctx, predicted, None);
+            let base = simulate_makespan(&scheduler, ctx, predicted, None, scratch);
             let upper_bound = base.as_nanos() as f64 * discount;
             if upper_bound <= floor {
                 continue; // no candidate of this layer can clear the floor
             }
             for t in predicted.tasks.iter().filter(|t| !t.cached) {
+                let top_gains = &scratch.top_gains;
                 if top_gains.len() >= cap && upper_bound < top_gains[cap - 1] {
                     continue;
                 }
-                let with = simulate_makespan(&scheduler, ctx, predicted, Some(t.expert));
+                let with = simulate_makespan(&scheduler, ctx, predicted, Some(t.expert), scratch);
                 let gain = base.saturating_sub(with).as_nanos() as f64 * discount;
                 if gain > floor {
-                    scored.push((gain, ExpertKey::new(predicted.layer, t.expert)));
+                    scratch
+                        .ranked
+                        .push((gain, ExpertKey::new(predicted.layer, t.expert)));
+                    let top_gains = &mut scratch.top_gains;
                     let pos = top_gains.partition_point(|&g| g >= gain);
                     if pos < cap {
                         top_gains.insert(pos, gain);
@@ -300,13 +330,7 @@ impl Prefetcher for ImpactDrivenPrefetcher {
                 }
             }
         }
-
-        scored.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        select_across_lanes(ctx, scored.into_iter().map(|(_, k)| k))
+        select_across_lanes(ctx, scratch)
     }
 }
 
@@ -369,8 +393,12 @@ impl Prefetcher for PredictivePrefetcher {
         "predictive"
     }
 
-    fn plan(&self, ctx: &PrefetchContext<'_>) -> Vec<ExpertKey> {
-        self.inner.plan(ctx)
+    fn plan_with<'s>(
+        &self,
+        ctx: &PrefetchContext<'_>,
+        scratch: &'s mut PrefetchScratch,
+    ) -> &'s [ExpertKey] {
+        self.inner.plan_with(ctx, scratch)
     }
 }
 
@@ -403,41 +431,57 @@ fn max_selectable(ctx: &PrefetchContext<'_>) -> usize {
     ctx.free_slots.min(by_lanes).min(by_shards)
 }
 
-/// Walks `ranked` (best candidate first) admitting keys while capacity
-/// lasts: each GPU shard's PCIe lane has its own transfer budget (a full
-/// lane skips the candidate rather than ending selection, so idle lanes
-/// keep filling), the global `free_slots` bound caps the total, and — when
-/// the context carries per-shard free-slot counts — a candidate whose
-/// affinity shard is out of slots is skipped because its transfer could
-/// never land. With one GPU this degenerates to the classic
-/// `min(budget/transfer, free_slots)` prefix.
-fn select_across_lanes(
+/// Ranks `scratch.ranked` (highest value first, ties to the smaller key)
+/// and walks it admitting keys while capacity lasts: each GPU shard's PCIe
+/// lane has its own transfer budget (a full lane skips the candidate
+/// rather than ending selection, so idle lanes keep filling), the global
+/// `free_slots` bound caps the total, and — when the context carries
+/// per-shard free-slot counts — a candidate whose affinity shard is out of
+/// slots is skipped because its transfer could never land. With one GPU
+/// this degenerates to the classic `min(budget/transfer, free_slots)`
+/// prefix.
+fn select_across_lanes<'s>(
     ctx: &PrefetchContext<'_>,
-    ranked: impl Iterator<Item = ExpertKey>,
-) -> Vec<ExpertKey> {
+    scratch: &'s mut PrefetchScratch,
+) -> &'s [ExpertKey] {
+    let PrefetchScratch {
+        ranked,
+        lane_used,
+        shard_left,
+        picks,
+        ..
+    } = scratch;
+    // Keys are unique, so the order is total and the unstable sort exact.
+    ranked.sort_unstable_by(|a, b| {
+        b.0.partial_cmp(&a.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.1.cmp(&b.1))
+    });
     let lanes = ctx.num_gpus.max(1);
     let per_lane = per_lane_cap(ctx);
-    let mut lane_used = vec![0usize; lanes];
-    let mut shard_left: Option<Vec<usize>> = ctx.shard_free.map(<[usize]>::to_vec);
-    let mut out = Vec::new();
-    for key in ranked {
-        if out.len() >= ctx.free_slots {
+    lane_used.clear();
+    lane_used.resize(lanes, 0);
+    shard_left.clear();
+    shard_left.extend_from_slice(ctx.shard_free.unwrap_or(&[]));
+    picks.clear();
+    for (_, key) in ranked.iter() {
+        if picks.len() >= ctx.free_slots {
             break;
         }
         let lane = shard_of(key.expert, lanes);
         if lane_used[lane] >= per_lane {
             continue;
         }
-        if let Some(left) = shard_left.as_mut() {
-            match left.get_mut(lane) {
+        if ctx.shard_free.is_some() {
+            match shard_left.get_mut(lane) {
                 Some(slots) if *slots > 0 => *slots -= 1,
                 _ => continue,
             }
         }
         lane_used[lane] += 1;
-        out.push(key);
+        picks.push(*key);
     }
-    out
+    picks
 }
 
 /// Simulated makespan of a predicted layer, optionally with one extra
@@ -447,28 +491,25 @@ fn simulate_makespan(
     ctx: &PrefetchContext<'_>,
     predicted: &PredictedLayer,
     extra_cached: Option<ExpertId>,
+    scratch: &mut PrefetchScratch,
 ) -> SimDuration {
-    let tasks: Vec<ExpertTask> = predicted
+    scratch.tasks.clear();
+    scratch
         .tasks
-        .iter()
-        .map(|t| {
-            let mut t = *t;
-            if Some(t.expert) == extra_cached {
-                t.cached = true;
-            }
-            t
-        })
-        .collect();
+        .extend(predicted.tasks.iter().map(|t| ExpertTask {
+            cached: t.cached || Some(t.expert) == extra_cached,
+            ..*t
+        }));
     let sched_ctx = ScheduleContext::new(
         predicted.layer,
         ctx.tokens,
-        &tasks,
+        &scratch.tasks,
         ctx.routed_profile,
         ctx.shared_profile,
         ctx.cost,
     )
     .with_gpus(ctx.num_gpus.max(1));
-    scheduler.schedule(&sched_ctx).predicted_makespan
+    scheduler.makespan(&sched_ctx, &mut scratch.queues)
 }
 
 #[cfg(test)]

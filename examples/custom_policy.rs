@@ -5,22 +5,30 @@
 //! the same trace. The example policy is "score-weighted LRU": recency
 //! aged by the router-score mass each expert accumulated.
 //!
+//! The cache calls a policy on every layer of every engine step, so the
+//! contract (see `hybrimoe_cache::CachePolicy`) is built around views and
+//! dense state: per-expert values live in a `KeyMap` (a flat array indexed
+//! by expert key, unwritten keys read as the default), `on_routing` gets
+//! the layer's mean scores as a reused `RoutingScores`, and
+//! `choose_victim` scans the `Candidates` — already in ascending key
+//! order, pinned and protected experts already excluded — in one pass.
+//!
 //! ```text
 //! cargo run -p hybrimoe-examples --release --bin custom_policy
 //! ```
 
-use std::collections::HashMap;
-
 use hybrimoe::report::Table;
-use hybrimoe_cache::{CachePolicy, ExpertCache, Lru, Mrs};
-use hybrimoe_model::{ExpertKey, LayerRouting, ModelConfig};
+use hybrimoe_cache::{CachePolicy, Candidates, ExpertCache, KeyMap, Lru, Mrs, RoutingScores};
+use hybrimoe_model::{ExpertKey, ModelConfig};
 use hybrimoe_trace::{ActivationTrace, TraceGenerator};
 
 /// LRU whose timestamps are advanced further for experts with high recent
 /// router scores, making them look "fresher" than raw recency.
 #[derive(Debug, Default)]
 struct ScoreWeightedLru {
-    last_access: HashMap<ExpertKey, f64>,
+    /// Effective timestamp per expert; 0 (the default) for experts that
+    /// are not resident.
+    last_access: KeyMap<f64>,
     clock: f64,
 }
 
@@ -29,38 +37,38 @@ impl CachePolicy for ScoreWeightedLru {
         "score-weighted-lru"
     }
 
-    fn on_routing(&mut self, routing: &LayerRouting, _activated_k: u16) {
-        // Scores push an expert's effective timestamp forward in time.
-        for (i, s) in routing.mean_scores().iter().enumerate() {
-            let key = ExpertKey::new(routing.layer(), hybrimoe_model::ExpertId(i as u16));
-            if let Some(t) = self.last_access.get_mut(&key) {
-                *t += 64.0 * *s as f64;
+    fn on_routing(&mut self, scores: &mut RoutingScores) {
+        // Scores push a resident expert's effective timestamp forward in
+        // time. Only the experts this instance owns: behind a sharded
+        // cache every shard has its own policy.
+        let mean = scores.mean();
+        let row = self.last_access.row_mut(scores.layer(), mean.len());
+        for e in scores.owned_experts() {
+            let t = &mut row[e.0 as usize];
+            if *t > 0.0 {
+                *t += 64.0 * mean[e.0 as usize] as f64;
             }
         }
     }
 
     fn on_access(&mut self, key: ExpertKey, _now: u64) {
         self.clock += 1.0;
-        self.last_access.insert(key, self.clock);
+        self.last_access.set(key, self.clock);
     }
 
     fn on_insert(&mut self, key: ExpertKey, _now: u64) {
         self.clock += 1.0;
-        self.last_access.insert(key, self.clock);
+        self.last_access.set(key, self.clock);
     }
 
     fn on_evict(&mut self, key: ExpertKey) {
-        self.last_access.remove(&key);
+        self.last_access.set(key, 0.0);
     }
 
-    fn choose_victim(&mut self, candidates: &[ExpertKey]) -> Option<ExpertKey> {
-        candidates.iter().copied().min_by(|a, b| {
-            let ta = self.last_access.get(a).copied().unwrap_or(0.0);
-            let tb = self.last_access.get(b).copied().unwrap_or(0.0);
-            ta.partial_cmp(&tb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        })
+    fn choose_victim(&mut self, candidates: Candidates<'_>) -> Option<ExpertKey> {
+        // Smallest timestamp first, ties to the smallest key: candidates
+        // arrive in ascending key order, so one pass decides.
+        candidates.min_by_value(|k| self.last_access.get(k))
     }
 }
 

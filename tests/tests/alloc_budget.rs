@@ -1,0 +1,96 @@
+//! The engine's per-layer decision path must stay off the heap.
+//!
+//! A steady-state decode `Engine::step` on the simulation backend works in
+//! reused buffers: the only thing it may allocate is the metrics it
+//! returns. A counting global allocator pins that, so a stray `Vec`,
+//! `format!` or hash map on the per-layer path fails here instead of
+//! quietly costing every token a few microseconds again.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use hybrimoe::{Engine, EngineConfig, Framework};
+use hybrimoe_model::ModelConfig;
+use hybrimoe_trace::TraceGenerator;
+
+/// Counts the allocations (and growing reallocations) of the calling
+/// thread, so the test harness's own threads do not disturb the count.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a thread-local counter bump, which neither allocates
+// (the cell is const-initialized and has no destructor) nor touches the
+// memory being managed.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr`, `layout` and `new_size` are the caller's, passed
+        // through as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// What one decode step may allocate: the busy vector of the
+/// `StepMetrics` it returns, with one spare for a buffer that meets a new
+/// high-water mark (a layer activating more experts than any before it).
+const STEP_ALLOCATION_BUDGET: u64 = 2;
+
+#[test]
+fn a_warm_decode_step_stays_off_the_heap() {
+    let model = ModelConfig::deepseek();
+    let mut engine = Engine::new(EngineConfig::preset(
+        Framework::HybriMoe,
+        model.clone(),
+        0.25,
+    ));
+    let trace = TraceGenerator::new(model, 17).decode_trace(96);
+    let (warmup, measured) = trace.steps.split_at(32);
+    // The first steps fill the cache to capacity and grow every reused
+    // buffer to its working size.
+    for step in warmup {
+        engine.step(step);
+    }
+
+    let mut worst = 0;
+    let mut total = 0;
+    for step in measured {
+        let before = allocations();
+        let metrics = engine.step(step);
+        let spent = allocations() - before;
+        drop(metrics);
+        worst = worst.max(spent);
+        total += spent;
+    }
+    assert!(
+        worst <= STEP_ALLOCATION_BUDGET,
+        "a warm decode step allocated {worst} times (budget {STEP_ALLOCATION_BUDGET})"
+    );
+    // Nearly every step allocates exactly its returned metrics.
+    assert!(
+        total <= measured.len() as u64 + 4,
+        "{total} allocations over {} warm decode steps",
+        measured.len()
+    );
+}

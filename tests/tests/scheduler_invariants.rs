@@ -8,7 +8,10 @@ use hybrimoe_model::{shard_of, ExpertId, LayerId};
 use hybrimoe_sched::baselines::{
     FixedMappingScheduler, GpuOnlyScheduler, StaticSplitScheduler, PREFILL_BATCH_THRESHOLD,
 };
-use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+use hybrimoe_sched::{
+    ExpertTask, HybridScheduler, PlanReplay, ScheduleContext, SchedulePlan, ScheduleQueues,
+    Scheduler,
+};
 use proptest::prelude::*;
 
 fn arb_tasks() -> impl Strategy<Value = Vec<ExpertTask>> {
@@ -375,6 +378,56 @@ proptest! {
                 );
             }
             last = Some(plan.predicted_makespan);
+        }
+    }
+
+    /// The allocation-free entries decide exactly what the allocating ones
+    /// do, on buffers reused from one case to the next: the makespan-only
+    /// simulation (what the impact-driven prefetcher runs per candidate)
+    /// returns the plan's prediction, `schedule_into` writes the same
+    /// plan, and replaying a plan on bare device clocks (what the
+    /// simulation backend runs per layer) reports the executor's makespan
+    /// and busy times — at decode and prefill batch sizes, on 1–4 GPUs.
+    #[test]
+    fn allocation_free_entries_match_the_allocating_ones(
+        tasks in arb_tasks(),
+        cost in arb_cost(),
+        num_gpus in 1usize..5,
+        prefill in any::<bool>(),
+    ) {
+        let mut ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost).with_gpus(num_gpus);
+        if prefill {
+            ctx.tokens = ctx.tokens.max(PREFILL_BATCH_THRESHOLD);
+        }
+        // Dirty buffers: a larger layer on more GPUs went through first.
+        let mut queues = ScheduleQueues::new();
+        let mut reused = SchedulePlan::empty(LayerId(7), 7);
+        let mut replay = PlanReplay::default();
+        let crowd: Vec<ExpertTask> = (0..24)
+            .map(|i| ExpertTask { expert: ExpertId(i), load: 1 + u32::from(i % 5), cached: i % 3 == 0 })
+            .collect();
+        let crowded = ScheduleContext::for_test(LayerId(1), &crowd, &cost).with_gpus(4);
+        HybridScheduler::new().schedule_into(&crowded, &mut queues, &mut reused);
+        replay.run(&reused, &crowded);
+
+        for hybrid in [HybridScheduler::new(), HybridScheduler::without_cpu_steal()] {
+            let plan = hybrid.schedule(&ctx);
+            prop_assert_eq!(hybrid.makespan(&ctx, &mut queues), plan.predicted_makespan);
+            hybrid.schedule_into(&ctx, &mut queues, &mut reused);
+            prop_assert_eq!(&reused, &plan);
+        }
+        for scheduler in all_schedulers() {
+            let plan = scheduler.schedule(&ctx);
+            let executed = PlanExecutor::new()
+                .with_gpus(num_gpus)
+                .execute(plan.to_ops(&ctx))
+                .unwrap();
+            prop_assert_eq!(replay.run(&plan, &ctx), executed.makespan, "{}", scheduler.name());
+            prop_assert_eq!(
+                replay.busy_times(),
+                executed.timelines.busy_times(),
+                "{}", scheduler.name()
+            );
         }
     }
 }
