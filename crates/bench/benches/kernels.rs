@@ -4,7 +4,7 @@
 //! CPU GFLOP/s is self-consistent.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hybrimoe_kernels::{ExpertFfn, QuantizedMatrix};
+use hybrimoe_kernels::{backend, ExpertFfn, QuantizedMatrix};
 
 fn bench_qgemv(c: &mut Criterion) {
     let mut group = c.benchmark_group("qgemv");
@@ -23,6 +23,38 @@ fn bench_qgemv(c: &mut Criterion) {
                 b.iter(|| q.qgemv(std::hint::black_box(&x), &mut y, 1));
             },
         );
+    }
+    group.finish();
+}
+
+/// The primitive under every pooled kernel: one `qdot_rows` call over a
+/// 256-row band of 512 columns on each available backend, at the batch
+/// sizes that select each AVX2 tile shape (4×1, 2×2, 2×4, and the
+/// dequantize-once sweeps at 8 and 32 tokens).
+fn bench_qdot_rows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qdot_rows");
+    let (rows, cols) = (256usize, 512usize);
+    let w: Vec<f32> = (0..rows * cols)
+        .map(|i| ((i % 97) as f32 - 48.0) / 50.0)
+        .collect();
+    let q = QuantizedMatrix::quantize(&w, rows, cols).unwrap();
+    let packed = q.data();
+    for tokens in [1usize, 2, 4, 8, 32] {
+        let x: Vec<f32> = (0..tokens * cols)
+            .map(|i| ((i % 13) as f32 - 6.0) / 7.0)
+            .collect();
+        let mut out = vec![0.0f32; rows * tokens];
+        group.throughput(Throughput::Elements((2 * rows * cols * tokens) as u64));
+        for b in backend::available() {
+            group.bench_function(
+                BenchmarkId::new(b.kind().name(), format!("T{tokens}")),
+                |bench| {
+                    bench.iter(|| {
+                        b.qdot_rows(&packed, rows, std::hint::black_box(&x), cols, &mut out)
+                    });
+                },
+            );
+        }
     }
     group.finish();
 }
@@ -48,6 +80,6 @@ criterion_group! {
         .sample_size(15)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_qgemv, bench_ffn
+    targets = bench_qgemv, bench_qdot_rows, bench_ffn
 }
 criterion_main!(benches);

@@ -2,10 +2,11 @@
 //!
 //! Every quantized kernel hot path in this crate ([`qgemv_into`],
 //! [`qgemm_into`], and the expert forward built on them) bottoms out in one
-//! primitive: *dequantize one packed weight row and dot it with one or more
-//! token activations*. [`KernelBackend`] abstracts exactly that primitive,
-//! so the surrounding tiling, threading and scatter logic is written once
-//! while the innermost loop is selected at startup:
+//! primitive: *dequantize a band of packed weight rows and dot each with
+//! one or more token activations* — [`KernelBackend::qdot_rows`], called
+//! once per worker per projection. The threading and scatter logic around
+//! it is written once; how rows and tokens are tiled inside a band is the
+//! backend's business, selected at startup:
 //!
 //! * [`KernelBackendKind::Scalar`] — the original scalar loops, kept
 //!   byte-for-byte as the **reference backend**. Every determinism pin in
@@ -18,9 +19,27 @@
 //! * [`KernelBackendKind::Avx2`] — `x86_64` AVX2 intrinsics
 //!   (`target_feature`-gated): 16 packed nibbles unpack with one mask +
 //!   shift + interleave, widen to `f32`, and multiply-accumulate eight
-//!   lanes at a time. Deliberately **no FMA**: fused multiply-adds round
-//!   once where `mul`+`add` rounds twice, which would break the exact
-//!   Portable ≡ AVX2 equivalence the proptests pin.
+//!   lanes at a time, register-tiled over rows and tokens (below).
+//!   Deliberately **no FMA**: fused multiply-adds round once where
+//!   `mul`+`add` rounds twice, which would break the exact Portable ≡ AVX2
+//!   equivalence the proptests pin.
+//!
+//! # Register tiling (AVX2)
+//!
+//! Each (row, token) output owns one eight-lane accumulator; the AVX2
+//! backend keeps up to eight of them live in registers as an `R × T` tile
+//! so that independent add chains overlap (a lone chain runs at add
+//! latency, not add throughput) and loads are shared: `4 × 1` for a
+//! single token (four rows share each activation load), `2 × T` for two to
+//! four tokens (each dequantized block serves `T` tokens, each activation
+//! load both rows), and above four tokens a row *pair* is dequantized once
+//! into a few KiB of stack scratch and swept by `2 × 4` tiles — instead of
+//! re-dequantizing the row for every four-token tile. Long rows are
+//! chunked by columns with the accumulators carried across chunks, so no
+//! shape allocates. Tiling never changes what an accumulator sees: the
+//! four groups of each block, in column order, `mul` then `add`, then the
+//! fixed reduction tree — so every tile shape, the one-row-at-a-time
+//! Portable loop, GEMV and GEMM all produce the same bits.
 //!
 //! # Selection
 //!
@@ -38,15 +57,16 @@
 //!
 //! # Numerical contract
 //!
-//! All backends compute the same exact dequantization (`(q - 8) * scale`
-//! per element — integer-to-float conversion and one `f32` multiply are
-//! exact here) and differ only in *float addition order*. Scalar sums each
-//! token's `cols` products sequentially; Portable/AVX2 accumulate eight
-//! interleaved partial sums and reduce them with a fixed tree. Each
-//! reassociation is one extra rounding opportunity, so SIMD outputs stay
-//! within `cols/8 + 3` ulp-scale rounding steps of the scalar oracle — the
-//! bound `tests/tests/kernel_backends.rs` verifies against an `f64`
-//! ground-truth accumulation.
+//! All backends compute the same dequantization (`(q - 8) * scale` per
+//! element — an exact integer-to-float conversion and one IEEE `f32`
+//! multiply, so every backend holds the same weight bits) and differ only
+//! in *float addition order*. Scalar sums each token's `cols` products
+//! sequentially; Portable/AVX2 accumulate eight interleaved partial sums
+//! and reduce them with a fixed tree. Each reassociation is one extra
+//! rounding opportunity, so SIMD outputs stay within `cols/8 + 3` ulp-scale
+//! rounding steps of the scalar oracle — the bound
+//! `tests/tests/kernel_backends.rs` verifies against an `f64` ground-truth
+//! accumulation.
 //!
 //! [`qgemv_into`]: crate::QuantizedMatrix::qgemv_into
 //! [`qgemm_into`]: crate::QuantizedMatrix::qgemm_into
@@ -55,7 +75,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::quant::{decode_block, Q4_BLOCK, Q4_BLOCK_BYTES};
+use crate::quant::{decode_block, packed_row_bytes, Q4_BLOCK, Q4_BLOCK_BYTES};
 
 /// The environment variable consulted by [`KernelBackendKind::Auto`].
 pub const KERNEL_BACKEND_ENV: &str = "HYBRIMOE_KERNEL_BACKEND";
@@ -107,7 +127,7 @@ impl KernelBackendKind {
         match self.resolved() {
             KernelBackendKind::Portable => &Portable,
             #[cfg(target_arch = "x86_64")]
-            KernelBackendKind::Avx2 => &Avx2,
+            KernelBackendKind::Avx2 => &Avx2(()),
             _ => &Scalar,
         }
     }
@@ -164,12 +184,14 @@ pub fn available() -> Vec<&'static dyn KernelBackend> {
     backends
 }
 
-/// One `Q4_0` inner-loop implementation: dequantize a packed weight row
-/// and dot it with a batch of activations.
+/// One `Q4_0` inner-loop implementation: dequantize a band of packed
+/// weight rows and dot each with a batch of activations.
 ///
 /// Implementations are stateless statics; [`KernelBackendKind::resolve`]
 /// hands out `&'static` references, so an executor stores the resolved
-/// backend once and pays one virtual dispatch per weight row.
+/// backend once and pays one virtual dispatch per *band* of rows (one per
+/// worker per projection), inside which the backend is free to tile rows
+/// and tokens over registers.
 ///
 /// # Example
 ///
@@ -192,31 +214,74 @@ pub trait KernelBackend: fmt::Debug + Send + Sync {
     /// The concrete kind of this implementation.
     fn kind(&self) -> KernelBackendKind;
 
-    /// Computes `out[t] = dot(dequant(row), x[t * cols .. (t+1) * cols])`
-    /// for every token `t`.
+    /// Computes `out[r * tokens + t] = dot(dequant(row r), x[t * cols ..
+    /// (t+1) * cols])` for every row `r < nrows` and token `t < tokens`,
+    /// where `tokens = out.len() / nrows`.
     ///
-    /// `row` is one weight row's packed blocks (`cols / Q4_BLOCK` blocks of
-    /// [`Q4_BLOCK_BYTES`]); `x` is token-major (`out.len() × cols`). `out`
-    /// is fully overwritten. A single-token call (`out.len() == 1`) and a
-    /// batched call compute each token with the *same* accumulation order,
-    /// so GEMV and GEMM paths agree bit for bit within one backend.
+    /// `rows` is `nrows` consecutive packed weight rows (`cols / Q4_BLOCK`
+    /// blocks of [`Q4_BLOCK_BYTES`] each); `x` is token-major (`tokens ×
+    /// cols`). `out` is row-major and fully overwritten. Every (row, token)
+    /// pair is accumulated in the same order whatever `nrows` and `tokens`
+    /// are, so within one backend a multi-row call, a per-row call, a
+    /// single-token call and a batched call all agree bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) on shape mismatches: `cols` must be a
-    /// multiple of [`Q4_BLOCK`], `row.len()` must match `cols`, and
-    /// `x.len()` must equal `out.len() * cols`.
-    fn qdot_row(&self, row: &[u8], x: &[f32], cols: usize, out: &mut [f32]);
+    /// Panics on shape mismatches (in release builds too — the SIMD paths
+    /// read through raw pointers on the strength of this check): `cols`
+    /// must be a multiple of [`Q4_BLOCK`], `rows.len()` must be `nrows`
+    /// rows of `cols` weights, `out.len()` must be a multiple of `nrows`,
+    /// and `x.len()` must equal `tokens * cols`.
+    fn qdot_rows(&self, rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &mut [f32]);
+
+    /// [`qdot_rows`](KernelBackend::qdot_rows) on a single row:
+    /// `out[t] = dot(dequant(row), x[t * cols .. (t+1) * cols])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the shape mismatches `qdot_rows` rejects.
+    fn qdot_row(&self, row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
+        self.qdot_rows(row, 1, x, cols, out);
+    }
 }
 
+/// Validates a [`KernelBackend::qdot_rows`] call and returns its token
+/// count. These are real asserts, paid once per band: the AVX2 kernels
+/// index `rows`, `x` and `out` through raw pointers and rely on exactly
+/// these extents (hence the overflow-checked products).
 #[inline]
-fn check_shapes(row: &[u8], x: &[f32], cols: usize, out: &[f32]) {
-    debug_assert!(
+fn checked_tokens(rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &[f32]) -> usize {
+    assert!(
         cols.is_multiple_of(Q4_BLOCK),
         "cols {cols} not block-aligned"
     );
-    debug_assert_eq!(row.len(), cols / Q4_BLOCK * Q4_BLOCK_BYTES, "row bytes");
-    debug_assert_eq!(x.len(), out.len() * cols, "activation shape");
+    let row_bytes = packed_row_bytes(cols);
+    assert_eq!(Some(rows.len()), nrows.checked_mul(row_bytes), "row bytes");
+    let tokens = out.len().checked_div(nrows).unwrap_or(0);
+    assert_eq!(out.len(), nrows * tokens, "output shape");
+    assert_eq!(Some(x.len()), tokens.checked_mul(cols), "activation shape");
+    tokens
+}
+
+/// [`KernelBackend::qdot_rows`] as a loop of a backend's one-row kernel:
+/// shape-checks once, then hands `row_kernel` each `(row, x, cols,
+/// out_row)`.
+fn qdot_rows_by_row(
+    rows: &[u8],
+    nrows: usize,
+    x: &[f32],
+    cols: usize,
+    out: &mut [f32],
+    row_kernel: impl Fn(&[u8], &[f32], usize, &mut [f32]),
+) {
+    let tokens = checked_tokens(rows, nrows, x, cols, out);
+    if tokens == 0 {
+        return;
+    }
+    let row_bytes = packed_row_bytes(cols);
+    for (r, out_row) in out.chunks_mut(tokens).enumerate() {
+        row_kernel(&rows[r * row_bytes..(r + 1) * row_bytes], x, cols, out_row);
+    }
 }
 
 /// The scalar reference implementation: byte-for-byte the pre-dispatch
@@ -230,54 +295,58 @@ impl KernelBackend for Scalar {
         KernelBackendKind::Scalar
     }
 
-    fn qdot_row(&self, row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
-        check_shapes(row, x, cols, out);
-        let tokens = out.len();
-        let blocks = cols / Q4_BLOCK;
-        let mut buf = [0.0f32; Q4_BLOCK];
-        out.fill(0.0);
-        for b in 0..blocks {
-            decode_block(&row[b * Q4_BLOCK_BYTES..(b + 1) * Q4_BLOCK_BYTES], &mut buf);
-            let col0 = b * Q4_BLOCK;
-            let mut t = 0;
-            while t + 4 <= tokens {
-                let x0 = &x[t * cols + col0..][..Q4_BLOCK];
-                let x1 = &x[(t + 1) * cols + col0..][..Q4_BLOCK];
-                let x2 = &x[(t + 2) * cols + col0..][..Q4_BLOCK];
-                let x3 = &x[(t + 3) * cols + col0..][..Q4_BLOCK];
-                let mut a0 = out[t];
-                let mut a1 = out[t + 1];
-                let mut a2 = out[t + 2];
-                let mut a3 = out[t + 3];
-                for i in 0..Q4_BLOCK {
-                    let w = buf[i];
-                    a0 += w * x0[i];
-                    a1 += w * x1[i];
-                    a2 += w * x2[i];
-                    a3 += w * x3[i];
-                }
-                out[t] = a0;
-                out[t + 1] = a1;
-                out[t + 2] = a2;
-                out[t + 3] = a3;
-                t += 4;
+    fn qdot_rows(&self, rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &mut [f32]) {
+        qdot_rows_by_row(rows, nrows, x, cols, out, scalar_row);
+    }
+}
+
+/// One row of the [`Scalar`] backend; `out.len()` is the token count.
+fn scalar_row(row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
+    let tokens = out.len();
+    let blocks = cols / Q4_BLOCK;
+    let mut buf = [0.0f32; Q4_BLOCK];
+    out.fill(0.0);
+    for b in 0..blocks {
+        decode_block(&row[b * Q4_BLOCK_BYTES..(b + 1) * Q4_BLOCK_BYTES], &mut buf);
+        let col0 = b * Q4_BLOCK;
+        let mut t = 0;
+        while t + 4 <= tokens {
+            let x0 = &x[t * cols + col0..][..Q4_BLOCK];
+            let x1 = &x[(t + 1) * cols + col0..][..Q4_BLOCK];
+            let x2 = &x[(t + 2) * cols + col0..][..Q4_BLOCK];
+            let x3 = &x[(t + 3) * cols + col0..][..Q4_BLOCK];
+            let mut a0 = out[t];
+            let mut a1 = out[t + 1];
+            let mut a2 = out[t + 2];
+            let mut a3 = out[t + 3];
+            for i in 0..Q4_BLOCK {
+                let w = buf[i];
+                a0 += w * x0[i];
+                a1 += w * x1[i];
+                a2 += w * x2[i];
+                a3 += w * x3[i];
             }
-            while t < tokens {
-                let xs = &x[t * cols + col0..][..Q4_BLOCK];
-                let mut acc = out[t];
-                for (wv, xv) in buf.iter().zip(xs.iter()) {
-                    acc += wv * xv;
-                }
-                out[t] = acc;
-                t += 1;
+            out[t] = a0;
+            out[t + 1] = a1;
+            out[t + 2] = a2;
+            out[t + 3] = a3;
+            t += 4;
+        }
+        while t < tokens {
+            let xs = &x[t * cols + col0..][..Q4_BLOCK];
+            let mut acc = out[t];
+            for (wv, xv) in buf.iter().zip(xs.iter()) {
+                acc += wv * xv;
             }
+            out[t] = acc;
+            t += 1;
         }
     }
 }
 
-/// How many tokens the SIMD paths process per tile (per-token accumulators
-/// held in registers across the whole row).
-const SIMD_TILE: usize = 4;
+/// How many tokens the portable path processes per tile (per-token lane
+/// accumulators live across the whole row).
+const PORTABLE_TILE: usize = 4;
 
 /// Reduces the eight lane accumulators with the fixed tree the AVX2
 /// horizontal sum produces: `extract`+`add` folds lane `j` with `j+4`,
@@ -300,41 +369,45 @@ impl KernelBackend for Portable {
         KernelBackendKind::Portable
     }
 
-    fn qdot_row(&self, row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
-        check_shapes(row, x, cols, out);
-        let tokens = out.len();
-        let blocks = cols / Q4_BLOCK;
-        let mut buf = [0.0f32; Q4_BLOCK];
-        let mut t = 0;
-        while t < tokens {
-            let tile = (tokens - t).min(SIMD_TILE);
-            let mut lanes = [[0.0f32; 8]; SIMD_TILE];
-            for b in 0..blocks {
-                decode_block(&row[b * Q4_BLOCK_BYTES..(b + 1) * Q4_BLOCK_BYTES], &mut buf);
-                let col0 = b * Q4_BLOCK;
-                for (j, lane) in lanes.iter_mut().enumerate().take(tile) {
-                    let xs = &x[(t + j) * cols + col0..][..Q4_BLOCK];
-                    for g in 0..Q4_BLOCK / 8 {
-                        for k in 0..8 {
-                            lane[k] += buf[g * 8 + k] * xs[g * 8 + k];
-                        }
-                    }
-                }
-            }
-            for (j, lane) in lanes.iter().enumerate().take(tile) {
-                out[t + j] = reduce8(lane);
-            }
-            t += tile;
-        }
+    fn qdot_rows(&self, rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &mut [f32]) {
+        qdot_rows_by_row(rows, nrows, x, cols, out, portable_row);
     }
 }
 
-/// The AVX2 implementation (see [`KernelBackendKind::Avx2`]). Constructed
-/// only through [`KernelBackendKind::resolve`], which verifies AVX2 via
-/// `is_x86_feature_detected!` first.
+/// One row of the [`Portable`] backend; `out.len()` is the token count.
+fn portable_row(row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
+    let tokens = out.len();
+    let blocks = cols / Q4_BLOCK;
+    let mut buf = [0.0f32; Q4_BLOCK];
+    let mut t = 0;
+    while t < tokens {
+        let tile = (tokens - t).min(PORTABLE_TILE);
+        let mut lanes = [[0.0f32; 8]; PORTABLE_TILE];
+        for b in 0..blocks {
+            decode_block(&row[b * Q4_BLOCK_BYTES..(b + 1) * Q4_BLOCK_BYTES], &mut buf);
+            let col0 = b * Q4_BLOCK;
+            for (j, lane) in lanes.iter_mut().enumerate().take(tile) {
+                let xs = &x[(t + j) * cols + col0..][..Q4_BLOCK];
+                for g in 0..Q4_BLOCK / 8 {
+                    for k in 0..8 {
+                        lane[k] += buf[g * 8 + k] * xs[g * 8 + k];
+                    }
+                }
+            }
+        }
+        for (j, lane) in lanes.iter().enumerate().take(tile) {
+            out[t + j] = reduce8(lane);
+        }
+        t += tile;
+    }
+}
+
+/// The AVX2 implementation (see [`KernelBackendKind::Avx2`]). The private
+/// field makes [`KernelBackendKind::resolve`] the only constructor, and
+/// that verifies AVX2 via `is_x86_feature_detected!` first.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy)]
-pub struct Avx2;
+pub struct Avx2(());
 
 #[cfg(target_arch = "x86_64")]
 impl KernelBackend for Avx2 {
@@ -342,87 +415,389 @@ impl KernelBackend for Avx2 {
         KernelBackendKind::Avx2
     }
 
-    fn qdot_row(&self, row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
-        check_shapes(row, x, cols, out);
+    fn qdot_rows(&self, rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &mut [f32]) {
+        let tokens = checked_tokens(rows, nrows, x, cols, out);
         // SAFETY: `Avx2` is only handed out by `resolve()` after
         // `is_x86_feature_detected!("avx2")` returned true, so the
-        // target-feature function below is safe to call on this host.
+        // target-feature function is safe to call on this host; and
+        // `checked_tokens` just proved the extents it requires: `rows` holds
+        // `nrows` rows of `cols` weights, `x` holds `tokens * cols` floats
+        // and `out` holds `nrows * tokens`.
         #[allow(unsafe_code)]
         unsafe {
-            qdot_row_avx2(row, x, cols, out)
+            avx2::qdot_rows(
+                rows.as_ptr(),
+                nrows,
+                x.as_ptr(),
+                cols,
+                tokens,
+                out.as_mut_ptr(),
+            );
         }
     }
 }
 
-/// The AVX2 inner loop. Per 32-weight block: one 16-byte load, nibble
-/// unpack (`and 0x0f` for even elements, `shift`+`and` for odd,
-/// `unpacklo/hi_epi8` restoring the interleaved element order of
-/// `decode_block`), four zero-extending widens to `i32`, subtract 8,
-/// convert to `f32` and scale — an exact dequantization — then one
-/// `mul`+`add` (never FMA) per eight-lane group into per-token
-/// accumulators that live across the whole row.
+/// The AVX2 register-tiled kernels.
 ///
-/// # Safety
+/// Per 32-weight block the dequantization ([`dequant`]) is exact and
+/// yields four eight-lane weight groups. Every (row, token) pair owns one
+/// eight-lane accumulator that receives `acc = acc + w[g] * x[g]` (`mul`
+/// then `add`, never FMA) for the groups of the row's blocks in column
+/// order, and is folded by [`hsum`] at the end. The tiles below only choose
+/// *which* accumulators are live in registers together and how often a
+/// block is dequantized; no accumulator ever sees a different sequence of
+/// operands, which is why every tile shape produces the same bits.
 ///
-/// Requires AVX2 at runtime (the caller checks via feature detection).
+/// An `R × T` tile keeps `R · T ≤ 8` accumulators live (plus four weight
+/// groups and the constants, inside the sixteen `ymm` registers):
+///
+/// * one token — `micro::<4, 1>`: four rows share each activation load;
+/// * two to four tokens — `micro::<2, T>`: each dequantized block is
+///   applied to all `T` tokens, each activation load to both rows;
+/// * more tokens — [`pair_dense`]: a row pair is dequantized once into an
+///   L1-resident [`Scratch`] and swept by `2 × 4` [`sweep`] tiles, instead
+///   of once per four-token tile;
+/// * leftover rows — [`single_row`]: `micro::<1, T>` tiles of up to four
+///   tokens.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
-unsafe fn qdot_row_avx2(row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
+mod avx2 {
     use std::arch::x86_64::*;
 
-    let tokens = out.len();
-    let blocks = cols / Q4_BLOCK;
-    let low_nibble = _mm_set1_epi8(0x0f);
-    let minus8 = _mm256_set1_epi32(8);
+    use super::{packed_row_bytes, Q4_BLOCK, Q4_BLOCK_BYTES};
 
-    let mut t = 0;
-    while t < tokens {
-        let tile = (tokens - t).min(SIMD_TILE);
-        let mut acc = [_mm256_setzero_ps(); SIMD_TILE];
+    /// Eight-lane groups per block.
+    const GROUPS: usize = Q4_BLOCK / 8;
+    /// Columns of a row pair dequantized per [`pair_dense`] pass. Longer
+    /// rows take several passes with the lane accumulators carried across
+    /// them in [`Scratch::acc`], which leaves each accumulator's operand
+    /// order untouched.
+    const CHUNK_COLS: usize = 512;
+    /// Tokens whose accumulators [`Scratch`] can carry; larger batches
+    /// re-dequantize the row pair once per this many tokens.
+    const TOKEN_SPAN: usize = 64;
+
+    /// Stack scratch of the many-token path (8 KiB): a dequantized chunk
+    /// of two rows, and one accumulator per (token, row) of the span.
+    struct Scratch {
+        w: [[f32; CHUNK_COLS]; 2],
+        acc: [[__m256; 2]; TOKEN_SPAN],
+    }
+
+    /// See [`KernelBackend::qdot_rows`](super::KernelBackend::qdot_rows).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime. `cols` must be a multiple of `Q4_BLOCK`;
+    /// `rows` must be readable for `nrows` packed rows of `cols` weights,
+    /// `x` for `tokens * cols` floats, and `out` writable for `nrows *
+    /// tokens` floats.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn qdot_rows(
+        rows: *const u8,
+        nrows: usize,
+        x: *const f32,
+        cols: usize,
+        tokens: usize,
+        out: *mut f32,
+    ) {
+        // SAFETY (all calls): the arguments are the caller's, unchanged.
+        let tiled = match tokens {
+            0 => return,
+            1 => row_groups::<4, 1>(rows, nrows, x, cols, out),
+            2 => row_groups::<2, 2>(rows, nrows, x, cols, out),
+            3 => row_groups::<2, 3>(rows, nrows, x, cols, out),
+            4 => row_groups::<2, 4>(rows, nrows, x, cols, out),
+            _ => row_pairs_dense(rows, nrows, x, cols, tokens, out),
+        };
+        let row_bytes = packed_row_bytes(cols);
+        for r in tiled..nrows {
+            // SAFETY: row `r` and its `tokens` outputs are in bounds.
+            single_row(
+                rows.add(r * row_bytes),
+                x,
+                cols,
+                tokens,
+                out.add(r * tokens),
+            );
+        }
+    }
+
+    /// Runs `micro::<R, T>` over every full group of `R` rows of a
+    /// `T`-token call; returns the number of rows covered.
+    ///
+    /// # Safety
+    ///
+    /// As [`qdot_rows`] with `tokens == T`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_groups<const R: usize, const T: usize>(
+        rows: *const u8,
+        nrows: usize,
+        x: *const f32,
+        cols: usize,
+        out: *mut f32,
+    ) -> usize {
+        let row_bytes = packed_row_bytes(cols);
+        let mut r = 0;
+        while r + R <= nrows {
+            // SAFETY: rows `r..r + R` and their `R * T` outputs are in
+            // bounds; `x` holds the `T` tokens.
+            micro::<R, T>(rows.add(r * row_bytes), x, cols, out.add(r * T));
+            r += R;
+        }
+        r
+    }
+
+    /// Runs [`pair_dense`] over every full row pair; returns the number of
+    /// rows covered.
+    ///
+    /// # Safety
+    ///
+    /// As [`qdot_rows`].
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_pairs_dense(
+        rows: *const u8,
+        nrows: usize,
+        x: *const f32,
+        cols: usize,
+        tokens: usize,
+        out: *mut f32,
+    ) -> usize {
+        let row_bytes = packed_row_bytes(cols);
+        // Initialized once per band, not per pair: `pair_dense` overwrites
+        // what it reads.
+        let mut scratch = Scratch {
+            w: [[0.0; CHUNK_COLS]; 2],
+            acc: [[_mm256_setzero_ps(); 2]; TOKEN_SPAN],
+        };
+        let mut r = 0;
+        while r + 2 <= nrows {
+            // SAFETY: rows `r, r + 1` and their `2 * tokens` outputs are in
+            // bounds; `x` is the caller's.
+            pair_dense(
+                rows.add(r * row_bytes),
+                x,
+                cols,
+                tokens,
+                out.add(r * tokens),
+                &mut scratch,
+            );
+            r += 2;
+        }
+        r
+    }
+
+    /// One row against any number of tokens, in tiles of up to four.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2. `row` must be readable for one packed row of `cols`
+    /// weights, `x` for `tokens * cols` floats, `out` writable for `tokens`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn single_row(row: *const u8, x: *const f32, cols: usize, tokens: usize, out: *mut f32) {
+        let mut t = 0;
+        // SAFETY (all calls): tokens `t..t + T` and their outputs are in
+        // bounds because `t + T <= tokens`.
+        while t + 4 <= tokens {
+            micro::<1, 4>(row, x.add(t * cols), cols, out.add(t));
+            t += 4;
+        }
+        match tokens - t {
+            1 => micro::<1, 1>(row, x.add(t * cols), cols, out.add(t)),
+            2 => micro::<1, 2>(row, x.add(t * cols), cols, out.add(t)),
+            3 => micro::<1, 3>(row, x.add(t * cols), cols, out.add(t)),
+            _ => {}
+        }
+    }
+
+    /// The `R × T` register tile: `out[r * T + t] = dot(dequant(row r),
+    /// token t)` with all `R · T` accumulators live across the whole row
+    /// and each block dequantized exactly once.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2. `rows` must be readable for `R` consecutive packed
+    /// rows of `cols` weights, `x` for `T` tokens `cols` floats apart, and
+    /// `out` writable for `R * T` floats.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn micro<const R: usize, const T: usize>(
+        rows: *const u8,
+        x: *const f32,
+        cols: usize,
+        out: *mut f32,
+    ) {
+        let blocks = cols / Q4_BLOCK;
+        let row_bytes = packed_row_bytes(cols);
+        let mut acc = [[_mm256_setzero_ps(); R]; T];
         for b in 0..blocks {
-            let blk = &row[b * Q4_BLOCK_BYTES..(b + 1) * Q4_BLOCK_BYTES];
-            let scale = f32::from_le_bytes([blk[0], blk[1], blk[2], blk[3]]);
-            let vscale = _mm256_set1_ps(scale);
-            // SAFETY: `blk` holds the 4-byte scale plus exactly 16 nibble
-            // bytes; the unaligned 128-bit load reads those 16 bytes.
-            let raw = _mm_loadu_si128(blk[4..].as_ptr() as *const __m128i);
-            let lo = _mm_and_si128(raw, low_nibble);
-            let hi = _mm_and_si128(_mm_srli_epi16::<4>(raw), low_nibble);
-            // Interleave restores decode order: element 2i is byte i's low
-            // nibble, element 2i+1 its high nibble.
-            let il_lo = _mm_unpacklo_epi8(lo, hi); // elements 0..16
-            let il_hi = _mm_unpackhi_epi8(lo, hi); // elements 16..32
-            let groups = [
-                _mm256_cvtepu8_epi32(il_lo),
-                _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(il_lo)),
-                _mm256_cvtepu8_epi32(il_hi),
-                _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(il_hi)),
-            ];
-            let w = groups
-                .map(|g| _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_sub_epi32(g, minus8)), vscale));
-            let col0 = b * Q4_BLOCK;
-            for (j, acc_j) in acc.iter_mut().enumerate().take(tile) {
-                let xs = x[(t + j) * cols + col0..].as_ptr();
-                for (g, wg) in w.iter().enumerate() {
-                    // SAFETY: `xs` points at `Q4_BLOCK` in-bounds floats
-                    // (shape-checked above); each group reads eight.
-                    let xv = _mm256_loadu_ps(xs.add(g * 8));
-                    *acc_j = _mm256_add_ps(*acc_j, _mm256_mul_ps(*wg, xv));
+            // SAFETY: block `b` of row `r` is inside the `R` rows.
+            let w: [[__m256; GROUPS]; R] =
+                std::array::from_fn(|r| dequant(rows.add(r * row_bytes + b * Q4_BLOCK_BYTES)));
+            for (t, acc_t) in acc.iter_mut().enumerate() {
+                for g in 0..GROUPS {
+                    // SAFETY: eight floats of block `b` of token `t`.
+                    let xv = _mm256_loadu_ps(x.add(t * cols + b * Q4_BLOCK + g * 8));
+                    for (acc_tr, w_r) in acc_t.iter_mut().zip(&w) {
+                        *acc_tr = _mm256_add_ps(*acc_tr, _mm256_mul_ps(w_r[g], xv));
+                    }
                 }
             }
         }
-        for (j, acc_j) in acc.iter().enumerate().take(tile) {
-            // The fixed reduction tree `reduce8` mirrors: fold lane j with
-            // j+4, then pairs, then the two halves.
-            let lo128 = _mm256_castps256_ps128(*acc_j);
-            let hi128 = _mm256_extractf128_ps::<1>(*acc_j);
-            let s = _mm_add_ps(lo128, hi128);
-            let s2 = _mm_add_ps(s, _mm_movehl_ps(s, s));
-            let s3 = _mm_add_ss(s2, _mm_shuffle_ps::<0x55>(s2, s2));
-            out[t + j] = _mm_cvtss_f32(s3);
+        for (t, acc_t) in acc.iter().enumerate() {
+            for (r, acc_tr) in acc_t.iter().enumerate() {
+                // SAFETY: `r * T + t < R * T`.
+                *out.add(r * T + t) = hsum(*acc_tr);
+            }
         }
-        t += tile;
+    }
+
+    /// Two rows against more than four tokens: `out[r * tokens + t]`.
+    /// Dequantizes the pair once per [`CHUNK_COLS`] columns (per
+    /// [`TOKEN_SPAN`] tokens) into `scratch.w` and sweeps `2 × 4` tiles
+    /// over it, carrying each (token, row) accumulator in `scratch.acc`
+    /// from chunk to chunk.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2. `rows` must be readable for two consecutive packed
+    /// rows of `cols` weights, `x` for `tokens * cols` floats, and `out`
+    /// writable for `2 * tokens` floats.
+    #[target_feature(enable = "avx2")]
+    unsafe fn pair_dense(
+        rows: *const u8,
+        x: *const f32,
+        cols: usize,
+        tokens: usize,
+        out: *mut f32,
+        scratch: &mut Scratch,
+    ) {
+        let row_bytes = packed_row_bytes(cols);
+        let mut t0 = 0;
+        while t0 < tokens {
+            let span = (tokens - t0).min(TOKEN_SPAN);
+            let acc = &mut scratch.acc[..span];
+            acc.fill([_mm256_setzero_ps(); 2]);
+            let mut c0 = 0;
+            while c0 < cols {
+                let chunk = (cols - c0).min(CHUNK_COLS);
+                for (r, w_r) in scratch.w.iter_mut().enumerate() {
+                    // SAFETY: the chunk's blocks of row `r` are inside the
+                    // two rows.
+                    let packed = rows.add(r * row_bytes + c0 / Q4_BLOCK * Q4_BLOCK_BYTES);
+                    for (b, w_b) in w_r[..chunk].chunks_exact_mut(Q4_BLOCK).enumerate() {
+                        let w = dequant(packed.add(b * Q4_BLOCK_BYTES));
+                        for (g, wg) in w.iter().enumerate() {
+                            // SAFETY: `w_b` is `Q4_BLOCK = GROUPS * 8`
+                            // floats.
+                            _mm256_storeu_ps(w_b.as_mut_ptr().add(g * 8), *wg);
+                        }
+                    }
+                }
+                // SAFETY (all calls): tokens `t0 + t .. t0 + t + T` exist
+                // because `t + T <= span`, and each has `chunk` floats
+                // from column `c0`.
+                let xs = x.add(t0 * cols + c0);
+                let mut t = 0;
+                while t + 4 <= span {
+                    sweep::<4>(&scratch.w, chunk, xs.add(t * cols), cols, &mut acc[t..]);
+                    t += 4;
+                }
+                match span - t {
+                    1 => sweep::<1>(&scratch.w, chunk, xs.add(t * cols), cols, &mut acc[t..]),
+                    2 => sweep::<2>(&scratch.w, chunk, xs.add(t * cols), cols, &mut acc[t..]),
+                    3 => sweep::<3>(&scratch.w, chunk, xs.add(t * cols), cols, &mut acc[t..]),
+                    _ => {}
+                }
+                c0 += chunk;
+            }
+            for (t, acc_t) in acc.iter().enumerate() {
+                for (r, acc_tr) in acc_t.iter().enumerate() {
+                    // SAFETY: `t0 + t < tokens` and `r < 2`.
+                    *out.add(r * tokens + t0 + t) = hsum(*acc_tr);
+                }
+            }
+            t0 += span;
+        }
+    }
+
+    /// The `2 × T` tile over dequantized weights: continues `acc[t][r]`
+    /// (the first `T` entries of `acc`) through `chunk` columns of the row
+    /// pair in `w`, each weight load shared by the `T` tokens and each
+    /// activation load by both rows.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2. `chunk` must be a multiple of 8 no larger than
+    /// [`CHUNK_COLS`]; `x` must be readable for `T` tokens `cols` floats
+    /// apart, `chunk` floats each.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn sweep<const T: usize>(
+        w: &[[f32; CHUNK_COLS]; 2],
+        chunk: usize,
+        x: *const f32,
+        cols: usize,
+        acc: &mut [[__m256; 2]],
+    ) {
+        let mut a: [[__m256; 2]; T] = std::array::from_fn(|t| acc[t]);
+        for c in (0..chunk).step_by(8) {
+            // SAFETY: `c + 8 <= chunk <= CHUNK_COLS`.
+            let w0 = _mm256_loadu_ps(w[0].as_ptr().add(c));
+            let w1 = _mm256_loadu_ps(w[1].as_ptr().add(c));
+            for (t, a_t) in a.iter_mut().enumerate() {
+                // SAFETY: eight of token `t`'s `chunk` floats.
+                let xv = _mm256_loadu_ps(x.add(t * cols + c));
+                a_t[0] = _mm256_add_ps(a_t[0], _mm256_mul_ps(w0, xv));
+                a_t[1] = _mm256_add_ps(a_t[1], _mm256_mul_ps(w1, xv));
+            }
+        }
+        acc[..T].copy_from_slice(&a);
+    }
+
+    /// Dequantizes one packed block into its four eight-lane groups, in
+    /// `decode_block`'s element order: one 16-byte load, nibble unpack
+    /// (`and 0x0f` for even elements, `shift`+`and` for odd,
+    /// `unpacklo/hi_epi8` to interleave them back), four zero-extending
+    /// widens to `i32`, subtract 8, convert to `f32` and scale — every
+    /// step exact.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2. `blk` must be readable for `Q4_BLOCK_BYTES`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn dequant(blk: *const u8) -> [__m256; GROUPS] {
+        // SAFETY: the block is a 4-byte scale followed by 16 nibble bytes.
+        let scale = _mm256_set1_ps((blk as *const f32).read_unaligned());
+        let raw = _mm_loadu_si128(blk.add(4) as *const __m128i);
+        let low_nibble = _mm_set1_epi8(0x0f);
+        let lo = _mm_and_si128(raw, low_nibble);
+        let hi = _mm_and_si128(_mm_srli_epi16::<4>(raw), low_nibble);
+        // Element 2i is byte i's low nibble, element 2i+1 its high nibble.
+        let il_lo = _mm_unpacklo_epi8(lo, hi); // elements 0..16
+        let il_hi = _mm_unpackhi_epi8(lo, hi); // elements 16..32
+        [
+            _mm256_cvtepu8_epi32(il_lo),
+            _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(il_lo)),
+            _mm256_cvtepu8_epi32(il_hi),
+            _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(il_hi)),
+        ]
+        .map(|q| {
+            let centred = _mm256_sub_epi32(q, _mm256_set1_epi32(8));
+            _mm256_mul_ps(_mm256_cvtepi32_ps(centred), scale)
+        })
+    }
+
+    /// The fixed reduction tree `reduce8` mirrors: fold lane `j` with
+    /// `j + 4`, then pairs, then the two halves.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn hsum(v: __m256) -> f32 {
+        let s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
+        let s2 = _mm_add_ps(s, _mm_movehl_ps(s, s));
+        let s3 = _mm_add_ss(s2, _mm_shuffle_ps::<0x55>(s2, s2));
+        _mm_cvtss_f32(s3)
     }
 }
 
@@ -578,6 +953,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn multi_row_calls_match_per_row_calls_on_every_tile_shape() {
+        // Row counts hit every row-group remainder, token counts every
+        // tile shape plus the token-span boundary, and column counts one
+        // block, several, and more than one column chunk (512) with a
+        // ragged tail.
+        for cols in [32usize, 96, 544, 1056] {
+            let rows = 9;
+            let q = QuantizedMatrix::quantize(&pseudo(rows * cols, 61), rows, cols).unwrap();
+            let data = q.data();
+            let bpr = packed_row_bytes(cols);
+            for tokens in [1usize, 2, 3, 4, 5, 8, 9, 63, 64, 65, 130] {
+                let x = pseudo(tokens * cols, 62);
+                for backend in available() {
+                    let mut per_row = vec![0.0f32; rows * tokens];
+                    for (r, out) in per_row.chunks_mut(tokens).enumerate() {
+                        backend.qdot_row(&data[r * bpr..(r + 1) * bpr], &x, cols, out);
+                    }
+                    for nrows in [1usize, 2, 3, 4, 5, 9] {
+                        let mut out = vec![f32::NAN; nrows * tokens];
+                        backend.qdot_rows(&data[..nrows * bpr], nrows, &x, cols, &mut out);
+                        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                        let want: Vec<u32> = per_row[..nrows * tokens]
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect();
+                        assert_eq!(
+                            got,
+                            want,
+                            "{:?} cols={cols} tokens={tokens} nrows={nrows}",
+                            backend.kind()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_calls_are_no_ops() {
+        for backend in available() {
+            backend.qdot_rows(&[], 0, &[], Q4_BLOCK, &mut []);
+            backend.qdot_rows(&[0u8; 2 * Q4_BLOCK_BYTES], 2, &[], Q4_BLOCK, &mut []);
+        }
+    }
+
+    /// Two rows by three tokens of one block each, for the shape checks.
+    fn shape_check_call(rows: usize, x: usize, out: usize) {
+        let backend = KernelBackendKind::Avx2.resolve();
+        let rows = vec![0u8; rows];
+        let x = vec![0.0f32; x];
+        let mut out = vec![0.0f32; out];
+        backend.qdot_rows(&rows, 2, &x, Q4_BLOCK, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "activation shape")]
+    fn short_activations_panic_in_release_builds_too() {
+        shape_check_call(2 * Q4_BLOCK_BYTES, 3 * Q4_BLOCK - 1, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "row bytes")]
+    fn short_rows_panic_in_release_builds_too() {
+        shape_check_call(2 * Q4_BLOCK_BYTES - 1, 3 * Q4_BLOCK, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "output shape")]
+    fn short_output_panics_in_release_builds_too() {
+        shape_check_call(2 * Q4_BLOCK_BYTES, 3 * Q4_BLOCK, 5);
     }
 
     #[test]

@@ -224,8 +224,8 @@ impl ExpertFfn {
             // Single-token fast path: the GEMV writes row-major output
             // directly, skipping the GEMM's band intermediate and its
             // token-major scatter. Bit-identical to the batched path
-            // within any backend (`qdot_row` on one token is the batched
-            // computation with a one-token tile).
+            // within any backend (`qdot_rows` accumulates every (row,
+            // token) pair in the same order whatever the batch size).
             self.w_gate.qgemv_into(x, &mut scratch.g, pool, backend);
             self.w_up.qgemv_into(x, &mut scratch.u, pool, backend);
             swiglu_gate(&scratch.g, &scratch.u, &mut scratch.h);

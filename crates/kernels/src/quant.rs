@@ -6,6 +6,17 @@
 //! format the paper's system inherits from llama.cpp/Marlin (§V); it costs
 //! 5 bits per weight with the `f32` scale used here (llama.cpp's `f16`
 //! scale brings it to 4.5).
+//!
+//! Two families of kernels read it. [`QuantizedMatrix::qgemv`] /
+//! [`QuantizedMatrix::qgemm`] are the self-contained scalar references
+//! (scoped threads, fresh buffers). [`QuantizedMatrix::qgemv_into`] /
+//! [`QuantizedMatrix::qgemm_into`] are the hot path: a persistent
+//! [`WorkerPool`] splits the weight rows into one contiguous band per
+//! worker, and each band goes to the selected [`KernelBackend`] in a single
+//! `qdot_rows` call that writes straight into the band's slice of the
+//! output — no allocation, one virtual dispatch per band, and the backend
+//! sees enough rows and tokens at once to tile them over registers (see
+//! [`crate::backend`] for why tiling leaves every output bit unchanged).
 
 use std::fmt;
 
@@ -23,6 +34,11 @@ pub const Q4_BLOCK: usize = 32;
 
 /// Bytes used to store one block: a 4-byte scale plus 16 packed nibbles.
 pub const Q4_BLOCK_BYTES: usize = 4 + Q4_BLOCK / 2;
+
+/// Packed bytes of one weight row of `cols` (block-aligned) columns.
+pub(crate) const fn packed_row_bytes(cols: usize) -> usize {
+    cols / Q4_BLOCK * Q4_BLOCK_BYTES
+}
 
 /// Errors from quantized matrix constructors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,11 +268,12 @@ impl QuantizedMatrix {
     }
 
     /// [`QuantizedMatrix::qgemv`] on a persistent [`WorkerPool`]: no thread
-    /// spawns, no intermediate allocations. The output is written directly
-    /// into disjoint bands of `y`, with the per-row dequant+dot dispatched
-    /// to `backend`. With the scalar backend ([`crate::backend::scalar`])
-    /// the result is bit-identical to `qgemv`; SIMD backends stay within
-    /// the reassociation bound documented in [`crate::backend`].
+    /// spawns, no allocations. Each worker hands its whole band of rows to
+    /// `backend` in one [`KernelBackend::qdot_rows`] call, which writes
+    /// straight into that band of `y`. With the scalar backend
+    /// ([`crate::backend::scalar`]) the result is bit-identical to `qgemv`;
+    /// SIMD backends stay within the reassociation bound documented in
+    /// [`crate::backend`].
     ///
     /// # Panics
     ///
@@ -270,36 +287,18 @@ impl QuantizedMatrix {
     ) {
         assert_eq!(x.len(), self.cols, "input length mismatch");
         assert_eq!(y.len(), self.rows, "output length mismatch");
-        let row_bytes = self.cols / Q4_BLOCK * Q4_BLOCK_BYTES;
-        let cols = self.cols;
-        let data = &self.data;
-        // Rows are contiguous in y, so each part gets its own disjoint
-        // band; the per-band mutex is uncontended (one lock per part per
-        // call) and exists only to hand a `&mut` band through a `Fn` body.
-        let (_, chunk) = pool.partition(self.rows);
-        let bands: Vec<std::sync::Mutex<&mut [f32]>> =
-            y.chunks_mut(chunk).map(std::sync::Mutex::new).collect();
-        pool.run(self.rows, |part, r0, r1| {
-            if r1 <= r0 {
-                return;
-            }
-            let mut band = bands[part].lock().expect("band poisoned");
-            for r in r0..r1 {
-                let row = &data[r * row_bytes..(r + 1) * row_bytes];
-                backend.qdot_row(row, x, cols, &mut band[r - r0..r - r0 + 1]);
-            }
-        });
+        self.qdot_bands(x, 1, y, pool, backend);
     }
 
     /// [`QuantizedMatrix::qgemm`] on a persistent [`WorkerPool`] with
-    /// caller-owned scratch: the per-row dequant+dot over the whole token
-    /// batch is dispatched to `backend` (the scalar backend decodes each
-    /// Q4 block exactly once per row and applies it to the tokens in tiles
-    /// of four, keeping four independent FP accumulation chains in
-    /// flight). With the scalar backend, per-token results are
-    /// bit-identical to `qgemv` (each token's element order is unchanged;
-    /// only independent chains are interleaved); every backend guarantees
-    /// its batched and single-token results agree bit for bit.
+    /// caller-owned scratch and no allocations once `band` has grown: each
+    /// worker hands its band of rows and the whole token batch to `backend`
+    /// in one [`KernelBackend::qdot_rows`] call, so the backend can tile
+    /// rows and tokens over registers and dequantize each Q4 block once
+    /// rather than once per token. With the scalar backend, per-token
+    /// results are bit-identical to `qgemv` (each token's element order is
+    /// unchanged; only independent chains are interleaved); every backend
+    /// guarantees its batched and single-token results agree bit for bit.
     ///
     /// `band` is reusable scratch for the row-major intermediate; it is
     /// resized (capacity retained) and scattered into the token-major `y`.
@@ -318,34 +317,47 @@ impl QuantizedMatrix {
     ) {
         assert_eq!(x.len(), tokens * self.cols, "input shape mismatch");
         assert_eq!(y.len(), tokens * self.rows, "output shape mismatch");
-        let row_bytes = self.cols / Q4_BLOCK * Q4_BLOCK_BYTES;
-        let cols = self.cols;
-        let data = &self.data;
+        if tokens == 0 {
+            return;
+        }
         band.clear();
         band.resize(self.rows * tokens, 0.0);
-        let (_, chunk) = pool.partition(self.rows);
-        let bands: Vec<std::sync::Mutex<&mut [f32]>> = band
-            .chunks_mut(chunk * tokens.max(1))
-            .map(std::sync::Mutex::new)
-            .collect();
-        pool.run(self.rows, |part, r0, r1| {
-            if r1 <= r0 || tokens == 0 {
-                return;
-            }
-            let mut band = bands[part].lock().expect("band poisoned");
-            for r in r0..r1 {
-                let row = &data[r * row_bytes..(r + 1) * row_bytes];
-                let row_out = &mut band[(r - r0) * tokens..(r - r0 + 1) * tokens];
-                backend.qdot_row(row, x, cols, row_out);
-            }
-        });
-        drop(bands);
+        self.qdot_bands(x, tokens, band, pool, backend);
         // Scatter the row-major intermediate into the token-major output.
-        for (r, row) in band.chunks(tokens.max(1)).enumerate() {
+        for (r, row) in band.chunks(tokens).enumerate() {
             for (t, v) in row.iter().enumerate() {
                 y[t * self.rows + r] = *v;
             }
         }
+    }
+
+    /// Fills the row-major `out` (`rows × tokens`, `tokens > 0`) with one
+    /// `qdot_rows` call per pool part. The parts' row ranges are exactly
+    /// the successive `chunk`-row bands of `out`, so each non-empty part
+    /// takes the next band off a shared iterator and computes that band's
+    /// rows — disjoint `&mut` bands reach a `Fn` body without a per-call
+    /// `Vec` of them (the lock is held only for the `next()`).
+    fn qdot_bands(
+        &self,
+        x: &[f32],
+        tokens: usize,
+        out: &mut [f32],
+        pool: &WorkerPool,
+        backend: &dyn KernelBackend,
+    ) {
+        let row_bytes = packed_row_bytes(self.cols);
+        let (_, chunk) = pool.partition(self.rows);
+        let bands = std::sync::Mutex::new(out.chunks_mut(chunk * tokens).enumerate());
+        pool.run(self.rows, |_, r0, r1| {
+            if r1 <= r0 {
+                return;
+            }
+            let next = bands.lock().expect("band iterator poisoned").next();
+            let (i, band) = next.expect("one band per non-empty part");
+            let nrows = band.len() / tokens;
+            let packed = &self.data[i * chunk * row_bytes..][..nrows * row_bytes];
+            backend.qdot_rows(packed, nrows, x, self.cols, band);
+        });
     }
 }
 

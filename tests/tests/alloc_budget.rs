@@ -4,12 +4,15 @@
 //! reused buffers: the only thing it may allocate is the metrics it
 //! returns. A counting global allocator pins that, so a stray `Vec`,
 //! `format!` or hash map on the per-layer path fails here instead of
-//! quietly costing every token a few microseconds again.
+//! quietly costing every token a few microseconds again. The same
+//! allocator pins the real-execution unit of work: a warm expert forward
+//! allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hybrimoe::{Engine, EngineConfig, Framework};
+use hybrimoe_kernels::{ExecScratch, ExpertFfn, KernelBackendKind, WorkerPool};
 use hybrimoe_model::ModelConfig;
 use hybrimoe_trace::TraceGenerator;
 
@@ -93,4 +96,25 @@ fn a_warm_decode_step_stays_off_the_heap() {
         "{total} allocations over {} warm decode steps",
         measured.len()
     );
+}
+
+#[test]
+fn a_warm_expert_forward_stays_off_the_heap() {
+    let (hidden, inter) = (64, 96);
+    let ffn = ExpertFfn::random(hidden, inter, 5);
+    let backend = KernelBackendKind::Auto.resolve();
+    // Two parts, so the bands really are handed across threads.
+    let pool = WorkerPool::new(2);
+    let mut scratch = ExecScratch::new();
+    // The GEMV path, then the GEMM path through the many-token tiles.
+    for tokens in [1usize, 8] {
+        let x = vec![0.05f32; tokens * hidden];
+        let mut y = vec![0.0f32; tokens * hidden];
+        // Grows the scratch to this batch size.
+        ffn.forward_batch_into(&x, tokens, &mut y, &mut scratch, &pool, backend);
+        let before = allocations();
+        ffn.forward_batch_into(&x, tokens, &mut y, &mut scratch, &pool, backend);
+        let spent = allocations() - before;
+        assert_eq!(spent, 0, "a warm {tokens}-token expert forward allocated");
+    }
 }

@@ -151,6 +151,41 @@ proptest! {
         }
     }
 
+    /// Tiling contract: one multi-row `qdot_rows` call equals per-row
+    /// `qdot_row` calls bit for bit on every backend — over every AVX2
+    /// tile shape (4×1, 2×T, dequantize-once 2×4 sweeps), every row and
+    /// token remainder, and rows longer than one column chunk.
+    #[test]
+    fn qdot_rows_equals_per_row_qdot_row(
+        seed in 0u32..10_000,
+        rows in 1usize..13,
+        tokens in 1usize..41,
+        cols_choice in 0usize..5,
+    ) {
+        let cols = [32usize, 96, 256, 512, 4096][cols_choice];
+        let q = QuantizedMatrix::quantize(&pseudo(rows * cols, seed), rows, cols).unwrap();
+        let x = pseudo(tokens * cols, seed ^ 0x51ed);
+        for b in backend::available() {
+            let mut per_row = vec![f32::NAN; rows * tokens];
+            for (r, out) in per_row.chunks_mut(tokens).enumerate() {
+                b.qdot_row(&row_bytes(&q, r), &x, cols, out);
+            }
+            let mut banded = vec![f32::NAN; rows * tokens];
+            b.qdot_rows(&q.data(), rows, &x, cols, &mut banded);
+            let want: Vec<u32> = per_row.iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u32> = banded.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(
+                got,
+                want,
+                "{:?} diverged at rows={} tokens={} cols={}",
+                b.kind(),
+                rows,
+                tokens,
+                cols
+            );
+        }
+    }
+
     /// Executor-level contract: a layer executed under any available
     /// backend lands within a tight tolerance of the scalar-pinned run
     /// across batch sizes and thread counts, the scalar run is
@@ -159,7 +194,7 @@ proptest! {
     #[test]
     fn layer_outputs_agree_across_backends(
         seed in 0u64..1_000,
-        tokens in 1usize..9,
+        tokens in 1usize..41,
         threads in 1usize..4,
     ) {
         let reference = run_layer(KernelBackendKind::Scalar, tokens, threads, seed);
