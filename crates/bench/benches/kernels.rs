@@ -4,7 +4,7 @@
 //! CPU GFLOP/s is self-consistent.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hybrimoe_kernels::{backend, ExpertFfn, QuantizedMatrix};
+use hybrimoe_kernels::{backend, ExpertFfn, Q8Acts, QuantizedMatrix};
 
 fn bench_qgemv(c: &mut Criterion) {
     let mut group = c.benchmark_group("qgemv");
@@ -28,9 +28,9 @@ fn bench_qgemv(c: &mut Criterion) {
 }
 
 /// The primitive under every pooled kernel: one `qdot_rows` call over a
-/// 256-row band of 512 columns on each available backend, at the batch
-/// sizes that select each AVX2 tile shape (4×1, 2×2, 2×4, and the
-/// dequantize-once sweeps at 8 and 32 tokens).
+/// 256-row band of 512 columns of already-quantized activations on each
+/// available backend, at the batch sizes that select each AVX2 tile shape
+/// (4×1, 4×2, 2×4, and repeated 2×4 tiles at 8 and 32 tokens).
 fn bench_qdot_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("qdot_rows");
     let (rows, cols) = (256usize, 512usize);
@@ -46,12 +46,13 @@ fn bench_qdot_rows(c: &mut Criterion) {
         let mut out = vec![0.0f32; rows * tokens];
         group.throughput(Throughput::Elements((2 * rows * cols * tokens) as u64));
         for b in backend::available() {
+            let mut acts = Q8Acts::new();
+            b.quantize(&x, cols, &mut acts);
             group.bench_function(
                 BenchmarkId::new(b.kind().name(), format!("T{tokens}")),
                 |bench| {
-                    bench.iter(|| {
-                        b.qdot_rows(&packed, rows, std::hint::black_box(&x), cols, &mut out)
-                    });
+                    bench
+                        .iter(|| b.qdot_rows(&packed, rows, std::hint::black_box(&acts), &mut out));
                 },
             );
         }

@@ -8,7 +8,6 @@
 //! * `discount` — impact-driven prefetch distance discount
 //! * `steal`    — CPU work-stealing of cached experts on/off
 //! * `oracle`   — hybrid scheduler vs exhaustive optimum
-//! * `quant`    — Q4 vs Q8 expert transfers (mixed-precision offloading)
 //! * `batch`    — batched decode serving (1-8 concurrent sequences)
 //!
 //! Run one panel: `cargo run -p hybrimoe-bench --release --bin ablations -- alpha`
@@ -31,7 +30,6 @@ fn main() {
         "discount" => discount_sweep(),
         "steal" => steal_ablation(),
         "oracle" => oracle_gap(),
-        "quant" => quant_tradeoff(),
         "batch" => batched_decode(),
         "all" => {
             alpha_sweep();
@@ -39,12 +37,11 @@ fn main() {
             discount_sweep();
             steal_ablation();
             oracle_gap();
-            quant_tradeoff();
             batched_decode();
         }
         other => {
             eprintln!(
-                "unknown panel {other:?}; expected alpha|topp|discount|steal|oracle|quant|batch|all"
+                "unknown panel {other:?}; expected alpha|topp|discount|steal|oracle|batch|all"
             );
             std::process::exit(2);
         }
@@ -246,61 +243,6 @@ fn oracle_gap() {
     println!("  worst ratio: {worst:.4}");
     println!("\ntakeaway: the paper's greedy priority rules are near-optimal in practice,");
     println!("justifying 'predefined scheduling rules can achieve efficient balancing'\n");
-}
-
-/// Q4 vs Q8 expert copies: transfer time against measured quantization
-/// error (the HOBBIT-style mixed-precision trade, paper ref.\ 7).
-fn quant_tradeoff() {
-    use hybrimoe_hw::{CostModel, ExpertProfile};
-    use hybrimoe_kernels::{Q8Matrix, QuantizedMatrix};
-
-    println!("== ablation: Q4 vs Q8 expert transfers (DeepSeek expert) ==\n");
-    let cost = AffineCostModel::from_platform(&Platform::a6000_xeon10());
-    let shape = ModelConfig::deepseek().routed_shape;
-    let q4_bytes = shape.packed_bytes();
-    let q8_bytes = shape.params() * 9 / 8; // 9 bits/weight
-
-    // Measure real quantization error on a probe matrix.
-    let (rows, cols) = (64usize, 256usize);
-    let probe: Vec<f32> = (0..rows * cols)
-        .map(|i| {
-            let h = (i as u32).wrapping_mul(2654435761) >> 8;
-            (h as f32 / (1u32 << 24) as f32 - 0.5) * 0.2
-        })
-        .collect();
-    let rmse = |back: Vec<f32>| -> f64 {
-        (probe
-            .iter()
-            .zip(back.iter())
-            .map(|(a, b)| ((a - b) as f64).powi(2))
-            .sum::<f64>()
-            / probe.len() as f64)
-            .sqrt()
-    };
-    let q4 = QuantizedMatrix::quantize(&probe, rows, cols).expect("aligned");
-    let q8 = Q8Matrix::quantize(&probe, rows, cols).expect("aligned");
-
-    let mut table = Table::new(vec![
-        "format".into(),
-        "expert MB".into(),
-        "PCIe transfer".into(),
-        "weight RMSE".into(),
-    ]);
-    for (name, bytes, err) in [
-        ("Q4_0", q4_bytes, rmse(q4.dequantize())),
-        ("Q8_0", q8_bytes, rmse(q8.dequantize())),
-    ] {
-        let t = cost.transfer(&ExpertProfile::new(bytes, shape.flops_per_token()));
-        table.push_row(vec![
-            name.to_owned(),
-            format!("{:.1}", bytes as f64 / 1e6),
-            format!("{t}"),
-            format!("{err:.2e}"),
-        ]);
-    }
-    println!("{table}");
-    println!("takeaway: Q4 transfers are 1.8x cheaper per expert at ~8x the weight");
-    println!("error — the lever mixed-precision offloading systems (HOBBIT) exploit\n");
 }
 
 /// Batched decode: HybriMoE vs kTransformers as concurrent sequences grow.

@@ -18,20 +18,21 @@
 //! The hot path is **expert-major**: per layer it builds each expert's
 //! routed token list once, gathers those tokens into a contiguous batch,
 //! runs one [`ExpertFfn::forward_batch_into`](hybrimoe_kernels::ExpertFfn)
-//! over the whole batch (each Q4 block is dequantized once per batch, not
-//! once per token), and scatters the weighted results back. All scratch is
+//! over the whole batch (each projection input is quantized to 8-bit codes
+//! once and each Q4 block unpacked once per batch, not once per token), and
+//! scatters the weighted results back. All scratch is
 //! owned by the executor ([`ExecScratch`] plus per-layer buffers) and the
 //! kernels run on a persistent [`WorkerPool`] that parks between calls —
-//! steady-state execution allocates nothing and spawns no threads. The Q4
-//! dequant+dot inner loops dispatch to the SIMD backend selected by
+//! steady-state execution allocates nothing and spawns no threads. The
+//! `Q4_0 × Q8_0` integer-dot kernels dispatch to the backend selected by
 //! [`RealExecOptions::kernel_backend`] (runtime AVX2 detection by
-//! default). Experts accumulate into the output in ascending id order, so
-//! results are bit-identical across placements for any fixed backend; with
-//! the scalar backend they are additionally bit-identical to the retained
-//! token-major reference path ([`RealExecOptions::token_major`]), which
-//! re-runs each expert once per routed token exactly like the pre-batching
-//! executor (SIMD backends stay within the reassociation bound documented
-//! in [`hybrimoe_kernels::backend`]).
+//! default); every backend runs the one arithmetic
+//! [`hybrimoe_kernels::backend`] defines and produces the same bits.
+//! Experts accumulate into the output in ascending id order, so results
+//! are bit-identical across placements, across backends, and to the
+//! retained token-major reference path ([`RealExecOptions::token_major`]),
+//! which re-runs each expert once per routed token exactly like the
+//! pre-batching executor.
 //!
 //! Only routed experts participate; the model must be small enough for the
 //! [`WeightStore`] memory budget (use [`ModelConfig::tiny_test`]-sized
@@ -77,14 +78,14 @@ pub struct RealExecOptions {
     /// (expert, token) pair on per-call scoped threads, exactly like the
     /// pre-batching executor. The reference path always runs the scalar
     /// kernels and exists as the correctness oracle and the baseline that
-    /// `real_bench` measures the batched path against; with
-    /// [`RealExecOptions::kernel_backend`] set to `Scalar`, outputs are
-    /// bit-identical either way.
+    /// `real_bench` measures the batched path against; outputs are
+    /// bit-identical either way, whatever
+    /// [`RealExecOptions::kernel_backend`] is.
     ///
     /// [`forward_threads`]: hybrimoe_kernels::ExpertFfn::forward_threads
     pub token_major: bool,
-    /// Which SIMD backend the expert-major hot path dispatches its Q4
-    /// dequant+dot inner loops to. Resolved once when the executor is
+    /// Which backend the expert-major hot path dispatches its
+    /// `Q4_0 × Q8_0` kernels to. Resolved once when the executor is
     /// built: `Auto` (the default) honors the `HYBRIMOE_KERNEL_BACKEND`
     /// env var and otherwise runtime-detects AVX2, falling back to the
     /// scalar reference (see [`hybrimoe_kernels::backend`]).
@@ -670,9 +671,8 @@ mod tests {
 
     #[test]
     fn every_kernel_backend_matches_the_scalar_oracle_closely() {
-        // Placement-independence holds per backend (fixed accumulation
-        // order), and every SIMD backend stays within a tight tolerance of
-        // the scalar oracle on whole-layer outputs.
+        // "Closely" is exactly: every backend runs the one integer-dot
+        // arithmetic, so whole-layer outputs agree bit for bit.
         let model = ModelConfig::tiny_test();
         let (inputs, routes) = token_inputs(&model, 5, 23);
         let plan = tasks_and_plan(&model, &routes, 2, true);
@@ -692,14 +692,7 @@ mod tests {
         };
         let reference = run(KernelBackendKind::Scalar);
         for backend in hybrimoe_kernels::backend::available() {
-            let got = run(backend.kind());
-            for (i, (a, b)) in got.iter().zip(reference.iter()).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-4,
-                    "{:?} i={i}: {a} vs {b}",
-                    backend.kind()
-                );
-            }
+            assert_eq!(run(backend.kind()), reference, "{:?}", backend.kind());
         }
     }
 

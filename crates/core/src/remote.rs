@@ -43,7 +43,7 @@ use hybrimoe_kernels::threadpool::default_threads;
 use hybrimoe_kernels::{ExecScratch, KernelBackend, WorkerPool};
 use hybrimoe_model::{shard_of, ExpertKey, LayerId, ModelConfig, RouterOutput, WeightStore};
 use hybrimoe_sched::SchedulePlan;
-use hybrimoe_worker::protocol::{ExecuteBatch, LoadShard};
+use hybrimoe_worker::protocol::LoadShard;
 use hybrimoe_worker::{wire_backend, ClientOptions, WorkerClientPool, WorkerHealthSnapshot};
 use serde::{Deserialize, Serialize};
 
@@ -325,15 +325,16 @@ impl RemoteLayerExecutor {
                     self.workers.note_failover();
                     continue;
                 }
-                let batch = ExecuteBatch {
-                    layer: layer.0,
-                    expert,
-                    tokens: list.len() as u32,
-                    hidden: hidden as u32,
-                    data: gather_batch(&mut scratch.gather, list, inputs, hidden).to_vec(),
-                };
                 let sent = match self.workers.client(worker) {
-                    Some(client) => client.send_execute(&batch).is_ok(),
+                    Some(client) => client
+                        .send_execute_parts(
+                            layer.0,
+                            expert,
+                            list.len() as u32,
+                            hidden as u32,
+                            gather_batch(&mut scratch.gather, list, inputs, hidden),
+                        )
+                        .is_ok(),
                     None => false,
                 };
                 if sent {
@@ -423,14 +424,13 @@ impl RemoteLayerExecutor {
                 } else {
                     let sent = match self.workers.client(worker) {
                         Some(client) => client
-                            .send_execute(&ExecuteBatch {
-                                layer: layer.0,
+                            .send_execute_parts(
+                                layer.0,
                                 expert,
-                                tokens: batch as u32,
-                                hidden: hidden as u32,
-                                data: gather_batch(&mut scratch.gather, list, inputs, hidden)
-                                    .to_vec(),
-                            })
+                                batch as u32,
+                                hidden as u32,
+                                gather_batch(&mut scratch.gather, list, inputs, hidden),
+                            )
                             .is_ok(),
                         None => false,
                     };

@@ -1,45 +1,72 @@
-//! Runtime-dispatched SIMD backends for the `Q4_0` dequant+dot inner loop.
+//! Runtime-dispatched backends for the `Q4_0 × Q8_0` integer dot.
 //!
 //! Every quantized kernel hot path in this crate ([`qgemv_into`],
-//! [`qgemm_into`], and the expert forward built on them) bottoms out in one
-//! primitive: *dequantize a band of packed weight rows and dot each with
-//! one or more token activations* — [`KernelBackend::qdot_rows`], called
-//! once per worker per projection. The threading and scatter logic around
-//! it is written once; how rows and tokens are tiled inside a band is the
-//! backend's business, selected at startup:
+//! [`qgemm_into`], and the expert forward built on them) bottoms out in
+//! two primitives, the ones llama.cpp's CPU experts run on:
 //!
-//! * [`KernelBackendKind::Scalar`] — the original scalar loops, kept
-//!   byte-for-byte as the **reference backend**. Every determinism pin in
-//!   the repo is a pin of this backend's accumulation order.
-//! * [`KernelBackendKind::Portable`] — a manually-unrolled eight-lane
-//!   formulation that any arch's auto-vectorizer can turn into SIMD. Its
-//!   per-lane accumulation order and final reduction tree are *exactly*
-//!   those of the AVX2 path, so the two are bit-identical to each other
-//!   (and differ from scalar only by documented float reassociation).
+//! * [`KernelBackend::quantize`] — turn each 32-float activation block into
+//!   one `f32` scale and 32 `i8` codes ([`Q8Acts`]), **once per projection
+//!   input** (`x` for gate and up, `h` for down);
+//! * [`KernelBackend::qdot_rows`] — dot a band of packed weight rows with
+//!   those codes in integers, called once per worker per projection.
+//!
+//! The threading and scatter logic around them is written once; how rows
+//! and tokens are tiled inside a band is the backend's business, selected
+//! at startup:
+//!
+//! * [`KernelBackendKind::Scalar`] — the arithmetic below written out
+//!   literally, one (row, token) at a time: the **reference backend**.
+//! * [`KernelBackendKind::Portable`] — the same arithmetic over fixed-size
+//!   arrays (unpack a block once, apply it to a tile of tokens) that any
+//!   arch's auto-vectorizer can turn into SIMD.
 //! * [`KernelBackendKind::Avx2`] — `x86_64` AVX2 intrinsics
-//!   (`target_feature`-gated): 16 packed nibbles unpack with one mask +
-//!   shift + interleave, widen to `f32`, and multiply-accumulate eight
-//!   lanes at a time, register-tiled over rows and tokens (below).
-//!   Deliberately **no FMA**: fused multiply-adds round once where
-//!   `mul`+`add` rounds twice, which would break the exact Portable ≡ AVX2
-//!   equivalence the proptests pin.
+//!   (`target_feature`-gated): a block's 32 nibbles unpack into one `ymm`
+//!   of bytes, `maddubs_epi16` + `madd_epi16` multiply them with the
+//!   activation codes and sum them four at a time, register-tiled over
+//!   rows and tokens (below).
+//!
+//! # Numerical contract
+//!
+//! There is one arithmetic, and every backend produces its bits.
+//!
+//! *Activations.* A block's scale is `amax / 127` (`amax` the largest
+//! magnitude in the block) and each code is `x / scale` rounded to the
+//! nearest integer, **ties to even** (what `_mm256_cvtps_epi32` does), so
+//! `±amax` maps to `±127` and `-128` never occurs. A block whose scale is
+//! zero or subnormal gets all-zero codes. Codes are stored in the order a
+//! weight block's nibbles unpack to — the 16 even elements, then the 16
+//! odd ones — so no kernel interleaves anything. Activations are expected
+//! to be finite: a `NaN` is dropped (ignored by `amax`, code 0), and an
+//! infinity makes its block's scale infinite and its codes zero, so every
+//! output that reads the block is `NaN`.
+//!
+//! *Dot.* Each (row, token) output owns eight `f32` lanes. Per block, lane
+//! `k` receives `f32(Σ (q - 8) · x) · (w_scale · x_scale)` over the four
+//! codes at unpack positions `4k..4k + 4` — an exact integer sum (at most
+//! `4 · 8 · 127`), one exact conversion, then `mul`, `mul`, `add` in block
+//! order (never FMA). The lanes are folded by one fixed tree (`reduce8` ≡
+//! the AVX2 `hsum`). Nothing in that sequence depends on how many rows or
+//! tokens a call covers or on which accumulators share registers, so
+//! Scalar ≡ Portable ≡ AVX2, GEMV ≡ GEMM and every tile shape agree **bit
+//! for bit** (`tests/tests/kernel_backends.rs` pins it by proptest).
+//!
+//! *Accuracy.* Rounding activations to 8 bits is the one approximation on
+//! top of the `Q4_0` weights: against [`dequantize`] + `f64` accumulation
+//! an output moves by at most `Σ_blocks x_scale/2 · Σ|w|`, and at
+//! model-sized shapes by under 1% of the output vector's largest
+//! magnitude (worst measured 0.8%, rms 0.1–0.2%, on uniform and gaussian
+//! inputs; both bounds are pinned in the tests). Weights, the wire protocol and shard files hold
+//! the same `Q4_0` bytes as before.
 //!
 //! # Register tiling (AVX2)
 //!
-//! Each (row, token) output owns one eight-lane accumulator; the AVX2
-//! backend keeps up to eight of them live in registers as an `R × T` tile
-//! so that independent add chains overlap (a lone chain runs at add
-//! latency, not add throughput) and loads are shared: `4 × 1` for a
-//! single token (four rows share each activation load), `2 × T` for two to
-//! four tokens (each dequantized block serves `T` tokens, each activation
-//! load both rows), and above four tokens a row *pair* is dequantized once
-//! into a few KiB of stack scratch and swept by `2 × 4` tiles — instead of
-//! re-dequantizing the row for every four-token tile. Long rows are
-//! chunked by columns with the accumulators carried across chunks, so no
-//! shape allocates. Tiling never changes what an accumulator sees: the
-//! four groups of each block, in column order, `mul` then `add`, then the
-//! fixed reduction tree — so every tile shape, the one-row-at-a-time
-//! Portable loop, GEMV and GEMM all produce the same bits.
+//! An unpacked weight block is a single `ymm`, so nothing is staged in
+//! memory: an `R × T` tile keeps `R · T ≤ 8` accumulators live, unpacks
+//! each of its `R` blocks once and applies them to `T` tokens' codes —
+//! `4 × 1` for one token, `4 × 2` for two, `2 × 4` tiles (plus a `2 × T`
+//! remainder) above that, and `1 × T` tiles for leftover rows. Independent
+//! add chains overlap, and each activation load and its `8 · Σx` bias are
+//! shared by the tile's rows.
 //!
 //! # Selection
 //!
@@ -55,27 +82,15 @@
 //!    selects the AVX2 path, anything else falls back to the scalar
 //!    reference.
 //!
-//! # Numerical contract
-//!
-//! All backends compute the same dequantization (`(q - 8) * scale` per
-//! element — an exact integer-to-float conversion and one IEEE `f32`
-//! multiply, so every backend holds the same weight bits) and differ only
-//! in *float addition order*. Scalar sums each token's `cols` products
-//! sequentially; Portable/AVX2 accumulate eight interleaved partial sums
-//! and reduce them with a fixed tree. Each reassociation is one extra
-//! rounding opportunity, so SIMD outputs stay within `cols/8 + 3` ulp-scale
-//! rounding steps of the scalar oracle — the bound
-//! `tests/tests/kernel_backends.rs` verifies against an `f64` ground-truth
-//! accumulation.
-//!
 //! [`qgemv_into`]: crate::QuantizedMatrix::qgemv_into
 //! [`qgemm_into`]: crate::QuantizedMatrix::qgemm_into
+//! [`dequantize`]: crate::QuantizedMatrix::dequantize
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::quant::{decode_block, packed_row_bytes, Q4_BLOCK, Q4_BLOCK_BYTES};
+use crate::quant::{packed_row_bytes, Q4_BLOCK, Q4_BLOCK_BYTES};
 
 /// The environment variable consulted by [`KernelBackendKind::Auto`].
 pub const KERNEL_BACKEND_ENV: &str = "HYBRIMOE_KERNEL_BACKEND";
@@ -184,8 +199,90 @@ pub fn available() -> Vec<&'static dyn KernelBackend> {
     backends
 }
 
-/// One `Q4_0` inner-loop implementation: dequantize a band of packed
-/// weight rows and dot each with a batch of activations.
+/// `Q8_0`-quantized activations: what [`KernelBackend::quantize`] writes
+/// and [`KernelBackend::qdot_rows`] reads. Per token and 32-float block it
+/// holds one `f32` scale and 32 `i8` codes in `[-127, 127]`, the codes in
+/// nibble-unpack order (a block's 16 even elements, then its 16 odd ones —
+/// see the [module docs](self)). The buffers are resized, never freed, so
+/// a long-lived value (one sits in `ExecScratch`) stops allocating once it
+/// has seen its largest batch.
+///
+/// The fields are private to this module: the AVX2 kernels read them
+/// through raw pointers on the strength of `codes.len() == tokens * cols`
+/// and `scales.len() == tokens * cols / Q4_BLOCK`, which only
+/// `Q8Acts::resize` establishes.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct Q8Acts {
+    cols: usize,
+    tokens: usize,
+    codes: Vec<i8>,
+    scales: Vec<f32>,
+}
+
+impl Q8Acts {
+    /// Creates an empty buffer (no tokens).
+    pub fn new() -> Self {
+        Q8Acts::default()
+    }
+
+    /// Number of tokens held.
+    pub fn tokens(&self) -> usize {
+        self.tokens
+    }
+
+    /// Activations per token.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The codes, token-major (`tokens × cols`), each block in unpack order.
+    pub fn codes(&self) -> &[i8] {
+        &self.codes
+    }
+
+    /// The block scales, token-major (`tokens × cols / Q4_BLOCK`).
+    pub fn scales(&self) -> &[f32] {
+        &self.scales
+    }
+
+    /// Reshapes to hold `len / cols` tokens (capacity retained) and hands
+    /// back the code and scale buffers for a quantizer to overwrite.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cols` is a multiple of [`Q4_BLOCK`] and `len` a
+    /// multiple of `cols`.
+    fn resize(&mut self, len: usize, cols: usize) -> (&mut [i8], &mut [f32]) {
+        assert!(
+            cols.is_multiple_of(Q4_BLOCK),
+            "cols {cols} not block-aligned"
+        );
+        assert!(len.is_multiple_of(cols), "activation shape");
+        self.cols = cols;
+        self.tokens = len.checked_div(cols).unwrap_or(0);
+        self.codes.resize(len, 0);
+        self.scales.resize(len / Q4_BLOCK, 0.0);
+        (&mut self.codes, &mut self.scales)
+    }
+}
+
+/// Quantizes one 32-float block: writes its codes in unpack order and
+/// returns its scale. The reference for the rules in the [module
+/// docs](self); `f32::max` ignores a `NaN` operand and `as i8` maps `NaN`
+/// to 0, which is the documented non-finite behaviour.
+fn quantize_block(x: &[f32], codes: &mut [i8]) -> f32 {
+    let amax = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    let scale = amax / 127.0;
+    let inv = if scale.is_normal() { 1.0 / scale } else { 0.0 };
+    for i in 0..Q4_BLOCK / 2 {
+        codes[i] = (x[2 * i] * inv).round_ties_even() as i8;
+        codes[Q4_BLOCK / 2 + i] = (x[2 * i + 1] * inv).round_ties_even() as i8;
+    }
+    scale
+}
+
+/// One implementation of the `Q4_0 × Q8_0` kernels: quantize activations,
+/// then dot bands of packed weight rows with them.
 ///
 /// Implementations are stateless statics; [`KernelBackendKind::resolve`]
 /// hands out `&'static` references, so an executor stores the resolved
@@ -196,17 +293,19 @@ pub fn available() -> Vec<&'static dyn KernelBackend> {
 /// # Example
 ///
 /// ```
-/// use hybrimoe_kernels::{KernelBackendKind, QuantizedMatrix, Q4_BLOCK};
+/// use hybrimoe_kernels::{KernelBackendKind, Q8Acts, QuantizedMatrix, Q4_BLOCK};
 ///
 /// let weights: Vec<f32> = (0..Q4_BLOCK).map(|i| i as f32 / 16.0).collect();
 /// let row = QuantizedMatrix::quantize(&weights, 1, Q4_BLOCK).unwrap();
 ///
 /// let backend = KernelBackendKind::Scalar.resolve();
 /// let x = vec![1.0_f32; Q4_BLOCK];
+/// let mut acts = Q8Acts::new();
+/// backend.quantize(&x, Q4_BLOCK, &mut acts);
 /// let mut out = [0.0_f32];
-/// backend.qdot_row(&row.data(), &x, Q4_BLOCK, &mut out);
+/// backend.qdot_row(&row.data(), &acts, &mut out);
 ///
-/// // Same math as dotting the dequantized row.
+/// // The dequantized row's dot, up to the 8-bit rounding of `x`.
 /// let reference: f32 = row.dequantize().iter().zip(&x).map(|(w, x)| w * x).sum();
 /// assert!((out[0] - reference).abs() < 1e-3);
 /// ```
@@ -214,79 +313,106 @@ pub trait KernelBackend: fmt::Debug + Send + Sync {
     /// The concrete kind of this implementation.
     fn kind(&self) -> KernelBackendKind;
 
-    /// Computes `out[r * tokens + t] = dot(dequant(row r), x[t * cols ..
-    /// (t+1) * cols])` for every row `r < nrows` and token `t < tokens`,
-    /// where `tokens = out.len() / nrows`.
+    /// Quantizes the token-major activations `x` (`tokens × cols`) into
+    /// `acts`, replacing its contents. Every backend writes the same codes
+    /// and scales (rules in the [module docs](self)).
     ///
-    /// `rows` is `nrows` consecutive packed weight rows (`cols / Q4_BLOCK`
-    /// blocks of [`Q4_BLOCK_BYTES`] each); `x` is token-major (`tokens ×
-    /// cols`). `out` is row-major and fully overwritten. Every (row, token)
-    /// pair is accumulated in the same order whatever `nrows` and `tokens`
-    /// are, so within one backend a multi-row call, a per-row call, a
-    /// single-token call and a batched call all agree bit for bit.
+    /// # Panics
+    ///
+    /// Panics unless `cols` is a multiple of [`Q4_BLOCK`] and `x.len()` a
+    /// multiple of `cols`.
+    fn quantize(&self, x: &[f32], cols: usize, acts: &mut Q8Acts) {
+        let (codes, scales) = acts.resize(x.len(), cols);
+        let blocks = x
+            .chunks_exact(Q4_BLOCK)
+            .zip(codes.chunks_exact_mut(Q4_BLOCK));
+        for ((x, codes), scale) in blocks.zip(scales) {
+            *scale = quantize_block(x, codes);
+        }
+    }
+
+    /// Computes `out[r * tokens + t] = dot(row r, token t of acts)` for
+    /// every row `r < nrows` and token `t < acts.tokens()`.
+    ///
+    /// `rows` is `nrows` consecutive packed weight rows (`acts.cols() /
+    /// Q4_BLOCK` blocks of [`Q4_BLOCK_BYTES`] each). `out` is row-major and
+    /// fully overwritten. Every (row, token) pair sees the same sequence of
+    /// operations whatever `nrows`, the token count and the backend are, so
+    /// a multi-row call, a per-row call, a single-token call and a batched
+    /// call all agree bit for bit — within a backend and across backends.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches (in release builds too — the SIMD paths
-    /// read through raw pointers on the strength of this check): `cols`
-    /// must be a multiple of [`Q4_BLOCK`], `rows.len()` must be `nrows`
-    /// rows of `cols` weights, `out.len()` must be a multiple of `nrows`,
-    /// and `x.len()` must equal `tokens * cols`.
-    fn qdot_rows(&self, rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &mut [f32]);
+    /// read through raw pointers on the strength of this check):
+    /// `rows.len()` must be `nrows` rows of `acts.cols()` weights and
+    /// `out.len()` must be `nrows * acts.tokens()`.
+    fn qdot_rows(&self, rows: &[u8], nrows: usize, acts: &Q8Acts, out: &mut [f32]);
 
     /// [`qdot_rows`](KernelBackend::qdot_rows) on a single row:
-    /// `out[t] = dot(dequant(row), x[t * cols .. (t+1) * cols])`.
+    /// `out[t] = dot(row, token t of acts)`.
     ///
     /// # Panics
     ///
     /// Panics on the shape mismatches `qdot_rows` rejects.
-    fn qdot_row(&self, row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
-        self.qdot_rows(row, 1, x, cols, out);
+    fn qdot_row(&self, row: &[u8], acts: &Q8Acts, out: &mut [f32]) {
+        self.qdot_rows(row, 1, acts, out);
     }
 }
 
-/// Validates a [`KernelBackend::qdot_rows`] call and returns its token
-/// count. These are real asserts, paid once per band: the AVX2 kernels
-/// index `rows`, `x` and `out` through raw pointers and rely on exactly
-/// these extents (hence the overflow-checked products).
+/// Validates a [`KernelBackend::qdot_rows`] call. These are real asserts,
+/// paid once per band: the AVX2 kernels index `rows` and `out` through raw
+/// pointers and rely on exactly these extents (hence the overflow-checked
+/// products); [`Q8Acts`] vouches for its own.
 #[inline]
-fn checked_tokens(rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &[f32]) -> usize {
-    assert!(
-        cols.is_multiple_of(Q4_BLOCK),
-        "cols {cols} not block-aligned"
-    );
-    let row_bytes = packed_row_bytes(cols);
+fn check_shapes(rows: &[u8], nrows: usize, acts: &Q8Acts, out: &[f32]) {
+    let row_bytes = packed_row_bytes(acts.cols);
     assert_eq!(Some(rows.len()), nrows.checked_mul(row_bytes), "row bytes");
-    let tokens = out.len().checked_div(nrows).unwrap_or(0);
-    assert_eq!(out.len(), nrows * tokens, "output shape");
-    assert_eq!(Some(x.len()), tokens.checked_mul(cols), "activation shape");
-    tokens
+    assert_eq!(
+        Some(out.len()),
+        nrows.checked_mul(acts.tokens),
+        "output shape"
+    );
 }
 
 /// [`KernelBackend::qdot_rows`] as a loop of a backend's one-row kernel:
-/// shape-checks once, then hands `row_kernel` each `(row, x, cols,
-/// out_row)`.
+/// shape-checks once, then hands `row_kernel` each `(row, acts, out_row)`.
 fn qdot_rows_by_row(
     rows: &[u8],
     nrows: usize,
-    x: &[f32],
-    cols: usize,
+    acts: &Q8Acts,
     out: &mut [f32],
-    row_kernel: impl Fn(&[u8], &[f32], usize, &mut [f32]),
+    row_kernel: impl Fn(&[u8], &Q8Acts, &mut [f32]),
 ) {
-    let tokens = checked_tokens(rows, nrows, x, cols, out);
-    if tokens == 0 {
+    check_shapes(rows, nrows, acts, out);
+    if acts.tokens == 0 {
         return;
     }
-    let row_bytes = packed_row_bytes(cols);
-    for (r, out_row) in out.chunks_mut(tokens).enumerate() {
-        row_kernel(&rows[r * row_bytes..(r + 1) * row_bytes], x, cols, out_row);
+    let row_bytes = packed_row_bytes(acts.cols);
+    for (row, out_row) in rows
+        .chunks_exact(row_bytes)
+        .zip(out.chunks_mut(acts.tokens))
+    {
+        row_kernel(row, acts, out_row);
     }
 }
 
-/// The scalar reference implementation: byte-for-byte the pre-dispatch
-/// loops of `qgemv_into`/`qgemm_into` (block-outer, four-token tiles with
-/// independent accumulation chains, strictly sequential per-token adds).
+/// The `f32` scale a packed block starts with.
+#[inline]
+fn block_scale(blk: &[u8]) -> f32 {
+    f32::from_le_bytes(blk[..4].try_into().expect("4 bytes"))
+}
+
+/// Reduces the eight lane accumulators with the fixed tree the AVX2
+/// horizontal sum produces: `extract`+`add` folds lane `j` with `j+4`,
+/// `movehl`+`add` folds pairs, and the final scalar add joins the halves.
+#[inline]
+fn reduce8(l: &[f32; 8]) -> f32 {
+    ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
+}
+
+/// The scalar reference implementation: the [module docs](self)'
+/// arithmetic written out one (row, token) output at a time.
 #[derive(Debug, Clone, Copy)]
 pub struct Scalar;
 
@@ -295,52 +421,33 @@ impl KernelBackend for Scalar {
         KernelBackendKind::Scalar
     }
 
-    fn qdot_rows(&self, rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &mut [f32]) {
-        qdot_rows_by_row(rows, nrows, x, cols, out, scalar_row);
+    fn qdot_rows(&self, rows: &[u8], nrows: usize, acts: &Q8Acts, out: &mut [f32]) {
+        qdot_rows_by_row(rows, nrows, acts, out, scalar_row);
     }
 }
 
 /// One row of the [`Scalar`] backend; `out.len()` is the token count.
-fn scalar_row(row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
-    let tokens = out.len();
-    let blocks = cols / Q4_BLOCK;
-    let mut buf = [0.0f32; Q4_BLOCK];
-    out.fill(0.0);
-    for b in 0..blocks {
-        decode_block(&row[b * Q4_BLOCK_BYTES..(b + 1) * Q4_BLOCK_BYTES], &mut buf);
-        let col0 = b * Q4_BLOCK;
-        let mut t = 0;
-        while t + 4 <= tokens {
-            let x0 = &x[t * cols + col0..][..Q4_BLOCK];
-            let x1 = &x[(t + 1) * cols + col0..][..Q4_BLOCK];
-            let x2 = &x[(t + 2) * cols + col0..][..Q4_BLOCK];
-            let x3 = &x[(t + 3) * cols + col0..][..Q4_BLOCK];
-            let mut a0 = out[t];
-            let mut a1 = out[t + 1];
-            let mut a2 = out[t + 2];
-            let mut a3 = out[t + 3];
-            for i in 0..Q4_BLOCK {
-                let w = buf[i];
-                a0 += w * x0[i];
-                a1 += w * x1[i];
-                a2 += w * x2[i];
-                a3 += w * x3[i];
+fn scalar_row(row: &[u8], acts: &Q8Acts, out: &mut [f32]) {
+    let blocks = acts.cols / Q4_BLOCK;
+    for (t, out_t) in out.iter_mut().enumerate() {
+        let mut lanes = [0.0f32; 8];
+        for (b, blk) in row.chunks_exact(Q4_BLOCK_BYTES).enumerate() {
+            let d = block_scale(blk) * acts.scales[t * blocks + b];
+            let x = &acts.codes[t * acts.cols + b * Q4_BLOCK..][..Q4_BLOCK];
+            let nibbles = &blk[4..];
+            // Unpack positions `4k..4k + 4` are the low nibbles of bytes
+            // `4k..4k + 4`; positions `16 + 4k..` are their high nibbles.
+            for k in 0..4 {
+                let (mut low, mut high) = (0i32, 0i32);
+                for i in 4 * k..4 * k + 4 {
+                    low += (i32::from(nibbles[i] & 0x0f) - 8) * i32::from(x[i]);
+                    high += (i32::from(nibbles[i] >> 4) - 8) * i32::from(x[16 + i]);
+                }
+                lanes[k] += low as f32 * d;
+                lanes[k + 4] += high as f32 * d;
             }
-            out[t] = a0;
-            out[t + 1] = a1;
-            out[t + 2] = a2;
-            out[t + 3] = a3;
-            t += 4;
         }
-        while t < tokens {
-            let xs = &x[t * cols + col0..][..Q4_BLOCK];
-            let mut acc = out[t];
-            for (wv, xv) in buf.iter().zip(xs.iter()) {
-                acc += wv * xv;
-            }
-            out[t] = acc;
-            t += 1;
-        }
+        *out_t = reduce8(&lanes);
     }
 }
 
@@ -348,19 +455,10 @@ fn scalar_row(row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
 /// accumulators live across the whole row).
 const PORTABLE_TILE: usize = 4;
 
-/// Reduces the eight lane accumulators with the fixed tree the AVX2
-/// horizontal sum produces: `extract`+`add` folds lane `j` with `j+4`,
-/// `movehl`+`add` folds pairs, and the final scalar add joins the halves.
-/// Portable replicates it so the two SIMD paths agree bit for bit.
-#[inline]
-fn reduce8(l: &[f32; 8]) -> f32 {
-    ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
-}
-
-/// The portable eight-lane implementation (see
-/// [`KernelBackendKind::Portable`]): plain indexed loops over fixed-size
-/// lane arrays, which LLVM auto-vectorizes on any target with 128/256-bit
-/// vectors, and which executes correctly (if scalar) everywhere else.
+/// The portable implementation (see [`KernelBackendKind::Portable`]):
+/// plain indexed loops over fixed-size arrays, which LLVM auto-vectorizes
+/// on any target with 128/256-bit vectors, and which executes correctly
+/// (if scalar) everywhere else.
 #[derive(Debug, Clone, Copy)]
 pub struct Portable;
 
@@ -369,36 +467,45 @@ impl KernelBackend for Portable {
         KernelBackendKind::Portable
     }
 
-    fn qdot_rows(&self, rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &mut [f32]) {
-        qdot_rows_by_row(rows, nrows, x, cols, out, portable_row);
+    fn qdot_rows(&self, rows: &[u8], nrows: usize, acts: &Q8Acts, out: &mut [f32]) {
+        qdot_rows_by_row(rows, nrows, acts, out, portable_row);
     }
 }
 
 /// One row of the [`Portable`] backend; `out.len()` is the token count.
-fn portable_row(row: &[u8], x: &[f32], cols: usize, out: &mut [f32]) {
-    let tokens = out.len();
-    let blocks = cols / Q4_BLOCK;
-    let mut buf = [0.0f32; Q4_BLOCK];
-    let mut t = 0;
-    while t < tokens {
-        let tile = (tokens - t).min(PORTABLE_TILE);
+fn portable_row(row: &[u8], acts: &Q8Acts, out: &mut [f32]) {
+    let blocks = acts.cols / Q4_BLOCK;
+    // `w[j][k]` is the centred code at unpack position `4k + j`: lane `k`'s
+    // four codes sit in four rows, so the lane sums are element-wise.
+    let mut w = [[0i16; 8]; 4];
+    for (tile, out_tile) in out.chunks_mut(PORTABLE_TILE).enumerate() {
+        let t0 = tile * PORTABLE_TILE;
         let mut lanes = [[0.0f32; 8]; PORTABLE_TILE];
-        for b in 0..blocks {
-            decode_block(&row[b * Q4_BLOCK_BYTES..(b + 1) * Q4_BLOCK_BYTES], &mut buf);
-            let col0 = b * Q4_BLOCK;
-            for (j, lane) in lanes.iter_mut().enumerate().take(tile) {
-                let xs = &x[(t + j) * cols + col0..][..Q4_BLOCK];
-                for g in 0..Q4_BLOCK / 8 {
+        for (b, blk) in row.chunks_exact(Q4_BLOCK_BYTES).enumerate() {
+            for k in 0..4 {
+                for j in 0..4 {
+                    w[j][k] = i16::from(blk[4 + 4 * k + j] & 0x0f) - 8;
+                    w[j][k + 4] = i16::from(blk[4 + 4 * k + j] >> 4) - 8;
+                }
+            }
+            let ws = block_scale(blk);
+            for (j, lane) in lanes.iter_mut().enumerate().take(out_tile.len()) {
+                let d = ws * acts.scales[(t0 + j) * blocks + b];
+                let x = &acts.codes[(t0 + j) * acts.cols + b * Q4_BLOCK..][..Q4_BLOCK];
+                let mut sums = [0i16; 8];
+                for (j, w_j) in w.iter().enumerate() {
                     for k in 0..8 {
-                        lane[k] += buf[g * 8 + k] * xs[g * 8 + k];
+                        sums[k] += w_j[k] * i16::from(x[4 * k + j]);
                     }
+                }
+                for k in 0..8 {
+                    lane[k] += f32::from(sums[k]) * d;
                 }
             }
         }
-        for (j, lane) in lanes.iter().enumerate().take(tile) {
-            out[t + j] = reduce8(lane);
+        for (o, lane) in out_tile.iter_mut().zip(&lanes) {
+            *o = reduce8(lane);
         }
-        t += tile;
     }
 }
 
@@ -415,50 +522,58 @@ impl KernelBackend for Avx2 {
         KernelBackendKind::Avx2
     }
 
-    fn qdot_rows(&self, rows: &[u8], nrows: usize, x: &[f32], cols: usize, out: &mut [f32]) {
-        let tokens = checked_tokens(rows, nrows, x, cols, out);
+    fn quantize(&self, x: &[f32], cols: usize, acts: &mut Q8Acts) {
+        let (codes, scales) = acts.resize(x.len(), cols);
         // SAFETY: `Avx2` is only handed out by `resolve()` after
-        // `is_x86_feature_detected!("avx2")` returned true, so the
-        // target-feature function is safe to call on this host; and
-        // `checked_tokens` just proved the extents it requires: `rows` holds
-        // `nrows` rows of `cols` weights, `x` holds `tokens * cols` floats
-        // and `out` holds `nrows * tokens`.
+        // `is_x86_feature_detected!("avx2")` returned true; `resize` just
+        // sized `codes` to `x.len()` and `scales` to one per 32-float
+        // block of `x`, and `x.len()` is a multiple of the block size.
+        #[allow(unsafe_code)]
+        unsafe {
+            avx2::quantize(
+                x.as_ptr(),
+                scales.len(),
+                codes.as_mut_ptr(),
+                scales.as_mut_ptr(),
+            );
+        }
+    }
+
+    fn qdot_rows(&self, rows: &[u8], nrows: usize, acts: &Q8Acts, out: &mut [f32]) {
+        check_shapes(rows, nrows, acts, out);
+        // SAFETY: AVX2 is present (as above). `check_shapes` just proved
+        // `rows` holds `nrows` rows of `cols` weights and `out` holds
+        // `nrows * tokens`; `Q8Acts` keeps `codes` at `tokens * cols` and
+        // `scales` at `tokens * cols / Q4_BLOCK` (only `resize` sets them).
         #[allow(unsafe_code)]
         unsafe {
             avx2::qdot_rows(
                 rows.as_ptr(),
                 nrows,
-                x.as_ptr(),
-                cols,
-                tokens,
+                acts.codes.as_ptr(),
+                acts.scales.as_ptr(),
+                acts.cols,
+                acts.tokens,
                 out.as_mut_ptr(),
             );
         }
     }
 }
 
-/// The AVX2 register-tiled kernels.
+/// The AVX2 kernels: the [module docs](self)' arithmetic, eight lanes per
+/// instruction.
 ///
-/// Per 32-weight block the dequantization ([`dequant`]) is exact and
-/// yields four eight-lane weight groups. Every (row, token) pair owns one
-/// eight-lane accumulator that receives `acc = acc + w[g] * x[g]` (`mul`
-/// then `add`, never FMA) for the groups of the row's blocks in column
-/// order, and is folded by [`hsum`] at the end. The tiles below only choose
-/// *which* accumulators are live in registers together and how often a
-/// block is dequantized; no accumulator ever sees a different sequence of
-/// operands, which is why every tile shape produces the same bits.
-///
-/// An `R × T` tile keeps `R · T ≤ 8` accumulators live (plus four weight
-/// groups and the constants, inside the sixteen `ymm` registers):
-///
-/// * one token — `micro::<4, 1>`: four rows share each activation load;
-/// * two to four tokens — `micro::<2, T>`: each dequantized block is
-///   applied to all `T` tokens, each activation load to both rows;
-/// * more tokens — [`pair_dense`]: a row pair is dequantized once into an
-///   L1-resident [`Scratch`] and swept by `2 × 4` [`sweep`] tiles, instead
-///   of once per four-token tile;
-/// * leftover rows — [`single_row`]: `micro::<1, T>` tiles of up to four
-///   tokens.
+/// Per block a row's 16 nibble bytes unpack into one `ymm` of 32 bytes
+/// ([`unpack`]). For a token, `maddubs_epi16` multiplies them with the 32
+/// activation codes and sums adjacent pairs, the token's bias (the same
+/// `maddubs` with every weight byte 8) turns `Σ q·x` into `Σ (q - 8)·x`,
+/// and `madd_epi16` with ones sums pairs again: eight `i32` lanes of four
+/// products each, exact. Converted and scaled they are added to the
+/// (row, token) accumulator (`mul` then `add`, never FMA), which [`hsum`]
+/// folds at the end. The `R × T` tiles of [`micro`] only choose which
+/// accumulators are live together; no accumulator ever sees a different
+/// sequence of operands, which is why every tile shape produces the same
+/// bits.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
@@ -466,22 +581,57 @@ mod avx2 {
 
     use super::{packed_row_bytes, Q4_BLOCK, Q4_BLOCK_BYTES};
 
-    /// Eight-lane groups per block.
-    const GROUPS: usize = Q4_BLOCK / 8;
-    /// Columns of a row pair dequantized per [`pair_dense`] pass. Longer
-    /// rows take several passes with the lane accumulators carried across
-    /// them in [`Scratch::acc`], which leaves each accumulator's operand
-    /// order untouched.
-    const CHUNK_COLS: usize = 512;
-    /// Tokens whose accumulators [`Scratch`] can carry; larger batches
-    /// re-dequantize the row pair once per this many tokens.
-    const TOKEN_SPAN: usize = 64;
-
-    /// Stack scratch of the many-token path (8 KiB): a dequantized chunk
-    /// of two rows, and one accumulator per (token, row) of the span.
-    struct Scratch {
-        w: [[f32; CHUNK_COLS]; 2],
-        acc: [[__m256; 2]; TOKEN_SPAN],
+    /// See [`KernelBackend::quantize`](super::KernelBackend::quantize):
+    /// `quantize_block` for `blocks` consecutive blocks.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime. `x` must be readable for `blocks *
+    /// Q4_BLOCK` floats, `codes` writable for as many bytes and `scales`
+    /// writable for `blocks` floats.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn quantize(x: *const f32, blocks: usize, codes: *mut i8, scales: *mut f32) {
+        let sign = _mm256_set1_ps(-0.0);
+        // Even bytes of each 128-bit half to its low eight bytes, odd
+        // bytes to its high eight.
+        let split = _mm256_setr_epi8(
+            0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15, //
+            0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15,
+        );
+        for b in 0..blocks {
+            // SAFETY: four groups of eight floats inside block `b`.
+            let v: [__m256; 4] =
+                std::array::from_fn(|g| _mm256_loadu_ps(x.add(b * Q4_BLOCK + g * 8)));
+            // `max_ps` returns its second operand when either is NaN, so
+            // a NaN element is skipped exactly as `f32::max` skips it.
+            let mut m = _mm256_setzero_ps();
+            for g in v {
+                m = _mm256_max_ps(_mm256_andnot_ps(sign, g), m);
+            }
+            let m4 = _mm_max_ps(_mm256_castps256_ps128(m), _mm256_extractf128_ps::<1>(m));
+            let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+            let amax = _mm_cvtss_f32(_mm_max_ss(m2, _mm_shuffle_ps::<0x55>(m2, m2)));
+            let scale = amax / 127.0;
+            let inv = _mm256_set1_ps(if scale.is_normal() { 1.0 / scale } else { 0.0 });
+            // Round to nearest even (the default MXCSR mode); NaN → 0.
+            let q = v.map(|g| {
+                let s = _mm256_mul_ps(g, inv);
+                _mm256_cvtps_epi32(_mm256_and_ps(s, _mm256_cmp_ps::<_CMP_ORD_Q>(s, s)))
+            });
+            // Saturating packs interleave 128-bit halves; the dword
+            // permute restores element order, then evens | odds.
+            let bytes = _mm256_packs_epi16(
+                _mm256_packs_epi32(q[0], q[1]),
+                _mm256_packs_epi32(q[2], q[3]),
+            );
+            let ordered =
+                _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+            let halves = _mm256_shuffle_epi8(ordered, split);
+            let unpack_order = _mm256_permute4x64_epi64::<0b11_01_10_00>(halves);
+            // SAFETY: block `b`'s 32 codes and its scale.
+            _mm256_storeu_si256(codes.add(b * Q4_BLOCK) as *mut __m256i, unpack_order);
+            *scales.add(b) = scale;
+        }
     }
 
     /// See [`KernelBackend::qdot_rows`](super::KernelBackend::qdot_rows).
@@ -490,303 +640,154 @@ mod avx2 {
     ///
     /// Requires AVX2 at runtime. `cols` must be a multiple of `Q4_BLOCK`;
     /// `rows` must be readable for `nrows` packed rows of `cols` weights,
-    /// `x` for `tokens * cols` floats, and `out` writable for `nrows *
-    /// tokens` floats.
+    /// `codes` for `tokens * cols` bytes, `scales` for `tokens * cols /
+    /// Q4_BLOCK` floats, and `out` writable for `nrows * tokens` floats.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn qdot_rows(
         rows: *const u8,
         nrows: usize,
-        x: *const f32,
+        codes: *const i8,
+        scales: *const f32,
         cols: usize,
         tokens: usize,
         out: *mut f32,
     ) {
-        // SAFETY (all calls): the arguments are the caller's, unchanged.
+        // SAFETY (all calls): the arguments are the caller's, the last
+        // call's narrowed to the rows the first left over.
         let tiled = match tokens {
             0 => return,
-            1 => row_groups::<4, 1>(rows, nrows, x, cols, out),
-            2 => row_groups::<2, 2>(rows, nrows, x, cols, out),
-            3 => row_groups::<2, 3>(rows, nrows, x, cols, out),
-            4 => row_groups::<2, 4>(rows, nrows, x, cols, out),
-            _ => row_pairs_dense(rows, nrows, x, cols, tokens, out),
+            1 => row_groups::<4, 1>(rows, nrows, codes, scales, cols, tokens, out),
+            2 => row_groups::<4, 2>(rows, nrows, codes, scales, cols, tokens, out),
+            _ => row_groups::<2, 4>(rows, nrows, codes, scales, cols, tokens, out),
         };
-        let row_bytes = packed_row_bytes(cols);
-        for r in tiled..nrows {
-            // SAFETY: row `r` and its `tokens` outputs are in bounds.
-            single_row(
-                rows.add(r * row_bytes),
-                x,
-                cols,
-                tokens,
-                out.add(r * tokens),
-            );
-        }
+        row_groups::<1, 4>(
+            rows.add(tiled * packed_row_bytes(cols)),
+            nrows - tiled,
+            codes,
+            scales,
+            cols,
+            tokens,
+            out.add(tiled * tokens),
+        );
     }
 
-    /// Runs `micro::<R, T>` over every full group of `R` rows of a
-    /// `T`-token call; returns the number of rows covered.
-    ///
-    /// # Safety
-    ///
-    /// As [`qdot_rows`] with `tokens == T`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn row_groups<const R: usize, const T: usize>(
-        rows: *const u8,
-        nrows: usize,
-        x: *const f32,
-        cols: usize,
-        out: *mut f32,
-    ) -> usize {
-        let row_bytes = packed_row_bytes(cols);
-        let mut r = 0;
-        while r + R <= nrows {
-            // SAFETY: rows `r..r + R` and their `R * T` outputs are in
-            // bounds; `x` holds the `T` tokens.
-            micro::<R, T>(rows.add(r * row_bytes), x, cols, out.add(r * T));
-            r += R;
-        }
-        r
-    }
-
-    /// Runs [`pair_dense`] over every full row pair; returns the number of
+    /// Covers every full group of `R` rows with `R × W` tiles and, for the
+    /// `tokens % W` tokens left, one narrower tile; returns the number of
     /// rows covered.
     ///
     /// # Safety
     ///
     /// As [`qdot_rows`].
     #[target_feature(enable = "avx2")]
-    unsafe fn row_pairs_dense(
+    unsafe fn row_groups<const R: usize, const W: usize>(
         rows: *const u8,
         nrows: usize,
-        x: *const f32,
+        codes: *const i8,
+        scales: *const f32,
         cols: usize,
         tokens: usize,
         out: *mut f32,
     ) -> usize {
         let row_bytes = packed_row_bytes(cols);
-        // Initialized once per band, not per pair: `pair_dense` overwrites
-        // what it reads.
-        let mut scratch = Scratch {
-            w: [[0.0; CHUNK_COLS]; 2],
-            acc: [[_mm256_setzero_ps(); 2]; TOKEN_SPAN],
-        };
+        let blocks = cols / Q4_BLOCK;
         let mut r = 0;
-        while r + 2 <= nrows {
-            // SAFETY: rows `r, r + 1` and their `2 * tokens` outputs are in
-            // bounds; `x` is the caller's.
-            pair_dense(
-                rows.add(r * row_bytes),
-                x,
-                cols,
-                tokens,
-                out.add(r * tokens),
-                &mut scratch,
-            );
-            r += 2;
+        while r + R <= nrows {
+            let rows = rows.add(r * row_bytes);
+            let out = out.add(r * tokens);
+            // SAFETY (all calls): rows `r..r + R` are in bounds, tokens
+            // `t..t + T` exist because `t + T <= tokens`, and the tile's
+            // outputs are `out[(r + i) * tokens + t + j]`.
+            let mut t = 0;
+            while t + W <= tokens {
+                micro::<R, W>(
+                    rows,
+                    codes.add(t * cols),
+                    scales.add(t * blocks),
+                    cols,
+                    out.add(t),
+                    tokens,
+                );
+                t += W;
+            }
+            let (codes, scales, out) = (codes.add(t * cols), scales.add(t * blocks), out.add(t));
+            match tokens - t {
+                1 if W > 1 => micro::<R, 1>(rows, codes, scales, cols, out, tokens),
+                2 if W > 2 => micro::<R, 2>(rows, codes, scales, cols, out, tokens),
+                3 if W > 3 => micro::<R, 3>(rows, codes, scales, cols, out, tokens),
+                _ => {}
+            }
+            r += R;
         }
         r
     }
 
-    /// One row against any number of tokens, in tiles of up to four.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `row` must be readable for one packed row of `cols`
-    /// weights, `x` for `tokens * cols` floats, `out` writable for `tokens`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn single_row(row: *const u8, x: *const f32, cols: usize, tokens: usize, out: *mut f32) {
-        let mut t = 0;
-        // SAFETY (all calls): tokens `t..t + T` and their outputs are in
-        // bounds because `t + T <= tokens`.
-        while t + 4 <= tokens {
-            micro::<1, 4>(row, x.add(t * cols), cols, out.add(t));
-            t += 4;
-        }
-        match tokens - t {
-            1 => micro::<1, 1>(row, x.add(t * cols), cols, out.add(t)),
-            2 => micro::<1, 2>(row, x.add(t * cols), cols, out.add(t)),
-            3 => micro::<1, 3>(row, x.add(t * cols), cols, out.add(t)),
-            _ => {}
-        }
-    }
-
-    /// The `R × T` register tile: `out[r * T + t] = dot(dequant(row r),
+    /// The `R × T` register tile: `out[r * out_stride + t] = dot(row r,
     /// token t)` with all `R · T` accumulators live across the whole row
-    /// and each block dequantized exactly once.
+    /// and each block unpacked exactly once.
     ///
     /// # Safety
     ///
     /// Requires AVX2. `rows` must be readable for `R` consecutive packed
-    /// rows of `cols` weights, `x` for `T` tokens `cols` floats apart, and
-    /// `out` writable for `R * T` floats.
+    /// rows of `cols` weights, `codes` for `T` tokens `cols` bytes apart,
+    /// `scales` for `T` tokens `cols / Q4_BLOCK` floats apart, and `out`
+    /// writable at `r * out_stride + t` for `r < R`, `t < T`.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn micro<const R: usize, const T: usize>(
         rows: *const u8,
-        x: *const f32,
+        codes: *const i8,
+        scales: *const f32,
         cols: usize,
         out: *mut f32,
+        out_stride: usize,
     ) {
         let blocks = cols / Q4_BLOCK;
         let row_bytes = packed_row_bytes(cols);
+        let eights = _mm256_set1_epi8(8);
+        let ones = _mm256_set1_epi16(1);
         let mut acc = [[_mm256_setzero_ps(); R]; T];
         for b in 0..blocks {
             // SAFETY: block `b` of row `r` is inside the `R` rows.
-            let w: [[__m256; GROUPS]; R] =
-                std::array::from_fn(|r| dequant(rows.add(r * row_bytes + b * Q4_BLOCK_BYTES)));
+            let w: [(__m256i, __m256); R] =
+                std::array::from_fn(|r| unpack(rows.add(r * row_bytes + b * Q4_BLOCK_BYTES)));
             for (t, acc_t) in acc.iter_mut().enumerate() {
-                for g in 0..GROUPS {
-                    // SAFETY: eight floats of block `b` of token `t`.
-                    let xv = _mm256_loadu_ps(x.add(t * cols + b * Q4_BLOCK + g * 8));
-                    for (acc_tr, w_r) in acc_t.iter_mut().zip(&w) {
-                        *acc_tr = _mm256_add_ps(*acc_tr, _mm256_mul_ps(w_r[g], xv));
-                    }
+                // SAFETY: block `b` of token `t`: 32 codes and a scale.
+                let x = _mm256_loadu_si256(codes.add(t * cols + b * Q4_BLOCK) as *const __m256i);
+                let x_scale = _mm256_broadcast_ss(&*scales.add(t * blocks + b));
+                // Pair sums stay inside i16: at most 2 · 15 · 127.
+                let bias = _mm256_maddubs_epi16(eights, x);
+                for (acc_tr, (q, w_scale)) in acc_t.iter_mut().zip(&w) {
+                    let pairs = _mm256_sub_epi16(_mm256_maddubs_epi16(*q, x), bias);
+                    let quads = _mm256_cvtepi32_ps(_mm256_madd_epi16(pairs, ones));
+                    let d = _mm256_mul_ps(*w_scale, x_scale);
+                    *acc_tr = _mm256_add_ps(*acc_tr, _mm256_mul_ps(quads, d));
                 }
             }
         }
         for (t, acc_t) in acc.iter().enumerate() {
             for (r, acc_tr) in acc_t.iter().enumerate() {
-                // SAFETY: `r * T + t < R * T`.
-                *out.add(r * T + t) = hsum(*acc_tr);
+                // SAFETY: inside the tile's outputs.
+                *out.add(r * out_stride + t) = hsum(*acc_tr);
             }
         }
     }
 
-    /// Two rows against more than four tokens: `out[r * tokens + t]`.
-    /// Dequantizes the pair once per [`CHUNK_COLS`] columns (per
-    /// [`TOKEN_SPAN`] tokens) into `scratch.w` and sweeps `2 × 4` tiles
-    /// over it, carrying each (token, row) accumulator in `scratch.acc`
-    /// from chunk to chunk.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `rows` must be readable for two consecutive packed
-    /// rows of `cols` weights, `x` for `tokens * cols` floats, and `out`
-    /// writable for `2 * tokens` floats.
-    #[target_feature(enable = "avx2")]
-    unsafe fn pair_dense(
-        rows: *const u8,
-        x: *const f32,
-        cols: usize,
-        tokens: usize,
-        out: *mut f32,
-        scratch: &mut Scratch,
-    ) {
-        let row_bytes = packed_row_bytes(cols);
-        let mut t0 = 0;
-        while t0 < tokens {
-            let span = (tokens - t0).min(TOKEN_SPAN);
-            let acc = &mut scratch.acc[..span];
-            acc.fill([_mm256_setzero_ps(); 2]);
-            let mut c0 = 0;
-            while c0 < cols {
-                let chunk = (cols - c0).min(CHUNK_COLS);
-                for (r, w_r) in scratch.w.iter_mut().enumerate() {
-                    // SAFETY: the chunk's blocks of row `r` are inside the
-                    // two rows.
-                    let packed = rows.add(r * row_bytes + c0 / Q4_BLOCK * Q4_BLOCK_BYTES);
-                    for (b, w_b) in w_r[..chunk].chunks_exact_mut(Q4_BLOCK).enumerate() {
-                        let w = dequant(packed.add(b * Q4_BLOCK_BYTES));
-                        for (g, wg) in w.iter().enumerate() {
-                            // SAFETY: `w_b` is `Q4_BLOCK = GROUPS * 8`
-                            // floats.
-                            _mm256_storeu_ps(w_b.as_mut_ptr().add(g * 8), *wg);
-                        }
-                    }
-                }
-                // SAFETY (all calls): tokens `t0 + t .. t0 + t + T` exist
-                // because `t + T <= span`, and each has `chunk` floats
-                // from column `c0`.
-                let xs = x.add(t0 * cols + c0);
-                let mut t = 0;
-                while t + 4 <= span {
-                    sweep::<4>(&scratch.w, chunk, xs.add(t * cols), cols, &mut acc[t..]);
-                    t += 4;
-                }
-                match span - t {
-                    1 => sweep::<1>(&scratch.w, chunk, xs.add(t * cols), cols, &mut acc[t..]),
-                    2 => sweep::<2>(&scratch.w, chunk, xs.add(t * cols), cols, &mut acc[t..]),
-                    3 => sweep::<3>(&scratch.w, chunk, xs.add(t * cols), cols, &mut acc[t..]),
-                    _ => {}
-                }
-                c0 += chunk;
-            }
-            for (t, acc_t) in acc.iter().enumerate() {
-                for (r, acc_tr) in acc_t.iter().enumerate() {
-                    // SAFETY: `t0 + t < tokens` and `r < 2`.
-                    *out.add(r * tokens + t0 + t) = hsum(*acc_tr);
-                }
-            }
-            t0 += span;
-        }
-    }
-
-    /// The `2 × T` tile over dequantized weights: continues `acc[t][r]`
-    /// (the first `T` entries of `acc`) through `chunk` columns of the row
-    /// pair in `w`, each weight load shared by the `T` tokens and each
-    /// activation load by both rows.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `chunk` must be a multiple of 8 no larger than
-    /// [`CHUNK_COLS`]; `x` must be readable for `T` tokens `cols` floats
-    /// apart, `chunk` floats each.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn sweep<const T: usize>(
-        w: &[[f32; CHUNK_COLS]; 2],
-        chunk: usize,
-        x: *const f32,
-        cols: usize,
-        acc: &mut [[__m256; 2]],
-    ) {
-        let mut a: [[__m256; 2]; T] = std::array::from_fn(|t| acc[t]);
-        for c in (0..chunk).step_by(8) {
-            // SAFETY: `c + 8 <= chunk <= CHUNK_COLS`.
-            let w0 = _mm256_loadu_ps(w[0].as_ptr().add(c));
-            let w1 = _mm256_loadu_ps(w[1].as_ptr().add(c));
-            for (t, a_t) in a.iter_mut().enumerate() {
-                // SAFETY: eight of token `t`'s `chunk` floats.
-                let xv = _mm256_loadu_ps(x.add(t * cols + c));
-                a_t[0] = _mm256_add_ps(a_t[0], _mm256_mul_ps(w0, xv));
-                a_t[1] = _mm256_add_ps(a_t[1], _mm256_mul_ps(w1, xv));
-            }
-        }
-        acc[..T].copy_from_slice(&a);
-    }
-
-    /// Dequantizes one packed block into its four eight-lane groups, in
-    /// `decode_block`'s element order: one 16-byte load, nibble unpack
-    /// (`and 0x0f` for even elements, `shift`+`and` for odd,
-    /// `unpacklo/hi_epi8` to interleave them back), four zero-extending
-    /// widens to `i32`, subtract 8, convert to `f32` and scale — every
-    /// step exact.
+    /// Unpacks one packed block into its 32 codes `q ∈ [0, 15]` as bytes —
+    /// the 16 low nibbles (even elements), then the 16 high nibbles (odd
+    /// elements), the order [`Q8Acts`](super::Q8Acts) stores activations
+    /// in — and its broadcast scale.
     ///
     /// # Safety
     ///
     /// Requires AVX2. `blk` must be readable for `Q4_BLOCK_BYTES`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn dequant(blk: *const u8) -> [__m256; GROUPS] {
+    unsafe fn unpack(blk: *const u8) -> (__m256i, __m256) {
         // SAFETY: the block is a 4-byte scale followed by 16 nibble bytes.
         let scale = _mm256_set1_ps((blk as *const f32).read_unaligned());
         let raw = _mm_loadu_si128(blk.add(4) as *const __m128i);
-        let low_nibble = _mm_set1_epi8(0x0f);
-        let lo = _mm_and_si128(raw, low_nibble);
-        let hi = _mm_and_si128(_mm_srli_epi16::<4>(raw), low_nibble);
-        // Element 2i is byte i's low nibble, element 2i+1 its high nibble.
-        let il_lo = _mm_unpacklo_epi8(lo, hi); // elements 0..16
-        let il_hi = _mm_unpackhi_epi8(lo, hi); // elements 16..32
-        [
-            _mm256_cvtepu8_epi32(il_lo),
-            _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(il_lo)),
-            _mm256_cvtepu8_epi32(il_hi),
-            _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(il_hi)),
-        ]
-        .map(|q| {
-            let centred = _mm256_sub_epi32(q, _mm256_set1_epi32(8));
-            _mm256_mul_ps(_mm256_cvtepi32_ps(centred), scale)
-        })
+        let both = _mm256_set_m128i(_mm_srli_epi16::<4>(raw), raw);
+        (_mm256_and_si256(both, _mm256_set1_epi8(0x0f)), scale)
     }
 
     /// The fixed reduction tree `reduce8` mirrors: fold lane `j` with
@@ -814,19 +815,6 @@ mod tests {
                 ((state >> 8) as f32 / (1u32 << 24) as f32) - 0.5
             })
             .collect()
-    }
-
-    /// `f64` ground truth for one row × one token.
-    fn dot_f64(w: &[f32], x: &[f32]) -> f64 {
-        w.iter()
-            .zip(x.iter())
-            .map(|(a, b)| *a as f64 * *b as f64)
-            .sum()
-    }
-
-    fn row_bytes(q: &QuantizedMatrix, r: usize) -> Vec<u8> {
-        let bpr = q.cols() / Q4_BLOCK * Q4_BLOCK_BYTES;
-        q.data()[r * bpr..(r + 1) * bpr].to_vec()
     }
 
     #[test]
@@ -878,6 +866,96 @@ mod tests {
         assert_eq!(kinds.contains(&KernelBackendKind::Avx2), avx2_available());
     }
 
+    /// Quantizes `x` with the scalar reference.
+    fn quantized(x: &[f32], cols: usize) -> Q8Acts {
+        let mut acts = Q8Acts::new();
+        Scalar.quantize(x, cols, &mut acts);
+        acts
+    }
+
+    /// `qdot_rows` over the whole matrix, as bit patterns.
+    fn dot_bits(backend: &dyn KernelBackend, q: &QuantizedMatrix, acts: &Q8Acts) -> Vec<u32> {
+        let mut out = vec![f32::NAN; q.rows() * acts.tokens()];
+        backend.qdot_rows(&q.data(), q.rows(), acts, &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_backend_quantizes_to_the_same_codes_and_scales() {
+        let cols = 3 * Q4_BLOCK;
+        let mut x = pseudo(4 * cols, 71);
+        // Exact .5 ties in both directions (amax 127 makes the scale 1),
+        // a zero block, and a block whose scale is subnormal.
+        x[..Q4_BLOCK].copy_from_slice(&std::array::from_fn::<f32, Q4_BLOCK, _>(|i| match i {
+            0 => 127.0,
+            1 => -127.0,
+            _ => (i as f32 - 16.0) + 0.5,
+        }));
+        x[Q4_BLOCK..2 * Q4_BLOCK].fill(0.0);
+        x[2 * Q4_BLOCK..3 * Q4_BLOCK].fill(1e-44);
+        let reference = quantized(&x, cols);
+        assert_eq!(reference.tokens(), 4);
+        assert_eq!(reference.scales()[0], 1.0);
+        // Unpack order: the even elements (127, -13.5 → -14, -11.5 → -12,
+        // …), then the odd ones (-127, -12.5 → -12, -10.5 → -10, …).
+        assert_eq!(&reference.codes()[..4], &[127, -14, -12, -10]);
+        assert_eq!(&reference.codes()[16..20], &[-127, -12, -10, -8]);
+        assert_eq!(reference.scales()[1], 0.0);
+        assert!(reference.codes()[Q4_BLOCK..3 * Q4_BLOCK]
+            .iter()
+            .all(|c| *c == 0));
+        assert!(reference.codes().iter().all(|c| *c != i8::MIN));
+        for backend in available() {
+            let mut acts = Q8Acts::new();
+            backend.quantize(&x, cols, &mut acts);
+            assert_eq!(acts, reference, "{:?}", backend.kind());
+        }
+    }
+
+    #[test]
+    fn non_finite_activations_follow_the_documented_rule() {
+        let q = QuantizedMatrix::quantize(&pseudo(2 * Q4_BLOCK, 81), 1, 2 * Q4_BLOCK).unwrap();
+        let mut with_nan = pseudo(2 * Q4_BLOCK, 82);
+        let mut without = with_nan.clone();
+        with_nan[5] = f32::NAN;
+        without[5] = 0.0;
+        let mut with_inf = with_nan.clone();
+        with_inf[40] = f32::NEG_INFINITY;
+        for backend in available() {
+            // A NaN is dropped: the block quantizes as if it were zero.
+            let mut acts = Q8Acts::new();
+            backend.quantize(&with_nan, 2 * Q4_BLOCK, &mut acts);
+            assert_eq!(
+                acts,
+                quantized(&without, 2 * Q4_BLOCK),
+                "{:?}",
+                backend.kind()
+            );
+            // An infinity poisons every output that reads its block.
+            backend.quantize(&with_inf, 2 * Q4_BLOCK, &mut acts);
+            assert_eq!(acts.scales()[1], f32::INFINITY);
+            assert!(acts.codes()[Q4_BLOCK..].iter().all(|c| *c == 0));
+            let mut out = [0.0f32];
+            backend.qdot_row(&q.data(), &acts, &mut out);
+            assert!(out[0].is_nan(), "{:?}", backend.kind());
+        }
+    }
+
+    #[test]
+    fn zero_activations_give_zero_outputs() {
+        let (rows, cols) = (5, 64);
+        let q = QuantizedMatrix::quantize(&pseudo(rows * cols, 83), rows, cols).unwrap();
+        let acts = quantized(&vec![0.0; 3 * cols], cols);
+        for backend in available() {
+            assert_eq!(dot_bits(backend, &q, &acts), vec![0u32; rows * 3]);
+        }
+    }
+
+    /// Each backend against `f64` ground truth over the dequantized weights
+    /// and the unrounded activations. The bound is no longer one of float
+    /// reassociation alone: an activation moves by at most half its
+    /// block's scale when it is rounded to 8 bits, so an output moves by
+    /// at most `Σ_blocks x_scale/2 · Σ|w|`, plus `f32` accumulation slack.
     #[test]
     fn every_backend_stays_within_the_reassociation_bound_of_f64_truth() {
         let (rows, cols) = (7, 96);
@@ -886,47 +964,76 @@ mod tests {
         for tokens in [1usize, 2, 4, 5, 9] {
             let x = pseudo(tokens * cols, 22);
             for backend in available() {
-                let mut out = vec![0.0f32; tokens];
-                for r in 0..rows {
-                    let row = row_bytes(&q, r);
-                    backend.qdot_row(&row, &x, cols, &mut out);
-                    for (t, got) in out.iter().enumerate() {
-                        let w = &dense[r * cols..(r + 1) * cols];
-                        let truth = dot_f64(w, &x[t * cols..(t + 1) * cols]);
-                        let mag: f64 = w
-                            .iter()
-                            .zip(&x[t * cols..(t + 1) * cols])
-                            .map(|(a, b)| (*a as f64 * *b as f64).abs())
-                            .sum();
-                        let bound = (cols as f64) * f64::from(f32::EPSILON) * mag + 1e-12;
-                        assert!(
-                            ((*got as f64) - truth).abs() <= bound,
-                            "{:?} r={r} t={t}: {got} vs {truth} (bound {bound})",
-                            backend.kind()
-                        );
+                let mut acts = Q8Acts::new();
+                backend.quantize(&x, cols, &mut acts);
+                let mut out = vec![0.0f32; rows * tokens];
+                backend.qdot_rows(&q.data(), rows, &acts, &mut out);
+                for (i, got) in out.iter().enumerate() {
+                    let w = &dense[i / tokens * cols..][..cols];
+                    let xt = &x[i % tokens * cols..][..cols];
+                    let (mut truth, mut mag, mut rounding) = (0.0f64, 0.0f64, 0.0f64);
+                    for (wb, xb) in w.chunks(Q4_BLOCK).zip(xt.chunks(Q4_BLOCK)) {
+                        let amax = xb.iter().fold(0.0f64, |m, v| m.max(v.abs() as f64));
+                        rounding += amax / 254.0 * wb.iter().map(|w| w.abs() as f64).sum::<f64>();
+                        for (w, x) in wb.iter().zip(xb) {
+                            truth += *w as f64 * *x as f64;
+                            mag += (*w as f64 * *x as f64).abs();
+                        }
                     }
+                    let bound = rounding + (cols as f64) * f64::from(f32::EPSILON) * mag + 1e-12;
+                    assert!(
+                        ((*got as f64) - truth).abs() <= bound,
+                        "{:?} output {i}: {got} vs {truth} (bound {bound})",
+                        backend.kind()
+                    );
                 }
             }
         }
     }
 
+    /// Portable ≡ AVX2 as before — and, the dot being exact in integers,
+    /// both ≡ the scalar reference.
     #[test]
     fn portable_and_avx2_are_bit_identical() {
-        if !avx2_available() {
-            return;
-        }
-        let (rows, cols) = (5, 160);
+        let (rows, cols) = (7, 160);
         let q = QuantizedMatrix::quantize(&pseudo(rows * cols, 31), rows, cols).unwrap();
-        let avx2 = KernelBackendKind::Avx2.resolve();
-        for tokens in [1usize, 3, 4, 6, 8] {
-            let x = pseudo(tokens * cols, 32);
-            for r in 0..rows {
-                let row = row_bytes(&q, r);
-                let mut a = vec![0.0f32; tokens];
-                let mut b = vec![0.0f32; tokens];
-                Portable.qdot_row(&row, &x, cols, &mut a);
-                avx2.qdot_row(&row, &x, cols, &mut b);
-                assert_eq!(a, b, "r={r} tokens={tokens}");
+        for tokens in [1usize, 2, 3, 4, 5, 6, 8, 9] {
+            let acts = quantized(&pseudo(tokens * cols, 32), cols);
+            let want = dot_bits(&Scalar, &q, &acts);
+            for backend in available() {
+                assert_eq!(
+                    dot_bits(backend, &q, &acts),
+                    want,
+                    "{:?} tokens={tokens}",
+                    backend.kind()
+                );
+            }
+        }
+    }
+
+    /// The largest pair sums the integer path can meet: every weight code
+    /// 15 or 0 (centred: 7 or -8) against every activation code ±127.
+    /// `maddubs` saturates at ±32767; the sums here reach 2 · 15 · 127.
+    #[test]
+    fn extreme_codes_do_not_saturate_the_pair_sums() {
+        let cols = 2 * Q4_BLOCK;
+        for (w, q_minus_8) in [(7.5f32, 7i32), (-7.5, -8)] {
+            let q = QuantizedMatrix::quantize(&vec![w; 4 * cols], 4, cols).unwrap();
+            for x in [1.0f32, -1.0] {
+                let acts = quantized(&vec![x; 2 * cols], cols);
+                assert!(acts.codes().iter().all(|c| c.abs() == 127));
+                // Per lane and block: 4 products; exact in f32.
+                let lane = (4 * q_minus_8 * 127 * x as i32) as f32 * (1.0 * (1.0 / 127.0));
+                let want = 2.0 * 8.0 * lane;
+                for backend in available() {
+                    let mut out = vec![0.0f32; 4 * 2];
+                    backend.qdot_rows(&q.data(), 4, &acts, &mut out);
+                    assert!(
+                        out.iter().all(|v| *v == want),
+                        "{:?} w={w} x={x}: {out:?} vs {want}",
+                        backend.kind()
+                    );
+                }
             }
         }
     }
@@ -937,16 +1044,13 @@ mod tests {
         let q = QuantizedMatrix::quantize(&pseudo(rows * cols, 41), rows, cols).unwrap();
         let x = pseudo(tokens * cols, 42);
         for backend in available() {
-            for r in 0..rows {
-                let row = row_bytes(&q, r);
-                let mut batched = vec![0.0f32; tokens];
-                backend.qdot_row(&row, &x, cols, &mut batched);
-                for t in 0..tokens {
-                    let mut one = [0.0f32; 1];
-                    backend.qdot_row(&row, &x[t * cols..(t + 1) * cols], cols, &mut one);
+            let batched = dot_bits(backend, &q, &quantized(&x, cols));
+            for t in 0..tokens {
+                let one = dot_bits(backend, &q, &quantized(&x[t * cols..(t + 1) * cols], cols));
+                for r in 0..rows {
                     assert_eq!(
-                        one[0].to_bits(),
-                        batched[t].to_bits(),
+                        one[r],
+                        batched[r * tokens + t],
                         "{:?} r={r} t={t}",
                         backend.kind()
                     );
@@ -958,24 +1062,23 @@ mod tests {
     #[test]
     fn multi_row_calls_match_per_row_calls_on_every_tile_shape() {
         // Row counts hit every row-group remainder, token counts every
-        // tile shape plus the token-span boundary, and column counts one
-        // block, several, and more than one column chunk (512) with a
-        // ragged tail.
+        // tile shape and remainder, and column counts one block up to
+        // long rows.
         for cols in [32usize, 96, 544, 1056] {
             let rows = 9;
             let q = QuantizedMatrix::quantize(&pseudo(rows * cols, 61), rows, cols).unwrap();
             let data = q.data();
             let bpr = packed_row_bytes(cols);
-            for tokens in [1usize, 2, 3, 4, 5, 8, 9, 63, 64, 65, 130] {
-                let x = pseudo(tokens * cols, 62);
+            for tokens in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 130] {
+                let acts = quantized(&pseudo(tokens * cols, 62), cols);
                 for backend in available() {
                     let mut per_row = vec![0.0f32; rows * tokens];
                     for (r, out) in per_row.chunks_mut(tokens).enumerate() {
-                        backend.qdot_row(&data[r * bpr..(r + 1) * bpr], &x, cols, out);
+                        backend.qdot_row(&data[r * bpr..(r + 1) * bpr], &acts, out);
                     }
                     for nrows in [1usize, 2, 3, 4, 5, 9] {
                         let mut out = vec![f32::NAN; nrows * tokens];
-                        backend.qdot_rows(&data[..nrows * bpr], nrows, &x, cols, &mut out);
+                        backend.qdot_rows(&data[..nrows * bpr], nrows, &acts, &mut out);
                         let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
                         let want: Vec<u32> = per_row[..nrows * tokens]
                             .iter()
@@ -996,8 +1099,11 @@ mod tests {
     #[test]
     fn empty_calls_are_no_ops() {
         for backend in available() {
-            backend.qdot_rows(&[], 0, &[], Q4_BLOCK, &mut []);
-            backend.qdot_rows(&[0u8; 2 * Q4_BLOCK_BYTES], 2, &[], Q4_BLOCK, &mut []);
+            let mut acts = Q8Acts::new();
+            backend.qdot_rows(&[], 0, &acts, &mut []);
+            backend.quantize(&[], Q4_BLOCK, &mut acts);
+            assert_eq!(acts.tokens(), 0);
+            backend.qdot_rows(&[0u8; 2 * Q4_BLOCK_BYTES], 2, &acts, &mut []);
         }
     }
 
@@ -1005,9 +1111,10 @@ mod tests {
     fn shape_check_call(rows: usize, x: usize, out: usize) {
         let backend = KernelBackendKind::Avx2.resolve();
         let rows = vec![0u8; rows];
-        let x = vec![0.0f32; x];
+        let mut acts = Q8Acts::new();
+        backend.quantize(&vec![0.0f32; x], Q4_BLOCK, &mut acts);
         let mut out = vec![0.0f32; out];
-        backend.qdot_rows(&rows, 2, &x, Q4_BLOCK, &mut out);
+        backend.qdot_rows(&rows, 2, &acts, &mut out);
     }
 
     #[test]
@@ -1032,12 +1139,12 @@ mod tests {
     fn scalar_backend_overwrites_stale_output() {
         let cols = Q4_BLOCK;
         let q = QuantizedMatrix::quantize(&pseudo(cols, 51), 1, cols).unwrap();
-        let x = pseudo(cols, 52);
+        let acts = quantized(&pseudo(cols, 52), cols);
         for backend in available() {
             let mut dirty = vec![123.0f32; 1];
-            backend.qdot_row(&row_bytes(&q, 0), &x, cols, &mut dirty);
+            backend.qdot_row(&q.data(), &acts, &mut dirty);
             let mut clean = vec![0.0f32; 1];
-            backend.qdot_row(&row_bytes(&q, 0), &x, cols, &mut clean);
+            backend.qdot_row(&q.data(), &acts, &mut clean);
             assert_eq!(dirty, clean, "{:?}", backend.kind());
         }
     }

@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::backend::Q8Acts;
 use crate::gemm::swiglu_gate;
 use crate::quant::{QuantError, QuantizedMatrix};
 use crate::threadpool::WorkerPool;
@@ -46,6 +47,9 @@ pub struct ExecScratch {
     h: Vec<f32>,
     /// Row-major GEMM intermediate shared by the three projections.
     band: Vec<f32>,
+    /// The projection input in 8-bit codes: `x` for gate and up, then `h`
+    /// for down.
+    acts: Q8Acts,
 }
 
 impl ExecScratch {
@@ -192,14 +196,12 @@ impl ExpertFfn {
 
     /// [`ExpertFfn::forward_batch`] into a caller-owned output with reusable
     /// scratch, running on a persistent [`WorkerPool`]: zero allocations on
-    /// the steady-state path, and each Q4 block of the three weight
-    /// matrices is dequantized once per call instead of once per token.
-    /// The dequant+dot inner loop is dispatched to `backend`; with the
-    /// scalar backend ([`crate::backend::scalar`]) per-token results are
-    /// bit-identical to [`ExpertFfn::forward_threads`] (see
-    /// [`QuantizedMatrix::qgemm_into`]), and every backend computes the
-    /// single-token fast path and the batched path with the same
-    /// accumulation order.
+    /// the steady-state path. Each projection input is quantized once by
+    /// `backend` (`x` for gate and up, `h` for down) and each Q4 block of
+    /// the three weight matrices is unpacked once per call instead of once
+    /// per token. Per-token results are bit-identical to
+    /// [`ExpertFfn::forward_threads`] on every backend and at every batch
+    /// size (see [`crate::backend`]).
     ///
     /// # Panics
     ///
@@ -216,29 +218,23 @@ impl ExpertFfn {
     ) {
         assert_eq!(x.len(), tokens * self.hidden, "input shape mismatch");
         assert_eq!(y.len(), tokens * self.hidden, "output shape mismatch");
+        let ExecScratch {
+            g,
+            u,
+            h,
+            band,
+            acts,
+        } = scratch;
         let inter = tokens * self.inter;
-        scratch.g.resize(inter, 0.0);
-        scratch.u.resize(inter, 0.0);
-        scratch.h.resize(inter, 0.0);
-        if tokens == 1 {
-            // Single-token fast path: the GEMV writes row-major output
-            // directly, skipping the GEMM's band intermediate and its
-            // token-major scatter. Bit-identical to the batched path
-            // within any backend (`qdot_rows` accumulates every (row,
-            // token) pair in the same order whatever the batch size).
-            self.w_gate.qgemv_into(x, &mut scratch.g, pool, backend);
-            self.w_up.qgemv_into(x, &mut scratch.u, pool, backend);
-            swiglu_gate(&scratch.g, &scratch.u, &mut scratch.h);
-            self.w_down.qgemv_into(&scratch.h, y, pool, backend);
-            return;
-        }
-        self.w_gate
-            .qgemm_into(x, tokens, &mut scratch.g, &mut scratch.band, pool, backend);
-        self.w_up
-            .qgemm_into(x, tokens, &mut scratch.u, &mut scratch.band, pool, backend);
-        swiglu_gate(&scratch.g, &scratch.u, &mut scratch.h);
-        self.w_down
-            .qgemm_into(&scratch.h, tokens, y, &mut scratch.band, pool, backend);
+        g.resize(inter, 0.0);
+        u.resize(inter, 0.0);
+        h.resize(inter, 0.0);
+        backend.quantize(x, self.hidden, acts);
+        self.w_gate.qgemm_into(acts, g, band, pool, backend);
+        self.w_up.qgemm_into(acts, u, band, pool, backend);
+        swiglu_gate(g, u, h);
+        backend.quantize(h, self.inter, acts);
+        self.w_down.qgemm_into(acts, y, band, pool, backend);
     }
 }
 
@@ -315,7 +311,7 @@ mod tests {
     #[test]
     fn batch_into_is_bit_identical_to_forward_threads() {
         // The expert-major hot path must reproduce the token-major
-        // reference bit for bit: per-token accumulation order is unchanged.
+        // reference bit for bit.
         let (hidden, inter) = (64, 96);
         let ffn = ExpertFfn::random(hidden, inter, 9);
         for tokens in [1usize, 3, 5, 8] {
@@ -372,6 +368,7 @@ mod tests {
 
     #[test]
     fn batch_into_every_backend_is_close_to_the_scalar_oracle() {
+        // "Close" is exact: every backend runs the same arithmetic.
         let (hidden, inter) = (64, 96);
         let ffn = ExpertFfn::random(hidden, inter, 11);
         let pool = crate::threadpool::WorkerPool::new(2);
@@ -393,13 +390,7 @@ mod tests {
                 let mut y = vec![0.0f32; tokens * hidden];
                 let mut scratch = ExecScratch::new();
                 ffn.forward_batch_into(&x, tokens, &mut y, &mut scratch, &pool, backend);
-                for (i, (a, b)) in y.iter().zip(reference.iter()).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-4,
-                        "{:?} tokens={tokens} i={i}: {a} vs {b}",
-                        backend.kind()
-                    );
-                }
+                assert_eq!(y, reference, "{:?} tokens={tokens}", backend.kind());
             }
         }
     }

@@ -2,14 +2,15 @@
 //!
 //! Real CPU compute kernels for quantized Mixture-of-Experts inference:
 //!
-//! * [`backend`] — runtime-dispatched SIMD backends (scalar reference,
-//!   portable auto-vectorizable, `x86_64` AVX2) for the `Q4_0` dequant+dot
-//!   inner loop, selected once at startup by CPU feature detection with an
+//! * [`backend`] — runtime-dispatched backends (scalar reference, portable
+//!   auto-vectorizable, `x86_64` AVX2) for the `Q4_0 × Q8_0` integer dot
+//!   and the activation quantizer that feeds it, bit-identical to each
+//!   other, selected once at startup by CPU feature detection with an
 //!   env/config override;
 //! * [`gemm`] — single-precision GEMM/GEMV reference kernels with row-blocked
 //!   multi-threading;
 //! * [`quant`] — llama.cpp-style `Q4_0` block quantization (32 weights per
-//!   block, one scale each) with fused dequant-GEMV;
+//!   block, one scale each) and the GEMV/GEMM entry points over it;
 //! * [`ffn`] — the SwiGLU expert feed-forward used by Mixtral / DeepSeek /
 //!   Qwen2 experts, running on quantized weights;
 //! * [`calibrate`] — micro-benchmarks that measure the *achieved* CPU
@@ -47,12 +48,10 @@ pub mod calibrate;
 pub mod ffn;
 pub mod gemm;
 pub mod quant;
-pub mod quant8;
 pub mod threadpool;
 
-pub use backend::{KernelBackend, KernelBackendKind};
+pub use backend::{KernelBackend, KernelBackendKind, Q8Acts};
 pub use calibrate::{calibrate_cpu, CalibrationOptions};
 pub use ffn::{ExecScratch, ExpertFfn};
 pub use quant::{QuantError, QuantizedMatrix, Q4_BLOCK};
-pub use quant8::{Q8Matrix, Q8_BLOCK};
 pub use threadpool::{parallel_for, WorkerPool};

@@ -193,7 +193,10 @@ pub struct WorkerClient {
     next_id: u32,
     /// Request ids awaiting their FIFO replies (pipelined executes).
     inflight: VecDeque<u32>,
+    /// The payload of the reply read last.
     payload: Vec<u8>,
+    /// Every frame this connection sends is encoded here.
+    frame: Vec<u8>,
 }
 
 impl WorkerClient {
@@ -209,10 +212,9 @@ impl WorkerClient {
             next_id: 1,
             inflight: VecDeque::new(),
             payload: Vec::new(),
+            frame: Vec::new(),
         };
-        let mut buf = Vec::new();
-        Hello::current().encode(&mut buf);
-        let id = client.send(Opcode::Hello, &buf)?;
+        let id = client.send(Opcode::Hello, |out| Hello::current().encode(out))?;
         let header = client.recv(id, Opcode::HelloAck)?;
         debug_assert_eq!(header.opcode, Opcode::HelloAck);
         let ack = HelloAck::decode(&client.payload)?;
@@ -222,9 +224,7 @@ impl WorkerClient {
 
     /// Loads the worker's weight shard.
     pub fn load_shard(&mut self, spec: &LoadShard) -> Result<LoadShardAck, ClientError> {
-        let mut buf = Vec::new();
-        spec.encode(&mut buf);
-        let id = self.send(Opcode::LoadShard, &buf)?;
+        let id = self.send(Opcode::LoadShard, |out| spec.encode(out))?;
         self.recv(id, Opcode::LoadShardAck)?;
         Ok(LoadShardAck::decode(&self.payload)?)
     }
@@ -239,9 +239,29 @@ impl WorkerClient {
     /// must be collected with [`WorkerClient::recv_execute`] in send
     /// order.
     pub fn send_execute(&mut self, batch: &ExecuteBatch) -> Result<(), ClientError> {
-        let mut buf = Vec::new();
-        batch.encode(&mut buf);
-        let id = self.send(Opcode::ExecuteBatch, &buf)?;
+        self.send_execute_parts(
+            batch.layer,
+            batch.expert,
+            batch.tokens,
+            batch.hidden,
+            &batch.data,
+        )
+    }
+
+    /// [`WorkerClient::send_execute`] from borrowed parts (the fields of an
+    /// [`ExecuteBatch`]): the tensor is encoded straight from `data` into
+    /// the connection's frame buffer.
+    pub fn send_execute_parts(
+        &mut self,
+        layer: u16,
+        expert: u16,
+        tokens: u32,
+        hidden: u32,
+        data: &[f32],
+    ) -> Result<(), ClientError> {
+        let id = self.send(Opcode::ExecuteBatch, |out| {
+            ExecuteBatch::encode_parts(layer, expert, tokens, hidden, data, out)
+        })?;
         self.inflight.push_back(id);
         Ok(())
     }
@@ -263,26 +283,30 @@ impl WorkerClient {
 
     /// Probes worker liveness.
     pub fn heartbeat(&mut self) -> Result<HeartbeatAck, ClientError> {
-        let id = self.send(Opcode::Heartbeat, &[])?;
+        let id = self.send(Opcode::Heartbeat, |_| {})?;
         self.recv(id, Opcode::HeartbeatAck)?;
         Ok(HeartbeatAck::decode(&self.payload)?)
     }
 
     /// Asks the worker to finish and close the connection.
     pub fn drain(&mut self) -> Result<(), ClientError> {
-        let id = self.send(Opcode::Drain, &[])?;
+        let id = self.send(Opcode::Drain, |_| {})?;
         self.recv(id, Opcode::DrainAck)?;
         Ok(())
     }
 
-    fn send(&mut self, opcode: Opcode, payload: &[u8]) -> Result<u32, ClientError> {
+    fn send(
+        &mut self,
+        opcode: Opcode,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u32, ClientError> {
         debug_assert!(
             opcode == Opcode::ExecuteBatch || self.inflight.is_empty(),
             "only ExecuteBatch may be pipelined"
         );
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        write_frame(&mut self.stream, opcode, id, payload)?;
+        write_frame(&mut self.stream, opcode, id, &mut self.frame, payload)?;
         Ok(id)
     }
 

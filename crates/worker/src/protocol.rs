@@ -219,17 +219,36 @@ pub struct FrameHeader {
 /// Panics if `payload` exceeds [`MAX_PAYLOAD`] — callers build payloads and
 /// are expected to respect the ceiling they enforce on the receive side.
 pub fn encode_frame(opcode: Opcode, request_id: u32, payload: &[u8], out: &mut Vec<u8>) {
-    assert!(
-        payload.len() <= MAX_PAYLOAD as usize,
-        "payload of {} bytes exceeds MAX_PAYLOAD",
-        payload.len()
-    );
+    encode_frame_with(opcode, request_id, out, |out| {
+        out.extend_from_slice(payload)
+    });
+}
+
+/// [`encode_frame`] with the payload being whatever `payload` appends: a
+/// codec writes straight behind the header, with no payload buffer between.
+///
+/// # Panics
+///
+/// Panics if the appended payload exceeds [`MAX_PAYLOAD`].
+pub fn encode_frame_with(
+    opcode: Opcode,
+    request_id: u32,
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
     out.extend_from_slice(&MAGIC.to_be_bytes());
     out.push(VERSION);
     out.push(opcode as u8);
     out.extend_from_slice(&request_id.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = out.len() - start - HEADER_LEN;
+    assert!(
+        len <= MAX_PAYLOAD as usize,
+        "payload of {len} bytes exceeds MAX_PAYLOAD"
+    );
+    out[start + 10..start + HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
 }
 
 /// Decodes the 14-byte header at the start of `bytes`.
@@ -289,16 +308,20 @@ pub fn read_frame<R: Read>(
     Ok(header)
 }
 
-/// Writes one frame to a blocking stream.
+/// Writes one frame to a blocking stream, its payload being whatever
+/// `payload` appends. The frame is encoded in `frame` (cleared first): a
+/// connection passes the same buffer for every frame it sends, so its
+/// steady-state sends allocate nothing.
 pub fn write_frame<W: Write>(
     stream: &mut W,
     opcode: Opcode,
     request_id: u32,
-    payload: &[u8],
+    frame: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
 ) -> Result<(), ProtocolError> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    encode_frame(opcode, request_id, payload, &mut buf);
-    stream.write_all(&buf)?;
+    frame.clear();
+    encode_frame_with(opcode, request_id, frame, payload);
+    stream.write_all(frame)?;
     stream.flush()?;
     Ok(())
 }
@@ -548,14 +571,31 @@ impl ExecuteBatch {
     /// Serializes the header fields and the tensor (IEEE-754 bit patterns,
     /// big-endian — bit-exact on the wire).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.layer.to_be_bytes());
-        out.extend_from_slice(&self.expert.to_be_bytes());
-        out.extend_from_slice(&self.tokens.to_be_bytes());
-        out.extend_from_slice(&self.hidden.to_be_bytes());
-        out.reserve(self.data.len() * 4);
-        for v in &self.data {
-            out.extend_from_slice(&v.to_bits().to_be_bytes());
-        }
+        Self::encode_parts(
+            self.layer,
+            self.expert,
+            self.tokens,
+            self.hidden,
+            &self.data,
+            out,
+        );
+    }
+
+    /// [`ExecuteBatch::encode`] from borrowed parts, for a sender whose
+    /// tensor lives in a buffer it reuses.
+    pub fn encode_parts(
+        layer: u16,
+        expert: u16,
+        tokens: u32,
+        hidden: u32,
+        data: &[f32],
+        out: &mut Vec<u8>,
+    ) {
+        out.extend_from_slice(&layer.to_be_bytes());
+        out.extend_from_slice(&expert.to_be_bytes());
+        out.extend_from_slice(&tokens.to_be_bytes());
+        out.extend_from_slice(&hidden.to_be_bytes());
+        encode_tensor(data, out);
     }
 
     /// Deserializes the payload, checking the tensor length against the
@@ -592,12 +632,15 @@ pub struct ExecuteBatchAck {
 impl ExecuteBatchAck {
     /// Serializes the payload.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.tokens.to_be_bytes());
-        out.extend_from_slice(&self.hidden.to_be_bytes());
-        out.reserve(self.data.len() * 4);
-        for v in &self.data {
-            out.extend_from_slice(&v.to_bits().to_be_bytes());
-        }
+        Self::encode_parts(self.tokens, self.hidden, &self.data, out);
+    }
+
+    /// [`ExecuteBatchAck::encode`] from borrowed parts, for a sender whose
+    /// tensor lives in a buffer it reuses.
+    pub fn encode_parts(tokens: u32, hidden: u32, data: &[f32], out: &mut Vec<u8>) {
+        out.extend_from_slice(&tokens.to_be_bytes());
+        out.extend_from_slice(&hidden.to_be_bytes());
+        encode_tensor(data, out);
     }
 
     /// Deserializes the payload.
@@ -612,6 +655,14 @@ impl ExecuteBatchAck {
             hidden,
             data,
         })
+    }
+}
+
+/// Appends an f32 tensor as big-endian IEEE-754 bit patterns.
+fn encode_tensor(data: &[f32], out: &mut Vec<u8>) {
+    out.reserve(data.len() * 4);
+    for v in data {
+        out.extend_from_slice(&v.to_bits().to_be_bytes());
     }
 }
 
@@ -780,6 +831,29 @@ mod tests {
             read_frame(&mut cursor, &mut payload),
             Err(ProtocolError::Truncated)
         ));
+    }
+
+    #[test]
+    fn write_frame_reuses_its_buffer_and_matches_encode_frame() {
+        let ack = ExecuteBatchAck {
+            tokens: 2,
+            hidden: 3,
+            data: vec![1.5, -2.0, 0.0, f32::MIN_POSITIVE, 7.25, -0.0],
+        };
+        let mut payload = Vec::new();
+        ack.encode(&mut payload);
+        let mut want = Vec::new();
+        encode_frame(Opcode::ExecuteBatchAck, 9, &payload, &mut want);
+        encode_frame(Opcode::DrainAck, 10, &[], &mut want);
+
+        // A long frame, then a short one, through the same frame buffer.
+        let (mut wire, mut frame) = (Vec::new(), Vec::new());
+        write_frame(&mut wire, Opcode::ExecuteBatchAck, 9, &mut frame, |out| {
+            ExecuteBatchAck::encode_parts(ack.tokens, ack.hidden, &ack.data, out)
+        })
+        .unwrap();
+        write_frame(&mut wire, Opcode::DrainAck, 10, &mut frame, |_| {}).unwrap();
+        assert_eq!(wire, want);
     }
 
     #[test]

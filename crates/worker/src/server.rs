@@ -24,8 +24,8 @@ use hybrimoe_fault::{FaultPlan, FaultRates, FaultStream};
 
 use crate::client::Endpoint;
 use crate::protocol::{
-    encode_frame, read_frame, write_frame, ErrorCode, ErrorReply, ExecuteBatch, ExecuteBatchAck,
-    HeartbeatAck, Hello, HelloAck, LoadShard, LoadShardAck, Opcode, ProtocolError,
+    encode_frame_with, read_frame, write_frame, ErrorCode, ErrorReply, ExecuteBatch,
+    ExecuteBatchAck, HeartbeatAck, Hello, HelloAck, LoadShard, LoadShardAck, Opcode, ProtocolError,
 };
 use crate::transport::{write_through, BoundListener, FrameFate, FrameInjector, WireStream};
 use crate::wire_backend;
@@ -251,6 +251,7 @@ fn serve_connection(
     // a chaos run still exercises the execute path, not just setup.
     let mut injector =
         (!options.fault_plan.is_off()).then(|| PlanInjector::new(&options.fault_plan, connection));
+    // Every frame this connection sends is encoded here.
     let mut frame = Vec::new();
 
     // Handshake: the first frame must be a Hello with an overlapping
@@ -291,9 +292,14 @@ fn serve_connection(
             );
         }
     };
-    let mut buf = Vec::new();
-    HelloAck { version }.encode(&mut buf);
-    write_frame(&mut stream, Opcode::HelloAck, header.request_id, &buf)?;
+    let hello_ack = |out: &mut Vec<u8>| HelloAck { version }.encode(out);
+    write_frame(
+        &mut stream,
+        Opcode::HelloAck,
+        header.request_id,
+        &mut frame,
+        hello_ack,
+    )?;
 
     let mut loaded: Option<Loaded> = None;
 
@@ -308,9 +314,7 @@ fn serve_connection(
         match header.opcode {
             Opcode::Hello => {
                 // Idempotent: re-acknowledge the already-negotiated version.
-                buf.clear();
-                HelloAck { version }.encode(&mut buf);
-                write_frame(&mut stream, Opcode::HelloAck, id, &buf)?;
+                write_frame(&mut stream, Opcode::HelloAck, id, &mut frame, hello_ack)?;
             }
             Opcode::LoadShard => match LoadShard::decode(&payload) {
                 Ok(spec) => {
@@ -320,12 +324,12 @@ fn serve_connection(
                             shard_of(ExpertId(e), spec.num_workers as usize) == spec.worker as usize
                         })
                         .count() as u32;
-                    buf.clear();
-                    LoadShardAck {
+                    let ack = LoadShardAck {
                         experts_owned: owned,
-                    }
-                    .encode(&mut buf);
-                    write_frame(&mut stream, Opcode::LoadShardAck, id, &buf)?;
+                    };
+                    write_frame(&mut stream, Opcode::LoadShardAck, id, &mut frame, |out| {
+                        ack.encode(out)
+                    })?;
                 }
                 Err(e) => {
                     reply_error(&mut stream, id, ErrorCode::BadPayload, e.to_string())?;
@@ -351,20 +355,29 @@ fn serve_connection(
                 match ExecuteBatch::decode(&payload) {
                     Ok(batch) => match execute_batch(state, &batch) {
                         Ok(()) => {
-                            buf.clear();
-                            ExecuteBatchAck {
-                                tokens: batch.tokens,
-                                hidden: batch.hidden,
-                                data: state.output.clone(),
-                            }
-                            .encode(&mut buf);
+                            // Straight from the output buffer into the
+                            // connection's frame buffer.
+                            let ack = |out: &mut Vec<u8>| {
+                                ExecuteBatchAck::encode_parts(
+                                    batch.tokens,
+                                    batch.hidden,
+                                    &state.output,
+                                    out,
+                                )
+                            };
                             match injector.as_mut() {
                                 None => {
-                                    write_frame(&mut stream, Opcode::ExecuteBatchAck, id, &buf)?;
+                                    write_frame(
+                                        &mut stream,
+                                        Opcode::ExecuteBatchAck,
+                                        id,
+                                        &mut frame,
+                                        ack,
+                                    )?;
                                 }
                                 Some(chaos) => {
                                     frame.clear();
-                                    encode_frame(Opcode::ExecuteBatchAck, id, &buf, &mut frame);
+                                    encode_frame_with(Opcode::ExecuteBatchAck, id, &mut frame, ack);
                                     if !write_through(&mut stream, chaos, &frame)? {
                                         // The injector dropped (or truncated)
                                         // the connection: the client sees a
@@ -384,20 +397,20 @@ fn serve_connection(
                 }
             }
             Opcode::Heartbeat => {
-                buf.clear();
-                HeartbeatAck {
+                let ack = HeartbeatAck {
                     executed: executed.load(Ordering::Relaxed),
                     inflight: 0,
-                }
-                .encode(&mut buf);
-                write_frame(&mut stream, Opcode::HeartbeatAck, id, &buf)?;
+                };
+                write_frame(&mut stream, Opcode::HeartbeatAck, id, &mut frame, |out| {
+                    ack.encode(out)
+                })?;
             }
             Opcode::Drain => {
                 // Pipelined requests are answered strictly FIFO, so every
                 // request sent before the Drain has already been replied
                 // to by the time this frame is read — draining never
                 // abandons in-flight work.
-                write_frame(&mut stream, Opcode::DrainAck, id, &[])?;
+                write_frame(&mut stream, Opcode::DrainAck, id, &mut frame, |_| {})?;
                 if options.drain_stops_server {
                     shutdown.store(true, Ordering::Relaxed);
                 }
@@ -502,7 +515,8 @@ fn reply_error(
     code: ErrorCode,
     message: impl Into<String>,
 ) -> Result<(), ProtocolError> {
-    let mut buf = Vec::new();
-    ErrorReply::new(code, message).encode(&mut buf);
-    write_frame(stream, Opcode::Error, request_id, &buf)
+    let reply = ErrorReply::new(code, message);
+    write_frame(stream, Opcode::Error, request_id, &mut Vec::new(), |out| {
+        reply.encode(out)
+    })
 }

@@ -133,41 +133,47 @@ fn single_gpu_serving_pins_match_the_pre_refactor_engine() {
     assert_eq!(h.output_tokens_per_sec, 23.047995404921156);
 }
 
-/// Absolute pin of the real backend's numerical layer outputs, captured on
-/// the **pre-refactor token-major executor** (the PR-4 tree): the
-/// expert-major batched executor must reproduce every engine-level real
-/// output bit for bit (hashed over the f32 bit patterns of all layer
-/// outputs of a 2-step tiny-model decode, seed 41). The kernel backend is
-/// pinned to the scalar reference: the pin predates SIMD dispatch, and
-/// only the scalar backend is bit-identical to the pre-refactor loops.
+/// Absolute pin of the real backend's numerical layer outputs: a hash over
+/// the f32 bit patterns of all layer outputs of a 2-step tiny-model decode,
+/// seed 41. Captured on the scalar kernel backend when the kernels became
+/// the `Q4_0 × Q8_0` integer dot (the earlier pin, `0x4eb5ef82fc189ade`,
+/// was of the f32 dequantize-and-dot loops that change removed) and
+/// asserted here on every available backend, which all run one arithmetic.
 #[test]
-fn real_backend_outputs_match_the_pre_refactor_pin() {
-    let model = ModelConfig::tiny_test();
-    let trace = TraceGenerator::new(model.clone(), 41)
-        .with_token_states()
-        .decode_trace(2);
-    let config = EngineConfig::preset(Framework::HybriMoe, model, 0.25)
-        .with_backend(BackendKind::RealCpu)
-        .with_real_exec(RealExecOptions {
-            max_threads: 1,
-            kernel_backend: hybrimoe_kernels::KernelBackendKind::Scalar,
-            ..Default::default()
-        })
-        .with_seed(41);
-    let mut engine = Engine::new(config);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for step in &trace.steps {
-        engine.step(step);
-        for out in engine.take_real_outputs() {
-            for w in out.output.iter().map(|v| v.to_bits()) {
-                for b in w.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x1000_0000_01b3);
+fn real_backend_outputs_match_the_q4q8_pin() {
+    for backend in hybrimoe_kernels::backend::available() {
+        let model = ModelConfig::tiny_test();
+        let trace = TraceGenerator::new(model.clone(), 41)
+            .with_token_states()
+            .decode_trace(2);
+        let config = EngineConfig::preset(Framework::HybriMoe, model, 0.25)
+            .with_backend(BackendKind::RealCpu)
+            .with_real_exec(RealExecOptions {
+                max_threads: 1,
+                kernel_backend: backend.kind(),
+                ..Default::default()
+            })
+            .with_seed(41);
+        let mut engine = Engine::new(config);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for step in &trace.steps {
+            engine.step(step);
+            for out in engine.take_real_outputs() {
+                for w in out.output.iter().map(|v| v.to_bits()) {
+                    for b in w.to_le_bytes() {
+                        h ^= b as u64;
+                        h = h.wrapping_mul(0x1000_0000_01b3);
+                    }
                 }
             }
         }
+        assert_eq!(
+            h,
+            0x41f63fc37b413781,
+            "real outputs drifted on {:?}",
+            backend.kind()
+        );
     }
-    assert_eq!(h, 0x4eb5ef82fc189ade, "real outputs drifted");
 }
 
 /// An explicit `num_gpus = 1` is the identity: same metrics as the default

@@ -332,17 +332,18 @@ fn fnv1a(words: impl Iterator<Item = u32>) -> u64 {
     h
 }
 
-/// Absolute output pins captured on the **pre-refactor token-major
-/// executor** (the PR-4 tree, before expert-major batching existed). The
-/// batched executor must reproduce them bit for bit: any drift means the
-/// rewrite changed the numerics, not just the speed. The scalar kernel
-/// backend is pinned — only it is bit-identical to the pre-SIMD loops.
+/// Absolute output pins of one scheduled layer at three batch sizes.
+/// Captured on the scalar kernel backend when the kernels became the
+/// `Q4_0 × Q8_0` integer dot (the earlier pins were of the f32
+/// dequantize-and-dot loops that change removed) and asserted here on
+/// every available backend: any drift means a change moved the numerics,
+/// not just the speed.
 #[test]
-fn expert_major_output_matches_pre_refactor_pin() {
+fn expert_major_output_matches_the_q4q8_pin() {
     let pins: [(usize, u64); 3] = [
-        (1, 0x45e658ef7579f5dd),
-        (3, 0xaed265dd55ed4251),
-        (8, 0xe6ae6ef302f5e7cd),
+        (1, 0x3f1fb7f66a125df3),
+        (3, 0x6938a1512e7bf910),
+        (8, 0x64f4727be15cbfa6),
     ];
     let model = ModelConfig::tiny_test();
     for (tokens, expected) in pins {
@@ -360,23 +361,26 @@ fn expert_major_output_matches_pre_refactor_pin() {
         let cost = UnitCostModel::paper_fig5();
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
         let plan = HybridScheduler::new().schedule(&ctx);
-        let mut exec = RealLayerExecutor::with_options(
-            model.clone(),
-            7,
-            RealExecOptions {
-                max_threads: 2,
-                kernel_backend: hybrimoe_kernels::KernelBackendKind::Scalar,
-                ..Default::default()
-            },
-        );
-        let out = exec
-            .execute_layer(LayerId(0), &plan, &inputs, &routes)
-            .unwrap();
-        assert_eq!(
-            fnv1a(out.output.iter().map(|v| v.to_bits())),
-            expected,
-            "tokens={tokens}: output drifted from the pre-refactor executor"
-        );
+        for backend in hybrimoe_kernels::backend::available() {
+            let mut exec = RealLayerExecutor::with_options(
+                model.clone(),
+                7,
+                RealExecOptions {
+                    max_threads: 2,
+                    kernel_backend: backend.kind(),
+                    ..Default::default()
+                },
+            );
+            let out = exec
+                .execute_layer(LayerId(0), &plan, &inputs, &routes)
+                .unwrap();
+            assert_eq!(
+                fnv1a(out.output.iter().map(|v| v.to_bits())),
+                expected,
+                "tokens={tokens}: output drifted on {:?}",
+                backend.kind()
+            );
+        }
     }
 }
 
