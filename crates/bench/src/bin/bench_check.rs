@@ -1,6 +1,5 @@
 //! CI perf-regression gates: the serving sweep vs the committed
-//! `BENCH_serve.json` snapshot, the predictive-prefetch sweep vs the
-//! committed `BENCH_prefetch.json` snapshot, the real-backend kernel
+//! `BENCH_serve.json` snapshot, the real-backend kernel
 //! sweep vs the committed `BENCH_real.json` snapshot, the
 //! network-serving load vs the committed `BENCH_server.json` snapshot,
 //! and the distributed-worker sweep vs the committed `BENCH_worker.json`
@@ -10,24 +9,17 @@
 //! cargo run -p hybrimoe_bench --release --bin bench_check                 # gate vs committed snapshots
 //! cargo run -p hybrimoe_bench --release --bin bench_check -- --baseline x.json
 //! cargo run -p hybrimoe_bench --release --bin bench_check -- --fresh serve_bench.json
-//! cargo run -p hybrimoe_bench --release --bin bench_check -- --prefetch-fresh prefetch_bench.json
 //! cargo run -p hybrimoe_bench --release --bin bench_check -- --real-fresh real_bench.json
 //! cargo run -p hybrimoe_bench --release --bin bench_check -- --server-fresh server_bench.json
 //! cargo run -p hybrimoe_bench --release --bin bench_check -- --worker-fresh worker_bench.json
 //! cargo run -p hybrimoe_bench --release --bin bench_check -- --chaos-fresh chaos_bench.json
 //! ```
 //!
-//! `--fresh <path>` / `--prefetch-fresh <path>` / `--real-fresh <path>` /
-//! `--server-fresh <path>` / `--worker-fresh <path>` reuse
-//! already-computed sweep JSON (e.g. the artifacts the CI smoke job's
-//! `serve_bench` / `prefetch_bench` / `real_bench` / `load_gen` /
-//! `worker_bench` steps just wrote) instead of re-running the sweeps.
-//!
-//! **Prefetch gate**: fails if any prefetch-sweep configuration's cache
-//! hit ratio *or* decode throughput at cache ratio 0.25 drops more than
-//! [`TOLERANCE`] below the committed snapshot, or if a snapshot point
-//! vanished from the sweep. Refresh deliberately with
-//! `prefetch_bench --json --out BENCH_prefetch.json`.
+//! `--fresh <path>` / `--real-fresh <path>` / `--server-fresh <path>` /
+//! `--worker-fresh <path>` reuse already-computed sweep JSON (e.g. the
+//! artifacts the CI smoke job's `serve_bench` / `real_bench` /
+//! `load_gen` / `worker_bench` steps just wrote) instead of re-running
+//! the sweeps.
 //!
 //! **Serve gate**: fails (exit code 1) if HybriMoE's decode throughput at
 //! cache ratio 0.25 drops more than [`TOLERANCE`] below the snapshot on
@@ -81,10 +73,9 @@
 //! the gate (the sweep silently shrank).
 
 use hybrimoe_bench::{
-    median_f64, prefetch_point_key, prefetch_sweep, real_sweep, run_chaos_bench, run_server_bench,
-    same_rate, serve_sweep, worker_point_key, worker_sweep, ChaosSummary, PrefetchRow, RealRow,
-    ServeLoad, ServeRow, ServerBenchSummary, ServerLoad, WorkerRow, PREFETCH_RATIO, SEED,
-    WORKER_GATE_BATCH,
+    median_f64, real_sweep, run_chaos_bench, run_server_bench, same_rate, serve_sweep,
+    worker_point_key, worker_sweep, ChaosSummary, RealRow, ServeLoad, ServeRow, ServerBenchSummary,
+    ServerLoad, WorkerRow, SEED, WORKER_GATE_BATCH,
 };
 use hybrimoe_model::ModelConfig;
 
@@ -216,116 +207,6 @@ fn main() {
     }
     if failures.is_empty() {
         println!("bench_check: serve gate — {compared} point(s) within tolerance");
-    }
-
-    // ---- Prefetch gate: neither the cache hit ratio nor the throughput
-    // of any prefetch-sweep configuration at the tight memory point may
-    // regress past tolerance. ----
-    let prefetch_baseline_path = flag_value(&args, "--prefetch-baseline")
-        .unwrap_or_else(|| "BENCH_prefetch.json".to_owned());
-    let prefetch_baseline: Vec<PrefetchRow> =
-        read_json(&prefetch_baseline_path, "prefetch baseline");
-    println!(
-        "bench_check: gating prefetch hit ratio and throughput at ratio {PREFETCH_RATIO} \
-         (tolerance -{:.0}%) against {prefetch_baseline_path}",
-        TOLERANCE * 100.0
-    );
-    let prefetch_fresh: Vec<PrefetchRow> = match flag_value(&args, "--prefetch-fresh") {
-        Some(path) => {
-            println!("bench_check: reusing fresh prefetch sweep from {path}");
-            read_json(&path, "fresh prefetch sweep")
-        }
-        None => prefetch_sweep(&ModelConfig::deepseek(), ServeLoad::default(), SEED),
-    };
-
-    let mut prefetch_compared = 0usize;
-    for row in &prefetch_fresh {
-        let Some(base) = prefetch_baseline
-            .iter()
-            .find(|b| prefetch_point_key(b) == prefetch_point_key(row))
-        else {
-            println!(
-                "  new prefetch gate point (not in snapshot): {} look {} pipe {} chunk {} -> \
-                 hit {:.1}%, {:.2} tok/s",
-                row.prefetcher,
-                row.lookahead,
-                row.pipelined,
-                row.chunked_prefill,
-                row.cache_hit_ratio * 100.0,
-                row.output_tokens_per_sec
-            );
-            continue;
-        };
-        prefetch_compared += 1;
-        let hit_delta = if base.cache_hit_ratio > 0.0 {
-            row.cache_hit_ratio / base.cache_hit_ratio - 1.0
-        } else {
-            0.0
-        };
-        let tput_delta = if base.output_tokens_per_sec > 0.0 {
-            row.output_tokens_per_sec / base.output_tokens_per_sec - 1.0
-        } else {
-            0.0
-        };
-        let mut verdict = "ok";
-        if row.cache_hit_ratio < base.cache_hit_ratio * (1.0 - TOLERANCE) {
-            failures.push(format!(
-                "prefetch {} look {} pipe {} chunk {}: hit ratio {:.3} is {:.1}% below \
-                 snapshot {:.3}",
-                row.prefetcher,
-                row.lookahead,
-                row.pipelined,
-                row.chunked_prefill,
-                row.cache_hit_ratio,
-                -hit_delta * 100.0,
-                base.cache_hit_ratio
-            ));
-            verdict = "FAIL";
-        }
-        if row.output_tokens_per_sec < base.output_tokens_per_sec * (1.0 - TOLERANCE) {
-            failures.push(format!(
-                "prefetch {} look {} pipe {} chunk {}: {:.2} tok/s is {:.1}% below snapshot \
-                 {:.2}",
-                row.prefetcher,
-                row.lookahead,
-                row.pipelined,
-                row.chunked_prefill,
-                row.output_tokens_per_sec,
-                -tput_delta * 100.0,
-                base.output_tokens_per_sec
-            ));
-            verdict = "FAIL";
-        }
-        println!(
-            "  {:<16} look {} pipe {:<5} chunk {:>3}: hit {:>5.1}% ({:+.1}%), {:>8.2} tok/s \
-             ({:+.1}%) {verdict}",
-            row.prefetcher,
-            row.lookahead,
-            row.pipelined,
-            row.chunked_prefill,
-            row.cache_hit_ratio * 100.0,
-            hit_delta * 100.0,
-            row.output_tokens_per_sec,
-            tput_delta * 100.0
-        );
-    }
-    for base in &prefetch_baseline {
-        if !prefetch_fresh
-            .iter()
-            .any(|r| prefetch_point_key(r) == prefetch_point_key(base))
-        {
-            failures.push(format!(
-                "prefetch gate point {} look {} pipe {} chunk {} vanished from the sweep",
-                base.prefetcher, base.lookahead, base.pipelined, base.chunked_prefill
-            ));
-        }
-    }
-    if prefetch_compared == 0 && failures.is_empty() {
-        eprintln!("bench_check: prefetch snapshot has no gate points; refresh BENCH_prefetch.json");
-        std::process::exit(2);
-    }
-    if failures.is_empty() {
-        println!("bench_check: prefetch gate — {prefetch_compared} point(s) within tolerance");
     }
 
     // ---- Real-backend gate: expert-major speedup over the token-major
@@ -717,9 +598,9 @@ fn main() {
 
     if failures.is_empty() {
         println!(
-            "bench_check: all gates passed ({compared} serve + {prefetch_compared} prefetch + \
-             {real_compared} real + {server_compared} server + {worker_compared} worker + \
-             {chaos_compared} chaos point(s))"
+            "bench_check: all gates passed ({compared} serve + {real_compared} real + \
+             {server_compared} server + {worker_compared} worker + {chaos_compared} chaos \
+             point(s))"
         );
     } else {
         eprintln!("bench_check: FAILED");

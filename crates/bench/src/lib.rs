@@ -31,9 +31,7 @@ use std::time::Instant;
 use hybrimoe::realexec::{RealExecOptions, RealLayerExecutor};
 use hybrimoe::remote::{RemoteLayerExecutor, RemoteWorkerOptions};
 use hybrimoe::serve::{ArrivalProcess, ServeConfig, ServeReport, ServeSim, ServeSummary};
-use hybrimoe::{
-    Engine, EngineConfig, Framework, PrefetcherKind, StageMetrics, DEFAULT_PREFETCH_LOOKAHEAD,
-};
+use hybrimoe::{Engine, EngineConfig, Framework, StageMetrics};
 use hybrimoe_hw::UnitCostModel;
 use hybrimoe_kernels::KernelBackendKind;
 use hybrimoe_model::{ExpertShape, LayerId, LayerRouting, ModelConfig, RouterOutput};
@@ -226,184 +224,6 @@ pub fn serve_sweep(model: &ModelConfig, load: ServeLoad, seed: u64) -> Vec<Serve
         }
     }
     rows
-}
-
-/// Arrival rate of the prefetch sweep, requests per second.
-pub const PREFETCH_RATE: f64 = 5.0;
-
-/// Cache ratio of the prefetch sweep — the paper's tight memory point,
-/// which is also what the `bench_check` prefetch gate watches.
-pub const PREFETCH_RATIO: f64 = 0.25;
-
-/// Lookahead depths swept for the predictive prefetcher (the default
-/// depth is covered by the ablation rows).
-pub const PREFETCH_LOOKAHEADS: [usize; 3] = [1, 2, 4];
-
-/// Chunked-prefill sizes swept on the full pipeline (0 = chunking off).
-pub const PREFETCH_CHUNK_SIZES: [u32; 3] = [0, 32, 64];
-
-/// Prompt length of the chunked-prefill rows: long enough that every
-/// swept chunk size actually splits the prefill.
-pub const PREFETCH_CHUNK_PROMPT: u32 = 128;
-
-/// One row of the predictive-prefetch sweep: a prefetcher/lookahead/chunk
-/// configuration of the HybriMoE preset plus what it measured. Written to
-/// `BENCH_prefetch.json` and gated by `bench_check`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PrefetchRow {
-    /// Prefetcher label ([`PrefetcherKind::name`]).
-    pub prefetcher: String,
-    /// Prefetch lookahead depth, in layers.
-    pub lookahead: usize,
-    /// Whether step-boundary pipelined prefetch was on.
-    pub pipelined: bool,
-    /// Chunked-prefill size in tokens (0 = chunking off).
-    pub chunked_prefill: u32,
-    /// Prompt tokens per request in this row's load.
-    pub prompt_tokens: u32,
-    /// Expert-cache ratio.
-    pub cache_ratio: f64,
-    /// Offered arrival rate, requests per second.
-    pub arrival_rate_per_sec: f64,
-    /// Expert-cache hit ratio over the whole run (post-warmup).
-    pub cache_hit_ratio: f64,
-    /// Aggregate decode throughput.
-    pub output_tokens_per_sec: f64,
-    /// Wall time of the whole run on the modeled clock, ms.
-    pub makespan_ms: f64,
-    /// 99th-percentile time per output token, ms — the decode-latency
-    /// signal the chunked-prefill rows must keep flat.
-    pub tpot_p99_ms: f64,
-    /// Background transfers issued by the prefetcher.
-    pub prefetch_issued: u64,
-    /// Prefetched experts that entered the cache.
-    pub prefetch_landed: u64,
-    /// Prefetched experts that arrived useless.
-    pub prefetch_wasted: u64,
-    /// Rolling top-k accuracy of the learned predictor (`None` for the
-    /// unlearned prefetchers).
-    pub predictor_accuracy: Option<f64>,
-}
-
-/// Runs one prefetch-sweep point: a HybriMoE-preset serve experiment with
-/// the given prefetcher configuration, returning the measured row.
-fn prefetch_point(
-    model: &ModelConfig,
-    load: ServeLoad,
-    seed: u64,
-    kind: PrefetcherKind,
-    lookahead: usize,
-    pipelined: bool,
-    chunk: u32,
-) -> PrefetchRow {
-    let mut engine = EngineConfig::preset(Framework::HybriMoe, model.clone(), PREFETCH_RATIO)
-        .with_seed(seed)
-        .with_prefetcher(kind)
-        .with_prefetch_lookahead(lookahead)
-        .with_pipelined_prefetch(pipelined);
-    if chunk > 0 {
-        engine = engine.with_chunked_prefill(chunk);
-    }
-    let (report, stats) = ServeSim::new(ServeConfig {
-        engine,
-        arrivals: ArrivalProcess::per_second(PREFETCH_RATE, load.poisson),
-        requests: load.requests,
-        prompt_tokens: load.prompt_tokens,
-        decode_tokens: load.decode_tokens,
-        max_batch: load.max_batch,
-        seed,
-    })
-    .run_instrumented();
-    let summary = report.summary();
-    PrefetchRow {
-        prefetcher: kind.name().to_owned(),
-        lookahead,
-        pipelined,
-        chunked_prefill: chunk,
-        prompt_tokens: load.prompt_tokens,
-        cache_ratio: PREFETCH_RATIO,
-        arrival_rate_per_sec: PREFETCH_RATE,
-        cache_hit_ratio: stats.cache_hit_ratio,
-        output_tokens_per_sec: summary.output_tokens_per_sec,
-        makespan_ms: summary.makespan_ms,
-        tpot_p99_ms: summary.tpot_p99_ms,
-        prefetch_issued: stats.prefetch.issued,
-        prefetch_landed: stats.prefetch.landed,
-        prefetch_wasted: stats.prefetch.wasted,
-        predictor_accuracy: stats.predictor_accuracy,
-    }
-}
-
-/// Runs the predictive-prefetch sweep that `prefetch_bench` reports and
-/// `bench_check` gates: a prefetcher ablation (none / next-layer-topk /
-/// impact-driven / predictive / predictive+pipelined) at the default
-/// lookahead, a lookahead-depth axis on the in-step predictive path, and
-/// a chunked-prefill axis on a prompt long enough to split.
-/// Deterministic: same model, load and seed give bit-identical rows.
-pub fn prefetch_sweep(model: &ModelConfig, load: ServeLoad, seed: u64) -> Vec<PrefetchRow> {
-    let mut rows = Vec::new();
-    // Prefetcher ablation at the default lookahead, unpipelined.
-    for kind in [
-        PrefetcherKind::None,
-        PrefetcherKind::NextLayerTopK,
-        PrefetcherKind::ImpactDriven,
-        PrefetcherKind::Predictive,
-    ] {
-        rows.push(prefetch_point(
-            model,
-            load,
-            seed,
-            kind,
-            DEFAULT_PREFETCH_LOOKAHEAD,
-            false,
-            0,
-        ));
-    }
-    // The full pipeline: predictive prediction + boundary-issued overlap.
-    let full = PrefetcherKind::Predictive;
-    rows.push(prefetch_point(
-        model,
-        load,
-        seed,
-        full,
-        DEFAULT_PREFETCH_LOOKAHEAD,
-        true,
-        0,
-    ));
-    // Lookahead depth on the in-step predictive path (unpipelined, where
-    // depth governs how far the learned lookahead extends; the pipelined
-    // boundary path lands on free slots only, so at a warm full cache its
-    // plans don't vary with depth).
-    for depth in PREFETCH_LOOKAHEADS {
-        rows.push(prefetch_point(model, load, seed, full, depth, false, 0));
-    }
-    // Chunked prefill on the full pipeline, long prompt.
-    let mut chunk_load = load;
-    chunk_load.prompt_tokens = PREFETCH_CHUNK_PROMPT;
-    for chunk in PREFETCH_CHUNK_SIZES {
-        rows.push(prefetch_point(
-            model,
-            chunk_load,
-            seed,
-            full,
-            DEFAULT_PREFETCH_LOOKAHEAD,
-            true,
-            chunk,
-        ));
-    }
-    rows
-}
-
-/// The identity of a prefetch-sweep row within the sweep (what the gate
-/// keys points by).
-pub fn prefetch_point_key(r: &PrefetchRow) -> (String, usize, bool, u32, u32) {
-    (
-        r.prefetcher.clone(),
-        r.lookahead,
-        r.pipelined,
-        r.chunked_prefill,
-        r.prompt_tokens,
-    )
 }
 
 /// Batch sizes of the real-backend kernel sweep (`real_bench`).

@@ -6,8 +6,8 @@ use hybrimoe_hw::Platform;
 use hybrimoe_model::ModelConfig;
 use hybrimoe_sched::baselines::{FixedMappingScheduler, GpuOnlyScheduler, StaticSplitScheduler};
 use hybrimoe_sched::{
-    HybridScheduler, ImpactDrivenPrefetcher, NextLayerTopKPrefetcher, NoPrefetcher,
-    PredictivePrefetcher, Prefetcher, Scheduler,
+    HybridScheduler, ImpactDrivenPrefetcher, NextLayerTopKPrefetcher, NoPrefetcher, Prefetcher,
+    Scheduler,
 };
 use serde::{Deserialize, Serialize};
 
@@ -93,12 +93,6 @@ pub enum PrefetcherKind {
     NextLayerTopK,
     /// HybriMoE's impact-driven simulation-based prefetch (§IV-C).
     ImpactDriven,
-    /// Impact-driven ranking fed by the learned cross-layer
-    /// [`TransitionPredictor`](hybrimoe_sched::TransitionPredictor) instead
-    /// of the oracle-decay lookahead: predicted layers come from EWMA
-    /// expert-transition matrices and the distance discount is the
-    /// predictor's self-measured confidence.
-    Predictive,
 }
 
 impl PrefetcherKind {
@@ -108,7 +102,6 @@ impl PrefetcherKind {
             PrefetcherKind::None => "none",
             PrefetcherKind::NextLayerTopK => "next-layer-topk",
             PrefetcherKind::ImpactDriven => "impact-driven",
-            PrefetcherKind::Predictive => "predictive",
         }
     }
 
@@ -118,7 +111,6 @@ impl PrefetcherKind {
             PrefetcherKind::None => Box::new(NoPrefetcher::new()),
             PrefetcherKind::NextLayerTopK => Box::new(NextLayerTopKPrefetcher::new()),
             PrefetcherKind::ImpactDriven => Box::new(ImpactDrivenPrefetcher::new()),
-            PrefetcherKind::Predictive => Box::new(PredictivePrefetcher::new()),
         }
     }
 }
@@ -275,16 +267,6 @@ pub struct EngineConfig {
     /// (only [`BackendKind::RemoteWorkers`] reads them; with no
     /// endpoints the backend degrades to fully-local execution).
     pub remote_workers: RemoteWorkerOptions,
-    /// How many layers ahead the learned predictor projects when
-    /// [`PrefetcherKind::Predictive`] is active (other prefetchers take
-    /// their lookahead from the trace record). Depth 1 is next-layer only.
-    pub prefetch_lookahead: usize,
-    /// Whether prefetch planning for step N+1 overlaps execution of step N:
-    /// background transfers land into a staging list and are committed to
-    /// the cache at the next step boundary instead of mid-step, and the
-    /// PCIe budget is tracked per GPU lane. Off by default (the paper's
-    /// synchronous per-layer prefetch).
-    pub pipelined_prefetch: bool,
     /// When set, prefill passes of at least this many tokens are split into
     /// decode-interleaved chunks of this size so a long prompt no longer
     /// blocks in-flight decode streams (ktransformers-style chunked
@@ -292,12 +274,6 @@ pub struct EngineConfig {
     /// chunk still schedules as a prefill batch. `None` keeps monolithic
     /// prefill.
     pub chunked_prefill_size: Option<u32>,
-    /// Per-token cap on background cache-promotion work during a prefill
-    /// step (prefetch queue slots plus refill-on-miss inserts are budgeted
-    /// at `cap × tokens` per step). Bounds the PCIe pressure a huge prompt
-    /// can add on top of concurrent decodes; `u32::MAX` leaves the legacy
-    /// unbounded behavior.
-    pub max_deferred_experts_per_token: u32,
     /// Deterministic fault-injection plan. The engine reads the
     /// `spike_ppm`/`spike_ms` and `panic_ppm` knobs (per-step latency
     /// spikes and injected step panics, drawn from the seeded
@@ -309,9 +285,6 @@ pub struct EngineConfig {
 
 /// Default bound on queued background transfers.
 pub const DEFAULT_MAX_INFLIGHT: usize = 4;
-
-/// Default learned-predictor lookahead depth (layers ahead).
-pub const DEFAULT_PREFETCH_LOOKAHEAD: usize = 3;
 
 impl EngineConfig {
     /// The configuration of one of the paper's frameworks.
@@ -337,10 +310,7 @@ impl EngineConfig {
             backend: BackendKind::Sim,
             real_exec: RealExecOptions::default(),
             remote_workers: RemoteWorkerOptions::default(),
-            prefetch_lookahead: DEFAULT_PREFETCH_LOOKAHEAD,
-            pipelined_prefetch: false,
             chunked_prefill_size: None,
-            max_deferred_experts_per_token: u32::MAX,
             fault_plan: FaultPlan::off(),
         };
         match framework {
@@ -461,25 +431,6 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the learned-predictor lookahead depth (layers ahead; only
-    /// [`PrefetcherKind::Predictive`] reads it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_prefetch_lookahead(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "prefetch lookahead must be at least one layer");
-        self.prefetch_lookahead = depth;
-        self
-    }
-
-    /// Enables or disables pipelined prefetch (step-boundary commits and
-    /// per-lane PCIe budgets).
-    pub fn with_pipelined_prefetch(mut self, pipelined: bool) -> Self {
-        self.pipelined_prefetch = pipelined;
-        self
-    }
-
     /// Enables chunked prefill with the given chunk size.
     ///
     /// # Panics
@@ -495,13 +446,6 @@ impl EngineConfig {
             hybrimoe_sched::baselines::PREFILL_BATCH_THRESHOLD
         );
         self.chunked_prefill_size = Some(size);
-        self
-    }
-
-    /// Caps background cache-promotion work per prefill token (see
-    /// [`EngineConfig::max_deferred_experts_per_token`]).
-    pub fn with_max_deferred_experts(mut self, cap: u32) -> Self {
-        self.max_deferred_experts_per_token = cap;
         self
     }
 
@@ -571,7 +515,6 @@ mod tests {
             PrefetcherKind::None,
             PrefetcherKind::NextLayerTopK,
             PrefetcherKind::ImpactDriven,
-            PrefetcherKind::Predictive,
         ] {
             assert!(!p.build().name().is_empty());
         }
@@ -634,22 +577,11 @@ mod tests {
     fn prefetch_pipeline_knobs_default_off() {
         for f in Framework::ALL {
             let c = EngineConfig::preset(f, ModelConfig::tiny_test(), 0.5);
-            assert_eq!(c.prefetch_lookahead, DEFAULT_PREFETCH_LOOKAHEAD);
-            assert!(!c.pipelined_prefetch);
             assert_eq!(c.chunked_prefill_size, None);
-            assert_eq!(c.max_deferred_experts_per_token, u32::MAX);
         }
         let c = EngineConfig::preset(Framework::HybriMoe, ModelConfig::tiny_test(), 0.5)
-            .with_prefetcher(PrefetcherKind::Predictive)
-            .with_prefetch_lookahead(2)
-            .with_pipelined_prefetch(true)
-            .with_chunked_prefill(64)
-            .with_max_deferred_experts(8);
-        assert_eq!(c.prefetcher, PrefetcherKind::Predictive);
-        assert_eq!(c.prefetch_lookahead, 2);
-        assert!(c.pipelined_prefetch);
+            .with_chunked_prefill(64);
         assert_eq!(c.chunked_prefill_size, Some(64));
-        assert_eq!(c.max_deferred_experts_per_token, 8);
     }
 
     #[test]

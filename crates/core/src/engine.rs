@@ -5,18 +5,20 @@ use std::collections::VecDeque;
 use hybrimoe_cache::{CacheStats, InsertOutcome, ShardedExpertCache};
 use hybrimoe_fault::{FaultRates, FaultStream};
 use hybrimoe_hw::{
-    device_count, AffineCostModel, CalibrationProfile, CostModel, Device, SimDuration,
+    device_count, AffineCostModel, CalibrationProfile, CostModel, Device, ExpertProfile,
+    SimDuration,
 };
-use hybrimoe_model::{shard_of, ExpertId, ExpertKey, LayerId, LayerRouting};
+use hybrimoe_model::{shard_of, ExpertId, ExpertKey, LayerId};
+use hybrimoe_sched::baselines::PREFILL_BATCH_THRESHOLD;
 use hybrimoe_sched::{
-    ExpertPredictor, ExpertTask, PredictedLayer, PrefetchContext, PrefetchScratch, Prefetcher,
-    ScheduleContext, ScheduleScratch, Scheduler, TransitionPredictor,
+    ExpertTask, PredictedLayer, PrefetchContext, PrefetchScratch, Prefetcher, ScheduleContext,
+    ScheduleScratch, Scheduler,
 };
-use hybrimoe_trace::{ActivationTrace, TraceGenerator, TraceStep};
+use hybrimoe_trace::{ActivationTrace, LayerRecord, TraceGenerator, TraceStep};
 
 use crate::backend::{ExecutionBackend, LayerOutcome, LayerRequest};
 use crate::realexec::RealLayerOutput;
-use crate::{EngineConfig, PlacementKind, PrefetcherKind, StageMetrics, StepMetrics};
+use crate::{EngineConfig, PlacementKind, StageMetrics, StepMetrics};
 
 /// Runs MoE inference over activation traces on the modeled hybrid
 /// platform, with pluggable scheduler, prefetcher and cache policy.
@@ -77,28 +79,9 @@ pub struct Engine {
     backend: Box<dyn ExecutionBackend>,
     /// Number of fully GPU-resident layers (whole-layer placement).
     resident_layers: u16,
-    /// Background PCIe transfers in flight (prefetches and refills), each
-    /// with its remaining wire time. Background transfers pipeline across
-    /// layer boundaries: a Mixtral-sized expert takes longer than one
-    /// decode layer, so restricting transfers to a single layer's idle
-    /// window would starve prefetching entirely.
-    inflight: VecDeque<Transfer>,
-    /// Learned cross-layer expert predictor, present when the configured
-    /// prefetcher is [`PrefetcherKind::Predictive`]. It observes every
-    /// routing the engine executes and supplies the prefetch lookahead
-    /// (with measured per-distance confidence) in place of the trace's
-    /// oracle-decay predictions.
-    predictor: Option<TransitionPredictor>,
-    /// Transfers that finished during the current step, staged until the
-    /// next step boundary (pipelined prefetch only): committing at the
-    /// boundary keeps mid-step cache state identical for every layer of a
-    /// forward pass and makes landings observable exactly once per step.
-    pending_commit: Vec<(ExpertKey, bool)>,
-    /// The last routing the engine executed, kept so pipelined mode can
-    /// issue prefetch for the *next* forward pass at step boundaries.
-    last_routing: Option<LayerRouting>,
-    /// Cumulative prefetch accounting (issued / landed / wasted).
-    counters: PrefetchCounters,
+    /// Background PCIe transfers in flight (prefetches and refills) and
+    /// their cumulative accounting.
+    background: BackgroundQueue,
     /// Reused per-layer buffers (no steady-state allocation in a step).
     scratch: StepScratch,
     /// The currently open stage, if any.
@@ -128,16 +111,130 @@ struct Transfer {
     prefetch: bool,
 }
 
+/// The one background-transfer path: a bounded FIFO of prefetches and
+/// refills, each with its remaining wire time, plus the prefetch
+/// accounting its enqueues and landings drive. Transfers pipeline across
+/// layer boundaries: a Mixtral-sized expert takes longer than one decode
+/// layer, so restricting transfers to a single layer's idle window would
+/// starve prefetching entirely.
+#[derive(Debug)]
+struct BackgroundQueue {
+    inflight: VecDeque<Transfer>,
+    /// [`EngineConfig::max_inflight`]: bounding the queue keeps prefetches
+    /// from going stale.
+    max_inflight: usize,
+    counters: PrefetchCounters,
+}
+
+impl BackgroundQueue {
+    fn new(max_inflight: usize) -> BackgroundQueue {
+        BackgroundQueue {
+            inflight: VecDeque::new(),
+            max_inflight,
+            counters: PrefetchCounters::default(),
+        }
+    }
+
+    /// How many more transfers the queue takes.
+    fn free_slots(&self) -> usize {
+        self.max_inflight.saturating_sub(self.inflight.len())
+    }
+
+    /// Drops every queued transfer; discarded prefetches spent wire time
+    /// without landing.
+    fn discard(&mut self) {
+        self.counters.wasted += self.inflight.iter().filter(|t| t.prefetch).count() as u64;
+        self.inflight.clear();
+    }
+
+    /// Queues a transfer unless the expert is already resident or queued,
+    /// or the queue is full.
+    fn enqueue(
+        &mut self,
+        cache: &ShardedExpertCache,
+        key: ExpertKey,
+        transfer_time: SimDuration,
+        prefetch: bool,
+    ) {
+        if self.free_slots() == 0
+            || cache.contains(key)
+            || self.inflight.iter().any(|t| t.key == key)
+        {
+            return;
+        }
+        self.inflight.push_back(Transfer {
+            key,
+            remaining: transfer_time,
+            prefetch,
+        });
+        if prefetch {
+            self.counters.issued += 1;
+        }
+    }
+
+    /// Spends the idle PCIe time left in `budget` on the queue, front
+    /// first; completed transfers become resident (evicting per policy
+    /// only when `evict_ok`, and never an expert in `protect`). Each
+    /// transfer occupies the PCIe lane of its target expert's affinity
+    /// shard. Returns how many transfers ended resident.
+    fn drain(
+        &mut self,
+        cache: &mut ShardedExpertCache,
+        budget: &mut SimDuration,
+        evict_ok: bool,
+        protect: &[ExpertKey],
+        busy: &mut [SimDuration],
+    ) -> u32 {
+        let num_gpus = cache.num_shards();
+        let mut resident = 0;
+        while *budget > SimDuration::ZERO {
+            let Some(t) = self.inflight.front_mut() else {
+                break;
+            };
+            let lane = Device::pcie(shard_of(t.key.expert, num_gpus) as u8).ordinal(num_gpus);
+            let spent = t.remaining.min(*budget);
+            t.remaining -= spent;
+            *budget -= spent;
+            busy[lane] += spent;
+            if t.remaining > SimDuration::ZERO {
+                break;
+            }
+            let Transfer { key, prefetch, .. } = *t;
+            self.inflight.pop_front();
+            let outcome = if evict_ok {
+                cache.insert_protected(key, protect)
+            } else {
+                cache.insert_if_free(key)
+            };
+            if outcome.is_resident() {
+                resident += 1;
+            }
+            if prefetch {
+                if matches!(
+                    outcome,
+                    InsertOutcome::Inserted | InsertOutcome::InsertedEvicting(_)
+                ) {
+                    self.counters.landed += 1;
+                } else {
+                    self.counters.wasted += 1;
+                }
+            }
+        }
+        resident
+    }
+}
+
 /// The buffers one engine step works in, kept across layers and steps so a
-/// steady-state step allocates nothing but the metrics it returns.
+/// steady-state step allocates nothing but the metrics it returns. The
+/// stages of a layer hand their results to each other through it: `lookup`
+/// fills `sched.tasks`/`sched.protect`, `schedule_and_execute` fills
+/// `sched.plan` and `outcome`, and the later stages read those.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// The layer's tasks, protected keys, scheduler queues and plan.
     sched: ScheduleScratch,
     /// The backend's report on the layer just executed.
     outcome: LayerOutcome,
-    /// Idle PCIe time left on each lane (pipelined prefetch).
-    lane_budgets: Vec<SimDuration>,
     /// The layer's mean router scores, ranking its missed experts.
     mean_scores: Vec<f32>,
     /// The layer's missed experts that no demand transfer covered, ranked
@@ -145,24 +242,34 @@ struct StepScratch {
     missed: Vec<ExpertId>,
     /// The prefetcher's inputs and working buffers.
     lookahead: Lookahead,
-    shard_free: Vec<usize>,
     prefetch: PrefetchScratch,
 }
 
-/// A reusable prefetch lookahead: predicted layers (with the buffers of
-/// the entries beyond `len` kept for the next fill) and, for learned
-/// predictions, their per-distance confidence.
+/// A reusable prefetch lookahead: predicted layers, with the buffers of
+/// the entries beyond `len` kept for the next fill.
 #[derive(Debug, Default)]
 struct Lookahead {
     layers: Vec<PredictedLayer>,
     len: usize,
-    confidence: Vec<f64>,
 }
 
 impl Lookahead {
-    fn clear(&mut self) {
+    /// Refills the lookahead from a record's predicted routings, with
+    /// current cache residency.
+    fn fill(&mut self, cache: &ShardedExpertCache, rec: &LayerRecord) {
         self.len = 0;
-        self.confidence.clear();
+        for routing in &rec.predicted {
+            let layer = routing.layer();
+            let entry = self.push(layer);
+            entry
+                .tasks
+                .extend(routing.activated_iter().map(|(expert, load)| ExpertTask {
+                    expert,
+                    load,
+                    cached: cache.contains(ExpertKey::new(layer, expert)),
+                }));
+            routing.mean_scores_into(&mut entry.scores);
+        }
     }
 
     /// Appends an empty prediction for `layer`, reusing a spare entry's
@@ -186,6 +293,37 @@ impl Lookahead {
     fn layers(&self) -> &[PredictedLayer] {
         &self.layers[..self.len]
     }
+}
+
+/// What is constant over one step: the batch's size and regime and the
+/// model's cost profiles (all `Copy` — nothing clones the model config on
+/// the hot path).
+#[derive(Debug, Clone, Copy)]
+struct StepConsts {
+    tokens: u32,
+    /// Whether the batch schedules in the prefill regime.
+    prefill_batch: bool,
+    /// Whether this step's cache inserts may evict. During a prefill batch
+    /// each layer is visited exactly once, so evicting a placed expert of
+    /// a *later* layer to cache a transfer is strictly harmful within the
+    /// pass; inserts go to free slots only ("subject to free cache space",
+    /// §IV-C). At decode, temporal reuse justifies eviction-based
+    /// insertion.
+    evict_ok: bool,
+    routed_profile: ExpertProfile,
+    shared_profile: Option<ExpertProfile>,
+    attn_profile: ExpertProfile,
+    /// PCIe time of one routed expert's weights.
+    transfer_time: SimDuration,
+    num_gpus: usize,
+}
+
+/// One layer of one step, as its stages see it.
+#[derive(Debug, Clone, Copy)]
+struct LayerCtx<'a> {
+    step: &'a StepConsts,
+    layer: LayerId,
+    rec: &'a LayerRecord,
 }
 
 /// Cumulative background-prefetch accounting since the engine was built
@@ -232,13 +370,6 @@ impl Engine {
             config.cache_policy.build(config.mrs_alpha)
         });
 
-        let predictor = (config.prefetcher == PrefetcherKind::Predictive).then(|| {
-            TransitionPredictor::new(
-                config.model.layers as usize,
-                config.model.routed_experts as usize,
-            )
-        });
-
         let faults = (config.fault_plan.rates.spike_ppm > 0
             || config.fault_plan.rates.panic_ppm > 0)
             .then(|| EngineFaults {
@@ -252,16 +383,12 @@ impl Engine {
             backend: config.backend.build(&config),
             cost,
             cache,
-            config,
             resident_layers: 0,
-            inflight: VecDeque::new(),
-            predictor,
-            pending_commit: Vec::new(),
-            last_routing: None,
-            counters: PrefetchCounters::default(),
+            background: BackgroundQueue::new(config.max_inflight),
             scratch: StepScratch::default(),
             stage: None,
             faults,
+            config,
         }
     }
 
@@ -280,26 +407,8 @@ impl Engine {
     pub fn warmup(&mut self) {
         assert!(self.stage.is_none(), "cannot warm up while a stage is open");
         // Background transfers queued by a previous workload would leak
-        // into the next measurement; warmup starts clean. Discarded
-        // prefetches spent wire time without landing.
-        self.counters.wasted += self.inflight.iter().filter(|t| t.prefetch).count() as u64
-            + self.pending_commit.iter().filter(|(_, p)| *p).count() as u64;
-        self.inflight.clear();
-        self.pending_commit.clear();
-        self.last_routing = None;
-        // Prime the learned predictor on the same warmup trace that drives
-        // the frequency placement, so serving starts with a usable
-        // transition matrix instead of a cold decline-to-predict phase.
-        if let Some(pred) = self.predictor.as_mut() {
-            let warm =
-                TraceGenerator::new(self.config.model.clone(), self.config.seed ^ 0x57A2_77A2)
-                    .decode_trace(24);
-            for step in &warm.steps {
-                for rec in &step.layers {
-                    pred.observe(&rec.routing);
-                }
-            }
-        }
+        // into the next measurement; warmup starts clean.
+        self.background.discard();
         match self.config.placement {
             PlacementKind::WholeLayers => {
                 let capacity = self.cache.capacity();
@@ -359,26 +468,7 @@ impl Engine {
     /// Cumulative prefetch accounting (issued / landed / wasted) since the
     /// engine was built.
     pub fn prefetch_counters(&self) -> PrefetchCounters {
-        self.counters
-    }
-
-    /// The learned predictor's running top-k accuracy, if one is
-    /// configured ([`PrefetcherKind::Predictive`]); `0.0` before the first
-    /// scored transition.
-    pub fn predictor_accuracy(&self) -> Option<f64> {
-        self.predictor.as_ref().map(ExpertPredictor::accuracy)
-    }
-
-    /// Prefetched transfers that finished during the current step and are
-    /// staged for the next step boundary (pipelined mode only — empty
-    /// otherwise). Staged landings become cache-resident, or are counted
-    /// wasted, exactly when the next step begins.
-    pub fn pending_prefetch_commits(&self) -> Vec<ExpertKey> {
-        self.pending_commit
-            .iter()
-            .filter(|(_, prefetch)| *prefetch)
-            .map(|(key, _)| *key)
-            .collect()
+        self.background.counters
     }
 
     /// Cache hit ratio per GPU shard since the last statistics reset
@@ -401,99 +491,6 @@ impl Engine {
             base: self.cache.stats(),
             steps: Vec::new(),
         });
-        // Pipelined mode issues prefetch for the coming forward pass at the
-        // stage boundary, so the transfers overlap the pass's first layers
-        // instead of waiting for its own planning points.
-        if self.config.pipelined_prefetch {
-            self.issue_boundary_prefetch();
-        }
-    }
-
-    /// Issues prefetch transfers for the *next* forward pass from the last
-    /// observed routing (pipelined mode). The learned predictor projects
-    /// past the model end, so distances 1.. map to the next pass's layers
-    /// 0, 1, …; without a (warm) predictor this is a no-op.
-    fn issue_boundary_prefetch(&mut self) {
-        let Some(routing) = self.last_routing.take() else {
-            return;
-        };
-        let max_inflight = self.config.max_inflight;
-        let queue_slots = max_inflight.saturating_sub(self.inflight.len());
-        let StepScratch {
-            lookahead,
-            shard_free,
-            prefetch,
-            ..
-        } = &mut self.scratch;
-        if queue_slots > 0
-            && predicted_lookahead(
-                self.predictor.as_ref(),
-                &self.cache,
-                self.config.model.layers as usize,
-                self.config.prefetch_lookahead,
-                &routing,
-                lookahead,
-            )
-        {
-            let routed_profile = self.config.model.routed_profile();
-            let transfer_time = self.cost.transfer(&routed_profile);
-            shard_free_slots(&self.cache, shard_free);
-            let pctx = PrefetchContext {
-                current_layer: routing.layer(),
-                lookahead: lookahead.layers(),
-                free_slots: queue_slots,
-                budget: transfer_time * queue_slots as u64,
-                tokens: routing.tokens().max(1),
-                routed_profile,
-                shared_profile: self.config.model.shared_profile(),
-                cost: &self.cost,
-                num_gpus: self.config.num_gpus.max(1),
-                confidence: Some(&lookahead.confidence),
-                shard_free: Some(shard_free),
-            };
-            for key in self.prefetcher.plan_with(&pctx, prefetch) {
-                if enqueue_background(
-                    &mut self.inflight,
-                    &self.cache,
-                    &self.pending_commit,
-                    max_inflight,
-                    *key,
-                    transfer_time,
-                    true,
-                ) {
-                    self.counters.issued += 1;
-                }
-            }
-        }
-        self.last_routing = Some(routing);
-    }
-
-    /// Commits transfers that finished during the previous step into the
-    /// cache at the step boundary (pipelined mode). Commits never evict —
-    /// staged landings take free slots only, preserving the
-    /// prefetch-never-evicts invariant even though the protected set of
-    /// the step they finished in is long gone. Returns how many entered
-    /// the cache.
-    fn commit_landed(&mut self) -> u32 {
-        let mut landed = 0u32;
-        for (key, prefetch) in std::mem::take(&mut self.pending_commit) {
-            let outcome = self.cache.insert_if_free(key);
-            let entered = matches!(
-                outcome,
-                InsertOutcome::Inserted | InsertOutcome::InsertedEvicting(_)
-            );
-            if entered {
-                landed += 1;
-            }
-            if prefetch {
-                if entered {
-                    self.counters.landed += 1;
-                } else {
-                    self.counters.wasted += 1;
-                }
-            }
-        }
-        landed
     }
 
     /// Closes the open stage and returns its aggregated metrics (per-step
@@ -517,8 +514,9 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if the trace was generated for a different model (layer or
-    /// expert counts disagree) or a stage is already open.
+    /// Panics if the trace was generated for a different model (the layer
+    /// count is always checked, the expert count in debug builds) or a
+    /// stage is already open.
     pub fn run(&mut self, trace: &ActivationTrace) -> StageMetrics {
         self.begin_stage();
         for step in &trace.steps {
@@ -531,6 +529,12 @@ impl Engine {
     /// returns its metrics. If a stage is open, the step is also
     /// accumulated into it.
     ///
+    /// Every layer goes through the same stages, in this order: the cache
+    /// policy observes the routing, attention is costed, cache lookups
+    /// define the task set, the scheduler plans it and the backend
+    /// executes the plan, demand transfers are admitted to the cache, and
+    /// the layer's idle PCIe time goes to the background queue.
+    ///
     /// # Panics
     ///
     /// Panics if the step was generated for a different model.
@@ -540,583 +544,317 @@ impl Engine {
             self.config.model.layers as usize,
             "trace was generated for a different model"
         );
-        // Injected faults roll before any work so a panicking step never
-        // half-mutates engine state beyond what a real mid-step panic
-        // could. A spike lands on both clocks: the modeled latency (for
-        // sim-driven soaks) and wall time (for live-server SLOs).
-        let spike = match self.faults.as_mut() {
-            None => SimDuration::ZERO,
-            Some(chaos) => {
-                if chaos.stream.roll_ppm(chaos.rates.panic_ppm) {
-                    panic!("injected engine fault: step panic");
-                }
-                if chaos.stream.roll_ppm(chaos.rates.spike_ppm) {
-                    std::thread::sleep(std::time::Duration::from_millis(chaos.rates.spike_ms));
-                    SimDuration::from_millis(chaos.rates.spike_ms)
-                } else {
-                    SimDuration::ZERO
-                }
-            }
-        };
-        let tokens = step.tokens;
+        let spike = self.roll_faults();
         self.backend.begin_step();
-        // Profiles and counts are Copy; no need to clone the model config
-        // on the hot path.
-        let routed_profile = self.config.model.routed_profile();
-        let shared_profile = self.config.model.shared_profile();
-        let attn_profile = self.config.model.attention_profile();
-        let k = self.config.model.activated_experts;
-        let max_inflight = self.config.max_inflight;
-        let num_gpus = self.config.num_gpus.max(1);
-
-        let mut latency = spike;
-        let mut busy = vec![SimDuration::ZERO; device_count(num_gpus)];
-        let mut cpu_experts = 0u32;
-        let mut gpu_experts = 0u32;
-        let mut demand_transfers = 0u32;
-        let mut prefetches = 0u32;
-
-        // Pipelined mode: transfers that finished during the previous step
-        // become cache-resident now, at the step boundary.
-        let pipelined = self.config.pipelined_prefetch;
-        if pipelined {
-            prefetches += self.commit_landed();
-        }
-
-        // Prefill steps may cap background cache-promotion work (prefetch
-        // and refill enqueues) at `max_deferred_experts_per_token × tokens`
-        // so a huge prompt cannot monopolize the PCIe link against
-        // concurrent decodes. `usize::MAX` = legacy unbounded.
-        let prefill_batch = tokens >= hybrimoe_sched::baselines::PREFILL_BATCH_THRESHOLD;
-        let mut deferred_budget: usize = if prefill_batch
-            && self.config.max_deferred_experts_per_token != u32::MAX
-        {
-            (self.config.max_deferred_experts_per_token as usize).saturating_mul(tokens as usize)
-        } else {
-            usize::MAX
+        let consts = self.step_consts(step.tokens);
+        let mut metrics = StepMetrics {
+            tokens: step.tokens,
+            latency: spike,
+            device_busy: vec![SimDuration::ZERO; device_count(consts.num_gpus)],
+            cpu_experts: 0,
+            gpu_experts: 0,
+            demand_transfers: 0,
+            prefetches: 0,
         };
-
-        // Everything below works in the step scratch; the engine's other
-        // fields are borrowed one by one beside it.
-        let StepScratch {
-            sched,
-            outcome,
-            lane_budgets,
-            mean_scores,
-            missed,
-            lookahead,
-            shard_free,
-            prefetch,
-        } = &mut self.scratch;
-
         for (l, rec) in step.layers.iter().enumerate() {
-            let layer = LayerId(l as u16);
-            // 1. The cache policy observes the routing scores (Eq. 3), and
-            // so does the learned cross-layer predictor when one is
-            // configured (it scores its previous prediction and updates
-            // the transition matrix online).
-            self.cache.note_routing(&rec.routing, k);
-            if let Some(pred) = self.predictor.as_mut() {
-                pred.observe(&rec.routing);
-            }
-
-            // 2. Non-MoE work (attention, norms). llama.cpp runs it on the
-            // device the layer is mapped to at decode — for prefill batches
-            // even CPU layers push the heavy matmuls to the GPU (cuBLAS
-            // offload). Everyone else keeps it on the GPU.
-            let attn_on_gpu = !self.config.attention_follows_layer
-                || prefill_batch
-                || layer_resident(&self.config, self.resident_layers, &self.cache, layer);
-            let attn_time = if attn_on_gpu {
-                self.cost.gpu_compute(&attn_profile, tokens)
-            } else {
-                self.cost.cpu_compute(&attn_profile, tokens, false)
+            let cx = LayerCtx {
+                step: &consts,
+                layer: LayerId(l as u16),
+                rec,
             };
-            // Attention (and the other non-MoE work) runs on GPU 0: it is
-            // not expert-sharded, so it stays on the shard holding the
-            // pinned shared experts.
-            let attn_device = if attn_on_gpu {
-                Device::gpu(0)
-            } else {
-                Device::Cpu
-            };
-            busy[attn_device.ordinal(num_gpus)] += attn_time;
-
-            // 3. Cache lookups define the task set; the activated experts
-            // are also the protected set (never evicted while in flight).
-            // Scratch buffers are reused across layers and steps.
-            let ScheduleScratch {
-                tasks,
-                protect,
-                queues,
-                plan,
-            } = sched.begin_layer();
-            for (expert, load) in rec.routing.activated_iter() {
-                let key = ExpertKey::new(layer, expert);
-                protect.push(key);
-                tasks.push(ExpertTask {
-                    expert,
-                    load,
-                    cached: self.cache.lookup(key),
-                });
-            }
-
-            // 4. Schedule and execute the layer.
-            let ctx = ScheduleContext::new(
-                layer,
-                tokens,
-                tasks,
-                routed_profile,
-                shared_profile,
-                &self.cost,
-            )
-            .with_gpus(num_gpus);
-            self.scheduler.schedule_into(&ctx, queues, plan);
-            debug_assert_eq!(plan.validate(tasks), Ok(()), "invalid plan from scheduler");
-            self.backend.execute_layer(
-                &LayerRequest {
-                    layer,
-                    plan,
-                    ctx: &ctx,
-                    states: rec.states.as_ref(),
-                },
-                outcome,
-            );
-            let moe_makespan = outcome.makespan;
-
-            cpu_experts += plan.cpu_order.len() as u32;
-            gpu_experts += plan.gpu_order.len() as u32;
-            demand_transfers += plan.pcie_order.len() as u32;
-            debug_assert_eq!(outcome.busy.len(), busy.len());
-            for (acc, b) in busy.iter_mut().zip(outcome.busy.iter()) {
-                *acc += *b;
-            }
-
-            // 5. On-demand transfers become resident (may evict per policy,
-            // but never the experts of the layer in flight). llama.cpp-style
-            // streamed weights (transfer_profile set) are discarded after
-            // the matmul and never enter the cache.
-            //
-            // During a prefill batch each layer is visited exactly once, so
-            // evicting a placed expert of a *later* layer to cache a
-            // transfer is strictly harmful within the pass; inserts go to
-            // free slots only ("subject to free cache space", §IV-C). At
-            // decode, temporal reuse justifies eviction-based insertion.
-            let evict_ok = !prefill_batch || self.config.prefill_evict_inserts;
-            if plan.transfer_profile.is_none() && self.config.demand_inserts {
-                for e in plan.transferred_experts() {
-                    let key = ExpertKey::new(layer, e);
-                    if evict_ok {
-                        self.cache.insert_protected(key, protect);
-                    } else {
-                        self.cache.insert_if_free(key);
-                    }
-                }
-            }
-
-            // 6. Idle PCIe time advances background transfers (prefetches
-            // and cache refills), which pipeline across layer boundaries.
-            // Legacy mode budgets the idle time of the *busiest* lane — a
-            // single conservative window shared by the FIFO background
-            // queue (identical to the single-lane budget when `num_gpus`
-            // is 1) — and lands completions immediately. Pipelined mode
-            // gives every shard's lane its own idle window and stages
-            // completions until the next step boundary.
-            let transfer_time = self.cost.transfer(&routed_profile);
-            let lane_busy = |g: usize| outcome.busy[Device::pcie(g as u8).ordinal(num_gpus)];
-            let mut budget = SimDuration::ZERO;
-            if pipelined {
-                lane_budgets.clear();
-                lane_budgets.extend(
-                    (0..num_gpus).map(|g| moe_makespan.saturating_sub(lane_busy(g)) + attn_time),
-                );
-                drain_inflight_lanes(
-                    &mut self.inflight,
-                    num_gpus,
-                    lane_budgets,
-                    &mut busy,
-                    &mut self.pending_commit,
-                );
-            } else {
-                let pcie_busy = (0..num_gpus)
-                    .map(lane_busy)
-                    .fold(SimDuration::ZERO, SimDuration::max);
-                budget = moe_makespan.saturating_sub(pcie_busy) + attn_time;
-                budget = drain_inflight(
-                    &mut self.inflight,
-                    &mut self.cache,
-                    num_gpus,
-                    budget,
-                    evict_ok,
-                    protect,
-                    &mut busy,
-                    &mut prefetches,
-                    &mut self.counters,
-                );
-            }
-
-            // Enqueue new prefetch candidates for the predicted layers:
-            // from the learned predictor when one is warm (wrapping past
-            // the model end into the next forward pass), else from the
-            // trace record's oracle-decay predictions.
-            let queue_slots = max_inflight.saturating_sub(self.inflight.len());
-            if queue_slots > 0 && deferred_budget > 0 {
-                let learned = predicted_lookahead(
-                    self.predictor.as_ref(),
-                    &self.cache,
-                    self.config.model.layers as usize,
-                    self.config.prefetch_lookahead,
-                    &rec.routing,
-                    lookahead,
-                );
-                if !learned {
-                    build_lookahead(&self.cache, rec, lookahead);
-                }
-                if !lookahead.layers().is_empty() {
-                    if pipelined {
-                        shard_free_slots(&self.cache, shard_free);
-                    }
-                    let pctx = PrefetchContext {
-                        current_layer: layer,
-                        lookahead: lookahead.layers(),
-                        free_slots: queue_slots,
-                        budget: transfer_time * queue_slots as u64,
-                        tokens,
-                        routed_profile,
-                        shared_profile,
-                        cost: &self.cost,
-                        num_gpus,
-                        confidence: learned.then_some(&lookahead.confidence),
-                        shard_free: pipelined.then_some(shard_free),
-                    };
-                    for key in self.prefetcher.plan_with(&pctx, prefetch) {
-                        if deferred_budget == 0 {
-                            break;
-                        }
-                        if enqueue_background(
-                            &mut self.inflight,
-                            &self.cache,
-                            &self.pending_commit,
-                            max_inflight,
-                            *key,
-                            transfer_time,
-                            true,
-                        ) {
-                            self.counters.issued += 1;
-                            if deferred_budget != usize::MAX {
-                                deferred_budget -= 1;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Refill the highest-scoring missed experts of this layer
-            // (background cache update; temporal reuse makes recently
-            // missed experts likely to be needed again).
-            if self.config.refill_on_miss {
-                rec.routing.mean_scores_into(mean_scores);
-                let score = |e: ExpertId| mean_scores.get(e.0 as usize).copied().unwrap_or(0.0);
-                missed.clear();
-                missed.extend(
-                    tasks
-                        .iter()
-                        .filter(|t| !t.cached)
-                        .map(|t| t.expert)
-                        .filter(|e| !plan.transferred_experts().any(|x| x == *e)),
-                );
-                // Experts are distinct, so the order is total and the
-                // unstable sort exact.
-                missed.sort_unstable_by(|a, b| {
-                    score(*b)
-                        .partial_cmp(&score(*a))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(b))
-                });
-                for expert in missed.iter() {
-                    if deferred_budget == 0 {
-                        break;
-                    }
-                    if enqueue_background(
-                        &mut self.inflight,
-                        &self.cache,
-                        &self.pending_commit,
-                        max_inflight,
-                        ExpertKey::new(layer, *expert),
-                        transfer_time,
-                        false,
-                    ) && deferred_budget != usize::MAX
-                    {
-                        deferred_budget -= 1;
-                    }
-                }
-            }
-
-            // Newly enqueued transfers may start in this layer's leftover
-            // idle time.
-            if pipelined {
-                drain_inflight_lanes(
-                    &mut self.inflight,
-                    num_gpus,
-                    lane_budgets,
-                    &mut busy,
-                    &mut self.pending_commit,
-                );
-            } else {
-                drain_inflight(
-                    &mut self.inflight,
-                    &mut self.cache,
-                    num_gpus,
-                    budget,
-                    evict_ok,
-                    protect,
-                    &mut busy,
-                    &mut prefetches,
-                    &mut self.counters,
-                );
-            }
-
-            latency += attn_time + moe_makespan;
+            self.observe(&cx);
+            let attn_time = self.attention(&cx, &mut metrics);
+            self.lookup(&cx);
+            let moe_makespan = self.schedule_and_execute(&cx, &mut metrics);
+            self.admit_demand_transfers(&cx);
+            self.background(&cx, attn_time, moe_makespan, &mut metrics);
+            metrics.latency += attn_time + moe_makespan;
         }
-
-        // Pipelined mode: remember the pass's final routing and overlap
-        // prefetch planning for the *next* step with whatever runs between
-        // the two (the serving layer's admission work, the next stage's
-        // setup, …).
-        if pipelined {
-            if let Some(rec) = step.layers.last() {
-                self.last_routing = Some(rec.routing.clone());
-            }
-            self.issue_boundary_prefetch();
-        }
-
-        let metrics = StepMetrics {
-            tokens,
-            latency,
-            device_busy: busy,
-            cpu_experts,
-            gpu_experts,
-            demand_transfers,
-            prefetches,
-        };
         if let Some(stage) = &mut self.stage {
             stage.steps.push(metrics.clone());
         }
         metrics
     }
-}
 
-/// Whether every routed expert of `layer` is resident (whole-layer mapping
-/// semantics). Kept lazy: the residency scan only runs for configurations
-/// whose attention placement depends on it.
-fn layer_resident(
-    config: &EngineConfig,
-    resident_layers: u16,
-    cache: &ShardedExpertCache,
-    layer: LayerId,
-) -> bool {
-    if config.placement == PlacementKind::WholeLayers {
-        return layer.0 < resident_layers;
-    }
-    cache.cached_in_layer(layer).len() == config.model.routed_experts as usize
-}
-
-/// Spends idle PCIe `budget` on the in-flight background transfers;
-/// completed ones become resident (evicting per policy only when
-/// `evict_ok`; prefill passes insert into free slots only). Each transfer
-/// occupies the PCIe lane of its target expert's affinity shard. Returns
-/// the leftover budget.
-#[allow(clippy::too_many_arguments)]
-fn drain_inflight(
-    inflight: &mut VecDeque<Transfer>,
-    cache: &mut ShardedExpertCache,
-    num_gpus: usize,
-    mut budget: SimDuration,
-    evict_ok: bool,
-    protect: &[ExpertKey],
-    busy: &mut [SimDuration],
-    prefetches: &mut u32,
-    counters: &mut PrefetchCounters,
-) -> SimDuration {
-    while budget > SimDuration::ZERO {
-        let Some(t) = inflight.front_mut() else {
-            break;
+    /// Rolls the injected faults of one step and returns the latency spike
+    /// it suffers (zero when none is armed or none fires). Faults roll
+    /// before any work so a panicking step never half-mutates engine state
+    /// beyond what a real mid-step panic could. A spike lands on both
+    /// clocks: the modeled latency (for sim-driven soaks) and wall time
+    /// (for live-server SLOs).
+    fn roll_faults(&mut self) -> SimDuration {
+        let Some(chaos) = self.faults.as_mut() else {
+            return SimDuration::ZERO;
         };
-        let lane = Device::pcie(shard_of(t.key.expert, num_gpus) as u8).ordinal(num_gpus);
-        if t.remaining > budget {
-            t.remaining -= budget;
-            busy[lane] += budget;
+        if chaos.stream.roll_ppm(chaos.rates.panic_ppm) {
+            panic!("injected engine fault: step panic");
+        }
+        if !chaos.stream.roll_ppm(chaos.rates.spike_ppm) {
             return SimDuration::ZERO;
         }
-        budget -= t.remaining;
-        busy[lane] += t.remaining;
-        let Transfer { key, prefetch, .. } = *t;
-        inflight.pop_front();
-        let outcome = if evict_ok {
-            cache.insert_protected(key, protect)
-        } else {
-            cache.insert_if_free(key)
-        };
-        if outcome.is_resident() {
-            *prefetches += 1;
+        std::thread::sleep(std::time::Duration::from_millis(chaos.rates.spike_ms));
+        SimDuration::from_millis(chaos.rates.spike_ms)
+    }
+
+    /// What stays fixed while a batch of `tokens` runs through the layers.
+    fn step_consts(&self, tokens: u32) -> StepConsts {
+        let model = &self.config.model;
+        let prefill_batch = tokens >= PREFILL_BATCH_THRESHOLD;
+        let routed_profile = model.routed_profile();
+        StepConsts {
+            tokens,
+            prefill_batch,
+            evict_ok: !prefill_batch || self.config.prefill_evict_inserts,
+            routed_profile,
+            shared_profile: model.shared_profile(),
+            attn_profile: model.attention_profile(),
+            transfer_time: self.cost.transfer(&routed_profile),
+            num_gpus: self.config.num_gpus.max(1),
         }
-        if prefetch {
-            if matches!(
-                outcome,
-                InsertOutcome::Inserted | InsertOutcome::InsertedEvicting(_)
-            ) {
-                counters.landed += 1;
+    }
+
+    /// Stage 1: the cache policy observes the routing scores (Eq. 3).
+    fn observe(&mut self, cx: &LayerCtx<'_>) {
+        debug_assert_eq!(
+            cx.rec.routing.loads().len(),
+            self.config.model.routed_experts as usize,
+            "trace was generated for a different model"
+        );
+        self.cache
+            .note_routing(&cx.rec.routing, self.config.model.activated_experts);
+    }
+
+    /// Stage 2: non-MoE work (attention, norms); returns its time, charged
+    /// to the device that runs it. llama.cpp runs it on the device the
+    /// layer is mapped to at decode — for prefill batches even CPU layers
+    /// push the heavy matmuls to the GPU (cuBLAS offload). Everyone else
+    /// keeps it on the GPU — GPU 0: attention is not expert-sharded, so it
+    /// stays on the shard holding the pinned shared experts.
+    fn attention(&self, cx: &LayerCtx<'_>, metrics: &mut StepMetrics) -> SimDuration {
+        let StepConsts {
+            tokens,
+            prefill_batch,
+            attn_profile,
+            num_gpus,
+            ..
+        } = *cx.step;
+        let on_gpu =
+            !self.config.attention_follows_layer || prefill_batch || self.layer_resident(cx.layer);
+        let (device, time) = if on_gpu {
+            (Device::gpu(0), self.cost.gpu_compute(&attn_profile, tokens))
+        } else {
+            let time = self.cost.cpu_compute(&attn_profile, tokens, false);
+            (Device::Cpu, time)
+        };
+        metrics.device_busy[device.ordinal(num_gpus)] += time;
+        time
+    }
+
+    /// Whether every routed expert of `layer` is resident (whole-layer
+    /// mapping semantics). Kept lazy: the residency scan only runs for
+    /// configurations whose attention placement depends on it.
+    fn layer_resident(&self, layer: LayerId) -> bool {
+        if self.config.placement == PlacementKind::WholeLayers {
+            return layer.0 < self.resident_layers;
+        }
+        self.cache.cached_in_layer(layer).len() == self.config.model.routed_experts as usize
+    }
+
+    /// Stage 3: cache lookups define the task set; the activated experts
+    /// are also the protected set (never evicted while in flight).
+    fn lookup(&mut self, cx: &LayerCtx<'_>) {
+        let sched = self.scratch.sched.begin_layer();
+        for (expert, load) in cx.rec.routing.activated_iter() {
+            let key = ExpertKey::new(cx.layer, expert);
+            sched.protect.push(key);
+            sched.tasks.push(ExpertTask {
+                expert,
+                load,
+                cached: self.cache.lookup(key),
+            });
+        }
+    }
+
+    /// Stage 4: schedules the task set and executes the plan on the
+    /// backend; returns the MoE makespan.
+    fn schedule_and_execute(
+        &mut self,
+        cx: &LayerCtx<'_>,
+        metrics: &mut StepMetrics,
+    ) -> SimDuration {
+        let ScheduleScratch {
+            tasks,
+            queues,
+            plan,
+            ..
+        } = &mut self.scratch.sched;
+        let outcome = &mut self.scratch.outcome;
+        let ctx = ScheduleContext::new(
+            cx.layer,
+            cx.step.tokens,
+            tasks,
+            cx.step.routed_profile,
+            cx.step.shared_profile,
+            &self.cost,
+        )
+        .with_gpus(cx.step.num_gpus);
+        self.scheduler.schedule_into(&ctx, queues, plan);
+        debug_assert_eq!(plan.validate(tasks), Ok(()), "invalid plan from scheduler");
+        self.backend.execute_layer(
+            &LayerRequest {
+                layer: cx.layer,
+                plan,
+                ctx: &ctx,
+                states: cx.rec.states.as_ref(),
+            },
+            outcome,
+        );
+
+        metrics.cpu_experts += plan.cpu_order.len() as u32;
+        metrics.gpu_experts += plan.gpu_order.len() as u32;
+        metrics.demand_transfers += plan.pcie_order.len() as u32;
+        debug_assert_eq!(outcome.busy.len(), metrics.device_busy.len());
+        for (acc, b) in metrics.device_busy.iter_mut().zip(outcome.busy.iter()) {
+            *acc += *b;
+        }
+        outcome.makespan
+    }
+
+    /// Stage 5: on-demand transfers become resident (may evict per policy,
+    /// but never the experts of the layer in flight). llama.cpp-style
+    /// streamed weights (transfer_profile set) are discarded after the
+    /// matmul and never enter the cache.
+    fn admit_demand_transfers(&mut self, cx: &LayerCtx<'_>) {
+        let ScheduleScratch { protect, plan, .. } = &self.scratch.sched;
+        if plan.transfer_profile.is_some() || !self.config.demand_inserts {
+            return;
+        }
+        for e in plan.transferred_experts() {
+            let key = ExpertKey::new(cx.layer, e);
+            if cx.step.evict_ok {
+                self.cache.insert_protected(key, protect);
             } else {
-                counters.wasted += 1;
+                self.cache.insert_if_free(key);
             }
         }
     }
-    budget
-}
 
-/// Per-lane variant of [`drain_inflight`] for pipelined mode: every GPU
-/// shard's PCIe lane spends its own idle budget on the transfers bound for
-/// it (FIFO per lane; an exhausted lane skips ahead to other lanes'
-/// transfers instead of blocking the whole queue). Completed transfers are
-/// staged in `pending` and committed at the next step boundary, never
-/// mid-step.
-fn drain_inflight_lanes(
-    inflight: &mut VecDeque<Transfer>,
-    num_gpus: usize,
-    lane_budgets: &mut [SimDuration],
-    busy: &mut [SimDuration],
-    pending: &mut Vec<(ExpertKey, bool)>,
-) {
-    let mut i = 0;
-    while i < inflight.len() {
-        let t = &mut inflight[i];
-        let g = shard_of(t.key.expert, num_gpus);
-        let b = &mut lane_budgets[g];
-        if *b == SimDuration::ZERO {
-            i += 1;
-            continue;
-        }
-        let lane = Device::pcie(g as u8).ordinal(num_gpus);
-        if t.remaining > *b {
-            t.remaining -= *b;
-            busy[lane] += *b;
-            *b = SimDuration::ZERO;
-            i += 1;
-        } else {
-            *b -= t.remaining;
-            busy[lane] += t.remaining;
-            let done = inflight.remove(i).expect("index is in bounds");
-            pending.push((done.key, done.prefetch));
-        }
+    /// Stage 6: the layer's idle PCIe time advances the background queue
+    /// (prefetches and cache refills). The window is the idle time of the
+    /// *busiest* lane — one conservative budget shared by the FIFO queue —
+    /// plus the attention time. Transfers already in flight drain first;
+    /// then the prefetcher and the refill enqueue new ones, which may
+    /// start in whatever is left of the window.
+    fn background(
+        &mut self,
+        cx: &LayerCtx<'_>,
+        attn_time: SimDuration,
+        moe_makespan: SimDuration,
+        metrics: &mut StepMetrics,
+    ) {
+        let num_gpus = cx.step.num_gpus;
+        let lane_busy = &self.scratch.outcome.busy;
+        let pcie_busy = (0..num_gpus)
+            .map(|g| lane_busy[Device::pcie(g as u8).ordinal(num_gpus)])
+            .fold(SimDuration::ZERO, SimDuration::max);
+        let mut budget = moe_makespan.saturating_sub(pcie_busy) + attn_time;
+        self.drain_background(cx, &mut budget, metrics);
+        self.plan_prefetch(cx);
+        self.refill_missed(cx);
+        self.drain_background(cx, &mut budget, metrics);
     }
-}
 
-/// Queues a background transfer unless the expert is already resident,
-/// already queued or staged for commit, or the queue is full. Returns
-/// whether the transfer was enqueued.
-fn enqueue_background(
-    inflight: &mut VecDeque<Transfer>,
-    cache: &ShardedExpertCache,
-    pending: &[(ExpertKey, bool)],
-    max_inflight: usize,
-    key: ExpertKey,
-    transfer_time: SimDuration,
-    prefetch: bool,
-) -> bool {
-    if inflight.len() >= max_inflight
-        || cache.contains(key)
-        || inflight.iter().any(|t| t.key == key)
-        || pending.iter().any(|(k, _)| *k == key)
-    {
-        return false;
-    }
-    inflight.push_back(Transfer {
-        key,
-        remaining: transfer_time,
-        prefetch,
-    });
-    true
-}
-
-/// Writes the free slots of every cache shard (where a never-evicting
-/// prefetch could land) into `out`.
-fn shard_free_slots(cache: &ShardedExpertCache, out: &mut Vec<usize>) {
-    out.clear();
-    out.extend((0..cache.num_shards()).map(|s| cache.shard(s).free_slots()));
-}
-
-/// Fills `out` with the prefetch lookahead of the learned predictor:
-/// predicted expert distributions for the next `depth` layers, wrapping
-/// past the model end into the next forward pass (the oracle lookahead
-/// truncates there, which starves prefetch for the last layers). Per
-/// predicted layer the top `activated-count` experts become tasks with
-/// loads proportional to their predicted probability mass. Returns whether
-/// anything was predicted: nothing is when no predictor is configured, it
-/// is still cold, or the routing activated nothing — the caller then falls
-/// back to the trace's own predictions.
-fn predicted_lookahead(
-    predictor: Option<&TransitionPredictor>,
-    cache: &ShardedExpertCache,
-    layers: usize,
-    depth: usize,
-    routing: &LayerRouting,
-    out: &mut Lookahead,
-) -> bool {
-    out.clear();
-    let Some(pred) = predictor else {
-        return false;
-    };
-    let breadth = routing.activated_iter().count();
-    if breadth == 0 || layers == 0 {
-        return false;
-    }
-    let total_load: u32 = routing.activated_iter().map(|(_, l)| l).sum();
-    let start = routing.layer().0 as usize % layers;
-    for d in 1..=depth.max(1) {
-        let Some(scores) = pred.predict(routing, d) else {
-            break;
-        };
-        let layer = LayerId(((start + d) % layers) as u16);
-        let mass: f32 = scores.iter().sum();
-        let entry = out.push(layer);
-        entry.tasks.extend(
-            hybrimoe_model::top_k(&scores, breadth)
-                .into_iter()
-                .map(|(idx, s)| {
-                    let expert = ExpertId(idx as u16);
-                    let share = if mass > 0.0 { s / mass } else { 0.0 };
-                    ExpertTask {
-                        expert,
-                        load: ((share * total_load as f32).round() as u32).max(1),
-                        cached: cache.contains(ExpertKey::new(layer, expert)),
-                    }
-                }),
+    /// Spends what is left of the layer's idle window on the background
+    /// queue, protecting the layer's own experts from eviction.
+    fn drain_background(
+        &mut self,
+        cx: &LayerCtx<'_>,
+        budget: &mut SimDuration,
+        metrics: &mut StepMetrics,
+    ) {
+        metrics.prefetches += self.background.drain(
+            &mut self.cache,
+            budget,
+            cx.step.evict_ok,
+            &self.scratch.sched.protect,
+            &mut metrics.device_busy,
         );
-        entry.scores = scores;
-        out.confidence.push(pred.confidence(d));
     }
-    !out.layers().is_empty()
-}
 
-/// Fills `out` with a record's predicted routings as prefetch inputs with
-/// current cache residency.
-fn build_lookahead(
-    cache: &ShardedExpertCache,
-    rec: &hybrimoe_trace::LayerRecord,
-    out: &mut Lookahead,
-) {
-    out.clear();
-    for routing in &rec.predicted {
-        let layer = routing.layer();
-        let entry = out.push(layer);
-        entry
-            .tasks
-            .extend(routing.activated_iter().map(|(expert, load)| ExpertTask {
-                expert,
-                load,
-                cached: cache.contains(ExpertKey::new(layer, expert)),
-            }));
-        routing.mean_scores_into(&mut entry.scores);
+    /// Enqueues the prefetcher's picks for the layers the trace record
+    /// predicts, as far as the background queue has room.
+    fn plan_prefetch(&mut self, cx: &LayerCtx<'_>) {
+        let queue_slots = self.background.free_slots();
+        if queue_slots == 0 {
+            return;
+        }
+        let StepScratch {
+            lookahead,
+            prefetch,
+            ..
+        } = &mut self.scratch;
+        lookahead.fill(&self.cache, cx.rec);
+        if lookahead.layers().is_empty() {
+            return;
+        }
+        let transfer_time = cx.step.transfer_time;
+        let pctx = PrefetchContext {
+            current_layer: cx.layer,
+            lookahead: lookahead.layers(),
+            free_slots: queue_slots,
+            budget: transfer_time * queue_slots as u64,
+            tokens: cx.step.tokens,
+            routed_profile: cx.step.routed_profile,
+            shared_profile: cx.step.shared_profile,
+            cost: &self.cost,
+            num_gpus: cx.step.num_gpus,
+            confidence: None,
+            shard_free: None,
+        };
+        for key in self.prefetcher.plan_with(&pctx, prefetch) {
+            self.background
+                .enqueue(&self.cache, *key, transfer_time, true);
+        }
+    }
+
+    /// Enqueues refills of the layer's missed experts that no demand
+    /// transfer covered, highest router score first (background cache
+    /// update; temporal reuse makes recently missed experts likely to be
+    /// needed again).
+    fn refill_missed(&mut self, cx: &LayerCtx<'_>) {
+        if !self.config.refill_on_miss {
+            return;
+        }
+        let StepScratch {
+            sched,
+            mean_scores,
+            missed,
+            ..
+        } = &mut self.scratch;
+        cx.rec.routing.mean_scores_into(mean_scores);
+        let score = |e: ExpertId| mean_scores.get(e.0 as usize).copied().unwrap_or(0.0);
+        missed.clear();
+        missed.extend(
+            sched
+                .tasks
+                .iter()
+                .filter(|t| !t.cached)
+                .map(|t| t.expert)
+                .filter(|e| !sched.plan.transferred_experts().any(|x| x == *e)),
+        );
+        // Experts are distinct, so the order is total and the unstable
+        // sort exact.
+        missed.sort_unstable_by(|a, b| {
+            score(*b)
+                .partial_cmp(&score(*a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(b))
+        });
+        for expert in missed.iter() {
+            let key = ExpertKey::new(cx.layer, *expert);
+            self.background
+                .enqueue(&self.cache, key, cx.step.transfer_time, false);
+        }
     }
 }
 
@@ -1230,14 +968,9 @@ mod tests {
     #[test]
     fn cache_fills_to_capacity() {
         for f in Framework::ALL {
-            let e = tiny_engine(f, 0.5);
-            let expected = match f {
-                // llama.cpp rounds down to whole layers: 16 slots = 2 layers
-                // of 8.
-                Framework::LlamaCpp => 16,
-                _ => 16,
-            };
-            assert_eq!(e.cache().len(), expected, "{f}");
+            // 16 slots for everyone: llama.cpp rounds down to whole
+            // layers, and 16 is exactly 2 layers of 8.
+            assert_eq!(tiny_engine(f, 0.5).cache().len(), 16, "{f}");
         }
     }
 
@@ -1409,7 +1142,7 @@ mod tests {
         // A fresh stage after re-warming starts with clean statistics and
         // no carried-over transfers from the previous workload.
         assert_eq!(e.cache().stats(), CacheStats::default());
-        assert!(e.inflight.is_empty());
+        assert!(e.background.inflight.is_empty());
     }
 
     #[test]

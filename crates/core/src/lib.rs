@@ -57,7 +57,7 @@ pub use backend::{
 };
 pub use config::{
     BackendKind, CachePolicyKind, EngineConfig, Framework, PlacementKind, PrefetcherKind,
-    SchedulerKind, DEFAULT_MAX_INFLIGHT, DEFAULT_PREFETCH_LOOKAHEAD,
+    SchedulerKind, DEFAULT_MAX_INFLIGHT,
 };
 pub use engine::{Engine, PrefetchCounters};
 pub use metrics::{StageMetrics, StepMetrics};

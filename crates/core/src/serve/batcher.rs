@@ -181,7 +181,7 @@ impl ContinuousBatcher {
     }
 
     /// The engine driving the batch — read-only, for observability
-    /// surfaces (cache statistics, prefetch counters, predictor accuracy).
+    /// surfaces (cache statistics, prefetch counters).
     pub fn engine(&self) -> &Engine {
         &self.engine
     }

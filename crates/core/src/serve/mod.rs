@@ -66,5 +66,5 @@ mod summary;
 pub use arrivals::{ArrivalKind, ArrivalProcess};
 pub use batcher::{ContinuousBatcher, StepOutcome};
 pub use request::{RequestMetrics, RequestSpec, DEFAULT_PRIORITY};
-pub use sim::{ServeConfig, ServeEngineStats, ServeSim, StepStat};
+pub use sim::{ServeConfig, ServeSim, StepStat};
 pub use summary::{ServeReport, ServeSummary};

@@ -73,9 +73,6 @@ pub struct ServerMetrics {
     /// Prefetched experts that arrived useless (already resident, or no
     /// free slot when the transfer completed).
     pub prefetch_wasted: u64,
-    /// Rolling top-k accuracy of the learned expert predictor; `None`
-    /// when the engine runs no predictor.
-    pub predictor_topk_accuracy: Option<f64>,
     /// Expert-cache hit ratio per GPU shard, refreshed every engine step.
     pub shard_hit_ratio: Vec<f64>,
     /// Remote expert workers configured (zero unless the engine runs the
@@ -129,7 +126,6 @@ pub(crate) struct Snapshot {
     pub running: u64,
     pub oldest_waiting: Option<SimTime>,
     pub prefetch: PrefetchCounters,
-    pub predictor_accuracy: Option<f64>,
     pub shard_hit_ratio: Vec<f64>,
     /// All-zero unless the remote-worker backend runs.
     pub workers: WorkerHealthSnapshot,
@@ -144,7 +140,6 @@ impl Snapshot {
         self.running = batcher.running_len() as u64;
         self.oldest_waiting = batcher.oldest_waiting_arrival();
         self.prefetch = engine.prefetch_counters();
-        self.predictor_accuracy = engine.predictor_accuracy();
         self.workers = engine.worker_health().unwrap_or_default();
         let cache = engine.cache();
         self.shard_hit_ratio.clear();

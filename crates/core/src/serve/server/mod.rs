@@ -242,7 +242,6 @@ impl Shared {
             prefetch_issued: prefetch.issued,
             prefetch_landed: prefetch.landed,
             prefetch_wasted: prefetch.wasted,
-            predictor_topk_accuracy: snap.predictor_accuracy,
             shard_hit_ratio: snap.shard_hit_ratio.clone(),
             workers_configured: workers.configured,
             workers_up: workers.up,

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::serve::request::DEFAULT_PRIORITY;
 use crate::serve::{ArrivalProcess, ContinuousBatcher, RequestMetrics, RequestSpec, ServeReport};
-use crate::{EngineConfig, PrefetchCounters};
+use crate::EngineConfig;
 
 /// Configuration of one serving experiment.
 #[derive(Debug, Clone)]
@@ -41,21 +41,6 @@ pub struct StepStat {
     pub tokens: u32,
     /// Step latency.
     pub latency: SimDuration,
-}
-
-/// Engine-side observability captured when a serve run completes: the
-/// cache and prefetch view the aggregate [`ServeReport`] cannot express.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeEngineStats {
-    /// Expert-cache hit ratio aggregated over every shard, post-warmup.
-    pub cache_hit_ratio: f64,
-    /// Per-shard cache hit ratios, indexed by GPU shard.
-    pub shard_hit_ratios: Vec<f64>,
-    /// Background-transfer counters (issued / landed / wasted prefetches).
-    pub prefetch: PrefetchCounters,
-    /// Rolling top-k accuracy of the learned expert predictor, if the
-    /// engine runs one ([`PrefetcherKind::Predictive`](crate::PrefetcherKind)).
-    pub predictor_accuracy: Option<f64>,
 }
 
 /// A deterministic continuous-batching server simulation.
@@ -101,13 +86,6 @@ impl ServeSim {
 
     /// Runs the simulation to completion and returns the report.
     pub fn run(&self) -> ServeReport {
-        self.run_instrumented().0
-    }
-
-    /// Runs the simulation and additionally returns the engine-side cache
-    /// and prefetch snapshot taken at completion — the instrumentation the
-    /// prefetch benchmark sweeps read.
-    pub fn run_instrumented(&self) -> (ServeReport, ServeEngineStats) {
         let cfg = &self.config;
         let mut batcher = ContinuousBatcher::new(cfg.engine.clone(), cfg.max_batch, cfg.seed);
 
@@ -147,15 +125,7 @@ impl ServeSim {
         }
 
         completed.sort_by_key(|m| m.id);
-        let engine = batcher.engine();
-        let stats = ServeEngineStats {
-            cache_hit_ratio: engine.cache().stats().hit_rate(),
-            shard_hit_ratios: engine.shard_hit_ratios(),
-            prefetch: engine.prefetch_counters(),
-            predictor_accuracy: engine.predictor_accuracy(),
-        };
-        let report = ServeReport::new(cfg, completed, steps, now.elapsed_since(SimTime::ZERO));
-        (report, stats)
+        ServeReport::new(cfg, completed, steps, now.elapsed_since(SimTime::ZERO))
     }
 }
 

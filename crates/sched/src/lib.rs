@@ -45,7 +45,6 @@ mod context;
 mod hybrid;
 mod oracle;
 mod plan;
-pub mod predict;
 pub mod prefetch;
 mod task;
 
@@ -53,11 +52,9 @@ pub use context::{ScheduleContext, ScheduleQueues, ScheduleScratch};
 pub use hybrid::HybridScheduler;
 pub use oracle::{oracle_makespan, ORACLE_MAX_TASKS};
 pub use plan::{DevicePlacement, PlanReplay, PlannedTask, SchedulePlan};
-pub use predict::{ExpertPredictor, TransitionPredictor};
 pub use prefetch::{
-    ImpactDrivenPrefetcher, NextLayerTopKPrefetcher, NoPrefetcher, PredictedLayer,
-    PredictivePrefetcher, PrefetchContext, PrefetchScratch, Prefetcher,
-    PREDICTIVE_MIN_GAIN_PER_TRANSFER,
+    ImpactDrivenPrefetcher, NextLayerTopKPrefetcher, NoPrefetcher, PredictedLayer, PrefetchContext,
+    PrefetchScratch, Prefetcher,
 };
 pub use task::ExpertTask;
 

@@ -54,15 +54,16 @@ pub struct PrefetchContext<'a> {
     /// so prefetch ranking stays device-local.
     pub num_gpus: usize,
     /// Per-distance prediction confidence in `(0, 1]`, nearest layer
-    /// first, measured by a learned predictor. When present it replaces
-    /// the impact-driven prefetcher's fixed geometric distance discount;
-    /// `None` keeps the legacy discount.
+    /// first; when present it replaces the impact-driven prefetcher's
+    /// geometric distance discount. Vestigial: the engine always passes
+    /// `None` (nothing in the repo measures a confidence any more); the
+    /// field stays only because the frozen `benchmark/` builds this struct
+    /// literally.
     pub confidence: Option<&'a [f64]>,
-    /// Free cache slots per GPU shard, for paths where prefetched
-    /// transfers may only land on free slots: a candidate whose affinity
-    /// shard (`shard_of(expert)`) has none left is skipped, since its
-    /// transfer could never land. `None` disables the check (insert paths
-    /// that may evict).
+    /// Free cache slots per GPU shard: a candidate whose affinity shard
+    /// (`shard_of(expert)`) has none left is skipped. Vestigial like
+    /// [`confidence`](Self::confidence): the engine always passes `None`
+    /// (its inserts may evict, so no shard is ever "full").
     pub shard_free: Option<&'a [usize]>,
 }
 
@@ -207,65 +208,17 @@ impl Prefetcher for NextLayerTopKPrefetcher {
 /// assert_eq!(picks.len(), 1);
 /// assert_eq!(picks[0].expert, ExpertId(0));
 /// ```
-#[derive(Debug, Clone)]
-pub struct ImpactDrivenPrefetcher {
-    /// Multiplicative confidence discount per layer of distance beyond the
-    /// next one.
-    distance_discount: f64,
-    /// Minimum discounted gain, in multiples of one expert transfer's PCIe
-    /// time, a candidate must clear to be worth issuing. Zero keeps the
-    /// paper's behaviour (any positive gain qualifies).
-    min_gain_per_transfer: f64,
-}
+#[derive(Debug, Default, Clone)]
+pub struct ImpactDrivenPrefetcher {}
+
+/// Confidence discount of the impact-driven ranking per layer of distance
+/// beyond the next one.
+const DISTANCE_DISCOUNT: f64 = 0.6;
 
 impl ImpactDrivenPrefetcher {
-    /// Creates the prefetcher with the default distance discount (0.6).
+    /// Creates the impact-driven prefetcher.
     pub fn new() -> Self {
-        ImpactDrivenPrefetcher {
-            distance_discount: 0.6,
-            min_gain_per_transfer: 0.0,
-        }
-    }
-
-    /// Overrides the per-layer confidence discount.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < discount <= 1`.
-    pub fn with_distance_discount(discount: f64) -> Self {
-        assert!(
-            discount > 0.0 && discount <= 1.0,
-            "discount must be in (0, 1], got {discount}"
-        );
-        ImpactDrivenPrefetcher {
-            distance_discount: discount,
-            min_gain_per_transfer: 0.0,
-        }
-    }
-
-    /// Sets the expected-gain floor: a candidate is only issued when its
-    /// confidence-discounted makespan gain exceeds `ratio` times the PCIe
-    /// time its own transfer occupies. A mispredicted prefetch costs a
-    /// cache slot (a future demand insert must evict it again), so
-    /// issuing transfers whose expected payoff is below their cost loses
-    /// more hit ratio than it hides latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio` is negative or not finite.
-    pub fn with_min_gain_per_transfer(mut self, ratio: f64) -> Self {
-        assert!(
-            ratio.is_finite() && ratio >= 0.0,
-            "min gain ratio must be finite and >= 0, got {ratio}"
-        );
-        self.min_gain_per_transfer = ratio;
-        self
-    }
-}
-
-impl Default for ImpactDrivenPrefetcher {
-    fn default() -> Self {
-        ImpactDrivenPrefetcher::new()
+        ImpactDrivenPrefetcher {}
     }
 }
 
@@ -297,18 +250,15 @@ impl Prefetcher for ImpactDrivenPrefetcher {
         // bit-identical to the unpruned plan.
         let cap = ctx.free_slots;
         scratch.top_gains.clear();
-        // The expected-gain floor, in simulated nanoseconds.
-        let floor =
-            self.min_gain_per_transfer * ctx.cost.transfer(&ctx.routed_profile).as_nanos() as f64;
 
         for (distance, predicted) in ctx.lookahead.iter().enumerate() {
-            let discount = confidence_discount(self.distance_discount, ctx, distance);
+            let discount = confidence_discount(ctx, distance);
             // Base makespan memoized once per predicted layer; every
             // candidate of the layer shares it.
             let base = simulate_makespan(&scheduler, ctx, predicted, None, scratch);
             let upper_bound = base.as_nanos() as f64 * discount;
-            if upper_bound <= floor {
-                continue; // no candidate of this layer can clear the floor
+            if upper_bound <= 0.0 {
+                continue; // no candidate of this layer can gain anything
             }
             for t in predicted.tasks.iter().filter(|t| !t.cached) {
                 let top_gains = &scratch.top_gains;
@@ -317,7 +267,7 @@ impl Prefetcher for ImpactDrivenPrefetcher {
                 }
                 let with = simulate_makespan(&scheduler, ctx, predicted, Some(t.expert), scratch);
                 let gain = base.saturating_sub(with).as_nanos() as f64 * discount;
-                if gain > floor {
+                if gain > 0.0 {
                     scratch
                         .ranked
                         .push((gain, ExpertKey::new(predicted.layer, t.expert)));
@@ -334,81 +284,13 @@ impl Prefetcher for ImpactDrivenPrefetcher {
     }
 }
 
-/// Default expected-gain floor of the predictive prefetcher, in
-/// transfer-time multiples (see
-/// [`ImpactDrivenPrefetcher::with_min_gain_per_transfer`]).
-///
-/// Learned predictions carry measured (often low) confidence, so the
-/// discounted gains are honest expected values; requiring a candidate to
-/// pay back at least its own transfer time filters the speculative tail
-/// that evicts useful residents without measurably shrinking makespan.
-pub const PREDICTIVE_MIN_GAIN_PER_TRANSFER: f64 = 0.1;
-
-/// Impact-driven ranking over *learned* cross-layer predictions.
-///
-/// The ranking is exactly [`ImpactDrivenPrefetcher`]'s; what changes is
-/// the engine-supplied context: the lookahead comes from an
-/// [`ExpertPredictor`](crate::predict::ExpertPredictor) learning
-/// expert-transition frequencies online (wrapping across the model end,
-/// so prefetch keeps working near the last layers), and
-/// [`PrefetchContext::confidence`] carries the predictor's measured
-/// per-distance accuracy in place of the fixed geometric distance
-/// discount. Because that confidence is a *measured* quantity, the
-/// discounted impact is an honest expected value, and the prefetcher
-/// additionally applies [`PREDICTIVE_MIN_GAIN_PER_TRANSFER`]: candidates
-/// whose expected gain cannot pay for their own transfer are withheld
-/// rather than allowed to displace demand-inserted residents.
-#[derive(Debug, Clone)]
-pub struct PredictivePrefetcher {
-    inner: ImpactDrivenPrefetcher,
-}
-
-impl Default for PredictivePrefetcher {
-    fn default() -> Self {
-        PredictivePrefetcher::new()
-    }
-}
-
-impl PredictivePrefetcher {
-    /// Creates the predictive prefetcher with the default expected-gain
-    /// floor.
-    pub fn new() -> Self {
-        PredictivePrefetcher {
-            inner: ImpactDrivenPrefetcher::new()
-                .with_min_gain_per_transfer(PREDICTIVE_MIN_GAIN_PER_TRANSFER),
-        }
-    }
-
-    /// Overrides the expected-gain floor (`0` disables the filter and
-    /// reproduces the plain impact-driven ranking).
-    pub fn with_min_gain_per_transfer(ratio: f64) -> Self {
-        PredictivePrefetcher {
-            inner: ImpactDrivenPrefetcher::new().with_min_gain_per_transfer(ratio),
-        }
-    }
-}
-
-impl Prefetcher for PredictivePrefetcher {
-    fn name(&self) -> &str {
-        "predictive"
-    }
-
-    fn plan_with<'s>(
-        &self,
-        ctx: &PrefetchContext<'_>,
-        scratch: &'s mut PrefetchScratch,
-    ) -> &'s [ExpertKey] {
-        self.inner.plan_with(ctx, scratch)
-    }
-}
-
-/// The per-distance gain discount: measured predictor confidence when the
-/// context carries one, the prefetcher's geometric decay otherwise.
-fn confidence_discount(distance_discount: f64, ctx: &PrefetchContext<'_>, distance: usize) -> f64 {
+/// The per-distance gain discount: the context's confidence when it
+/// carries one, the geometric [`DISTANCE_DISCOUNT`] decay otherwise.
+fn confidence_discount(ctx: &PrefetchContext<'_>, distance: usize) -> f64 {
     ctx.confidence
         .and_then(|c| c.get(distance))
         .copied()
-        .unwrap_or_else(|| distance_discount.powi(distance as i32))
+        .unwrap_or_else(|| DISTANCE_DISCOUNT.powi(distance as i32))
 }
 
 /// How many transfers one PCIe lane's budget admits.
@@ -655,12 +537,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "discount")]
-    fn bad_discount_rejected() {
-        let _ = ImpactDrivenPrefetcher::with_distance_discount(0.0);
-    }
-
-    #[test]
     fn per_lane_budget_fills_idle_lanes() {
         let cost = UnitCostModel::paper_fig5(); // transfers take 3us
                                                 // One high-gain expert per layer, on different shards of a
@@ -742,65 +618,11 @@ mod tests {
     }
 
     #[test]
-    fn predictive_delegates_to_impact_ranking() {
-        let cost = UnitCostModel::paper_fig5();
-        let look = [predicted(
-            1,
-            vec![
-                ExpertTask::uncached(ExpertId(0), 8),
-                ExpertTask::uncached(ExpertId(1), 1),
-            ],
-        )];
-        let c = ctx(&look, 2, 100, &cost);
-        // With the floor disabled the ranking is exactly impact-driven's.
-        assert_eq!(
-            PredictivePrefetcher::with_min_gain_per_transfer(0.0).plan(&c),
-            ImpactDrivenPrefetcher::new().plan(&c)
-        );
-    }
-
-    #[test]
-    fn gain_floor_withholds_marginal_candidates() {
-        let cost = UnitCostModel::paper_fig5(); // transfers take 3us
-                                                // One heavy expert per layer; caching either saves one transfer
-                                                // (3us). Confidence scales the farther layer's expected gain to
-                                                // 1.5us — positive, but below half a transfer.
-        let look = [
-            predicted(1, vec![ExpertTask::uncached(ExpertId(0), 8)]),
-            predicted(2, vec![ExpertTask::uncached(ExpertId(0), 8)]),
-        ];
-        let confidence = [1.0, 0.5];
-        let mut c = ctx(&look, 4, 100, &cost);
-        c.confidence = Some(&confidence);
-        // No floor: both expected gains are positive, both are issued.
-        let permissive = ImpactDrivenPrefetcher::new().plan(&c);
-        assert_eq!(permissive.len(), 2, "{permissive:?}");
-        // A half-transfer floor keeps the near candidate (3us > 1.5us)
-        // but withholds the far one (1.5us is not *above* the floor).
-        let gated = ImpactDrivenPrefetcher::new()
-            .with_min_gain_per_transfer(0.5)
-            .plan(&c);
-        assert_eq!(gated, vec![ExpertKey::new(LayerId(1), ExpertId(0))]);
-        // A floor above every gain withholds the whole plan.
-        let all_gated = ImpactDrivenPrefetcher::new()
-            .with_min_gain_per_transfer(2.0)
-            .plan(&c);
-        assert!(all_gated.is_empty(), "{all_gated:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "min gain ratio")]
-    fn bad_min_gain_rejected() {
-        let _ = ImpactDrivenPrefetcher::new().with_min_gain_per_transfer(-1.0);
-    }
-
-    #[test]
     fn prefetcher_names_distinct() {
         let names = [
             NoPrefetcher::new().name().to_owned(),
             NextLayerTopKPrefetcher::new().name().to_owned(),
             ImpactDrivenPrefetcher::new().name().to_owned(),
-            PredictivePrefetcher::new().name().to_owned(),
         ];
         let unique: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(unique.len(), names.len());
