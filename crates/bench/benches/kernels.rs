@@ -4,7 +4,7 @@
 //! CPU GFLOP/s is self-consistent.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hybrimoe_kernels::{backend, ExpertFfn, Q8Acts, QuantizedMatrix};
+use hybrimoe_kernels::{backend, ExecScratch, ExpertFfn, Q8Acts, QuantizedMatrix, WorkerPool};
 
 fn bench_qgemv(c: &mut Criterion) {
     let mut group = c.benchmark_group("qgemv");
@@ -27,10 +27,16 @@ fn bench_qgemv(c: &mut Criterion) {
     group.finish();
 }
 
+/// The batch sizes the per-backend groups sweep: one, two and three or
+/// more tokens select different register tiles (AVX2 `4×1`, `4×2`, `2×4`;
+/// AVX-512 `ymm` tiles up to two tokens and two-rows-per-`zmm` tiles from
+/// three), so `avx512` against `avx2` at `T2` and `T3` is the measured
+/// case for that switch; `T32` is repeated full tiles.
+const BATCHES: [usize; 5] = [1, 2, 3, 4, 32];
+
 /// The primitive under every pooled kernel: one `qdot_rows` call over a
 /// 256-row band of 512 columns of already-quantized activations on each
-/// available backend, at the batch sizes that select each AVX2 tile shape
-/// (4×1, 4×2, 2×4, and repeated 2×4 tiles at 8 and 32 tokens).
+/// available backend.
 fn bench_qdot_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("qdot_rows");
     let (rows, cols) = (256usize, 512usize);
@@ -39,7 +45,7 @@ fn bench_qdot_rows(c: &mut Criterion) {
         .collect();
     let q = QuantizedMatrix::quantize(&w, rows, cols).unwrap();
     let packed = q.data();
-    for tokens in [1usize, 2, 4, 8, 32] {
+    for tokens in BATCHES {
         let x: Vec<f32> = (0..tokens * cols)
             .map(|i| ((i % 13) as f32 - 6.0) / 7.0)
             .collect();
@@ -60,18 +66,31 @@ fn bench_qdot_rows(c: &mut Criterion) {
     group.finish();
 }
 
+/// One whole expert (quantize, gate, up, SwiGLU, quantize, down) at the
+/// repo benchmark's expert shape on each available backend, single
+/// threaded as `real_serve` runs it.
 fn bench_ffn(c: &mut Criterion) {
     let mut group = c.benchmark_group("expert_ffn_forward");
-    let ffn = ExpertFfn::random(256, 384, 3);
-    let x = vec![0.1f32; 256];
-    group.throughput(Throughput::Elements(ffn.flops_per_token()));
-    group.bench_function("single_token", |b| {
-        b.iter(|| ffn.forward(std::hint::black_box(&x)));
-    });
-    let batch: Vec<f32> = vec![0.1f32; 8 * 256];
-    group.bench_function("batch_8", |b| {
-        b.iter(|| ffn.forward_batch(std::hint::black_box(&batch), 8, 1));
-    });
+    let (hidden, inter) = (256usize, 512usize);
+    let ffn = ExpertFfn::random(hidden, inter, 3);
+    let pool = WorkerPool::new(1);
+    let mut scratch = ExecScratch::new();
+    for tokens in BATCHES {
+        let x = vec![0.1f32; tokens * hidden];
+        let mut y = vec![0.0f32; tokens * hidden];
+        group.throughput(Throughput::Elements(ffn.flops_per_token() * tokens as u64));
+        for b in backend::available() {
+            group.bench_function(
+                BenchmarkId::new(b.kind().name(), format!("T{tokens}")),
+                |bench| {
+                    bench.iter(|| {
+                        let x = std::hint::black_box(&x);
+                        ffn.forward_batch_into(x, tokens, &mut y, &mut scratch, &pool, b);
+                    });
+                },
+            );
+        }
+    }
     group.finish();
 }
 

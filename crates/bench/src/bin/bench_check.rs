@@ -36,7 +36,10 @@
 //! compares speedups, not absolute tokens/s: wall-clock rates differ
 //! across machines, but the within-run ratio of the two paths (measured
 //! back to back on identical inputs) is portable. Refresh deliberately
-//! with `real_bench --json --out BENCH_real.json`.
+//! with `real_bench --json --out BENCH_real.json`. A snapshot series of a
+//! kernel backend this host cannot run (an `avx512` series on a CPU
+//! without AVX-512 VNNI) is reported as skipped; a backend the host can
+//! run and the fresh sweep lost still fails.
 //!
 //! **Server gate**: fails if the network-serving load shows any request
 //! shortfall (`completed < requests`) or a client-observed p99 TTFT more
@@ -77,6 +80,7 @@ use hybrimoe_bench::{
     worker_point_key, worker_sweep, ChaosSummary, RealRow, ServeLoad, ServeRow, ServerBenchSummary,
     ServerLoad, WorkerRow, SEED, WORKER_GATE_BATCH,
 };
+use hybrimoe_kernels::KernelBackendKind;
 use hybrimoe_model::ModelConfig;
 
 /// Maximum tolerated relative regression at a gate point: throughput drop
@@ -240,9 +244,23 @@ fn main() {
         .filter(|r| r.batch >= REAL_GATE_BATCH)
         .cloned()
         .collect();
+    // A snapshot series of a SIMD backend this host cannot run (the
+    // snapshot was taken on a wider CPU) is skipped, not failed as
+    // vanished: the sweep covers `backend::available()`, and losing a
+    // backend the host *can* run still fails below.
+    let host_runs =
+        |name: &str| KernelBackendKind::parse(name).is_some_and(|kind| kind.resolved() == kind);
+    let skipped_backends: std::collections::BTreeSet<&str> = real_baseline
+        .iter()
+        .map(|b| b.backend.as_str())
+        .filter(|name| !host_runs(name))
+        .collect();
+    for name in skipped_backends {
+        println!("  {name}: skipped (host lacks the {name} kernel backend)");
+    }
     let base_gate: Vec<RealRow> = real_baseline
         .iter()
-        .filter(|b| b.batch >= REAL_GATE_BATCH)
+        .filter(|b| b.batch >= REAL_GATE_BATCH && host_runs(&b.backend))
         .cloned()
         .collect();
     for row in &fresh_gate {

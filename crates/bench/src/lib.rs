@@ -244,7 +244,7 @@ pub const REAL_THREAD_COUNTS: [usize; 2] = [1, 2];
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RealRow {
     /// Kernel backend of the expert-major executor (`scalar`, `portable`,
-    /// `avx2` — the names of
+    /// `avx2`, `avx512` — the names of
     /// [`KernelBackendKind::name`](hybrimoe_kernels::KernelBackendKind)).
     pub backend: String,
     /// Tokens per layer execution.

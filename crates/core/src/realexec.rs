@@ -25,8 +25,8 @@
 //! kernels run on a persistent [`WorkerPool`] that parks between calls —
 //! steady-state execution allocates nothing and spawns no threads. The
 //! `Q4_0 × Q8_0` integer-dot kernels dispatch to the backend selected by
-//! [`RealExecOptions::kernel_backend`] (runtime AVX2 detection by
-//! default); every backend runs the one arithmetic
+//! [`RealExecOptions::kernel_backend`] (runtime AVX-512 VNNI / AVX2
+//! detection by default); every backend runs the one arithmetic
 //! [`hybrimoe_kernels::backend`] defines and produces the same bits.
 //! Experts accumulate into the output in ascending id order, so results
 //! are bit-identical across placements, across backends, and to the
@@ -87,8 +87,9 @@ pub struct RealExecOptions {
     /// Which backend the expert-major hot path dispatches its
     /// `Q4_0 × Q8_0` kernels to. Resolved once when the executor is
     /// built: `Auto` (the default) honors the `HYBRIMOE_KERNEL_BACKEND`
-    /// env var and otherwise runtime-detects AVX2, falling back to the
-    /// scalar reference (see [`hybrimoe_kernels::backend`]).
+    /// env var and otherwise runtime-detects AVX-512 VNNI, then AVX2,
+    /// falling back to the scalar reference (see
+    /// [`hybrimoe_kernels::backend`]).
     pub kernel_backend: KernelBackendKind,
 }
 

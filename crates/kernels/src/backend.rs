@@ -24,6 +24,10 @@
 //!   of bytes, `maddubs_epi16` + `madd_epi16` multiply them with the
 //!   activation codes and sum them four at a time, register-tiled over
 //!   rows and tokens (below).
+//! * [`KernelBackendKind::Avx512`] — `x86_64` AVX-512 VNNI intrinsics
+//!   (`avx512f+bw+vl+vnni`, Ice Lake and later): one `vpdpbusd` does the
+//!   work of `maddubs`, `sub` and `madd`, and a `zmm` holds two weight
+//!   rows' blocks side by side.
 //!
 //! # Numerical contract
 //!
@@ -47,8 +51,9 @@
 //! order (never FMA). The lanes are folded by one fixed tree (`reduce8` ≡
 //! the AVX2 `hsum`). Nothing in that sequence depends on how many rows or
 //! tokens a call covers or on which accumulators share registers, so
-//! Scalar ≡ Portable ≡ AVX2, GEMV ≡ GEMM and every tile shape agree **bit
-//! for bit** (`tests/tests/kernel_backends.rs` pins it by proptest).
+//! Scalar ≡ Portable ≡ AVX2 ≡ AVX-512, GEMV ≡ GEMM and every tile shape
+//! agree **bit for bit** (`tests/tests/kernel_backends.rs` pins it by
+//! proptest and by a sweep of every small shape).
 //!
 //! *Accuracy.* Rounding activations to 8 bits is the one approximation on
 //! top of the `Q4_0` weights: against [`dequantize`] + `f64` accumulation
@@ -58,29 +63,50 @@
 //! inputs; both bounds are pinned in the tests). Weights, the wire protocol and shard files hold
 //! the same `Q4_0` bytes as before.
 //!
-//! # Register tiling (AVX2)
+//! # Register tiling
 //!
-//! An unpacked weight block is a single `ymm`, so nothing is staged in
-//! memory: an `R × T` tile keeps `R · T ≤ 8` accumulators live, unpacks
-//! each of its `R` blocks once and applies them to `T` tokens' codes —
-//! `4 × 1` for one token, `4 × 2` for two, `2 × 4` tiles (plus a `2 × T`
-//! remainder) above that, and `1 × T` tiles for leftover rows. Independent
-//! add chains overlap, and each activation load and its `8 · Σx` bias are
-//! shared by the tile's rows.
+//! *AVX2.* An unpacked weight block is a single `ymm`, so nothing is
+//! staged in memory: an `R × T` tile keeps `R · T ≤ 8` accumulators live,
+//! unpacks each of its `R` blocks once and applies them to `T` tokens'
+//! codes — `4 × 1` for one token, `4 × 2` for two, `2 × 4` tiles (plus a
+//! `2 × T` remainder) above that, and `1 × T` tiles for leftover rows.
+//! Independent add chains overlap, and each activation load and its
+//! `8 · Σx` bias are shared by the tile's rows.
+//!
+//! *AVX-512.* Two weight rows share a `zmm`: its 128-bit chunks are `[r0
+//! low nibbles | r0 high | r1 low | r1 high]` (two broadcast loads, one
+//! per-chunk shift, one mask), a token's 32 codes are broadcast to both
+//! halves, the scales are `[w_scale₀ × 8 | w_scale₁ × 8]`, and the token's
+//! `-8 · Σ₄ x` — computed once per token and block — is `vpdpbusd`'s
+//! accumulator operand, so one instruction yields both rows' exact
+//! `Σ₄ (q - 8) · x` lanes. Each half of an accumulator is the `ymm` the
+//! AVX2 tile would hold for that row: one extract splits them at the end
+//! and the same `hsum` folds each. Tiles are 4 row pairs × up to 4 tokens
+//! (16 of the 32 registers accumulate), then single pairs; an odd last
+//! row runs the AVX2 `1 × T` tile. Row pairs are used at every token
+//! count: on the `kernels` bench they beat one-row-per-`ymm` `vpdpbusd`
+//! tiles from one token up (4.1 against 4.8 µs per 256 × 512 band at one
+//! token, 6.1 against 8.3 at two), so there is no narrow VNNI tile.
+//!
+//! Both families are driven by one `row_groups` loop: full tiles across a
+//! group of rows, then one narrower tile for the tokens left over.
 //!
 //! # Selection
 //!
 //! [`KernelBackendKind::resolve`] picks the implementation once at
 //! executor startup, in this order:
 //!
-//! 1. An explicit config knob (`Scalar`/`Portable`/`Avx2`) wins outright
-//!    (an explicit `Avx2` on hardware without AVX2 falls back to the
-//!    scalar reference rather than faulting).
+//! 1. An explicit config knob (`Scalar`/`Portable`/`Avx2`/`Avx512`) wins
+//!    outright. A SIMD kind the host cannot run takes the widest rung
+//!    below it rather than faulting: `Avx512` → `Avx2` → `Scalar`.
 //! 2. `Auto` consults the `HYBRIMOE_KERNEL_BACKEND` environment variable
-//!    (`scalar` | `portable` | `avx2` | `auto`, case-insensitive).
-//! 3. Otherwise `Auto` runtime-detects: `is_x86_feature_detected!("avx2")`
-//!    selects the AVX2 path, anything else falls back to the scalar
-//!    reference.
+//!    (`scalar` | `portable` | `avx2` | `avx512` | `auto`,
+//!    case-insensitive; resolved by the same ladder). Any other value is
+//!    reported once per process on stderr and ignored.
+//! 3. Otherwise `Auto` runtime-detects with `is_x86_feature_detected!`:
+//!    `avx512f`, `avx512bw`, `avx512vl` and `avx512vnni` together select
+//!    the AVX-512 path, else `avx2` selects the AVX2 path, and anything
+//!    else falls back to the scalar reference.
 //!
 //! [`qgemv_into`]: crate::QuantizedMatrix::qgemv_into
 //! [`qgemm_into`]: crate::QuantizedMatrix::qgemm_into
@@ -100,7 +126,7 @@ pub const KERNEL_BACKEND_ENV: &str = "HYBRIMOE_KERNEL_BACKEND";
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum KernelBackendKind {
     /// Resolve at startup: `HYBRIMOE_KERNEL_BACKEND` if set, else CPU
-    /// feature detection (AVX2 where available, scalar elsewhere).
+    /// feature detection (AVX-512 VNNI, else AVX2, else scalar).
     #[default]
     Auto,
     /// The scalar reference loops (the determinism oracle).
@@ -109,6 +135,9 @@ pub enum KernelBackendKind {
     Portable,
     /// AVX2 intrinsics (`x86_64` only; falls back to scalar elsewhere).
     Avx2,
+    /// AVX-512 VNNI intrinsics (`x86_64` with `avx512f+bw+vl+vnni`; falls
+    /// back to AVX2, then scalar, elsewhere).
+    Avx512,
 }
 
 impl KernelBackendKind {
@@ -120,6 +149,7 @@ impl KernelBackendKind {
             KernelBackendKind::Scalar => "scalar",
             KernelBackendKind::Portable => "portable",
             KernelBackendKind::Avx2 => "avx2",
+            KernelBackendKind::Avx512 => "avx512",
         }
     }
 
@@ -131,45 +161,61 @@ impl KernelBackendKind {
             "scalar" => Some(KernelBackendKind::Scalar),
             "portable" => Some(KernelBackendKind::Portable),
             "avx2" => Some(KernelBackendKind::Avx2),
+            "avx512" => Some(KernelBackendKind::Avx512),
             _ => None,
         }
     }
 
     /// Resolves this knob to a concrete backend (see the [module
-    /// docs](self) for the selection order). Never fails: unsupported
-    /// explicit choices fall back to the scalar reference.
+    /// docs](self) for the selection order). Never fails: an explicit SIMD
+    /// choice the host cannot run falls down the ladder (`Avx512` → `Avx2`
+    /// → `Scalar`).
     pub fn resolve(self) -> &'static dyn KernelBackend {
         match self.resolved() {
             KernelBackendKind::Portable => &Portable,
             #[cfg(target_arch = "x86_64")]
             KernelBackendKind::Avx2 => &Avx2(()),
+            #[cfg(target_arch = "x86_64")]
+            KernelBackendKind::Avx512 => &Avx512(()),
             _ => &Scalar,
         }
     }
 
     /// The concrete kind [`resolve`](KernelBackendKind::resolve) lands on:
-    /// `Auto` is expanded (env override, then feature detection) and
-    /// unsupported explicit choices collapse to `Scalar`.
+    /// `Auto` is expanded (env override, then feature detection) and a
+    /// SIMD kind takes the widest rung at or below it that the host runs.
     pub fn resolved(self) -> KernelBackendKind {
+        use KernelBackendKind::{Auto, Avx2, Avx512, Scalar};
         let requested = match self {
-            KernelBackendKind::Auto => std::env::var(KERNEL_BACKEND_ENV)
-                .ok()
-                .and_then(|v| KernelBackendKind::parse(&v))
-                .unwrap_or(KernelBackendKind::Auto),
+            Auto => env_override().unwrap_or(Auto),
             explicit => explicit,
         };
         match requested {
-            KernelBackendKind::Auto => {
-                if avx2_available() {
-                    KernelBackendKind::Avx2
-                } else {
-                    KernelBackendKind::Scalar
-                }
-            }
-            KernelBackendKind::Avx2 if !avx2_available() => KernelBackendKind::Scalar,
+            Auto | Avx512 if avx512_available() => Avx512,
+            Auto | Avx512 | Avx2 if avx2_available() => Avx2,
+            Auto | Avx512 | Avx2 => Scalar,
             concrete => concrete,
         }
     }
+}
+
+/// The backend `HYBRIMOE_KERNEL_BACKEND` names, if it is set to an
+/// accepted name. Anything else is reported on stderr (once per process)
+/// and ignored.
+fn env_override() -> Option<KernelBackendKind> {
+    let value = std::env::var_os(KERNEL_BACKEND_ENV)?;
+    let value = value.to_string_lossy();
+    let parsed = KernelBackendKind::parse(&value);
+    if parsed.is_none() {
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        WARNED.call_once(|| {
+            eprintln!(
+                "hybrimoe: ignoring {KERNEL_BACKEND_ENV}={value:?}: expected one of \
+                 auto, scalar, portable, avx2, avx512; detecting the backend instead"
+            );
+        });
+    }
+    parsed
 }
 
 /// Whether the AVX2 path can run on this host.
@@ -184,17 +230,39 @@ pub fn avx2_available() -> bool {
     }
 }
 
+/// Whether the AVX-512 VNNI path can run on this host: `avx512f`,
+/// `avx512bw`, `avx512vl` and `avx512vnni`, plus the AVX2 it shares its
+/// quantizer and narrow tiles' helpers with.
+pub fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx2_available()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+            && std::arch::is_x86_feature_detected!("avx512vnni")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// The scalar reference backend (see [`KernelBackendKind::Scalar`]).
 pub fn scalar() -> &'static dyn KernelBackend {
     &Scalar
 }
 
 /// Every backend that can run on this host: scalar and portable always,
-/// plus AVX2 where detected. `real_bench` sweeps exactly this set.
+/// plus AVX2 and AVX-512 where detected. `real_bench` sweeps exactly this
+/// set.
 pub fn available() -> Vec<&'static dyn KernelBackend> {
     let mut backends: Vec<&'static dyn KernelBackend> = vec![&Scalar, &Portable];
     if avx2_available() {
         backends.push(KernelBackendKind::Avx2.resolve());
+    }
+    if avx512_available() {
+        backends.push(KernelBackendKind::Avx512.resolve());
     }
     backends
 }
@@ -207,7 +275,7 @@ pub fn available() -> Vec<&'static dyn KernelBackend> {
 /// a long-lived value (one sits in `ExecScratch`) stops allocating once it
 /// has seen its largest batch.
 ///
-/// The fields are private to this module: the AVX2 kernels read them
+/// The fields are private to this module: the SIMD kernels read them
 /// through raw pointers on the strength of `codes.len() == tokens * cols`
 /// and `scales.len() == tokens * cols / Q4_BLOCK`, which only
 /// `Q8Acts::resize` establishes.
@@ -361,7 +429,7 @@ pub trait KernelBackend: fmt::Debug + Send + Sync {
 }
 
 /// Validates a [`KernelBackend::qdot_rows`] call. These are real asserts,
-/// paid once per band: the AVX2 kernels index `rows` and `out` through raw
+/// paid once per band: the SIMD kernels index `rows` and `out` through raw
 /// pointers and rely on exactly these extents (hence the overflow-checked
 /// products); [`Q8Acts`] vouches for its own.
 #[inline]
@@ -540,23 +608,198 @@ impl KernelBackend for Avx2 {
     }
 
     fn qdot_rows(&self, rows: &[u8], nrows: usize, acts: &Q8Acts, out: &mut [f32]) {
-        check_shapes(rows, nrows, acts, out);
-        // SAFETY: AVX2 is present (as above). `check_shapes` just proved
-        // `rows` holds `nrows` rows of `cols` weights and `out` holds
-        // `nrows * tokens`; `Q8Acts` keeps `codes` at `tokens * cols` and
-        // `scales` at `tokens * cols / Q4_BLOCK` (only `resize` sets them).
+        let band = tiling::Band::new(rows, nrows, acts, out);
+        // SAFETY: AVX2 is present (as above).
         #[allow(unsafe_code)]
         unsafe {
-            avx2::qdot_rows(
-                rows.as_ptr(),
-                nrows,
-                acts.codes.as_ptr(),
-                acts.scales.as_ptr(),
-                acts.cols,
-                acts.tokens,
-                out.as_mut_ptr(),
-            );
+            avx2::qdot_rows(band);
         }
+    }
+}
+
+/// The AVX-512 VNNI implementation (see [`KernelBackendKind::Avx512`]).
+/// The private field makes [`KernelBackendKind::resolve`] the only
+/// constructor, and that verifies [`avx512_available`] first.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub struct Avx512(());
+
+#[cfg(target_arch = "x86_64")]
+impl KernelBackend for Avx512 {
+    fn kind(&self) -> KernelBackendKind {
+        KernelBackendKind::Avx512
+    }
+
+    fn quantize(&self, x: &[f32], cols: usize, acts: &mut Q8Acts) {
+        // Quantizing is a small share of a projection and its AVX2 form is
+        // already one block per iteration. `Avx2`'s constructor condition
+        // holds: `avx512_available` includes `avx2_available`.
+        Avx2(()).quantize(x, cols, acts);
+    }
+
+    fn qdot_rows(&self, rows: &[u8], nrows: usize, acts: &Q8Acts, out: &mut [f32]) {
+        let band = tiling::Band::new(rows, nrows, acts, out);
+        // SAFETY: `Avx512` is only handed out by `resolve()` after
+        // `avx512_available()` detected AVX2 and all four AVX-512 features.
+        #[allow(unsafe_code)]
+        unsafe {
+            avx512::qdot_rows(band);
+        }
+    }
+}
+
+/// What the SIMD backends share: a shape-checked [`Band`] of raw pointers
+/// and the [`row_groups`] driver that covers it with a backend's register
+/// [`Tiles`].
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod tiling {
+    use std::marker::PhantomData;
+
+    use super::{check_shapes, packed_row_bytes, Q8Acts, Q4_BLOCK};
+
+    /// One [`qdot_rows`](super::KernelBackend::qdot_rows) call as the raw
+    /// pointers the tiles index. [`Band::new`] is the only constructor and
+    /// runs [`check_shapes`], so holding a `Band` means: `rows` is readable
+    /// for `nrows` packed rows of `cols` weights (`cols` a multiple of
+    /// [`Q4_BLOCK`]), `codes` for `tokens * cols` bytes, `scales` for
+    /// `tokens * cols / Q4_BLOCK` floats, and `out` is writable for `nrows
+    /// * tokens` floats, all for `'a`.
+    #[derive(Clone, Copy)]
+    pub(super) struct Band<'a> {
+        rows: *const u8,
+        nrows: usize,
+        codes: *const i8,
+        scales: *const f32,
+        cols: usize,
+        tokens: usize,
+        out: *mut f32,
+        borrows: PhantomData<(&'a [u8], &'a Q8Acts, &'a mut [f32])>,
+    }
+
+    impl<'a> Band<'a> {
+        /// # Panics
+        ///
+        /// Panics on the shape mismatches `qdot_rows` rejects.
+        pub(super) fn new(
+            rows: &'a [u8],
+            nrows: usize,
+            acts: &'a Q8Acts,
+            out: &'a mut [f32],
+        ) -> Self {
+            check_shapes(rows, nrows, acts, out);
+            Band {
+                rows: rows.as_ptr(),
+                nrows,
+                codes: acts.codes.as_ptr(),
+                scales: acts.scales.as_ptr(),
+                cols: acts.cols,
+                tokens: acts.tokens,
+                out: out.as_mut_ptr(),
+                borrows: PhantomData,
+            }
+        }
+
+        pub(super) fn tokens(&self) -> usize {
+            self.tokens
+        }
+
+        /// The band without its first `done` rows.
+        pub(super) fn skip(self, done: usize) -> Self {
+            assert!(done <= self.nrows, "rows skipped");
+            Band {
+                // SAFETY: `done` rows (and their outputs) lie inside the
+                // band, so both pointers stay in or one past their slices.
+                rows: unsafe { self.rows.add(done * packed_row_bytes(self.cols)) },
+                out: unsafe { self.out.add(done * self.tokens) },
+                nrows: self.nrows - done,
+                ..self
+            }
+        }
+    }
+
+    /// A backend's family of register tiles: `R` units of [`ROWS`] weight
+    /// rows each, by `T` tokens.
+    ///
+    /// [`ROWS`]: Tiles::ROWS
+    pub(super) trait Tiles {
+        /// Weight rows one unit holds (rows sharing a vector register).
+        const ROWS: usize;
+
+        /// `out[r * out_stride + t] = dot(row r, token t)` for the tile's
+        /// `R * ROWS` rows and `T` tokens, every accumulator live across
+        /// the whole row and each weight block unpacked exactly once.
+        ///
+        /// # Safety
+        ///
+        /// Requires the implementor's CPU features at runtime. `cols` must
+        /// be a multiple of `Q4_BLOCK`; `rows` must be readable for `R *
+        /// ROWS` consecutive packed rows of `cols` weights, `codes` for
+        /// `T` tokens `cols` bytes apart, `scales` for `T` tokens `cols /
+        /// Q4_BLOCK` floats apart, and `out` writable at `r * out_stride +
+        /// t` for `r < R * ROWS`, `t < T`.
+        unsafe fn tile<const R: usize, const T: usize>(
+            rows: *const u8,
+            codes: *const i8,
+            scales: *const f32,
+            cols: usize,
+            out: *mut f32,
+            out_stride: usize,
+        );
+    }
+
+    /// Covers every full group of `R * K::ROWS` rows with `R × W` tiles
+    /// and, for the `tokens % W` tokens left, one narrower tile; returns
+    /// the number of rows covered. Inlined into its callers so the tiles
+    /// (whose features they enable) inline in turn.
+    ///
+    /// # Safety
+    ///
+    /// Requires `K`'s CPU features at runtime.
+    #[inline(always)]
+    pub(super) unsafe fn row_groups<K: Tiles, const R: usize, const W: usize>(
+        band: Band<'_>,
+    ) -> usize {
+        const { assert!(W >= 1 && W <= 4, "remainder tiles exist for 1..=3 tokens") };
+        let Band {
+            codes,
+            scales,
+            cols,
+            tokens,
+            ..
+        } = band;
+        let row_bytes = packed_row_bytes(cols);
+        let blocks = cols / Q4_BLOCK;
+        let group = R * K::ROWS;
+        let mut r = 0;
+        while r + group <= band.nrows {
+            let rows = band.rows.add(r * row_bytes);
+            let out = band.out.add(r * tokens);
+            // SAFETY (all calls): rows `r..r + group` are in bounds, tokens
+            // `t..t + T` exist because `t + T <= tokens`, and the tile's
+            // outputs are `out[(r + i) * tokens + t + j]`.
+            let mut t = 0;
+            while t + W <= tokens {
+                K::tile::<R, W>(
+                    rows,
+                    codes.add(t * cols),
+                    scales.add(t * blocks),
+                    cols,
+                    out.add(t),
+                    tokens,
+                );
+                t += W;
+            }
+            let (codes, scales, out) = (codes.add(t * cols), scales.add(t * blocks), out.add(t));
+            match tokens - t {
+                1 if W > 1 => K::tile::<R, 1>(rows, codes, scales, cols, out, tokens),
+                2 if W > 2 => K::tile::<R, 2>(rows, codes, scales, cols, out, tokens),
+                3 if W > 3 => K::tile::<R, 3>(rows, codes, scales, cols, out, tokens),
+                _ => {}
+            }
+            r += group;
+        }
+        r
     }
 }
 
@@ -570,15 +813,15 @@ impl KernelBackend for Avx2 {
 /// and `madd_epi16` with ones sums pairs again: eight `i32` lanes of four
 /// products each, exact. Converted and scaled they are added to the
 /// (row, token) accumulator (`mul` then `add`, never FMA), which [`hsum`]
-/// folds at the end. The `R × T` tiles of [`micro`] only choose which
-/// accumulators are live together; no accumulator ever sees a different
-/// sequence of operands, which is why every tile shape produces the same
-/// bits.
+/// folds at the end. The `R × T` tiles only choose which accumulators are
+/// live together; no accumulator ever sees a different sequence of
+/// operands, which is why every tile shape produces the same bits.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
     use std::arch::x86_64::*;
 
+    use super::tiling::{row_groups, Band, Tiles};
     use super::{packed_row_bytes, Q4_BLOCK, Q4_BLOCK_BYTES};
 
     /// See [`KernelBackend::quantize`](super::KernelBackend::quantize):
@@ -638,136 +881,64 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 at runtime. `cols` must be a multiple of `Q4_BLOCK`;
-    /// `rows` must be readable for `nrows` packed rows of `cols` weights,
-    /// `codes` for `tokens * cols` bytes, `scales` for `tokens * cols /
-    /// Q4_BLOCK` floats, and `out` writable for `nrows * tokens` floats.
+    /// Requires AVX2 at runtime.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn qdot_rows(
-        rows: *const u8,
-        nrows: usize,
-        codes: *const i8,
-        scales: *const f32,
-        cols: usize,
-        tokens: usize,
-        out: *mut f32,
-    ) {
-        // SAFETY (all calls): the arguments are the caller's, the last
-        // call's narrowed to the rows the first left over.
-        let tiled = match tokens {
+    pub(super) unsafe fn qdot_rows(band: Band<'_>) {
+        // SAFETY (all calls): AVX2 is the caller's promise.
+        let tiled = match band.tokens() {
             0 => return,
-            1 => row_groups::<4, 1>(rows, nrows, codes, scales, cols, tokens, out),
-            2 => row_groups::<4, 2>(rows, nrows, codes, scales, cols, tokens, out),
-            _ => row_groups::<2, 4>(rows, nrows, codes, scales, cols, tokens, out),
+            1 => row_groups::<Ymm, 4, 1>(band),
+            2 => row_groups::<Ymm, 4, 2>(band),
+            _ => row_groups::<Ymm, 2, 4>(band),
         };
-        row_groups::<1, 4>(
-            rows.add(tiled * packed_row_bytes(cols)),
-            nrows - tiled,
-            codes,
-            scales,
-            cols,
-            tokens,
-            out.add(tiled * tokens),
-        );
+        row_groups::<Ymm, 1, 4>(band.skip(tiled));
     }
 
-    /// Covers every full group of `R` rows with `R × W` tiles and, for the
-    /// `tokens % W` tokens left, one narrower tile; returns the number of
-    /// rows covered.
-    ///
-    /// # Safety
-    ///
-    /// As [`qdot_rows`].
-    #[target_feature(enable = "avx2")]
-    unsafe fn row_groups<const R: usize, const W: usize>(
-        rows: *const u8,
-        nrows: usize,
-        codes: *const i8,
-        scales: *const f32,
-        cols: usize,
-        tokens: usize,
-        out: *mut f32,
-    ) -> usize {
-        let row_bytes = packed_row_bytes(cols);
-        let blocks = cols / Q4_BLOCK;
-        let mut r = 0;
-        while r + R <= nrows {
-            let rows = rows.add(r * row_bytes);
-            let out = out.add(r * tokens);
-            // SAFETY (all calls): rows `r..r + R` are in bounds, tokens
-            // `t..t + T` exist because `t + T <= tokens`, and the tile's
-            // outputs are `out[(r + i) * tokens + t + j]`.
-            let mut t = 0;
-            while t + W <= tokens {
-                micro::<R, W>(
-                    rows,
-                    codes.add(t * cols),
-                    scales.add(t * blocks),
-                    cols,
-                    out.add(t),
-                    tokens,
-                );
-                t += W;
-            }
-            let (codes, scales, out) = (codes.add(t * cols), scales.add(t * blocks), out.add(t));
-            match tokens - t {
-                1 if W > 1 => micro::<R, 1>(rows, codes, scales, cols, out, tokens),
-                2 if W > 2 => micro::<R, 2>(rows, codes, scales, cols, out, tokens),
-                3 if W > 3 => micro::<R, 3>(rows, codes, scales, cols, out, tokens),
-                _ => {}
-            }
-            r += R;
-        }
-        r
-    }
+    /// The AVX2 tiles: one row per `ymm`, `R · T ≤ 8` accumulators.
+    pub(super) struct Ymm;
 
-    /// The `R × T` register tile: `out[r * out_stride + t] = dot(row r,
-    /// token t)` with all `R · T` accumulators live across the whole row
-    /// and each block unpacked exactly once.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `rows` must be readable for `R` consecutive packed
-    /// rows of `cols` weights, `codes` for `T` tokens `cols` bytes apart,
-    /// `scales` for `T` tokens `cols / Q4_BLOCK` floats apart, and `out`
-    /// writable at `r * out_stride + t` for `r < R`, `t < T`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn micro<const R: usize, const T: usize>(
-        rows: *const u8,
-        codes: *const i8,
-        scales: *const f32,
-        cols: usize,
-        out: *mut f32,
-        out_stride: usize,
-    ) {
-        let blocks = cols / Q4_BLOCK;
-        let row_bytes = packed_row_bytes(cols);
-        let eights = _mm256_set1_epi8(8);
-        let ones = _mm256_set1_epi16(1);
-        let mut acc = [[_mm256_setzero_ps(); R]; T];
-        for b in 0..blocks {
-            // SAFETY: block `b` of row `r` is inside the `R` rows.
-            let w: [(__m256i, __m256); R] =
-                std::array::from_fn(|r| unpack(rows.add(r * row_bytes + b * Q4_BLOCK_BYTES)));
-            for (t, acc_t) in acc.iter_mut().enumerate() {
-                // SAFETY: block `b` of token `t`: 32 codes and a scale.
-                let x = _mm256_loadu_si256(codes.add(t * cols + b * Q4_BLOCK) as *const __m256i);
-                let x_scale = _mm256_broadcast_ss(&*scales.add(t * blocks + b));
-                // Pair sums stay inside i16: at most 2 · 15 · 127.
-                let bias = _mm256_maddubs_epi16(eights, x);
-                for (acc_tr, (q, w_scale)) in acc_t.iter_mut().zip(&w) {
-                    let pairs = _mm256_sub_epi16(_mm256_maddubs_epi16(*q, x), bias);
-                    let quads = _mm256_cvtepi32_ps(_mm256_madd_epi16(pairs, ones));
-                    let d = _mm256_mul_ps(*w_scale, x_scale);
-                    *acc_tr = _mm256_add_ps(*acc_tr, _mm256_mul_ps(quads, d));
+    impl Tiles for Ymm {
+        const ROWS: usize = 1;
+
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn tile<const R: usize, const T: usize>(
+            rows: *const u8,
+            codes: *const i8,
+            scales: *const f32,
+            cols: usize,
+            out: *mut f32,
+            out_stride: usize,
+        ) {
+            let blocks = cols / Q4_BLOCK;
+            let row_bytes = packed_row_bytes(cols);
+            let eights = _mm256_set1_epi8(8);
+            let ones = _mm256_set1_epi16(1);
+            let mut acc = [[_mm256_setzero_ps(); R]; T];
+            for b in 0..blocks {
+                // SAFETY: block `b` of row `r` is inside the `R` rows.
+                let w: [(__m256i, __m256); R] =
+                    std::array::from_fn(|r| unpack(rows.add(r * row_bytes + b * Q4_BLOCK_BYTES)));
+                for (t, acc_t) in acc.iter_mut().enumerate() {
+                    // SAFETY: block `b` of token `t`: 32 codes and a scale.
+                    let x =
+                        _mm256_loadu_si256(codes.add(t * cols + b * Q4_BLOCK) as *const __m256i);
+                    let x_scale = _mm256_broadcast_ss(&*scales.add(t * blocks + b));
+                    // Pair sums stay inside i16: at most 2 · 15 · 127.
+                    let bias = _mm256_maddubs_epi16(eights, x);
+                    for (acc_tr, (q, w_scale)) in acc_t.iter_mut().zip(&w) {
+                        let pairs = _mm256_sub_epi16(_mm256_maddubs_epi16(*q, x), bias);
+                        let quads = _mm256_cvtepi32_ps(_mm256_madd_epi16(pairs, ones));
+                        let d = _mm256_mul_ps(*w_scale, x_scale);
+                        *acc_tr = _mm256_add_ps(*acc_tr, _mm256_mul_ps(quads, d));
+                    }
                 }
             }
-        }
-        for (t, acc_t) in acc.iter().enumerate() {
-            for (r, acc_tr) in acc_t.iter().enumerate() {
-                // SAFETY: inside the tile's outputs.
-                *out.add(r * out_stride + t) = hsum(*acc_tr);
+            for (t, acc_t) in acc.iter().enumerate() {
+                for (r, acc_tr) in acc_t.iter().enumerate() {
+                    // SAFETY: inside the tile's outputs.
+                    *out.add(r * out_stride + t) = hsum(*acc_tr);
+                }
             }
         }
     }
@@ -794,11 +965,126 @@ mod avx2 {
     /// `j + 4`, then pairs, then the two halves.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn hsum(v: __m256) -> f32 {
+    pub(super) fn hsum(v: __m256) -> f32 {
         let s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
         let s2 = _mm_add_ps(s, _mm_movehl_ps(s, s));
         let s3 = _mm_add_ss(s2, _mm_shuffle_ps::<0x55>(s2, s2));
         _mm_cvtss_f32(s3)
+    }
+}
+
+/// The AVX-512 VNNI kernels: the AVX2 kernels' arithmetic with the integer
+/// part in one instruction. `vpdpbusd(acc, q, x)` adds the four `u8 × i8`
+/// products of each 32-bit lane to `acc` without saturating, so with the
+/// token's `-8 · Σ₄ x` as `acc` it yields the `Σ₄ (q - 8) · x` lanes that
+/// `maddubs`, `sub` and `madd` produce in AVX2 — the same exact integers,
+/// followed by the same `cvt`, `mul`, `mul`, `add` and the same [`hsum`].
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use super::avx2::{self, hsum};
+    use super::tiling::{row_groups, Band, Tiles};
+    use super::{packed_row_bytes, Q4_BLOCK, Q4_BLOCK_BYTES};
+
+    /// See [`KernelBackend::qdot_rows`](super::KernelBackend::qdot_rows).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and AVX-512 F, BW, VL and VNNI at runtime.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+    pub(super) unsafe fn qdot_rows(band: Band<'_>) {
+        // SAFETY (all calls): the features are the caller's promise. Row
+        // pairs four at a time, then one at a time; an odd last row has
+        // no partner and takes the AVX2 tile, whose bits are the same.
+        let wide = row_groups::<Zmm, 4, 4>(band);
+        let paired = wide + row_groups::<Zmm, 1, 4>(band.skip(wide));
+        row_groups::<avx2::Ymm, 1, 4>(band.skip(paired));
+    }
+
+    /// Two rows per `zmm`: the low half is the even row's block as
+    /// `avx2::unpack` lays it out, the high half the odd row's; a token's
+    /// codes and scale are broadcast to both halves, and each half of an
+    /// accumulator is the `ymm` accumulator the AVX2 tile would have held
+    /// for that row. Up to `4 × 4` accumulators of the 32 registers.
+    struct Zmm;
+
+    impl Tiles for Zmm {
+        const ROWS: usize = 2;
+
+        #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+        #[inline]
+        unsafe fn tile<const R: usize, const T: usize>(
+            rows: *const u8,
+            codes: *const i8,
+            scales: *const f32,
+            cols: usize,
+            out: *mut f32,
+            out_stride: usize,
+        ) {
+            let blocks = cols / Q4_BLOCK;
+            let row_bytes = packed_row_bytes(cols);
+            let eights = _mm512_set1_epi8(8);
+            let zero = _mm512_setzero_si512();
+            let mut acc = [[_mm512_setzero_ps(); R]; T];
+            for b in 0..blocks {
+                // SAFETY: block `b` of rows `2r` and `2r + 1` is inside
+                // the `2R` rows.
+                let w: [(__m512i, __m512); R] = std::array::from_fn(|r| {
+                    let blk = rows.add(2 * r * row_bytes + b * Q4_BLOCK_BYTES);
+                    unpack_pair(blk, blk.add(row_bytes))
+                });
+                for (t, acc_t) in acc.iter_mut().enumerate() {
+                    // SAFETY: block `b` of token `t`: 32 codes and a scale.
+                    let x = _mm512_broadcast_i64x4(_mm256_loadu_si256(
+                        codes.add(t * cols + b * Q4_BLOCK) as *const __m256i,
+                    ));
+                    let x_scale = _mm512_set1_ps(*scales.add(t * blocks + b));
+                    let bias = _mm512_sub_epi32(zero, _mm512_dpbusd_epi32(zero, eights, x));
+                    for (acc_tr, (q, w_scale)) in acc_t.iter_mut().zip(&w) {
+                        let quads = _mm512_cvtepi32_ps(_mm512_dpbusd_epi32(bias, *q, x));
+                        let d = _mm512_mul_ps(*w_scale, x_scale);
+                        *acc_tr = _mm512_add_ps(*acc_tr, _mm512_mul_ps(quads, d));
+                    }
+                }
+            }
+            for (t, acc_t) in acc.iter().enumerate() {
+                for (r, acc_tr) in acc_t.iter().enumerate() {
+                    let odd = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(*acc_tr));
+                    // SAFETY: inside the tile's outputs.
+                    *out.add(2 * r * out_stride + t) = hsum(_mm512_castps512_ps256(*acc_tr));
+                    *out.add((2 * r + 1) * out_stride + t) = hsum(_mm256_castpd_ps(odd));
+                }
+            }
+        }
+    }
+
+    /// `avx2::unpack` for two rows' blocks at once: 128-bit chunks `[even
+    /// row low nibbles | even row high | odd row low | odd row high]` and
+    /// the scales `[even × 8 | odd × 8]`.
+    ///
+    /// # Safety
+    ///
+    /// Requires the module's features. Both blocks must be readable for
+    /// `Q4_BLOCK_BYTES`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+    #[inline]
+    unsafe fn unpack_pair(even: *const u8, odd: *const u8) -> (__m512i, __m512) {
+        const ODD_ROW: u16 = 0xff00;
+        // SAFETY: each block is a 4-byte scale followed by 16 nibble bytes.
+        let scale = _mm512_mask_blend_ps(
+            ODD_ROW,
+            _mm512_set1_ps((even as *const f32).read_unaligned()),
+            _mm512_set1_ps((odd as *const f32).read_unaligned()),
+        );
+        let raw_even = _mm_loadu_si128(even.add(4) as *const __m128i);
+        let raw_odd = _mm_loadu_si128(odd.add(4) as *const __m128i);
+        let raw = _mm512_mask_broadcast_i32x4(_mm512_broadcast_i32x4(raw_even), ODD_ROW, raw_odd);
+        // Chunks 1 and 3 move their high nibbles down; the mask then drops
+        // whatever the 64-bit shift carried across byte boundaries.
+        let both = _mm512_srlv_epi64(raw, _mm512_setr_epi64(0, 0, 4, 4, 0, 0, 4, 4));
+        (_mm512_and_si512(both, _mm512_set1_epi8(0x0f)), scale)
     }
 }
 
@@ -824,12 +1110,17 @@ mod tests {
             KernelBackendKind::Scalar,
             KernelBackendKind::Portable,
             KernelBackendKind::Avx2,
+            KernelBackendKind::Avx512,
         ] {
             assert_eq!(KernelBackendKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(
             KernelBackendKind::parse("AVX2"),
             Some(KernelBackendKind::Avx2)
+        );
+        assert_eq!(
+            KernelBackendKind::parse(" Avx512\n"),
+            Some(KernelBackendKind::Avx512)
         );
         assert_eq!(KernelBackendKind::parse("neon"), None);
     }
@@ -844,11 +1135,20 @@ mod tests {
             KernelBackendKind::Portable.resolve().kind(),
             KernelBackendKind::Portable
         );
-        let avx2 = KernelBackendKind::Avx2.resolved();
-        if avx2_available() {
-            assert_eq!(avx2, KernelBackendKind::Avx2);
-        } else {
-            assert_eq!(avx2, KernelBackendKind::Scalar, "clean scalar fallback");
+        // A SIMD kind the host lacks lands on the next rung down, and an
+        // explicit `Avx2` stays `Avx2` on an AVX-512 host.
+        let below_avx512 = KernelBackendKind::Avx2.resolved();
+        for (kind, available, fallback) in [
+            (
+                KernelBackendKind::Avx2,
+                avx2_available(),
+                KernelBackendKind::Scalar,
+            ),
+            (KernelBackendKind::Avx512, avx512_available(), below_avx512),
+        ] {
+            let want = if available { kind } else { fallback };
+            assert_eq!(kind.resolved(), want);
+            assert_eq!(kind.resolve().kind(), want);
         }
     }
 
@@ -856,6 +1156,10 @@ mod tests {
     fn auto_resolves_to_a_concrete_backend() {
         let kind = KernelBackendKind::Auto.resolve().kind();
         assert_ne!(kind, KernelBackendKind::Auto);
+        if std::env::var_os(KERNEL_BACKEND_ENV).is_none() {
+            // Detection alone takes the widest SIMD rung the host has.
+            assert_eq!(kind, KernelBackendKind::Avx512.resolved());
+        }
     }
 
     #[test]
@@ -864,6 +1168,10 @@ mod tests {
         assert!(kinds.contains(&KernelBackendKind::Scalar));
         assert!(kinds.contains(&KernelBackendKind::Portable));
         assert_eq!(kinds.contains(&KernelBackendKind::Avx2), avx2_available());
+        assert_eq!(
+            kinds.contains(&KernelBackendKind::Avx512),
+            avx512_available()
+        );
     }
 
     /// Quantizes `x` with the scalar reference.

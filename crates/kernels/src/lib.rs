@@ -3,10 +3,10 @@
 //! Real CPU compute kernels for quantized Mixture-of-Experts inference:
 //!
 //! * [`backend`] — runtime-dispatched backends (scalar reference, portable
-//!   auto-vectorizable, `x86_64` AVX2) for the `Q4_0 × Q8_0` integer dot
-//!   and the activation quantizer that feeds it, bit-identical to each
-//!   other, selected once at startup by CPU feature detection with an
-//!   env/config override;
+//!   auto-vectorizable, `x86_64` AVX2 and AVX-512 VNNI) for the `Q4_0 ×
+//!   Q8_0` integer dot and the activation quantizer that feeds it,
+//!   bit-identical to each other, selected once at startup by CPU feature
+//!   detection with an env/config override;
 //! * [`gemm`] — single-precision GEMM/GEMV reference kernels with row-blocked
 //!   multi-threading;
 //! * [`quant`] — llama.cpp-style `Q4_0` block quantization (32 weights per
@@ -36,8 +36,8 @@
 // `deny` rather than `forbid`: the persistent `WorkerPool` needs two
 // narrowly-scoped `allow(unsafe_code)` regions (lifetime erasure of the job
 // closure, with a completion barrier guaranteeing the borrow outlives every
-// use — see `threadpool`), and the AVX2 kernel backend needs
-// `allow(unsafe_code)` for its feature-gated intrinsics (guarded by
+// use — see `threadpool`), and the AVX2 and AVX-512 kernel backends need
+// `allow(unsafe_code)` for their feature-gated intrinsics (guarded by
 // `is_x86_feature_detected!` at selection time — see `backend`). Everything
 // else remains unsafe-free.
 #![deny(unsafe_code)]

@@ -98,6 +98,7 @@ pub mod wire_backend {
             KernelBackendKind::Scalar => 1,
             KernelBackendKind::Portable => 2,
             KernelBackendKind::Avx2 => 3,
+            KernelBackendKind::Avx512 => 4,
         }
     }
 
@@ -108,6 +109,7 @@ pub mod wire_backend {
             1 => KernelBackendKind::Scalar,
             2 => KernelBackendKind::Portable,
             3 => KernelBackendKind::Avx2,
+            4 => KernelBackendKind::Avx512,
             _ => return None,
         })
     }
@@ -123,10 +125,12 @@ pub mod wire_backend {
                 KernelBackendKind::Scalar,
                 KernelBackendKind::Portable,
                 KernelBackendKind::Avx2,
+                KernelBackendKind::Avx512,
             ] {
                 assert_eq!(from_wire(to_wire(kind)), Some(kind));
             }
-            assert_eq!(from_wire(9), None);
+            assert_eq!(to_wire(KernelBackendKind::Avx512), 4);
+            assert_eq!(from_wire(5), None);
         }
     }
 }

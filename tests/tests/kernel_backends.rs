@@ -1,6 +1,6 @@
 //! Cross-backend kernel dispatch suite: every runtime-selectable kernel
-//! backend (scalar reference, portable auto-vectorized, AVX2 intrinsics)
-//! must compute the same `Q4_0 × Q8_0` integer dot — the same activation
+//! backend (scalar reference, portable auto-vectorized, AVX2 and AVX-512
+//! VNNI intrinsics) must compute the same `Q4_0 × Q8_0` integer dot — the same activation
 //! codes and scales, the same output bits at every shape — and that one
 //! arithmetic must stay within its pinned accuracy bound of an `f64`
 //! oracle over the dequantized weights. Runs with the default proptest
@@ -208,7 +208,8 @@ proptest! {
     /// Tiling contract: one multi-row `qdot_rows` call equals per-row
     /// `qdot_row` calls bit for bit, on every backend and across backends
     /// — over every AVX2 tile shape (4×1, 4×2, 2×4 and its 2×T
-    /// remainders, 1×T for leftover rows), every row and token remainder,
+    /// remainders, 1×T for leftover rows), every AVX-512 one (four row
+    /// pairs, one pair, the odd last row), every row and token remainder,
     /// and long rows.
     #[test]
     fn qdot_rows_equals_per_row_qdot_row(
@@ -276,8 +277,97 @@ proptest! {
     }
 }
 
+/// The edges a random sweep can miss, one by one: every (rows, tokens) in
+/// 0..=9 × 0..=9 — empty bands and batches, odd rows, each row-group and
+/// token remainder of every tile family — at block counts that are and
+/// are not multiples of two.
+#[test]
+fn every_small_shape_matches_the_scalar_reference() {
+    for cols in [32usize, 96, 256, 512] {
+        let q = QuantizedMatrix::quantize(&pseudo(9 * cols, 17), 9, cols).unwrap();
+        let data = q.data();
+        for tokens in 0..=9usize {
+            let acts = quantized(backend::scalar(), &pseudo(tokens * cols, 18), cols);
+            for nrows in 0..=9usize {
+                let rows = &data[..nrows * cols / Q4_BLOCK * Q4_BLOCK_BYTES];
+                let mut want = vec![f32::NAN; nrows * tokens];
+                backend::scalar().qdot_rows(rows, nrows, &acts, &mut want);
+                for b in backend::available() {
+                    let mut out = vec![f32::NAN; nrows * tokens];
+                    b.qdot_rows(rows, nrows, &acts, &mut out);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&want),
+                        "{:?} cols={cols} tokens={tokens} nrows={nrows}",
+                        b.kind()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The largest sums the integer dot can meet: every nibble 15 or 0
+/// (centred 7 or -8) against every activation code +127 or -127. Nothing
+/// may saturate on the way (`maddubs` pair sums, `vpdpbusd` rather than
+/// `vpdpbusds`), so each output is the exact product sum.
+#[test]
+fn extreme_codes_give_exact_sums_on_every_backend() {
+    let (nrows, blocks, tokens) = (9usize, 3usize, 5usize);
+    let cols = blocks * Q4_BLOCK;
+    for (nibbles, centred) in [(0xffu8, 7.0f64), (0x00, -8.0)] {
+        let mut block = 1.0f32.to_le_bytes().to_vec();
+        block.resize(Q4_BLOCK_BYTES, nibbles);
+        let rows = block.repeat(nrows * blocks);
+        for sign in [1.0f32, -1.0] {
+            let acts = quantized(backend::scalar(), &vec![sign; tokens * cols], cols);
+            assert!(acts.codes().iter().all(|c| f32::from(*c) == sign * 127.0));
+            // 127 · (1/127) is 1 up to the rounding of the scale.
+            let want = cols as f64 * centred * f64::from(sign);
+            let mut reference = vec![f32::NAN; nrows * tokens];
+            backend::scalar().qdot_rows(&rows, nrows, &acts, &mut reference);
+            assert!(reference
+                .iter()
+                .all(|v| (f64::from(*v) - want).abs() < 1e-3 * want.abs()));
+            for b in backend::available() {
+                let mut out = vec![f32::NAN; nrows * tokens];
+                b.qdot_rows(&rows, nrows, &acts, &mut out);
+                assert_eq!(bits(&out), bits(&reference), "{:?}", b.kind());
+            }
+        }
+    }
+}
+
+/// The shape checks are real asserts on every backend, in release builds
+/// too: the SIMD kernels read through raw pointers on their strength.
+#[test]
+fn shape_mismatches_panic_on_every_backend() {
+    // (row bytes, activation floats, outputs) for two one-block rows by
+    // three tokens, each off by one in turn.
+    let cases = [
+        (2 * Q4_BLOCK_BYTES - 1, 3 * Q4_BLOCK, 6, "row bytes"),
+        (2 * Q4_BLOCK_BYTES, 3 * Q4_BLOCK - 1, 6, "activation shape"),
+        (2 * Q4_BLOCK_BYTES, 3 * Q4_BLOCK, 5, "output shape"),
+    ];
+    for b in backend::available() {
+        for (row_bytes, x_len, out_len, message) in cases {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let acts = quantized(b, &vec![0.0; x_len], Q4_BLOCK);
+                b.qdot_rows(&vec![0u8; row_bytes], 2, &acts, &mut vec![0.0; out_len]);
+            }))
+            .expect_err("a bad shape was accepted");
+            let text = match panic.downcast_ref::<String>() {
+                Some(formatted) => formatted.as_str(),
+                None => panic.downcast_ref::<&str>().expect("assert message"),
+            };
+            assert!(text.contains(message), "{:?}: {text}", b.kind());
+        }
+    }
+}
+
 /// The `HYBRIMOE_KERNEL_BACKEND` knob and the `RealExecOptions` field pick
 /// concrete backends, and an executor always reports one (never `Auto`).
+/// A SIMD kind the host lacks lands on the next rung down.
 #[test]
 fn executors_report_concrete_backends() {
     for kind in [
@@ -285,6 +375,7 @@ fn executors_report_concrete_backends() {
         KernelBackendKind::Scalar,
         KernelBackendKind::Portable,
         KernelBackendKind::Avx2,
+        KernelBackendKind::Avx512,
     ] {
         let exec = RealLayerExecutor::with_options(
             ModelConfig::tiny_test(),
@@ -296,10 +387,14 @@ fn executors_report_concrete_backends() {
         );
         let resolved = exec.backend_kind();
         assert_ne!(resolved, KernelBackendKind::Auto);
+        let below_avx512 = KernelBackendKind::Avx2.resolved();
         match kind {
             KernelBackendKind::Auto => {}
             KernelBackendKind::Avx2 if !backend::avx2_available() => {
                 assert_eq!(resolved, KernelBackendKind::Scalar, "clean scalar fallback");
+            }
+            KernelBackendKind::Avx512 if !backend::avx512_available() => {
+                assert_eq!(resolved, below_avx512, "one rung down");
             }
             pinned => assert_eq!(resolved, pinned),
         }

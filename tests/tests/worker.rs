@@ -13,8 +13,10 @@ use std::time::Duration;
 use hybrimoe::realexec::{RealExecOptions, RealLayerExecutor};
 use hybrimoe::remote::{RemoteLayerExecutor, RemoteWorkerOptions};
 use hybrimoe::{Engine, EngineConfig, Framework};
-use hybrimoe_kernels::KernelBackendKind;
-use hybrimoe_model::{LayerId, LayerRouting, ModelConfig, RouterOutput};
+use hybrimoe_kernels::{backend, ExecScratch, KernelBackendKind, WorkerPool};
+use hybrimoe_model::{
+    ExpertId, ExpertKey, LayerId, LayerRouting, ModelConfig, RouterOutput, WeightStore,
+};
 use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
 use hybrimoe_trace::TraceGenerator;
 use hybrimoe_worker::protocol::{
@@ -22,7 +24,7 @@ use hybrimoe_worker::protocol::{
     HeartbeatAck, Hello, HelloAck, LoadShard, LoadShardAck, Opcode, HEADER_LEN, MAX_PAYLOAD,
     VERSION,
 };
-use hybrimoe_worker::{Endpoint, WorkerHandle, WorkerServer, WorkerServerOptions};
+use hybrimoe_worker::{wire_backend, Endpoint, WorkerHandle, WorkerServer, WorkerServerOptions};
 use proptest::prelude::*;
 
 /// Spawns an in-thread worker on a loopback port.
@@ -250,6 +252,72 @@ fn wrong_shard_and_reply_opcodes_get_error_replies() {
     );
     let (header, _) = roundtrip(&mut stream, Opcode::Heartbeat, 4, &[]);
     assert_eq!(header.opcode, Opcode::HeartbeatAck);
+    worker.shutdown();
+}
+
+/// A `LoadShard` pinning byte 4 (`avx512`) loads on whatever host runs the
+/// worker: a CPU without the features runs the widest backend below it,
+/// and either way the outputs are the local scalar ones bit for bit.
+#[test]
+fn avx512_pinned_shard_loads_on_any_host_and_matches_local() {
+    let model = ModelConfig::tiny_test();
+    let hidden = model.routed_shape.hidden();
+    let worker = spawn_worker(WorkerServerOptions::default());
+    let mut stream = connect(&worker);
+    handshake(&mut stream);
+    let mut payload = Vec::new();
+    LoadShard {
+        seed: 7,
+        worker: 0,
+        num_workers: 1,
+        layers: model.layers,
+        routed_experts: model.routed_experts,
+        hidden,
+        inter: model.routed_shape.inter(),
+        weight_budget_bytes: 1 << 24,
+        backend: wire_backend::to_wire(KernelBackendKind::Avx512),
+    }
+    .encode(&mut payload);
+    assert_eq!(payload.last(), Some(&4), "the wire byte");
+    let (header, _) = roundtrip(&mut stream, Opcode::LoadShard, 1, &payload);
+    assert_eq!(header.opcode, Opcode::LoadShardAck);
+
+    let mut store = WeightStore::new(model.clone(), 7, 1 << 24);
+    let pool = WorkerPool::new(1);
+    let mut scratch = ExecScratch::new();
+    // One, two and more tokens: each register-tile family, plus remainders.
+    for (id, tokens) in [1u32, 2, 3, 5, 8].into_iter().enumerate() {
+        let data: Vec<f32> = (0..tokens * hidden)
+            .map(|i| ((i * 37 + tokens) % 101) as f32 / 500.0 - 0.1)
+            .collect();
+        payload.clear();
+        ExecuteBatch {
+            layer: 0,
+            expert: 1,
+            tokens,
+            hidden,
+            data: data.clone(),
+        }
+        .encode(&mut payload);
+        let (header, reply) = roundtrip(&mut stream, Opcode::ExecuteBatch, 2 + id as u32, &payload);
+        assert_eq!(header.opcode, Opcode::ExecuteBatchAck);
+        let remote = ExecuteBatchAck::decode(&reply).expect("ack").data;
+
+        let ffn = store
+            .expert(ExpertKey::new(LayerId(0), ExpertId(1)))
+            .expect("within budget");
+        let mut local = vec![0.0f32; data.len()];
+        ffn.forward_batch_into(
+            &data,
+            tokens as usize,
+            &mut local,
+            &mut scratch,
+            &pool,
+            backend::scalar(),
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&remote), bits(&local), "tokens={tokens}");
+    }
     worker.shutdown();
 }
 
