@@ -9,11 +9,11 @@
 //! cargo run -p hybrimoe_bench --release --bin chaos_bench -- --json --out BENCH_chaos.json
 //! ```
 //!
-//! The summary is a deterministic function of the seed (the sim-clock
-//! soak counters are bit-reproducible; the real-server phase reports
-//! invariant booleans), so CI runs the binary twice and diffs the two
-//! JSON files byte for byte. `bench_check --chaos-fresh` then gates the
-//! invariants themselves.
+//! Exits 1 unless `ChaosSummary::invariants_hold`. The summary is a
+//! deterministic function of the seed (the sim-clock soak counters are
+//! bit-reproducible; the real-server phase reports invariant booleans), so
+//! CI diffs a fresh `--out` file against the committed `BENCH_chaos.json`
+//! byte for byte.
 //!
 //! | flag | meaning |
 //! |---|---|
@@ -86,17 +86,7 @@ fn main() {
         );
     }
 
-    let soak_accounted = summary.soak_completed
-        + summary.soak_timed_out
-        + summary.soak_cancelled
-        + summary.soak_failed
-        == summary.soak_requests;
-    let ok = soak_accounted
-        && summary.soak_leaked_slots == 0
-        && summary.server_all_terminated
-        && summary.server_accounted
-        && summary.server_healthz_consistent;
-    if !ok {
+    if !summary.invariants_hold() {
         eprintln!("chaos_bench: INVARIANT VIOLATION (see summary above)");
         std::process::exit(1);
     }

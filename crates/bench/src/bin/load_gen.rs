@@ -5,12 +5,12 @@
 //! ```text
 //! cargo run -p hybrimoe_bench --release --bin load_gen                    # in-process server
 //! cargo run -p hybrimoe_bench --release --bin load_gen -- --addr 127.0.0.1:8080
-//! cargo run -p hybrimoe_bench --release --bin load_gen -- --json --out BENCH_server.json
+//! cargo run -p hybrimoe_bench --release --bin load_gen -- --json --out summary.json
 //! ```
 //!
 //! With no `--addr`, a tiny-model server is started in-process so the run
-//! is self-contained (that is how `BENCH_server.json` is produced). The
-//! defaults drive 1000 concurrent streamed requests.
+//! is self-contained. The defaults drive 1000 concurrent streamed
+//! requests; the exit code is 1 unless every one of them completed.
 //!
 //! | flag | meaning |
 //! |---|---|

@@ -1,5 +1,5 @@
-//! The chaos soak shared by the `chaos_bench` binary and `bench_check`'s
-//! chaos gate.
+//! The chaos soak behind the `chaos_bench` binary, and the gate it exits
+//! on ([`ChaosSummary::invariants_hold`]).
 //!
 //! Two phases, one invariant: **every admitted request terminates, and no
 //! batch slot leaks** — under injected engine panics, latency spikes,
@@ -35,15 +35,16 @@ use hybrimoe::{EngineConfig, Framework};
 use hybrimoe_fault::{FaultPlan, FaultRates, FaultStream};
 use hybrimoe_hw::{SimDuration, SimTime};
 use hybrimoe_model::ModelConfig;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
-/// What one chaos run measured. Written to `BENCH_chaos.json` and gated
-/// by `bench_check --chaos-fresh`.
+/// What one chaos run measured. `chaos_bench` exits 1 unless
+/// [`invariants_hold`](ChaosSummary::invariants_hold), and CI diffs its
+/// JSON against the committed `BENCH_chaos.json`.
 ///
 /// The soak fields are deterministic functions of `seed`; the server
 /// fields are invariant booleans (plus the fixed request count), so the
 /// whole summary serializes byte-identically across same-seed runs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ChaosSummary {
     /// Seed the whole run derived from.
     pub seed: u64,
@@ -76,6 +77,22 @@ pub struct ChaosSummary {
     /// `/healthz` still answered after the storm, and its `status` agreed
     /// with the metrics (degraded iff restarts or open breakers).
     pub server_healthz_consistent: bool,
+}
+
+impl ChaosSummary {
+    /// The chaos gate: every soak request reached a terminal outcome, no
+    /// batch slot leaked, the fault plan actually injected panics (the
+    /// storm must storm), and the server phase's three invariants held.
+    pub fn invariants_hold(&self) -> bool {
+        let soak_terminal =
+            self.soak_completed + self.soak_timed_out + self.soak_cancelled + self.soak_failed;
+        soak_terminal == self.soak_requests
+            && self.soak_leaked_slots == 0
+            && self.soak_panics_contained > 0
+            && self.server_all_terminated
+            && self.server_accounted
+            && self.server_healthz_consistent
+    }
 }
 
 /// Fixed request count of the soak phase.
@@ -476,5 +493,32 @@ mod tests {
         assert_eq!(a.failed, b.failed);
         assert_eq!(a.panics_contained, b.panics_contained);
         assert_eq!(a.steps, b.steps);
+    }
+
+    #[test]
+    fn a_storm_that_injected_nothing_fails_the_gate() {
+        let healthy = ChaosSummary {
+            seed: 7,
+            soak_requests: 10,
+            soak_completed: 6,
+            soak_timed_out: 2,
+            soak_cancelled: 1,
+            soak_failed: 1,
+            soak_panics_contained: 1,
+            soak_steps: 40,
+            soak_leaked_slots: 0,
+            server_requests: 4,
+            server_all_terminated: true,
+            server_accounted: true,
+            server_healthz_consistent: true,
+        };
+        assert!(healthy.invariants_hold());
+        let calm = ChaosSummary {
+            soak_panics_contained: 0,
+            soak_failed: 0,
+            soak_completed: 7,
+            ..healthy
+        };
+        assert!(!calm.invariants_hold(), "the storm must storm");
     }
 }

@@ -1,5 +1,4 @@
-//! The network-serving load driver shared by the `load_gen` binary and
-//! `bench_check`'s server gate.
+//! The network-serving load driver behind the `load_gen` binary.
 //!
 //! Opens [`ServerLoad::concurrency`] client connections against a serving
 //! front-end (an in-process one by default), streams every request to

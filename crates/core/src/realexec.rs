@@ -77,9 +77,8 @@ pub struct RealExecOptions {
     /// expert-major batched hot path: one [`forward_threads`] call per
     /// (expert, token) pair on per-call scoped threads, exactly like the
     /// pre-batching executor. The reference path always runs the scalar
-    /// kernels and exists as the correctness oracle and the baseline that
-    /// `real_bench` measures the batched path against; outputs are
-    /// bit-identical either way, whatever
+    /// kernels and exists as the correctness oracle the batched path is
+    /// checked against; outputs are bit-identical either way, whatever
     /// [`RealExecOptions::kernel_backend`] is.
     ///
     /// [`forward_threads`]: hybrimoe_kernels::ExpertFfn::forward_threads
@@ -470,8 +469,7 @@ impl RealLayerExecutor {
 
     /// The retained token-major reference path: one single-token forward
     /// (on per-call scoped threads) per (expert, token) pair, exactly like
-    /// the pre-batching executor. `real_bench` measures the batched path
-    /// against this baseline.
+    /// the pre-batching executor.
     fn run_token_major(
         &mut self,
         layer: LayerId,

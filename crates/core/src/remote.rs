@@ -16,10 +16,9 @@
 //!   worker to the same kernel backend as the local fallback path — so
 //!   a layer's output is bit-identical to fully-local execution for any
 //!   mix of remote and local experts.
-//! * **Pipelining.** With [`RemoteWorkerOptions::pipeline`] on, every
-//!   expert's batch is dispatched before any reply is collected; each
-//!   connection answers strictly FIFO, and replies are collected in the
-//!   same ascending expert order they were sent.
+//! * **Pipelining.** Every expert's batch is dispatched before any reply
+//!   is collected; each connection answers strictly FIFO, and replies are
+//!   collected in the same ascending expert order they were sent.
 //! * **Failover.** A send or receive failure marks the worker down
 //!   (reconnect-with-backoff in [`WorkerClientPool`]) and the affected
 //!   experts — including any whose pipelined replies died with the
@@ -60,7 +59,6 @@ use crate::realexec::{account, RealExecError, RealExecOptions, RealLayerOutput};
 /// let opts = RemoteWorkerOptions::default();
 /// assert!(opts.endpoints.is_empty()); // degraded: everything runs locally
 /// assert_eq!(opts.deadline_ms, 5_000);
-/// assert!(opts.pipeline);
 /// assert_eq!(opts.breaker_threshold, 4);
 /// assert_eq!(opts.breaker_cooldown_ms, 500);
 /// ```
@@ -73,9 +71,6 @@ pub struct RemoteWorkerOptions {
     /// Per-request deadline in milliseconds, enforced as the socket read
     /// timeout while waiting for each reply. `0` waits forever.
     pub deadline_ms: u64,
-    /// Dispatch every expert's batch before collecting any reply (the
-    /// workers answer strictly FIFO). Off sends one request at a time.
-    pub pipeline: bool,
     /// Consecutive send/collect failures that trip a worker's circuit
     /// breaker. While open, experts owned by that worker route straight
     /// to the local fallback — no connect attempt, no deadline wait —
@@ -92,7 +87,6 @@ impl Default for RemoteWorkerOptions {
         RemoteWorkerOptions {
             endpoints: Vec::new(),
             deadline_ms: 5_000,
-            pipeline: true,
             breaker_threshold: 4,
             breaker_cooldown_ms: 500,
         }
@@ -104,7 +98,6 @@ impl RemoteWorkerOptions {
     pub fn client_options(&self) -> ClientOptions {
         ClientOptions {
             deadline: (self.deadline_ms > 0).then(|| Duration::from_millis(self.deadline_ms)),
-            pipeline: self.pipeline,
             ..ClientOptions::default()
         }
     }
@@ -294,16 +287,16 @@ impl RemoteLayerExecutor {
             }
         }
 
-        // Dispatch phase: with pipelining on, every expert's batch is on
-        // the wire before any reply is read. Replies arrive strictly FIFO
-        // per connection, and the collect loop below walks the same
-        // ascending expert order, so correlation is positional.
-        let pipelined = self.workers.pipeline() && self.workers.num_workers() > 0;
+        // Dispatch phase: every expert's batch is on the wire before any
+        // reply is read. Replies arrive strictly FIFO per connection, and
+        // the collect loop below walks the same ascending expert order, so
+        // correlation is positional. With no workers configured every
+        // expert stays `Local`.
         scratch.dispatch.clear();
         scratch
             .dispatch
             .resize(scratch.planned.len(), Dispatch::Local);
-        if pipelined {
+        if self.workers.num_workers() > 0 {
             for i in 0..scratch.planned.len() {
                 let expert = scratch.planned[i];
                 let list = &scratch.tokens_of[expert as usize];
@@ -404,63 +397,6 @@ impl RemoteLayerExecutor {
                         if *d == Dispatch::Remote(worker) {
                             *d = Dispatch::Local;
                         }
-                    }
-                }
-            } else if !pipelined && self.workers.num_workers() > 0 {
-                // Non-pipelined remote path: one request at a time.
-                let worker = self
-                    .workers
-                    .worker_for_expert(hybrimoe_model::ExpertId(expert));
-                if !Self::breaker_allows(
-                    &mut self.breakers,
-                    &mut self.workers,
-                    self.breaker_threshold,
-                    self.breaker_cooldown,
-                    worker,
-                ) {
-                    // Open breaker: local fallback without touching the
-                    // worker (`collected` stays false).
-                    self.workers.note_failover();
-                } else {
-                    let sent = match self.workers.client(worker) {
-                        Some(client) => client
-                            .send_execute_parts(
-                                layer.0,
-                                expert,
-                                batch as u32,
-                                hidden as u32,
-                                gather_batch(&mut scratch.gather, list, inputs, hidden),
-                            )
-                            .is_ok(),
-                        None => false,
-                    };
-                    if sent {
-                        self.workers.note_request();
-                        collected = Self::collect_remote(
-                            &mut self.workers,
-                            worker,
-                            batch,
-                            hidden,
-                            list,
-                            &mut output,
-                        );
-                    }
-                    if collected {
-                        Self::breaker_ok(&mut self.breakers, worker);
-                    } else {
-                        // A failed send marks the worker down here; a
-                        // failed receive was already marked down by
-                        // collect_remote.
-                        if !sent {
-                            self.workers.fail(worker);
-                        }
-                        Self::breaker_fail(
-                            &mut self.breakers,
-                            self.breaker_threshold,
-                            self.breaker_cooldown,
-                            worker,
-                        );
-                        self.workers.note_failover();
                     }
                 }
             }
@@ -938,30 +874,6 @@ mod tests {
             for h in handles {
                 h.shutdown();
             }
-        }
-    }
-
-    #[test]
-    fn non_pipelined_dispatch_matches_too() {
-        let model = ModelConfig::tiny_test();
-        let (inputs, routes) = token_inputs(&model, 3, 21);
-        let plan = plan_for(&model, &routes);
-        let reference = local_reference(&model, &plan, &inputs, &routes);
-
-        let (handles, endpoints) = spawn_workers(2, WorkerServerOptions::default());
-        let remote = RemoteWorkerOptions {
-            endpoints,
-            pipeline: false,
-            ..Default::default()
-        };
-        let mut exec = RemoteLayerExecutor::new(model, 7, scalar_options(), &remote);
-        let out = exec
-            .execute_layer(LayerId(0), &plan, &inputs, &routes)
-            .unwrap();
-        assert_eq!(out.output, reference);
-        exec.drain();
-        for h in handles {
-            h.shutdown();
         }
     }
 

@@ -16,9 +16,6 @@
 //!
 //! * [`KernelBackendKind::Scalar`] — the arithmetic below written out
 //!   literally, one (row, token) at a time: the **reference backend**.
-//! * [`KernelBackendKind::Portable`] — the same arithmetic over fixed-size
-//!   arrays (unpack a block once, apply it to a tile of tokens) that any
-//!   arch's auto-vectorizer can turn into SIMD.
 //! * [`KernelBackendKind::Avx2`] — `x86_64` AVX2 intrinsics
 //!   (`target_feature`-gated): a block's 32 nibbles unpack into one `ymm`
 //!   of bytes, `maddubs_epi16` + `madd_epi16` multiply them with the
@@ -51,7 +48,7 @@
 //! order (never FMA). The lanes are folded by one fixed tree (`reduce8` ≡
 //! the AVX2 `hsum`). Nothing in that sequence depends on how many rows or
 //! tokens a call covers or on which accumulators share registers, so
-//! Scalar ≡ Portable ≡ AVX2 ≡ AVX-512, GEMV ≡ GEMM and every tile shape
+//! Scalar ≡ AVX2 ≡ AVX-512, GEMV ≡ GEMM and every tile shape
 //! agree **bit for bit** (`tests/tests/kernel_backends.rs` pins it by
 //! proptest and by a sweep of every small shape).
 //!
@@ -96,11 +93,11 @@
 //! [`KernelBackendKind::resolve`] picks the implementation once at
 //! executor startup, in this order:
 //!
-//! 1. An explicit config knob (`Scalar`/`Portable`/`Avx2`/`Avx512`) wins
+//! 1. An explicit config knob (`Scalar`/`Avx2`/`Avx512`) wins
 //!    outright. A SIMD kind the host cannot run takes the widest rung
 //!    below it rather than faulting: `Avx512` → `Avx2` → `Scalar`.
 //! 2. `Auto` consults the `HYBRIMOE_KERNEL_BACKEND` environment variable
-//!    (`scalar` | `portable` | `avx2` | `avx512` | `auto`,
+//!    (`scalar` | `avx2` | `avx512` | `auto`,
 //!    case-insensitive; resolved by the same ladder). Any other value is
 //!    reported once per process on stderr and ignored.
 //! 3. Otherwise `Auto` runtime-detects with `is_x86_feature_detected!`:
@@ -131,8 +128,6 @@ pub enum KernelBackendKind {
     Auto,
     /// The scalar reference loops (the determinism oracle).
     Scalar,
-    /// Manually-unrolled eight-lane path, auto-vectorizable on any arch.
-    Portable,
     /// AVX2 intrinsics (`x86_64` only; falls back to scalar elsewhere).
     Avx2,
     /// AVX-512 VNNI intrinsics (`x86_64` with `avx512f+bw+vl+vnni`; falls
@@ -141,13 +136,11 @@ pub enum KernelBackendKind {
 }
 
 impl KernelBackendKind {
-    /// The lower-case name used by the env override, `real_bench` rows and
-    /// the CI gate.
+    /// The lower-case name used by the env override and in reports.
     pub fn name(self) -> &'static str {
         match self {
             KernelBackendKind::Auto => "auto",
             KernelBackendKind::Scalar => "scalar",
-            KernelBackendKind::Portable => "portable",
             KernelBackendKind::Avx2 => "avx2",
             KernelBackendKind::Avx512 => "avx512",
         }
@@ -159,7 +152,6 @@ impl KernelBackendKind {
         match name.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(KernelBackendKind::Auto),
             "scalar" => Some(KernelBackendKind::Scalar),
-            "portable" => Some(KernelBackendKind::Portable),
             "avx2" => Some(KernelBackendKind::Avx2),
             "avx512" => Some(KernelBackendKind::Avx512),
             _ => None,
@@ -172,7 +164,6 @@ impl KernelBackendKind {
     /// → `Scalar`).
     pub fn resolve(self) -> &'static dyn KernelBackend {
         match self.resolved() {
-            KernelBackendKind::Portable => &Portable,
             #[cfg(target_arch = "x86_64")]
             KernelBackendKind::Avx2 => &Avx2(()),
             #[cfg(target_arch = "x86_64")]
@@ -211,7 +202,7 @@ fn env_override() -> Option<KernelBackendKind> {
         WARNED.call_once(|| {
             eprintln!(
                 "hybrimoe: ignoring {KERNEL_BACKEND_ENV}={value:?}: expected one of \
-                 auto, scalar, portable, avx2, avx512; detecting the backend instead"
+                 auto, scalar, avx2, avx512; detecting the backend instead"
             );
         });
     }
@@ -253,11 +244,10 @@ pub fn scalar() -> &'static dyn KernelBackend {
     &Scalar
 }
 
-/// Every backend that can run on this host: scalar and portable always,
-/// plus AVX2 and AVX-512 where detected. `real_bench` sweeps exactly this
-/// set.
+/// Every backend that can run on this host, narrowest first: scalar
+/// always, then AVX2 and AVX-512 where detected.
 pub fn available() -> Vec<&'static dyn KernelBackend> {
-    let mut backends: Vec<&'static dyn KernelBackend> = vec![&Scalar, &Portable];
+    let mut backends: Vec<&'static dyn KernelBackend> = vec![&Scalar];
     if avx2_available() {
         backends.push(KernelBackendKind::Avx2.resolve());
     }
@@ -443,28 +433,6 @@ fn check_shapes(rows: &[u8], nrows: usize, acts: &Q8Acts, out: &[f32]) {
     );
 }
 
-/// [`KernelBackend::qdot_rows`] as a loop of a backend's one-row kernel:
-/// shape-checks once, then hands `row_kernel` each `(row, acts, out_row)`.
-fn qdot_rows_by_row(
-    rows: &[u8],
-    nrows: usize,
-    acts: &Q8Acts,
-    out: &mut [f32],
-    row_kernel: impl Fn(&[u8], &Q8Acts, &mut [f32]),
-) {
-    check_shapes(rows, nrows, acts, out);
-    if acts.tokens == 0 {
-        return;
-    }
-    let row_bytes = packed_row_bytes(acts.cols);
-    for (row, out_row) in rows
-        .chunks_exact(row_bytes)
-        .zip(out.chunks_mut(acts.tokens))
-    {
-        row_kernel(row, acts, out_row);
-    }
-}
-
 /// The `f32` scale a packed block starts with.
 #[inline]
 fn block_scale(blk: &[u8]) -> f32 {
@@ -490,7 +458,17 @@ impl KernelBackend for Scalar {
     }
 
     fn qdot_rows(&self, rows: &[u8], nrows: usize, acts: &Q8Acts, out: &mut [f32]) {
-        qdot_rows_by_row(rows, nrows, acts, out, scalar_row);
+        check_shapes(rows, nrows, acts, out);
+        if acts.tokens == 0 {
+            return;
+        }
+        let row_bytes = packed_row_bytes(acts.cols);
+        for (row, out_row) in rows
+            .chunks_exact(row_bytes)
+            .zip(out.chunks_mut(acts.tokens))
+        {
+            scalar_row(row, acts, out_row);
+        }
     }
 }
 
@@ -516,64 +494,6 @@ fn scalar_row(row: &[u8], acts: &Q8Acts, out: &mut [f32]) {
             }
         }
         *out_t = reduce8(&lanes);
-    }
-}
-
-/// How many tokens the portable path processes per tile (per-token lane
-/// accumulators live across the whole row).
-const PORTABLE_TILE: usize = 4;
-
-/// The portable implementation (see [`KernelBackendKind::Portable`]):
-/// plain indexed loops over fixed-size arrays, which LLVM auto-vectorizes
-/// on any target with 128/256-bit vectors, and which executes correctly
-/// (if scalar) everywhere else.
-#[derive(Debug, Clone, Copy)]
-pub struct Portable;
-
-impl KernelBackend for Portable {
-    fn kind(&self) -> KernelBackendKind {
-        KernelBackendKind::Portable
-    }
-
-    fn qdot_rows(&self, rows: &[u8], nrows: usize, acts: &Q8Acts, out: &mut [f32]) {
-        qdot_rows_by_row(rows, nrows, acts, out, portable_row);
-    }
-}
-
-/// One row of the [`Portable`] backend; `out.len()` is the token count.
-fn portable_row(row: &[u8], acts: &Q8Acts, out: &mut [f32]) {
-    let blocks = acts.cols / Q4_BLOCK;
-    // `w[j][k]` is the centred code at unpack position `4k + j`: lane `k`'s
-    // four codes sit in four rows, so the lane sums are element-wise.
-    let mut w = [[0i16; 8]; 4];
-    for (tile, out_tile) in out.chunks_mut(PORTABLE_TILE).enumerate() {
-        let t0 = tile * PORTABLE_TILE;
-        let mut lanes = [[0.0f32; 8]; PORTABLE_TILE];
-        for (b, blk) in row.chunks_exact(Q4_BLOCK_BYTES).enumerate() {
-            for k in 0..4 {
-                for j in 0..4 {
-                    w[j][k] = i16::from(blk[4 + 4 * k + j] & 0x0f) - 8;
-                    w[j][k + 4] = i16::from(blk[4 + 4 * k + j] >> 4) - 8;
-                }
-            }
-            let ws = block_scale(blk);
-            for (j, lane) in lanes.iter_mut().enumerate().take(out_tile.len()) {
-                let d = ws * acts.scales[(t0 + j) * blocks + b];
-                let x = &acts.codes[(t0 + j) * acts.cols + b * Q4_BLOCK..][..Q4_BLOCK];
-                let mut sums = [0i16; 8];
-                for (j, w_j) in w.iter().enumerate() {
-                    for k in 0..8 {
-                        sums[k] += w_j[k] * i16::from(x[4 * k + j]);
-                    }
-                }
-                for k in 0..8 {
-                    lane[k] += f32::from(sums[k]) * d;
-                }
-            }
-        }
-        for (o, lane) in out_tile.iter_mut().zip(&lanes) {
-            *o = reduce8(lane);
-        }
     }
 }
 
@@ -1108,7 +1028,6 @@ mod tests {
         for kind in [
             KernelBackendKind::Auto,
             KernelBackendKind::Scalar,
-            KernelBackendKind::Portable,
             KernelBackendKind::Avx2,
             KernelBackendKind::Avx512,
         ] {
@@ -1123,6 +1042,7 @@ mod tests {
             Some(KernelBackendKind::Avx512)
         );
         assert_eq!(KernelBackendKind::parse("neon"), None);
+        assert_eq!(KernelBackendKind::parse("portable"), None);
     }
 
     #[test]
@@ -1130,10 +1050,6 @@ mod tests {
         assert_eq!(
             KernelBackendKind::Scalar.resolve().kind(),
             KernelBackendKind::Scalar
-        );
-        assert_eq!(
-            KernelBackendKind::Portable.resolve().kind(),
-            KernelBackendKind::Portable
         );
         // A SIMD kind the host lacks lands on the next rung down, and an
         // explicit `Avx2` stays `Avx2` on an AVX-512 host.
@@ -1166,7 +1082,6 @@ mod tests {
     fn available_always_includes_the_reference() {
         let kinds: Vec<_> = available().iter().map(|b| b.kind()).collect();
         assert!(kinds.contains(&KernelBackendKind::Scalar));
-        assert!(kinds.contains(&KernelBackendKind::Portable));
         assert_eq!(kinds.contains(&KernelBackendKind::Avx2), avx2_available());
         assert_eq!(
             kinds.contains(&KernelBackendKind::Avx512),
@@ -1295,26 +1210,6 @@ mod tests {
                         backend.kind()
                     );
                 }
-            }
-        }
-    }
-
-    /// Portable ≡ AVX2 as before — and, the dot being exact in integers,
-    /// both ≡ the scalar reference.
-    #[test]
-    fn portable_and_avx2_are_bit_identical() {
-        let (rows, cols) = (7, 160);
-        let q = QuantizedMatrix::quantize(&pseudo(rows * cols, 31), rows, cols).unwrap();
-        for tokens in [1usize, 2, 3, 4, 5, 6, 8, 9] {
-            let acts = quantized(&pseudo(tokens * cols, 32), cols);
-            let want = dot_bits(&Scalar, &q, &acts);
-            for backend in available() {
-                assert_eq!(
-                    dot_bits(backend, &q, &acts),
-                    want,
-                    "{:?} tokens={tokens}",
-                    backend.kind()
-                );
             }
         }
     }

@@ -2,11 +2,11 @@
 //!
 //! Real CPU compute kernels for quantized Mixture-of-Experts inference:
 //!
-//! * [`backend`] — runtime-dispatched backends (scalar reference, portable
-//!   auto-vectorizable, `x86_64` AVX2 and AVX-512 VNNI) for the `Q4_0 ×
-//!   Q8_0` integer dot and the activation quantizer that feeds it,
-//!   bit-identical to each other, selected once at startup by CPU feature
-//!   detection with an env/config override;
+//! * [`backend`] — runtime-dispatched backends (scalar reference, `x86_64`
+//!   AVX2 and AVX-512 VNNI) for the `Q4_0 × Q8_0` integer dot and the
+//!   activation quantizer that feeds it, bit-identical to each other,
+//!   selected once at startup by CPU feature detection with an env/config
+//!   override;
 //! * [`gemm`] — single-precision GEMM/GEMV reference kernels with row-blocked
 //!   multi-threading;
 //! * [`quant`] — llama.cpp-style `Q4_0` block quantization (32 weights per

@@ -112,16 +112,13 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// Deadline, pipelining and backoff knobs of a client (and of every
+/// Deadline and backoff knobs of a client (and of every
 /// client a [`WorkerClientPool`] opens).
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
     /// Per-request deadline, enforced as the socket read timeout while
     /// waiting for each reply. `None` waits forever.
     pub deadline: Option<Duration>,
-    /// Whether the execution backend may pipeline several in-flight
-    /// [`ExecuteBatch`] requests per connection.
-    pub pipeline: bool,
     /// First reconnect delay after a worker goes down.
     pub backoff_initial: Duration,
     /// Reconnect delay ceiling (each failed attempt doubles the delay).
@@ -132,7 +129,6 @@ impl Default for ClientOptions {
     fn default() -> Self {
         ClientOptions {
             deadline: Some(Duration::from_secs(5)),
-            pipeline: true,
             backoff_initial: Duration::from_millis(50),
             backoff_max: Duration::from_secs(2),
         }
@@ -427,11 +423,6 @@ impl WorkerClientPool {
     /// Workers configured in this pool.
     pub fn num_workers(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Whether pipelined dispatch is enabled.
-    pub fn pipeline(&self) -> bool {
-        self.options.pipeline
     }
 
     /// The worker owning `expert` under the static shard map.

@@ -96,18 +96,19 @@ pub mod wire_backend {
         match kind {
             KernelBackendKind::Auto => 0,
             KernelBackendKind::Scalar => 1,
-            KernelBackendKind::Portable => 2,
             KernelBackendKind::Avx2 => 3,
             KernelBackendKind::Avx512 => 4,
         }
     }
 
-    /// Decodes a wire byte back to a kernel backend kind.
+    /// Decodes a wire byte back to a kernel backend kind. Byte 2 is
+    /// reserved: it named a backend that no longer exists, and since every
+    /// backend produces the same bits a peer still pinning it gets
+    /// identical output from `Scalar`.
     pub fn from_wire(byte: u8) -> Option<KernelBackendKind> {
         Some(match byte {
             0 => KernelBackendKind::Auto,
-            1 => KernelBackendKind::Scalar,
-            2 => KernelBackendKind::Portable,
+            1 | 2 => KernelBackendKind::Scalar,
             3 => KernelBackendKind::Avx2,
             4 => KernelBackendKind::Avx512,
             _ => return None,
@@ -123,13 +124,13 @@ pub mod wire_backend {
             for kind in [
                 KernelBackendKind::Auto,
                 KernelBackendKind::Scalar,
-                KernelBackendKind::Portable,
                 KernelBackendKind::Avx2,
                 KernelBackendKind::Avx512,
             ] {
                 assert_eq!(from_wire(to_wire(kind)), Some(kind));
             }
             assert_eq!(to_wire(KernelBackendKind::Avx512), 4);
+            assert_eq!(from_wire(2), Some(KernelBackendKind::Scalar));
             assert_eq!(from_wire(5), None);
         }
     }

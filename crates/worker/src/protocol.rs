@@ -475,7 +475,7 @@ pub struct LoadShard {
     /// Weight-budget bytes of the worker's store.
     pub weight_budget_bytes: u64,
     /// Kernel backend the worker must execute with, as a
-    /// `wire_backend` byte (`auto`/`scalar`/`portable`/`avx2`/`avx512`).
+    /// `wire_backend` byte (`auto`/`scalar`/`avx2`/`avx512`).
     /// A kind the worker's CPU lacks resolves to the widest one below it;
     /// every backend produces the same bits, so remote outputs stay
     /// bit-identical to local ones either way.

@@ -1,10 +1,13 @@
 //! Cross-backend kernel dispatch suite: every runtime-selectable kernel
-//! backend (scalar reference, portable auto-vectorized, AVX2 and AVX-512
-//! VNNI intrinsics) must compute the same `Q4_0 × Q8_0` integer dot — the same activation
-//! codes and scales, the same output bits at every shape — and that one
+//! backend (scalar reference, AVX2 and AVX-512 VNNI intrinsics) must
+//! compute the same `Q4_0 × Q8_0` integer dot — the same activation codes
+//! and scales, the same output bits at every shape — and that one
 //! arithmetic must stay within its pinned accuracy bound of an `f64`
 //! oracle over the dequantized weights. Runs with the default proptest
 //! config so the weekly deep-fuzz job's `PROPTEST_CASES=1024` scales it up.
+
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use hybrimoe::realexec::{RealExecOptions, RealLayerExecutor};
 use hybrimoe_hw::UnitCostModel;
@@ -338,6 +341,59 @@ fn extreme_codes_give_exact_sums_on_every_backend() {
     }
 }
 
+/// The ladder `Auto` climbs (`avx512` → `avx2` → `scalar`) is a speed
+/// ladder on this host: on one 256 × 512 band, at one token and at 32, no
+/// rung is slower than the one below it. Trials are interleaved across
+/// rungs and the best of nine kept, because a shared host's clock moves
+/// between trials more than it does within one round of them. Each trial
+/// times the second of two calls: the first call after another rung ran
+/// pays that switch (cold code, the 512-bit units waking), which at one
+/// token costs AVX-512 its whole lead (5.7 against 5.4 µs cold, 3.8
+/// against 5.1 µs warm on the host this was written on).
+#[test]
+fn wider_backends_are_not_slower_on_this_host() {
+    let (nrows, cols) = (256usize, 512usize);
+    let q = QuantizedMatrix::quantize(&pseudo(nrows * cols, 91), nrows, cols).unwrap();
+    let data = q.data();
+    // Ascending width: scalar, then whichever SIMD rungs the host has.
+    let rungs = backend::available();
+    for kind in [KernelBackendKind::Avx2, KernelBackendKind::Avx512] {
+        if !rungs.iter().any(|b| b.kind() == kind) {
+            println!("skipping {}: this host cannot run it", kind.name());
+        }
+    }
+    for tokens in [1usize, 32] {
+        let acts = quantized(backend::scalar(), &pseudo(tokens * cols, 92), cols);
+        let mut out = vec![0.0f32; nrows * tokens];
+        let mut best = vec![Duration::MAX; rungs.len()];
+        for _ in 0..9 {
+            for (b, best) in rungs.iter().zip(&mut best) {
+                b.qdot_rows(black_box(&data), nrows, black_box(&acts), &mut out);
+                let start = Instant::now();
+                b.qdot_rows(black_box(&data), nrows, black_box(&acts), &mut out);
+                black_box(&mut out);
+                *best = (*best).min(start.elapsed());
+            }
+        }
+        let timed: Vec<String> = rungs
+            .iter()
+            .zip(&best)
+            .map(|(b, t)| format!("{} {:.1} µs", b.kind().name(), t.as_secs_f64() * 1e6))
+            .collect();
+        println!("qdot_rows {nrows}x{cols}, T={tokens}: {}", timed.join(", "));
+        for (i, pair) in best.windows(2).enumerate() {
+            assert!(
+                pair[1] <= pair[0],
+                "T={tokens}: {} took {:?}, slower than {} at {:?}",
+                rungs[i + 1].kind().name(),
+                pair[1],
+                rungs[i].kind().name(),
+                pair[0]
+            );
+        }
+    }
+}
+
 /// The shape checks are real asserts on every backend, in release builds
 /// too: the SIMD kernels read through raw pointers on their strength.
 #[test]
@@ -373,7 +429,6 @@ fn executors_report_concrete_backends() {
     for kind in [
         KernelBackendKind::Auto,
         KernelBackendKind::Scalar,
-        KernelBackendKind::Portable,
         KernelBackendKind::Avx2,
         KernelBackendKind::Avx512,
     ] {

@@ -256,69 +256,79 @@ fn wrong_shard_and_reply_opcodes_get_error_replies() {
 }
 
 /// A `LoadShard` pinning byte 4 (`avx512`) loads on whatever host runs the
-/// worker: a CPU without the features runs the widest backend below it,
-/// and either way the outputs are the local scalar ones bit for bit.
+/// worker: a CPU without the features runs the widest backend below it.
+/// Reserved byte 2 (a backend since removed) loads as scalar. Either way
+/// the outputs are the local scalar ones bit for bit.
 #[test]
 fn avx512_pinned_shard_loads_on_any_host_and_matches_local() {
+    assert_eq!(wire_backend::to_wire(KernelBackendKind::Avx512), 4);
+    assert_eq!(wire_backend::from_wire(2), Some(KernelBackendKind::Scalar));
     let model = ModelConfig::tiny_test();
     let hidden = model.routed_shape.hidden();
-    let worker = spawn_worker(WorkerServerOptions::default());
-    let mut stream = connect(&worker);
-    handshake(&mut stream);
-    let mut payload = Vec::new();
-    LoadShard {
-        seed: 7,
-        worker: 0,
-        num_workers: 1,
-        layers: model.layers,
-        routed_experts: model.routed_experts,
-        hidden,
-        inter: model.routed_shape.inter(),
-        weight_budget_bytes: 1 << 24,
-        backend: wire_backend::to_wire(KernelBackendKind::Avx512),
-    }
-    .encode(&mut payload);
-    assert_eq!(payload.last(), Some(&4), "the wire byte");
-    let (header, _) = roundtrip(&mut stream, Opcode::LoadShard, 1, &payload);
-    assert_eq!(header.opcode, Opcode::LoadShardAck);
-
-    let mut store = WeightStore::new(model.clone(), 7, 1 << 24);
-    let pool = WorkerPool::new(1);
-    let mut scratch = ExecScratch::new();
-    // One, two and more tokens: each register-tile family, plus remainders.
-    for (id, tokens) in [1u32, 2, 3, 5, 8].into_iter().enumerate() {
-        let data: Vec<f32> = (0..tokens * hidden)
-            .map(|i| ((i * 37 + tokens) % 101) as f32 / 500.0 - 0.1)
-            .collect();
-        payload.clear();
-        ExecuteBatch {
-            layer: 0,
-            expert: 1,
-            tokens,
+    for backend_byte in [4u8, 2] {
+        let worker = spawn_worker(WorkerServerOptions::default());
+        let mut stream = connect(&worker);
+        handshake(&mut stream);
+        let mut payload = Vec::new();
+        LoadShard {
+            seed: 7,
+            worker: 0,
+            num_workers: 1,
+            layers: model.layers,
+            routed_experts: model.routed_experts,
             hidden,
-            data: data.clone(),
+            inter: model.routed_shape.inter(),
+            weight_budget_bytes: 1 << 24,
+            backend: backend_byte,
         }
         .encode(&mut payload);
-        let (header, reply) = roundtrip(&mut stream, Opcode::ExecuteBatch, 2 + id as u32, &payload);
-        assert_eq!(header.opcode, Opcode::ExecuteBatchAck);
-        let remote = ExecuteBatchAck::decode(&reply).expect("ack").data;
+        assert_eq!(payload.last(), Some(&backend_byte), "the wire byte");
+        let (header, _) = roundtrip(&mut stream, Opcode::LoadShard, 1, &payload);
+        assert_eq!(header.opcode, Opcode::LoadShardAck);
 
-        let ffn = store
-            .expert(ExpertKey::new(LayerId(0), ExpertId(1)))
-            .expect("within budget");
-        let mut local = vec![0.0f32; data.len()];
-        ffn.forward_batch_into(
-            &data,
-            tokens as usize,
-            &mut local,
-            &mut scratch,
-            &pool,
-            backend::scalar(),
-        );
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&remote), bits(&local), "tokens={tokens}");
+        let mut store = WeightStore::new(model.clone(), 7, 1 << 24);
+        let pool = WorkerPool::new(1);
+        let mut scratch = ExecScratch::new();
+        // One, two and more tokens: each register-tile family, plus remainders.
+        for (id, tokens) in [1u32, 2, 3, 5, 8].into_iter().enumerate() {
+            let data: Vec<f32> = (0..tokens * hidden)
+                .map(|i| ((i * 37 + tokens) % 101) as f32 / 500.0 - 0.1)
+                .collect();
+            payload.clear();
+            ExecuteBatch {
+                layer: 0,
+                expert: 1,
+                tokens,
+                hidden,
+                data: data.clone(),
+            }
+            .encode(&mut payload);
+            let (header, reply) =
+                roundtrip(&mut stream, Opcode::ExecuteBatch, 2 + id as u32, &payload);
+            assert_eq!(header.opcode, Opcode::ExecuteBatchAck);
+            let remote = ExecuteBatchAck::decode(&reply).expect("ack").data;
+
+            let ffn = store
+                .expert(ExpertKey::new(LayerId(0), ExpertId(1)))
+                .expect("within budget");
+            let mut local = vec![0.0f32; data.len()];
+            ffn.forward_batch_into(
+                &data,
+                tokens as usize,
+                &mut local,
+                &mut scratch,
+                &pool,
+                backend::scalar(),
+            );
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&remote),
+                bits(&local),
+                "backend byte {backend_byte}, tokens={tokens}"
+            );
+        }
+        worker.shutdown();
     }
-    worker.shutdown();
 }
 
 /// A worker that crashes mid-request (drops the connection without
@@ -412,8 +422,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Remote execution is bit-identical to the local expert-major path
-    /// across worker counts, pipelining, batch sizes and random
-    /// placements. Scalar kernels are pinned on both sides (LoadShard
+    /// across worker counts, batch sizes and random placements. Scalar kernels are pinned on both sides (LoadShard
     /// carries the backend), and the engine accumulates experts in
     /// ascending id order regardless of which worker computed them, so
     /// float non-associativity never enters.
@@ -422,7 +431,6 @@ proptest! {
         seed in 0u64..500,
         tokens in 1usize..8,
         workers in 1usize..4,
-        pipeline in any::<bool>(),
         cached_mask in any::<u8>(),
     ) {
         let model = ModelConfig::tiny_test();
@@ -459,7 +467,7 @@ proptest! {
             model,
             7,
             options,
-            &RemoteWorkerOptions { endpoints, pipeline, ..Default::default() },
+            &RemoteWorkerOptions { endpoints, ..Default::default() },
         );
         let got = remote
             .execute_layer(LayerId(0), &plan, &inputs, &routes)
