@@ -1,7 +1,8 @@
-//! Compute kernel throughput: quantized GEMV / batched GEMM / expert FFN
-//! forward. These are the numbers the warmup calibration feeds into the
-//! cost model, so they double as a sanity check that the calibrated
-//! CPU GFLOP/s is self-consistent.
+//! Compute kernel throughput: the scalar reference GEMV, then the
+//! production path per backend — one `qdot_rows` band and a whole expert
+//! FFN forward. The FFN numbers are what `CpuMeasurement::profile()`
+//! distills from a live run, so they double as a sanity check that the
+//! calibrated CPU GFLOP/s is self-consistent.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hybrimoe_kernels::{backend, ExecScratch, ExpertFfn, Q8Acts, QuantizedMatrix, WorkerPool};
@@ -20,7 +21,7 @@ fn bench_qgemv(c: &mut Criterion) {
             &q,
             |b, q| {
                 let mut y = vec![0.0f32; rows];
-                b.iter(|| q.qgemv(std::hint::black_box(&x), &mut y, 1));
+                b.iter(|| q.qgemv(std::hint::black_box(&x), &mut y));
             },
         );
     }

@@ -15,7 +15,10 @@
 //!   FFNs (the GPU partition is CPU-executed too — no GPU in this
 //!   environment — but timed separately), returning measured per-device
 //!   wall-clock and accumulating the numerical layer outputs. PCIe stays
-//!   analytic: there is no real link to measure.
+//!   analytic: there is no real link to measure. Configured with worker
+//!   endpoints, its executor sends expert batches to out-of-process
+//!   workers first ([`crate::remote`]); that is a property of the one real
+//!   backend, not a third one.
 //!
 //! The real backend closes the loop on the paper's warmup calibration
 //! (§IV-A): its accumulated [`CpuMeasurement`] distills into a
@@ -34,6 +37,7 @@ use hybrimoe_trace::TokenStates;
 use hybrimoe_worker::WorkerHealthSnapshot;
 
 use crate::realexec::{RealExecOptions, RealLayerExecutor, RealLayerOutput};
+use crate::remote::RemoteWorkerOptions;
 
 /// Everything a backend needs to execute one scheduled MoE layer.
 #[derive(Debug)]
@@ -94,8 +98,8 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     }
 
     /// Worker fleet health, if this backend dispatches expert batches to
-    /// out-of-process workers (see [`RemoteBackend`](crate::remote::RemoteBackend)).
-    /// `None` for purely local backends.
+    /// out-of-process workers (a [`RealCpuBackend`] with endpoints
+    /// configured). `None` for purely local backends.
     fn worker_health(&self) -> Option<WorkerHealthSnapshot> {
         None
     }
@@ -164,7 +168,8 @@ impl CpuMeasurement {
 }
 
 /// The real-execution backend: runs every expert partition with the
-/// quantized CPU kernels.
+/// quantized CPU kernels — on out-of-process workers first, with per-expert
+/// local failover, when worker endpoints are configured.
 ///
 /// Requires traces generated with
 /// [`TraceGenerator::with_token_states`](hybrimoe_trace::TraceGenerator::with_token_states)
@@ -179,14 +184,17 @@ pub struct RealCpuBackend {
 }
 
 impl RealCpuBackend {
-    /// Creates the backend for one model's synthetic weights.
+    /// Creates the backend for one model's synthetic weights and a worker
+    /// fleet over `remote.endpoints` (connections open lazily; no
+    /// endpoints, no fleet).
     pub fn new(
         model: hybrimoe_model::ModelConfig,
         seed: u64,
         options: RealExecOptions,
+        remote: &RemoteWorkerOptions,
     ) -> RealCpuBackend {
         RealCpuBackend {
-            exec: RealLayerExecutor::with_options(model, seed, options),
+            exec: RealLayerExecutor::new(model, seed, options, remote),
             outputs: Vec::new(),
             measured: CpuMeasurement::default(),
         }
@@ -266,6 +274,11 @@ impl ExecutionBackend for RealCpuBackend {
     fn calibration(&self) -> Option<CalibrationProfile> {
         self.measured.profile()
     }
+
+    fn worker_health(&self) -> Option<WorkerHealthSnapshot> {
+        let health = self.exec.health();
+        (health.configured > 0).then_some(health)
+    }
 }
 
 #[cfg(test)]
@@ -341,7 +354,12 @@ mod tests {
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
         let plan = HybridScheduler::new().schedule(&ctx);
 
-        let mut backend = RealCpuBackend::new(model, 7, RealExecOptions::default());
+        let mut backend = RealCpuBackend::new(
+            model,
+            7,
+            RealExecOptions::default(),
+            &RemoteWorkerOptions::default(),
+        );
         backend.begin_step();
         let mut outcome = LayerOutcome::default();
         backend.execute_layer(
@@ -358,6 +376,7 @@ mod tests {
         assert_eq!(outputs.len(), 1);
         assert!(outputs[0].output.iter().any(|v| *v != 0.0));
         assert!(backend.take_step_outputs().is_empty());
+        assert_eq!(backend.worker_health(), None, "no endpoints, no fleet");
         if !plan.cpu_order.is_empty() {
             let m = backend.measurement();
             assert!(m.tasks > 0 && m.flops > 0 && m.bytes > 0);
@@ -374,7 +393,12 @@ mod tests {
         let cost = UnitCostModel::paper_fig5();
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
         let plan = HybridScheduler::new().schedule(&ctx);
-        let mut backend = RealCpuBackend::new(model, 7, RealExecOptions::default());
+        let mut backend = RealCpuBackend::new(
+            model,
+            7,
+            RealExecOptions::default(),
+            &RemoteWorkerOptions::default(),
+        );
         backend.execute_layer(
             &LayerRequest {
                 layer: LayerId(0),

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::backend::{ExecutionBackend, RealCpuBackend, SimBackend};
 use crate::realexec::RealExecOptions;
-use crate::remote::{RemoteBackend, RemoteWorkerOptions};
+use crate::remote::RemoteWorkerOptions;
 
 /// Which execution backend runs each layer's schedule (see
 /// [`crate::backend`]).
@@ -26,10 +26,11 @@ pub enum BackendKind {
     /// [`TokenStates`](hybrimoe_trace::TokenStates) and a model that fits
     /// the weight budget in [`EngineConfig::real_exec`].
     RealCpu,
-    /// Real execution with expert batches dispatched to out-of-process
-    /// workers ([`EngineConfig::remote_workers`]), falling back to local
-    /// kernels per expert when a worker is down. Same trace requirements
-    /// as [`BackendKind::RealCpu`].
+    /// The same real backend with expert batches offered to out-of-process
+    /// workers first ([`EngineConfig::remote_workers`]), falling back to
+    /// the local kernels per expert when a worker is down. What
+    /// [`EngineConfig::with_remote_workers`] selects; with no endpoints it
+    /// is [`BackendKind::RealCpu`].
     RemoteWorkers,
 }
 
@@ -38,12 +39,9 @@ impl BackendKind {
     pub fn build(self, config: &EngineConfig) -> Box<dyn ExecutionBackend> {
         match self {
             BackendKind::Sim => Box::new(SimBackend::new()),
-            BackendKind::RealCpu => Box::new(RealCpuBackend::new(
-                config.model.clone(),
-                config.seed,
-                config.real_exec,
-            )),
-            BackendKind::RemoteWorkers => Box::new(RemoteBackend::new(
+            // One real backend: only `with_remote_workers` sets endpoints,
+            // and it selects `RemoteWorkers` too.
+            BackendKind::RealCpu | BackendKind::RemoteWorkers => Box::new(RealCpuBackend::new(
                 config.model.clone(),
                 config.seed,
                 config.real_exec,
@@ -263,9 +261,9 @@ pub struct EngineConfig {
     /// Resource limits of the real-execution backend (ignored by
     /// [`BackendKind::Sim`]).
     pub real_exec: RealExecOptions,
-    /// Worker endpoints and wire knobs of the remote-worker backend
-    /// (only [`BackendKind::RemoteWorkers`] reads them; with no
-    /// endpoints the backend degrades to fully-local execution).
+    /// Worker endpoints and wire knobs of the real backend's worker fleet
+    /// (set through [`EngineConfig::with_remote_workers`]; with no
+    /// endpoints every expert runs on the local kernels).
     pub remote_workers: RemoteWorkerOptions,
     /// When set, prefill passes of at least this many tokens are split into
     /// decode-interleaved chunks of this size so a long prompt no longer
@@ -418,13 +416,13 @@ impl EngineConfig {
     }
 
     /// Overrides the real-execution resource limits (weight budget and
-    /// thread cap; only [`BackendKind::RealCpu`] reads them).
+    /// thread cap; [`BackendKind::Sim`] ignores them).
     pub fn with_real_exec(mut self, options: RealExecOptions) -> Self {
         self.real_exec = options;
         self
     }
 
-    /// Selects the remote-worker backend with the given worker fleet.
+    /// Selects the real backend with the given worker fleet.
     pub fn with_remote_workers(mut self, options: RemoteWorkerOptions) -> Self {
         self.backend = BackendKind::RemoteWorkers;
         self.remote_workers = options;

@@ -48,8 +48,10 @@ use crate::{EngineConfig, PlacementKind, StageMetrics, StepMetrics};
 /// [`ExecutionBackend`]: the default [`SimBackend`](crate::SimBackend)
 /// replays plans on the simulated device timelines, while
 /// [`RealCpuBackend`](crate::RealCpuBackend) runs every expert partition
-/// with the quantized CPU kernels and reports measured wall-clock (see
-/// [`crate::backend`]). The real backend requires traces generated with
+/// with the quantized CPU kernels — on out-of-process workers first when
+/// [`EngineConfig::remote_workers`] names endpoints — and reports measured
+/// wall-clock (see [`crate::backend`]). The real backend requires traces
+/// generated with
 /// [`TraceGenerator::with_token_states`].
 ///
 /// # Example
@@ -459,8 +461,8 @@ impl Engine {
         self.backend.calibration()
     }
 
-    /// Worker fleet health, if the engine runs the remote-worker backend
-    /// ([`crate::BackendKind::RemoteWorkers`]); `None` for local backends.
+    /// Worker fleet health, if the engine's real backend was given worker
+    /// endpoints ([`EngineConfig::with_remote_workers`]); `None` otherwise.
     pub fn worker_health(&self) -> Option<hybrimoe_worker::WorkerHealthSnapshot> {
         self.backend.worker_health()
     }

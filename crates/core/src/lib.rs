@@ -62,7 +62,10 @@ pub use config::{
 pub use engine::{Engine, PrefetchCounters};
 pub use metrics::{StageMetrics, StepMetrics};
 pub use realexec::RealExecOptions;
-pub use remote::{RemoteBackend, RemoteLayerExecutor, RemoteWorkerOptions};
+// Exists only for `benchmark/src/probes.rs:21,470` (frozen); the next
+// benchmark-type PR drops it together with that import.
+pub use realexec::RealLayerExecutor as RemoteLayerExecutor;
+pub use remote::RemoteWorkerOptions;
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.

@@ -20,19 +20,24 @@
 //! runs one [`ExpertFfn::forward_batch_into`](hybrimoe_kernels::ExpertFfn)
 //! over the whole batch (each projection input is quantized to 8-bit codes
 //! once and each Q4 block unpacked once per batch, not once per token), and
-//! scatters the weighted results back. All scratch is
-//! owned by the executor ([`ExecScratch`] plus per-layer buffers) and the
-//! kernels run on a persistent [`WorkerPool`] that parks between calls —
-//! steady-state execution allocates nothing and spawns no threads. The
-//! `Q4_0 × Q8_0` integer-dot kernels dispatch to the backend selected by
-//! [`RealExecOptions::kernel_backend`] (runtime AVX-512 VNNI / AVX2
-//! detection by default); every backend runs the one arithmetic
+//! scatters the weighted results back. Where a batch runs is a per-expert
+//! decision inside that one loop: the executor owns an (often empty) fleet
+//! of out-of-process workers ([`crate::remote`]), offers every batch to it
+//! first, and computes locally whatever the fleet does not return — with
+//! no endpoints configured that is everything, and no socket is opened.
+//! All scratch is owned by the executor ([`ExecScratch`] plus per-layer
+//! buffers) and the kernels run on a persistent [`WorkerPool`] that parks
+//! between calls — steady-state execution allocates nothing and spawns no
+//! threads. The `Q4_0 × Q8_0` integer-dot kernels dispatch to the backend
+//! selected by [`RealExecOptions::kernel_backend`] (runtime AVX-512 VNNI /
+//! AVX2 detection by default); every backend runs the one arithmetic
 //! [`hybrimoe_kernels::backend`] defines and produces the same bits.
 //! Experts accumulate into the output in ascending id order, so results
-//! are bit-identical across placements, across backends, and to the
-//! retained token-major reference path ([`RealExecOptions::token_major`]),
-//! which re-runs each expert once per routed token exactly like the
-//! pre-batching executor.
+//! are bit-identical across placements, across backends, across any mix
+//! of remote and local experts, and to the retained token-major reference
+//! path ([`RealExecOptions::token_major`]), which re-runs each expert once
+//! per routed token on the single-threaded scalar kernels and never
+//! dispatches.
 //!
 //! Only routed experts participate; the model must be small enough for the
 //! [`WeightStore`] memory budget (use [`ModelConfig::tiny_test`]-sized
@@ -43,10 +48,13 @@ use std::time::{Duration, Instant};
 use hybrimoe_kernels::threadpool::default_threads;
 use hybrimoe_kernels::{ExecScratch, KernelBackend, KernelBackendKind, WorkerPool};
 use hybrimoe_model::{
-    ExpertKey, LayerId, ModelConfig, RouterOutput, WeightStore, WeightStoreError,
+    ExpertId, ExpertKey, LayerId, ModelConfig, RouterOutput, WeightStore, WeightStoreError,
 };
 use hybrimoe_sched::SchedulePlan;
+use hybrimoe_worker::WorkerHealthSnapshot;
 use serde::{Deserialize, Serialize};
+
+use crate::remote::{RemoteWorkerOptions, WorkerFleet};
 
 /// Resource limits and execution strategy of a [`RealLayerExecutor`] (and
 /// of the [`RealCpuBackend`](crate::RealCpuBackend) built on it).
@@ -74,14 +82,13 @@ pub struct RealExecOptions {
     /// restricts its Xeon to 10 cores, §VI-A1).
     pub max_threads: usize,
     /// Run the retained token-major reference path instead of the
-    /// expert-major batched hot path: one [`forward_threads`] call per
-    /// (expert, token) pair on per-call scoped threads, exactly like the
-    /// pre-batching executor. The reference path always runs the scalar
-    /// kernels and exists as the correctness oracle the batched path is
-    /// checked against; outputs are bit-identical either way, whatever
+    /// expert-major batched hot path: one single-threaded
+    /// [`ExpertFfn::forward`](hybrimoe_kernels::ExpertFfn::forward) per
+    /// (expert, token) pair, like the pre-batching executor. The reference
+    /// path always runs the scalar kernels, never dispatches to workers,
+    /// and exists as the correctness oracle the batched path is checked
+    /// against; outputs are bit-identical either way, whatever
     /// [`RealExecOptions::kernel_backend`] is.
-    ///
-    /// [`forward_threads`]: hybrimoe_kernels::ExpertFfn::forward_threads
     pub token_major: bool,
     /// Which backend the expert-major hot path dispatches its
     /// `Q4_0 × Q8_0` kernels to. Resolved once when the executor is
@@ -192,19 +199,24 @@ struct LayerScratch {
 }
 
 /// Executes MoE layers for real on the CPU, using deterministic synthetic
-/// weights.
+/// weights; with worker endpoints configured, expert batches go to the
+/// workers first and fall back to the local kernels per expert.
 ///
 /// # Example
 ///
 /// ```
-/// use hybrimoe::realexec::RealLayerExecutor;
+/// use hybrimoe::realexec::{RealExecOptions, RealLayerExecutor};
 /// use hybrimoe_model::ModelConfig;
 ///
-/// let mut exec = RealLayerExecutor::new(ModelConfig::tiny_test(), 42);
+/// let exec =
+///     RealLayerExecutor::with_options(ModelConfig::tiny_test(), 42, RealExecOptions::default());
 /// assert_eq!(exec.model().name, "tiny-test");
+/// assert_eq!(exec.health().configured, 0); // no fleet: everything runs locally
 /// ```
 #[derive(Debug)]
 pub struct RealLayerExecutor {
+    /// The full model's weights — also what a failed-over expert runs on
+    /// (same seed as the workers, so it computes the identical result).
     store: WeightStore,
     /// Persistent kernel workers, spawned once and parked between layers.
     pool: WorkerPool,
@@ -212,24 +224,41 @@ pub struct RealLayerExecutor {
     /// The SIMD backend resolved once from
     /// [`RealExecOptions::kernel_backend`] at construction.
     backend: &'static dyn KernelBackend,
+    /// Out-of-process workers; empty unless endpoints were configured.
+    fleet: WorkerFleet,
     scratch: LayerScratch,
     ffn_scratch: ExecScratch,
 }
 
 impl RealLayerExecutor {
-    /// Creates an executor with the default [`RealExecOptions`] (512 MiB
-    /// weight budget, at most 10 threads, like the paper's platform).
-    pub fn new(model: ModelConfig, seed: u64) -> Self {
-        RealLayerExecutor::with_options(model, seed, RealExecOptions::default())
+    /// Creates an executor with explicit resource limits and no worker
+    /// fleet. Spawns the persistent kernel pool.
+    pub fn with_options(model: ModelConfig, seed: u64, options: RealExecOptions) -> Self {
+        RealLayerExecutor::new(model, seed, options, &RemoteWorkerOptions::default())
     }
 
-    /// Creates an executor with explicit resource limits. Spawns the
-    /// persistent worker pool.
-    pub fn with_options(model: ModelConfig, seed: u64, options: RealExecOptions) -> Self {
+    /// Creates an executor whose expert batches go to the workers at
+    /// `remote.endpoints` (connections open lazily; none if empty). The
+    /// workers are pinned to this executor's resolved kernel backend, so
+    /// remote and local results are bit-identical.
+    pub fn new(
+        model: ModelConfig,
+        seed: u64,
+        options: RealExecOptions,
+        remote: &RemoteWorkerOptions,
+    ) -> Self {
+        let backend = options.kernel_backend.resolve();
         RealLayerExecutor {
+            fleet: WorkerFleet::new(
+                &model,
+                seed,
+                options.weight_budget_bytes,
+                backend.kind(),
+                remote,
+            ),
             store: WeightStore::new(model, seed, options.weight_budget_bytes),
             pool: WorkerPool::new(default_threads(options.max_threads.max(1))),
-            backend: options.kernel_backend.resolve(),
+            backend,
             options,
             scratch: LayerScratch::default(),
             ffn_scratch: ExecScratch::new(),
@@ -252,6 +281,17 @@ impl RealLayerExecutor {
         self.backend.kind()
     }
 
+    /// Current worker fleet health, including circuit-breaker state
+    /// (`configured == 0` for an executor without endpoints).
+    pub fn health(&self) -> WorkerHealthSnapshot {
+        self.fleet.health()
+    }
+
+    /// Drains every connected worker (best-effort; used at shutdown).
+    pub fn drain(&mut self) {
+        self.fleet.drain();
+    }
+
     /// Executes one layer for real.
     ///
     /// `inputs` holds each token's hidden state (`hidden` floats) and
@@ -261,17 +301,17 @@ impl RealLayerExecutor {
     /// paper). Experts accumulate into the output in ascending id order
     /// regardless of the plan's device orders, so the result is
     /// **bit-identical across placements** — the property the scheduler
-    /// correctness suite pins — and, with the scalar kernel backend,
-    /// identical between the expert-major and token-major strategies (see
-    /// [`RealExecOptions::token_major`] and
-    /// [`RealExecOptions::kernel_backend`]).
+    /// correctness suite pins — across remote/local execution mixes, and
+    /// between the expert-major and token-major strategies (see
+    /// [`RealExecOptions::token_major`]).
     ///
     /// # Errors
     ///
     /// Returns [`RealExecError::InvalidPlan`] if the plan does not compute
     /// every activated expert exactly once, [`RealExecError::BadInput`] on
     /// dimension or token-count mismatches, and [`RealExecError::Weights`]
-    /// if an expert cannot be materialized within the memory budget.
+    /// if a locally computed expert cannot be materialized within the
+    /// memory budget. Worker failures are *not* errors — they fail over.
     pub fn execute_layer(
         &mut self,
         layer: LayerId,
@@ -281,10 +321,104 @@ impl RealLayerExecutor {
     ) -> Result<RealLayerOutput, RealExecError> {
         self.validate(plan, inputs, routes)?;
         if self.options.token_major {
-            self.run_token_major(layer, inputs, routes)
-        } else {
-            self.run_expert_major(layer, inputs, routes)
+            return self.run_token_major(layer, inputs, routes);
         }
+        let num_shards = self.num_shards();
+        let RealLayerExecutor {
+            store,
+            pool,
+            backend,
+            fleet,
+            scratch,
+            ffn_scratch,
+            ..
+        } = self;
+        let LayerScratch {
+            tokens_of,
+            gather,
+            result,
+            cpu,
+            gpu,
+            planned,
+            shard,
+            ..
+        } = scratch;
+        let hidden = store.config().routed_shape.hidden() as usize;
+        let experts = store.config().routed_experts as usize;
+
+        // Build every expert's token list in one pass over the routes.
+        if tokens_of.len() < experts {
+            tokens_of.resize_with(experts, Vec::new);
+        }
+        for list in tokens_of.iter_mut() {
+            list.clear();
+        }
+        for (t, routing) in routes.iter().enumerate() {
+            for (e, w) in &routing.selected {
+                tokens_of[e.0 as usize].push((t as u32, *w));
+            }
+        }
+
+        // Dispatch phase: every batch a worker will take is on the wire
+        // before any reply is read (nothing is, with no workers). Replies
+        // arrive strictly FIFO per connection and the loop below walks the
+        // same ascending expert order, so correlation is positional.
+        fleet.begin_layer(planned.len());
+        for (i, &expert) in planned.iter().enumerate() {
+            let list = &tokens_of[expert as usize];
+            fleet.send(i, layer, expert, list.len(), hidden, || {
+                gather_batch(gather, list, inputs, hidden)
+            });
+        }
+
+        // Collect-or-compute phase, in ascending expert order — the fixed
+        // accumulation order that makes outputs placement- and
+        // transport-independent. Timing rule: an expert's clock covers the
+        // wait for its reply if a worker returns it, and the local kernels
+        // (gather, forward, scatter) otherwise — started only after its
+        // weights are resolved, so neither first-use weight generation nor
+        // the wait on a reply that never came is booked as kernel time.
+        let mut output = vec![0.0f32; inputs.len() * hidden];
+        let mut cpu_wall = Duration::ZERO;
+        let mut gpu_wall = Duration::ZERO;
+        let mut gpu_walls = vec![Duration::ZERO; num_shards];
+        for (i, &expert) in planned.iter().enumerate() {
+            let list = &tokens_of[expert as usize];
+            let batch = list.len();
+            let mut start = Instant::now();
+            let collected = fleet.collect(i, batch, hidden, |reply| {
+                scatter(reply, list, hidden, &mut output)
+            });
+            if !collected {
+                // Identical weights, identical kernel backend, identical
+                // accumulation order: bit-identical to what a worker
+                // returns.
+                let ffn = store.expert(ExpertKey::new(layer, ExpertId(expert)))?;
+                start = Instant::now();
+                let x = gather_batch(gather, list, inputs, hidden);
+                result.resize(batch * hidden, 0.0);
+                ffn.forward_batch_into(x, batch, result, ffn_scratch, pool, *backend);
+                scatter(result, list, hidden, &mut output);
+            }
+            account(
+                expert,
+                start.elapsed(),
+                cpu,
+                shard,
+                &mut cpu_wall,
+                &mut gpu_wall,
+                &mut gpu_walls,
+            );
+        }
+
+        Ok(RealLayerOutput {
+            output,
+            cpu_wall,
+            gpu_wall,
+            gpu_walls,
+            cpu_tasks: cpu.len(),
+            gpu_tasks: gpu.len(),
+        })
     }
 
     /// Checks the inputs and distills the plan into the sorted scratch
@@ -372,104 +506,9 @@ impl RealLayerExecutor {
             .map_or(1, |m| m + 1)
     }
 
-    /// The expert-major batched hot path: gather each expert's routed
-    /// tokens once, one batched forward per expert, weighted scatter back.
-    fn run_expert_major(
-        &mut self,
-        layer: LayerId,
-        inputs: &[Vec<f32>],
-        routes: &[RouterOutput],
-    ) -> Result<RealLayerOutput, RealExecError> {
-        let num_shards = self.num_shards();
-        let RealLayerExecutor {
-            store,
-            pool,
-            backend,
-            scratch,
-            ffn_scratch,
-            ..
-        } = self;
-        let backend = *backend;
-        let LayerScratch {
-            tokens_of,
-            gather,
-            result,
-            cpu,
-            gpu,
-            planned,
-            shard,
-            ..
-        } = scratch;
-        let hidden = store.config().routed_shape.hidden() as usize;
-        let experts = store.config().routed_experts as usize;
-
-        // Build every expert's token list in one pass over the routes.
-        if tokens_of.len() < experts {
-            tokens_of.resize_with(experts, Vec::new);
-        }
-        for list in tokens_of.iter_mut() {
-            list.clear();
-        }
-        for (t, routing) in routes.iter().enumerate() {
-            for (e, w) in &routing.selected {
-                tokens_of[e.0 as usize].push((t as u32, *w));
-            }
-        }
-
-        let mut output = vec![0.0f32; inputs.len() * hidden];
-        let mut cpu_wall = Duration::ZERO;
-        let mut gpu_wall = Duration::ZERO;
-        let mut gpu_walls = vec![Duration::ZERO; num_shards];
-        for &expert in planned.iter() {
-            let key = ExpertKey::new(layer, hybrimoe_model::ExpertId(expert));
-            let ffn = store.expert(key)?;
-            let list = &tokens_of[expert as usize];
-            let batch = list.len();
-            let start = Instant::now();
-
-            // Gather the routed tokens into one contiguous batch.
-            gather.resize(batch * hidden, 0.0);
-            for (i, (t, _)) in list.iter().enumerate() {
-                gather[i * hidden..(i + 1) * hidden].copy_from_slice(&inputs[*t as usize]);
-            }
-            result.resize(batch * hidden, 0.0);
-            ffn.forward_batch_into(gather, batch, result, ffn_scratch, pool, backend);
-            // Scatter with the router weights; token order within the list
-            // is ascending, so every output cell sees the same addition
-            // order as the token-major reference.
-            for (i, (t, w)) in list.iter().enumerate() {
-                let dst = &mut output[*t as usize * hidden..(*t as usize + 1) * hidden];
-                let src = &result[i * hidden..(i + 1) * hidden];
-                for (o, v) in dst.iter_mut().zip(src.iter()) {
-                    *o += w * v;
-                }
-            }
-
-            let elapsed = start.elapsed();
-            account(
-                expert,
-                elapsed,
-                cpu,
-                shard,
-                &mut cpu_wall,
-                &mut gpu_wall,
-                &mut gpu_walls,
-            );
-        }
-
-        Ok(RealLayerOutput {
-            output,
-            cpu_wall,
-            gpu_wall,
-            gpu_walls,
-            cpu_tasks: cpu.len(),
-            gpu_tasks: gpu.len(),
-        })
-    }
-
-    /// The retained token-major reference path: one single-token forward
-    /// (on per-call scoped threads) per (expert, token) pair, exactly like
-    /// the pre-batching executor.
+    /// The retained token-major reference path: one single-token scalar
+    /// forward per (expert, token) pair, like the pre-batching executor.
+    /// Never dispatches to the fleet — it is the oracle.
     fn run_token_major(
         &mut self,
         layer: LayerId,
@@ -477,7 +516,6 @@ impl RealLayerExecutor {
         routes: &[RouterOutput],
     ) -> Result<RealLayerOutput, RealExecError> {
         let num_shards = self.num_shards();
-        let threads = self.pool.threads();
         let RealLayerExecutor { store, scratch, .. } = self;
         let LayerScratch {
             cpu,
@@ -493,14 +531,13 @@ impl RealLayerExecutor {
         let mut gpu_wall = Duration::ZERO;
         let mut gpu_walls = vec![Duration::ZERO; num_shards];
         for &expert in planned.iter() {
-            let key = ExpertKey::new(layer, hybrimoe_model::ExpertId(expert));
-            let ffn = store.expert(key)?;
+            let ffn = store.expert(ExpertKey::new(layer, ExpertId(expert)))?;
             let start = Instant::now();
             for (t, (x, routing)) in inputs.iter().zip(routes.iter()).enumerate() {
                 let Some((_, weight)) = routing.selected.iter().find(|(e, _)| e.0 == expert) else {
                     continue;
                 };
-                let y = ffn.forward_threads(x, threads);
+                let y = ffn.forward(x);
                 for (o, v) in output[t * hidden..(t + 1) * hidden]
                     .iter_mut()
                     .zip(y.iter())
@@ -531,11 +568,39 @@ impl RealLayerExecutor {
     }
 }
 
-/// Books one expert's elapsed wall-clock against the device that computed
-/// it (sorted-slice membership; GPU shard looked up by binary search).
-/// Shared with the remote executor ([`crate::remote`]), which books each
-/// expert to its planned device whether the batch ran locally or remotely.
-pub(crate) fn account(
+/// Gathers `list`'s tokens into a contiguous `batch x hidden` buffer and
+/// returns it as a slice.
+fn gather_batch<'a>(
+    gather: &'a mut Vec<f32>,
+    list: &[(u32, f32)],
+    inputs: &[Vec<f32>],
+    hidden: usize,
+) -> &'a [f32] {
+    gather.resize(list.len() * hidden, 0.0);
+    for (i, (t, _)) in list.iter().enumerate() {
+        gather[i * hidden..(i + 1) * hidden].copy_from_slice(&inputs[*t as usize]);
+    }
+    gather
+}
+
+/// Scatters one expert's batched outputs back with the router weights.
+/// Token order within `list` is ascending, so every output cell sees the
+/// same addition order as the token-major reference, no matter where the
+/// batch was computed.
+fn scatter(result: &[f32], list: &[(u32, f32)], hidden: usize, output: &mut [f32]) {
+    for (i, (t, w)) in list.iter().enumerate() {
+        let dst = &mut output[*t as usize * hidden..(*t as usize + 1) * hidden];
+        let src = &result[i * hidden..(i + 1) * hidden];
+        for (o, v) in dst.iter_mut().zip(src.iter()) {
+            *o += w * v;
+        }
+    }
+}
+
+/// Books one expert's elapsed wall-clock against the device the plan put
+/// it on, whether the batch ran locally or on a worker (sorted-slice
+/// membership; GPU shard looked up by binary search).
+fn account(
     expert: u16,
     elapsed: Duration,
     cpu: &[u16],
@@ -557,14 +622,14 @@ pub(crate) fn account(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hybrimoe_hw::UnitCostModel;
     use hybrimoe_model::LayerRouting;
     use hybrimoe_sched::baselines::FixedMappingScheduler;
     use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
 
-    fn token_inputs(
+    pub(crate) fn token_inputs(
         model: &ModelConfig,
         n: usize,
         seed: u64,
@@ -587,7 +652,7 @@ mod tests {
             .unzip()
     }
 
-    fn tasks_and_plan(
+    pub(crate) fn tasks_and_plan(
         model: &ModelConfig,
         routes: &[RouterOutput],
         cached_mod: u16,
@@ -621,7 +686,7 @@ mod tests {
         let (inputs, routes) = token_inputs(&model, 3, 9);
         let plan_a = tasks_and_plan(&model, &routes, 2, true);
         let plan_b = tasks_and_plan(&model, &routes, 2, false);
-        let mut exec = RealLayerExecutor::new(model, 7);
+        let mut exec = RealLayerExecutor::with_options(model, 7, RealExecOptions::default());
         let a = exec
             .execute_layer(LayerId(0), &plan_a, &inputs, &routes)
             .unwrap();
@@ -697,8 +762,15 @@ mod tests {
 
     #[test]
     fn executor_reports_a_concrete_backend() {
-        let exec = RealLayerExecutor::new(ModelConfig::tiny_test(), 7);
+        let exec = RealLayerExecutor::with_options(
+            ModelConfig::tiny_test(),
+            7,
+            RealExecOptions::default(),
+        );
         assert_ne!(exec.backend_kind(), KernelBackendKind::Auto);
+        // No endpoints: no fleet to report on.
+        let health = exec.health();
+        assert_eq!((health.configured, health.requests), (0, 0));
         let scalar = RealLayerExecutor::with_options(
             ModelConfig::tiny_test(),
             7,
@@ -715,7 +787,7 @@ mod tests {
         let model = ModelConfig::tiny_test();
         let (inputs, routes) = token_inputs(&model, 2, 3);
         let plan = tasks_and_plan(&model, &routes, 2, true);
-        let mut exec = RealLayerExecutor::new(model, 7);
+        let mut exec = RealLayerExecutor::with_options(model, 7, RealExecOptions::default());
         let out = exec
             .execute_layer(LayerId(0), &plan, &inputs, &routes)
             .unwrap();
@@ -761,7 +833,7 @@ mod tests {
             .collect();
         assert!(shards_hit.len() > 1, "routing should hit both shards");
 
-        let mut exec = RealLayerExecutor::new(model, 7);
+        let mut exec = RealLayerExecutor::with_options(model, 7, RealExecOptions::default());
         let out = exec
             .execute_layer(LayerId(0), &plan, &inputs, &routes)
             .unwrap();
@@ -782,7 +854,7 @@ mod tests {
         } else {
             plan.gpu_order.pop();
         }
-        let mut exec = RealLayerExecutor::new(model, 7);
+        let mut exec = RealLayerExecutor::with_options(model, 7, RealExecOptions::default());
         let err = exec
             .execute_layer(LayerId(0), &plan, &inputs, &routes)
             .unwrap_err();
@@ -796,7 +868,7 @@ mod tests {
         let (mut inputs, routes) = token_inputs(&model, 1, 5);
         inputs[0].pop();
         let plan = tasks_and_plan(&model, &routes, 2, true);
-        let mut exec = RealLayerExecutor::new(model, 7);
+        let mut exec = RealLayerExecutor::with_options(model, 7, RealExecOptions::default());
         let err = exec
             .execute_layer(LayerId(0), &plan, &inputs, &routes)
             .unwrap_err();
@@ -808,7 +880,7 @@ mod tests {
         let model = ModelConfig::tiny_test();
         let (inputs, routes) = token_inputs(&model, 2, 5);
         let plan = tasks_and_plan(&model, &routes, 2, true);
-        let mut exec = RealLayerExecutor::new(model, 7);
+        let mut exec = RealLayerExecutor::with_options(model, 7, RealExecOptions::default());
         let err = exec
             .execute_layer(LayerId(0), &plan, &inputs[..1], &routes)
             .unwrap_err();
@@ -820,10 +892,10 @@ mod tests {
         let model = ModelConfig::tiny_test();
         let (inputs, routes) = token_inputs(&model, 2, 11);
         let plan = tasks_and_plan(&model, &routes, 2, true);
-        let a = RealLayerExecutor::new(model.clone(), 7)
+        let a = RealLayerExecutor::with_options(model.clone(), 7, RealExecOptions::default())
             .execute_layer(LayerId(0), &plan, &inputs, &routes)
             .unwrap();
-        let b = RealLayerExecutor::new(model, 7)
+        let b = RealLayerExecutor::with_options(model, 7, RealExecOptions::default())
             .execute_layer(LayerId(0), &plan, &inputs, &routes)
             .unwrap();
         assert_eq!(a.output, b.output);
@@ -834,16 +906,18 @@ mod tests {
         // Re-running the same executor with a smaller batch must not leak
         // stale token lists or gather contents from the bigger layer.
         let model = ModelConfig::tiny_test();
-        let mut exec = RealLayerExecutor::new(model.clone(), 7);
+        let mut exec =
+            RealLayerExecutor::with_options(model.clone(), 7, RealExecOptions::default());
         for tokens in [6usize, 2, 4, 1] {
             let (inputs, routes) = token_inputs(&model, tokens, 13);
             let plan = tasks_and_plan(&model, &routes, 2, true);
             let got = exec
                 .execute_layer(LayerId(0), &plan, &inputs, &routes)
                 .unwrap();
-            let fresh = RealLayerExecutor::new(model.clone(), 7)
-                .execute_layer(LayerId(0), &plan, &inputs, &routes)
-                .unwrap();
+            let fresh =
+                RealLayerExecutor::with_options(model.clone(), 7, RealExecOptions::default())
+                    .execute_layer(LayerId(0), &plan, &inputs, &routes)
+                    .unwrap();
             assert_eq!(got.output, fresh.output, "tokens={tokens}");
         }
     }

@@ -44,7 +44,6 @@ mod device;
 mod gantt;
 mod plan;
 mod platform;
-mod remote;
 mod time;
 mod timeline;
 
@@ -54,6 +53,5 @@ pub use device::{device_count, devices, Device, GpuId};
 pub use gantt::{Gantt, GanttRow};
 pub use plan::{ExecutedOp, ExecutedPlan, Op, OpId, PlanError, PlanExecutor};
 pub use platform::Platform;
-pub use remote::{RemoteCostModel, RemoteLink, WorkerId};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{DeviceClocks, Interval, Timeline, TimelineSet};

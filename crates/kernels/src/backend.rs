@@ -1,8 +1,8 @@
 //! Runtime-dispatched backends for the `Q4_0 × Q8_0` integer dot.
 //!
-//! Every quantized kernel hot path in this crate ([`qgemv_into`],
-//! [`qgemm_into`], and the expert forward built on them) bottoms out in
-//! two primitives, the ones llama.cpp's CPU experts run on:
+//! The quantized kernel hot path of this crate ([`qgemm_into`] and the
+//! expert forward built on it) bottoms out in two primitives, the ones
+//! llama.cpp's CPU experts run on:
 //!
 //! * [`KernelBackend::quantize`] — turn each 32-float activation block into
 //!   one `f32` scale and 32 `i8` codes ([`Q8Acts`]), **once per projection
@@ -105,7 +105,6 @@
 //!    the AVX-512 path, else `avx2` selects the AVX2 path, and anything
 //!    else falls back to the scalar reference.
 //!
-//! [`qgemv_into`]: crate::QuantizedMatrix::qgemv_into
 //! [`qgemm_into`]: crate::QuantizedMatrix::qgemm_into
 //! [`dequantize`]: crate::QuantizedMatrix::dequantize
 

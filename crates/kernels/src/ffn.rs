@@ -35,7 +35,7 @@ use crate::threadpool::WorkerPool;
 /// let x = vec![0.05_f32; 2 * 64];
 /// let mut y = vec![0.0_f32; 2 * 64];
 /// ffn.forward_batch_into(&x, 2, &mut y, &mut scratch, &pool, backend::scalar());
-/// assert_eq!(y, ffn.forward_batch(&x, 2, 1));
+/// assert_eq!(y, ffn.forward_batch(&x, 2));
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct ExecScratch {
@@ -148,49 +148,35 @@ impl ExpertFfn {
         3 * 2 * self.hidden as u64 * self.inter as u64
     }
 
-    /// Single-token forward pass.
+    /// Single-token reference forward pass: [`ExpertFfn::forward_batch`]
+    /// at one token.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != hidden()`.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        self.forward_threads(x, 1)
-    }
-
-    /// Single-token forward pass using up to `threads` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != hidden()`.
-    pub fn forward_threads(&self, x: &[f32], threads: usize) -> Vec<f32> {
         assert_eq!(x.len(), self.hidden, "input dimension mismatch");
-        let mut g = vec![0.0f32; self.inter];
-        let mut u = vec![0.0f32; self.inter];
-        self.w_gate.qgemv(x, &mut g, threads);
-        self.w_up.qgemv(x, &mut u, threads);
-        let mut h = vec![0.0f32; self.inter];
-        swiglu_gate(&g, &u, &mut h);
-        let mut y = vec![0.0f32; self.hidden];
-        self.w_down.qgemv(&h, &mut y, threads);
-        y
+        self.forward_batch(x, 1)
     }
 
-    /// Batched forward pass: `x` is `tokens x hidden` row-major, the result
-    /// is `tokens x hidden` row-major.
+    /// Batched reference forward pass, single-threaded on the scalar
+    /// kernels: `x` is `tokens x hidden` row-major, the result is
+    /// `tokens x hidden` row-major. The oracle
+    /// [`ExpertFfn::forward_batch_into`] is pinned bit-identical to.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != tokens * hidden()`.
-    pub fn forward_batch(&self, x: &[f32], tokens: usize, threads: usize) -> Vec<f32> {
+    pub fn forward_batch(&self, x: &[f32], tokens: usize) -> Vec<f32> {
         assert_eq!(x.len(), tokens * self.hidden, "input shape mismatch");
         let mut g = vec![0.0f32; tokens * self.inter];
         let mut u = vec![0.0f32; tokens * self.inter];
-        self.w_gate.qgemm(x, tokens, &mut g, threads);
-        self.w_up.qgemm(x, tokens, &mut u, threads);
+        self.w_gate.qgemm(x, tokens, &mut g);
+        self.w_up.qgemm(x, tokens, &mut u);
         let mut h = vec![0.0f32; tokens * self.inter];
         swiglu_gate(&g, &u, &mut h);
         let mut y = vec![0.0f32; tokens * self.hidden];
-        self.w_down.qgemm(&h, tokens, &mut y, threads);
+        self.w_down.qgemm(&h, tokens, &mut y);
         y
     }
 
@@ -200,8 +186,8 @@ impl ExpertFfn {
     /// `backend` (`x` for gate and up, `h` for down) and each Q4 block of
     /// the three weight matrices is unpacked once per call instead of once
     /// per token. Per-token results are bit-identical to
-    /// [`ExpertFfn::forward_threads`] on every backend and at every batch
-    /// size (see [`crate::backend`]).
+    /// [`ExpertFfn::forward`] on every backend and at every batch size
+    /// (see [`crate::backend`]).
     ///
     /// # Panics
     ///
@@ -264,7 +250,7 @@ mod tests {
     fn batch_matches_single_token() {
         let ffn = ExpertFfn::random(32, 64, 2);
         let x: Vec<f32> = (0..3 * 32).map(|i| (i as f32 * 0.01).sin() * 0.1).collect();
-        let batch = ffn.forward_batch(&x, 3, 2);
+        let batch = ffn.forward_batch(&x, 3);
         for t in 0..3 {
             let single = ffn.forward(&x[t * 32..(t + 1) * 32]);
             for i in 0..32 {
@@ -288,17 +274,6 @@ mod tests {
         let weights = 3 * 64 * 96;
         let expected = weights * 5 / 8;
         assert_eq!(ffn.packed_bytes(), expected);
-    }
-
-    #[test]
-    fn multithreaded_forward_agrees() {
-        let ffn = ExpertFfn::random(32, 64, 5);
-        let x: Vec<f32> = (0..32).map(|i| (i as f32 * 0.1).cos() * 0.2).collect();
-        let y1 = ffn.forward_threads(&x, 1);
-        let y4 = ffn.forward_threads(&x, 4);
-        for (a, b) in y1.iter().zip(y4.iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
     }
 
     #[test]
@@ -331,7 +306,7 @@ mod tests {
                     crate::backend::scalar(),
                 );
                 for t in 0..tokens {
-                    let single = ffn.forward_threads(&x[t * hidden..(t + 1) * hidden], 1);
+                    let single = ffn.forward(&x[t * hidden..(t + 1) * hidden]);
                     assert_eq!(
                         &y[t * hidden..(t + 1) * hidden],
                         &single[..],
@@ -362,7 +337,7 @@ mod tests {
                 &pool,
                 crate::backend::scalar(),
             );
-            assert_eq!(y, ffn.forward_batch(&x, tokens, 1), "tokens={tokens}");
+            assert_eq!(y, ffn.forward_batch(&x, tokens), "tokens={tokens}");
         }
     }
 

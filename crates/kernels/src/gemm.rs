@@ -1,14 +1,10 @@
-//! Single-precision GEMM / GEMV reference kernels.
+//! The single-precision GEMV oracle and the SwiGLU activation.
 //!
-//! These are deliberately simple, cache-blocked, dependency-free kernels:
-//! fast enough to calibrate the cost model with realistic arithmetic
-//! intensity, and bit-deterministic for tests. Matrices are dense row-major
-//! `f32` slices.
-//!
-//! Unlike the quantized `qgemv_into`/`qgemm_into` hot paths, these dense
-//! kernels are *not* dispatched through [`crate::backend`]: they are the
-//! calibration and testing oracle, and their scalar accumulation order is
-//! part of the determinism contract the SIMD backends are verified against.
+//! [`gemv`] is deliberately simple and dependency-free: a dense `f32`
+//! reference for tests, not a kernel anything runs in production, and it
+//! is *not* dispatched through [`crate::backend`]. [`silu`] and
+//! [`swiglu_gate`] are the one activation every FFN path — production and
+//! reference — shares.
 
 /// `y = W · x` where `W` is `rows x cols` row-major.
 ///
@@ -47,78 +43,6 @@ pub fn gemv(w: &[f32], rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
             c += 1;
         }
         *yr = acc;
-    }
-}
-
-/// `C = A · B` where `A` is `m x k`, `B` is `k x n`, `C` is `m x n`, all
-/// row-major. Rows of `C` are split into bands computed by up to `threads`
-/// scoped worker threads.
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-///
-/// # Example
-///
-/// ```
-/// let a = vec![1.0, 0.0, 0.0, 1.0]; // identity
-/// let b = vec![5.0, 6.0, 7.0, 8.0];
-/// let mut c = vec![0.0; 4];
-/// hybrimoe_kernels::gemm::gemm(&a, &b, &mut c, 2, 2, 2, 1);
-/// assert_eq!(c, b);
-/// ```
-pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, threads: usize) {
-    assert_eq!(a.len(), m * k, "A shape mismatch");
-    assert_eq!(b.len(), k * n, "B shape mismatch");
-    assert_eq!(c.len(), m * n, "C shape mismatch");
-    let bands = band_ranges(m, threads);
-    if bands.len() <= 1 {
-        gemm_band(a, b, c, 0, m, k, n);
-        return;
-    }
-    // Split C into disjoint mutable bands, one per worker.
-    let mut slices: Vec<&mut [f32]> = Vec::with_capacity(bands.len());
-    let mut rest = c;
-    let mut consumed = 0usize;
-    for &(r0, r1) in &bands {
-        let (band, tail) = rest.split_at_mut((r1 - r0) * n);
-        debug_assert_eq!(consumed, r0 * n);
-        consumed += band.len();
-        slices.push(band);
-        rest = tail;
-    }
-    std::thread::scope(|scope| {
-        for (band, &(r0, r1)) in slices.into_iter().zip(bands.iter()) {
-            scope.spawn(move || gemm_band(a, b, band, r0, r1, k, n));
-        }
-    });
-}
-
-fn band_ranges(m: usize, threads: usize) -> Vec<(usize, usize)> {
-    let threads = threads.max(1).min(m.max(1));
-    let chunk = m.div_ceil(threads);
-    (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(m)))
-        .filter(|(a, b)| a < b)
-        .collect()
-}
-
-/// Computes rows `r0..r1` of `C = A·B` into `band` (band-local row indexing).
-fn gemm_band(a: &[f32], b: &[f32], band: &mut [f32], r0: usize, r1: usize, k: usize, n: usize) {
-    // i-k-j loop order: streams B rows, accumulates into the C band.
-    for i in r0..r1 {
-        let crow = &mut band[(i - r0) * n..(i - r0 + 1) * n];
-        crow.fill(0.0);
-        for kk in 0..k {
-            let aik = a[i * k + kk];
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (cv, bv) in crow.iter_mut().zip(brow.iter()) {
-                *cv += aik * bv;
-            }
-        }
     }
 }
 
@@ -197,44 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_matches_naive_single_thread() {
-        let (m, k, n) = (7, 11, 5);
-        let a = pseudo(m * k, 3);
-        let b = pseudo(k * n, 4);
-        let mut c = vec![0.0; m * n];
-        gemm(&a, &b, &mut c, m, k, n, 1);
-        let expect = naive_gemm(&a, &b, m, k, n);
-        for (x, y) in c.iter().zip(expect.iter()) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn gemm_threads_agree_with_single() {
-        let (m, k, n) = (16, 24, 9);
-        let a = pseudo(m * k, 5);
-        let b = pseudo(k * n, 6);
-        let mut c1 = vec![0.0; m * n];
-        let mut c4 = vec![0.0; m * n];
-        gemm(&a, &b, &mut c1, m, k, n, 1);
-        gemm(&a, &b, &mut c4, m, k, n, 4);
-        assert_eq!(c1, c4);
-    }
-
-    #[test]
-    fn gemm_overwrites_stale_output() {
-        let (m, k, n) = (3, 3, 3);
-        let a = pseudo(m * k, 7);
-        let b = pseudo(k * n, 8);
-        let mut c = vec![99.0; m * n];
-        gemm(&a, &b, &mut c, m, k, n, 1);
-        let expect = naive_gemm(&a, &b, m, k, n);
-        for (x, y) in c.iter().zip(expect.iter()) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "weight shape mismatch")]
     fn gemv_rejects_bad_shape() {
         let mut y = vec![0.0; 2];
@@ -257,19 +143,5 @@ mod tests {
         swiglu_gate(&g, &u, &mut y);
         assert_eq!(y[0], 0.0);
         assert!((y[1] - silu(1.0) * 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn band_ranges_cover() {
-        for m in [1usize, 5, 16, 17] {
-            for t in [1usize, 2, 4, 32] {
-                let bands = band_ranges(m, t);
-                assert_eq!(bands.first().unwrap().0, 0);
-                assert_eq!(bands.last().unwrap().1, m);
-                for w in bands.windows(2) {
-                    assert_eq!(w[0].1, w[1].0);
-                }
-            }
-        }
     }
 }

@@ -7,16 +7,19 @@
 //!   activation quantizer that feeds it, bit-identical to each other,
 //!   selected once at startup by CPU feature detection with an env/config
 //!   override;
-//! * [`gemm`] — single-precision GEMM/GEMV reference kernels with row-blocked
-//!   multi-threading;
+//! * [`gemm`] — the single-precision GEMV oracle and the SwiGLU gate;
 //! * [`quant`] — llama.cpp-style `Q4_0` block quantization (32 weights per
 //!   block, one scale each) and the GEMV/GEMM entry points over it;
 //! * [`ffn`] — the SwiGLU expert feed-forward used by Mixtral / DeepSeek /
 //!   Qwen2 experts, running on quantized weights;
-//! * [`calibrate`] — micro-benchmarks that measure the *achieved* CPU
-//!   GFLOP/s, memory bandwidth and task overheads and export them as a
-//!   [`hybrimoe_hw::CalibrationProfile`], reproducing the paper's warmup
-//!   phase (§IV-A) for the CPU side of the platform.
+//! * [`threadpool`] — the persistent [`WorkerPool`] the hot path splits
+//!   weight rows across.
+//!
+//! Each kernel exists twice and only twice: the production path
+//! (`*_into`: caller-owned scratch, a [`WorkerPool`], the dispatched
+//! [`KernelBackend`]) and a single-threaded scalar reference that
+//! allocates its result — the oracle the production path is pinned
+//! bit-identical to.
 //!
 //! The GPU of the paper's testbed is not available in this environment, so
 //! GPU and PCIe behaviour is modeled analytically in `hybrimoe-hw`; the CPU
@@ -44,14 +47,12 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod calibrate;
 pub mod ffn;
 pub mod gemm;
 pub mod quant;
 pub mod threadpool;
 
 pub use backend::{KernelBackend, KernelBackendKind, Q8Acts};
-pub use calibrate::{calibrate_cpu, CalibrationOptions};
 pub use ffn::{ExecScratch, ExpertFfn};
 pub use quant::{QuantError, QuantizedMatrix, Q4_BLOCK};
-pub use threadpool::{parallel_for, WorkerPool};
+pub use threadpool::WorkerPool;

@@ -13,16 +13,15 @@
 //! backend. [`QuantizedMatrix::dequantize`] remains as the oracle the tests
 //! measure that arithmetic's accuracy against.
 //!
-//! Two families of kernels read it. [`QuantizedMatrix::qgemv`] /
-//! [`QuantizedMatrix::qgemm`] are the self-contained references (`f32` in,
-//! scoped threads, fresh buffers, the scalar backend).
-//! [`QuantizedMatrix::qgemv_into`] / [`QuantizedMatrix::qgemm_into`] are
-//! the hot path: the caller quantizes a projection's input once, a
-//! persistent [`WorkerPool`] splits the weight rows into one contiguous
-//! band per worker, and each band goes to the selected [`KernelBackend`] in
-//! a single `qdot_rows` call that writes straight into the band's slice of
-//! the output — no allocation, one virtual dispatch per band. Both families
-//! produce the same bits.
+//! Two kernels read it. [`QuantizedMatrix::qgemm`] (and its one-token
+//! form [`QuantizedMatrix::qgemv`]) is the self-contained reference: `f32`
+//! in, one thread, a fresh buffer, the scalar backend.
+//! [`QuantizedMatrix::qgemm_into`] is the hot path: the caller quantizes a
+//! projection's input once, a persistent [`WorkerPool`] splits the weight
+//! rows into one contiguous band per worker, and each band goes to the
+//! selected [`KernelBackend`] in a single `qdot_rows` call that writes
+//! straight into the band's slice of the output — no allocation, one
+//! virtual dispatch per band. Both produce the same bits.
 
 use std::fmt;
 
@@ -30,10 +29,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{scalar, KernelBackend, Q8Acts};
-use crate::threadpool::{parallel_for, WorkerPool};
-
-/// A band of GEMV/GEMM results: `(first_row, values)` per worker.
-type RowBands = std::sync::Mutex<Vec<(usize, Vec<f32>)>>;
+use crate::threadpool::WorkerPool;
 
 /// Number of weights per quantization block.
 pub const Q4_BLOCK: usize = 32;
@@ -190,86 +186,47 @@ impl QuantizedMatrix {
         out
     }
 
-    /// Reference `y = W · x` GEMV, split across `threads` workers: `x` is
-    /// quantized with the scalar backend and dotted by it.
+    /// Reference `y = W · x` GEMV: [`QuantizedMatrix::qgemm`] at one token.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `y.len() != rows`.
-    pub fn qgemv(&self, x: &[f32], y: &mut [f32], threads: usize) {
+    pub fn qgemv(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "input length mismatch");
         assert_eq!(y.len(), self.rows, "output length mismatch");
-        self.qgemm(x, 1, y, threads);
+        self.qgemm(x, 1, y);
     }
 
     /// Reference `Y = X · Wᵀ` for a batch of inputs: `x` is `tokens x cols`
-    /// row-major, `y` is `tokens x rows` row-major. Quantizes `x` with the
-    /// scalar backend, then each of up to `threads` scoped workers dots
-    /// its band of rows with every token.
+    /// row-major, `y` is `tokens x rows` row-major. Single-threaded on the
+    /// scalar backend: quantizes `x` once, dots every row with every token
+    /// and transposes the row-major result into `y`.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches.
-    pub fn qgemm(&self, x: &[f32], tokens: usize, y: &mut [f32], threads: usize) {
+    pub fn qgemm(&self, x: &[f32], tokens: usize, y: &mut [f32]) {
         assert_eq!(x.len(), tokens * self.cols, "input shape mismatch");
         assert_eq!(y.len(), tokens * self.rows, "output shape mismatch");
         let mut acts = Q8Acts::new();
         scalar().quantize(x, self.cols, &mut acts);
-        let row_bytes = packed_row_bytes(self.cols);
-        // Rows are independent; compute each band into a temporary, then
-        // scatter, to avoid sharing &mut y across workers.
-        let results: RowBands = std::sync::Mutex::new(Vec::new());
-        parallel_for(self.rows, threads, |r0, r1| {
-            let mut band = vec![0.0f32; (r1 - r0) * tokens];
-            let packed = &self.data[r0 * row_bytes..r1 * row_bytes];
-            scalar().qdot_rows(packed, r1 - r0, &acts, &mut band);
-            results.lock().expect("poisoned").push((r0, band));
-        });
-        for (r0, band) in results.into_inner().expect("poisoned") {
-            for (ri, row) in band.chunks(tokens).enumerate() {
-                for (t, v) in row.iter().enumerate() {
-                    y[t * self.rows + r0 + ri] = *v;
-                }
-            }
-        }
-    }
-
-    /// [`QuantizedMatrix::qgemv`] on a persistent [`WorkerPool`] over
-    /// already-quantized activations: no thread spawns, no allocations.
-    /// Each worker hands its whole band of rows to `backend` in one
-    /// [`KernelBackend::qdot_rows`] call, which writes straight into that
-    /// band of `y`. Bit-identical to `qgemv` on every backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `acts` holds one token of `cols` activations and
-    /// `y.len() == rows`.
-    pub fn qgemv_into(
-        &self,
-        acts: &Q8Acts,
-        y: &mut [f32],
-        pool: &WorkerPool,
-        backend: &dyn KernelBackend,
-    ) {
-        assert_eq!(acts.tokens(), 1, "input length mismatch");
-        assert_eq!(acts.cols(), self.cols, "input length mismatch");
-        assert_eq!(y.len(), self.rows, "output length mismatch");
-        self.qdot_bands(acts, y, pool, backend);
+        let mut by_row = vec![0.0f32; self.rows * tokens];
+        scalar().qdot_rows(&self.data, self.rows, &acts, &mut by_row);
+        transpose_into(&by_row, tokens, self.rows, y);
     }
 
     /// [`QuantizedMatrix::qgemm`] on a persistent [`WorkerPool`] over
     /// already-quantized activations, with caller-owned scratch and no
     /// allocations once `band` has grown: each worker hands its band of
     /// rows and the whole token batch to `backend` in one
-    /// [`KernelBackend::qdot_rows`] call, so the backend can tile rows and
-    /// tokens over registers and unpack each Q4 block once rather than
-    /// once per token. Per-token results are bit-identical to `qgemv` on
-    /// every backend.
+    /// [`KernelBackend::qdot_rows`] call, which writes straight into that
+    /// band, so the backend can tile rows and tokens over registers and
+    /// unpack each Q4 block once rather than once per token. Per-token
+    /// results are bit-identical to `qgemv` on every backend.
     ///
     /// `band` is reusable scratch for the row-major intermediate; it is
     /// resized (capacity retained) and scattered into the token-major `y`
-    /// (a single token needs neither and goes straight to `y`, exactly as
-    /// [`QuantizedMatrix::qgemv_into`]).
+    /// (a single token needs neither and goes straight to `y`).
     ///
     /// # Panics
     ///
@@ -299,12 +256,7 @@ impl QuantizedMatrix {
         band.clear();
         band.resize(self.rows * tokens, 0.0);
         self.qdot_bands(acts, band, pool, backend);
-        // Scatter the row-major intermediate into the token-major output.
-        for (r, row) in band.chunks(tokens).enumerate() {
-            for (t, v) in row.iter().enumerate() {
-                y[t * self.rows + r] = *v;
-            }
-        }
+        transpose_into(band, tokens, self.rows, y);
     }
 
     /// Fills the row-major `out` (`rows × acts.tokens()`, at least one
@@ -335,6 +287,16 @@ impl QuantizedMatrix {
             let packed = &self.data[i * chunk * row_bytes..][..nrows * row_bytes];
             backend.qdot_rows(packed, nrows, acts, band);
         });
+    }
+}
+
+/// Scatters the row-major `rows x tokens` kernel result into the
+/// token-major `tokens x rows` output.
+fn transpose_into(by_row: &[f32], tokens: usize, rows: usize, y: &mut [f32]) {
+    for (r, row) in by_row.chunks(tokens).enumerate() {
+        for (t, v) in row.iter().enumerate() {
+            y[t * rows + r] = *v;
+        }
     }
 }
 
@@ -454,7 +416,7 @@ mod tests {
             ] {
                 let q = QuantizedMatrix::quantize(&w, rows, cols).unwrap();
                 let mut y = vec![0.0; rows];
-                q.qgemv(&x, &mut y, 2);
+                q.qgemv(&x, &mut y);
                 let truth: Vec<f64> = q
                     .dequantize()
                     .chunks(cols)
@@ -478,10 +440,10 @@ mod tests {
         let q = QuantizedMatrix::quantize(&w, rows, cols).unwrap();
         let x = pseudo(tokens * cols, 6);
         let mut y = vec![0.0; tokens * rows];
-        q.qgemm(&x, tokens, &mut y, 2);
+        q.qgemm(&x, tokens, &mut y);
         for t in 0..tokens {
             let mut y1 = vec![0.0; rows];
-            q.qgemv(&x[t * cols..(t + 1) * cols], &mut y1, 1);
+            q.qgemv(&x[t * cols..(t + 1) * cols], &mut y1);
             for r in 0..rows {
                 assert_eq!(y[t * rows + r], y1[r]);
             }
@@ -489,45 +451,29 @@ mod tests {
     }
 
     #[test]
-    fn qgemv_into_is_bit_identical_to_qgemv() {
-        let (rows, cols) = (9, 96);
-        let q = QuantizedMatrix::quantize(&pseudo(rows * cols, 8), rows, cols).unwrap();
-        let x = pseudo(cols, 9);
-        let mut y_ref = vec![0.0; rows];
-        q.qgemv(&x, &mut y_ref, 1);
-        for threads in [1, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            for backend in crate::backend::available() {
-                let mut acts = Q8Acts::new();
-                backend.quantize(&x, cols, &mut acts);
-                let mut y = vec![0.0; rows];
-                q.qgemv_into(&acts, &mut y, &pool, backend);
-                assert_eq!(y, y_ref, "threads={threads} {:?}", backend.kind());
-            }
-        }
-    }
-
-    #[test]
     fn qgemm_into_is_bit_identical_to_qgemv_per_token() {
-        let (rows, cols) = (7, 64);
+        let (rows, cols) = (9, 96);
         let q = QuantizedMatrix::quantize(&pseudo(rows * cols, 10), rows, cols).unwrap();
         for tokens in [1usize, 2, 4, 5, 9] {
             let x = pseudo(tokens * cols, 11);
-            for threads in [1, 3] {
+            for threads in [1, 2, 3, 4] {
                 let pool = WorkerPool::new(threads);
-                let mut acts = Q8Acts::new();
-                scalar().quantize(&x, cols, &mut acts);
-                let mut band = Vec::new();
-                let mut y = vec![0.0; tokens * rows];
-                q.qgemm_into(&acts, &mut y, &mut band, &pool, scalar());
-                for t in 0..tokens {
-                    let mut y1 = vec![0.0; rows];
-                    q.qgemv(&x[t * cols..(t + 1) * cols], &mut y1, 1);
-                    assert_eq!(
-                        &y[t * rows..(t + 1) * rows],
-                        &y1[..],
-                        "tokens={tokens} t={t}"
-                    );
+                for backend in crate::backend::available() {
+                    let mut acts = Q8Acts::new();
+                    backend.quantize(&x, cols, &mut acts);
+                    let mut band = Vec::new();
+                    let mut y = vec![0.0; tokens * rows];
+                    q.qgemm_into(&acts, &mut y, &mut band, &pool, backend);
+                    for t in 0..tokens {
+                        let mut y1 = vec![0.0; rows];
+                        q.qgemv(&x[t * cols..(t + 1) * cols], &mut y1);
+                        assert_eq!(
+                            &y[t * rows..(t + 1) * rows],
+                            &y1[..],
+                            "tokens={tokens} t={t} threads={threads} {:?}",
+                            backend.kind()
+                        );
+                    }
                 }
             }
         }

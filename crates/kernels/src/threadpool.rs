@@ -1,58 +1,15 @@
-//! Data-parallel helpers: scoped-thread [`parallel_for`] and the persistent
-//! [`WorkerPool`].
+//! The persistent [`WorkerPool`] the expert kernels run on.
 //!
 //! The expert kernels split their row ranges across a small number of worker
 //! threads, mirroring how llama.cpp splits expert GEMMs across the CPU cores
 //! the deployment allows (the paper restricts the Xeon to 10 cores, §VI-A1).
-//! [`parallel_for`] spawns scoped threads per call — simple, but the spawn
-//! cost dwarfs a microsecond-scale kernel. A [`WorkerPool`] spawns its
-//! workers once and parks them between calls, so the steady-state dispatch
-//! cost is one mutex round-trip per call.
+//! Spawning threads per call would dwarf a microsecond-scale kernel, so a
+//! [`WorkerPool`] spawns its workers once and parks them between calls: the
+//! steady-state dispatch cost is one mutex round-trip per call.
 
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// Runs `body(range_start, range_end)` over `0..n` split into contiguous
-/// chunks across up to `threads` worker threads.
-///
-/// `body` must be safe to call concurrently on disjoint ranges. With
-/// `threads == 1` (or tiny `n`) the body runs inline with no thread overhead.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use hybrimoe_kernels::parallel_for;
-///
-/// let sum = AtomicUsize::new(0);
-/// parallel_for(100, 4, |a, b| {
-///     sum.fetch_add((a..b).sum::<usize>(), Ordering::Relaxed);
-/// });
-/// assert_eq!(sum.load(Ordering::Relaxed), (0..100).sum());
-/// ```
-pub fn parallel_for<F>(n: usize, threads: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 || n < 2 {
-        body(0, n);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(n);
-            if start >= end {
-                break;
-            }
-            let body = &body;
-            scope.spawn(move || body(start, end));
-        }
-    });
-}
 
 /// A type-erased pointer to the body closure of the job in flight.
 ///
@@ -111,15 +68,15 @@ fn lock_state(shared: &PoolShared) -> std::sync::MutexGuard<'_, PoolState> {
 
 /// A persistent pool of parked worker threads for the expert kernels.
 ///
-/// [`parallel_for`] pays a full OS-thread spawn per worker per call — fine
-/// for coarse jobs, ruinous when a decode-sized `qgemv` takes tens of
-/// microseconds. A `WorkerPool` spawns `threads - 1` workers once (the
-/// calling thread is the remaining worker) and parks them on a condvar
-/// between calls, so [`WorkerPool::run`] costs one lock/notify round-trip.
+/// An OS-thread spawn per worker per call is ruinous when a decode-sized
+/// GEMV takes tens of microseconds. A `WorkerPool` spawns `threads - 1`
+/// workers once (the calling thread is the remaining worker) and parks
+/// them on a condvar between calls, so [`WorkerPool::run`] costs one
+/// lock/notify round-trip.
 ///
 /// `run` splits `0..n` into up to `threads` contiguous chunks and calls
-/// `body(part, start, end)` for each, exactly like [`parallel_for`] but
-/// with the part index exposed so callers can pre-partition output buffers.
+/// `body(part, start, end)` for each, with the part index exposed so
+/// callers can pre-partition output buffers.
 /// `run` must not be called reentrantly from inside `body`.
 ///
 /// `run` is panic-safe: if `body` panics on any thread, the call still
@@ -348,40 +305,6 @@ pub fn default_threads(cap: usize) -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn covers_whole_range_once() {
-        for threads in [1, 2, 3, 8] {
-            for n in [0, 1, 7, 64, 100] {
-                let hits = (0..n).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
-                parallel_for(n, threads, |a, b| {
-                    for hit in &hits[a..b] {
-                        hit.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "n={n} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn single_thread_runs_inline() {
-        let mut touched = false;
-        // A FnMut would not compile with real threads; the inline path is
-        // exercised through an atomic to keep the closure Fn.
-        let flag = AtomicUsize::new(0);
-        parallel_for(1, 1, |a, b| {
-            assert_eq!((a, b), (0, 1));
-            flag.store(1, Ordering::Relaxed);
-        });
-        if flag.load(Ordering::Relaxed) == 1 {
-            touched = true;
-        }
-        assert!(touched);
-    }
 
     #[test]
     fn default_threads_bounds() {

@@ -21,11 +21,11 @@
 //!   deadlines) and [`WorkerClientPool`] (shard-affine routing,
 //!   reconnect-with-backoff, health counters for `/metrics`).
 //!
-//! The engine side lives in the `hybrimoe` core crate: its
-//! `RemoteBackend` gathers tokens expert-major exactly like local
-//! execution, ships each batch to the expert's shard-affine worker, and
-//! falls back to local execution per expert when a worker is down —
-//! outputs are bit-identical either way.
+//! The engine side lives in the `hybrimoe` core crate: its one real
+//! executor gathers tokens expert-major, offers each batch to the
+//! expert's shard-affine worker when endpoints are configured, and
+//! computes it locally when no worker returns it — outputs are
+//! bit-identical either way.
 //!
 //! ## Example
 //!

@@ -1,6 +1,7 @@
 //! Distributed expert workers end to end: spawn real `hybrimoe_worker`
-//! processes, run an engine on the `RemoteWorkers` backend so every
-//! expert batch travels over the framed wire protocol, verify the
+//! processes, give the engine's real backend their endpoints
+//! (`with_remote_workers`) so every expert batch travels over the framed
+//! wire protocol, verify the
 //! decoded outputs are bit-identical to fully-local execution, then kill
 //! a worker mid-run and watch the engine fail over to local kernels
 //! without dropping a step.
@@ -134,7 +135,7 @@ fn main() {
         .decode_trace(steps);
 
     // Reference: the same backend with no workers runs everything on the
-    // local fallback path.
+    // local kernels.
     let mut local = Engine::new(local_config);
     let mut reference = Vec::new();
     for step in &trace.steps {

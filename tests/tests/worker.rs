@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use hybrimoe::realexec::{RealExecOptions, RealLayerExecutor};
-use hybrimoe::remote::{RemoteLayerExecutor, RemoteWorkerOptions};
+use hybrimoe::remote::RemoteWorkerOptions;
 use hybrimoe::{Engine, EngineConfig, Framework};
 use hybrimoe_kernels::{backend, ExecScratch, KernelBackendKind, WorkerPool};
 use hybrimoe_model::{
@@ -421,10 +421,12 @@ fn layer_tokens(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Remote execution is bit-identical to the local expert-major path
-    /// across worker counts, batch sizes and random placements. Scalar kernels are pinned on both sides (LoadShard
-    /// carries the backend), and the engine accumulates experts in
-    /// ascending id order regardless of which worker computed them, so
+    /// Remote and local execution are both bit-identical to the
+    /// token-major scalar oracle — separate code from the one expert-major
+    /// loop the other two run — across worker counts, batch sizes and
+    /// random placements. Scalar kernels are pinned on both sides
+    /// (LoadShard carries the backend), and the engine accumulates experts
+    /// in ascending id order regardless of which worker computed them, so
     /// float non-associativity never enters.
     #[test]
     fn remote_execution_is_bit_identical_to_local(
@@ -454,16 +456,20 @@ proptest! {
             kernel_backend: KernelBackendKind::Scalar,
             ..Default::default()
         };
-        let mut reference = RealLayerExecutor::with_options(model.clone(), 7, options);
-        let expected = reference
+        let oracle = RealExecOptions { token_major: true, ..options };
+        let expected = RealLayerExecutor::with_options(model.clone(), 7, oracle)
+            .execute_layer(LayerId(0), &plan, &inputs, &routes)
+            .expect("token-major execution");
+        let local = RealLayerExecutor::with_options(model.clone(), 7, options)
             .execute_layer(LayerId(0), &plan, &inputs, &routes)
             .expect("local execution");
+        prop_assert_eq!(&local.output, &expected.output);
 
         let handles: Vec<WorkerHandle> = (0..workers)
             .map(|_| spawn_worker(WorkerServerOptions { threads: 1, ..Default::default() }))
             .collect();
         let endpoints = handles.iter().map(|h| h.endpoint().to_string()).collect();
-        let mut remote = RemoteLayerExecutor::new(
+        let mut remote = RealLayerExecutor::new(
             model,
             7,
             options,
