@@ -1,6 +1,7 @@
 //! Design-choice ablations beyond the paper's Table III: sweeps over the
-//! knobs DESIGN.md calls out, plus the greedy scheduler's optimality gap
-//! against an exhaustive oracle (an evaluation the paper does not include).
+//! MRS and prefetch knobs the paper fixes, plus the greedy scheduler's
+//! optimality gap against an exhaustive oracle (an evaluation the paper
+//! does not include).
 //!
 //! Panels:
 //! * `alpha`    — MRS averaging coefficient α (Eq. 3)
@@ -14,10 +15,13 @@
 
 use hybrimoe::report::{percent, Table};
 use hybrimoe::{Engine, EngineConfig, Framework};
-use hybrimoe_cache::{CachePolicy, ExpertCache, Mrs};
+use hybrimoe_bench::replay_hit_rate;
+use hybrimoe_cache::Mrs;
 use hybrimoe_hw::{AffineCostModel, Platform};
-use hybrimoe_model::{ExpertId, ExpertKey, LayerId, ModelConfig};
-use hybrimoe_sched::{oracle_makespan, ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+use hybrimoe_model::{ExpertId, LayerId, ModelConfig};
+use hybrimoe_sched::{
+    oracle_makespan, ExpertTask, HybridScheduler, ScheduleContext, ScheduleQueues,
+};
 use hybrimoe_trace::TraceGenerator;
 
 const SEED: u64 = 0xAB1A;
@@ -48,34 +52,13 @@ fn main() {
     }
 }
 
-/// Hit rate of an MRS variant on a pure cache replay.
-fn mrs_hit_rate(model: &ModelConfig, policy: Box<dyn CachePolicy>, ratio: f64) -> f64 {
-    let trace = TraceGenerator::new(model.clone(), SEED).decode_trace(160);
-    let mut cache = ExpertCache::new(model.cache_capacity_for_ratio(ratio), policy);
-    let warm = trace.steps.len() / 4;
-    for (i, step) in trace.steps.iter().enumerate() {
-        if i == warm {
-            cache.reset_stats();
-        }
-        for rec in &step.layers {
-            cache.note_routing(&rec.routing, model.activated_experts);
-            for (expert, _) in rec.routing.activated() {
-                let key = ExpertKey::new(rec.routing.layer(), expert);
-                if !cache.lookup(key) {
-                    cache.insert(key);
-                }
-            }
-        }
-    }
-    cache.stats().hit_rate()
-}
-
 fn alpha_sweep() {
     println!("== ablation: MRS averaging coefficient α (DeepSeek, 30% cache) ==\n");
     let model = ModelConfig::deepseek();
+    let trace = TraceGenerator::new(model.clone(), SEED).decode_trace(160);
     let mut table = Table::new(vec!["alpha".into(), "hit rate".into()]);
     for alpha in [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0] {
-        let rate = mrs_hit_rate(&model, Box::new(Mrs::new(alpha)), 0.3);
+        let rate = replay_hit_rate(&trace, &model, Box::new(Mrs::new(alpha)), 0.3);
         table.push_row(vec![format!("{alpha:.2}"), percent(rate)]);
     }
     println!("{table}");
@@ -85,6 +68,7 @@ fn alpha_sweep() {
 fn topp_sweep() {
     println!("== ablation: MRS top-P cutoff (DeepSeek K=6, 30% cache) ==\n");
     let model = ModelConfig::deepseek();
+    let trace = TraceGenerator::new(model.clone(), SEED).decode_trace(160);
     let mut table = Table::new(vec!["p".into(), "hit rate".into(), "note".into()]);
     for (p, note) in [
         (3u16, "K/2"),
@@ -93,7 +77,7 @@ fn topp_sweep() {
         (24, "4K"),
         (64, "all experts"),
     ] {
-        let rate = mrs_hit_rate(&model, Box::new(Mrs::with_top_p(0.3, p)), 0.3);
+        let rate = replay_hit_rate(&trace, &model, Box::new(Mrs::with_top_p(0.3, p)), 0.3);
         table.push_row(vec![p.to_string(), percent(rate), note.to_owned()]);
     }
     println!("{table}");
@@ -145,19 +129,7 @@ fn steal_ablation() {
         .map(|i| ExpertTask::cached(ExpertId(i), 1 + i as u32))
         .collect();
     let ctx = ScheduleContext::for_test(LayerId(0), &unit_tasks, &unit);
-    table.push_row(vec![
-        "comparable CPU/GPU (Fig. 5 units)".into(),
-        format!(
-            "{}",
-            HybridScheduler::new().schedule(&ctx).predicted_makespan
-        ),
-        format!(
-            "{}",
-            HybridScheduler::without_cpu_steal()
-                .schedule(&ctx)
-                .predicted_makespan
-        ),
-    ]);
+    table.push_row(steal_row("comparable CPU/GPU (Fig. 5 units)", &ctx));
 
     let cost = AffineCostModel::from_platform(&Platform::a6000_xeon10());
     let model = ModelConfig::deepseek();
@@ -172,22 +144,24 @@ fn steal_ablation() {
         None,
         &cost,
     );
-    table.push_row(vec![
-        "calibrated A6000 (GPU much faster)".into(),
-        format!(
-            "{}",
-            HybridScheduler::new().schedule(&ctx).predicted_makespan
-        ),
-        format!(
-            "{}",
-            HybridScheduler::without_cpu_steal()
-                .schedule(&ctx)
-                .predicted_makespan
-        ),
-    ]);
+    table.push_row(steal_row("calibrated A6000 (GPU much faster)", &ctx));
     println!("{table}");
     println!("takeaway: stealing only pays when per-expert CPU and GPU times are");
     println!("comparable; the greedy applies it exactly then and stays silent otherwise\n");
+}
+
+/// The hybrid's makespan on `ctx` with and without CPU stealing.
+fn steal_row(regime: &str, ctx: &ScheduleContext<'_>) -> Vec<String> {
+    let mut queues = ScheduleQueues::new();
+    vec![
+        regime.into(),
+        HybridScheduler::new()
+            .makespan(ctx, &mut queues)
+            .to_string(),
+        HybridScheduler::without_cpu_steal()
+            .makespan(ctx, &mut queues)
+            .to_string(),
+    ]
 }
 
 fn oracle_gap() {
@@ -221,7 +195,7 @@ fn oracle_gap() {
             None,
             &cost,
         );
-        let hybrid = HybridScheduler::new().schedule(&ctx).predicted_makespan;
+        let hybrid = HybridScheduler::new().makespan(&ctx, &mut ScheduleQueues::new());
         let Some(opt) = oracle_makespan(&ctx) else {
             continue;
         };

@@ -44,7 +44,7 @@ fn main() {
         let plan = scheduler.schedule(&ctx);
         plan.validate(&tasks).expect("valid plan");
         let executed = PlanExecutor::new()
-            .execute(plan.to_labelled_ops(&ctx))
+            .execute(plan.to_ops(&ctx))
             .expect("acyclic");
         println!(
             "-- {title}: makespan {} units --",

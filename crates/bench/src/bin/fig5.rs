@@ -9,7 +9,7 @@
 use hybrimoe_hw::{Gantt, PlanExecutor, UnitCostModel};
 use hybrimoe_model::{ExpertId, LayerId};
 use hybrimoe_sched::baselines::FixedMappingScheduler;
-use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+use hybrimoe_sched::{ExpertTask, HybridScheduler, PlanReplay, ScheduleContext, Scheduler};
 
 fn main() {
     println!("== Fig. 5: worked hybrid scheduling example ==\n");
@@ -36,7 +36,7 @@ fn main() {
     ] {
         plan.validate(&tasks).expect("plan must be valid");
         let executed = PlanExecutor::new()
-            .execute(plan.to_labelled_ops(&ctx))
+            .execute(plan.to_ops(&ctx))
             .expect("acyclic");
         println!("-- {title} --");
         println!(
@@ -58,9 +58,9 @@ fn main() {
                 .collect::<Vec<_>>()
         );
         println!(
-            "  makespan:   {} time units (predicted {})",
+            "  makespan:   {} time units (replayed {})",
             executed.makespan.as_micros_f64(),
-            plan.predicted_makespan.as_micros_f64()
+            PlanReplay::default().run(&plan, &ctx).as_micros_f64()
         );
         println!("{}\n", Gantt::render(&executed.timelines, 48));
     }

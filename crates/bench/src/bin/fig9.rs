@@ -12,41 +12,13 @@
 //! at 75%).
 
 use hybrimoe::report::{percent, Table};
-use hybrimoe_cache::{CachePolicy, ExpertCache, Lru, Mrs};
-use hybrimoe_model::{ExpertKey, ModelConfig};
-use hybrimoe_trace::{ActivationTrace, TraceGenerator};
+use hybrimoe_bench::replay_hit_rate;
+use hybrimoe_cache::{CachePolicy, Lru, Mrs};
+use hybrimoe_model::ModelConfig;
+use hybrimoe_trace::TraceGenerator;
 
 const ITERATIONS: usize = 256;
 const SEED: u64 = 0xF19_2025;
-
-/// Replays a decode trace against a cache and returns the steady-state hit
-/// rate (the first quarter of iterations warms the cache).
-fn hit_rate(
-    trace: &ActivationTrace,
-    model: &ModelConfig,
-    policy: Box<dyn CachePolicy>,
-    ratio: f64,
-) -> f64 {
-    let capacity = model.cache_capacity_for_ratio(ratio);
-    let mut cache = ExpertCache::new(capacity, policy);
-    let warmup = trace.steps.len() / 4;
-    for (i, step) in trace.steps.iter().enumerate() {
-        if i == warmup {
-            cache.reset_stats();
-        }
-        for rec in &step.layers {
-            cache.note_routing(&rec.routing, model.activated_experts);
-            let layer = rec.routing.layer();
-            for (expert, _) in rec.routing.activated() {
-                let key = ExpertKey::new(layer, expert);
-                if !cache.lookup(key) {
-                    cache.insert(key);
-                }
-            }
-        }
-    }
-    cache.stats().hit_rate()
-}
 
 fn main() {
     println!(
@@ -72,7 +44,7 @@ fn main() {
                 } else {
                     Box::new(Lru::new())
                 };
-                row.push(percent(hit_rate(&trace, &model, policy, ratio)));
+                row.push(percent(replay_hit_rate(&trace, &model, policy, ratio)));
             }
             table.push_row(row);
         }

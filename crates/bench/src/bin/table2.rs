@@ -47,6 +47,6 @@ fn main() {
     println!("{table}");
     println!(
         "note: Qwen2 routed expert size uses the published checkpoint value (3584, 2560);\n\
-         the paper's table prints the dense-FFN width (see DESIGN.md §2)."
+         the paper's table prints the dense-FFN width (see ModelConfig::qwen2)."
     );
 }

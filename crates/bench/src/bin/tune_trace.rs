@@ -3,35 +3,10 @@
 //! parameter combinations so the defaults can be pinned to the paper's
 //! measured statistics.
 
-use hybrimoe_cache::{CachePolicy, ExpertCache, Lru, Mrs};
-use hybrimoe_model::{ExpertKey, ModelConfig};
-use hybrimoe_trace::{stats, ActivationTrace, TraceConfig, TraceGenerator};
-
-fn hit_rate(
-    trace: &ActivationTrace,
-    model: &ModelConfig,
-    policy: Box<dyn CachePolicy>,
-    ratio: f64,
-) -> f64 {
-    let mut cache = ExpertCache::new(model.cache_capacity_for_ratio(ratio), policy);
-    let warmup = trace.steps.len() / 4;
-    for (i, step) in trace.steps.iter().enumerate() {
-        if i == warmup {
-            cache.reset_stats();
-        }
-        for rec in &step.layers {
-            cache.note_routing(&rec.routing, model.activated_experts);
-            let layer = rec.routing.layer();
-            for (expert, _) in rec.routing.activated() {
-                let key = ExpertKey::new(layer, expert);
-                if !cache.lookup(key) {
-                    cache.insert(key);
-                }
-            }
-        }
-    }
-    cache.stats().hit_rate()
-}
+use hybrimoe_bench::replay_hit_rate;
+use hybrimoe_cache::{Lru, Mrs};
+use hybrimoe_model::ModelConfig;
+use hybrimoe_trace::{stats, TraceConfig, TraceGenerator};
 
 fn main() {
     let model = ModelConfig::deepseek();
@@ -49,8 +24,8 @@ fn main() {
             let tail = reuse[reuse.len() / 2];
             let cdf = stats::activation_cdf(&trace);
             let top20 = cdf[cdf.len() / 5 - 1];
-            let lru = hit_rate(&trace, &model, Box::new(Lru::new()), 0.30);
-            let mrs = hit_rate(&trace, &model, Box::new(Mrs::new(0.3)), 0.30);
+            let lru = replay_hit_rate(&trace, &model, Box::new(Lru::new()), 0.30);
+            let mrs = replay_hit_rate(&trace, &model, Box::new(Mrs::new(0.3)), 0.30);
             println!(
                 "rho_t={rho_t:.2} bias={bias:.1} | reuse top={top:.2} mid={tail:.2} | cdf top20%={top20:.2} | LRU@30={:.1}% MRS@30={:.1}%",
                 lru * 100.0,

@@ -31,8 +31,9 @@ pub use chaos::{run_chaos_bench, ChaosSummary};
 pub use server_bench::{run_server_bench, ServerLoad};
 
 use hybrimoe::{Engine, EngineConfig, Framework, StageMetrics};
-use hybrimoe_model::ModelConfig;
-use hybrimoe_trace::TraceGenerator;
+use hybrimoe_cache::{CachePolicy, ExpertCache};
+use hybrimoe_model::{ExpertKey, ModelConfig};
+use hybrimoe_trace::{ActivationTrace, TraceGenerator};
 use serde::Serialize;
 
 /// Number of decode steps used by the decode experiments.
@@ -94,6 +95,34 @@ pub fn run_decode_config(config: EngineConfig, steps: usize, seed: u64) -> Stage
 pub fn run_prefill_config(config: EngineConfig, tokens: u32, seed: u64) -> StageMetrics {
     let trace = TraceGenerator::new(config.model.clone(), seed).prefill_trace(tokens);
     Engine::new(config).run(&trace)
+}
+
+/// Replays a decode trace against a cache of `ratio` of the model's experts
+/// under `policy`, inserting every miss, and returns the steady-state hit
+/// rate (the first quarter of the steps warms the cache).
+pub fn replay_hit_rate(
+    trace: &ActivationTrace,
+    model: &ModelConfig,
+    policy: Box<dyn CachePolicy>,
+    ratio: f64,
+) -> f64 {
+    let mut cache = ExpertCache::new(model.cache_capacity_for_ratio(ratio), policy);
+    let warmup = trace.steps.len() / 4;
+    for (i, step) in trace.steps.iter().enumerate() {
+        if i == warmup {
+            cache.reset_stats();
+        }
+        for rec in &step.layers {
+            cache.note_routing(&rec.routing, model.activated_experts);
+            for (expert, _) in rec.routing.activated() {
+                let key = ExpertKey::new(rec.routing.layer(), expert);
+                if !cache.lookup(key) {
+                    cache.insert(key);
+                }
+            }
+        }
+    }
+    cache.stats().hit_rate()
 }
 
 /// Nearest-rank percentile of an unsorted sample of milliseconds; zero for

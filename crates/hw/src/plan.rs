@@ -81,7 +81,7 @@ pub struct ExecutedPlan {
     pub ops: Vec<ExecutedOp>,
     /// The three device timelines after execution.
     pub timelines: TimelineSet,
-    /// Time at which the last op finishes, relative to the plan start.
+    /// Time at which the last op finishes.
     pub makespan: SimDuration,
 }
 
@@ -156,7 +156,6 @@ impl std::error::Error for PlanError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct PlanExecutor {
-    start: SimTime,
     num_gpus: usize,
 }
 
@@ -169,16 +168,7 @@ impl Default for PlanExecutor {
 impl PlanExecutor {
     /// Creates an executor whose timelines start at the clock origin.
     pub fn new() -> Self {
-        PlanExecutor {
-            start: SimTime::ZERO,
-            num_gpus: 1,
-        }
-    }
-
-    /// Creates an executor whose timelines start at `start`; the reported
-    /// makespan stays relative to `start`.
-    pub fn starting_at(start: SimTime) -> Self {
-        PlanExecutor { start, num_gpus: 1 }
+        PlanExecutor { num_gpus: 1 }
     }
 
     /// Forces the executor to model at least `num_gpus` GPUs (and their
@@ -236,7 +226,7 @@ impl PlanExecutor {
             q.reverse();
         }
 
-        let mut timelines = TimelineSet::starting_at_with_gpus(num_gpus, self.start);
+        let mut timelines = TimelineSet::with_gpus(num_gpus);
         let mut finished: HashMap<OpId, SimTime> = HashMap::with_capacity(ops.len());
         let mut executed = Vec::with_capacity(ops.len());
         let total = ops.len();
@@ -248,7 +238,7 @@ impl PlanExecutor {
             let mut best: Option<(SimTime, usize)> = None;
             for (di, q) in queues.iter().enumerate() {
                 let Some(head) = q.last() else { continue };
-                let Some(release) = deps_ready(head, &finished, self.start) else {
+                let Some(release) = deps_ready(head, &finished) else {
                     continue;
                 };
                 let tl: &Timeline = timelines.get(order[di]);
@@ -261,7 +251,7 @@ impl PlanExecutor {
                 return Err(PlanError::DependencyCycle);
             };
             let op = queues[di].pop().expect("head existed");
-            let release = deps_ready(op, &finished, self.start).expect("checked ready");
+            let release = deps_ready(op, &finished).expect("checked ready");
             let (start, end) =
                 timelines
                     .get_mut(op.device)
@@ -276,7 +266,7 @@ impl PlanExecutor {
             });
         }
 
-        let makespan = timelines.finish_time().elapsed_since(self.start);
+        let makespan = timelines.makespan();
         Ok(ExecutedPlan {
             ops: executed,
             timelines,
@@ -286,8 +276,8 @@ impl PlanExecutor {
 }
 
 /// If all deps of `op` are finished, the earliest release time; else `None`.
-fn deps_ready(op: &Op, finished: &HashMap<OpId, SimTime>, start: SimTime) -> Option<SimTime> {
-    let mut release = start;
+fn deps_ready(op: &Op, finished: &HashMap<OpId, SimTime>) -> Option<SimTime> {
+    let mut release = SimTime::ZERO;
     for dep in &op.deps {
         match finished.get(dep) {
             Some(&end) => release = release.max(end),
@@ -393,15 +383,6 @@ mod tests {
             PlanExecutor::new().execute(ops),
             Err(PlanError::DependencyCycle)
         );
-    }
-
-    #[test]
-    fn starting_at_shifts_times_not_makespan() {
-        let t0 = SimTime::from_nanos(1_000_000);
-        let ops = vec![Op::new(0, Device::gpu(0), us(2), "g")];
-        let ex = PlanExecutor::starting_at(t0).execute(ops).unwrap();
-        assert_eq!(ex.start_of(OpId(0)).unwrap(), t0);
-        assert_eq!(ex.makespan, us(2));
     }
 
     #[test]

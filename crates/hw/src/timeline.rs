@@ -3,7 +3,7 @@
 //! A [`Timeline`] records the ordered, non-overlapping busy intervals of one
 //! [`Device`]; a [`TimelineSet`] bundles every device timeline of the
 //! hybrid platform (one CPU, `N` GPUs, `N` PCIe lanes) and answers
-//! makespan/utilization queries over them.
+//! makespan and busy-time queries over them.
 
 use serde::{Deserialize, Serialize};
 
@@ -64,15 +64,6 @@ impl Timeline {
         }
     }
 
-    /// Creates an empty timeline whose device becomes ready at `ready`.
-    pub fn starting_at(device: Device, ready: SimTime) -> Self {
-        Timeline {
-            device,
-            intervals: Vec::new(),
-            cursor: ready,
-        }
-    }
-
     /// The device this timeline belongs to.
     pub fn device(&self) -> Device {
         self.device
@@ -121,16 +112,6 @@ impl Timeline {
         self.intervals.iter().map(Interval::duration).sum()
     }
 
-    /// Utilization over `[SimTime::ZERO, horizon]`, in `[0, 1]`.
-    ///
-    /// Returns `0.0` for a zero horizon.
-    pub fn utilization(&self, horizon: SimDuration) -> f64 {
-        if horizon == SimDuration::ZERO {
-            return 0.0;
-        }
-        self.busy_time().as_nanos() as f64 / horizon.as_nanos() as f64
-    }
-
     /// Checks the internal invariant: intervals are ordered and
     /// non-overlapping.
     pub fn is_well_formed(&self) -> bool {
@@ -173,27 +154,10 @@ impl TimelineSet {
     ///
     /// Panics if `num_gpus` is zero.
     pub fn with_gpus(num_gpus: usize) -> Self {
-        TimelineSet::starting_at_with_gpus(num_gpus, SimTime::ZERO)
-    }
-
-    /// Creates single-GPU timelines that all become ready at `ready`.
-    pub fn starting_at(ready: SimTime) -> Self {
-        TimelineSet::starting_at_with_gpus(1, ready)
-    }
-
-    /// Creates the timelines of a platform with `num_gpus` GPUs that all
-    /// become ready at `ready`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_gpus` is zero.
-    pub fn starting_at_with_gpus(num_gpus: usize, ready: SimTime) -> Self {
         assert!(num_gpus > 0, "a platform needs at least one GPU");
         TimelineSet {
             num_gpus,
-            timelines: devices(num_gpus)
-                .map(|d| Timeline::starting_at(d, ready))
-                .collect(),
+            timelines: devices(num_gpus).map(Timeline::new).collect(),
         }
     }
 
@@ -249,16 +213,6 @@ impl TimelineSet {
             .filter(|tl| tl.device().is_compute())
             .map(Timeline::ready_at)
             .fold(SimTime::ZERO, SimTime::max)
-    }
-
-    /// Per-device utilization over the current makespan, in canonical
-    /// device order.
-    pub fn utilizations(&self) -> Vec<(Device, f64)> {
-        let horizon = self.makespan();
-        self.timelines
-            .iter()
-            .map(|tl| (tl.device(), tl.utilization(horizon)))
-            .collect()
     }
 
     /// Per-device busy times in canonical device order (the layout of
@@ -389,14 +343,12 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_busy_time() {
+    fn busy_time_excludes_idle_gaps() {
         let mut tl = Timeline::new(Device::Cpu);
         tl.push(SimTime::ZERO, SimDuration::from_nanos(30), "a");
         tl.push(SimTime::from_nanos(70), SimDuration::from_nanos(30), "b");
         assert_eq!(tl.busy_time(), SimDuration::from_nanos(60));
-        let util = tl.utilization(SimDuration::from_nanos(100));
-        assert!((util - 0.6).abs() < 1e-9);
-        assert_eq!(tl.utilization(SimDuration::ZERO), 0.0);
+        assert_eq!(tl.ready_at(), SimTime::from_nanos(100));
     }
 
     #[test]
@@ -410,8 +362,6 @@ mod tests {
             .push(SimTime::ZERO, SimDuration::from_nanos(7), "p");
         assert_eq!(set.makespan(), SimDuration::from_nanos(9));
         assert_eq!(set.compute_finish_time(), SimTime::from_nanos(9));
-        let utils = set.utilizations();
-        assert!((utils[1].1 - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -446,15 +396,5 @@ mod tests {
     #[should_panic(expected = "at least one GPU")]
     fn zero_gpus_rejected() {
         let _ = TimelineSet::with_gpus(0);
-    }
-
-    #[test]
-    fn starting_at_offsets_all_devices() {
-        let t0 = SimTime::from_nanos(500);
-        let set = TimelineSet::starting_at_with_gpus(2, t0);
-        assert_eq!(set.iter().count(), 5);
-        for tl in set.iter() {
-            assert_eq!(tl.ready_at(), t0);
-        }
     }
 }

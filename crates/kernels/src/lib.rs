@@ -23,7 +23,7 @@
 //!
 //! The GPU of the paper's testbed is not available in this environment, so
 //! GPU and PCIe behaviour is modeled analytically in `hybrimoe-hw`; the CPU
-//! path is the one that is executed for real (see DESIGN.md §2).
+//! path is the one that is executed for real.
 //!
 //! ## Example
 //!

@@ -8,8 +8,8 @@ use crate::{ExpertId, ExpertKey, ExpertShape, LayerId};
 /// The architecture of one MoE model, as consumed by the trace generator,
 /// the cache and the scheduler.
 ///
-/// The three presets mirror the paper's Table II. One deliberate deviation
-/// is documented in DESIGN.md: the table lists Qwen2's routed expert as
+/// The three presets mirror the paper's Table II, with one deliberate
+/// deviation: the table lists Qwen2's routed expert as
 /// `(3584, 18944)`, which is the *dense* FFN width of the Qwen2 7B model and
 /// is inconsistent both with the published Qwen2-57B-A14B configuration
 /// (`moe_intermediate_size = 2560`) and with the paper's own measured decode

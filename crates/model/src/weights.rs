@@ -1,7 +1,7 @@
 //! Synthetic expert weight store for real-execution mode.
 //!
 //! The paper runs on real model checkpoints; this reproduction generates
-//! deterministic synthetic weights instead (DESIGN.md §2). A [`WeightStore`]
+//! deterministic synthetic weights instead. A [`WeightStore`]
 //! lazily materializes the quantized [`ExpertFfn`] of any expert key, under
 //! an explicit memory budget so that a full-size Mixtral cannot be
 //! accidentally instantiated on a laptop.

@@ -12,10 +12,15 @@
 //! batches it streams (dequantized) weights to the GPU for the heavy
 //! matmuls, cuBLAS-offload style.
 
-use hybrimoe_hw::{ExpertProfile, GpuId, SimTime};
+use std::cmp::Reverse;
+
+use hybrimoe_hw::{Device, ExpertProfile, GpuId};
 use hybrimoe_model::shard_of;
 
-use crate::{DevicePlacement, PlannedTask, ScheduleContext, SchedulePlan, Scheduler};
+use crate::{
+    DevicePlacement, ExpertTask, PlannedTask, ScheduleContext, SchedulePlan, ScheduleQueues,
+    Scheduler,
+};
 
 /// Token count at and above which a batch is treated as prefill.
 pub const PREFILL_BATCH_THRESHOLD: u32 = 32;
@@ -39,7 +44,7 @@ pub const STREAM_EXPANSION: f64 = 3.2;
 /// use hybrimoe_hw::UnitCostModel;
 /// use hybrimoe_model::{ExpertId, LayerId};
 /// use hybrimoe_sched::baselines::FixedMappingScheduler;
-/// use hybrimoe_sched::{ExpertTask, ScheduleContext, Scheduler};
+/// use hybrimoe_sched::{ExpertTask, PlanReplay, ScheduleContext, Scheduler};
 ///
 /// let tasks = vec![
 ///     ExpertTask::cached(ExpertId(0), 1),
@@ -49,25 +54,15 @@ pub const STREAM_EXPANSION: f64 = 3.2;
 /// let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
 /// let plan = FixedMappingScheduler::new().schedule(&ctx);
 /// // Decode-sized batch: the heavy uncached expert pins the CPU.
-/// assert_eq!(plan.predicted_makespan.as_micros_f64(), 7.0);
+/// assert_eq!(PlanReplay::default().run(&plan, &ctx).as_micros_f64(), 7.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct FixedMappingScheduler {
-    prefill_threshold: u32,
-}
+#[derive(Debug, Default, Clone)]
+pub struct FixedMappingScheduler {}
 
 impl FixedMappingScheduler {
-    /// Creates the scheduler with the default prefill threshold.
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        FixedMappingScheduler {
-            prefill_threshold: PREFILL_BATCH_THRESHOLD,
-        }
-    }
-}
-
-impl Default for FixedMappingScheduler {
-    fn default() -> Self {
-        FixedMappingScheduler::new()
+        FixedMappingScheduler {}
     }
 }
 
@@ -76,40 +71,21 @@ impl Scheduler for FixedMappingScheduler {
         "ktransformers"
     }
 
-    fn schedule(&self, ctx: &ScheduleContext<'_>) -> SchedulePlan {
-        if ctx.tokens >= self.prefill_threshold {
+    fn schedule_into(
+        &self,
+        ctx: &ScheduleContext<'_>,
+        _queues: &mut ScheduleQueues,
+        plan: &mut SchedulePlan,
+    ) {
+        plan.reset(ctx.layer, ctx.tokens);
+        if ctx.tokens >= PREFILL_BATCH_THRESHOLD {
             // Prefill: GPU-centric with on-demand loading.
-            return gpu_centric_plan(ctx, None);
+            return gpu_centric(ctx, plan);
         }
-        let mut plan = SchedulePlan::empty(ctx.layer, ctx.tokens);
-        plan.shared_on_gpu = ctx.shared_profile.is_some();
-
-        let n = ctx.num_gpus.max(1);
-        let mut gpu: Vec<_> = ctx.tasks.iter().filter(|t| t.cached).copied().collect();
-        gpu.sort_by_key(|t| (std::cmp::Reverse(t.load), t.expert));
-        let mut cpu: Vec<_> = ctx.tasks.iter().filter(|t| !t.cached).copied().collect();
-        cpu.sort_by_key(|t| (t.load, t.expert));
-
-        let mut gpu_t = vec![SimTime::ZERO; n];
-        if let Some(shared) = ctx.shared_profile {
-            gpu_t[0] += ctx.cost.gpu_compute(&shared, ctx.tokens);
-        }
-        for t in &gpu {
-            let g = shard_of(t.expert, n);
-            gpu_t[g] += ctx.cost.gpu_compute(&ctx.routed_profile, t.load);
-            plan.gpu_order.push(PlannedTask {
-                task: *t,
-                placement: DevicePlacement::Gpu(GpuId(g as u8)),
-            });
-        }
-        let mut cpu_t = SimTime::ZERO;
-        for (i, t) in cpu.iter().enumerate() {
-            cpu_t += ctx.cost.cpu_compute(&ctx.routed_profile, t.load, i > 0);
-            plan.cpu_order.push(*t);
-        }
-        let finish = gpu_t.iter().fold(cpu_t, |acc, t| acc.max(*t));
-        plan.predicted_makespan = finish.elapsed_since(SimTime::ZERO);
-        plan
+        push_cached(ctx, plan, ctx.tasks.iter().filter(|t| t.cached));
+        plan.cpu_order
+            .extend(ctx.tasks.iter().filter(|t| !t.cached));
+        plan.cpu_order.sort_unstable_by_key(|t| (t.load, t.expert));
     }
 }
 
@@ -135,51 +111,33 @@ impl Scheduler for GpuOnlyScheduler {
         "adapmoe"
     }
 
-    fn schedule(&self, ctx: &ScheduleContext<'_>) -> SchedulePlan {
-        gpu_centric_plan(ctx, None)
+    fn schedule_into(
+        &self,
+        ctx: &ScheduleContext<'_>,
+        _queues: &mut ScheduleQueues,
+        plan: &mut SchedulePlan,
+    ) {
+        plan.reset(ctx.layer, ctx.tokens);
+        gpu_centric(ctx, plan);
     }
 }
 
 /// llama.cpp-style **static layer split** (Table I: "llama.cpp").
 ///
 /// Whole layers are mapped to a device ahead of time. GPU layers always run
-/// on the GPU. CPU layers run on the CPU at decode; for prefill-sized
-/// batches the heavy matmuls stream *dequantized* weights to the GPU
-/// (cuBLAS offload), paying [`STREAM_EXPANSION`]-times the PCIe bytes of a
-/// packed expert — which is why llama.cpp's prefill is the slowest of the
-/// four systems while its decode stays competitive.
-#[derive(Debug, Clone)]
-pub struct StaticSplitScheduler {
-    prefill_threshold: u32,
-    stream_expansion: f64,
-}
+/// on the GPU. CPU layers run on the CPU at decode, shared experts
+/// included; for prefill-sized batches the heavy matmuls stream
+/// *dequantized* weights to the GPU (cuBLAS offload), paying
+/// [`STREAM_EXPANSION`]-times the PCIe bytes of a packed expert — which is
+/// why llama.cpp's prefill is the slowest of the four systems while its
+/// decode stays competitive.
+#[derive(Debug, Default, Clone)]
+pub struct StaticSplitScheduler {}
 
 impl StaticSplitScheduler {
-    /// Creates the scheduler with default threshold and stream expansion.
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        StaticSplitScheduler {
-            prefill_threshold: PREFILL_BATCH_THRESHOLD,
-            stream_expansion: STREAM_EXPANSION,
-        }
-    }
-
-    /// Overrides the streamed-weight expansion factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `expansion < 1.0`.
-    pub fn with_stream_expansion(expansion: f64) -> Self {
-        assert!(expansion >= 1.0, "expansion must be >= 1, got {expansion}");
-        StaticSplitScheduler {
-            prefill_threshold: PREFILL_BATCH_THRESHOLD,
-            stream_expansion: expansion,
-        }
-    }
-}
-
-impl Default for StaticSplitScheduler {
-    fn default() -> Self {
-        StaticSplitScheduler::new()
+        StaticSplitScheduler {}
     }
 }
 
@@ -188,120 +146,87 @@ impl Scheduler for StaticSplitScheduler {
         "llama.cpp"
     }
 
-    fn schedule(&self, ctx: &ScheduleContext<'_>) -> SchedulePlan {
+    fn schedule_into(
+        &self,
+        ctx: &ScheduleContext<'_>,
+        _queues: &mut ScheduleQueues,
+        plan: &mut SchedulePlan,
+    ) {
+        plan.reset(ctx.layer, ctx.tokens);
         let gpu_layer = !ctx.tasks.is_empty() && ctx.tasks.iter().all(|t| t.cached);
-
         if gpu_layer {
-            let n = ctx.num_gpus.max(1);
-            let mut plan = SchedulePlan::empty(ctx.layer, ctx.tokens);
-            plan.shared_on_gpu = ctx.shared_profile.is_some();
-            let mut tasks: Vec<_> = ctx.tasks.to_vec();
-            tasks.sort_by_key(|t| (std::cmp::Reverse(t.load), t.expert));
-            let mut gpu_t = vec![SimTime::ZERO; n];
-            if let Some(shared) = ctx.shared_profile {
-                gpu_t[0] += ctx.cost.gpu_compute(&shared, ctx.tokens);
-            }
-            for t in &tasks {
-                let g = shard_of(t.expert, n);
-                gpu_t[g] += ctx.cost.gpu_compute(&ctx.routed_profile, t.load);
-                plan.gpu_order.push(PlannedTask {
-                    task: *t,
-                    placement: DevicePlacement::Gpu(GpuId(g as u8)),
-                });
-            }
-            let finish = gpu_t.iter().fold(SimTime::ZERO, |acc, t| acc.max(*t));
-            plan.predicted_makespan = finish.elapsed_since(SimTime::ZERO);
-            return plan;
-        }
-
-        if ctx.tokens >= self.prefill_threshold {
+            push_cached(ctx, plan, ctx.tasks.iter());
+        } else if ctx.tokens >= PREFILL_BATCH_THRESHOLD {
             // CPU layer, prefill batch: stream dequantized weights to the
             // GPU for the heavy matmuls. Streamed experts do NOT enter the
             // expert cache (llama.cpp discards them after the matmul), but
             // the schedule-level mechanics are the same as on-demand
             // loading with bigger transfers.
-            let streamed = ExpertProfile::new(
-                (ctx.routed_profile.bytes() as f64 * self.stream_expansion) as u64,
+            plan.transfer_profile = Some(ExpertProfile::new(
+                (ctx.routed_profile.bytes() as f64 * STREAM_EXPANSION) as u64,
                 ctx.routed_profile.flops_per_token(),
-            );
-            return gpu_centric_plan(ctx, Some(streamed));
+            ));
+            gpu_centric(ctx, plan);
+        } else {
+            // CPU layer, decode: everything, shared experts included, on
+            // the CPU.
+            plan.shared_on = Device::Cpu;
+            plan.cpu_order.extend_from_slice(ctx.tasks);
+            plan.cpu_order.sort_unstable_by_key(|t| (t.load, t.expert));
         }
-
-        // CPU layer, decode: everything (including shared experts) on CPU.
-        let mut plan = SchedulePlan::empty(ctx.layer, ctx.tokens);
-        plan.shared_on_gpu = false;
-        let mut tasks: Vec<_> = ctx.tasks.to_vec();
-        tasks.sort_by_key(|t| (t.load, t.expert));
-        let mut cpu_t = SimTime::ZERO;
-        if let Some(shared) = ctx.shared_profile {
-            cpu_t += ctx.cost.cpu_compute(&shared, ctx.tokens, false);
-        }
-        let had_shared = ctx.shared_profile.is_some();
-        for (i, t) in tasks.iter().enumerate() {
-            let warm = had_shared || i > 0;
-            cpu_t += ctx.cost.cpu_compute(&ctx.routed_profile, t.load, warm);
-            plan.cpu_order.push(*t);
-        }
-        plan.predicted_makespan = cpu_t.elapsed_since(SimTime::ZERO);
-        plan
     }
 }
 
-/// Shared GPU-centric plan: cached experts first, then transferred experts
-/// as they arrive over PCIe. `transfer_profile` overrides the transferred
-/// bytes (llama.cpp streaming).
-fn gpu_centric_plan(
+/// Fills the plan's empty GPU order with `tasks`, each computed from the
+/// cache of its affinity shard, highest load first. Every sort key in this
+/// module ends in the (unique) expert id, so the unstable sorts are
+/// deterministic.
+fn push_cached<'a>(
     ctx: &ScheduleContext<'_>,
-    transfer_profile: Option<ExpertProfile>,
-) -> SchedulePlan {
-    let mut plan = SchedulePlan::empty(ctx.layer, ctx.tokens);
-    plan.shared_on_gpu = ctx.shared_profile.is_some();
-    plan.transfer_profile = transfer_profile;
-    let wire_profile = transfer_profile.unwrap_or(ctx.routed_profile);
-
+    plan: &mut SchedulePlan,
+    tasks: impl Iterator<Item = &'a ExpertTask>,
+) {
     let n = ctx.num_gpus.max(1);
-    let mut cached: Vec<_> = ctx.tasks.iter().filter(|t| t.cached).copied().collect();
-    cached.sort_by_key(|t| (std::cmp::Reverse(t.load), t.expert));
-    let mut uncached: Vec<_> = ctx.tasks.iter().filter(|t| !t.cached).copied().collect();
-    uncached.sort_by_key(|t| (std::cmp::Reverse(t.load), t.expert));
+    plan.gpu_order.extend(tasks.map(|t| PlannedTask {
+        task: *t,
+        placement: DevicePlacement::Gpu(GpuId(shard_of(t.expert, n) as u8)),
+    }));
+    plan.gpu_order
+        .sort_unstable_by_key(|g| (Reverse(g.task.load), g.task.expert));
+}
 
-    let mut gpu_t = vec![SimTime::ZERO; n];
-    if let Some(shared) = ctx.shared_profile {
-        gpu_t[0] += ctx.cost.gpu_compute(&shared, ctx.tokens);
-    }
-    for t in &cached {
-        let g = shard_of(t.expert, n);
-        gpu_t[g] += ctx.cost.gpu_compute(&ctx.routed_profile, t.load);
-        plan.gpu_order.push(PlannedTask {
-            task: *t,
-            placement: DevicePlacement::Gpu(GpuId(g as u8)),
-        });
-    }
-    let mut pcie_t = vec![SimTime::ZERO; n];
-    for t in &uncached {
-        let g = shard_of(t.expert, n);
-        pcie_t[g] += ctx.cost.transfer(&wire_profile);
-        plan.pcie_order.push(*t);
-        gpu_t[g] = gpu_t[g].max(pcie_t[g]) + ctx.cost.gpu_compute(&ctx.routed_profile, t.load);
-        plan.gpu_order.push(PlannedTask {
-            task: *t,
-            placement: DevicePlacement::GpuAfterTransfer(GpuId(g as u8)),
-        });
-    }
-    let finish = gpu_t.iter().fold(SimTime::ZERO, |acc, t| acc.max(*t));
-    plan.predicted_makespan = finish.elapsed_since(SimTime::ZERO);
-    plan
+/// The GPU-centric order: cached experts first, then the uncached ones as
+/// they arrive over PCIe, both highest load first.
+fn gpu_centric(ctx: &ScheduleContext<'_>, plan: &mut SchedulePlan) {
+    push_cached(ctx, plan, ctx.tasks.iter().filter(|t| t.cached));
+    let n = ctx.num_gpus.max(1);
+    let SchedulePlan {
+        gpu_order,
+        pcie_order,
+        ..
+    } = plan;
+    pcie_order.extend(ctx.tasks.iter().filter(|t| !t.cached));
+    pcie_order.sort_unstable_by_key(|t| (Reverse(t.load), t.expert));
+    gpu_order.extend(pcie_order.iter().map(|t| PlannedTask {
+        task: *t,
+        placement: DevicePlacement::GpuAfterTransfer(GpuId(shard_of(t.expert, n) as u8)),
+    }));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExpertTask;
+    use crate::PlanReplay;
     use hybrimoe_hw::{ExpertProfile, UnitCostModel};
     use hybrimoe_model::{ExpertId, LayerId};
 
     fn cost() -> UnitCostModel {
         UnitCostModel::paper_fig5()
+    }
+
+    /// What the engine charges for `plan`, in µs.
+    fn replayed(plan: &SchedulePlan, ctx: &ScheduleContext<'_>) -> f64 {
+        PlanReplay::default().run(plan, ctx).as_micros_f64()
     }
 
     fn mixed_tasks() -> Vec<ExpertTask> {
@@ -323,7 +248,7 @@ mod tests {
         plan.validate(&tasks).unwrap();
         assert!(plan.pcie_order.is_empty());
         // CPU: loads 1+1+3 = 5; GPU: 2 tasks x 1 = 2 → makespan 5.
-        assert_eq!(plan.predicted_makespan.as_micros_f64(), 5.0);
+        assert_eq!(replayed(&plan, &ctx), 5.0);
     }
 
     #[test]
@@ -348,7 +273,7 @@ mod tests {
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &c);
         let fixed = FixedMappingScheduler::new().schedule(&ctx);
         let hybrid = crate::HybridScheduler::new().schedule(&ctx);
-        assert!(hybrid.predicted_makespan < fixed.predicted_makespan);
+        assert!(replayed(&hybrid, &ctx) < replayed(&fixed, &ctx));
     }
 
     #[test]
@@ -362,7 +287,7 @@ mod tests {
         assert_eq!(plan.pcie_order.len(), 3);
         // Transfers (desc load): C at 3, E0 at 6, E1 at 9; GPU computes
         // cached D, E4 (2 units) then arrivals: 3→4, 6→7, 9→10.
-        assert_eq!(plan.predicted_makespan.as_micros_f64(), 10.0);
+        assert_eq!(replayed(&plan, &ctx), 10.0);
     }
 
     #[test]
@@ -376,7 +301,7 @@ mod tests {
         let plan = StaticSplitScheduler::new().schedule(&ctx);
         plan.validate(&tasks).unwrap();
         assert!(plan.cpu_order.is_empty());
-        assert_eq!(plan.predicted_makespan.as_micros_f64(), 2.0);
+        assert_eq!(replayed(&plan, &ctx), 2.0);
     }
 
     #[test]
@@ -389,7 +314,13 @@ mod tests {
         assert!(plan.gpu_order.is_empty());
         assert!(plan.pcie_order.is_empty());
         // All loads on CPU: 1+1+3+4+1 = 10.
-        assert_eq!(plan.predicted_makespan.as_micros_f64(), 10.0);
+        assert_eq!(replayed(&plan, &ctx), 10.0);
+        // The shared experts run there too: the batch's 4 tokens first.
+        let shared = Some(ExpertProfile::new(1, 1));
+        let ctx = ScheduleContext::new(LayerId(0), 4, &tasks, ExpertProfile::new(1, 1), shared, &c);
+        let plan = StaticSplitScheduler::new().schedule(&ctx);
+        assert_eq!(plan.shared_on, Device::Cpu);
+        assert_eq!(replayed(&plan, &ctx), 14.0);
     }
 
     #[test]
@@ -435,16 +366,10 @@ mod tests {
             GpuOnlyScheduler::new().schedule(&ctx),
             crate::HybridScheduler::without_cpu_steal().schedule(&ctx),
         ] {
-            assert!(plan.shared_on_gpu);
+            assert_eq!(plan.shared_on, Device::gpu(0));
             // 1 unit shared + 1 unit expert.
-            assert_eq!(plan.predicted_makespan.as_micros_f64(), 2.0);
+            assert_eq!(replayed(&plan, &ctx), 2.0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "expansion")]
-    fn bad_stream_expansion_rejected() {
-        let _ = StaticSplitScheduler::with_stream_expansion(0.5);
     }
 
     #[test]

@@ -118,8 +118,8 @@ pub struct ScheduleContext<'a> {
     /// Cost profile of one routed expert of this model.
     pub routed_profile: ExpertProfile,
     /// Combined cost profile of the shared experts, if the model has any.
-    /// Shared experts always run on the GPU (they are pinned resident on
-    /// GPU 0).
+    /// They are pinned resident on GPU 0; the plan records where they run
+    /// ([`SchedulePlan::shared_on`]).
     pub shared_profile: Option<ExpertProfile>,
     /// The platform cost model.
     pub cost: &'a dyn CostModel,

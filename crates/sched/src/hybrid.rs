@@ -29,10 +29,12 @@ use crate::{
 /// order, then PCIe lanes in shard order), until every activated expert is
 /// computed exactly once. The simulation is the schedule: the committed
 /// orders become the plan, and the simulated `max(CPU, GPU_0..GPU_{N-1})`
-/// finish time is the predicted makespan (Eq. 2, with the max taken over
-/// every compute device — transfer tails are excluded because every
-/// transfer is consumed by a later GPU compute). With `num_gpus = 1` the
-/// algorithm is exactly the paper's single-GPU schedule.
+/// finish time is [`makespan`](HybridScheduler::makespan) (Eq. 2, with the
+/// max taken over every compute device — transfer tails are excluded
+/// because every transfer is consumed by a later GPU compute), which is
+/// exactly what [`PlanReplay`](crate::PlanReplay) charges for the plan.
+/// With `num_gpus = 1` the algorithm is exactly the paper's single-GPU
+/// schedule.
 ///
 /// Expert residency follows the static affinity map
 /// ([`shard_of`](hybrimoe_model::shard_of)): a cached expert lives on its
@@ -44,7 +46,7 @@ use crate::{
 /// ```
 /// use hybrimoe_hw::UnitCostModel;
 /// use hybrimoe_model::{ExpertId, LayerId};
-/// use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+/// use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, ScheduleQueues, Scheduler};
 ///
 /// let tasks = vec![
 ///     ExpertTask::uncached(ExpertId(0), 2),
@@ -52,10 +54,12 @@ use crate::{
 /// ];
 /// let cost = UnitCostModel::paper_fig5();
 /// let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
-/// let plan = HybridScheduler::new().schedule(&ctx);
+/// let hybrid = HybridScheduler::new();
+/// let plan = hybrid.schedule(&ctx);
 /// plan.validate(&tasks).unwrap();
 /// // CPU takes the uncached expert, GPU the cached one, in parallel.
-/// assert_eq!(plan.predicted_makespan.as_micros_f64(), 2.0);
+/// let makespan = hybrid.makespan(&ctx, &mut ScheduleQueues::new());
+/// assert_eq!(makespan.as_micros_f64(), 2.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct HybridScheduler {
@@ -73,8 +77,8 @@ impl HybridScheduler {
         HybridScheduler { cpu_steal: false }
     }
 
-    /// The makespan [`schedule`](Scheduler::schedule) would predict for
-    /// `ctx`, without building the plan: the same simulation, with the
+    /// The makespan of the plan [`schedule`](Scheduler::schedule) would
+    /// build for `ctx`, without building it: the same simulation, with the
     /// committed orders dropped instead of recorded. The impact-driven
     /// prefetcher asks this once per candidate expert, so it runs on the
     /// caller's reusable `queues` and allocates nothing in steady state.
@@ -114,12 +118,6 @@ impl Scheduler for HybridScheduler {
         "hybrimoe"
     }
 
-    fn schedule(&self, ctx: &ScheduleContext<'_>) -> SchedulePlan {
-        let mut plan = SchedulePlan::empty(ctx.layer, ctx.tokens);
-        self.schedule_into(ctx, &mut ScheduleQueues::default(), &mut plan);
-        plan
-    }
-
     fn schedule_into(
         &self,
         ctx: &ScheduleContext<'_>,
@@ -127,14 +125,13 @@ impl Scheduler for HybridScheduler {
         plan: &mut SchedulePlan,
     ) {
         plan.reset(ctx.layer, ctx.tokens);
-        plan.shared_on_gpu = ctx.shared_profile.is_some();
-        plan.predicted_makespan = self.simulate(ctx, queues, Some(plan));
+        self.simulate(ctx, queues, Some(plan));
     }
 }
 
 impl HybridScheduler {
-    /// The timeline-filling simulation. Returns the predicted makespan;
-    /// with a `plan`, the committed orders are appended to it.
+    /// The timeline-filling simulation. Returns the makespan; with a
+    /// `plan`, the committed orders are appended to it.
     fn simulate(
         &self,
         ctx: &ScheduleContext<'_>,
@@ -397,11 +394,17 @@ fn insert_by_load(gpu_q: &mut Vec<GpuEntry>, entry: GpuEntry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanReplay;
     use hybrimoe_hw::{PlanExecutor, UnitCostModel};
     use hybrimoe_model::{ExpertId, LayerId};
 
     fn us(n: f64) -> f64 {
         n
+    }
+
+    /// What the engine charges for `plan`, in µs.
+    fn replayed(plan: &SchedulePlan, ctx: &ScheduleContext<'_>) -> f64 {
+        PlanReplay::default().run(plan, ctx).as_micros_f64()
     }
 
     fn fig5_tasks() -> Vec<ExpertTask> {
@@ -423,7 +426,7 @@ mod tests {
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
         let plan = HybridScheduler::new().schedule(&ctx);
         plan.validate(&tasks).unwrap();
-        assert_eq!(plan.predicted_makespan.as_micros_f64(), us(4.0));
+        assert_eq!(replayed(&plan, &ctx), us(4.0));
         let transferred: Vec<ExpertId> = plan.transferred_experts().collect();
         assert_eq!(transferred, vec![ExpertId(2)]);
         let cpu: Vec<ExpertId> = plan.cpu_experts().collect();
@@ -440,7 +443,8 @@ mod tests {
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
         let plan = HybridScheduler::new().schedule(&ctx);
         let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
-        assert_eq!(executed.makespan, plan.predicted_makespan);
+        let predicted = HybridScheduler::new().makespan(&ctx, &mut ScheduleQueues::new());
+        assert_eq!(executed.makespan, predicted);
     }
 
     #[test]
@@ -456,7 +460,7 @@ mod tests {
         plan.validate(&tasks).unwrap();
         // GPU takes 1 unit per task; the CPU steals the lowest-load expert
         // (1 unit on CPU) in parallel: makespan 2 beats GPU-only's 3.
-        assert_eq!(plan.predicted_makespan.as_micros_f64(), us(2.0));
+        assert_eq!(replayed(&plan, &ctx), us(2.0));
         assert_eq!(plan.cpu_order.len(), 1);
         assert_eq!(plan.cpu_order[0].expert, ExpertId(2));
     }
@@ -489,7 +493,7 @@ mod tests {
         assert!(!plan.cpu_order.is_empty(), "CPU must take some work");
         assert!(!plan.pcie_order.is_empty(), "PCIe must take some work");
         // Pure CPU would need 12 units; pure transfer+GPU 3+6*1s staggered.
-        assert!(plan.predicted_makespan.as_micros_f64() < us(12.0));
+        assert!(replayed(&plan, &ctx) < us(12.0));
     }
 
     #[test]
@@ -532,7 +536,7 @@ mod tests {
         let cost = UnitCostModel::paper_fig5();
         let ctx = ScheduleContext::for_test(LayerId(0), &[], &cost);
         let plan = HybridScheduler::new().schedule(&ctx);
-        assert_eq!(plan.predicted_makespan, hybrimoe_hw::SimDuration::ZERO);
+        assert_eq!(replayed(&plan, &ctx), 0.0);
         assert!(plan.cpu_order.is_empty() && plan.gpu_order.is_empty());
     }
 
@@ -584,9 +588,9 @@ mod tests {
                 .sum();
             let fixed = gpu_time.max(cpu_time);
             assert!(
-                plan.predicted_makespan.as_micros_f64() <= fixed + 1e-9,
+                replayed(&plan, &ctx) <= fixed + 1e-9,
                 "hybrid {} > fixed {} for {:?}",
-                plan.predicted_makespan.as_micros_f64(),
+                replayed(&plan, &ctx),
                 fixed,
                 tasks
             );
@@ -610,7 +614,7 @@ mod tests {
             assert_eq!(g.placement.gpu(), Some(GpuId(expect)), "{:?}", g.task);
         }
         // Two GPUs halve the serial cached chain: 2 units, not 4.
-        assert_eq!(plan.predicted_makespan.as_micros_f64(), us(2.0));
+        assert_eq!(replayed(&plan, &ctx), us(2.0));
     }
 
     #[test]
@@ -622,7 +626,7 @@ mod tests {
             let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost).with_gpus(n);
             let plan = HybridScheduler::without_cpu_steal().schedule(&ctx);
             plan.validate(&tasks).unwrap();
-            let m = plan.predicted_makespan.as_micros_f64();
+            let m = replayed(&plan, &ctx);
             assert!(m <= last, "N={n}: {m} > {last}");
             last = m;
         }
@@ -640,7 +644,8 @@ mod tests {
                 .with_gpus(n)
                 .execute(plan.to_ops(&ctx))
                 .unwrap();
-            assert_eq!(executed.makespan, plan.predicted_makespan, "N={n}");
+            let predicted = HybridScheduler::new().makespan(&ctx, &mut ScheduleQueues::new());
+            assert_eq!(executed.makespan, predicted, "N={n}");
         }
     }
 
@@ -661,7 +666,7 @@ mod tests {
             assert_eq!(fresh, reused, "N={n}");
             assert_eq!(
                 HybridScheduler::new().makespan(&ctx, &mut queues),
-                fresh.predicted_makespan,
+                PlanReplay::default().run(&fresh, &ctx),
                 "N={n}"
             );
         }

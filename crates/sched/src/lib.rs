@@ -21,7 +21,7 @@
 //! ```
 //! use hybrimoe_hw::UnitCostModel;
 //! use hybrimoe_model::{ExpertId, LayerId};
-//! use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+//! use hybrimoe_sched::{ExpertTask, HybridScheduler, PlanReplay, ScheduleContext, Scheduler};
 //!
 //! // The worked example of the paper's Fig. 5.
 //! let tasks = vec![
@@ -34,7 +34,8 @@
 //! let cost = UnitCostModel::paper_fig5();
 //! let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
 //! let plan = HybridScheduler::new().schedule(&ctx);
-//! assert_eq!(plan.predicted_makespan.as_micros_f64(), 4.0);
+//! let makespan = PlanReplay::default().run(&plan, &ctx);
+//! assert_eq!(makespan.as_micros_f64(), 4.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,25 +60,30 @@ pub use prefetch::{
 pub use task::ExpertTask;
 
 /// A per-layer scheduling policy: maps activated experts to devices.
+///
+/// A policy only decides *orders*: which device computes each expert, in
+/// what sequence, and which experts cross PCIe. What a plan costs is
+/// [`PlanReplay`]'s answer — the clock the engine charges — so no
+/// scheduler reports a makespan of its own.
 pub trait Scheduler: std::fmt::Debug + Send + Sync {
     /// A short stable name for reports (e.g. `"hybrimoe"`).
     fn name(&self) -> &str;
 
-    /// Produces the execution plan for one layer.
-    fn schedule(&self, ctx: &ScheduleContext<'_>) -> SchedulePlan;
-
-    /// Writes the execution plan for one layer into `plan`, reusing the
-    /// caller's device-queue buffers and the plan's own vectors (both
-    /// typically a [`ScheduleScratch`]'s) so the hot serving loop allocates
-    /// nothing per layer. The plan is identical to [`Scheduler::schedule`];
-    /// schedulers that keep no reusable state just overwrite `plan`.
+    /// Overwrites `plan` with the execution plan for one layer, reusing
+    /// the caller's device-queue buffers and the plan's own vectors (both
+    /// typically a [`ScheduleScratch`]'s), so the hot serving loop
+    /// allocates nothing per layer.
     fn schedule_into(
         &self,
         ctx: &ScheduleContext<'_>,
         queues: &mut ScheduleQueues,
         plan: &mut SchedulePlan,
-    ) {
-        let _ = queues;
-        *plan = self.schedule(ctx);
+    );
+
+    /// Produces the execution plan for one layer in fresh buffers.
+    fn schedule(&self, ctx: &ScheduleContext<'_>) -> SchedulePlan {
+        let mut plan = SchedulePlan::empty(ctx.layer, ctx.tokens);
+        self.schedule_into(ctx, &mut ScheduleQueues::new(), &mut plan);
+        plan
     }
 }

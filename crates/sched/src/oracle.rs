@@ -180,7 +180,7 @@ fn permute(items: &mut Vec<usize>, at: usize, visit: &mut impl FnMut(&[usize])) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HybridScheduler, Scheduler};
+    use crate::{HybridScheduler, ScheduleQueues};
     use hybrimoe_hw::UnitCostModel;
     use hybrimoe_model::{ExpertId, LayerId};
 
@@ -207,8 +207,8 @@ mod tests {
         let cost = UnitCostModel::paper_fig5();
         let tasks = fig5_tasks();
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
-        let hybrid = HybridScheduler::new().schedule(&ctx);
-        assert_eq!(hybrid.predicted_makespan, oracle_makespan(&ctx).unwrap());
+        let hybrid = HybridScheduler::new().makespan(&ctx, &mut ScheduleQueues::new());
+        assert_eq!(hybrid, oracle_makespan(&ctx).unwrap());
     }
 
     #[test]
@@ -234,6 +234,7 @@ mod tests {
         let mut seed = 777u64;
         let mut optimal_hits = 0usize;
         let total = 150usize;
+        let mut queues = ScheduleQueues::new();
         for _ in 0..total {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
             let n = 1 + (seed >> 40) as usize % 6;
@@ -248,7 +249,7 @@ mod tests {
                 })
                 .collect();
             let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
-            let hybrid = HybridScheduler::new().schedule(&ctx).predicted_makespan;
+            let hybrid = HybridScheduler::new().makespan(&ctx, &mut queues);
             let oracle = oracle_makespan(&ctx).unwrap();
             assert!(oracle <= hybrid, "oracle {oracle} > hybrid {hybrid}");
             if oracle == hybrid {

@@ -48,9 +48,11 @@ pub struct PlannedTask {
 /// (waiting for the matching transfer before a
 /// [`DevicePlacement::GpuAfterTransfer`] entry); each PCIe lane issues its
 /// subsequence of `pcie_order` front to back (a transfer rides the lane of
-/// the GPU that consumes it). Shared experts, when present, are a fixed
-/// GPU 0 preamble before the routed experts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// the GPU that consumes it). Shared experts, when the model has them, run
+/// first on [`shared_on`](Self::shared_on).
+///
+/// A plan holds orders only; what it costs is [`PlanReplay`]'s answer.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulePlan {
     /// The layer this plan belongs to.
     pub layer: LayerId,
@@ -62,14 +64,20 @@ pub struct SchedulePlan {
     pub gpu_order: Vec<PlannedTask>,
     /// PCIe transfer order.
     pub pcie_order: Vec<ExpertTask>,
-    /// Whether the plan includes the shared-expert GPU preamble.
-    pub shared_on_gpu: bool,
+    /// The device that runs the shared experts, if the model has any:
+    /// GPU 0, where they are pinned resident, unless the scheduler maps
+    /// the whole layer to the CPU.
+    pub shared_on: Device,
     /// Overrides the cost profile used for PCIe transfers (llama.cpp-style
     /// streaming moves dequantized weights, which are larger than the
     /// packed Q4 experts). `None` uses the routed expert profile.
     pub transfer_profile: Option<hybrimoe_hw::ExpertProfile>,
-    /// The makespan the scheduler's internal simulation predicts.
-    pub predicted_makespan: SimDuration,
+}
+
+impl Default for SchedulePlan {
+    fn default() -> Self {
+        SchedulePlan::empty(LayerId::default(), 0)
+    }
 }
 
 /// Why a plan failed validation.
@@ -114,9 +122,8 @@ impl SchedulePlan {
             cpu_order: Vec::new(),
             gpu_order: Vec::new(),
             pcie_order: Vec::new(),
-            shared_on_gpu: false,
+            shared_on: Device::gpu(0),
             transfer_profile: None,
-            predicted_makespan: SimDuration::ZERO,
         }
     }
 
@@ -201,24 +208,29 @@ impl SchedulePlan {
         self.cpu_order.clear();
         self.gpu_order.clear();
         self.pcie_order.clear();
-        self.shared_on_gpu = false;
+        self.shared_on = Device::gpu(0);
         self.transfer_profile = None;
-        self.predicted_makespan = SimDuration::ZERO;
     }
 
-    /// Visits the plan's hardware ops: the shared-expert preamble, then
-    /// the transfers (so GPU computes can refer back to them), then the
-    /// CPU and GPU computes, each device's ops in plan order. This is the
-    /// one place that decides what each op costs and where it runs.
+    /// Visits the plan's hardware ops: the shared experts, then the
+    /// transfers (so GPU computes can refer back to them), then the CPU
+    /// and GPU computes, each device's ops in plan order. The first CPU op
+    /// pays the cold start and later ones run warm. This is the one place
+    /// that decides what each op costs and where it runs.
     fn lower(&self, ctx: &ScheduleContext<'_>, mut emit: impl FnMut(LoweredOp)) {
-        if self.shared_on_gpu {
-            if let Some(shared) = ctx.shared_profile {
-                emit(LoweredOp {
-                    device: Device::Gpu(GpuId(0)),
-                    duration: ctx.cost.gpu_compute(&shared, ctx.tokens),
-                    kind: OpKind::Shared,
-                });
-            }
+        let mut cpu_warm = false;
+        if let Some(shared) = ctx.shared_profile {
+            let duration = if self.shared_on == Device::Cpu {
+                cpu_warm = true;
+                ctx.cost.cpu_compute(&shared, ctx.tokens, false)
+            } else {
+                ctx.cost.gpu_compute(&shared, ctx.tokens)
+            };
+            emit(LoweredOp {
+                device: self.shared_on,
+                duration,
+                kind: OpKind::Shared,
+            });
         }
         let transfer_profile = self.transfer_profile.unwrap_or(ctx.routed_profile);
         for x in &self.pcie_order {
@@ -228,13 +240,13 @@ impl SchedulePlan {
                 kind: OpKind::Load(x.expert),
             });
         }
-        for (i, t) in self.cpu_order.iter().enumerate() {
-            let warm = i > 0;
+        for t in &self.cpu_order {
             emit(LoweredOp {
                 device: Device::Cpu,
-                duration: ctx.cost.cpu_compute(&ctx.routed_profile, t.load, warm),
+                duration: ctx.cost.cpu_compute(&ctx.routed_profile, t.load, cpu_warm),
                 kind: OpKind::Compute(t.expert, false),
             });
+            cpu_warm = true;
         }
         for g in &self.gpu_order {
             emit(LoweredOp {
@@ -245,28 +257,17 @@ impl SchedulePlan {
         }
     }
 
-    /// Lowers the plan to hardware ops for the
-    /// [`PlanExecutor`](hybrimoe_hw::PlanExecutor): compute ops per device
-    /// in plan order, transfer ops on the PCIe lane of the consuming GPU,
-    /// and a dependency from each transferred expert's GPU compute to its
-    /// transfer. The ops carry no labels; a caller that renders them
-    /// (a Gantt chart) wants [`to_labelled_ops`](Self::to_labelled_ops).
+    /// Lowers the plan to labelled hardware ops for the
+    /// [`PlanExecutor`](hybrimoe_hw::PlanExecutor) — the Gantt path:
+    /// compute ops per device in plan order, transfer ops on the PCIe lane
+    /// of the consuming GPU, and a dependency from each transferred
+    /// expert's GPU compute to its transfer. Labels read `"L3/E17"`,
+    /// `"L3/E17 load"` and `"L3 shared"`.
     pub fn to_ops(&self, ctx: &ScheduleContext<'_>) -> Vec<Op> {
-        self.ops(ctx, false)
-    }
-
-    /// [`to_ops`](Self::to_ops) with a human-readable label on every op
-    /// (`"L3/E17"`, `"L3/E17 load"`, `"L3 shared"`).
-    pub fn to_labelled_ops(&self, ctx: &ScheduleContext<'_>) -> Vec<Op> {
-        self.ops(ctx, true)
-    }
-
-    fn ops(&self, ctx: &ScheduleContext<'_>, labelled: bool) -> Vec<Op> {
         let mut ops: Vec<Op> = Vec::new();
         let mut transfer_ids: Vec<(ExpertId, OpId)> = Vec::new();
         self.lower(ctx, |lowered| {
             let label = match lowered.kind {
-                _ if !labelled => String::new(),
                 OpKind::Shared => format!("{} shared", self.layer),
                 OpKind::Load(e) => format!("{}/{} load", self.layer, e),
                 OpKind::Compute(e, _) => format!("{}/{}", self.layer, e),
@@ -295,7 +296,7 @@ struct LoweredOp {
 }
 
 enum OpKind {
-    /// The shared-expert GPU preamble.
+    /// The shared experts.
     Shared,
     /// The PCIe transfer of an expert.
     Load(ExpertId),
@@ -326,7 +327,8 @@ enum OpKind {
 /// let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
 /// let plan = HybridScheduler::new().schedule(&ctx);
 /// let mut replay = PlanReplay::default();
-/// assert_eq!(replay.run(&plan, &ctx), plan.predicted_makespan);
+/// // CPU takes the uncached expert, GPU the cached one, in parallel.
+/// assert_eq!(replay.run(&plan, &ctx).as_micros_f64(), 2.0);
 /// assert_eq!(replay.busy_times().len(), 3); // CPU, GPU0, PCIE0
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -401,9 +403,8 @@ mod tests {
                 },
             ],
             pcie_order: vec![ExpertTask::uncached(ExpertId(2), 3)],
-            shared_on_gpu: false,
+            shared_on: Device::gpu(0),
             transfer_profile: None,
-            predicted_makespan: SimDuration::from_micros(4),
         }
     }
 
@@ -463,41 +464,45 @@ mod tests {
     }
 
     #[test]
-    fn to_ops_executes_to_predicted_makespan() {
+    fn to_ops_labels_and_executes_the_fig5_plan() {
+        // The paper's Fig. 5 schedule finishes in 4 units.
         let plan = fig5_plan();
         let cost = UnitCostModel::paper_fig5();
         let tasks = fig5_tasks();
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
         let ops = plan.to_ops(&ctx);
-        let executed = PlanExecutor::new().execute(ops).unwrap();
-        assert_eq!(executed.makespan, plan.predicted_makespan);
-    }
-
-    #[test]
-    fn labels_are_only_built_on_request() {
-        let plan = fig5_plan();
-        let cost = UnitCostModel::paper_fig5();
-        let tasks = fig5_tasks();
-        let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
-        let plain = plan.to_ops(&ctx);
-        let labelled = plan.to_labelled_ops(&ctx);
-        assert!(plain.iter().all(|op| op.label.is_empty()));
-        let labels: Vec<&str> = labelled.iter().map(|op| op.label.as_str()).collect();
+        let labels: Vec<&str> = ops.iter().map(|op| op.label.as_str()).collect();
         assert_eq!(
             labels,
             ["L0/E2 load", "L0/E0", "L0/E1", "L0/E4", "L0/E3", "L0/E2"]
         );
-        // Apart from the labels the two lowerings are the same ops.
-        for (a, b) in plain.iter().zip(&labelled) {
-            assert_eq!(
-                (a.id, a.device, a.duration, &a.deps),
-                (b.id, b.device, b.duration, &b.deps)
-            );
-        }
-        assert_eq!(
-            PlanExecutor::new().execute(labelled).unwrap().makespan,
-            plan.predicted_makespan
+        let executed = PlanExecutor::new().execute(ops).unwrap();
+        assert_eq!(executed.makespan, SimDuration::from_micros(4));
+    }
+
+    #[test]
+    fn shared_experts_run_where_the_plan_puts_them() {
+        let tasks = fig5_tasks();
+        let cost = UnitCostModel::paper_fig5();
+        let ctx = ScheduleContext::new(
+            LayerId(0),
+            4,
+            &tasks,
+            hybrimoe_hw::ExpertProfile::new(1, 1),
+            Some(hybrimoe_hw::ExpertProfile::new(1, 1)),
+            &cost,
         );
+        let mut plan = fig5_plan();
+        let mut replay = PlanReplay::default();
+        // On GPU 0 the shared experts fill the wait for C's transfer.
+        assert_eq!(replay.run(&plan, &ctx), SimDuration::from_micros(4));
+        assert_eq!(replay.busy_times()[1], SimDuration::from_micros(3));
+        // On the CPU they cost the batch's 4 tokens, ahead of A, B and E.
+        plan.shared_on = Device::Cpu;
+        assert_eq!(replay.run(&plan, &ctx), SimDuration::from_micros(7));
+        let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
+        assert_eq!(executed.makespan, SimDuration::from_micros(7));
+        assert_eq!(executed.ops[0].label, "L0 shared");
     }
 
     #[test]
@@ -526,10 +531,10 @@ mod tests {
     fn empty_plan_is_valid_and_zero_cost() {
         let p = SchedulePlan::empty(LayerId(1), 0);
         assert_eq!(p.validate(&[]), Ok(()));
-        assert_eq!(p.predicted_makespan, SimDuration::ZERO);
         let cost = UnitCostModel::paper_fig5();
         let ctx = ScheduleContext::for_test(LayerId(1), &[], &cost);
         assert!(p.to_ops(&ctx).is_empty());
+        assert_eq!(PlanReplay::default().run(&p, &ctx), SimDuration::ZERO);
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn main() {
         let plan = scheduler.schedule(&ctx);
         plan.validate(&tasks).expect("valid plan");
         let executed = PlanExecutor::new()
-            .execute(plan.to_labelled_ops(&ctx))
+            .execute(plan.to_ops(&ctx))
             .expect("acyclic plan");
         println!("-- {name}: {:.2} ms --", executed.makespan.as_millis_f64());
         println!("{}\n", Gantt::render(&executed.timelines, 64));

@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hybrimoe::{Engine, EngineConfig, Framework, PrefetcherKind};
+use hybrimoe::{Engine, EngineConfig, Framework};
 use hybrimoe_kernels::{ExecScratch, ExpertFfn, KernelBackendKind, WorkerPool};
 use hybrimoe_model::ModelConfig;
 use hybrimoe_trace::TraceGenerator;
@@ -60,17 +60,14 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// high-water mark (a layer activating more experts than any before it).
 const STEP_ALLOCATION_BUDGET: u64 = 2;
 
-/// Both prefetchers plan on this path, so both are pinned: the preset's
-/// impact-driven one and AdapMoE's next-layer top-k (on the HybriMoE
-/// preset — AdapMoE's own baseline scheduler builds a fresh plan per
-/// layer, which is not the path this budget protects).
+/// Every preset is pinned: each scheduler writes its plan into the reused
+/// one, and between them the presets run both prefetchers that plan on
+/// this path (HybriMoE's impact-driven one, AdapMoE's next-layer top-k).
 #[test]
 fn a_warm_decode_step_stays_off_the_heap() {
-    for prefetcher in [PrefetcherKind::ImpactDriven, PrefetcherKind::NextLayerTopK] {
+    for framework in Framework::ALL {
         let model = ModelConfig::deepseek();
-        let config = EngineConfig::preset(Framework::HybriMoe, model.clone(), 0.25)
-            .with_prefetcher(prefetcher);
-        let mut engine = Engine::new(config);
+        let mut engine = Engine::new(EngineConfig::preset(framework, model.clone(), 0.25));
         let trace = TraceGenerator::new(model, 17).decode_trace(96);
         let (warmup, measured) = trace.steps.split_at(32);
         // The first steps fill the cache to capacity and grow every reused
@@ -93,13 +90,13 @@ fn a_warm_decode_step_stays_off_the_heap() {
             worst <= STEP_ALLOCATION_BUDGET,
             "{}: a warm decode step allocated {worst} times \
              (budget {STEP_ALLOCATION_BUDGET})",
-            prefetcher.name()
+            framework.name()
         );
         // Nearly every step allocates exactly its returned metrics.
         assert!(
             total <= measured.len() as u64 + 4,
             "{}: {total} allocations over {} warm decode steps",
-            prefetcher.name(),
+            framework.name(),
             measured.len()
         );
     }

@@ -4,7 +4,9 @@
 
 use hybrimoe::{Engine, EngineConfig, Framework};
 use hybrimoe_model::ModelConfig;
-use hybrimoe_sched::{oracle_makespan, ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+use hybrimoe_sched::{
+    oracle_makespan, ExpertTask, HybridScheduler, ScheduleContext, ScheduleQueues,
+};
 use hybrimoe_tests::{decode, decode_trace, prefill, prefill_trace};
 
 /// AdapMoE is GPU-centric: it never computes an expert on the CPU.
@@ -98,7 +100,7 @@ fn hybrid_matches_oracle_on_real_traces() {
                 model.shared_profile(),
                 &cost,
             );
-            let hybrid = HybridScheduler::new().schedule(&ctx).predicted_makespan;
+            let hybrid = HybridScheduler::new().makespan(&ctx, &mut ScheduleQueues::new());
             let Some(opt) = oracle_makespan(&ctx) else {
                 continue;
             };

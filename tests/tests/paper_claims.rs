@@ -7,7 +7,7 @@ use hybrimoe_cache::{CachePolicy, ExpertCache, Lru, Mrs};
 use hybrimoe_hw::UnitCostModel;
 use hybrimoe_model::{ExpertId, ExpertKey, LayerId, ModelConfig};
 use hybrimoe_sched::baselines::FixedMappingScheduler;
-use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+use hybrimoe_sched::{ExpertTask, HybridScheduler, PlanReplay, ScheduleContext, Scheduler};
 use hybrimoe_tests::{decode, decode_trace, prefill};
 
 /// Fig. 7/8 headline: HybriMoE beats kTransformers in both stages on every
@@ -129,8 +129,9 @@ fn fig5_worked_example_schedules_as_published() {
     let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
     let hybrid = HybridScheduler::new().schedule(&ctx);
     let fixed = FixedMappingScheduler::new().schedule(&ctx);
-    assert_eq!(hybrid.predicted_makespan.as_micros_f64(), 4.0);
-    assert_eq!(fixed.predicted_makespan.as_micros_f64(), 5.0);
+    let mut replay = PlanReplay::default();
+    assert_eq!(replay.run(&hybrid, &ctx).as_micros_f64(), 4.0);
+    assert_eq!(replay.run(&fixed, &ctx).as_micros_f64(), 5.0);
     assert_eq!(
         hybrid.transferred_experts().collect::<Vec<_>>(),
         vec![ExpertId(2)]

@@ -1,9 +1,11 @@
 //! Property-based invariants on the schedulers, checked across random task
-//! sets: plans are complete and valid, the scheduler's internal makespan
-//! prediction agrees with the ground-truth plan executor, and the hybrid
-//! schedule never loses to the fixed mapping.
+//! sets: plans are complete and valid, a plan costs on the replay clock
+//! (what the engine charges) exactly what the ground-truth plan executor
+//! and — for the hybrid — the scheduler's own simulation say, the shared
+//! experts are always charged, and the hybrid schedule never loses to the
+//! fixed mapping.
 
-use hybrimoe_hw::{Device, PlanExecutor, SimDuration, UnitCostModel};
+use hybrimoe_hw::{Device, ExpertProfile, PlanExecutor, SimDuration, UnitCostModel};
 use hybrimoe_model::{shard_of, ExpertId, LayerId};
 use hybrimoe_sched::baselines::{
     FixedMappingScheduler, GpuOnlyScheduler, StaticSplitScheduler, PREFILL_BATCH_THRESHOLD,
@@ -39,6 +41,11 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
+/// What the engine charges for `plan`.
+fn replayed(plan: &SchedulePlan, ctx: &ScheduleContext<'_>) -> SimDuration {
+    PlanReplay::default().run(plan, ctx)
+}
+
 fn arb_cost() -> impl Strategy<Value = UnitCostModel> {
     (1u64..6, 1u64..6, 1u64..12).prop_map(|(cpu, gpu, xfer)| UnitCostModel {
         cpu_per_load: SimDuration::from_micros(cpu),
@@ -56,13 +63,15 @@ proptest! {
         cost in arb_cost(),
     ) {
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
-        let plan = HybridScheduler::new().schedule(&ctx);
+        let hybrid = HybridScheduler::new();
+        let plan = hybrid.schedule(&ctx);
         prop_assert_eq!(plan.validate(&tasks), Ok(()));
         let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
         // The executor includes PCIe tails; the paper's objective (Eq. 2)
         // excludes them, but every transfer is consumed by a GPU compute so
         // the two agree exactly.
-        prop_assert_eq!(executed.makespan, plan.predicted_makespan);
+        prop_assert_eq!(executed.makespan, hybrid.makespan(&ctx, &mut ScheduleQueues::new()));
+        prop_assert_eq!(executed.makespan, replayed(&plan, &ctx));
     }
 
     #[test]
@@ -78,7 +87,7 @@ proptest! {
             let plan = scheduler.schedule(&ctx);
             prop_assert_eq!(plan.validate(&tasks), Ok(()));
             let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
-            prop_assert_eq!(executed.makespan, plan.predicted_makespan);
+            prop_assert_eq!(executed.makespan, replayed(&plan, &ctx));
         }
     }
 
@@ -88,15 +97,9 @@ proptest! {
         cost in arb_cost(),
     ) {
         let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
-        let hybrid = HybridScheduler::new().schedule(&ctx);
-        let fixed = FixedMappingScheduler::new().schedule(&ctx);
-        prop_assert!(
-            hybrid.predicted_makespan <= fixed.predicted_makespan,
-            "hybrid {} > fixed {} on {:?}",
-            hybrid.predicted_makespan,
-            fixed.predicted_makespan,
-            tasks
-        );
+        let hybrid = replayed(&HybridScheduler::new().schedule(&ctx), &ctx);
+        let fixed = replayed(&FixedMappingScheduler::new().schedule(&ctx), &ctx);
+        prop_assert!(hybrid <= fixed, "hybrid {} > fixed {} on {:?}", hybrid, fixed, tasks);
     }
 
     #[test]
@@ -167,7 +170,7 @@ proptest! {
                 "{}: makespan {} != max(CPU {}, GPU {})",
                 scheduler.name(), executed.makespan, cpu_end, gpu_end
             );
-            prop_assert_eq!(executed.makespan, plan.predicted_makespan, "{} misPredicted", scheduler.name());
+            prop_assert_eq!(executed.makespan, replayed(&plan, &ctx), "{} replay off", scheduler.name());
         }
     }
 
@@ -193,14 +196,14 @@ proptest! {
             prop_assert_eq!(plan.validate(&tasks), Ok(()), "{} invalid at prefill", scheduler.name());
             let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
             prop_assert_eq!(
-                executed.makespan, plan.predicted_makespan,
-                "{} prefill prediction off", scheduler.name()
+                executed.makespan, replayed(&plan, &ctx),
+                "{} prefill replay off", scheduler.name()
             );
         }
     }
 
-    /// HybriMoE's predicted makespan never exceeds the fixed mapping's on
-    /// the same context, decode or prefill.
+    /// HybriMoE's makespan never exceeds the fixed mapping's on the same
+    /// context, decode or prefill.
     #[test]
     fn hybrid_never_loses_to_fixed_mapping_any_regime(
         tasks in arb_tasks(),
@@ -220,16 +223,51 @@ proptest! {
             None,
             &cost,
         );
-        let hybrid = HybridScheduler::new().schedule(&ctx);
-        let fixed = FixedMappingScheduler::new().schedule(&ctx);
+        let hybrid = replayed(&HybridScheduler::new().schedule(&ctx), &ctx);
+        let fixed = replayed(&FixedMappingScheduler::new().schedule(&ctx), &ctx);
         prop_assert!(
-            hybrid.predicted_makespan <= fixed.predicted_makespan,
+            hybrid <= fixed,
             "hybrid {} > fixed {} (prefill={}) on {:?}",
-            hybrid.predicted_makespan,
-            fixed.predicted_makespan,
-            prefill,
-            tasks
+            hybrid, fixed, prefill, tasks
         );
+    }
+
+    /// The shared experts are always charged: replaying a scheduler's plan
+    /// under a context with a shared profile keeps the devices busy
+    /// strictly longer, in total, than replaying the same plan for the
+    /// same tasks without one — whichever device the plan runs them on,
+    /// decode or prefill, on 1–4 GPUs.
+    #[test]
+    fn shared_experts_always_add_busy_time(
+        tasks in arb_tasks(),
+        cost in arb_cost(),
+        num_gpus in 1usize..5,
+        prefill in any::<bool>(),
+    ) {
+        let tokens = if prefill {
+            PREFILL_BATCH_THRESHOLD
+        } else {
+            tasks.iter().map(|t| t.load).max().unwrap_or(1)
+        };
+        let routed = ExpertProfile::new(100, 10);
+        let shared = Some(ExpertProfile::new(200, 20));
+        let plain = ScheduleContext::new(LayerId(0), tokens, &tasks, routed, None, &cost)
+            .with_gpus(num_gpus);
+        let with_shared = ScheduleContext::new(LayerId(0), tokens, &tasks, routed, shared, &cost)
+            .with_gpus(num_gpus);
+        let mut replay = PlanReplay::default();
+        for scheduler in all_schedulers() {
+            let plan = scheduler.schedule(&with_shared);
+            replay.run(&plan, &plain);
+            let without: SimDuration = replay.busy_times().iter().copied().sum();
+            replay.run(&plan, &with_shared);
+            let with: SimDuration = replay.busy_times().iter().copied().sum();
+            prop_assert!(
+                with > without,
+                "{} N={} prefill={}: shared experts dropped ({} vs {})",
+                scheduler.name(), num_gpus, prefill, with, without
+            );
+        }
     }
 }
 
@@ -295,7 +333,7 @@ proptest! {
     /// The executed makespan equals the maximum finish time over **every**
     /// per-device timeline (CPU, all GPUs, all PCIe lanes) — and, because
     /// every transfer is consumed by a GPU compute, also over just the
-    /// compute devices. The scheduler's internal prediction agrees.
+    /// compute devices. The replay clock agrees.
     #[test]
     fn makespan_is_max_over_per_device_timelines(
         tasks in arb_tasks(),
@@ -328,14 +366,14 @@ proptest! {
                 "{} N={}: PCIe tail not consumed", scheduler.name(), num_gpus
             );
             prop_assert_eq!(
-                executed.makespan, plan.predicted_makespan,
-                "{} N={} misPredicted", scheduler.name(), num_gpus
+                executed.makespan, replayed(&plan, &ctx),
+                "{} N={}: replay off", scheduler.name(), num_gpus
             );
         }
     }
 
-    /// `with_gpus(1)` is the identity: the whole plan (orders, placements,
-    /// prediction) matches the default single-GPU context bit for bit.
+    /// `with_gpus(1)` is the identity: the whole plan (orders and
+    /// placements) matches the default single-GPU context bit for bit.
     #[test]
     fn single_gpu_plans_are_bit_identical_to_default(
         tasks in arb_tasks(),
@@ -354,8 +392,8 @@ proptest! {
     }
 
     /// Adding GPUs never hurts the hybrid schedule: with more shards the
-    /// predicted makespan is monotone non-increasing on fully cached
-    /// layers (each shard serializes less work).
+    /// makespan is monotone non-increasing on fully cached layers (each
+    /// shard serializes less work).
     #[test]
     fn more_gpus_never_slow_fully_cached_layers(
         loads in proptest::collection::vec(1u32..12, 1..10),
@@ -369,25 +407,26 @@ proptest! {
         let mut last = None;
         for num_gpus in [1usize, 2, 4] {
             let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost).with_gpus(num_gpus);
-            let plan = HybridScheduler::without_cpu_steal().schedule(&ctx);
+            let makespan = replayed(&HybridScheduler::without_cpu_steal().schedule(&ctx), &ctx);
             if let Some(prev) = last {
                 prop_assert!(
-                    plan.predicted_makespan <= prev,
+                    makespan <= prev,
                     "N={} makespan {} > previous {}",
-                    num_gpus, plan.predicted_makespan, prev
+                    num_gpus, makespan, prev
                 );
             }
-            last = Some(plan.predicted_makespan);
+            last = Some(makespan);
         }
     }
 
     /// The allocation-free entries decide exactly what the allocating ones
-    /// do, on buffers reused from one case to the next: the makespan-only
-    /// simulation (what the impact-driven prefetcher runs per candidate)
-    /// returns the plan's prediction, `schedule_into` writes the same
-    /// plan, and replaying a plan on bare device clocks (what the
-    /// simulation backend runs per layer) reports the executor's makespan
-    /// and busy times — at decode and prefill batch sizes, on 1–4 GPUs.
+    /// do, on buffers reused from one case to the next: every scheduler's
+    /// `schedule_into` writes the plan `schedule` builds, the hybrid's
+    /// makespan-only simulation (what the impact-driven prefetcher runs
+    /// per candidate) returns its plan's replayed makespan, and replaying
+    /// a plan on bare device clocks (what the simulation backend runs per
+    /// layer) reports the executor's makespan and busy times — at decode
+    /// and prefill batch sizes, on 1–4 GPUs.
     #[test]
     fn allocation_free_entries_match_the_allocating_ones(
         tasks in arb_tasks(),
@@ -412,12 +451,12 @@ proptest! {
 
         for hybrid in [HybridScheduler::new(), HybridScheduler::without_cpu_steal()] {
             let plan = hybrid.schedule(&ctx);
-            prop_assert_eq!(hybrid.makespan(&ctx, &mut queues), plan.predicted_makespan);
-            hybrid.schedule_into(&ctx, &mut queues, &mut reused);
-            prop_assert_eq!(&reused, &plan);
+            prop_assert_eq!(hybrid.makespan(&ctx, &mut queues), replayed(&plan, &ctx));
         }
         for scheduler in all_schedulers() {
             let plan = scheduler.schedule(&ctx);
+            scheduler.schedule_into(&ctx, &mut queues, &mut reused);
+            prop_assert_eq!(&reused, &plan, "{}", scheduler.name());
             let executed = PlanExecutor::new()
                 .with_gpus(num_gpus)
                 .execute(plan.to_ops(&ctx))
