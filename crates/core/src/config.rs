@@ -281,8 +281,11 @@ pub struct EngineConfig {
     pub fault_plan: FaultPlan,
 }
 
-/// Default bound on queued background transfers.
-pub const DEFAULT_MAX_INFLIGHT: usize = 4;
+/// Default bound on queued background transfers. One beats two and four
+/// on DeepSeek-V2-Lite decode (`sim_decode` tok/s 54.6 against 54.2 and
+/// 53.6): with the lane as busy as it is, a second queued transfer rarely
+/// starts before its layer runs.
+pub const DEFAULT_MAX_INFLIGHT: usize = 1;
 
 impl EngineConfig {
     /// The configuration of one of the paper's frameworks.

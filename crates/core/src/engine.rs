@@ -81,7 +81,8 @@ pub struct Engine {
     backend: Box<dyn ExecutionBackend>,
     /// Number of fully GPU-resident layers (whole-layer placement).
     resident_layers: u16,
-    /// Background PCIe transfers in flight (prefetches and refills) and
+    /// Background PCIe transfers in flight (prefetches and refills), whose
+    /// progress carries across layers into the plans that need them, and
     /// their cumulative accounting.
     background: BackgroundQueue,
     /// Reused per-layer buffers (no steady-state allocation in a step).
@@ -113,12 +114,21 @@ struct Transfer {
     prefetch: bool,
 }
 
-/// The one background-transfer path: a bounded FIFO of prefetches and
+/// The one background-transfer path: a bounded queue of prefetches and
 /// refills, each with its remaining wire time, plus the prefetch
-/// accounting its enqueues and landings drive. Transfers pipeline across
-/// layer boundaries: a Mixtral-sized expert takes longer than one decode
-/// layer, so restricting transfers to a single layer's idle window would
-/// starve prefetching entirely.
+/// accounting its enqueues, hand-offs and landings drive.
+///
+/// The PCIe lane is one clock across layers: a Mixtral-sized expert takes
+/// longer than one decode layer's idle window, so a transfer keeps its
+/// progress from layer to layer. The queue drains by need. When a queued
+/// expert's layer runs and activates it, [`Engine::lookup`] takes the
+/// transfer out: one that has started is carried into the layer's plan as
+/// a head start ([`ScheduleContext::with_inflight`]), one that has not is
+/// simply planned afresh. Unstarted prefetches aimed at the running layer
+/// that it did not activate are dropped as stale. The rest drains in
+/// priority order — the started head, then the prefetcher's picks, then
+/// refills of missed experts — in the idle time each layer leaves on the
+/// lane.
 #[derive(Debug)]
 struct BackgroundQueue {
     inflight: VecDeque<Transfer>,
@@ -142,15 +152,31 @@ impl BackgroundQueue {
         self.max_inflight.saturating_sub(self.inflight.len())
     }
 
-    /// Drops every queued transfer; discarded prefetches spent wire time
-    /// without landing.
+    /// Drops every queued transfer; discarded prefetches never reach the
+    /// GPU.
     fn discard(&mut self) {
         self.counters.wasted += self.inflight.iter().filter(|t| t.prefetch).count() as u64;
         self.inflight.clear();
     }
 
+    /// Takes `key`'s transfer out of the queue, if one is queued.
+    fn take(&mut self, key: ExpertKey) -> Option<Transfer> {
+        let at = self.inflight.iter().position(|t| t.key == key)?;
+        self.inflight.remove(at)
+    }
+
+    /// Drops the unstarted prefetches aimed at `layer`, which is running
+    /// now without them: they count as wasted.
+    fn drop_stale(&mut self, layer: LayerId, transfer_time: SimDuration) {
+        let before = self.inflight.len();
+        self.inflight
+            .retain(|t| !(t.prefetch && t.key.layer == layer && t.remaining == transfer_time));
+        self.counters.wasted += (before - self.inflight.len()) as u64;
+    }
+
     /// Queues a transfer unless the expert is already resident or queued,
-    /// or the queue is full.
+    /// or the queue is full. A prefetch goes ahead of the unstarted
+    /// refills; a refill goes last.
     fn enqueue(
         &mut self,
         cache: &ShardedExpertCache,
@@ -164,11 +190,20 @@ impl BackgroundQueue {
         {
             return;
         }
-        self.inflight.push_back(Transfer {
+        let transfer = Transfer {
             key,
             remaining: transfer_time,
             prefetch,
-        });
+        };
+        let at = if prefetch {
+            self.inflight
+                .iter()
+                .position(|t| !t.prefetch && t.remaining == transfer_time)
+                .unwrap_or(self.inflight.len())
+        } else {
+            self.inflight.len()
+        };
+        self.inflight.insert(at, transfer);
         if prefetch {
             self.counters.issued += 1;
         }
@@ -224,6 +259,12 @@ impl BackgroundQueue {
         }
         resident
     }
+
+    /// Prefetches still queued: with the counters, they account for every
+    /// prefetch issued (`issued == landed + wasted + queued`).
+    fn queued_prefetches(&self) -> u64 {
+        self.inflight.iter().filter(|t| t.prefetch).count() as u64
+    }
 }
 
 /// The buffers one engine step works in, kept across layers and steps so a
@@ -242,6 +283,11 @@ struct StepScratch {
     /// The layer's missed experts that no demand transfer covered, ranked
     /// for refill.
     missed: Vec<ExpertId>,
+    /// The started background transfers of the layer's activated experts,
+    /// taken off the queue by `lookup`: each expert's remaining wire time
+    /// (the plan's head starts), and which of them the prefetcher issued.
+    inflight: Vec<(ExpertId, SimDuration)>,
+    carried_prefetches: Vec<ExpertId>,
     /// The prefetcher's inputs and working buffers.
     lookahead: Lookahead,
     prefetch: PrefetchScratch,
@@ -330,16 +376,23 @@ struct LayerCtx<'a> {
 
 /// Cumulative background-prefetch accounting since the engine was built
 /// (never reset by [`Engine::warmup`]; surfaced at `GET /metrics`).
+///
+/// Every issued prefetch ends in exactly one of `landed` or `wasted`, or
+/// is still queued: `issued == landed + wasted + queued`
+/// ([`Engine::queued_prefetches`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchCounters {
     /// Prefetch transfers enqueued on the background PCIe queue.
     pub issued: u64,
-    /// Prefetch transfers that completed and entered the cache.
+    /// Prefetch transfers that reached the GPU: they completed and entered
+    /// the cache, or their layer ran while they were on the wire and its
+    /// plan finished them as a head start.
     pub landed: u64,
-    /// Prefetch transfers whose wire time was spent for nothing: the
-    /// expert could not enter the cache (no eligible slot, or it became
-    /// resident through another path first) or the queue was discarded
-    /// before the transfer finished (re-warm).
+    /// Prefetch transfers that never delivered: dropped unstarted because
+    /// their layer ran first (it activated the expert, which its plan then
+    /// moved afresh, or did not need it), cut short because the plan
+    /// computed their expert on the CPU instead, completed but unable to
+    /// enter the cache (no eligible slot), or discarded by a re-warm.
     pub wasted: u64,
 }
 
@@ -471,6 +524,12 @@ impl Engine {
     /// engine was built.
     pub fn prefetch_counters(&self) -> PrefetchCounters {
         self.background.counters
+    }
+
+    /// Prefetches issued but still on the background queue: the part of
+    /// [`PrefetchCounters::issued`] that is neither landed nor wasted yet.
+    pub fn queued_prefetches(&self) -> u64 {
+        self.background.queued_prefetches()
     }
 
     /// Cache hit ratio per GPU shard since the last statistics reset
@@ -663,18 +722,45 @@ impl Engine {
     }
 
     /// Stage 3: cache lookups define the task set; the activated experts
-    /// are also the protected set (never evicted while in flight).
+    /// are also the protected set (never evicted while in flight). A
+    /// missed expert with a background transfer queued leaves the queue:
+    /// a started transfer becomes the plan's head start, an unstarted one
+    /// is planned afresh. Unstarted prefetches of this layer are stale.
     fn lookup(&mut self, cx: &LayerCtx<'_>) {
-        let sched = self.scratch.sched.begin_layer();
+        let StepScratch {
+            sched,
+            inflight,
+            carried_prefetches,
+            ..
+        } = &mut self.scratch;
+        let sched = sched.begin_layer();
+        inflight.clear();
+        carried_prefetches.clear();
+        let transfer_time = cx.step.transfer_time;
         for (expert, load) in cx.rec.routing.activated_iter() {
             let key = ExpertKey::new(cx.layer, expert);
             sched.protect.push(key);
+            let cached = self.cache.lookup(key);
             sched.tasks.push(ExpertTask {
                 expert,
                 load,
-                cached: self.cache.lookup(key),
+                cached,
             });
+            if cached {
+                continue;
+            }
+            match self.background.take(key) {
+                Some(t) if t.remaining < transfer_time => {
+                    inflight.push((expert, t.remaining));
+                    if t.prefetch {
+                        carried_prefetches.push(expert);
+                    }
+                }
+                Some(t) if t.prefetch => self.background.counters.wasted += 1,
+                _ => {}
+            }
         }
+        self.background.drop_stale(cx.layer, transfer_time);
     }
 
     /// Stage 4: schedules the task set and executes the plan on the
@@ -684,13 +770,19 @@ impl Engine {
         cx: &LayerCtx<'_>,
         metrics: &mut StepMetrics,
     ) -> SimDuration {
-        let ScheduleScratch {
-            tasks,
-            queues,
-            plan,
+        let StepScratch {
+            sched:
+                ScheduleScratch {
+                    tasks,
+                    queues,
+                    plan,
+                    ..
+                },
+            outcome,
+            inflight,
+            carried_prefetches,
             ..
-        } = &mut self.scratch.sched;
-        let outcome = &mut self.scratch.outcome;
+        } = &mut self.scratch;
         let ctx = ScheduleContext::new(
             cx.layer,
             cx.step.tokens,
@@ -699,7 +791,8 @@ impl Engine {
             cx.step.shared_profile,
             &self.cost,
         )
-        .with_gpus(cx.step.num_gpus);
+        .with_gpus(cx.step.num_gpus)
+        .with_inflight(inflight);
         self.scheduler.schedule_into(&ctx, queues, plan);
         debug_assert_eq!(plan.validate(tasks), Ok(()), "invalid plan from scheduler");
         self.backend.execute_layer(
@@ -711,6 +804,15 @@ impl Engine {
             },
             outcome,
         );
+
+        // A carried prefetch landed if the plan finished its transfer.
+        for expert in carried_prefetches.iter() {
+            if plan.transferred_experts().any(|e| e == *expert) {
+                self.background.counters.landed += 1;
+            } else {
+                self.background.counters.wasted += 1;
+            }
+        }
 
         metrics.cpu_experts += plan.cpu_order.len() as u32;
         metrics.gpu_experts += plan.gpu_order.len() as u32;
@@ -743,10 +845,12 @@ impl Engine {
 
     /// Stage 6: the layer's idle PCIe time advances the background queue
     /// (prefetches and cache refills). The window is the idle time of the
-    /// *busiest* lane — one conservative budget shared by the FIFO queue —
-    /// plus the attention time. Transfers already in flight drain first;
-    /// then the prefetcher and the refill enqueue new ones, which may
-    /// start in whatever is left of the window.
+    /// *busiest* lane — one conservative budget shared by the queue — plus
+    /// the attention time. The transfer already on the wire drains first;
+    /// then the prefetcher's picks and the refills of this layer's misses
+    /// enqueue, picks ahead of refills, and start in whatever is left of
+    /// the window. A transfer the window does not finish carries its
+    /// progress into later layers (see [`BackgroundQueue`]).
     fn background(
         &mut self,
         cx: &LayerCtx<'_>,
@@ -1168,6 +1272,73 @@ mod tests {
         assert_eq!(m.steps.len(), 12);
         assert_eq!(m.prefetches(), 0);
         assert!(m.total > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn a_partly_sent_expert_crosses_the_lane_once() {
+        // Everything is resident but one expert that layer 1 activates. Its
+        // transfer is queued before the step: layer 0's idle window sends
+        // part of it, and layer 1's plan finishes it as a head start. A
+        // slow CPU and a slow lane make the transfer the plan's choice and
+        // longer than layer 0's window.
+        let model = ModelConfig::tiny_test();
+        let platform = hybrimoe_hw::Platform {
+            cpu_task_overhead: SimDuration::from_millis(10),
+            pcie_latency: SimDuration::from_millis(1),
+            ..hybrimoe_hw::Platform::a6000_xeon10()
+        };
+        let config =
+            EngineConfig::preset(Framework::HybriMoe, model.clone(), 1.0).with_platform(platform);
+        let trace = tiny_trace(31, 1);
+        let step = &trace.steps[0];
+        let (expert, _) = step.layers[1].routing.activated_iter().next().unwrap();
+        let key = ExpertKey::new(LayerId(1), expert);
+        let mut e = Engine::cold(config);
+        for k in model.expert_keys().filter(|k| *k != key) {
+            e.cache.insert(k);
+        }
+        let transfer_time = e.step_consts(1).transfer_time;
+        e.background.enqueue(&e.cache, key, transfer_time, true);
+
+        let m = e.step(step);
+        // One transfer's wire time in total, split across the two layers,
+        // and the plan moved the expert once.
+        assert_eq!(m.busy(Device::pcie(0)), transfer_time);
+        assert_eq!(m.demand_transfers, 1);
+        let c = e.prefetch_counters();
+        assert_eq!((c.issued, c.landed, c.wasted), (1, 1, 0), "{c:?}");
+        assert!(e.cache().contains(key));
+        assert!(e.background.inflight.is_empty());
+    }
+
+    #[test]
+    fn every_issued_prefetch_is_landed_wasted_or_queued() {
+        let model = ModelConfig::deepseek();
+        let trace = TraceGenerator::new(model.clone(), 33).decode_trace(12);
+        for (framework, max_inflight) in [
+            (Framework::HybriMoe, 1),
+            (Framework::HybriMoe, 4),
+            (Framework::AdapMoe, 1),
+            (Framework::AdapMoe, 4),
+        ] {
+            let config = EngineConfig::preset(framework, model.clone(), 0.25)
+                .with_max_inflight(max_inflight);
+            let mut e = Engine::new(config);
+            for step in &trace.steps {
+                e.step(step);
+                let c = e.prefetch_counters();
+                assert_eq!(
+                    c.issued,
+                    c.landed + c.wasted + e.queued_prefetches(),
+                    "{framework} max_inflight {max_inflight}: {c:?}"
+                );
+            }
+            assert!(e.prefetch_counters().issued > 0, "{framework}");
+            // Re-warming discards the queue: what was queued is wasted.
+            e.warmup();
+            let c = e.prefetch_counters();
+            assert_eq!(c.issued, c.landed + c.wasted, "{framework}");
+        }
     }
 
     #[test]

@@ -67,11 +67,15 @@ pub struct ServerMetrics {
     /// requests, ms.
     pub tpot_p99_ms: f64,
     /// Background expert transfers issued by the prefetcher since startup.
+    /// Each ends landed or wasted, or is still queued (see
+    /// [`PrefetchCounters`]).
     pub prefetch_issued: u64,
-    /// Prefetched experts that actually entered the cache.
+    /// Prefetched experts that reached the GPU: completed into the cache,
+    /// or finished by their layer's plan as a head start.
     pub prefetch_landed: u64,
-    /// Prefetched experts that arrived useless (already resident, or no
-    /// free slot when the transfer completed).
+    /// Prefetches that never delivered: dropped unstarted when their layer
+    /// ran first, cut short when the plan computed the expert on the CPU,
+    /// completed with no slot to enter, or discarded by a re-warm.
     pub prefetch_wasted: u64,
     /// Expert-cache hit ratio per GPU shard, refreshed every engine step.
     pub shard_hit_ratio: Vec<f64>,

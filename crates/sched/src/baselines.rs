@@ -196,7 +196,9 @@ fn push_cached<'a>(
 }
 
 /// The GPU-centric order: cached experts first, then the uncached ones as
-/// they arrive over PCIe, both highest load first.
+/// they arrive over PCIe, both highest load first — except that transfers
+/// carried in from an earlier layer ([`ScheduleContext::with_inflight`])
+/// are already on the wire and arrive first.
 fn gpu_centric(ctx: &ScheduleContext<'_>, plan: &mut SchedulePlan) {
     push_cached(ctx, plan, ctx.tasks.iter().filter(|t| t.cached));
     let n = ctx.num_gpus.max(1);
@@ -206,7 +208,10 @@ fn gpu_centric(ctx: &ScheduleContext<'_>, plan: &mut SchedulePlan) {
         ..
     } = plan;
     pcie_order.extend(ctx.tasks.iter().filter(|t| !t.cached));
-    pcie_order.sort_unstable_by_key(|t| (Reverse(t.load), t.expert));
+    pcie_order.sort_unstable_by_key(|t| {
+        let carried = ctx.carried(t.expert);
+        (carried.is_none(), carried, Reverse(t.load), t.expert)
+    });
     gpu_order.extend(pcie_order.iter().map(|t| PlannedTask {
         task: *t,
         placement: DevicePlacement::GpuAfterTransfer(GpuId(shard_of(t.expert, n) as u8)),

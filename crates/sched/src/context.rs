@@ -1,7 +1,7 @@
 //! Inputs to a scheduling decision.
 
-use hybrimoe_hw::{CostModel, ExpertProfile, SimTime};
-use hybrimoe_model::{ExpertKey, LayerId};
+use hybrimoe_hw::{CostModel, ExpertProfile, SimDuration, SimTime};
+use hybrimoe_model::{ExpertId, ExpertKey, LayerId};
 
 use crate::{ExpertTask, SchedulePlan};
 
@@ -28,6 +28,10 @@ pub struct ScheduleQueues {
     pub(crate) gpu_t: Vec<SimTime>,
     /// Per-lane PCIe clocks.
     pub(crate) pcie_t: Vec<SimTime>,
+    /// Per-shard GPU and per-lane PCIe clocks that charge carried
+    /// transfers their remainders when the greedy does not see them.
+    pub(crate) gpu_done: Vec<SimTime>,
+    pub(crate) pcie_done: Vec<SimTime>,
 }
 
 impl ScheduleQueues {
@@ -126,6 +130,11 @@ pub struct ScheduleContext<'a> {
     /// Number of GPU shards the schedule may target (1 reproduces the
     /// paper's single-GPU setup).
     pub num_gpus: usize,
+    /// Transfers already on the wire when the layer starts, with the wire
+    /// time each still needs: an uncached task listed here that a plan
+    /// transfers costs its remainder instead of a whole transfer (see
+    /// [`with_inflight`](Self::with_inflight)). Empty by default.
+    pub inflight: &'a [(ExpertId, SimDuration)],
 }
 
 impl<'a> ScheduleContext<'a> {
@@ -149,7 +158,48 @@ impl<'a> ScheduleContext<'a> {
             shared_profile,
             cost,
             num_gpus: 1,
+            inflight: &[],
         }
+    }
+
+    /// Carries transfers that are already on the wire into this layer's
+    /// plan: each `(expert, remaining)` names an uncached task whose
+    /// weights are partly across its PCIe lane, with `remaining` wire time
+    /// left. A plan that transfers such an expert pays only `remaining`
+    /// for it ([`SchedulePlan::lower`](crate::SchedulePlan) charges
+    /// exactly that), and the [`HybridScheduler`](crate::HybridScheduler)
+    /// puts it at the head of its lane, where the wire already is. A plan
+    /// may still compute a carried expert on the CPU, discarding the head
+    /// start.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hybrimoe_hw::{SimDuration, UnitCostModel};
+    /// use hybrimoe_model::{ExpertId, LayerId};
+    /// use hybrimoe_sched::{ExpertTask, HybridScheduler, PlanReplay, ScheduleContext, Scheduler};
+    ///
+    /// let tasks = [ExpertTask::uncached(ExpertId(0), 4)];
+    /// let cost = UnitCostModel::paper_fig5(); // a transfer takes 3 units
+    /// let carried = [(ExpertId(0), SimDuration::from_micros(1))];
+    /// let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost).with_inflight(&carried);
+    /// let plan = HybridScheduler::new().schedule(&ctx);
+    /// // One unit of wire left plus one of GPU compute beats 4 on the CPU.
+    /// assert_eq!(plan.transferred_experts().collect::<Vec<_>>(), [ExpertId(0)]);
+    /// assert_eq!(PlanReplay::default().run(&plan, &ctx).as_micros_f64(), 2.0);
+    /// ```
+    pub fn with_inflight(mut self, inflight: &'a [(ExpertId, SimDuration)]) -> Self {
+        self.inflight = inflight;
+        self
+    }
+
+    /// The wire time `expert`'s transfer still needs if it is carried in
+    /// from an earlier layer ([`with_inflight`](Self::with_inflight)).
+    pub fn carried(&self, expert: ExpertId) -> Option<SimDuration> {
+        self.inflight
+            .iter()
+            .find(|(e, _)| *e == expert)
+            .map(|(_, remaining)| *remaining)
     }
 
     /// Overrides the GPU count (expert shards spread across the GPUs by the
@@ -179,6 +229,7 @@ impl<'a> ScheduleContext<'a> {
             shared_profile: None,
             cost,
             num_gpus: 1,
+            inflight: &[],
         }
     }
 }

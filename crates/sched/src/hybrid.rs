@@ -21,7 +21,10 @@ use crate::{
 ///   queue;
 /// * **Transfer priority** — each PCIe lane moves its shard's uncached
 ///   experts host→GPU, highest load first; a transferred expert joins its
-///   GPU's queue (ordered by load) and leaves the CPU queue.
+///   GPU's queue (ordered by load) and leaves the CPU queue. A transfer
+///   carried in from an earlier layer
+///   ([`ScheduleContext::with_inflight`]) heads its lane, costed at its
+///   remaining wire time.
 ///
 /// The scheduler then simulates all device timelines (one CPU, `N` GPUs,
 /// `N` PCIe lanes): at every step the candidate operation with the
@@ -97,8 +100,13 @@ impl Default for HybridScheduler {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GpuEntry {
     task: ExpertTask,
-    /// Transfer completion time for transferred experts.
+    /// Transfer completion time for transferred experts, as the greedy
+    /// sees it.
     ready: Option<SimTime>,
+    /// When the weights are actually on the GPU: `ready`, unless the
+    /// greedy ignores head starts that the clocks still charge (see
+    /// `HybridScheduler::run`); zero for cached experts.
+    arrived: SimTime,
 }
 
 /// The candidate op of one device at a simulation step.
@@ -132,10 +140,49 @@ impl Scheduler for HybridScheduler {
 impl HybridScheduler {
     /// The timeline-filling simulation. Returns the makespan; with a
     /// `plan`, the committed orders are appended to it.
+    ///
+    /// Transfers carried in from an earlier layer head their lanes. A
+    /// greedy is not monotone, though: a shorter transfer at the head of a
+    /// lane can steer later choices into a longer schedule than the one
+    /// without it. So when the layer carries any, the simulation also runs
+    /// the greedy as if every transfer were whole, charging the carried
+    /// ones their remainders on the clocks only; that schedule never costs
+    /// more than the layer without head starts, and the cheaper of the two
+    /// wins (the head-start one on a tie).
     fn simulate(
         &self,
         ctx: &ScheduleContext<'_>,
         queues: &mut ScheduleQueues,
+        mut plan: Option<&mut SchedulePlan>,
+    ) -> SimDuration {
+        let led = self.run(ctx, queues, true, plan.as_deref_mut());
+        if !ctx
+            .tasks
+            .iter()
+            .any(|t| !t.cached && ctx.carried(t.expert).is_some())
+        {
+            return led;
+        }
+        let unled = self.run(ctx, queues, false, None);
+        if unled >= led {
+            return led;
+        }
+        if let Some(plan) = plan {
+            plan.reset(ctx.layer, ctx.tokens);
+            self.run(ctx, queues, false, Some(plan));
+        }
+        unled
+    }
+
+    /// One greedy pass. With `lead`, carried transfers head their lanes
+    /// and the greedy sees their remaining wire time; without, the greedy
+    /// orders and costs every transfer as a whole one, and only the
+    /// clocks that yield the makespan charge the remainders.
+    fn run(
+        &self,
+        ctx: &ScheduleContext<'_>,
+        queues: &mut ScheduleQueues,
+        lead: bool,
         mut plan: Option<&mut SchedulePlan>,
     ) -> SimDuration {
         let n = ctx.num_gpus.max(1);
@@ -149,6 +196,8 @@ impl HybridScheduler {
             pcie: pcie_q,
             gpu_t,
             pcie_t,
+            gpu_done,
+            pcie_done,
         } = queues;
         gpu_q.truncate(n);
         gpu_q.resize_with(n, Vec::new);
@@ -168,6 +217,7 @@ impl HybridScheduler {
             gpu_q[shard_of(t.expert, n)].push(GpuEntry {
                 task: *t,
                 ready: None,
+                arrived: SimTime::ZERO,
             });
         }
         for q in gpu_q.iter_mut() {
@@ -179,12 +229,21 @@ impl HybridScheduler {
         cpu_q.sort_unstable_by_key(|t| (t.load, t.expert));
 
         // Per-lane PCIe queues: the shard's uncached experts, load
-        // descending.
+        // descending — behind the transfers carried in from an earlier
+        // layer, which are already on the wire (least remaining first).
         for t in cpu_q.iter() {
             pcie_q[shard_of(t.expert, n)].push(*t);
         }
         for q in pcie_q.iter_mut() {
-            q.sort_unstable_by_key(|t| (std::cmp::Reverse(t.load), t.expert));
+            q.sort_unstable_by_key(|t| {
+                let carried = ctx.carried(t.expert).filter(|_| lead);
+                (
+                    carried.is_none(),
+                    carried,
+                    std::cmp::Reverse(t.load),
+                    t.expert,
+                )
+            });
         }
 
         let total = ctx.tasks.len();
@@ -199,9 +258,16 @@ impl HybridScheduler {
         }
         pcie_t.clear();
         pcie_t.resize(n, SimTime::ZERO);
+        // The clocks the makespan comes from: the greedy's own, unless it
+        // ignores head starts.
+        gpu_done.clone_from(gpu_t);
+        pcie_done.clone_from(pcie_t);
         let mut cpu_warm = false;
-        // Every routed expert is the same size: one wire time for all.
+        // Every routed expert is the same size: one wire time for all but
+        // the carried-in transfers.
         let wire = ctx.cost.transfer(&ctx.routed_profile);
+        let actual_wire = |t: &ExpertTask| ctx.carried(t.expert).unwrap_or(wire);
+        let seen_wire = |t: &ExpertTask| if lead { actual_wire(t) } else { wire };
         let mut costs = ComputeCosts::new(ctx);
 
         while computed < total {
@@ -253,7 +319,7 @@ impl HybridScheduler {
             // on the GPU *later* than the CPU would have finished it.
             for (g, q) in pcie_q.iter().enumerate() {
                 if let Some(head) = q.first() {
-                    let arrival = pcie_t[g] + wire;
+                    let arrival = pcie_t[g] + seen_wire(head);
                     let compute_start = arrival.max(gpu_t[g]);
                     let d = costs.gpu(head.load);
                     consider(compute_start + d, (2, g), Candidate::PcieHead(g));
@@ -289,6 +355,7 @@ impl HybridScheduler {
                 Candidate::GpuHead(g) => {
                     let entry = gpu_q[g].remove(0);
                     gpu_t[g] = finish;
+                    gpu_done[g] = gpu_done[g].max(entry.arrived) + costs.gpu(entry.task.load);
                     if let Some(plan) = plan.as_deref_mut() {
                         plan.gpu_order.push(PlannedTask {
                             task: entry.task,
@@ -306,8 +373,9 @@ impl HybridScheduler {
                     // selection metric); the wire itself frees earlier.
                     let task = pcie_q[g].remove(0);
                     cpu_q.retain(|t| t.expert != task.expert);
-                    let arrival = pcie_t[g] + wire;
+                    let arrival = pcie_t[g] + seen_wire(&task);
                     pcie_t[g] = arrival;
+                    pcie_done[g] += actual_wire(&task);
                     if let Some(plan) = plan.as_deref_mut() {
                         plan.pcie_order.push(task);
                     }
@@ -316,6 +384,7 @@ impl HybridScheduler {
                         GpuEntry {
                             task,
                             ready: Some(arrival),
+                            arrived: pcie_done[g],
                         },
                     );
                 }
@@ -323,7 +392,7 @@ impl HybridScheduler {
         }
 
         // Makespan = max over all compute timelines (Eq. 2 generalized).
-        let finish = gpu_t.iter().fold(cpu_t, |acc, t| acc.max(*t));
+        let finish = gpu_done.iter().fold(cpu_t, |acc, t| acc.max(*t));
         finish.elapsed_since(SimTime::ZERO)
     }
 }
@@ -545,6 +614,7 @@ mod tests {
         let mk = |load| GpuEntry {
             task: ExpertTask::cached(ExpertId(load as u16), load),
             ready: None,
+            arrived: SimTime::ZERO,
         };
         let mut q = vec![mk(5), mk(3), mk(1)];
         insert_by_load(&mut q, mk(4));

@@ -215,8 +215,10 @@ impl SchedulePlan {
     /// Visits the plan's hardware ops: the shared experts, then the
     /// transfers (so GPU computes can refer back to them), then the CPU
     /// and GPU computes, each device's ops in plan order. The first CPU op
-    /// pays the cold start and later ones run warm. This is the one place
-    /// that decides what each op costs and where it runs.
+    /// pays the cold start and later ones run warm; a transfer carried in
+    /// from an earlier layer ([`ScheduleContext::with_inflight`]) costs
+    /// its remaining wire time. This is the one place that decides what
+    /// each op costs and where it runs.
     fn lower(&self, ctx: &ScheduleContext<'_>, mut emit: impl FnMut(LoweredOp)) {
         let mut cpu_warm = false;
         if let Some(shared) = ctx.shared_profile {
@@ -232,11 +234,13 @@ impl SchedulePlan {
                 kind: OpKind::Shared,
             });
         }
-        let transfer_profile = self.transfer_profile.unwrap_or(ctx.routed_profile);
+        let transfer = ctx
+            .cost
+            .transfer(&self.transfer_profile.unwrap_or(ctx.routed_profile));
         for x in &self.pcie_order {
             emit(LoweredOp {
                 device: Device::Pcie(self.transfer_lane(x.expert)),
-                duration: ctx.cost.transfer(&transfer_profile),
+                duration: ctx.carried(x.expert).unwrap_or(transfer),
                 kind: OpKind::Load(x.expert),
             });
         }

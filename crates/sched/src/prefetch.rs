@@ -170,8 +170,12 @@ impl Prefetcher for NextLayerTopKPrefetcher {
 /// For every uncached predicted-activated expert of the next `lookahead`
 /// layers, re-run the hybrid scheduling simulation with that expert marked
 /// cached; its *impact* is the simulated makespan reduction, discounted by
-/// prediction confidence for farther layers. Candidates are prefetched in
-/// impact order while the PCIe budget and free cache slots last.
+/// prediction confidence for farther layers. Candidates are ranked by
+/// *expected* impact — the impact times the candidate's predicted router
+/// probability (its entry in [`PredictedLayer::scores`]; `1` when the
+/// layer carries no scores) — and prefetched in that order while the PCIe
+/// budget and free cache slots last. At one-token decode every load is 1,
+/// so the candidates of a layer gain alike and the probability decides.
 ///
 /// # Example
 ///
@@ -244,10 +248,11 @@ impl Prefetcher for ImpactDrivenPrefetcher {
         // Pruning bound: the final selection keeps at most `free_slots`
         // keys, so once that many gains are known, a candidate whose
         // *upper-bound* gain — the layer's full base makespan, discounted
-        // — is strictly below the `free_slots`'th best can never appear
-        // in the selection; its with-expert simulation is skipped. The
-        // surviving candidates score exactly as before, so the output is
-        // bit-identical to the unpruned plan.
+        // and weighted by its probability — is strictly below the
+        // `free_slots`'th best can never appear in the selection; its
+        // with-expert simulation is skipped. The surviving candidates
+        // score exactly as before, so the output is bit-identical to the
+        // unpruned plan.
         let cap = ctx.free_slots;
         scratch.top_gains.clear();
 
@@ -256,17 +261,21 @@ impl Prefetcher for ImpactDrivenPrefetcher {
             // Base makespan memoized once per predicted layer; every
             // candidate of the layer shares it.
             let base = simulate_makespan(&scheduler, ctx, predicted, None, scratch);
-            let upper_bound = base.as_nanos() as f64 * discount;
-            if upper_bound <= 0.0 {
+            let layer_bound = base.as_nanos() as f64 * discount;
+            if layer_bound <= 0.0 {
                 continue; // no candidate of this layer can gain anything
             }
             for t in predicted.tasks.iter().filter(|t| !t.cached) {
+                let weight = predicted
+                    .scores
+                    .get(t.expert.0 as usize)
+                    .map_or(1.0, |p| f64::from(*p));
                 let top_gains = &scratch.top_gains;
-                if top_gains.len() >= cap && upper_bound < top_gains[cap - 1] {
+                if top_gains.len() >= cap && layer_bound * weight < top_gains[cap - 1] {
                     continue;
                 }
                 let with = simulate_makespan(&scheduler, ctx, predicted, Some(t.expert), scratch);
-                let gain = base.saturating_sub(with).as_nanos() as f64 * discount;
+                let gain = base.saturating_sub(with).as_nanos() as f64 * discount * weight;
                 if gain > 0.0 {
                     scratch
                         .ranked
@@ -492,6 +501,23 @@ mod tests {
         // ...and free slots can be the binding constraint too.
         let picks = ImpactDrivenPrefetcher::new().plan(&ctx(&look, 1, 100, &cost));
         assert_eq!(picks.len(), 1);
+    }
+
+    #[test]
+    fn equal_gains_go_to_the_more_probable_expert() {
+        let cost = UnitCostModel::paper_fig5();
+        // One-token decode: caching either expert saves the same CPU unit,
+        // so the router probability breaks the tie — not the expert id.
+        let look = [PredictedLayer {
+            layer: LayerId(1),
+            tasks: vec![
+                ExpertTask::uncached(ExpertId(0), 1),
+                ExpertTask::uncached(ExpertId(1), 1),
+            ],
+            scores: vec![0.2, 0.7],
+        }];
+        let picks = ImpactDrivenPrefetcher::new().plan(&ctx(&look, 1, 100, &cost));
+        assert_eq!(picks, vec![ExpertKey::new(LayerId(1), ExpertId(1))]);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! sets: plans are complete and valid, a plan costs on the replay clock
 //! (what the engine charges) exactly what the ground-truth plan executor
 //! and — for the hybrid — the scheduler's own simulation say, the shared
-//! experts are always charged, and the hybrid schedule never loses to the
-//! fixed mapping.
+//! experts are always charged, transfers carried in from an earlier layer
+//! cost exactly their remaining wire time, and the hybrid schedule never
+//! loses to the fixed mapping.
 
 use hybrimoe_hw::{Device, ExpertProfile, PlanExecutor, SimDuration, UnitCostModel};
 use hybrimoe_model::{shard_of, ExpertId, LayerId};
@@ -468,5 +469,77 @@ proptest! {
                 "{}", scheduler.name()
             );
         }
+    }
+}
+
+// Head starts: transfers still on the wire when a layer starts
+// (`ScheduleContext::with_inflight`).
+proptest! {
+    /// Every scheduler, decode and prefill, on 1–4 GPUs, with a random
+    /// subset of the uncached experts carried in at a random remainder of
+    /// their wire time: the plan validates, replays exactly as the plan
+    /// executor runs it, and lowers each carried expert it transfers to a
+    /// lane op of exactly its remainder (every other transfer costs a whole
+    /// one). For the hybrid, a head start never raises the makespan.
+    #[test]
+    fn carried_transfers_cost_their_remainder(
+        tasks in arb_tasks(),
+        cost in arb_cost(),
+        carry in proptest::collection::vec((any::<bool>(), 1u64..100), 10),
+        num_gpus in 1usize..5,
+        prefill in any::<bool>(),
+    ) {
+        let tokens = if prefill {
+            PREFILL_BATCH_THRESHOLD
+        } else {
+            tasks.iter().map(|t| t.load).max().unwrap_or(1)
+        };
+        let wire = cost.transfer_per_expert;
+        let inflight: Vec<(ExpertId, SimDuration)> = tasks
+            .iter()
+            .zip(&carry)
+            .filter(|(t, (carried, _))| !t.cached && *carried)
+            .map(|(t, (_, percent))| {
+                (t.expert, SimDuration::from_nanos(wire.as_nanos() * percent / 100))
+            })
+            .collect();
+        let routed = ExpertProfile::new(100, 10);
+        let cold = ScheduleContext::new(LayerId(0), tokens, &tasks, routed, None, &cost)
+            .with_gpus(num_gpus);
+        let ctx = ScheduleContext::new(LayerId(0), tokens, &tasks, routed, None, &cost)
+            .with_gpus(num_gpus)
+            .with_inflight(&inflight);
+        let mut replay = PlanReplay::default();
+        for scheduler in all_schedulers() {
+            let name = scheduler.name();
+            let plan = scheduler.schedule(&ctx);
+            prop_assert_eq!(plan.validate(&tasks), Ok(()), "{} N={}", name, num_gpus);
+            let ops = plan.to_ops(&ctx);
+            for x in &plan.pcie_order {
+                let label = format!("{}/{} load", LayerId(0), x.expert);
+                let op = ops.iter().find(|op| op.label == label);
+                let expected = ctx.carried(x.expert).unwrap_or(wire);
+                prop_assert_eq!(
+                    op.map(|op| op.duration), Some(expected),
+                    "{} N={}: {} lane op", name, num_gpus, x.expert
+                );
+            }
+            let executed = PlanExecutor::new().with_gpus(num_gpus).execute(ops).unwrap();
+            prop_assert_eq!(replay.run(&plan, &ctx), executed.makespan, "{} N={}", name, num_gpus);
+            prop_assert_eq!(
+                replay.busy_times(), executed.timelines.busy_times(),
+                "{} N={}", name, num_gpus
+            );
+        }
+        let hybrid = HybridScheduler::new();
+        let mut queues = ScheduleQueues::new();
+        let with_head_start = hybrid.makespan(&ctx, &mut queues);
+        prop_assert_eq!(with_head_start, replayed(&hybrid.schedule(&ctx), &ctx));
+        let without = hybrid.makespan(&cold, &mut queues);
+        prop_assert!(
+            with_head_start <= without,
+            "N={} prefill={}: head starts {:?} raised the makespan {} -> {} on {:?}",
+            num_gpus, prefill, inflight, without, with_head_start, tasks
+        );
     }
 }
