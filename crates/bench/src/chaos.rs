@@ -75,7 +75,7 @@ pub struct ChaosSummary {
     /// cancelled + timed_out + failed`, with nothing queued or running.
     pub server_accounted: bool,
     /// `/healthz` still answered after the storm, and its `status` agreed
-    /// with the metrics (degraded iff restarts or open breakers).
+    /// with the metrics (degraded iff restarts or workers down).
     pub server_healthz_consistent: bool,
 }
 
@@ -334,7 +334,7 @@ pub fn run_chaos_server(seed: u64) -> ServerPhaseOutcome {
     let metrics = fetch_metrics(addr);
     let healthz_consistent = match (fetch_healthz_status(addr), &metrics) {
         (Some(status), Some(m)) => {
-            let degraded = m.engine_restarts > 0 || m.worker_breaker_open > 0;
+            let degraded = m.engine_restarts > 0 || m.workers_down > 0;
             status == if degraded { "degraded" } else { "ok" }
         }
         _ => false,

@@ -34,10 +34,9 @@ use hybrimoe_model::shard_of;
 use hybrimoe_model::LayerId;
 use hybrimoe_sched::{PlanReplay, ScheduleContext, SchedulePlan};
 use hybrimoe_trace::TokenStates;
-use hybrimoe_worker::WorkerHealthSnapshot;
 
 use crate::realexec::{RealExecOptions, RealLayerExecutor, RealLayerOutput};
-use crate::remote::RemoteWorkerOptions;
+use crate::remote::{RemoteWorkerOptions, WorkerHealthSnapshot};
 
 /// Everything a backend needs to execute one scheduled MoE layer.
 #[derive(Debug)]

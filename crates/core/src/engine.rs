@@ -516,7 +516,7 @@ impl Engine {
 
     /// Worker fleet health, if the engine's real backend was given worker
     /// endpoints ([`EngineConfig::with_remote_workers`]); `None` otherwise.
-    pub fn worker_health(&self) -> Option<hybrimoe_worker::WorkerHealthSnapshot> {
+    pub fn worker_health(&self) -> Option<crate::remote::WorkerHealthSnapshot> {
         self.backend.worker_health()
     }
 

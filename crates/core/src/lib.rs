@@ -65,7 +65,7 @@ pub use realexec::RealExecOptions;
 // Exists only for `benchmark/src/probes.rs:21,470` (frozen); the next
 // benchmark-type PR drops it together with that import.
 pub use realexec::RealLayerExecutor as RemoteLayerExecutor;
-pub use remote::RemoteWorkerOptions;
+pub use remote::{RemoteWorkerOptions, WorkerHealthSnapshot};
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.

@@ -51,10 +51,9 @@ use hybrimoe_model::{
     ExpertId, ExpertKey, LayerId, ModelConfig, RouterOutput, WeightStore, WeightStoreError,
 };
 use hybrimoe_sched::SchedulePlan;
-use hybrimoe_worker::WorkerHealthSnapshot;
 use serde::{Deserialize, Serialize};
 
-use crate::remote::{RemoteWorkerOptions, WorkerFleet};
+use crate::remote::{RemoteWorkerOptions, WorkerFleet, WorkerHealthSnapshot};
 
 /// Resource limits and execution strategy of a [`RealLayerExecutor`] (and
 /// of the [`RealCpuBackend`](crate::RealCpuBackend) built on it).
@@ -281,8 +280,8 @@ impl RealLayerExecutor {
         self.backend.kind()
     }
 
-    /// Current worker fleet health, including circuit-breaker state
-    /// (`configured == 0` for an executor without endpoints).
+    /// Current worker fleet health (`configured == 0` for an executor
+    /// without endpoints).
     pub fn health(&self) -> WorkerHealthSnapshot {
         self.fleet.health()
     }

@@ -11,8 +11,8 @@
 //! use). Activations move, weights stay put — the point of
 //! compute-near-weights workers.
 //!
-//! This module holds what is genuinely remote, so FIFO failover and
-//! breaker policy live in one place:
+//! This module holds what is genuinely remote — each worker's connection,
+//! its retry time and the fleet's counters — in one place:
 //!
 //! * **Bit-identity.** Tensors travel as exact IEEE-754 bit patterns and
 //!   the [`LoadShard`] handshake pins every worker to the same kernel
@@ -25,24 +25,33 @@
 //!   (`WorkerFleet::collect`); each connection answers strictly FIFO,
 //!   and replies are collected in the same ascending expert order they
 //!   were sent.
-//! * **Failover.** A send or receive failure marks the worker down
-//!   (reconnect-with-backoff in [`WorkerClientPool`]) and the affected
-//!   experts — including any whose pipelined replies died with the
-//!   connection — are left to the executor's own local weights. An
-//!   in-flight layer never fails because a worker did. A per-worker
-//!   circuit breaker trips after
-//!   [`RemoteWorkerOptions::breaker_threshold`] consecutive failures:
-//!   while open, experts route straight to the local kernels without
-//!   paying connect or deadline cost, until a half-open heartbeat probe
-//!   after the cooldown finds the worker healthy again.
+//! * **Failover.** A failed connect, send or reply drops the worker's
+//!   connection and marks it down; the affected experts — including any
+//!   whose pipelined replies died with the connection — are left to the
+//!   executor's own local weights. An in-flight layer never fails because
+//!   a worker did. While a worker is down its experts route straight to
+//!   the local kernels, paying no connect or deadline cost and changing
+//!   nothing; the first dispatch after the backoff reconnects, and the
+//!   Hello + [`LoadShard`] handshake is the probe. Each failure doubles
+//!   the backoff (from 50 ms up to 2 s) and only a successful reply resets
+//!   it, so a worker that accepts connections but fails every request
+//!   backs off as surely as one that refuses them.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use hybrimoe_kernels::KernelBackendKind;
-use hybrimoe_model::{ExpertId, LayerId, ModelConfig};
+use hybrimoe_model::{ids::shard_of, ExpertId, LayerId, ModelConfig};
 use hybrimoe_worker::protocol::LoadShard;
-use hybrimoe_worker::{wire_backend, ClientOptions, WorkerClientPool, WorkerHealthSnapshot};
+use hybrimoe_worker::{wire_backend, ClientOptions, Endpoint, WorkerClient};
 use serde::{Deserialize, Serialize};
+
+/// Reconnect delay after a worker's first failure, and what a successful
+/// reply resets it to.
+const BACKOFF_INITIAL: Duration = Duration::from_millis(50);
+/// Reconnect delay ceiling: each failure without a successful reply in
+/// between doubles the delay, up to this.
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
 
 /// Configuration of a real executor's worker fleet.
 ///
@@ -54,8 +63,6 @@ use serde::{Deserialize, Serialize};
 /// let opts = RemoteWorkerOptions::default();
 /// assert!(opts.endpoints.is_empty()); // no fleet: everything runs locally
 /// assert_eq!(opts.deadline_ms, 5_000);
-/// assert_eq!(opts.breaker_threshold, 4);
-/// assert_eq!(opts.breaker_cooldown_ms, 500);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RemoteWorkerOptions {
@@ -66,15 +73,6 @@ pub struct RemoteWorkerOptions {
     /// Per-request deadline in milliseconds, enforced as the socket read
     /// timeout while waiting for each reply. `0` waits forever.
     pub deadline_ms: u64,
-    /// Consecutive send/collect failures that trip a worker's circuit
-    /// breaker. While open, experts owned by that worker route straight
-    /// to the local fallback — no connect attempt, no deadline wait —
-    /// until a half-open heartbeat probe succeeds after the cooldown.
-    /// `0` disables the breaker (every dispatch retries the worker).
-    pub breaker_threshold: u32,
-    /// Minimum time a tripped breaker stays open before the next
-    /// dispatch decision probes the worker with a heartbeat.
-    pub breaker_cooldown_ms: u64,
 }
 
 impl Default for RemoteWorkerOptions {
@@ -82,47 +80,55 @@ impl Default for RemoteWorkerOptions {
         RemoteWorkerOptions {
             endpoints: Vec::new(),
             deadline_ms: 5_000,
-            breaker_threshold: 4,
-            breaker_cooldown_ms: 500,
         }
     }
 }
 
-impl RemoteWorkerOptions {
-    /// The per-connection client options these settings imply.
-    pub fn client_options(&self) -> ClientOptions {
-        ClientOptions {
-            deadline: (self.deadline_ms > 0).then(|| Duration::from_millis(self.deadline_ms)),
-            ..ClientOptions::default()
-        }
-    }
+/// Worker fleet health, as published in the serving layer's `/metrics`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkerHealthSnapshot {
+    /// Workers configured in the fleet.
+    pub configured: u64,
+    /// Workers currently connected.
+    pub up: u64,
+    /// Workers currently down: their experts run locally until a
+    /// reconnect after the backoff succeeds.
+    pub down: u64,
+    /// Expert batches dispatched remotely.
+    pub requests: u64,
+    /// Expert batches that fell back to local execution after a worker
+    /// failure or while a worker was down.
+    pub failovers: u64,
+    /// Successful reconnects after a worker was marked down.
+    pub reconnects: u64,
 }
 
-/// One worker's circuit-breaker state (see
-/// [`RemoteWorkerOptions::breaker_threshold`]).
-#[derive(Debug, Clone, Copy)]
-enum BreakerState {
-    /// Dispatch allowed; counts consecutive failures.
-    Closed {
-        /// Consecutive failures since the last success.
-        failures: u32,
-    },
-    /// Dispatch suspended; no probe before `until`.
-    Open {
-        /// Earliest next half-open probe.
-        until: Instant,
-    },
-    /// Cooldown expired; the in-progress dispatch decision is probing.
-    HalfOpen,
-}
-
-/// A per-worker circuit breaker with trip accounting for `/metrics`.
+/// One worker's connection state.
 #[derive(Debug)]
-struct Breaker {
-    state: BreakerState,
-    /// Cumulative closed→open transitions (half-open re-opens after a
-    /// failed probe do not count a new trip).
-    trips: u64,
+enum Conn {
+    /// Never connected (or cleanly drained): connect on first dispatch.
+    Idle,
+    /// Connected. `backoff` is the delay the next failure applies; only a
+    /// successful reply resets it.
+    Up {
+        client: Box<WorkerClient>,
+        backoff: Duration,
+    },
+    /// Failed: every dispatch before `until` runs locally, the first one
+    /// after it reconnects; `backoff` is the delay the next failure
+    /// applies.
+    Down { until: Instant, backoff: Duration },
+}
+
+/// One configured worker.
+#[derive(Debug)]
+struct Worker {
+    endpoint: Endpoint,
+    /// The shard spec sent on every (re)connect.
+    shard: LoadShard,
+    conn: Conn,
+    /// Whether a connect ever succeeded, so later ones count as reconnects.
+    ever_connected: bool,
 }
 
 /// Where one planned expert's batch is headed.
@@ -135,24 +141,26 @@ enum Dispatch {
 }
 
 /// The (often empty) fleet of out-of-process workers a real executor
-/// offers its expert batches to, with the per-layer dispatch state that
-/// correlates pipelined replies and the per-worker circuit breakers.
+/// offers its expert batches to: each worker's connection state, the
+/// per-layer dispatch state that correlates pipelined replies, and the
+/// fleet's counters.
 #[derive(Debug)]
 pub(crate) struct WorkerFleet {
-    workers: WorkerClientPool,
-    /// One circuit breaker per configured worker.
-    breakers: Vec<Breaker>,
-    breaker_threshold: u32,
-    breaker_cooldown: Duration,
+    workers: Vec<Worker>,
+    client_options: ClientOptions,
     /// Dispatch state of the layer in flight, one entry per planned expert
     /// in ascending order (the index [`WorkerFleet::send`] and
     /// [`WorkerFleet::collect`] take).
     dispatch: Vec<Dispatch>,
+    requests: u64,
+    failovers: u64,
+    reconnects: u64,
 }
 
 impl WorkerFleet {
-    /// Creates the fleet over `remote.endpoints` (connections open lazily)
-    /// with a [`LoadShard`] spec that pins every worker to `backend`, the
+    /// Creates the fleet over `remote.endpoints` (connections open lazily,
+    /// so a fleet can be built while its workers are still starting) with
+    /// a [`LoadShard`] spec that pins every worker to `backend`, the
     /// executor's resolved kernel backend, so remote and local results are
     /// bit-identical.
     pub(crate) fn new(
@@ -162,28 +170,38 @@ impl WorkerFleet {
         backend: KernelBackendKind,
         remote: &RemoteWorkerOptions,
     ) -> WorkerFleet {
-        let base = LoadShard {
-            seed,
-            worker: 0,
-            num_workers: remote.endpoints.len().max(1) as u16,
-            layers: model.layers,
-            routed_experts: model.routed_experts,
-            hidden: model.routed_shape.hidden(),
-            inter: model.routed_shape.inter(),
-            weight_budget_bytes,
-            backend: wire_backend::to_wire(backend),
-        };
+        let num_workers = remote.endpoints.len() as u16;
+        let workers = remote
+            .endpoints
+            .iter()
+            .enumerate()
+            .map(|(i, endpoint)| Worker {
+                endpoint: Endpoint::parse(endpoint),
+                shard: LoadShard {
+                    seed,
+                    worker: i as u16,
+                    num_workers,
+                    layers: model.layers,
+                    routed_experts: model.routed_experts,
+                    hidden: model.routed_shape.hidden(),
+                    inter: model.routed_shape.inter(),
+                    weight_budget_bytes,
+                    backend: wire_backend::to_wire(backend),
+                },
+                conn: Conn::Idle,
+                ever_connected: false,
+            })
+            .collect();
         WorkerFleet {
-            workers: WorkerClientPool::new(&remote.endpoints, base, remote.client_options()),
-            breakers: (0..remote.endpoints.len())
-                .map(|_| Breaker {
-                    state: BreakerState::Closed { failures: 0 },
-                    trips: 0,
-                })
-                .collect(),
-            breaker_threshold: remote.breaker_threshold,
-            breaker_cooldown: Duration::from_millis(remote.breaker_cooldown_ms),
+            workers,
+            client_options: ClientOptions {
+                deadline: (remote.deadline_ms > 0)
+                    .then(|| Duration::from_millis(remote.deadline_ms)),
+            },
             dispatch: Vec::new(),
+            requests: 0,
+            failovers: 0,
+            reconnects: 0,
         }
     }
 
@@ -206,37 +224,25 @@ impl WorkerFleet {
         hidden: usize,
         gather: impl FnOnce() -> &'a [f32],
     ) {
-        if self.workers.num_workers() == 0 {
+        if self.workers.is_empty() {
             return;
         }
-        let worker = self.workers.worker_for_expert(ExpertId(expert));
-        if !self.breaker_allows(worker) {
-            // Open breaker: straight to the local kernels without paying
-            // connect or deadline cost.
-            self.workers.note_failover();
+        let worker = shard_of(ExpertId(expert), self.workers.len());
+        let Some(client) = self.client(worker) else {
+            self.failovers += 1;
             return;
-        }
-        let sent = match self.workers.client(worker) {
-            Some(client) => client
-                .send_execute_parts(layer.0, expert, tokens as u32, hidden as u32, gather())
-                .is_ok(),
-            None => false,
         };
-        if sent {
-            self.workers.note_request();
+        if client
+            .send_execute_parts(layer.0, expert, tokens as u32, hidden as u32, gather())
+            .is_ok()
+        {
+            self.requests += 1;
             self.dispatch[i] = Dispatch::Remote(worker);
         } else {
             // The connection (and every reply still in its FIFO) is gone:
             // earlier experts dispatched to this worker fail over too.
-            self.workers.fail(worker);
-            self.breaker_fail(worker);
-            self.workers.note_failover();
-            for d in self.dispatch[..i].iter_mut() {
-                if *d == Dispatch::Remote(worker) {
-                    *d = Dispatch::Local;
-                    self.workers.note_failover();
-                }
-            }
+            self.failovers += 1;
+            self.fail(worker, 0..i);
         }
     }
 
@@ -257,125 +263,107 @@ impl WorkerFleet {
         let Dispatch::Remote(worker) = self.dispatch[i] else {
             return false;
         };
-        if self.recv(worker, tokens, hidden, sink) {
-            self.breakers[worker].state = BreakerState::Closed { failures: 0 };
-            return true;
-        }
-        self.breaker_fail(worker);
-        self.workers.note_failover();
-        for d in self.dispatch[i..].iter_mut() {
-            if *d == Dispatch::Remote(worker) {
-                *d = Dispatch::Local;
+        // Every failure turns the worker's outstanding experts local, so
+        // an expert still marked remote has its reply on a live connection.
+        let Conn::Up { client, backoff } = &mut self.workers[worker].conn else {
+            unreachable!("a remote dispatch outlived its connection");
+        };
+        match client.recv_execute() {
+            Ok(ack) if ack.tokens as usize == tokens && ack.hidden as usize == hidden => {
+                sink(&ack.data);
+                *backoff = BACKOFF_INITIAL;
+                true
+            }
+            // Timeouts, disconnects, error replies and shape mismatches
+            // all desynchronize or invalidate the FIFO.
+            _ => {
+                self.fail(worker, i..self.dispatch.len());
+                false
             }
         }
-        false
     }
 
-    /// Reads one reply off `worker`'s FIFO into `sink`. Anything that
-    /// desynchronizes or invalidates the FIFO (timeouts, disconnects,
-    /// error replies, shape mismatches) drops the connection and returns
-    /// `false`.
-    fn recv(
-        &mut self,
-        worker: usize,
-        tokens: usize,
-        hidden: usize,
-        sink: impl FnOnce(&[f32]),
-    ) -> bool {
-        let Some(client) = self.workers.client(worker) else {
-            return false;
-        };
-        // A reconnected client has an empty FIFO: the original reply died
-        // with the old connection.
-        let usable = client.inflight() > 0
-            && match client.recv_execute() {
-                Ok(ack) if ack.tokens as usize == tokens && ack.hidden as usize == hidden => {
-                    sink(&ack.data);
-                    true
-                }
-                _ => false,
-            };
-        if !usable {
-            self.workers.fail(worker);
-        }
-        usable
-    }
-
-    /// Current fleet health, including circuit-breaker state.
+    /// Current fleet health.
     pub(crate) fn health(&self) -> WorkerHealthSnapshot {
-        let mut health = self.workers.health();
-        health.breaker_open = self
-            .breakers
-            .iter()
-            .filter(|b| matches!(b.state, BreakerState::Open { .. }))
-            .count() as u64;
-        health.breaker_trips = self.breakers.iter().map(|b| b.trips).sum();
-        health
+        let count = |state: fn(&Conn) -> bool| {
+            self.workers.iter().filter(|w| state(&w.conn)).count() as u64
+        };
+        WorkerHealthSnapshot {
+            configured: self.workers.len() as u64,
+            up: count(|c| matches!(c, Conn::Up { .. })),
+            down: count(|c| matches!(c, Conn::Down { .. })),
+            requests: self.requests,
+            failovers: self.failovers,
+            reconnects: self.reconnects,
+        }
     }
 
     /// Drains every connected worker (best-effort; used at shutdown).
     pub(crate) fn drain(&mut self) {
-        self.workers.drain();
+        for worker in &mut self.workers {
+            if let Conn::Up { client, .. } = &mut worker.conn {
+                let _ = client.drain();
+            }
+            worker.conn = Conn::Idle;
+        }
     }
 
-    /// Decides whether dispatch to `worker` is allowed right now. Closed
-    /// breakers pass; open ones inside the cooldown refuse instantly; an
-    /// open breaker past its cooldown runs a half-open heartbeat probe —
-    /// success closes the breaker, failure re-opens it for another
-    /// cooldown without counting a new trip. The probe cannot
-    /// desynchronize pipelined replies: a breaker only opens after the
-    /// failing connection was dropped, so the probe's (re)connection
-    /// starts with an empty FIFO.
-    fn breaker_allows(&mut self, worker: usize) -> bool {
-        if self.breaker_threshold == 0 {
-            return true;
-        }
-        match self.breakers[worker].state {
-            BreakerState::Closed { .. } => true,
-            BreakerState::Open { until } if Instant::now() < until => false,
-            _ => {
-                self.breakers[worker].state = BreakerState::HalfOpen;
-                let alive = match self.workers.client(worker) {
-                    Some(client) => client.heartbeat().is_ok(),
-                    None => false,
-                };
-                if alive {
-                    self.breakers[worker].state = BreakerState::Closed { failures: 0 };
-                } else {
-                    self.workers.fail(worker);
-                    self.breakers[worker].state = BreakerState::Open {
-                        until: Instant::now() + self.breaker_cooldown,
+    /// Worker `worker`'s live connection. An idle worker, or a down one
+    /// whose backoff has expired, connects first — the Hello and
+    /// [`LoadShard`] handshake is the probe, and a failed one marks the
+    /// worker down again. A down worker inside its backoff returns `None`
+    /// and nothing changes.
+    fn client(&mut self, worker: usize) -> Option<&mut WorkerClient> {
+        let w = &mut self.workers[worker];
+        let backoff = match w.conn {
+            Conn::Up { .. } => None,
+            Conn::Down { until, .. } if Instant::now() < until => return None,
+            Conn::Down { backoff, .. } => Some(backoff),
+            Conn::Idle => Some(BACKOFF_INITIAL),
+        };
+        if let Some(backoff) = backoff {
+            match WorkerClient::connect(&w.endpoint, self.client_options.clone())
+                .and_then(|mut c| c.load_shard(&w.shard).map(|_| c))
+            {
+                Ok(client) => {
+                    self.reconnects += u64::from(w.ever_connected);
+                    w.ever_connected = true;
+                    w.conn = Conn::Up {
+                        client: Box::new(client),
+                        backoff,
                     };
                 }
-                alive
+                Err(_) => {
+                    // Nothing was in flight on a connection just opened.
+                    self.fail(worker, 0..0);
+                    return None;
+                }
             }
+        }
+        match &mut self.workers[worker].conn {
+            Conn::Up { client, .. } => Some(client),
+            _ => None,
         }
     }
 
-    /// Counts one send/collect failure; at the threshold's worth of
-    /// consecutive failures the breaker trips open for the cooldown.
-    fn breaker_fail(&mut self, worker: usize) {
-        if self.breaker_threshold == 0 {
-            return;
-        }
-        let reopen = BreakerState::Open {
-            until: Instant::now() + self.breaker_cooldown,
+    /// Drops `worker`'s connection, marks it down for its current backoff
+    /// and doubles the next one, and fails over every expert in `pending`
+    /// still waiting on a reply from it.
+    fn fail(&mut self, worker: usize, pending: Range<usize>) {
+        let conn = &mut self.workers[worker].conn;
+        let backoff = match *conn {
+            Conn::Up { backoff, .. } | Conn::Down { backoff, .. } => backoff,
+            Conn::Idle => BACKOFF_INITIAL,
         };
-        let breaker = &mut self.breakers[worker];
-        match breaker.state {
-            BreakerState::Closed { failures } if failures + 1 >= self.breaker_threshold => {
-                breaker.trips += 1;
-                breaker.state = reopen;
+        *conn = Conn::Down {
+            until: Instant::now() + backoff,
+            backoff: (backoff * 2).min(BACKOFF_MAX),
+        };
+        for d in &mut self.dispatch[pending] {
+            if *d == Dispatch::Remote(worker) {
+                *d = Dispatch::Local;
+                self.failovers += 1;
             }
-            BreakerState::Closed { failures } => {
-                breaker.state = BreakerState::Closed {
-                    failures: failures + 1,
-                };
-            }
-            // A failure during (or right after) a half-open probe re-opens
-            // without a new trip.
-            BreakerState::HalfOpen => breaker.state = reopen,
-            BreakerState::Open { .. } => {}
         }
     }
 }
@@ -387,10 +375,11 @@ mod tests {
     use crate::backend::{ExecutionBackend, LayerOutcome, LayerRequest, RealCpuBackend};
     use crate::realexec::tests::{tasks_and_plan, token_inputs};
     use crate::realexec::{RealExecOptions, RealLayerExecutor};
+    use hybrimoe_fault::{FaultPlan, FaultRates};
     use hybrimoe_hw::SimDuration;
     use hybrimoe_model::{LayerRouting, RouterOutput};
     use hybrimoe_sched::{ExpertTask, ScheduleContext, SchedulePlan};
-    use hybrimoe_worker::{Endpoint, WorkerHandle, WorkerServer, WorkerServerOptions};
+    use hybrimoe_worker::{WorkerHandle, WorkerServer, WorkerServerOptions};
 
     fn scalar_options() -> RealExecOptions {
         RealExecOptions {
@@ -410,6 +399,17 @@ mod tests {
             .collect();
         let endpoints = handles.iter().map(|h| h.endpoint().to_string()).collect();
         (handles, endpoints)
+    }
+
+    /// A worker whose execute replies suffer `rates`.
+    fn faulty(rates: FaultRates) -> WorkerServerOptions {
+        WorkerServerOptions {
+            fault_plan: FaultPlan {
+                rates,
+                ..FaultPlan::off()
+            },
+            ..Default::default()
+        }
     }
 
     fn plan_for(model: &ModelConfig, routes: &[RouterOutput]) -> SchedulePlan {
@@ -507,15 +507,14 @@ mod tests {
 
         let (handles, endpoints) = spawn_workers(
             1,
-            WorkerServerOptions {
-                fail_after_executes: Some(1),
+            faulty(FaultRates {
+                fail_after: Some(1),
                 ..Default::default()
-            },
+            }),
         );
         let remote = RemoteWorkerOptions {
             endpoints,
             deadline_ms: 2_000,
-            ..Default::default()
         };
         let mut exec = RealLayerExecutor::new(model, 7, scalar_options(), &remote);
         let out = exec
@@ -552,40 +551,121 @@ mod tests {
         assert!(health.failovers > 0);
     }
 
+    /// Runs the layer every ~5 ms, checking each output against
+    /// `reference`, until `done` holds for the fleet's health or `within`
+    /// has passed. Returns the last health.
+    fn layers_every_5ms(
+        exec: &mut RealLayerExecutor,
+        (plan, inputs, routes): (&SchedulePlan, &[Vec<f32>], &[RouterOutput]),
+        reference: &[f32],
+        within: Duration,
+        mut done: impl FnMut(&WorkerHealthSnapshot) -> bool,
+    ) -> WorkerHealthSnapshot {
+        let start = Instant::now();
+        loop {
+            let out = exec
+                .execute_layer(LayerId(0), plan, inputs, routes)
+                .unwrap();
+            assert_eq!(out.output, reference);
+            let health = exec.health();
+            if done(&health) || start.elapsed() >= within {
+                return health;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     #[test]
-    fn breaker_opens_on_dead_worker_and_reprobes_after_cooldown() {
+    fn restarted_worker_reconnects_and_takes_traffic_again() {
+        // A worker dies mid-run and stays dead for a second, then a fresh
+        // one is bound on the same endpoint, while layers keep arriving
+        // every ~5 ms: the first dispatch after the backoff reconnects,
+        // remote requests resume and failovers stop. Dispatches refused
+        // while the worker is down must not push its retry time out, or
+        // steady traffic locks it out for good.
         let model = ModelConfig::tiny_test();
-        let (inputs, routes) = token_inputs(&model, 2, 3);
+        let (inputs, routes) = token_inputs(&model, 4, 13);
+        let plan = plan_for(&model, &routes);
+        let reference = token_major_reference(&model, &plan, &inputs, &routes);
+        let layer = (&plan, &inputs[..], &routes[..]);
+
+        let (handles, endpoints) = spawn_workers(
+            1,
+            faulty(FaultRates {
+                fail_after: Some(10),
+                ..Default::default()
+            }),
+        );
+        let remote = RemoteWorkerOptions {
+            endpoints,
+            deadline_ms: 2_000,
+        };
+        let mut exec = RealLayerExecutor::new(model, 7, scalar_options(), &remote);
+        let died = layers_every_5ms(&mut exec, layer, &reference, Duration::from_secs(3), |h| {
+            h.failovers > 0
+        });
+        assert!(died.failovers > 0 && died.requests > 0, "health: {died:?}");
+        let dead = layers_every_5ms(&mut exec, layer, &reference, Duration::from_secs(1), |_| {
+            false
+        });
+        assert_eq!((dead.down, dead.reconnects), (1, 0), "health: {dead:?}");
+
+        // The crashed worker's accept loop has stopped; its listener
+        // closes when the handle is joined, and a fresh worker rebinds it.
+        let endpoint = handles[0].endpoint().clone();
+        drop(handles);
+        let restarted = WorkerServer::bind(&endpoint, WorkerServerOptions::default())
+            .expect("rebind the worker endpoint")
+            .spawn();
+
+        let back = layers_every_5ms(&mut exec, layer, &reference, Duration::from_secs(3), |h| {
+            h.reconnects == 1 && h.requests > dead.requests
+        });
+        assert_eq!(back.reconnects, 1, "no reconnect within 3 s: {back:?}");
+        assert!(back.requests > dead.requests, "health: {back:?}");
+
+        let mut steady = back;
+        for _ in 0..20 {
+            steady = layers_every_5ms(&mut exec, layer, &reference, Duration::ZERO, |_| true);
+        }
+        assert_eq!(steady.failovers, back.failovers, "health: {steady:?}");
+        assert!(steady.requests > back.requests);
+        assert_eq!((steady.up, steady.down, steady.reconnects), (1, 0, 1));
+        exec.drain();
+        restarted.shutdown();
+    }
+
+    #[test]
+    fn a_worker_failing_every_reply_backs_off_exponentially() {
+        // The worker accepts every connection (handshake and LoadShard stay
+        // clean) but drops each reply. A reconnect is not a success, so the
+        // backoff keeps doubling: reconnects at ~0.05, 0.15, 0.35, 0.75 and
+        // 1.55 s, where a backoff reset on connect would give ~60 in 3 s.
+        let model = ModelConfig::tiny_test();
+        let (inputs, routes) = token_inputs(&model, 4, 9);
         let plan = plan_for(&model, &routes);
         let reference = token_major_reference(&model, &plan, &inputs, &routes);
 
+        let (handles, endpoints) = spawn_workers(
+            1,
+            faulty(FaultRates {
+                conn_drop_ppm: 1_000_000,
+                ..Default::default()
+            }),
+        );
         let remote = RemoteWorkerOptions {
-            endpoints: vec!["127.0.0.1:1".to_owned()], // nothing listening
-            breaker_threshold: 1,
-            breaker_cooldown_ms: 1,
-            ..Default::default()
+            endpoints,
+            deadline_ms: 2_000,
         };
         let mut exec = RealLayerExecutor::new(model, 7, scalar_options(), &remote);
-        let out = exec
-            .execute_layer(LayerId(0), &plan, &inputs, &routes)
-            .unwrap();
-        assert_eq!(out.output, reference);
-        let health = exec.health();
-        assert_eq!(health.breaker_open, 1);
-        assert_eq!(health.breaker_trips, 1);
-        assert!(health.failovers > 0);
-
-        // Cooldown expired: the next layer's dispatch probes the (still
-        // dead) worker, the probe fails, and the breaker re-opens without
-        // counting a new trip. Output stays bit-identical throughout.
-        std::thread::sleep(Duration::from_millis(5));
-        let out = exec
-            .execute_layer(LayerId(0), &plan, &inputs, &routes)
-            .unwrap();
-        assert_eq!(out.output, reference);
-        let health = exec.health();
-        assert_eq!(health.breaker_open, 1);
-        assert_eq!(health.breaker_trips, 1);
+        let layer = (&plan, &inputs[..], &routes[..]);
+        let health = layers_every_5ms(&mut exec, layer, &reference, Duration::from_secs(3), |_| {
+            false
+        });
+        assert!((1..=7).contains(&health.reconnects), "health: {health:?}");
+        assert!(health.failovers > health.requests, "health: {health:?}");
+        assert_eq!((health.up, health.down), (0, 1));
+        drop(handles);
     }
 
     #[test]

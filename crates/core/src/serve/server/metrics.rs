@@ -5,9 +5,9 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use hybrimoe_hw::{SimDuration, SimTime};
-use hybrimoe_worker::WorkerHealthSnapshot;
 use serde::{Deserialize, Serialize};
 
+use crate::remote::WorkerHealthSnapshot;
 use crate::serve::summary::percentile;
 use crate::serve::{ContinuousBatcher, RequestMetrics};
 use crate::PrefetchCounters;
@@ -91,11 +91,9 @@ pub struct ServerMetrics {
     pub worker_failovers: u64,
     /// Successful worker reconnects after a failure.
     pub worker_reconnects: u64,
-    /// Remote workers whose circuit breaker is currently open (their
-    /// experts route local until a half-open probe succeeds).
-    pub worker_breaker_open: u64,
-    /// Cumulative circuit-breaker trips across the worker fleet.
-    pub worker_breaker_trips: u64,
+    /// Remote workers currently down (their experts run locally until a
+    /// reconnect after the backoff succeeds).
+    pub workers_down: u64,
     /// Times the engine was rebuilt after a step panic. The listener and
     /// every connection survive a restart; only the requests in flight at
     /// the panic fail.

@@ -18,8 +18,8 @@
 //!   requests.
 //! * `GET /healthz` answers liveness probes: `{"ok":true,"status":"ok"}`
 //!   normally, `"status":"degraded"` (with reasons, still HTTP 200) once
-//!   the engine has been restarted after a panic or a worker circuit
-//!   breaker is open.
+//!   the engine has been restarted after a panic or a remote worker is
+//!   down.
 //! * `POST /admin/drain` starts a graceful drain (admission closes,
 //!   accepted requests run to completion).
 //!
@@ -248,8 +248,7 @@ impl Shared {
             worker_requests: workers.requests,
             worker_failovers: workers.failovers,
             worker_reconnects: workers.reconnects,
-            worker_breaker_open: workers.breaker_open,
-            worker_breaker_trips: workers.breaker_trips,
+            workers_down: workers.down,
             engine_restarts: ledger.engine_restarts,
         }
     }
@@ -477,23 +476,23 @@ fn handle_connection(
 }
 
 /// The `/healthz` body: `ok` until the server has visibly degraded —
-/// the engine was restarted after a panic, or a worker circuit breaker
-/// is open. Degraded stays HTTP 200 (the server is alive and serving);
+/// the engine was restarted after a panic, or a remote worker is down.
+/// Degraded stays HTTP 200 (the server is alive and serving);
 /// orchestration that wants to act on degradation reads `status`.
 fn healthz_body(shared: &Shared) -> String {
-    let (restarts, breakers) = {
+    let (restarts, down) = {
         let snap = shared.snapshot();
-        (snap.ledger.engine_restarts, snap.workers.breaker_open)
+        (snap.ledger.engine_restarts, snap.workers.down)
     };
-    if restarts == 0 && breakers == 0 {
+    if restarts == 0 && down == 0 {
         return "{\"ok\":true,\"status\":\"ok\"}".to_owned();
     }
     let mut reasons = Vec::new();
     if restarts > 0 {
         reasons.push(format!("\"engine restarted {restarts} time(s)\""));
     }
-    if breakers > 0 {
-        reasons.push(format!("\"{breakers} worker circuit breaker(s) open\""));
+    if down > 0 {
+        reasons.push(format!("\"{down} worker(s) down\""));
     }
     format!(
         "{{\"ok\":true,\"status\":\"degraded\",\"reasons\":[{}]}}",

@@ -25,7 +25,7 @@
 //! | `reply_delay_ppm` / `reply_delay_ms` | worker stalls before replying |
 //! | `corrupt_ppm` | worker flips one byte of a reply frame |
 //! | `truncate_ppm` | worker writes a partial reply frame, then drops |
-//! | `fail_after` | worker dies after N executes (crash-only legacy knob) |
+//! | `fail_after` | worker dies after N executes |
 //! | `spike_ppm` / `spike_ms` | engine step reports an inflated latency |
 //! | `panic_ppm` | engine step panics |
 //! | `hangup_ppm` | client drops its connection mid-stream |
@@ -69,8 +69,8 @@ pub struct FaultRates {
     pub corrupt_ppm: u32,
     /// Worker writes only a prefix of the reply frame, then drops.
     pub truncate_ppm: u32,
-    /// Worker stops accepting work after this many executed batches
-    /// (the legacy crash-only `--fail-after` knob, folded in).
+    /// Worker drops the connection mid-request and stops accepting work
+    /// after this many executed batches.
     pub fail_after: Option<u64>,
     /// Engine step reports a latency inflated by [`FaultRates::spike_ms`].
     pub spike_ppm: u32,

@@ -1,7 +1,7 @@
 //! The standalone expert-worker process.
 //!
 //! ```text
-//! hybrimoe_worker --listen 127.0.0.1:0 [--threads N] [--fault-plan SPEC] [--fail-after N]
+//! hybrimoe_worker --listen 127.0.0.1:0 [--threads N] [--fault-plan SPEC]
 //! ```
 //!
 //! Binds the endpoint (TCP `host:port`, port 0 allowed, or
@@ -12,9 +12,8 @@
 //! `--fault-plan seed=S,key=val,...` arms the deterministic fault
 //! injector (see `hybrimoe_fault::FaultPlan::parse_spec` for the knobs:
 //! `conn_drop_ppm`, `reply_delay_ppm`/`reply_delay_ms`, `corrupt_ppm`,
-//! `truncate_ppm`, `fail_after`). `--fail-after N` is the legacy
-//! crash-only knob, kept as an alias for `--fault-plan fail_after=N`:
-//! the worker crashes mid-request after N executes.
+//! `truncate_ppm`, and `fail_after=N`: the worker crashes mid-request
+//! after N executes).
 
 use std::process::ExitCode;
 
@@ -37,34 +36,18 @@ fn main() -> ExitCode {
                 options.threads = value("--threads").parse().expect("--threads: not a number")
             }
             "--fault-plan" => {
-                let spec = value("--fault-plan");
-                let plan = match FaultPlan::parse_spec(&spec) {
+                options.fault_plan = match FaultPlan::parse_spec(&value("--fault-plan")) {
                     Ok(plan) => plan,
                     Err(e) => {
                         eprintln!("--fault-plan: {e}");
                         return ExitCode::FAILURE;
                     }
                 };
-                // --fail-after may have set the folded knob already; the
-                // plan wins for everything it names, the alias fills in.
-                let fail_after = options.fault_plan.rates.fail_after;
-                options.fault_plan = plan;
-                if options.fault_plan.rates.fail_after.is_none() {
-                    options.fault_plan.rates.fail_after = fail_after;
-                }
-            }
-            // Legacy alias for `--fault-plan fail_after=N`.
-            "--fail-after" => {
-                options.fault_plan.rates.fail_after = Some(
-                    value("--fail-after")
-                        .parse()
-                        .expect("--fail-after: not a number"),
-                )
             }
             "--help" | "-h" => {
                 println!(
                     "usage: hybrimoe_worker [--listen ADDR|unix:PATH] [--threads N] \
-                     [--fault-plan seed=S,key=val,...] [--fail-after N]"
+                     [--fault-plan seed=S,key=val,...]"
                 );
                 return ExitCode::SUCCESS;
             }

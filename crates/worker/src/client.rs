@@ -1,25 +1,21 @@
-//! The blocking worker client and the shard-affine client pool.
+//! The blocking worker client.
 //!
 //! [`WorkerClient`] owns one connection: it performs the Hello handshake
 //! on connect, enforces a per-request deadline via socket read timeouts,
 //! and supports request pipelining (send several [`ExecuteBatch`] frames,
 //! then collect their in-order replies — the worker answers strictly
-//! FIFO). [`WorkerClientPool`] owns one slot per configured worker with a
-//! reconnect-with-backoff state machine: a failed worker goes `Down` and
-//! its experts fall back to local execution until the backoff expires and
-//! a reconnect succeeds.
+//! FIFO). Which worker to connect to, and when to retry one that failed,
+//! is the engine's worker fleet's business (`hybrimoe::remote`).
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-use hybrimoe_model::{ids::shard_of, ExpertId};
+use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorReply, ExecuteBatch, ExecuteBatchAck, FrameHeader, HeartbeatAck,
-    Hello, HelloAck, LoadShard, LoadShardAck, Opcode, ProtocolError,
+    read_frame, write_frame, ErrorReply, ExecuteBatch, ExecuteBatchAck, FrameHeader, Hello,
+    HelloAck, LoadShard, LoadShardAck, Opcode, ProtocolError,
 };
 use crate::transport::WireStream;
 
@@ -112,25 +108,18 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// Deadline and backoff knobs of a client (and of every
-/// client a [`WorkerClientPool`] opens).
+/// Connection knobs of a [`WorkerClient`].
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
     /// Per-request deadline, enforced as the socket read timeout while
     /// waiting for each reply. `None` waits forever.
     pub deadline: Option<Duration>,
-    /// First reconnect delay after a worker goes down.
-    pub backoff_initial: Duration,
-    /// Reconnect delay ceiling (each failed attempt doubles the delay).
-    pub backoff_max: Duration,
 }
 
 impl Default for ClientOptions {
     fn default() -> Self {
         ClientOptions {
             deadline: Some(Duration::from_secs(5)),
-            backoff_initial: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
         }
     }
 }
@@ -277,13 +266,6 @@ impl WorkerClient {
         self.inflight.len()
     }
 
-    /// Probes worker liveness.
-    pub fn heartbeat(&mut self) -> Result<HeartbeatAck, ClientError> {
-        let id = self.send(Opcode::Heartbeat, |_| {})?;
-        self.recv(id, Opcode::HeartbeatAck)?;
-        Ok(HeartbeatAck::decode(&self.payload)?)
-    }
-
     /// Asks the worker to finish and close the connection.
     pub fn drain(&mut self) -> Result<(), ClientError> {
         let id = self.send(Opcode::Drain, |_| {})?;
@@ -328,204 +310,5 @@ impl WorkerClient {
             ))));
         }
         Ok(header)
-    }
-}
-
-/// Worker fleet health, as published in the serving layer's `/metrics`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerHealthSnapshot {
-    /// Workers configured in the pool.
-    pub configured: u64,
-    /// Workers currently connected.
-    pub up: u64,
-    /// Expert batches dispatched remotely.
-    pub requests: u64,
-    /// Expert batches that fell back to local execution after a worker
-    /// failure or while a worker was down.
-    pub failovers: u64,
-    /// Successful reconnects after a worker was marked down.
-    pub reconnects: u64,
-    /// Workers whose circuit breaker is currently open (remote dispatch
-    /// suspended; traffic routes local until a half-open probe succeeds).
-    /// Filled by the engine-side executor — the pool itself tracks
-    /// connections, not breakers.
-    pub breaker_open: u64,
-    /// Cumulative closed→open breaker transitions across the fleet.
-    pub breaker_trips: u64,
-}
-
-/// The per-worker connection state machine.
-#[derive(Debug)]
-enum SlotState {
-    /// Never connected (or cleanly drained); connect on first use.
-    Idle,
-    /// Connected and healthy.
-    Up(Box<WorkerClient>),
-    /// Recently failed; no reconnect attempt before `until`.
-    Down {
-        /// Earliest next reconnect attempt.
-        until: Instant,
-        /// Delay to apply after the *next* failed attempt.
-        backoff: Duration,
-    },
-}
-
-#[derive(Debug)]
-struct Slot {
-    endpoint: Endpoint,
-    state: SlotState,
-    shard: LoadShard,
-    ever_connected: bool,
-}
-
-/// A pool of worker connections with static shard affinity
-/// (`expert % num_workers`, the same map the multi-GPU cache shards use)
-/// and reconnect-with-backoff failover.
-#[derive(Debug)]
-pub struct WorkerClientPool {
-    slots: Vec<Slot>,
-    options: ClientOptions,
-    requests: u64,
-    failovers: u64,
-    reconnects: u64,
-}
-
-impl WorkerClientPool {
-    /// Creates a pool over `endpoints`, one worker per endpoint. `base`
-    /// is the shard spec template; each slot gets its own
-    /// `(worker, num_workers)` pair. Connections open lazily on first
-    /// use, so a pool can be built while its workers are still starting.
-    pub fn new(endpoints: &[String], base: LoadShard, options: ClientOptions) -> WorkerClientPool {
-        let n = endpoints.len() as u16;
-        let slots = endpoints
-            .iter()
-            .enumerate()
-            .map(|(i, e)| Slot {
-                endpoint: Endpoint::parse(e),
-                state: SlotState::Idle,
-                shard: LoadShard {
-                    worker: i as u16,
-                    num_workers: n,
-                    ..base
-                },
-                ever_connected: false,
-            })
-            .collect();
-        WorkerClientPool {
-            slots,
-            options,
-            requests: 0,
-            failovers: 0,
-            reconnects: 0,
-        }
-    }
-
-    /// Workers configured in this pool.
-    pub fn num_workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The worker owning `expert` under the static shard map.
-    pub fn worker_for_expert(&self, expert: ExpertId) -> usize {
-        shard_of(expert, self.slots.len())
-    }
-
-    /// The connected client of worker `worker`, connecting (with the
-    /// Hello handshake and shard load) if the slot is idle or its backoff
-    /// has expired. Returns `None` while the worker is down — the caller
-    /// executes the expert locally instead.
-    pub fn client(&mut self, worker: usize) -> Option<&mut WorkerClient> {
-        let options = self.options.clone();
-        let attempt_backoff = match &self.slots[worker].state {
-            SlotState::Up(_) => None,
-            SlotState::Down { until, backoff } => {
-                if Instant::now() < *until {
-                    return None;
-                }
-                Some(*backoff)
-            }
-            SlotState::Idle => Some(options.backoff_initial),
-        };
-        if let Some(backoff) = attempt_backoff {
-            let endpoint = self.slots[worker].endpoint.clone();
-            let shard = self.slots[worker].shard;
-            match WorkerClient::connect(&endpoint, options.clone())
-                .and_then(|mut c| c.load_shard(&shard).map(|_| c))
-            {
-                Ok(client) => {
-                    if self.slots[worker].ever_connected {
-                        self.reconnects += 1;
-                    }
-                    let slot = &mut self.slots[worker];
-                    slot.ever_connected = true;
-                    slot.state = SlotState::Up(Box::new(client));
-                }
-                Err(_) => {
-                    self.slots[worker].state = SlotState::Down {
-                        until: Instant::now() + backoff,
-                        backoff: (backoff * 2).min(options.backoff_max),
-                    };
-                    return None;
-                }
-            }
-        }
-        match &mut self.slots[worker].state {
-            SlotState::Up(client) => Some(client),
-            _ => None,
-        }
-    }
-
-    /// Marks worker `worker` failed: its connection is dropped and its
-    /// experts run locally until the backoff expires and a reconnect
-    /// succeeds.
-    pub fn fail(&mut self, worker: usize) {
-        let initial = self.options.backoff_initial;
-        let max = self.options.backoff_max;
-        let slot = &mut self.slots[worker];
-        let backoff = match &slot.state {
-            SlotState::Down { backoff, .. } => *backoff,
-            _ => initial,
-        };
-        slot.state = SlotState::Down {
-            until: Instant::now() + backoff,
-            backoff: (backoff * 2).min(max),
-        };
-    }
-
-    /// Counts one remotely-dispatched expert batch.
-    pub fn note_request(&mut self) {
-        self.requests += 1;
-    }
-
-    /// Counts one expert batch that fell back to local execution.
-    pub fn note_failover(&mut self) {
-        self.failovers += 1;
-    }
-
-    /// Current fleet health.
-    pub fn health(&self) -> WorkerHealthSnapshot {
-        WorkerHealthSnapshot {
-            configured: self.slots.len() as u64,
-            up: self
-                .slots
-                .iter()
-                .filter(|s| matches!(s.state, SlotState::Up(_)))
-                .count() as u64,
-            requests: self.requests,
-            failovers: self.failovers,
-            reconnects: self.reconnects,
-            breaker_open: 0,
-            breaker_trips: 0,
-        }
-    }
-
-    /// Drains every connected worker (best-effort; used at shutdown).
-    pub fn drain(&mut self) {
-        for slot in &mut self.slots {
-            if let SlotState::Up(client) = &mut slot.state {
-                let _ = client.drain();
-            }
-            slot.state = SlotState::Idle;
-        }
     }
 }

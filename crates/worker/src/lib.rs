@@ -17,15 +17,15 @@
 //! * [`server`] — [`WorkerServer`]: the worker side. Runs in-process on a
 //!   thread (deterministic tests/benches) or standalone via the
 //!   `hybrimoe_worker` bin.
-//! * [`client`] — [`WorkerClient`] (blocking, pipelined, per-request
-//!   deadlines) and [`WorkerClientPool`] (shard-affine routing,
-//!   reconnect-with-backoff, health counters for `/metrics`).
+//! * [`client`] — [`WorkerClient`]: one blocking connection, pipelined,
+//!   with a per-request deadline.
 //!
 //! The engine side lives in the `hybrimoe` core crate: its one real
 //! executor gathers tokens expert-major, offers each batch to the
 //! expert's shard-affine worker when endpoints are configured, and
 //! computes it locally when no worker returns it — outputs are
-//! bit-identical either way.
+//! bit-identical either way. Its worker fleet (`hybrimoe::remote`) owns
+//! the connections, the reconnect backoff and the health counters.
 //!
 //! ## Example
 //!
@@ -79,9 +79,7 @@ pub mod protocol;
 pub mod server;
 pub mod transport;
 
-pub use client::{
-    ClientError, ClientOptions, Endpoint, WorkerClient, WorkerClientPool, WorkerHealthSnapshot,
-};
+pub use client::{ClientError, ClientOptions, Endpoint, WorkerClient};
 pub use server::{WorkerHandle, WorkerServer, WorkerServerOptions};
 pub use transport::{FrameFate, FrameInjector, NoFaults};
 

@@ -35,20 +35,17 @@ use crate::wire_backend;
 pub struct WorkerServerOptions {
     /// Kernel threads of the worker's compute pool.
     pub threads: usize,
-    /// Fault injection for failover tests: after this many
-    /// [`ExecuteBatch`] requests have been *received* (across all
-    /// connections), the worker drops the triggering connection without
-    /// replying and stops accepting — a deterministic mid-request crash.
-    /// Equivalent to `fault_plan.rates.fail_after`, which it overrides
-    /// when both are set.
-    pub fail_after_executes: Option<u64>,
     /// Whether a [`Opcode::Drain`] also stops the accept loop (the
     /// standalone bin's exit path). Defaults to `true`.
     pub drain_stops_server: bool,
     /// Seeded fault plan for chaos runs: per-reply connection drops,
     /// delays, and corrupt/truncated frames on [`Opcode::ExecuteBatchAck`]
     /// replies, each connection drawing its own deterministic decision
-    /// stream. Defaults to [`FaultPlan::off`].
+    /// stream; its `fail_after` rate is a deterministic mid-request
+    /// crash: after that many [`ExecuteBatch`] requests have been
+    /// *received* (across all connections), the worker drops the
+    /// triggering connection without replying and stops accepting.
+    /// Defaults to [`FaultPlan::off`].
     pub fault_plan: FaultPlan,
 }
 
@@ -56,19 +53,9 @@ impl Default for WorkerServerOptions {
     fn default() -> Self {
         WorkerServerOptions {
             threads: 2,
-            fail_after_executes: None,
             drain_stops_server: true,
             fault_plan: FaultPlan::off(),
         }
-    }
-}
-
-impl WorkerServerOptions {
-    /// The crash-after-N-executes limit in force: the explicit legacy
-    /// knob wins, else the fault plan's folded `fail_after` rate.
-    fn effective_fail_after(&self) -> Option<u64> {
-        self.fail_after_executes
-            .or(self.fault_plan.rates.fail_after)
     }
 }
 
@@ -205,9 +192,9 @@ impl WorkerHandle {
         &self.endpoint
     }
 
-    /// Stops the accept loop and joins the server thread. In-flight
-    /// connection threads finish their current request and exit when
-    /// their peer disconnects.
+    /// Stops the accept loop and joins the server thread. Connection
+    /// threads finish their current request and close the connection
+    /// without answering the next one, as a killed worker process would.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
         if let Some(join) = self.join.take() {
@@ -310,6 +297,11 @@ fn serve_connection(
             Err(ProtocolError::Truncated) => return Ok(()),
             Err(e) => return Err(e),
         };
+        // A stopped worker answers nothing more: its peers see the same
+        // mid-request disconnect a killed worker process gives them.
+        if shutdown.load(Ordering::Relaxed) {
+            return Ok(());
+        }
         let id = header.request_id;
         match header.opcode {
             Opcode::Hello => {
@@ -336,7 +328,7 @@ fn serve_connection(
                 }
             },
             Opcode::ExecuteBatch => {
-                if let Some(limit) = options.effective_fail_after() {
+                if let Some(limit) = options.fault_plan.rates.fail_after {
                     // fetch_add returns the prior count, so requests
                     // 1..=limit succeed and request limit+1 trips the fault.
                     if executed.fetch_add(1, Ordering::Relaxed) >= limit {

@@ -4,7 +4,8 @@
 //! wire protocol, verify the
 //! decoded outputs are bit-identical to fully-local execution, then kill
 //! a worker mid-run and watch the engine fail over to local kernels
-//! without dropping a step.
+//! without dropping a step, and restart it on the same endpoint and watch
+//! the engine reconnect once the worker's backoff expires.
 //!
 //! ```text
 //! cargo run -p hybrimoe --release --example distributed_workers
@@ -64,11 +65,12 @@ fn worker_binary() -> Option<PathBuf> {
     bin.is_file().then_some(bin)
 }
 
-/// Spawns one worker and returns it with its resolved endpoint.
-fn spawn_worker(binary: Option<&PathBuf>) -> (Worker, String) {
+/// Spawns one worker listening on `listen` and returns it with its
+/// resolved endpoint.
+fn spawn_worker(binary: Option<&PathBuf>, listen: &str) -> (Worker, String) {
     if let Some(binary) = binary {
         let mut child = Command::new(binary)
-            .args(["--listen", "127.0.0.1:0", "--threads", "1"])
+            .args(["--listen", listen, "--threads", "1"])
             .stdout(Stdio::piped())
             .spawn()
             .expect("spawn hybrimoe_worker");
@@ -85,12 +87,9 @@ fn spawn_worker(binary: Option<&PathBuf>) -> (Worker, String) {
             .to_owned();
         (Worker::Process(child), endpoint)
     } else {
-        let handle = WorkerServer::bind(
-            &Endpoint::parse("127.0.0.1:0"),
-            WorkerServerOptions::default(),
-        )
-        .expect("bind in-thread worker")
-        .spawn();
+        let handle = WorkerServer::bind(&Endpoint::parse(listen), WorkerServerOptions::default())
+            .expect("bind in-thread worker")
+            .spawn();
         let endpoint = handle.endpoint().to_string();
         (Worker::Thread(Some(handle)), endpoint)
     }
@@ -98,7 +97,10 @@ fn spawn_worker(binary: Option<&PathBuf>) -> (Worker, String) {
 
 fn main() {
     let model = ModelConfig::tiny_test();
-    let steps = 8;
+    let steps = 16;
+    // Worker 0 is killed before step `kill` and restarted on the same
+    // endpoint before step `restart`.
+    let (kill, restart) = (steps / 4, steps / 4 + 2);
     let binary = worker_binary();
     match &binary {
         Some(bin) => println!("worker binary: {}", bin.display()),
@@ -108,7 +110,7 @@ fn main() {
     let mut workers = Vec::new();
     let mut endpoints = Vec::new();
     for _ in 0..2 {
-        let (worker, endpoint) = spawn_worker(binary.as_ref());
+        let (worker, endpoint) = spawn_worker(binary.as_ref(), "127.0.0.1:0");
         println!("worker up at {endpoint}");
         workers.push(worker);
         endpoints.push(endpoint);
@@ -125,7 +127,7 @@ fn main() {
         .with_real_exec(exec)
         .with_max_inflight(0);
     let remote_config = base.clone().with_remote_workers(RemoteWorkerOptions {
-        endpoints,
+        endpoints: endpoints.clone(),
         ..Default::default()
     });
     let local_config = base.with_remote_workers(RemoteWorkerOptions::default());
@@ -144,14 +146,29 @@ fn main() {
     }
 
     let mut engine = Engine::new(remote_config);
-    println!("\nstep | remote requests | failovers | workers up | identical");
+    println!("\nstep | remote requests | failovers | reconnects | workers up | identical");
     let mut all_identical = true;
+    // Failovers as of the step worker 0 reconnected: worker 1 keeps
+    // taking requests throughout, so worker 0 serving again shows as
+    // failovers that stop growing.
+    let mut failovers_at_reconnect = None;
     for (i, step) in trace.steps.iter().enumerate() {
-        // Kill worker 0 halfway through: its experts fail over to local
-        // execution and the stream keeps going.
-        if i == steps / 2 {
+        // Kill worker 0: its experts fail over to local execution and the
+        // stream keeps going.
+        if i == kill {
             workers[0].kill();
             println!("    -- killed worker 0 --");
+        }
+        // Restart it on the same endpoint: the first dispatch after its
+        // reconnect backoff (50 ms, doubling per failure) brings it back.
+        if i == restart {
+            let (worker, endpoint) = spawn_worker(binary.as_ref(), &endpoints[0]);
+            workers[0] = worker;
+            println!("    -- restarted worker 0 at {endpoint} --");
+        }
+        if i > kill {
+            // Pace the steps so the backoff expires within the run.
+            std::thread::sleep(std::time::Duration::from_millis(50));
         }
         engine.step(step);
         let outputs = engine.take_real_outputs();
@@ -161,9 +178,12 @@ fn main() {
             .all(|(a, b)| a.output == b.output);
         all_identical &= identical;
         let health = engine.worker_health().expect("remote backend has health");
+        if health.reconnects > 0 && failovers_at_reconnect.is_none() {
+            failovers_at_reconnect = Some(health.failovers);
+        }
         println!(
-            "{i:>4} | {:>15} | {:>9} | {:>10} | {}",
-            health.requests, health.failovers, health.up, identical
+            "{i:>4} | {:>15} | {:>9} | {:>10} | {:>10} | {}",
+            health.requests, health.failovers, health.reconnects, health.up, identical
         );
     }
 
@@ -171,9 +191,18 @@ fn main() {
     assert!(all_identical, "remote outputs diverged from local");
     assert!(health.requests > 0, "no batch ever ran remotely");
     assert!(health.failovers > 0, "killing a worker should fail over");
+    assert!(
+        health.reconnects >= 1,
+        "the restarted worker never reconnected"
+    );
+    assert_eq!(
+        (health.up, Some(health.failovers)),
+        (2, failovers_at_reconnect),
+        "worker 0 did not take its experts back after reconnecting"
+    );
     println!(
         "\nall {} steps bit-identical to local execution; \
-         {} remote batches, {} failovers after the kill",
-        steps, health.requests, health.failovers
+         {} remote batches, {} failovers after the kill, {} reconnect(s) after the restart",
+        steps, health.requests, health.failovers, health.reconnects
     );
 }

@@ -10,6 +10,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use hybrimoe::fault::{FaultPlan, FaultRates};
 use hybrimoe::realexec::{RealExecOptions, RealLayerExecutor};
 use hybrimoe::remote::RemoteWorkerOptions;
 use hybrimoe::{Engine, EngineConfig, Framework};
@@ -341,9 +342,14 @@ fn mid_request_crash_fails_over_without_failing_requests() {
     let steps = 6;
     let crashing = spawn_worker(WorkerServerOptions {
         threads: 1,
-        fail_after_executes: Some(2),
         drain_stops_server: true,
-        ..Default::default()
+        fault_plan: FaultPlan {
+            rates: FaultRates {
+                fail_after: Some(2),
+                ..Default::default()
+            },
+            ..FaultPlan::off()
+        },
     });
     let healthy = spawn_worker(WorkerServerOptions {
         threads: 1,
@@ -365,7 +371,6 @@ fn mid_request_crash_fails_over_without_failing_requests() {
     let remote_config = base.clone().with_remote_workers(RemoteWorkerOptions {
         endpoints,
         deadline_ms: 2_000,
-        ..Default::default()
     });
     let local_config = base.with_remote_workers(RemoteWorkerOptions::default());
 
