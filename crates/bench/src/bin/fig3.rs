@@ -12,7 +12,7 @@
 
 use hybrimoe::report::Table;
 use hybrimoe::Framework;
-use hybrimoe_bench::{millis, run_decode, run_prefill, SEED};
+use hybrimoe_bench::{millis, run_on, SEED};
 use hybrimoe_hw::{AffineCostModel, CostModel, Platform};
 use hybrimoe_model::ModelConfig;
 use hybrimoe_trace::{neuron, stats, TraceGenerator};
@@ -120,24 +120,32 @@ fn panel_d() {
     ];
     let qwen = ModelConfig::qwen2();
     let mixtral = ModelConfig::mixtral();
-    let mut row = vec!["Qwen2 prefill 128 (per layer)".to_owned()];
-    for f in frameworks {
-        let m = run_prefill(f, &qwen, 0.25, 128, SEED);
-        row.push(millis(m.total / qwen.layers as u64));
+    let scenarios = [
+        (
+            "Qwen2 prefill 128 (per layer)",
+            TraceGenerator::new(qwen.clone(), SEED).prefill_trace(128),
+            &qwen,
+        ),
+        (
+            "Mixtral prefill 128 (per layer)",
+            TraceGenerator::new(mixtral.clone(), SEED).prefill_trace(128),
+            &mixtral,
+        ),
+        (
+            "Mixtral decode 10 (per layer)",
+            TraceGenerator::new(mixtral.clone(), SEED).decode_trace(10),
+            &mixtral,
+        ),
+    ];
+    for (name, trace, model) in &scenarios {
+        let mut row = vec![(*name).to_owned()];
+        let per_layer = trace.steps.len() as u64 * model.layers as u64;
+        for f in frameworks {
+            let m = run_on(trace, f, model, 0.25, SEED);
+            row.push(millis(m.total / per_layer));
+        }
+        table.push_row(row);
     }
-    table.push_row(row);
-    let mut row = vec!["Mixtral prefill 128 (per layer)".to_owned()];
-    for f in frameworks {
-        let m = run_prefill(f, &mixtral, 0.25, 128, SEED);
-        row.push(millis(m.total / mixtral.layers as u64));
-    }
-    table.push_row(row);
-    let mut row = vec!["Mixtral decode 10 (per layer)".to_owned()];
-    for f in frameworks {
-        let m = run_decode(f, &mixtral, 0.25, 10, SEED);
-        row.push(millis(m.total / (10 * mixtral.layers as u64)));
-    }
-    table.push_row(row);
     println!("{table}");
     println!("shape: the winner differs per scenario — motivation for dynamic scheduling\n");
 }

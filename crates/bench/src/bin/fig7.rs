@@ -9,14 +9,20 @@
 
 use hybrimoe::report::Table;
 use hybrimoe::Framework;
-use hybrimoe_bench::{run_prefill, secs, CACHE_RATIOS, SEED};
+use hybrimoe_bench::{run_on, secs, CACHE_RATIOS, SEED};
 use hybrimoe_model::ModelConfig;
-use hybrimoe_trace::LengthBucket;
+use hybrimoe_trace::{ActivationTrace, LengthBucket, TraceGenerator};
 
 fn main() {
     println!("== Fig. 7: prefill latency (TTFT), seed {SEED:#x} ==\n");
     let mut speedups = Vec::new();
     for model in ModelConfig::paper_models() {
+        // One prompt per length, shared by every framework and cache ratio.
+        let generator = TraceGenerator::new(model.clone(), SEED);
+        let traces: Vec<ActivationTrace> = LengthBucket::ALL
+            .iter()
+            .map(|bucket| generator.prefill_trace(bucket.tokens()))
+            .collect();
         for ratio in CACHE_RATIOS {
             let mut table = Table::new(
                 std::iter::once("framework".to_owned())
@@ -24,25 +30,18 @@ fn main() {
                     .chain(std::iter::once("avg speedup".to_owned()))
                     .collect(),
             );
-            let mut base = Vec::new();
-            for bucket in LengthBucket::ALL {
-                let m = run_prefill(
-                    Framework::KTransformers,
-                    &model,
-                    ratio,
-                    bucket.tokens(),
-                    SEED,
-                );
-                base.push(m.ttft());
-            }
+            let base: Vec<_> = traces
+                .iter()
+                .map(|trace| run_on(trace, Framework::KTransformers, &model, ratio, SEED).ttft())
+                .collect();
             for framework in Framework::ALL {
                 let mut row = vec![framework.to_string()];
                 let mut ratios = Vec::new();
-                for (i, bucket) in LengthBucket::ALL.iter().enumerate() {
+                for (i, trace) in traces.iter().enumerate() {
                     let ttft = if framework == Framework::KTransformers {
                         base[i]
                     } else {
-                        run_prefill(framework, &model, ratio, bucket.tokens(), SEED).ttft()
+                        run_on(trace, framework, &model, ratio, SEED).ttft()
                     };
                     ratios.push(base[i].as_nanos() as f64 / ttft.as_nanos() as f64);
                     row.push(secs(ttft));

@@ -7,13 +7,15 @@
 
 use hybrimoe::report::{percent, speedup, Table};
 use hybrimoe::Framework;
-use hybrimoe_bench::{millis, run_decode, CACHE_RATIOS, DECODE_STEPS, SEED};
+use hybrimoe_bench::{millis, run_on, CACHE_RATIOS, DECODE_STEPS, SEED};
 use hybrimoe_model::ModelConfig;
+use hybrimoe_trace::TraceGenerator;
 
 fn main() {
     println!("== Fig. 8: decode latency (TBT), {DECODE_STEPS} steps, seed {SEED:#x} ==\n");
     let mut speedups = Vec::new();
     for model in ModelConfig::paper_models() {
+        let trace = TraceGenerator::new(model.clone(), SEED).decode_trace(DECODE_STEPS);
         let mut table = Table::new(vec![
             "cache".into(),
             "framework".into(),
@@ -22,13 +24,13 @@ fn main() {
             "hit rate".into(),
         ]);
         for ratio in CACHE_RATIOS {
-            let ktrans = run_decode(Framework::KTransformers, &model, ratio, DECODE_STEPS, SEED);
+            let ktrans = run_on(&trace, Framework::KTransformers, &model, ratio, SEED);
             let base = ktrans.mean_step_latency();
             for framework in Framework::ALL {
                 let m = if framework == Framework::KTransformers {
                     ktrans.clone()
                 } else {
-                    run_decode(framework, &model, ratio, DECODE_STEPS, SEED)
+                    run_on(&trace, framework, &model, ratio, SEED)
                 };
                 let tbt = m.mean_step_latency();
                 if framework == Framework::HybriMoe {

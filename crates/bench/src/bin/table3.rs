@@ -10,9 +10,10 @@
 //! prefetching least, and the techniques compose.
 
 use hybrimoe::report::Table;
-use hybrimoe::{CachePolicyKind, EngineConfig, Framework, PrefetcherKind, SchedulerKind};
-use hybrimoe_bench::{run_decode_config, run_prefill_config, secs, DECODE_STEPS, SEED};
+use hybrimoe::{CachePolicyKind, Engine, EngineConfig, Framework, PrefetcherKind, SchedulerKind};
+use hybrimoe_bench::{secs, DECODE_STEPS, SEED};
 use hybrimoe_model::ModelConfig;
+use hybrimoe_trace::TraceGenerator;
 
 const PREFILL_TOKENS: u32 = 128;
 const CACHE_RATIO: f64 = 0.25;
@@ -51,6 +52,9 @@ fn main() {
         SEED
     );
 
+    let generator = TraceGenerator::new(model.clone(), SEED);
+    let prefill = generator.prefill_trace(PREFILL_TOKENS);
+    let decode = generator.decode_trace(DECODE_STEPS);
     for stage in ["Prefill", "Decode"] {
         let mut table = Table::new(vec!["technique".into(), "latency".into(), "speedup".into()]);
         let mut baseline_ns = 0u64;
@@ -60,11 +64,12 @@ fn main() {
             if stage == "Prefill" && name == "Baseline+Caching" {
                 continue;
             }
-            let latency = if stage == "Prefill" {
-                run_prefill_config(config, PREFILL_TOKENS, SEED).total
+            let trace = if stage == "Prefill" {
+                &prefill
             } else {
-                run_decode_config(config, DECODE_STEPS, SEED).total
+                &decode
             };
+            let latency = Engine::new(config).run(trace).total;
             if name == "Baseline" {
                 baseline_ns = latency.as_nanos();
             }

@@ -66,9 +66,7 @@ pub fn run_decode(
     seed: u64,
 ) -> StageMetrics {
     let trace = TraceGenerator::new(model.clone(), seed).decode_trace(steps);
-    let mut engine =
-        Engine::new(EngineConfig::preset(framework, model.clone(), cache_ratio).with_seed(seed));
-    engine.run(&trace)
+    run_on(&trace, framework, model, cache_ratio, seed)
 }
 
 /// Runs a prefill stage of `tokens` prompt tokens and returns its metrics.
@@ -80,21 +78,24 @@ pub fn run_prefill(
     seed: u64,
 ) -> StageMetrics {
     let trace = TraceGenerator::new(model.clone(), seed).prefill_trace(tokens);
+    run_on(&trace, framework, model, cache_ratio, seed)
+}
+
+/// Runs `framework`'s preset engine, seeded with `seed`, over an already
+/// generated trace. A trace depends on neither the framework nor the cache
+/// ratio, so a sweep generates each one once and runs every configuration
+/// on it; with the trace from the same `seed` this is exactly
+/// [`run_decode`] / [`run_prefill`].
+pub fn run_on(
+    trace: &ActivationTrace,
+    framework: Framework,
+    model: &ModelConfig,
+    cache_ratio: f64,
+    seed: u64,
+) -> StageMetrics {
     let mut engine =
         Engine::new(EngineConfig::preset(framework, model.clone(), cache_ratio).with_seed(seed));
-    engine.run(&trace)
-}
-
-/// Runs a decode stage for an explicit configuration (ablations).
-pub fn run_decode_config(config: EngineConfig, steps: usize, seed: u64) -> StageMetrics {
-    let trace = TraceGenerator::new(config.model.clone(), seed).decode_trace(steps);
-    Engine::new(config).run(&trace)
-}
-
-/// Runs a prefill stage for an explicit configuration (ablations).
-pub fn run_prefill_config(config: EngineConfig, tokens: u32, seed: u64) -> StageMetrics {
-    let trace = TraceGenerator::new(config.model.clone(), seed).prefill_trace(tokens);
-    Engine::new(config).run(&trace)
+    engine.run(trace)
 }
 
 /// Replays a decode trace against a cache of `ratio` of the model's experts

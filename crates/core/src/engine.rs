@@ -14,7 +14,7 @@ use hybrimoe_sched::{
     ExpertTask, PredictedLayer, PrefetchContext, PrefetchScratch, Prefetcher, ScheduleContext,
     ScheduleScratch, Scheduler,
 };
-use hybrimoe_trace::{ActivationTrace, LayerRecord, TraceGenerator, TraceStep};
+use hybrimoe_trace::{ActivationTrace, LayerRecord, TraceConfig, TraceGenerator, TraceStep};
 
 use crate::backend::{ExecutionBackend, LayerOutcome, LayerRequest};
 use crate::realexec::RealLayerOutput;
@@ -986,7 +986,15 @@ fn place_by_frequency(cache: &mut ShardedExpertCache, config: &EngineConfig) {
     if capacity == 0 {
         return;
     }
-    let warm_trace = TraceGenerator::new(model.clone(), config.seed ^ 0x57A2_77A2).decode_trace(24);
+    // Only the true routings are read, and predictions draw no randomness,
+    // so a lookahead-free trace routes identically at a quarter the cost.
+    let no_lookahead = TraceConfig {
+        lookahead: 0,
+        ..TraceConfig::default()
+    };
+    let warm_trace =
+        TraceGenerator::with_config(model.clone(), config.seed ^ 0x57A2_77A2, no_lookahead)
+            .decode_trace(24);
 
     let layers = model.layers as usize;
     let experts = model.routed_experts as usize;

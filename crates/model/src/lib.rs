@@ -36,6 +36,6 @@ pub mod weights;
 
 pub use config::ModelConfig;
 pub use ids::{shard_of, ExpertId, ExpertKey, LayerId};
-pub use router::{softmax, top_k, LayerRouting, RouterOutput};
+pub use router::{route_in_place, softmax, top_k, LayerRouting, RouterOutput};
 pub use shape::ExpertShape;
 pub use weights::{WeightStore, WeightStoreError};

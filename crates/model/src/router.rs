@@ -23,13 +23,21 @@ use crate::{ExpertId, LayerId};
 /// assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-6);
 /// ```
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    if logits.is_empty() {
-        return Vec::new();
+    let mut scores = logits.to_vec();
+    softmax_in_place(&mut scores);
+    scores
+}
+
+/// [`softmax`] over a buffer the caller owns: logits in, scores out.
+fn softmax_in_place(values: &mut [f32]) {
+    let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for v in values.iter_mut() {
+        *v = (*v - max).exp();
     }
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    let sum: f32 = values.iter().sum();
+    for v in values.iter_mut() {
+        *v /= sum;
+    }
 }
 
 /// Indices and values of the `k` largest scores, descending, ties broken by
@@ -43,14 +51,76 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
 /// assert_eq!(top[1].0, 2);
 /// ```
 pub fn top_k(scores: &[f32], k: usize) -> Vec<(usize, f32)> {
-    let mut indexed: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
-    indexed.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    indexed.truncate(k);
-    indexed
+    let mut top = Vec::with_capacity(k.min(scores.len()));
+    top_k_into(scores, k, &mut top);
+    top
+}
+
+/// [`top_k`] into a reused buffer (cleared first). Selection, not a sort:
+/// a score is inserted into the at most `k` kept so far only if it can
+/// still make the cut, so the cost is one pass plus a few insertions, and
+/// nothing is allocated once `out` holds `k` entries. The order is exactly
+/// a stable sort by descending score truncated to `k`; NaN scores have no
+/// defined place in it.
+fn top_k_into(scores: &[f32], k: usize, out: &mut Vec<(usize, f32)>) {
+    out.clear();
+    let n = scores.len();
+    if k == 0 || n == 0 {
+        return;
+    }
+    // Each of `k` disjoint slices holds a score at least as high as the
+    // least of their maxima, so no score below that floor makes the top k.
+    let floor = if n < k {
+        f32::NEG_INFINITY
+    } else {
+        (0..k)
+            .map(|c| {
+                scores[c * n / k..(c + 1) * n / k]
+                    .iter()
+                    .copied()
+                    .fold(f32::NEG_INFINITY, f32::max)
+            })
+            .fold(f32::INFINITY, f32::min)
+    };
+    for (b, block) in scores.chunks(64).enumerate() {
+        // The candidates, as a bit mask built without branches.
+        let mut candidates = block
+            .iter()
+            .enumerate()
+            .fold(0u64, |m, (i, &s)| m | u64::from(s >= floor) << i);
+        while candidates != 0 {
+            let i = 64 * b + candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            let s = scores[i];
+            if out.len() == k {
+                // A tie keeps the earlier (lower) index.
+                if s <= out[k - 1].1 {
+                    continue;
+                }
+                out.pop();
+            }
+            let mut at = out.len();
+            while at > 0 && out[at - 1].1 < s {
+                at -= 1;
+            }
+            out.insert(at, (i, s));
+        }
+    }
+}
+
+/// [`RouterOutput::route`] into buffers the caller owns, for per-token hot
+/// paths: `scores` holds the gate logits on entry and their softmax on
+/// return, and `top` receives the top-`k` `(expert index, score)` pairs
+/// before renormalization. [`RouterOutput::from_top_k`] turns the two
+/// into the owned output.
+///
+/// # Panics
+///
+/// Panics if `k == 0` or `k > scores.len()`.
+pub fn route_in_place(scores: &mut [f32], k: usize, top: &mut Vec<(usize, f32)>) {
+    assert!(k > 0 && k <= scores.len(), "invalid top-k: {k}");
+    softmax_in_place(scores);
+    top_k_into(scores, k, top);
 }
 
 /// The routing decision for one token at one layer.
@@ -85,13 +155,19 @@ impl RouterOutput {
     ///
     /// Panics if `k == 0` or `k > logits.len()`.
     pub fn route(logits: &[f32], k: usize) -> RouterOutput {
-        assert!(k > 0 && k <= logits.len(), "invalid top-k: {k}");
-        let scores = softmax(logits);
-        let top = top_k(&scores, k);
+        let mut scores = logits.to_vec();
+        let mut top = Vec::with_capacity(k);
+        route_in_place(&mut scores, k, &mut top);
+        RouterOutput::from_top_k(scores, &top)
+    }
+
+    /// The output of [`route_in_place`]: the softmax `scores` and the
+    /// selected `top` pairs, whose scores are renormalized to sum to 1.
+    pub fn from_top_k(scores: Vec<f32>, top: &[(usize, f32)]) -> RouterOutput {
         let total: f32 = top.iter().map(|(_, s)| s).sum();
         let selected = top
-            .into_iter()
-            .map(|(i, s)| {
+            .iter()
+            .map(|&(i, s)| {
                 (
                     ExpertId(i as u16),
                     if total > 0.0 { s / total } else { 0.0 },
@@ -140,23 +216,39 @@ impl LayerRouting {
     /// Panics if any token selects an expert index `>= experts` or has a
     /// score vector whose length differs from `experts`.
     pub fn from_tokens(layer: LayerId, experts: u16, tokens: &[RouterOutput]) -> Self {
-        let mut loads = vec![0u32; experts as usize];
-        let mut score_mass = vec![0f32; experts as usize];
+        let mut routing = LayerRouting::empty(layer, experts);
         for t in tokens {
-            assert_eq!(t.scores.len(), experts as usize, "score length mismatch");
-            for (i, s) in t.scores.iter().enumerate() {
-                score_mass[i] += s;
-            }
-            for (e, _) in &t.selected {
-                loads[e.0 as usize] += 1;
-            }
+            routing.add_token(&t.scores, t.expert_ids().map(|e| e.0 as usize));
         }
+        routing
+    }
+
+    /// A routing of zero tokens: every load and score mass is zero.
+    pub fn empty(layer: LayerId, experts: u16) -> Self {
         LayerRouting {
             layer,
-            tokens: tokens.len() as u32,
-            loads,
-            score_mass,
+            tokens: 0,
+            loads: vec![0; experts as usize],
+            score_mass: vec![0.0; experts as usize],
         }
+    }
+
+    /// Adds one token: its softmax `scores` to the score masses and one
+    /// load to each `selected` expert index. Adding tokens one by one in
+    /// batch order is exactly [`from_tokens`](Self::from_tokens).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scores` has the wrong length or an index is out of range.
+    pub fn add_token(&mut self, scores: &[f32], selected: impl IntoIterator<Item = usize>) {
+        assert_eq!(scores.len(), self.loads.len(), "score length mismatch");
+        for (m, s) in self.score_mass.iter_mut().zip(scores) {
+            *m += s;
+        }
+        for e in selected {
+            self.loads[e] += 1;
+        }
+        self.tokens += 1;
     }
 
     /// Builds a routing directly from loads and score masses (used by trace

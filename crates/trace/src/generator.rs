@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hybrimoe_model::{LayerId, LayerRouting, ModelConfig, RouterOutput};
+use hybrimoe_model::{route_in_place, LayerId, LayerRouting, ModelConfig, RouterOutput};
 
 use crate::{ActivationTrace, LayerRecord, TokenStates, TraceStep};
 
@@ -192,6 +192,7 @@ impl TraceGenerator {
             rng,
             token_latent,
             innovations,
+            scratch: ForwardScratch::default(),
         }
     }
 
@@ -215,6 +216,7 @@ impl TraceGenerator {
             .map(|_| (0..layers).map(|_| gaussian_vec(&mut rng, d)).collect())
             .collect();
 
+        let mut scratch = ForwardScratch::default();
         let mut steps = Vec::with_capacity(iterations);
         for _ in 0..iterations {
             for latent in &mut token_latents {
@@ -225,8 +227,12 @@ impl TraceGenerator {
                     evolve(inno, rho_t, &mut rng);
                 }
             }
-            let layer_records =
-                self.forward(&bundle, &token_latents, |t, l| innovations[t][l].clone());
+            let layer_records = self.forward(
+                &bundle,
+                &token_latents,
+                |t, l| &innovations[t][l],
+                &mut scratch,
+            );
             steps.push(TraceStep {
                 tokens: sequences,
                 layers: layer_records,
@@ -373,13 +379,14 @@ impl TraceGenerator {
             })
             .collect();
         // Per-token, per-layer innovations (a single pass: no temporal
-        // dimension to correlate).
-        let innovations: Vec<Vec<Vec<f64>>> = (0..tokens as usize)
-            .map(|_| (0..layers).map(|_| gaussian_vec(rng, d)).collect())
+        // dimension to correlate), token-major in one buffer.
+        let innovations: Vec<f64> = (0..tokens as usize * layers * d)
+            .map(|_| gaussian(rng))
             .collect();
 
         let n = tokens as usize;
         let size = (chunk_size as usize).max(1);
+        let mut scratch = ForwardScratch::default();
         let mut steps = Vec::with_capacity(n / size + 1);
         let mut start = 0usize;
         while start < n {
@@ -391,9 +398,12 @@ impl TraceGenerator {
             } else {
                 size
             };
-            let records = self.forward(bundle, &latents[start..start + take], |t, l| {
-                innovations[start + t][l].clone()
-            });
+            let records = self.forward(
+                bundle,
+                &latents[start..start + take],
+                |t, l| &innovations[((start + t) * layers + l) * d..][..d],
+                &mut scratch,
+            );
             steps.push(TraceStep {
                 tokens: take as u32,
                 layers: records,
@@ -403,7 +413,7 @@ impl TraceGenerator {
         if steps.is_empty() {
             // A zero-token prompt still produces one (empty) forward pass,
             // matching the unchunked path.
-            let records = self.forward(bundle, &[], |_, _| Vec::new());
+            let records = self.forward(bundle, &[], |_, _| &[], &mut scratch);
             steps.push(TraceStep {
                 tokens: 0,
                 layers: records,
@@ -419,14 +429,17 @@ impl TraceGenerator {
         let d = self.config.latent_dim;
         let rho = self.config.projection_correlation;
         let noise_scale = (1.0 - rho * rho).max(0.0).sqrt();
+        // Drawn expert-major, stored latent-major for the logit tiles.
+        let latent_major =
+            |w: &[f64]| -> Vec<f64> { (0..d * e).map(|x| w[(x % e) * d + x / e]).collect() };
         let mut current: Vec<f64> = (0..e * d).map(|_| gaussian(rng)).collect();
         let mut projections = Vec::with_capacity(self.model.layers as usize);
-        projections.push(current.clone());
+        projections.push(latent_major(&current));
         for _ in 1..self.model.layers {
             for v in current.iter_mut() {
                 *v = rho * *v + noise_scale * gaussian(rng);
             }
-            projections.push(current.clone());
+            projections.push(latent_major(&current));
         }
         let biases: Vec<Vec<f64>> = (0..self.model.layers)
             .map(|_| {
@@ -444,60 +457,48 @@ impl TraceGenerator {
     /// Runs the latent process through all layers for a batch of token
     /// latents, producing true and predicted routings. `innovation(t, l)`
     /// supplies the layer-transition noise of token `t` entering layer
-    /// `l+1`.
-    fn forward(
+    /// `l+1`. Everything but the returned records lives in `scratch`.
+    fn forward<'a>(
         &self,
         params: &ModelParams,
         token_latents: &[Vec<f64>],
-        innovation: impl Fn(usize, usize) -> Vec<f64>,
+        innovation: impl Fn(usize, usize) -> &'a [f64],
+        scratch: &mut ForwardScratch,
     ) -> Vec<LayerRecord> {
         let layers = self.model.layers as usize;
-        let k = self.model.activated_experts as usize;
-        let experts = self.model.routed_experts;
+        let d = self.config.latent_dim;
         let rho_l = self.config.layer_correlation;
         let noise_scale = (1.0 - rho_l * rho_l).max(0.0).sqrt();
 
-        // Per-token hidden state evolving across layers.
-        let mut hidden: Vec<Vec<f64>> = token_latents.to_vec();
+        // Per-token hidden state evolving across layers, token-major.
+        scratch.hidden.clear();
+        for latent in token_latents {
+            scratch.hidden.extend_from_slice(latent);
+        }
+        let tokens = token_latents.len();
         let mut records = Vec::with_capacity(layers);
         let model_hidden = self.model.routed_shape.hidden() as usize;
         for l in 0..layers {
-            // True routing from the current hidden states.
-            let outputs: Vec<RouterOutput> = hidden
-                .iter()
-                .map(|h| RouterOutput::route(&self.logits(params, l, h), k))
-                .collect();
-            let routing = LayerRouting::from_tokens(LayerId(l as u16), experts, &outputs);
-
             // Real-execution inputs: the latent expanded to the model's
             // hidden dimension plus this layer's per-token routes. Captured
             // *before* the latent evolves, so the states are the layer's
             // actual inputs.
-            let states = self.capture_states.then(|| TokenStates {
-                inputs: hidden
-                    .iter()
-                    .map(|h| expand_latent(h, model_hidden))
+            let mut states = self.capture_states.then(|| TokenStates {
+                inputs: (0..tokens)
+                    .map(|t| expand_latent(&scratch.hidden[t * d..(t + 1) * d], model_hidden))
                     .collect(),
-                routes: outputs.clone(),
+                routes: Vec::with_capacity(tokens),
             });
+            // True routing from the current hidden states.
+            let routes = states.as_mut().map(|s| &mut s.routes);
+            let routing = self.route_layer(params, l, tokens, scratch, routes);
 
             // Predicted routings: current hidden state through the *later*
             // routers (paper Fig. 6).
-            let mut predicted = Vec::new();
-            for ahead in 1..=self.config.lookahead {
-                if l + ahead >= layers {
-                    break;
-                }
-                let pred_outputs: Vec<RouterOutput> = hidden
-                    .iter()
-                    .map(|h| RouterOutput::route(&self.logits(params, l + ahead, h), k))
-                    .collect();
-                predicted.push(LayerRouting::from_tokens(
-                    LayerId((l + ahead) as u16),
-                    experts,
-                    &pred_outputs,
-                ));
-            }
+            let ahead = self.config.lookahead.min(layers - 1 - l);
+            let predicted = (l + 1..=l + ahead)
+                .map(|later| self.route_layer(params, later, tokens, scratch, None))
+                .collect();
             records.push(LayerRecord {
                 routing,
                 predicted,
@@ -505,9 +506,9 @@ impl TraceGenerator {
             });
 
             // Evolve each token's hidden state into the next layer.
-            for (t, h) in hidden.iter_mut().enumerate() {
-                let inno = innovation(t, l);
-                for (v, n) in h.iter_mut().zip(inno.iter()) {
+            for t in 0..tokens {
+                let h = &mut scratch.hidden[t * d..(t + 1) * d];
+                for (v, n) in h.iter_mut().zip(innovation(t, l)) {
                     *v = rho_l * *v + noise_scale * n;
                 }
             }
@@ -515,27 +516,107 @@ impl TraceGenerator {
         records
     }
 
-    /// Router logits for one token at one layer.
-    fn logits(&self, params: &ModelParams, layer: usize, hidden: &[f64]) -> Vec<f32> {
+    /// Routes the `tokens` hidden states of `scratch` through `layer`'s
+    /// router, adding them to the routing in batch order. With `routes`,
+    /// each token's [`RouterOutput`] is kept too.
+    fn route_layer(
+        &self,
+        params: &ModelParams,
+        layer: usize,
+        tokens: usize,
+        scratch: &mut ForwardScratch,
+        mut routes: Option<&mut Vec<RouterOutput>>,
+    ) -> LayerRouting {
         let d = self.config.latent_dim;
-        let e = self.model.routed_experts as usize;
-        let norm = (d as f64).sqrt();
-        let projection = &params.projections[layer];
-        let bias = &params.biases[layer];
-        (0..e)
-            .map(|i| {
-                let row = &projection[i * d..(i + 1) * d];
-                let dot: f64 = row.iter().zip(hidden.iter()).map(|(a, b)| a * b).sum();
-                (self.config.gate_gain * dot / norm + bias[i]) as f32
-            })
-            .collect()
+        let k = self.model.activated_experts as usize;
+        let experts = self.model.routed_experts;
+        let ForwardScratch {
+            hidden,
+            dots,
+            scores,
+            top,
+        } = scratch;
+        dots.resize(experts as usize, 0.0);
+        scores.resize(experts as usize, 0.0);
+        let mut routing = LayerRouting::empty(LayerId(layer as u16), experts);
+        for t in 0..tokens {
+            self.logits_into(params, layer, &hidden[t * d..(t + 1) * d], dots, scores);
+            route_in_place(scores, k, top);
+            routing.add_token(scores, top.iter().map(|&(e, _)| e));
+            if let Some(routes) = routes.as_deref_mut() {
+                routes.push(RouterOutput::from_top_k(scores.clone(), top));
+            }
+        }
+        routing
     }
+
+    /// Router logits for one token at one layer, written to `logits`
+    /// (`dots` is scratch). Each expert's dot is summed from `-0.0` in
+    /// latent order — the bits of `row.iter().zip(hidden).map(|(a, b)| a *
+    /// b).sum()` — but [`TILE`] experts' sums run side by side, so they
+    /// vectorize and no one sum waits on its own adder.
+    fn logits_into(
+        &self,
+        params: &ModelParams,
+        layer: usize,
+        hidden: &[f64],
+        dots: &mut [f64],
+        logits: &mut [f32],
+    ) {
+        let e = self.model.routed_experts as usize;
+        let projection = &params.projections[layer];
+        let mut tiles = dots.chunks_exact_mut(TILE);
+        for (t, tile) in (&mut tiles).enumerate() {
+            let mut acc = [-0.0f64; TILE];
+            for (j, &h) in hidden.iter().enumerate() {
+                let w = &projection[j * e + t * TILE..][..TILE];
+                for (a, w) in acc.iter_mut().zip(w) {
+                    *a += w * h;
+                }
+            }
+            tile.copy_from_slice(&acc);
+        }
+        let first = e - e % TILE;
+        for (i, dot) in tiles.into_remainder().iter_mut().enumerate() {
+            *dot = -0.0;
+            for (j, &h) in hidden.iter().enumerate() {
+                *dot += projection[j * e + first + i] * h;
+            }
+        }
+        let norm = (self.config.latent_dim as f64).sqrt();
+        let gain = self.config.gate_gain;
+        for ((logit, &dot), &bias) in logits
+            .iter_mut()
+            .zip(dots.iter())
+            .zip(&params.biases[layer])
+        {
+            *logit = (gain * dot / norm + bias) as f32;
+        }
+    }
+}
+
+/// Experts whose router dots [`TraceGenerator::logits_into`] sums at once.
+const TILE: usize = 16;
+
+/// The buffers one forward pass reuses across layers, tokens and (in a
+/// [`DecodeStream`]) steps.
+#[derive(Debug, Clone, Default)]
+struct ForwardScratch {
+    /// Every token's hidden state, `latent_dim` floats each.
+    hidden: Vec<f64>,
+    /// One token's router dots, one per expert.
+    dots: Vec<f64>,
+    /// One token's logits, softmaxed in place into its scores.
+    scores: Vec<f32>,
+    /// One token's top-k `(expert, score)` pairs.
+    top: Vec<(usize, f32)>,
 }
 
 /// Per-seed router parameters.
 #[derive(Debug, Clone)]
 struct ModelParams {
-    /// Per-layer projection matrices, `experts x latent_dim`.
+    /// Per-layer projection matrices, `latent_dim x experts`: expert `i`'s
+    /// weight on latent `j` is at `j * experts + i`.
     projections: Vec<Vec<f64>>,
     /// Per-layer, per-expert popularity biases.
     biases: Vec<Vec<f64>>,
@@ -552,6 +633,7 @@ pub struct DecodeStream {
     rng: StdRng,
     token_latent: Vec<f64>,
     innovations: Vec<Vec<f64>>,
+    scratch: ForwardScratch,
 }
 
 impl DecodeStream {
@@ -566,7 +648,8 @@ impl DecodeStream {
         let layer_records = self.generator.forward(
             &self.bundle,
             std::slice::from_ref(&self.token_latent),
-            |_, l| self.innovations[l].clone(),
+            |_, l| &self.innovations[l],
+            &mut self.scratch,
         );
         TraceStep {
             tokens: 1,

@@ -6,7 +6,8 @@
 //! `format!` or hash map on the per-layer path fails here instead of
 //! quietly costing every token a few microseconds again. The same
 //! allocator pins the real-execution unit of work: a warm expert forward
-//! allocates nothing.
+//! allocates nothing, and a warm trace-generator step allocates only the
+//! trace it returns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,6 +100,38 @@ fn a_warm_decode_step_stays_off_the_heap() {
             framework.name(),
             measured.len()
         );
+    }
+}
+
+/// A warm decode stream routes into reused buffers: a step allocates
+/// exactly the buffers the `TraceStep` it returns owns — its layers `Vec`,
+/// and per layer the loads and score masses of each routing (true and
+/// predicted) plus the `predicted` list when it is non-empty.
+#[test]
+fn a_warm_trace_step_allocates_only_what_it_returns() {
+    let models = std::iter::once(ModelConfig::tiny_test()).chain(ModelConfig::paper_models());
+    for model in models {
+        let mut stream = TraceGenerator::new(model.clone(), 17).decode_stream();
+        // The first step grows the reused buffers to their working size.
+        stream.next_step();
+        for _ in 0..8 {
+            let before = allocations();
+            let step = stream.next_step();
+            let spent = allocations() - before;
+            let owned = 1 + step
+                .layers
+                .iter()
+                .map(|rec| {
+                    let routings = 1 + rec.predicted.len() as u64;
+                    2 * routings + u64::from(!rec.predicted.is_empty())
+                })
+                .sum::<u64>();
+            assert_eq!(
+                spent, owned,
+                "{}: a warm decode step allocated {spent} times, its step owns {owned} buffers",
+                model.name
+            );
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based invariants on trace generation and the routing math.
 
-use hybrimoe_model::{ModelConfig, RouterOutput};
+use hybrimoe_model::{top_k, ExpertId, ModelConfig, RouterOutput};
 use hybrimoe_trace::{ActivationTrace, TraceGenerator};
 use proptest::prelude::*;
 
@@ -82,4 +82,90 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn top_k_equals_sort_and_truncate_with_ties(
+        raw in proptest::collection::vec(-4.0f32..4.0, 1..65),
+        levels in proptest::collection::vec(0u8..5, 64),
+        k in 1usize..65,
+    ) {
+        let scores = with_ties(&raw, &levels);
+        for k in [k, 1, scores.len(), scores.len() + 1] {
+            prop_assert_eq!(bits(&top_k(&scores, k)), bits(&reference_top_k(&scores, k)));
+        }
+    }
+
+    #[test]
+    fn route_equals_sort_and_truncate_with_ties(
+        raw in proptest::collection::vec(-6.0f32..6.0, 1..65),
+        levels in proptest::collection::vec(0u8..5, 64),
+        k in 1usize..65,
+    ) {
+        // Tied logits give tied scores; so do distinct logits that round
+        // to one score.
+        let logits = with_ties(&raw, &levels);
+        let k = 1 + (k - 1) % logits.len();
+        let got = RouterOutput::route(&logits, k);
+        let want = reference_route(&logits, k);
+        prop_assert_eq!(bits_of(&got.scores), bits_of(&want.scores));
+        let selected = |r: &RouterOutput| -> Vec<(u16, u32)> {
+            r.selected.iter().map(|(e, w)| (e.0, w.to_bits())).collect()
+        };
+        prop_assert_eq!(selected(&got), selected(&want));
+    }
+}
+
+/// `raw` with the entries whose level is nonzero replaced by one of a few
+/// shared values (including both zeros), so most draws hold exact ties.
+fn with_ties(raw: &[f32], levels: &[u8]) -> Vec<f32> {
+    raw.iter()
+        .zip(levels)
+        .map(|(&r, &level)| match level {
+            0 => r,
+            1 => 1.5,
+            2 => 0.0,
+            3 => -0.0,
+            _ => -2.25,
+        })
+        .collect()
+}
+
+fn bits_of(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn bits(top: &[(usize, f32)]) -> Vec<(usize, u32)> {
+    top.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+}
+
+/// Top-k as a stable sort by descending score, truncated.
+fn reference_top_k(scores: &[f32], k: usize) -> Vec<(usize, f32)> {
+    let mut indexed: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
+    indexed.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    indexed.truncate(k);
+    indexed
+}
+
+/// Routing as separate softmax, sort-and-truncate and renormalize passes.
+fn reference_route(logits: &[f32], k: usize) -> RouterOutput {
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let exps: Vec<f32> = logits.iter().map(|v| (v - max).exp()).collect();
+    let sum: f32 = exps.iter().sum();
+    let scores: Vec<f32> = exps.into_iter().map(|e| e / sum).collect();
+    let top = reference_top_k(&scores, k);
+    let total: f32 = top.iter().map(|(_, s)| s).sum();
+    let selected = top
+        .into_iter()
+        .map(|(i, s)| {
+            (
+                ExpertId(i as u16),
+                if total > 0.0 { s / total } else { 0.0 },
+            )
+        })
+        .collect();
+    RouterOutput { scores, selected }
 }
