@@ -107,17 +107,38 @@ impl ExpertFfn {
         })
     }
 
-    /// Generates an expert with random weights scaled like a trained model
-    /// (`N(0, 1/sqrt(fan_in))` approximated by a scaled uniform).
+    /// Generates an expert with synthetic weights. Each weight is drawn
+    /// uniformly from `[-1/√fan_in, 1/√fan_in)`, so its standard deviation
+    /// is `1/√(3·fan_in)`; `fan_in` is `hidden` for the gate and up
+    /// projections and `inter` for the down projection.
+    ///
+    /// The draws are the `rand` stub's `StdRng::seed_from_u64(seed)` stream
+    /// taken by `gen_range`: the gate matrix row-major, then up, then
+    /// down, each quantized to `Q4_0` as by [`ExpertFfn::from_dense`].
+    /// Where the kernel backends' `Auto` ladder lands on AVX-512 and the
+    /// host also has AVX-512 DQ, an AVX-512 pass draws and quantizes each
+    /// matrix block by block, with no dense `f32` matrix, into the same
+    /// bytes.
     ///
     /// # Panics
     ///
     /// Panics if `hidden` or `inter` is not a multiple of
     /// [`Q4_BLOCK`](crate::Q4_BLOCK).
     pub fn random(hidden: usize, inter: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
         let scale_h = (1.0 / (hidden as f32)).sqrt();
         let scale_i = (1.0 / (inter as f32)).sqrt();
+        #[cfg(target_arch = "x86_64")]
+        if let Some(gen) = crate::synth::Q4Gen::detect() {
+            let n = (inter * hidden) as u64;
+            return ExpertFfn {
+                hidden,
+                inter,
+                w_gate: gen.uniform(inter, hidden, scale_h, seed, 0),
+                w_up: gen.uniform(inter, hidden, scale_h, seed, n),
+                w_down: gen.uniform(hidden, inter, scale_i, seed, 2 * n),
+            };
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut gen =
             |n: usize, s: f32| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-s..s)).collect() };
         let w_gate = gen(inter * hidden, scale_h);
@@ -135,6 +156,13 @@ impl ExpertFfn {
     /// Intermediate dimension.
     pub fn inter(&self) -> usize {
         self.inter
+    }
+
+    /// The three weight matrices: gate, up and down. Hidden from the docs:
+    /// it exists so the weight byte pins can hash every packed byte.
+    #[doc(hidden)]
+    pub fn matrices(&self) -> [&QuantizedMatrix; 3] {
+        [&self.w_gate, &self.w_up, &self.w_down]
     }
 
     /// Packed weight bytes across the three matrices.

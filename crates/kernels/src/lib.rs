@@ -11,7 +11,9 @@
 //! * [`quant`] — llama.cpp-style `Q4_0` block quantization (32 weights per
 //!   block, one scale each) and the GEMV/GEMM entry points over it;
 //! * [`ffn`] — the SwiGLU expert feed-forward used by Mixtral / DeepSeek /
-//!   Qwen2 experts, running on quantized weights;
+//!   Qwen2 experts, running on quantized weights, and its synthetic
+//!   weights ([`ExpertFfn::random`], drawn straight into `Q4_0` blocks on
+//!   AVX-512 hosts);
 //! * [`threadpool`] — the persistent [`WorkerPool`] the hot path splits
 //!   weight rows across.
 //!
@@ -39,10 +41,11 @@
 // `deny` rather than `forbid`: the persistent `WorkerPool` needs two
 // narrowly-scoped `allow(unsafe_code)` regions (lifetime erasure of the job
 // closure, with a completion barrier guaranteeing the borrow outlives every
-// use — see `threadpool`), and the AVX2 and AVX-512 kernel backends need
-// `allow(unsafe_code)` for their feature-gated intrinsics (guarded by
-// `is_x86_feature_detected!` at selection time — see `backend`). Everything
-// else remains unsafe-free.
+// use — see `threadpool`), and the AVX2 and AVX-512 kernel backends and the
+// weight generator's AVX-512 pass need `allow(unsafe_code)` for their
+// feature-gated intrinsics (guarded by `is_x86_feature_detected!` at
+// selection time — see `backend` and `synth`). Everything else remains
+// unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -50,6 +53,8 @@ pub mod backend;
 pub mod ffn;
 pub mod gemm;
 pub mod quant;
+#[cfg(target_arch = "x86_64")]
+mod synth;
 pub mod threadpool;
 
 pub use backend::{KernelBackend, KernelBackendKind, Q8Acts};

@@ -130,11 +130,18 @@ impl QuantizedMatrix {
                 encode_block(src, dst);
             }
         }
-        Ok(QuantizedMatrix {
+        Ok(QuantizedMatrix::from_packed(rows, cols, data))
+    }
+
+    /// Wraps `rows` rows of already-packed blocks.
+    pub(crate) fn from_packed(rows: usize, cols: usize, data: Vec<u8>) -> Self {
+        debug_assert!(cols.is_multiple_of(Q4_BLOCK));
+        debug_assert_eq!(data.len(), rows * packed_row_bytes(cols));
+        QuantizedMatrix {
             rows,
             cols,
             data: Bytes::from(data),
-        })
+        }
     }
 
     /// Number of rows.
@@ -300,20 +307,31 @@ fn transpose_into(by_row: &[f32], tokens: usize, rows: usize, y: &mut [f32]) {
     }
 }
 
-fn encode_block(src: &[f32], dst: &mut [u8]) {
+/// The `Q4_0` rule for one block: writes the scale and the 16 nibble bytes
+/// of `src` into `dst`. The AVX-512 weight generator (`crate::synth`)
+/// repeats this rule lane-wise; its tests check it against this function.
+pub(crate) fn encode_block(src: &[f32], dst: &mut [u8]) {
     debug_assert_eq!(src.len(), Q4_BLOCK);
     debug_assert_eq!(dst.len(), Q4_BLOCK_BYTES);
-    // llama.cpp Q4_0: scale = max|x| / 7 mapped over [-8, 7]; we use the
-    // symmetric variant scale = max|x| / 7.5 rounding to [0, 15] - 8.
     let amax = src.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let scale = if amax == 0.0 { 0.0 } else { amax / 7.5 };
+    let (scale, inv) = q4_scale(amax);
     dst[..4].copy_from_slice(&scale.to_le_bytes());
-    let inv = if scale == 0.0 { 0.0 } else { 1.0 / scale };
     for i in 0..Q4_BLOCK / 2 {
         let q0 = quantize_one(src[2 * i], inv);
         let q1 = quantize_one(src[2 * i + 1], inv);
         dst[4 + i] = q0 | (q1 << 4);
     }
+}
+
+/// A block's scale and its reciprocal from the block's largest magnitude.
+/// llama.cpp's `Q4_0` uses `scale = max|x| / 7` over `[-8, 7]`; this is the
+/// symmetric variant `scale = max|x| / 7.5`, codes rounded into `[0, 15] - 8`.
+/// An all-zero block has scale and reciprocal 0.
+#[inline]
+pub(crate) fn q4_scale(amax: f32) -> (f32, f32) {
+    let scale = if amax == 0.0 { 0.0 } else { amax / 7.5 };
+    let inv = if scale == 0.0 { 0.0 } else { 1.0 / scale };
+    (scale, inv)
 }
 
 fn quantize_one(v: f32, inv_scale: f32) -> u8 {

@@ -34,12 +34,20 @@ pub struct PrefetchContext<'a> {
     pub current_layer: LayerId,
     /// Predictions for the next layers (typically 3), nearest first.
     pub lookahead: &'a [PredictedLayer],
-    /// Free expert slots in the GPU cache (prefetches never evict).
+    /// The most picks a plan may return. The engine passes the free slots
+    /// of its background transfer queue (`EngineConfig::max_inflight`
+    /// minus the transfers queued), not free GPU cache slots: a prefetch
+    /// that lands at decode may evict (`insert_protected`, which spares
+    /// the running layer's experts); at prefill it takes only a free slot
+    /// unless `prefill_evict_inserts` is set.
     pub free_slots: usize,
-    /// Idle PCIe time available **per lane** before the next layer needs
-    /// the link. Every GPU shard owns its own PCIe lane, so with `N`
-    /// shards the total transferable volume is `N` times this budget; the
-    /// selection fills each lane independently.
+    /// PCIe time the plan may spend **per lane**. The engine passes
+    /// `transfer_time × free_slots`, room for one transfer per free queue
+    /// slot, not the layer's idle PCIe time: picks wait in the background
+    /// queue, which drains them in this and later layers' idle windows.
+    /// Every GPU shard owns its own PCIe lane, so with `N` shards the total
+    /// transferable volume is `N` times this budget; the selection fills
+    /// each lane independently.
     pub budget: SimDuration,
     /// Token count of the current batch.
     pub tokens: u32,
@@ -173,9 +181,11 @@ impl Prefetcher for NextLayerTopKPrefetcher {
 /// prediction confidence for farther layers. Candidates are ranked by
 /// *expected* impact — the impact times the candidate's predicted router
 /// probability (its entry in [`PredictedLayer::scores`]; `1` when the
-/// layer carries no scores) — and prefetched in that order while the PCIe
-/// budget and free cache slots last. At one-token decode every load is 1,
-/// so the candidates of a layer gain alike and the probability decides.
+/// layer carries no scores) — and picked in that order until
+/// [`PrefetchContext::free_slots`] picks are made, skipping a candidate
+/// whose lane has spent its [`PrefetchContext::budget`]. At one-token
+/// decode every load is 1, so the candidates of a layer gain alike and
+/// the probability decides.
 ///
 /// # Example
 ///

@@ -62,7 +62,7 @@ pub enum Opcode {
     Hello = 0x01,
     /// Accepts a [`Opcode::Hello`], carrying the negotiated version.
     HelloAck = 0x02,
-    /// Instructs the worker to materialize its weight shard.
+    /// Sets up the worker's weight shard for this connection.
     LoadShard = 0x03,
     /// Acknowledges a shard load with the number of experts owned.
     LoadShardAck = 0x04,
@@ -451,11 +451,12 @@ impl HelloAck {
     }
 }
 
-/// Instructs a worker to deterministically materialize its weight shard:
-/// the same `(seed, shape)` inputs the engine's local
-/// `WeightStore` uses, plus the `(worker, num_workers)` affinity pair that
-/// selects which experts this worker owns (`expert % num_workers ==
-/// worker`, the PR-4 shard map).
+/// Sets up a worker's deterministic weight shard for one connection: the
+/// same `(seed, shape)` inputs the engine's local `WeightStore` uses,
+/// plus the `(worker, num_workers)` affinity pair that selects which
+/// experts this worker owns (`expert % num_workers == worker`). The
+/// worker builds an empty store; each expert's weights are generated on
+/// its first `ExecuteBatch` on the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadShard {
     /// Weight-generation seed (must match the engine's).

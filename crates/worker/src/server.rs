@@ -2,8 +2,9 @@
 //!
 //! A [`WorkerServer`] listens on a TCP address or a Unix-domain socket,
 //! accepts engine connections, and serves the framed protocol of
-//! [`crate::protocol`]: version negotiation, [`LoadShard`] to materialize
-//! its deterministic weight shard, then a stream of pipelined
+//! [`crate::protocol`]: version negotiation, [`LoadShard`] to set up its
+//! deterministic weight shard (an empty store per connection, filled
+//! expert by expert on first use), then a stream of pipelined
 //! [`ExecuteBatch`] requests answered strictly in order. The same server
 //! runs in-process (behind [`WorkerServer::spawn`]) for deterministic tests
 //! and benches, and as a standalone process via the `hybrimoe_worker` bin.
@@ -427,9 +428,10 @@ fn serve_connection(
     }
 }
 
-/// Materializes connection state from a [`LoadShard`] spec. The store is
-/// built over exactly the engine's deterministic weight construction
-/// (same seed, same shapes), so worker outputs match local ones.
+/// Builds connection state from a [`LoadShard`] spec. The store starts
+/// empty and generates an expert's weights on its first batch, with
+/// exactly the engine's deterministic construction (same seed, same
+/// shapes), so worker outputs match local ones.
 fn load_shard(spec: &LoadShard, options: &WorkerServerOptions) -> Loaded {
     let config = ModelConfig {
         name: format!("worker{}-shard", spec.worker),
