@@ -275,8 +275,8 @@ pub struct EngineConfig {
     /// Deterministic fault-injection plan. The engine reads the
     /// `spike_ppm`/`spike_ms` and `panic_ppm` knobs (per-step latency
     /// spikes and injected step panics, drawn from the seeded
-    /// `engine.step` stream); the remaining knobs target the worker and
-    /// client layers. [`FaultPlan::off`] (the default) injects nothing
+    /// `engine.step` stream); the remaining knobs target the expert
+    /// workers. [`FaultPlan::off`] (the default) injects nothing
     /// and costs one branch per step.
     pub fault_plan: FaultPlan,
 }

@@ -532,14 +532,6 @@ impl Engine {
         self.background.queued_prefetches()
     }
 
-    /// Cache hit ratio per GPU shard since the last statistics reset
-    /// (`0.0` for shards with no lookups yet).
-    pub fn shard_hit_ratios(&self) -> Vec<f64> {
-        (0..self.cache.num_shards())
-            .map(|s| self.cache.shard(s).stats().hit_rate())
-            .collect()
-    }
-
     /// Opens a stage: subsequent [`Engine::step`] calls accumulate into it
     /// until [`Engine::end_stage`] closes it.
     ///

@@ -668,6 +668,66 @@ mod tests {
         drop(handles);
     }
 
+    /// One layer against a worker whose every execute reply suffers
+    /// `rates`: the output is still the token-major one bit for bit, the
+    /// damaged replies fail over, and the worker is reported down.
+    fn every_reply_faulted(rates: FaultRates, deadline_ms: u64) {
+        let model = ModelConfig::tiny_test();
+        let (inputs, routes) = token_inputs(&model, 4, 9);
+        let plan = plan_for(&model, &routes);
+        let reference = token_major_reference(&model, &plan, &inputs, &routes);
+
+        let (handles, endpoints) = spawn_workers(1, faulty(rates));
+        let remote = RemoteWorkerOptions {
+            endpoints,
+            deadline_ms,
+        };
+        let mut exec = RealLayerExecutor::new(model, 7, scalar_options(), &remote);
+        let out = exec
+            .execute_layer(LayerId(0), &plan, &inputs, &routes)
+            .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.output), bits(&reference));
+        let health = exec.health();
+        assert!(health.failovers > 0, "health: {health:?}");
+        assert_eq!((health.up, health.down), (0, 1), "health: {health:?}");
+        drop(handles);
+    }
+
+    #[test]
+    fn a_worker_corrupting_every_reply_fails_over_and_is_marked_down() {
+        every_reply_faulted(
+            FaultRates {
+                corrupt_ppm: 1_000_000,
+                ..Default::default()
+            },
+            500,
+        );
+    }
+
+    #[test]
+    fn a_worker_truncating_every_reply_fails_over_and_is_marked_down() {
+        every_reply_faulted(
+            FaultRates {
+                truncate_ppm: 1_000_000,
+                ..Default::default()
+            },
+            500,
+        );
+    }
+
+    #[test]
+    fn a_worker_delaying_every_reply_past_the_deadline_fails_over_and_is_marked_down() {
+        every_reply_faulted(
+            FaultRates {
+                reply_delay_ppm: 1_000_000,
+                reply_delay_ms: 400,
+                ..Default::default()
+            },
+            100,
+        );
+    }
+
     #[test]
     fn remote_backend_reports_health_and_outputs() {
         // The one real backend with one live worker.

@@ -57,29 +57,6 @@ impl Table {
         }
         w
     }
-
-    /// Renders as GitHub-flavored markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push('|');
-        for h in &self.headers {
-            out.push_str(&format!(" {h} |"));
-        }
-        out.push('\n');
-        out.push('|');
-        for _ in &self.headers {
-            out.push_str("---|");
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push('|');
-            for cell in row {
-                out.push_str(&format!(" {cell} |"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -191,16 +168,6 @@ mod tests {
         assert!(s.contains("xxx"));
         // Header separator lines exist.
         assert!(s.contains("+-"));
-    }
-
-    #[test]
-    fn markdown_shape() {
-        let mut t = Table::new(vec!["h1".into(), "h2".into()]);
-        t.push_row(vec!["a".into(), "b".into()]);
-        let md = t.to_markdown();
-        assert!(md.starts_with("| h1 | h2 |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| a | b |"));
     }
 
     #[test]

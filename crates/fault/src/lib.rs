@@ -28,8 +28,6 @@
 //! | `fail_after` | worker dies after N executes |
 //! | `spike_ppm` / `spike_ms` | engine step reports an inflated latency |
 //! | `panic_ppm` | engine step panics |
-//! | `hangup_ppm` | client drops its connection mid-stream |
-//! | `slow_read_ppm` / `slow_read_ms` | client stalls between chunk reads |
 //!
 //! ## Example
 //!
@@ -78,12 +76,6 @@ pub struct FaultRates {
     pub spike_ms: u64,
     /// Engine step panics.
     pub panic_ppm: u32,
-    /// Client drops its connection mid-stream.
-    pub hangup_ppm: u32,
-    /// Client stalls [`FaultRates::slow_read_ms`] between chunk reads.
-    pub slow_read_ppm: u32,
-    /// Length of an injected client read stall, in milliseconds.
-    pub slow_read_ms: u64,
 }
 
 impl Default for FaultRates {
@@ -98,9 +90,6 @@ impl Default for FaultRates {
             spike_ppm: 0,
             spike_ms: 50,
             panic_ppm: 0,
-            hangup_ppm: 0,
-            slow_read_ppm: 0,
-            slow_read_ms: 20,
         }
     }
 }
@@ -115,8 +104,6 @@ impl FaultRates {
             && self.fail_after.is_none()
             && self.spike_ppm == 0
             && self.panic_ppm == 0
-            && self.hangup_ppm == 0
-            && self.slow_read_ppm == 0
     }
 }
 
@@ -166,8 +153,8 @@ impl FaultPlan {
     /// Keys are `seed` plus every knob of the table in the crate docs:
     /// `conn_drop_ppm`, `reply_delay_ppm`, `reply_delay_ms`,
     /// `corrupt_ppm`, `truncate_ppm`, `fail_after`, `spike_ppm`,
-    /// `spike_ms`, `panic_ppm`, `hangup_ppm`, `slow_read_ppm`,
-    /// `slow_read_ms`. Unknown keys and unparsable values are errors.
+    /// `spike_ms`, `panic_ppm`. Unknown keys and unparsable values are
+    /// errors.
     pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::off();
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
@@ -199,9 +186,6 @@ impl FaultPlan {
                 "spike_ppm" => plan.rates.spike_ppm = ppm(key)?,
                 "spike_ms" => plan.rates.spike_ms = num(key)?,
                 "panic_ppm" => plan.rates.panic_ppm = ppm(key)?,
-                "hangup_ppm" => plan.rates.hangup_ppm = ppm(key)?,
-                "slow_read_ppm" => plan.rates.slow_read_ppm = ppm(key)?,
-                "slow_read_ms" => plan.rates.slow_read_ms = num(key)?,
                 other => return Err(format!("fault spec has unknown key {other:?}")),
             }
         }
@@ -278,8 +262,7 @@ mod tests {
     fn spec_round_trips_every_knob() {
         let plan = FaultPlan::parse_spec(
             "seed=42,conn_drop_ppm=1,reply_delay_ppm=2,reply_delay_ms=3,corrupt_ppm=4,\
-             truncate_ppm=5,fail_after=6,spike_ppm=7,spike_ms=8,panic_ppm=9,hangup_ppm=10,\
-             slow_read_ppm=11,slow_read_ms=12",
+             truncate_ppm=5,fail_after=6,spike_ppm=7,spike_ms=8,panic_ppm=9",
         )
         .unwrap();
         assert_eq!(plan.seed, 42);
@@ -292,9 +275,6 @@ mod tests {
         assert_eq!(plan.rates.spike_ppm, 7);
         assert_eq!(plan.rates.spike_ms, 8);
         assert_eq!(plan.rates.panic_ppm, 9);
-        assert_eq!(plan.rates.hangup_ppm, 10);
-        assert_eq!(plan.rates.slow_read_ppm, 11);
-        assert_eq!(plan.rates.slow_read_ms, 12);
     }
 
     #[test]
@@ -303,6 +283,11 @@ mod tests {
         assert!(FaultPlan::parse_spec("seed=banana").is_err());
         assert!(FaultPlan::parse_spec("no_such_knob=1").is_err());
         assert!(FaultPlan::parse_spec("panic_ppm=2000000").is_err());
+        // Knobs that once existed but that no site read: a stale spec
+        // naming one fails loudly instead of injecting nothing.
+        for stale in ["hangup_ppm=1", "slow_read_ppm=1", "slow_read_ms=1"] {
+            assert!(FaultPlan::parse_spec(stale).is_err(), "{stale}");
+        }
     }
 
     #[test]

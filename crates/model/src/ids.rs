@@ -25,11 +25,6 @@ impl LayerId {
     pub const fn next(self) -> LayerId {
         LayerId(self.0 + 1)
     }
-
-    /// Distance to a later layer; `None` if `other` is not later.
-    pub fn distance_to(self, other: LayerId) -> Option<u16> {
-        other.0.checked_sub(self.0)
-    }
 }
 
 impl fmt::Display for LayerId {
@@ -131,10 +126,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn layer_ordering_and_distance() {
+    fn layer_ordering_and_next() {
         assert!(LayerId(1) < LayerId(2));
-        assert_eq!(LayerId(1).distance_to(LayerId(4)), Some(3));
-        assert_eq!(LayerId(4).distance_to(LayerId(1)), None);
         assert_eq!(LayerId(0).next(), LayerId(1));
     }
 

@@ -245,16 +245,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Generates a prefill pass as a single [`TraceStep`] — the serving
-    /// layer's entry point, where a request's prompt is one step merged into
-    /// the continuous batch.
-    pub fn prefill_step(&self, tokens: u32) -> TraceStep {
-        self.prefill_trace(tokens)
-            .steps
-            .pop()
-            .expect("prefill trace has one step")
-    }
-
     /// Generates a prefill trace: one forward pass over a batch of `tokens`
     /// prompt tokens.
     pub fn prefill_trace(&self, tokens: u32) -> ActivationTrace {
@@ -777,13 +767,6 @@ mod tests {
         // Consecutive steps are distinct draws of the same process.
         assert_ne!(a, b);
         assert_eq!(s.model().name, "tiny-test");
-    }
-
-    #[test]
-    fn prefill_step_is_the_trace_step() {
-        let g = TraceGenerator::new(ModelConfig::tiny_test(), 25);
-        assert_eq!(g.prefill_step(16), g.prefill_trace(16).steps[0]);
-        assert_eq!(g.prefill_step(16).tokens, 16);
     }
 
     #[test]

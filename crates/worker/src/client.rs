@@ -1,11 +1,12 @@
 //! The blocking worker client.
 //!
 //! [`WorkerClient`] owns one connection: it performs the Hello handshake
-//! on connect, enforces a per-request deadline via socket read timeouts,
-//! and supports request pipelining (send several [`ExecuteBatch`] frames,
-//! then collect their in-order replies — the worker answers strictly
-//! FIFO). Which worker to connect to, and when to retry one that failed,
-//! is the engine's worker fleet's business (`hybrimoe::remote`).
+//! on connect (both sides must speak [`VERSION`]), enforces a per-request
+//! deadline via socket read timeouts, and supports request pipelining
+//! (send several [`ExecuteBatch`] frames, then collect their in-order
+//! replies — the worker answers strictly FIFO). Which worker to connect
+//! to, and when to retry one that failed, is the engine's worker fleet's
+//! business (`hybrimoe::remote`).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -14,8 +15,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorReply, ExecuteBatch, ExecuteBatchAck, FrameHeader, Hello,
-    HelloAck, LoadShard, LoadShardAck, Opcode, ProtocolError,
+    read_frame, write_frame, ErrorReply, ExecuteBatch, ExecuteBatchAck, Hello, HelloAck, LoadShard,
+    LoadShardAck, Opcode, ProtocolError, VERSION,
 };
 use crate::transport::WireStream;
 
@@ -73,16 +74,6 @@ pub enum ClientError {
     Protocol(ProtocolError),
     /// The worker answered with an error reply.
     Remote(ErrorReply),
-}
-
-impl ClientError {
-    /// Whether the connection is unusable after this error. Remote error
-    /// replies keep the stream in sync; everything else (timeouts
-    /// included — a late reply would desynchronize the FIFO) requires a
-    /// reconnect.
-    pub fn is_fatal(&self) -> bool {
-        !matches!(self, ClientError::Remote(_))
-    }
 }
 
 impl fmt::Display for ClientError {
@@ -200,10 +191,11 @@ impl WorkerClient {
             frame: Vec::new(),
         };
         let id = client.send(Opcode::Hello, |out| Hello::current().encode(out))?;
-        let header = client.recv(id, Opcode::HelloAck)?;
-        debug_assert_eq!(header.opcode, Opcode::HelloAck);
+        client.recv(id, Opcode::HelloAck)?;
         let ack = HelloAck::decode(&client.payload)?;
-        let _ = ack.version; // v1 only today; future versions downshift here.
+        if ack.version != VERSION {
+            return Err(ProtocolError::UnsupportedVersion(ack.version).into());
+        }
         Ok(client)
     }
 
@@ -216,26 +208,20 @@ impl WorkerClient {
 
     /// Executes one expert batch, blocking for the reply.
     pub fn execute(&mut self, batch: &ExecuteBatch) -> Result<ExecuteBatchAck, ClientError> {
-        self.send_execute(batch)?;
-        self.recv_execute()
-    }
-
-    /// Sends an [`ExecuteBatch`] without waiting (pipelining). Replies
-    /// must be collected with [`WorkerClient::recv_execute`] in send
-    /// order.
-    pub fn send_execute(&mut self, batch: &ExecuteBatch) -> Result<(), ClientError> {
         self.send_execute_parts(
             batch.layer,
             batch.expert,
             batch.tokens,
             batch.hidden,
             &batch.data,
-        )
+        )?;
+        self.recv_execute()
     }
 
-    /// [`WorkerClient::send_execute`] from borrowed parts (the fields of an
-    /// [`ExecuteBatch`]): the tensor is encoded straight from `data` into
-    /// the connection's frame buffer.
+    /// Sends an [`ExecuteBatch`], given as its fields, without waiting
+    /// (pipelining): the tensor is encoded straight from `data` into the
+    /// connection's frame buffer. Replies must be collected with
+    /// [`WorkerClient::recv_execute`] in send order.
     pub fn send_execute_parts(
         &mut self,
         layer: u16,
@@ -291,7 +277,7 @@ impl WorkerClient {
     /// Reads the next reply frame, checking FIFO id correlation, and
     /// leaves its payload in `self.payload`. An [`Opcode::Error`] reply
     /// becomes [`ClientError::Remote`].
-    fn recv(&mut self, id: u32, expect: Opcode) -> Result<FrameHeader, ClientError> {
+    fn recv(&mut self, id: u32, expect: Opcode) -> Result<(), ClientError> {
         let header = read_frame(&mut self.stream, &mut self.payload)?;
         if header.request_id != id {
             return Err(ClientError::Protocol(ProtocolError::BadPayload(format!(
@@ -309,6 +295,6 @@ impl WorkerClient {
                 header.opcode
             ))));
         }
-        Ok(header)
+        Ok(())
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! * [`protocol`] — the codec: 14-byte big-endian frame header (magic,
 //!   version, opcode, request id, payload length), typed payloads, and the
-//!   error-reply and version-negotiation rules. Byte-level documentation
+//!   error-reply and version-check rules. Byte-level documentation
 //!   lives in `docs/protocol.md`, kept honest by a round-trip test.
 //! * [`server`] — [`WorkerServer`]: the worker side. Runs in-process on a
 //!   thread (deterministic tests/benches) or standalone via the
@@ -81,7 +81,6 @@ pub mod transport;
 
 pub use client::{ClientError, ClientOptions, Endpoint, WorkerClient};
 pub use server::{WorkerHandle, WorkerServer, WorkerServerOptions};
-pub use transport::{FrameFate, FrameInjector, NoFaults};
 
 /// The wire encoding of `KernelBackendKind` used by
 /// [`protocol::LoadShard::backend`]: the engine pins the worker's kernel

@@ -8,13 +8,13 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        0x48594D57 ("HYMW")
-//! 4       1     version      protocol version (currently 1)
+//! 4       1     version      protocol version (currently 2)
 //! 5       1     opcode       see the opcode table
 //! 6       4     request id   echoed verbatim in the reply
 //! 10      4     payload len  bytes following the header (<= 32 MiB)
 //! ```
 //!
-//! The byte-level layout, the opcode table, and the version-negotiation and
+//! The byte-level layout, the opcode table, and the handshake and
 //! error-reply semantics are documented in `docs/protocol.md`, which a test
 //! keeps in sync by round-tripping its example frames through this codec.
 //!
@@ -24,10 +24,10 @@
 //! use hybrimoe_worker::protocol::{decode_frame, encode_frame, Opcode, HEADER_LEN};
 //!
 //! let mut wire = Vec::new();
-//! encode_frame(Opcode::Heartbeat, 7, &[], &mut wire);
+//! encode_frame(Opcode::Drain, 7, &[], &mut wire);
 //! assert_eq!(wire.len(), HEADER_LEN);
 //! let (header, payload) = decode_frame(&wire).unwrap();
-//! assert_eq!(header.opcode, Opcode::Heartbeat);
+//! assert_eq!(header.opcode, Opcode::Drain);
 //! assert_eq!(header.request_id, 7);
 //! assert!(payload.is_empty());
 //! ```
@@ -38,11 +38,10 @@ use std::io::{self, Read, Write};
 /// The frame magic, ASCII `HYMW`.
 pub const MAGIC: u32 = 0x4859_4D57;
 
-/// The protocol version this build speaks.
-pub const VERSION: u8 = 1;
-
-/// The oldest protocol version this build still understands.
-pub const MIN_VERSION: u8 = 1;
+/// The one protocol version this build speaks. Version 2 carries a single
+/// version in [`Hello`]; a version-1 peer gets
+/// [`ErrorCode::VersionMismatch`] on its first frame.
+pub const VERSION: u8 = 2;
 
 /// Frame header length in bytes: magic + version + opcode + request id +
 /// payload length.
@@ -58,9 +57,9 @@ pub const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
-    /// Version negotiation; first frame on every connection.
+    /// The handshake; first frame on every connection.
     Hello = 0x01,
-    /// Accepts a [`Opcode::Hello`], carrying the negotiated version.
+    /// Accepts a [`Opcode::Hello`], echoing the version.
     HelloAck = 0x02,
     /// Sets up the worker's weight shard for this connection.
     LoadShard = 0x03,
@@ -70,10 +69,6 @@ pub enum Opcode {
     ExecuteBatch = 0x05,
     /// The batch's outputs, same shape as the request tensor.
     ExecuteBatchAck = 0x06,
-    /// Liveness probe.
-    Heartbeat = 0x07,
-    /// Answers a probe with the worker's execution counters.
-    HeartbeatAck = 0x08,
     /// Asks the worker to finish in-flight work and close.
     Drain = 0x09,
     /// Acknowledges a drain; the worker closes the connection after.
@@ -92,8 +87,6 @@ impl Opcode {
             0x04 => Opcode::LoadShardAck,
             0x05 => Opcode::ExecuteBatch,
             0x06 => Opcode::ExecuteBatchAck,
-            0x07 => Opcode::Heartbeat,
-            0x08 => Opcode::HeartbeatAck,
             0x09 => Opcode::Drain,
             0x0A => Opcode::DrainAck,
             0x0F => Opcode::Error,
@@ -106,8 +99,8 @@ impl Opcode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum ErrorCode {
-    /// No overlap between the client's and the worker's version ranges.
-    /// The worker closes the connection after this reply.
+    /// The client speaks a protocol version other than [`VERSION`]. The
+    /// worker closes the connection after this reply.
     VersionMismatch = 1,
     /// The requested expert is not in this worker's shard.
     NotMyShard = 2,
@@ -115,12 +108,8 @@ pub enum ErrorCode {
     BadPayload = 3,
     /// The worker's weight budget cannot materialize the expert.
     WeightBudget = 4,
-    /// The worker is draining and accepts no new work.
-    Draining = 5,
     /// A request arrived before [`Opcode::LoadShard`] configured the worker.
     NotLoaded = 6,
-    /// Any other worker-side failure; the message names it.
-    Internal = 7,
 }
 
 impl ErrorCode {
@@ -131,9 +120,7 @@ impl ErrorCode {
             2 => ErrorCode::NotMyShard,
             3 => ErrorCode::BadPayload,
             4 => ErrorCode::WeightBudget,
-            5 => ErrorCode::Draining,
             6 => ErrorCode::NotLoaded,
-            7 => ErrorCode::Internal,
             _ => return None,
         })
     }
@@ -145,7 +132,7 @@ pub enum ProtocolError {
     /// The first four bytes were not [`MAGIC`]; the stream is not speaking
     /// this protocol (or has desynchronized) and must be closed.
     BadMagic(u32),
-    /// The frame's version byte is outside `MIN_VERSION..=VERSION`.
+    /// The frame's version byte is not [`VERSION`].
     UnsupportedVersion(u8),
     /// The opcode byte names no known opcode.
     UnknownOpcode(u8),
@@ -171,10 +158,7 @@ impl fmt::Display for ProtocolError {
                 write!(f, "bad frame magic {got:#010x} (expected {MAGIC:#010x})")
             }
             ProtocolError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (speak {MIN_VERSION}..={VERSION})"
-                )
+                write!(f, "unsupported protocol version {v} (speak {VERSION})")
             }
             ProtocolError::UnknownOpcode(op) => write!(f, "unknown opcode {op:#04x}"),
             ProtocolError::Oversized { len, max } => {
@@ -261,7 +245,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<FrameHeader, ProtocolError> {
         return Err(ProtocolError::BadMagic(magic));
     }
     let version = bytes[4];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(ProtocolError::UnsupportedVersion(version));
     }
     let opcode = Opcode::from_u8(bytes[5]).ok_or(ProtocolError::UnknownOpcode(bytes[5]))?;
@@ -383,56 +367,39 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Version negotiation, the first frame of every connection: the client
-/// names the version range it speaks; the worker acknowledges with the
-/// highest version both sides share, or answers
-/// [`ErrorCode::VersionMismatch`] and closes.
+/// The handshake, the first frame of every connection: the client names
+/// the one version it speaks; the worker acknowledges when that is
+/// [`VERSION`], or answers [`ErrorCode::VersionMismatch`] and closes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
-    /// Oldest protocol version the client accepts.
-    pub min_version: u8,
-    /// Newest protocol version the client speaks.
-    pub max_version: u8,
+    /// The protocol version the client speaks.
+    pub version: u8,
 }
 
 impl Hello {
     /// The hello this build sends.
     pub fn current() -> Hello {
-        Hello {
-            min_version: MIN_VERSION,
-            max_version: VERSION,
-        }
+        Hello { version: VERSION }
     }
 
     /// Serializes the payload.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.min_version);
-        out.push(self.max_version);
+        out.push(self.version);
     }
 
     /// Deserializes the payload.
     pub fn decode(payload: &[u8]) -> Result<Hello, ProtocolError> {
         let mut r = Reader::new(payload);
-        let hello = Hello {
-            min_version: r.u8()?,
-            max_version: r.u8()?,
-        };
+        let hello = Hello { version: r.u8()? };
         r.finish()?;
         Ok(hello)
     }
-
-    /// The version a worker speaking `MIN_VERSION..=VERSION` negotiates
-    /// with this hello, if any overlap exists.
-    pub fn negotiate(&self) -> Option<u8> {
-        let high = self.max_version.min(VERSION);
-        (high >= self.min_version && high >= MIN_VERSION).then_some(high)
-    }
 }
 
-/// Accepts a [`Hello`] with the negotiated version.
+/// Accepts a [`Hello`], echoing its version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HelloAck {
-    /// The protocol version both sides will speak.
+    /// The protocol version of the connection.
     pub version: u8,
 }
 
@@ -687,35 +654,6 @@ fn decode_tensor(r: &mut Reader<'_>, tokens: u32, hidden: u32) -> Result<Vec<f32
     Ok(data)
 }
 
-/// Answers a [`Opcode::Heartbeat`] with the worker's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatAck {
-    /// Expert batches executed on this connection since [`LoadShard`].
-    pub executed: u64,
-    /// Requests currently being processed (always 0 on the sequential
-    /// reference worker; reserved for concurrent implementations).
-    pub inflight: u32,
-}
-
-impl HeartbeatAck {
-    /// Serializes the payload.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.executed.to_be_bytes());
-        out.extend_from_slice(&self.inflight.to_be_bytes());
-    }
-
-    /// Deserializes the payload.
-    pub fn decode(payload: &[u8]) -> Result<HeartbeatAck, ProtocolError> {
-        let mut r = Reader::new(payload);
-        let ack = HeartbeatAck {
-            executed: r.u64()?,
-            inflight: r.u32()?,
-        };
-        r.finish()?;
-        Ok(ack)
-    }
-}
-
 /// An error reply: a [`ErrorCode`] and a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorReply {
@@ -770,7 +708,7 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let mut wire = Vec::new();
-        encode_frame(Opcode::Heartbeat, 1, &[], &mut wire);
+        encode_frame(Opcode::Drain, 1, &[], &mut wire);
         wire[0] = 0x00;
         assert!(matches!(
             decode_frame(&wire),
@@ -781,18 +719,20 @@ mod tests {
     #[test]
     fn unsupported_version_rejected() {
         let mut wire = Vec::new();
-        encode_frame(Opcode::Heartbeat, 1, &[], &mut wire);
-        wire[4] = 99;
-        assert!(matches!(
-            decode_frame(&wire),
-            Err(ProtocolError::UnsupportedVersion(99))
-        ));
+        encode_frame(Opcode::Drain, 1, &[], &mut wire);
+        for version in [1, VERSION + 1, 99] {
+            wire[4] = version;
+            assert!(matches!(
+                decode_frame(&wire),
+                Err(ProtocolError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
     fn unknown_opcode_rejected() {
         let mut wire = Vec::new();
-        encode_frame(Opcode::Heartbeat, 1, &[], &mut wire);
+        encode_frame(Opcode::Drain, 1, &[], &mut wire);
         wire[5] = 0x7E;
         assert!(matches!(
             decode_frame(&wire),
@@ -860,24 +800,28 @@ mod tests {
     }
 
     #[test]
-    fn hello_negotiates_highest_shared_version() {
-        assert_eq!(Hello::current().negotiate(), Some(VERSION));
-        assert_eq!(
-            Hello {
-                min_version: VERSION,
-                max_version: 200
-            }
-            .negotiate(),
-            Some(VERSION)
-        );
-        assert_eq!(
-            Hello {
-                min_version: VERSION + 1,
-                max_version: VERSION + 5
-            }
-            .negotiate(),
-            None
-        );
+    fn hello_carries_the_build_version() {
+        let mut buf = Vec::new();
+        Hello::current().encode(&mut buf);
+        assert_eq!(buf, [VERSION]);
+        assert_eq!(Hello::decode(&buf).unwrap().version, VERSION);
+        // A version-1 hello carried a two-byte range; it no longer decodes.
+        assert!(matches!(
+            Hello::decode(&[1, 1]),
+            Err(ProtocolError::BadPayload(_))
+        ));
+    }
+
+    #[test]
+    fn error_codes_the_worker_never_sends_are_rejected() {
+        for code in [0u16, 5, 7, 8] {
+            let mut buf = code.to_be_bytes().to_vec();
+            buf.extend_from_slice(b"gone");
+            assert!(
+                matches!(ErrorReply::decode(&buf), Err(ProtocolError::BadPayload(_))),
+                "code {code}"
+            );
+        }
     }
 
     #[test]

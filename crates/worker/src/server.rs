@@ -2,14 +2,14 @@
 //!
 //! A [`WorkerServer`] listens on a TCP address or a Unix-domain socket,
 //! accepts engine connections, and serves the framed protocol of
-//! [`crate::protocol`]: version negotiation, [`LoadShard`] to set up its
+//! [`crate::protocol`]: the version check, [`LoadShard`] to set up its
 //! deterministic weight shard (an empty store per connection, filled
 //! expert by expert on first use), then a stream of pipelined
 //! [`ExecuteBatch`] requests answered strictly in order. The same server
 //! runs in-process (behind [`WorkerServer::spawn`]) for deterministic tests
 //! and benches, and as a standalone process via the `hybrimoe_worker` bin.
 
-use std::io;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -26,9 +26,10 @@ use hybrimoe_fault::{FaultPlan, FaultRates, FaultStream};
 use crate::client::Endpoint;
 use crate::protocol::{
     encode_frame_with, read_frame, write_frame, ErrorCode, ErrorReply, ExecuteBatch,
-    ExecuteBatchAck, HeartbeatAck, Hello, HelloAck, LoadShard, LoadShardAck, Opcode, ProtocolError,
+    ExecuteBatchAck, Hello, HelloAck, LoadShard, LoadShardAck, Opcode, ProtocolError, HEADER_LEN,
+    VERSION,
 };
-use crate::transport::{write_through, BoundListener, FrameFate, FrameInjector, WireStream};
+use crate::transport::{BoundListener, WireStream};
 use crate::wire_backend;
 
 /// Tuning and fault-injection knobs of a [`WorkerServer`].
@@ -60,45 +61,53 @@ impl Default for WorkerServerOptions {
     }
 }
 
-/// Per-connection reply-frame injector driven by a [`FaultPlan`].
+/// One connection's execute-reply faults, drawn from a [`FaultPlan`]
+/// (`None` when the plan is off).
 ///
-/// One Bernoulli roll per fault class per frame, always in the same
-/// order, so the decision sequence of connection `i` under seed `s` is
-/// identical on every run.
-struct PlanInjector {
-    rates: FaultRates,
-    stream: FaultStream,
-}
+/// Every reply rolls each fault class once, always in the same order —
+/// drop, truncate, corrupt, delay, then one noise draw — so the decision
+/// sequence of connection `i` under seed `s` is identical on every run.
+struct ReplyFaults(Option<(FaultRates, FaultStream)>);
 
-impl PlanInjector {
-    fn new(plan: &FaultPlan, connection: u64) -> Self {
-        PlanInjector {
-            rates: plan.rates,
-            stream: plan.stream(&format!("worker.conn.{connection}")),
-        }
+impl ReplyFaults {
+    fn new(plan: &FaultPlan, connection: u64) -> ReplyFaults {
+        ReplyFaults((!plan.is_off()).then(|| {
+            (
+                plan.rates,
+                plan.stream(&format!("worker.conn.{connection}")),
+            )
+        }))
     }
-}
 
-impl FrameInjector for PlanInjector {
-    fn fate(&mut self, frame_len: usize) -> FrameFate {
-        let drop = self.stream.roll_ppm(self.rates.conn_drop_ppm);
-        let truncate = self.stream.roll_ppm(self.rates.truncate_ppm);
-        let corrupt = self.stream.roll_ppm(self.rates.corrupt_ppm);
-        let delay = self.stream.roll_ppm(self.rates.reply_delay_ppm);
-        let noise = self.stream.next_u64() as usize;
-        if drop {
-            FrameFate::Drop
-        } else if truncate {
-            FrameFate::Truncate {
-                keep: noise % frame_len.max(1),
+    /// Writes the encoded reply `frame` as this reply's fault has it:
+    /// whole, after a delay, with one header byte flipped (so the peer's
+    /// codec detects the damage instead of consuming wrong data), cut
+    /// short, or not at all. Returns `false` when the fault drops the
+    /// connection, after a cut-short write or without any write.
+    fn write(&mut self, stream: &mut WireStream, frame: &mut [u8]) -> io::Result<bool> {
+        if let Some((rates, faults)) = &mut self.0 {
+            let drop = faults.roll_ppm(rates.conn_drop_ppm);
+            let truncate = faults.roll_ppm(rates.truncate_ppm);
+            let corrupt = faults.roll_ppm(rates.corrupt_ppm);
+            let delay = faults.roll_ppm(rates.reply_delay_ppm);
+            let noise = faults.next_u64() as usize;
+            if drop {
+                return Ok(false);
             }
-        } else if corrupt {
-            FrameFate::Corrupt { offset: noise }
-        } else if delay {
-            FrameFate::Delay(Duration::from_millis(self.rates.reply_delay_ms))
-        } else {
-            FrameFate::Deliver
+            if truncate {
+                stream.write_all(&frame[..noise % frame.len()])?;
+                let _ = stream.flush();
+                return Ok(false);
+            }
+            if corrupt {
+                frame[noise % HEADER_LEN] ^= 0xFF;
+            } else if delay {
+                thread::sleep(Duration::from_millis(rates.reply_delay_ms));
+            }
         }
+        stream.write_all(frame)?;
+        stream.flush()?;
+        Ok(true)
     }
 }
 
@@ -234,17 +243,16 @@ fn serve_connection(
     connection: u64,
 ) -> Result<(), ProtocolError> {
     let mut payload = Vec::new();
-    // The chaos seam: execute replies of a faulty worker route through a
-    // per-connection injector. Handshake and shard loading stay clean so
-    // a chaos run still exercises the execute path, not just setup.
-    let mut injector =
-        (!options.fault_plan.is_off()).then(|| PlanInjector::new(&options.fault_plan, connection));
+    // The chaos seam: only execute replies suffer the plan's faults.
+    // Handshake and shard loading stay clean so a chaos run still
+    // exercises the execute path, not just setup.
+    let mut faults = ReplyFaults::new(&options.fault_plan, connection);
     // Every frame this connection sends is encoded here.
     let mut frame = Vec::new();
 
-    // Handshake: the first frame must be a Hello with an overlapping
-    // version range. A frame-level version outside our range is answered
-    // with the same VersionMismatch error a failed negotiation gets.
+    // Handshake: the first frame must be a Hello for this build's
+    // version. A frame of another version is answered with the same
+    // VersionMismatch error a Hello naming one gets.
     let header = match read_frame(&mut stream, &mut payload) {
         Ok(h) => h,
         Err(ProtocolError::UnsupportedVersion(v)) => {
@@ -266,27 +274,20 @@ fn serve_connection(
         );
     }
     let hello = Hello::decode(&payload)?;
-    let version = match hello.negotiate() {
-        Some(v) => v,
-        None => {
-            return reply_error(
-                &mut stream,
-                header.request_id,
-                ErrorCode::VersionMismatch,
-                format!(
-                    "no shared version in client range {}..={}",
-                    hello.min_version, hello.max_version
-                ),
-            );
-        }
-    };
-    let hello_ack = |out: &mut Vec<u8>| HelloAck { version }.encode(out);
+    if hello.version != VERSION {
+        return reply_error(
+            &mut stream,
+            header.request_id,
+            ErrorCode::VersionMismatch,
+            format!("version {} unsupported", hello.version),
+        );
+    }
     write_frame(
         &mut stream,
         Opcode::HelloAck,
         header.request_id,
         &mut frame,
-        hello_ack,
+        |out| HelloAck { version: VERSION }.encode(out),
     )?;
 
     let mut loaded: Option<Loaded> = None;
@@ -305,10 +306,6 @@ fn serve_connection(
         }
         let id = header.request_id;
         match header.opcode {
-            Opcode::Hello => {
-                // Idempotent: re-acknowledge the already-negotiated version.
-                write_frame(&mut stream, Opcode::HelloAck, id, &mut frame, hello_ack)?;
-            }
             Opcode::LoadShard => match LoadShard::decode(&payload) {
                 Ok(spec) => {
                     loaded = Some(load_shard(&spec, &options));
@@ -350,34 +347,19 @@ fn serve_connection(
                         Ok(()) => {
                             // Straight from the output buffer into the
                             // connection's frame buffer.
-                            let ack = |out: &mut Vec<u8>| {
+                            frame.clear();
+                            encode_frame_with(Opcode::ExecuteBatchAck, id, &mut frame, |out| {
                                 ExecuteBatchAck::encode_parts(
                                     batch.tokens,
                                     batch.hidden,
                                     &state.output,
                                     out,
                                 )
-                            };
-                            match injector.as_mut() {
-                                None => {
-                                    write_frame(
-                                        &mut stream,
-                                        Opcode::ExecuteBatchAck,
-                                        id,
-                                        &mut frame,
-                                        ack,
-                                    )?;
-                                }
-                                Some(chaos) => {
-                                    frame.clear();
-                                    encode_frame_with(Opcode::ExecuteBatchAck, id, &mut frame, ack);
-                                    if !write_through(&mut stream, chaos, &frame)? {
-                                        // The injector dropped (or truncated)
-                                        // the connection: the client sees a
-                                        // mid-request disconnect.
-                                        return Ok(());
-                                    }
-                                }
+                            });
+                            if !faults.write(&mut stream, &mut frame)? {
+                                // A fault dropped (or cut short) the reply:
+                                // the client sees a mid-request disconnect.
+                                return Ok(());
                             }
                         }
                         Err((code, msg)) => {
@@ -388,15 +370,6 @@ fn serve_connection(
                         reply_error(&mut stream, id, ErrorCode::BadPayload, e.to_string())?;
                     }
                 }
-            }
-            Opcode::Heartbeat => {
-                let ack = HeartbeatAck {
-                    executed: executed.load(Ordering::Relaxed),
-                    inflight: 0,
-                };
-                write_frame(&mut stream, Opcode::HeartbeatAck, id, &mut frame, |out| {
-                    ack.encode(out)
-                })?;
             }
             Opcode::Drain => {
                 // Pipelined requests are answered strictly FIFO, so every
@@ -409,19 +382,20 @@ fn serve_connection(
                 }
                 return Ok(());
             }
-            // Reply opcodes arriving as requests are a protocol violation;
-            // answer and keep the connection (the client can resync).
-            Opcode::HelloAck
+            // A second Hello, or a reply opcode arriving as a request, is
+            // a protocol violation; answer and keep the connection (the
+            // client can resync).
+            Opcode::Hello
+            | Opcode::HelloAck
             | Opcode::LoadShardAck
             | Opcode::ExecuteBatchAck
-            | Opcode::HeartbeatAck
             | Opcode::DrainAck
             | Opcode::Error => {
                 reply_error(
                     &mut stream,
                     id,
                     ErrorCode::BadPayload,
-                    format!("{:?} is a reply opcode, not a request", header.opcode),
+                    format!("{:?} is not a request after the handshake", header.opcode),
                 )?;
             }
         }

@@ -2,12 +2,6 @@
 //! Unix-domain sockets. The protocol itself is transport-agnostic (any
 //! `Read + Write` byte stream); this module is the small shim that lets
 //! the client and server speak either without duplicating their logic.
-//!
-//! It also hosts the [`FrameInjector`] seam: outbound reply frames can be
-//! routed through [`write_through`], which lets a deterministic fault
-//! plan drop, delay, corrupt, or truncate them. The default injector
-//! ([`NoFaults`]) always delivers, so the hook costs one predictable
-//! branch when fault injection is off.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -149,95 +143,5 @@ impl Drop for BoundListener {
         if let BoundListener::Unix(_, path) = self {
             let _ = std::fs::remove_file(path);
         }
-    }
-}
-
-/// What a [`FrameInjector`] decides to do with one outbound frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameFate {
-    /// Write the frame unchanged.
-    Deliver,
-    /// Sleep this long, then write the frame unchanged.
-    Delay(Duration),
-    /// Flip one byte of the frame *header* before writing, so the peer's
-    /// codec detects the damage (bad magic / version / opcode / length /
-    /// request id) instead of silently consuming wrong data.
-    Corrupt {
-        /// Byte to flip, taken modulo the header length.
-        offset: usize,
-    },
-    /// Write only a strict prefix of the frame, then drop the connection.
-    Truncate {
-        /// Bytes to keep, clamped below the frame length.
-        keep: usize,
-    },
-    /// Drop the connection without writing anything.
-    Drop,
-}
-
-/// Decides the fate of each outbound frame at one injection site.
-///
-/// Implementations draw from a deterministic per-site stream (see
-/// `hybrimoe_fault::FaultPlan::stream`), so a given connection makes the
-/// same sequence of decisions on every run with the same seed.
-pub trait FrameInjector: Send {
-    /// The fate of the next outbound frame, which is `frame_len` bytes.
-    fn fate(&mut self, frame_len: usize) -> FrameFate;
-}
-
-/// The injector that always delivers: the zero-cost-when-off default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FrameInjector for NoFaults {
-    fn fate(&mut self, _frame_len: usize) -> FrameFate {
-        FrameFate::Deliver
-    }
-}
-
-/// Length of the frame header [`FrameFate::Corrupt`] flips a byte in
-/// (mirrors `protocol::HEADER_LEN`; duplicated to keep this module free
-/// of codec imports).
-const CORRUPT_SPAN: usize = 14;
-
-/// Writes an already-encoded frame through `injector`.
-///
-/// Returns `Ok(true)` when the connection should stay up and `Ok(false)`
-/// when the injector dropped it (after a truncated write or without any
-/// write). Transport errors pass through unchanged.
-pub fn write_through(
-    stream: &mut WireStream,
-    injector: &mut dyn FrameInjector,
-    frame: &[u8],
-) -> io::Result<bool> {
-    match injector.fate(frame.len()) {
-        FrameFate::Deliver => {
-            stream.write_all(frame)?;
-            stream.flush()?;
-            Ok(true)
-        }
-        FrameFate::Delay(pause) => {
-            std::thread::sleep(pause);
-            stream.write_all(frame)?;
-            stream.flush()?;
-            Ok(true)
-        }
-        FrameFate::Corrupt { offset } => {
-            let mut damaged = frame.to_vec();
-            let span = CORRUPT_SPAN.min(damaged.len());
-            if span > 0 {
-                damaged[offset % span] ^= 0xFF;
-            }
-            stream.write_all(&damaged)?;
-            stream.flush()?;
-            Ok(true)
-        }
-        FrameFate::Truncate { keep } => {
-            let keep = keep.min(frame.len().saturating_sub(1));
-            stream.write_all(&frame[..keep])?;
-            let _ = stream.flush();
-            Ok(false)
-        }
-        FrameFate::Drop => Ok(false),
     }
 }

@@ -22,8 +22,7 @@ use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
 use hybrimoe_trace::TraceGenerator;
 use hybrimoe_worker::protocol::{
     encode_frame, read_frame, ErrorCode, ErrorReply, ExecuteBatch, ExecuteBatchAck, FrameHeader,
-    HeartbeatAck, Hello, HelloAck, LoadShard, LoadShardAck, Opcode, HEADER_LEN, MAX_PAYLOAD,
-    VERSION,
+    Hello, HelloAck, LoadShard, LoadShardAck, Opcode, HEADER_LEN, MAX_PAYLOAD, VERSION,
 };
 use hybrimoe_worker::{wire_backend, Endpoint, WorkerHandle, WorkerServer, WorkerServerOptions};
 use proptest::prelude::*;
@@ -95,11 +94,10 @@ fn assert_closed(stream: &mut TcpStream) {
 fn version_mismatch_is_answered_then_closed() {
     let worker = spawn_worker(WorkerServerOptions::default());
     let mut stream = connect(&worker);
-    // A client from the future: its whole version range is above ours.
+    // A client from the future: its Hello names a version we do not speak.
     let mut payload = Vec::new();
     Hello {
-        min_version: VERSION + 1,
-        max_version: VERSION + 5,
+        version: VERSION + 1,
     }
     .encode(&mut payload);
     let (header, reply) = roundtrip(&mut stream, Opcode::Hello, 4, &payload);
@@ -114,19 +112,26 @@ fn version_mismatch_is_answered_then_closed() {
 #[test]
 fn unsupported_frame_version_is_answered_then_closed() {
     let worker = spawn_worker(WorkerServerOptions::default());
-    let mut stream = connect(&worker);
+    // The first frame a version-1 build sends (a Hello for the range
+    // 1..=1), and one from a version far ahead of ours.
+    let mut v1 = Vec::new();
+    encode_frame(Opcode::Hello, 1, &[1, 1], &mut v1);
+    v1[4] = 1;
     let mut payload = Vec::new();
     Hello::current().encode(&mut payload);
-    let mut wire = Vec::new();
-    encode_frame(Opcode::Hello, 0, &payload, &mut wire);
-    wire[4] = 99; // frame-level version byte outside MIN_VERSION..=VERSION
-    stream.write_all(&wire).expect("write frame");
-    let mut reply = Vec::new();
-    let header = read_frame(&mut stream, &mut reply).expect("read reply");
-    assert_eq!(header.opcode, Opcode::Error);
-    let err = ErrorReply::decode(&reply).expect("error reply");
-    assert_eq!(err.code, ErrorCode::VersionMismatch);
-    assert_closed(&mut stream);
+    let mut v99 = Vec::new();
+    encode_frame(Opcode::Hello, 0, &payload, &mut v99);
+    v99[4] = 99;
+    for wire in [v1, v99] {
+        let mut stream = connect(&worker);
+        stream.write_all(&wire).expect("write frame");
+        let mut reply = Vec::new();
+        let header = read_frame(&mut stream, &mut reply).expect("read reply");
+        assert_eq!(header.opcode, Opcode::Error);
+        let err = ErrorReply::decode(&reply).expect("error reply");
+        assert_eq!(err.code, ErrorCode::VersionMismatch, "version {}", wire[4]);
+        assert_closed(&mut stream);
+    }
     worker.shutdown();
 }
 
@@ -151,7 +156,7 @@ fn oversized_payload_length_closes_the_connection() {
     // A hostile length field: headers above MAX_PAYLOAD must be rejected
     // before any allocation, and the connection dropped.
     let mut wire = Vec::new();
-    encode_frame(Opcode::Heartbeat, 1, &[], &mut wire);
+    encode_frame(Opcode::Drain, 1, &[], &mut wire);
     wire[10..14].copy_from_slice(&(MAX_PAYLOAD + 1).to_be_bytes());
     stream.write_all(&wire).expect("write frame");
     assert_closed(&mut stream);
@@ -197,9 +202,9 @@ fn requests_before_load_shard_get_not_loaded_and_the_connection_survives() {
     let err = ErrorReply::decode(&reply).expect("error reply");
     assert_eq!(err.code, ErrorCode::NotLoaded);
     // The connection is still usable after the error.
-    let (header, reply) = roundtrip(&mut stream, Opcode::Heartbeat, 6, &[]);
-    assert_eq!(header.opcode, Opcode::HeartbeatAck);
-    assert!(HeartbeatAck::decode(&reply).is_ok());
+    let (header, _) = roundtrip(&mut stream, Opcode::Drain, 6, &[]);
+    assert_eq!(header.opcode, Opcode::DrainAck);
+    assert_closed(&mut stream);
     worker.shutdown();
 }
 
@@ -208,7 +213,7 @@ fn wrong_shard_and_reply_opcodes_get_error_replies() {
     let worker = spawn_worker(WorkerServerOptions::default());
     let mut stream = connect(&worker);
     handshake(&mut stream);
-    let mut payload = Vec::new();
+    let mut shard = Vec::new();
     LoadShard {
         seed: 7,
         worker: 0,
@@ -220,15 +225,15 @@ fn wrong_shard_and_reply_opcodes_get_error_replies() {
         weight_budget_bytes: 1 << 20,
         backend: 1,
     }
-    .encode(&mut payload);
-    let (header, reply) = roundtrip(&mut stream, Opcode::LoadShard, 1, &payload);
+    .encode(&mut shard);
+    let (header, reply) = roundtrip(&mut stream, Opcode::LoadShard, 1, &shard);
     assert_eq!(header.opcode, Opcode::LoadShardAck);
     // Worker 0 of 2 owns the even experts of 4.
     assert_eq!(LoadShardAck::decode(&reply).expect("ack").experts_owned, 2);
 
     // Expert 1 maps to worker 1 under the shard map: NotMyShard, and the
     // engine's client fails that batch over to local execution.
-    payload.clear();
+    let mut payload = Vec::new();
     ExecuteBatch {
         layer: 0,
         expert: 1,
@@ -251,8 +256,17 @@ fn wrong_shard_and_reply_opcodes_get_error_replies() {
         ErrorReply::decode(&reply).expect("error").code,
         ErrorCode::BadPayload
     );
-    let (header, _) = roundtrip(&mut stream, Opcode::Heartbeat, 4, &[]);
-    assert_eq!(header.opcode, Opcode::HeartbeatAck);
+    // So is a second Hello: the handshake happens once per connection.
+    payload.clear();
+    Hello::current().encode(&mut payload);
+    let (header, reply) = roundtrip(&mut stream, Opcode::Hello, 4, &payload);
+    assert_eq!(header.opcode, Opcode::Error);
+    assert_eq!(
+        ErrorReply::decode(&reply).expect("error").code,
+        ErrorCode::BadPayload
+    );
+    let (header, _) = roundtrip(&mut stream, Opcode::LoadShard, 5, &shard);
+    assert_eq!(header.opcode, Opcode::LoadShardAck);
     worker.shutdown();
 }
 
@@ -563,12 +577,35 @@ fn protocol_doc_examples_round_trip() {
     assert_documented("ExecuteBatchAck", &wire);
 
     wire.clear();
-    encode_frame(Opcode::Heartbeat, 7, &[], &mut wire);
-    assert_documented("Heartbeat", &wire);
+    encode_frame(Opcode::Drain, 7, &[], &mut wire);
+    assert_documented("Drain", &wire);
 
     wire.clear();
     payload.clear();
-    ErrorReply::new(ErrorCode::VersionMismatch, "no shared version").encode(&mut payload);
+    ErrorReply::new(ErrorCode::VersionMismatch, "frame version 1 unsupported").encode(&mut payload);
     encode_frame(Opcode::Error, 9, &payload, &mut wire);
     assert_documented("Error", &wire);
+
+    // The opcode and error-code tables list exactly the codec's variants.
+    let row = |key: String| doc.lines().find(|l| l.starts_with(&format!("| {key} ")));
+    for byte in 0..=u8::MAX {
+        let documented = row(format!("{byte:#04X}"));
+        match Opcode::from_u8(byte) {
+            Some(op) => assert!(
+                documented.is_some_and(|l| l.contains(&format!("| {op:?} "))),
+                "the opcode table lacks {byte:#04X} {op:?}"
+            ),
+            None => assert!(documented.is_none(), "the opcode table lists {byte:#04X}"),
+        }
+    }
+    for raw in 0..=u16::from(u8::MAX) {
+        let documented = row(raw.to_string());
+        match ErrorCode::from_u16(raw) {
+            Some(code) => assert!(
+                documented.is_some_and(|l| l.contains(&format!("| {code:?} "))),
+                "the error-code table lacks {raw} {code:?}"
+            ),
+            None => assert!(documented.is_none(), "the error-code table lists {raw}"),
+        }
+    }
 }
