@@ -20,16 +20,13 @@
 //!   summary reports only the *invariants* as booleans: they hold on
 //!   every run or the gate fails.
 
-use std::io::{BufReader, Write as IoWrite};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::Duration;
 
-use hybrimoe::serve::server::{
-    read_one_chunk, read_response_head_full, Server, ServerConfig, ServerMetrics,
-};
+use hybrimoe::serve::server::{client, Server, ServerConfig, ServerMetrics};
 use hybrimoe::serve::{ContinuousBatcher, RequestSpec};
 use hybrimoe::{EngineConfig, Framework};
 use hybrimoe_fault::{FaultPlan, FaultRates, FaultStream};
@@ -107,8 +104,10 @@ const SERVER_REQUESTS: usize = 48;
 /// Concurrent client threads of the server phase.
 const SERVER_CONCURRENCY: usize = 8;
 
-/// Admission retries a chaos client makes when a 503 carries
-/// `Retry-After` (honored in full, like `load_gen`).
+/// Total admission attempts a chaos client makes when its 503s carry
+/// `Retry-After`, each wait capped at 2 s. `load_gen` makes 2 attempts
+/// under the same cap. Chaos makes no transport retries: a failed send
+/// or receive is [`ClientOutcome::Lost`], which the gate counts.
 const ADMISSION_ATTEMPTS: usize = 3;
 
 /// The engine-side fault plan both phases inject: step panics plus small
@@ -367,34 +366,21 @@ fn chaos_request(addr: SocketAddr, ticket: usize, rng: &mut FaultStream) -> Clie
     let hangup = rng.roll_ppm(200_000);
     let slow_read = rng.roll_ppm(200_000);
 
+    let deadline_ms = deadline_ms.map(|ms| ms.to_string());
+    let headers: Vec<_> = deadline_ms
+        .iter()
+        .map(|ms| ("X-Deadline-Ms", ms.as_str()))
+        .collect();
     for attempt in 1..=ADMISSION_ATTEMPTS {
-        let Ok(mut stream) = TcpStream::connect(addr) else {
+        let Ok(mut response) =
+            client::generate(addr, "{\"prompt_tokens\":6,\"decode_tokens\":5}", &headers)
+        else {
             return ClientOutcome::Lost;
         };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-        let body = "{\"prompt_tokens\":6,\"decode_tokens\":5}";
-        let deadline_header = deadline_ms
-            .map(|ms| format!("X-Deadline-Ms: {ms}\r\n"))
-            .unwrap_or_default();
-        if write!(
-            stream,
-            "POST /v1/generate HTTP/1.1\r\nHost: chaos\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n{deadline_header}Connection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .is_err()
-        {
-            return ClientOutcome::Lost;
-        }
-        let mut reader = BufReader::new(stream);
-        let Ok(head) = read_response_head_full(&mut reader) else {
-            return ClientOutcome::Lost;
-        };
-        match head.status {
-            200 if head.chunked => {}
+        match response.head.status {
+            200 if response.head.chunked => {}
             504 => return ClientOutcome::Rejected,
-            503 => match head.retry_after {
+            503 => match response.head.retry_after {
                 Some(secs) if attempt < ADMISSION_ATTEMPTS => {
                     thread::sleep(Duration::from_secs(secs.min(2)));
                     continue;
@@ -407,7 +393,7 @@ fn chaos_request(addr: SocketAddr, ticket: usize, rng: &mut FaultStream) -> Clie
         // first token and lets the server reclaim the slot.
         let mut saw = None;
         loop {
-            match read_one_chunk(&mut reader) {
+            match response.next_chunk() {
                 Ok(Some(chunk)) => {
                     if hangup {
                         return ClientOutcome::HungUp;
@@ -453,23 +439,10 @@ fn fetch_healthz_status(addr: SocketAddr) -> Option<String> {
     }
 }
 
-/// One plain GET, returning the body.
+/// One plain GET, returning the body of a 200.
 fn fetch(addr: SocketAddr, path: &str) -> Option<String> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: chaos\r\nConnection: close\r\n\r\n"
-    )
-    .ok()?;
-    let mut reader = BufReader::new(stream);
-    let head = read_response_head_full(&mut reader).ok()?;
-    if head.status != 200 {
-        return None;
-    }
-    let mut body = vec![0u8; head.content_length];
-    std::io::Read::read_exact(&mut reader, &mut body).ok()?;
-    Some(String::from_utf8_lossy(&body).into_owned())
+    let (status, body) = client::get(addr, path).ok()?;
+    (status == 200).then_some(body)
 }
 
 #[cfg(test)]

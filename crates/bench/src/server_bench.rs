@@ -5,15 +5,15 @@
 //! completion, and reports client-observed SLO percentiles as a
 //! [`ServerBenchSummary`](crate::ServerBenchSummary).
 
-use std::fmt::Display;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::fmt;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hybrimoe::serve::server::{read_one_chunk, read_response_head_full, Server, ServerConfig};
+use hybrimoe::serve::server::client::{self, ClientError};
+use hybrimoe::serve::server::{Server, ServerConfig};
 use hybrimoe::{EngineConfig, Framework};
 use hybrimoe_model::ModelConfig;
 use serde::Value;
@@ -66,11 +66,12 @@ const WORKER_STACK: usize = 256 * 1024;
 /// (which would measure the TCP stack, not the server).
 const RAMP_PER_REQUEST: Duration = Duration::from_micros(100);
 
-/// Attempts per request for *pre-admission* transport failures. A burst
-/// of a thousand connections can overflow the listener's accept queue;
-/// Linux then completes the handshake but resets the first data packet,
-/// so the client sees ECONNRESET on a write the server never read. That
-/// is load-generator noise, not a served request, and gets retried.
+/// Attempts per request for *pre-admission* transport failures
+/// ([`ClientError::Send`]). A burst of a thousand connections can
+/// overflow the listener's accept queue; Linux then completes the
+/// handshake but resets the first data packet, so the client sees
+/// ECONNRESET on a write the server never read. That is load-generator
+/// noise, not a served request, and gets retried.
 const TRANSPORT_ATTEMPTS: usize = 4;
 
 /// Backoff between transport retries, doubled per attempt — long enough
@@ -99,6 +100,8 @@ struct Tally {
     samples: Vec<Sample>,
     rejected: u64,
     failed: u64,
+    /// What went wrong with the first failed request.
+    first_failure: Option<String>,
 }
 
 enum RequestError {
@@ -106,26 +109,29 @@ enum RequestError {
     /// `Retry-After` seconds when the rejection was retryable (shed or
     /// queue-full — not draining).
     Rejected(Option<u64>),
-    /// Transport failed before the server read the request (connect or
-    /// request write). Nothing was admitted, so the request is safe to
-    /// retry on a fresh connection.
-    Transport,
+    /// The exchange failed before a response head arrived. Only a
+    /// [`ClientError::Send`] is retried: nothing was admitted.
+    Client(ClientError),
     /// The server took the request but the stream went wrong: bad
     /// status, truncated chunks, missing terminal accounting.
-    Failed,
+    Failed(String),
 }
 
-/// Forwards a failure detail to stderr when `LOAD_GEN_DEBUG` is set.
-fn debug_log(what: &str, detail: impl Display) {
-    if std::env::var_os("LOAD_GEN_DEBUG").is_some() {
-        eprintln!("debug: {what}: {detail}");
+impl fmt::Display for RequestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RequestError::Rejected(_) => f.write_str("rejected with 503"),
+            RequestError::Client(e) => e.fmt(f),
+            RequestError::Failed(why) => f.write_str(why),
+        }
     }
 }
 
 /// Runs the load against the server at `addr`, or against a fresh
 /// in-process tiny-model server when `addr` is `None`. Blocks until every
 /// request resolves; the in-process server is gracefully shut down before
-/// returning.
+/// returning. When any request failed, prints the failed count and the
+/// first failure's detail on stderr.
 ///
 /// # Panics
 ///
@@ -172,7 +178,12 @@ pub fn run_server_bench(addr: Option<SocketAddr>, load: ServerLoad) -> ServerBen
                 match outcome {
                     Ok(sample) => tally.samples.push(sample),
                     Err(RequestError::Rejected(_)) => tally.rejected += 1,
-                    Err(_) => tally.failed += 1,
+                    Err(failure) => {
+                        tally.failed += 1;
+                        tally
+                            .first_failure
+                            .get_or_insert_with(|| failure.to_string());
+                    }
                 }
             });
             spawned.expect("spawn load worker");
@@ -189,6 +200,12 @@ pub fn run_server_bench(addr: Option<SocketAddr>, load: ServerLoad) -> ServerBen
     };
 
     let mut tally = tally.into_inner().expect("tally lock poisoned");
+    if let Some(first) = &tally.first_failure {
+        eprintln!(
+            "load_gen: {} request(s) failed; the first: {first}",
+            tally.failed
+        );
+    }
     summarize(&mut tally, &model, load, elapsed)
 }
 
@@ -245,7 +262,9 @@ fn request_with_retry(addr: SocketAddr, prompt: u32, decode: u32) -> Result<Samp
     let mut admission_attempts = 0usize;
     loop {
         match one_request(addr, prompt, decode) {
-            Err(RequestError::Transport) if transport_attempts + 1 < TRANSPORT_ATTEMPTS => {
+            Err(RequestError::Client(ClientError::Send(_)))
+                if transport_attempts + 1 < TRANSPORT_ATTEMPTS =>
+            {
                 transport_attempts += 1;
                 thread::sleep(backoff);
                 backoff *= 2;
@@ -261,56 +280,30 @@ fn request_with_retry(addr: SocketAddr, prompt: u32, decode: u32) -> Result<Samp
     }
 }
 
-/// Streams one request, timing TTFT and end-to-end latency client-side.
+/// Streams one request, timing TTFT and end-to-end latency client-side
+/// from the request write.
 fn one_request(addr: SocketAddr, prompt: u32, decode: u32) -> Result<Sample, RequestError> {
-    let mut stream = connect_with_retry(addr).map_err(|e| {
-        debug_log("connect", e);
-        RequestError::Transport
-    })?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
     let body = format!("{{\"prompt_tokens\":{prompt},\"decode_tokens\":{decode}}}");
-    let start = Instant::now();
-    write!(
-        stream,
-        "POST /v1/generate HTTP/1.1\r\nHost: load_gen\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(|e| {
-        // An accept-queue overflow resets the connection before the
-        // server reads a byte; the request was never admitted.
-        debug_log("write", e);
-        RequestError::Transport
-    })?;
-    stream.flush().map_err(|e| {
-        debug_log("flush", e);
-        RequestError::Transport
-    })?;
-
-    let mut reader = BufReader::new(stream);
-    let head = read_response_head_full(&mut reader).map_err(|e| {
-        debug_log("response head", e);
-        RequestError::Failed
-    })?;
+    let mut response = client::generate(addr, &body, &[]).map_err(RequestError::Client)?;
+    let head = response.head;
     if head.status == 503 {
         return Err(RequestError::Rejected(head.retry_after));
     }
     if head.status != 200 || !head.chunked {
-        debug_log(
-            "response",
-            format_args!("status {} chunked {}", head.status, head.chunked),
-        );
-        return Err(RequestError::Failed);
+        return Err(RequestError::Failed(format!(
+            "status {} chunked {}",
+            head.status, head.chunked
+        )));
     }
 
+    let start = response.sent;
     let mut ttft_ms = None;
     let mut tokens: u64 = 0;
     let mut last_chunk = None;
-    while let Some(chunk) = read_one_chunk(&mut reader).map_err(|e| {
-        debug_log("chunk", e);
-        RequestError::Failed
-    })? {
+    while let Some(chunk) = response
+        .next_chunk()
+        .map_err(|e| RequestError::Failed(format!("chunk: {e}")))?
+    {
         if ttft_ms.is_none() {
             ttft_ms = Some(start.elapsed().as_secs_f64() * 1e3);
         }
@@ -320,15 +313,16 @@ fn one_request(addr: SocketAddr, prompt: u32, decode: u32) -> Result<Sample, Req
         last_chunk = Some(chunk);
     }
     let latency_ms = start.elapsed().as_secs_f64() * 1e3;
-    let ttft_ms = ttft_ms.ok_or(RequestError::Failed)?;
     // The terminal chunk carries the server-side accounting.
-    let done = last_chunk.ok_or_else(|| {
-        debug_log("stream", "closed with zero chunks");
-        RequestError::Failed
-    })?;
+    let (Some(ttft_ms), Some(done)) = (ttft_ms, last_chunk) else {
+        return Err(RequestError::Failed(
+            "stream closed with zero chunks".into(),
+        ));
+    };
     if !done.contains("\"done\"") {
-        debug_log("stream", "ended without done chunk");
-        return Err(RequestError::Failed);
+        return Err(RequestError::Failed(
+            "stream ended without done chunk".into(),
+        ));
     }
     let queue_wait_ms = serde_json::from_str::<Value>(&done)
         .ok()
@@ -346,21 +340,4 @@ fn one_request(addr: SocketAddr, prompt: u32, decode: u32) -> Result<Sample, Req
         queue_wait_ms,
         tokens,
     })
-}
-
-/// Connects with a short retry ladder: under a thousand-way connection
-/// burst a SYN can get dropped, and one kernel retransmit timeout would
-/// otherwise dominate that request's measured TTFT.
-fn connect_with_retry(addr: SocketAddr) -> std::io::Result<TcpStream> {
-    let mut delay = Duration::from_millis(2);
-    for _ in 0..4 {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(_) => {
-                thread::sleep(delay);
-                delay *= 4;
-            }
-        }
-    }
-    TcpStream::connect(addr)
 }

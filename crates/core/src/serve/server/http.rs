@@ -1,19 +1,20 @@
-//! A deliberately small HTTP/1.1 implementation over std TCP.
+//! The server side of a deliberately small HTTP/1.1 over std TCP.
 //!
 //! Covers exactly what the serving front-end needs — request-line +
 //! header + fixed-length-body parsing, plain JSON responses, and chunked
 //! streaming responses — with hard caps on header and body sizes so a
-//! misbehaving client cannot balloon memory. No external dependencies, in
-//! keeping with the `third_party/` stub policy.
+//! misbehaving client cannot balloon memory. The client side lives in
+//! [`client`](super::client) and reads under the same caps. No external
+//! dependencies, in keeping with the `third_party/` stub policy.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-/// Upper bound on the request head (request line plus all headers).
-const MAX_HEAD_BYTES: usize = 8 * 1024;
+/// Upper bound on a message head (start line plus all headers).
+pub(super) const MAX_HEAD_BYTES: usize = 8 * 1024;
 
-/// Upper bound on a request body.
-const MAX_BODY_BYTES: usize = 64 * 1024;
+/// Upper bound on a request body, and on one response chunk.
+pub(super) const MAX_BODY_BYTES: usize = 64 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug)]
@@ -32,10 +33,10 @@ pub struct Request {
 
 /// Reads one head line as raw bytes, bounded by the remaining head
 /// budget. Unlike `read_line`, this never buffers more than the budget
-/// (a client streaming an endless line cannot balloon memory) and never
+/// (a peer streaming an endless line cannot balloon memory) and never
 /// fails on non-UTF-8 garbage — the caller converts lossily. Returns the
 /// bytes read (0 on EOF); a line that exhausts the budget is an error.
-fn read_head_line<R: BufRead>(
+pub(super) fn read_head_line<R: BufRead>(
     reader: &mut R,
     line: &mut Vec<u8>,
     budget: &mut usize,
@@ -48,7 +49,10 @@ fn read_head_line<R: BufRead>(
         .take(*budget as u64 + 1)
         .read_until(b'\n', line)?;
     if n > *budget {
-        return Err(bad("request head too large"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "HTTP head too large",
+        ));
     }
     *budget -= n;
     Ok(n)
@@ -197,99 +201,4 @@ pub fn write_chunk(stream: &mut TcpStream, payload: &str) -> io::Result<()> {
 pub fn end_chunks(stream: &mut TcpStream) -> io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
-}
-
-/// Client-side helper: reads the next chunk of a chunked-encoded body.
-/// Returns `Ok(None)` at the terminal zero-size chunk. Lets a client
-/// timestamp each token as it arrives (the load generator's TTFT).
-pub fn read_one_chunk<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(bad("connection closed mid-chunk-stream"));
-    }
-    let size = usize::from_str_radix(line.trim(), 16).map_err(|_| bad("unparseable chunk size"))?;
-    let mut payload = vec![0u8; size + 2]; // payload + CRLF
-    reader.read_exact(&mut payload)?;
-    if size == 0 {
-        return Ok(None);
-    }
-    payload.truncate(size);
-    Ok(Some(String::from_utf8_lossy(&payload).into_owned()))
-}
-
-/// Client-side helper: reads one whole chunked-encoded response body from
-/// a buffered reader positioned after the response head, yielding each
-/// chunk payload. Shared by the integration tests and `load_gen`.
-pub fn read_chunks<R: BufRead>(reader: &mut R) -> io::Result<Vec<String>> {
-    let mut chunks = Vec::new();
-    while let Some(chunk) = read_one_chunk(reader)? {
-        chunks.push(chunk);
-    }
-    Ok(chunks)
-}
-
-/// A parsed client-side view of a response head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResponseHead {
-    /// HTTP status code.
-    pub status: u16,
-    /// Whether the body is chunked-encoded.
-    pub chunked: bool,
-    /// The declared `Content-Length` (0 when absent or chunked).
-    pub content_length: usize,
-    /// Seconds from the `Retry-After` header, when the server sent one
-    /// (the retryable 503s do; clients should back off that long).
-    pub retry_after: Option<u64>,
-}
-
-/// Client-side helper: reads an HTTP response head, returning the status
-/// code and whether the body is chunked; leaves the reader at the body.
-/// Thin wrapper over [`read_response_head_full`] for callers that don't
-/// care about `Retry-After`.
-pub fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<(u16, bool, usize)> {
-    let head = read_response_head_full(reader)?;
-    Ok((head.status, head.chunked, head.content_length))
-}
-
-/// Client-side helper: reads and fully parses an HTTP response head;
-/// leaves the reader at the body.
-pub fn read_response_head_full<R: BufRead>(reader: &mut R) -> io::Result<ResponseHead> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(bad("connection closed before status line"));
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("unparseable status line"))?;
-    let mut head = ResponseHead {
-        status,
-        chunked: false,
-        content_length: 0,
-        retry_after: None,
-    };
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(bad("connection closed mid-response-headers"));
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            return Ok(head);
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.eq_ignore_ascii_case("transfer-encoding")
-                && value.trim().eq_ignore_ascii_case("chunked")
-            {
-                head.chunked = true;
-            }
-            if name.eq_ignore_ascii_case("content-length") {
-                head.content_length = value.trim().parse().unwrap_or(0);
-            }
-            if name.eq_ignore_ascii_case("retry-after") {
-                head.retry_after = value.trim().parse().ok();
-            }
-        }
-    }
 }

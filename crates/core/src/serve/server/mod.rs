@@ -23,6 +23,9 @@
 //! * `POST /admin/drain` starts a graceful drain (admission closes,
 //!   accepted requests run to completion).
 //!
+//! [`client`] is the other end of the same format: the one client that
+//! `load_gen`, the chaos soak, the tests and the examples stream through.
+//!
 //! The engine runs in its own loop thread, the single owner of the
 //! [`ContinuousBatcher`] — the same admission/merge/leave core the
 //! [`ServeSim`](crate::serve::ServeSim) drives, stepped with wall-clock
@@ -49,13 +52,12 @@
 //! `Retry-After` header; draining and expired-deadline rejections are
 //! not retryable on this server and don't.
 
+pub mod client;
 mod engine_loop;
 mod http;
 mod metrics;
 
-pub use http::{
-    read_chunks, read_one_chunk, read_response_head, read_response_head_full, ResponseHead,
-};
+pub use client::{read_one_chunk, read_response_head_full, ResponseHead};
 pub use metrics::ServerMetrics;
 
 use std::io;

@@ -1,6 +1,6 @@
 //! Network serving: start the TCP front-end in-process, stream a few
-//! requests over real HTTP/1.1 connections, and read the SLO accounting
-//! back from `GET /metrics`.
+//! requests over real HTTP/1.1 connections through
+//! `serve::server::client`, and report the server's SLO accounting.
 //!
 //! ```text
 //! cargo run -p hybrimoe --release --example network_serving
@@ -11,12 +11,10 @@
 //! load-shed watermark), per-token chunked streaming, and a graceful
 //! drain on shutdown.
 
-use std::io::{BufReader, Write};
-use std::net::TcpStream;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use hybrimoe::serve::server::{read_chunks, read_response_head, Server, ServerConfig};
+use hybrimoe::serve::server::{client, Server, ServerConfig};
 use hybrimoe::{EngineConfig, Framework};
 use hybrimoe_model::ModelConfig;
 
@@ -39,23 +37,12 @@ fn main() {
         .map(|i| {
             thread::spawn(move || {
                 let body = format!("{{\"prompt_tokens\":16,\"decode_tokens\":{}}}", 4 + i % 3);
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                let started = Instant::now();
-                write!(
-                    stream,
-                    "POST /v1/generate HTTP/1.1\r\nHost: example\r\n\
-                     Content-Type: application/json\r\nContent-Length: {}\r\n\
-                     Connection: close\r\n\r\n{body}",
-                    body.len()
-                )
-                .expect("send request");
-                let mut reader = BufReader::new(stream);
-                let (status, chunked, _) = read_response_head(&mut reader).expect("response head");
-                assert_eq!(status, 200, "request admitted");
-                assert!(chunked, "admitted responses stream");
-                let chunks = read_chunks(&mut reader).expect("stream to completion");
+                let mut response = client::generate(addr, &body, &[]).expect("send request");
+                assert_eq!(response.head.status, 200, "request admitted");
+                assert!(response.head.chunked, "admitted responses stream");
+                let chunks = response.chunks().expect("stream to completion");
                 let tokens = chunks.iter().filter(|c| c.contains("\"token\"")).count();
-                let elapsed = started.elapsed();
+                let elapsed = response.sent.elapsed();
                 (
                     i,
                     tokens,

@@ -4,146 +4,30 @@
 //! 503s, engine-panic containment with the `failed` terminal chunk, and
 //! the degraded `/healthz` body.
 //!
-//! Like `server.rs`, every test drives a real loopback server with a
-//! hand-rolled HTTP/1.1 client; pacing floors make queueing structure
+//! Like `server.rs`, every test drives a real loopback server through
+//! `serve::server::client`; pacing floors make queueing structure
 //! deterministic without exact-timing assertions.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hybrimoe::fault::{FaultPlan, FaultRates};
-use hybrimoe::serve::server::{
-    read_one_chunk, read_response_head_full, ResponseHead, Server, ServerConfig, ServerHandle,
-    ServerMetrics,
-};
-use hybrimoe::{EngineConfig, Framework};
-use hybrimoe_model::ModelConfig;
-
-/// Builds a tiny-model server config; tests tweak the knobs they care
-/// about (fault plans, default deadlines) before starting it.
-fn tiny_config(max_batch: usize, queue_depth: usize, min_step: Duration) -> ServerConfig {
-    let mut config = ServerConfig::new(EngineConfig::preset(
-        Framework::HybriMoe,
-        ModelConfig::tiny_test(),
-        0.5,
-    ));
-    config.max_batch = max_batch;
-    config.queue_depth = queue_depth;
-    config.min_step = Some(min_step);
-    config
-}
-
-/// One `POST /v1/generate` with optional extra headers (e.g.
-/// `X-Deadline-Ms`): returns the parsed response head and, for streamed
-/// responses, every chunk in order.
-fn generate_with_headers(
-    addr: SocketAddr,
-    body: &str,
-    headers: &[(&str, &str)],
-) -> (ResponseHead, Vec<String>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let mut request = String::from("POST /v1/generate HTTP/1.1\r\nHost: test\r\n");
-    for (name, value) in headers {
-        request.push_str(&format!("{name}: {value}\r\n"));
-    }
-    request.push_str(&format!(
-        "Content-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    ));
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(stream);
-    let head = read_response_head_full(&mut reader).expect("response head");
-    let mut chunks = Vec::new();
-    if head.chunked {
-        while let Some(chunk) = read_one_chunk(&mut reader).expect("read chunk") {
-            chunks.push(chunk);
-        }
-    }
-    (head, chunks)
-}
-
-/// Like [`generate_with_headers`], but blocks only until the first chunk
-/// arrives, then hands back the reader: lets a test know a request
-/// entered the batch while it keeps streaming.
-fn generate_streaming(addr: SocketAddr, body: &str) -> (BufReader<TcpStream>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    write!(
-        stream,
-        "POST /v1/generate HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut reader = BufReader::new(stream);
-    let head = read_response_head_full(&mut reader).expect("response head");
-    assert_eq!(head.status, 200, "request should be admitted");
-    assert!(head.chunked, "admitted responses stream");
-    let first = read_one_chunk(&mut reader)
-        .expect("read first chunk")
-        .expect("stream has a first chunk");
-    (reader, first)
-}
-
-/// Drains a streaming reader to its terminal chunk.
-fn finish_stream(mut reader: BufReader<TcpStream>) -> Vec<String> {
-    let mut chunks = Vec::new();
-    while let Some(chunk) = read_one_chunk(&mut reader).expect("read chunk") {
-        chunks.push(chunk);
-    }
-    chunks
-}
-
-/// Fetches a GET endpoint's full body (reading to connection close).
-fn get_body(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
-    )
-    .expect("write request");
-    let mut reader = BufReader::new(stream);
-    let head = read_response_head_full(&mut reader).expect("response head");
-    let mut body = String::new();
-    let mut line = String::new();
-    while reader.read_line(&mut line).expect("read body") > 0 {
-        body.push_str(&line);
-        line.clear();
-    }
-    (head.status, body)
-}
-
-/// Polls the server's metrics until `pred` holds.
-fn wait_for_metrics(server: &ServerHandle, what: &str, pred: impl Fn(&ServerMetrics) -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !pred(&server.metrics()) {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        thread::sleep(Duration::from_millis(10));
-    }
-}
+use hybrimoe::serve::server::client::{generate, get};
+use hybrimoe::serve::server::Server;
+use hybrimoe_tests::{tiny_config, tiny_server, wait_for_metrics};
 
 /// An `X-Deadline-Ms: 0` budget is already spent: the server answers 504
 /// at admission without ever enqueueing, and counts the rejection.
 #[test]
 fn zero_deadline_is_rejected_with_504() {
-    let server = Server::start(tiny_config(2, 8, Duration::from_millis(1))).expect("server starts");
-    let (head, _) = generate_with_headers(
+    let server = tiny_server(2, 8, Duration::from_millis(1), None);
+    let head = generate(
         server.addr(),
         "{\"prompt_tokens\":4,\"decode_tokens\":2}",
         &[("X-Deadline-Ms", "0")],
-    );
+    )
+    .expect("generate")
+    .head;
     assert_eq!(head.status, 504, "expired budget rejected at admission");
     let metrics = server.shutdown();
     assert_eq!(metrics.rejected_deadline, 1);
@@ -153,12 +37,14 @@ fn zero_deadline_is_rejected_with_504() {
 /// A garbage `X-Deadline-Ms` value is a client error, not a crash.
 #[test]
 fn unparseable_deadline_header_is_400() {
-    let server = Server::start(tiny_config(2, 8, Duration::from_millis(1))).expect("server starts");
-    let (head, _) = generate_with_headers(
+    let server = tiny_server(2, 8, Duration::from_millis(1), None);
+    let head = generate(
         server.addr(),
         "{\"prompt_tokens\":4,\"decode_tokens\":2}",
         &[("X-Deadline-Ms", "soon")],
-    );
+    )
+    .expect("generate")
+    .head;
     assert_eq!(head.status, 400);
     server.shutdown();
 }
@@ -170,25 +56,33 @@ fn unparseable_deadline_header_is_400() {
 fn waiting_request_past_deadline_streams_timed_out_chunk() {
     // One slot, slow steps: the occupant pins the batch long past the
     // waiter's 100ms budget.
-    let server =
-        Server::start(tiny_config(1, 8, Duration::from_millis(20))).expect("server starts");
+    let server = tiny_server(1, 8, Duration::from_millis(20), None);
     let addr = server.addr();
-    let occupant = generate_streaming(addr, "{\"prompt_tokens\":4,\"decode_tokens\":100}");
+    let mut occupant =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":100}", &[]).expect("occupant");
+    assert_eq!(occupant.head.status, 200, "request should be admitted");
+    let first = occupant.next_chunk().expect("read first chunk");
+    assert!(first.is_some(), "stream has a first chunk");
     wait_for_metrics(&server, "occupant running", |m| m.running >= 1);
 
-    let (head, chunks) = generate_with_headers(
+    let mut response = generate(
         addr,
         "{\"prompt_tokens\":4,\"decode_tokens\":1}",
         &[("X-Deadline-Ms", "100")],
+    )
+    .expect("generate");
+    let chunks = response.chunks().expect("read chunks");
+    assert_eq!(
+        response.head.status, 200,
+        "deadline expiry is a streamed outcome"
     );
-    assert_eq!(head.status, 200, "deadline expiry is a streamed outcome");
     let last = chunks.last().expect("stream has a terminal chunk");
     assert!(
         last.contains("\"timed_out\":true"),
         "terminal chunk should be typed timed_out, got {last:?}"
     );
 
-    finish_stream(occupant.0);
+    occupant.chunks().expect("finish the occupant");
     let metrics = server.shutdown();
     assert_eq!(metrics.timed_out, 1);
     assert_eq!(metrics.completed, 1, "the occupant still completes");
@@ -203,13 +97,12 @@ fn default_deadline_expires_running_request() {
     let mut config = tiny_config(2, 8, Duration::from_millis(20));
     config.default_deadline = Some(Duration::from_millis(150));
     let server = Server::start(config).expect("server starts");
+    let addr = server.addr();
 
-    let (head, chunks) = generate_with_headers(
-        server.addr(),
-        "{\"prompt_tokens\":4,\"decode_tokens\":100}",
-        &[],
-    );
-    assert_eq!(head.status, 200);
+    let mut response =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":100}", &[]).expect("generate");
+    let chunks = response.chunks().expect("read chunks");
+    assert_eq!(response.head.status, 200);
     let last = chunks.last().expect("stream has a terminal chunk");
     assert!(
         last.contains("\"timed_out\":true"),
@@ -232,12 +125,15 @@ fn generous_deadline_does_not_fire() {
     let mut config = tiny_config(2, 8, Duration::from_millis(1));
     config.default_deadline = Some(Duration::from_secs(60));
     let server = Server::start(config).expect("server starts");
-    let (head, chunks) = generate_with_headers(
-        server.addr(),
+    let addr = server.addr();
+    let mut response = generate(
+        addr,
         "{\"prompt_tokens\":4,\"decode_tokens\":3}",
         &[("X-Deadline-Ms", "60000")],
-    );
-    assert_eq!(head.status, 200);
+    )
+    .expect("generate");
+    let chunks = response.chunks().expect("read chunks");
+    assert_eq!(response.head.status, 200);
     let last = chunks.last().expect("terminal chunk");
     assert!(last.contains("\"done\":true"), "got {last:?}");
     let metrics = server.shutdown();
@@ -251,16 +147,24 @@ fn generous_deadline_does_not_fire() {
 fn queue_full_rejection_carries_retry_after() {
     // One slot, queue depth 1: an occupant plus one waiter fill the
     // house; the third request bounces.
-    let server =
-        Server::start(tiny_config(1, 1, Duration::from_millis(20))).expect("server starts");
+    let server = tiny_server(1, 1, Duration::from_millis(20), None);
     let addr = server.addr();
-    let occupant = generate_streaming(addr, "{\"prompt_tokens\":4,\"decode_tokens\":60}");
+    let mut occupant =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":60}", &[]).expect("occupant");
+    assert_eq!(occupant.head.status, 200, "request should be admitted");
+    let first = occupant.next_chunk().expect("read first chunk");
+    assert!(first.is_some(), "stream has a first chunk");
     let waiter = thread::spawn(move || {
-        generate_with_headers(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[])
+        let mut waiter =
+            generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[]).expect("waiter");
+        waiter.chunks().expect("waiter chunks");
+        waiter.head
     });
     wait_for_metrics(&server, "waiter queued", |m| m.queued >= 1);
 
-    let (head, _) = generate_with_headers(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[]);
+    let head = generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[])
+        .expect("generate")
+        .head;
     assert_eq!(head.status, 503, "full queue rejects");
     assert_eq!(
         head.retry_after,
@@ -268,8 +172,8 @@ fn queue_full_rejection_carries_retry_after() {
         "retryable 503 should carry Retry-After"
     );
 
-    finish_stream(occupant.0);
-    let (waiter_head, _) = waiter.join().expect("waiter thread");
+    occupant.chunks().expect("finish the occupant");
+    let waiter_head = waiter.join().expect("waiter thread");
     assert_eq!(waiter_head.status, 200);
     server.shutdown();
 }
@@ -293,16 +197,20 @@ fn engine_panic_is_contained_and_reported_degraded() {
     let server = Server::start(config).expect("server starts");
     let addr = server.addr();
 
-    let (status, body) = get_body(addr, "/healthz");
+    let (status, body) = get(addr, "/healthz").expect("GET /healthz");
     assert_eq!(status, 200);
     assert!(
         body.contains("\"status\":\"ok\""),
         "fresh server is healthy, got {body:?}"
     );
 
-    let (head, chunks) =
-        generate_with_headers(addr, "{\"prompt_tokens\":4,\"decode_tokens\":4}", &[]);
-    assert_eq!(head.status, 200, "the request is admitted before the panic");
+    let mut response =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":4}", &[]).expect("generate");
+    let chunks = response.chunks().expect("read chunks");
+    assert_eq!(
+        response.head.status, 200,
+        "the request is admitted before the panic"
+    );
     let last = chunks.last().expect("stream has a terminal chunk");
     assert!(
         last.contains("\"failed\":true"),
@@ -310,7 +218,7 @@ fn engine_panic_is_contained_and_reported_degraded() {
     );
 
     wait_for_metrics(&server, "restart counted", |m| m.engine_restarts >= 1);
-    let (status, body) = get_body(addr, "/healthz");
+    let (status, body) = get(addr, "/healthz").expect("GET /healthz");
     assert_eq!(status, 200, "degraded is a body statement, not an error");
     assert!(
         body.contains("\"status\":\"degraded\""),
@@ -348,15 +256,14 @@ fn panicking_steps_do_not_leak_queue_reservations() {
         },
     });
     let server = Server::start(config).expect("server starts");
+    let addr = server.addr();
 
     let requests = queue_depth as u64 + 2;
     for i in 0..requests {
-        let (head, chunks) = generate_with_headers(
-            server.addr(),
-            "{\"prompt_tokens\":4,\"decode_tokens\":4}",
-            &[],
-        );
-        assert_eq!(head.status, 200, "request {i} should be admitted");
+        let mut response =
+            generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":4}", &[]).expect("generate");
+        let chunks = response.chunks().expect("read chunks");
+        assert_eq!(response.head.status, 200, "request {i} should be admitted");
         let last = chunks.last().expect("stream has a terminal chunk");
         assert!(
             last.contains("\"failed\":true"),
@@ -376,18 +283,17 @@ fn panicking_steps_do_not_leak_queue_reservations() {
 /// off, requests behind a restart-scarred server complete normally.
 #[test]
 fn healthy_server_reports_ok_status() {
-    let server = Server::start(tiny_config(2, 8, Duration::from_millis(1))).expect("server starts");
-    let (head, chunks) = generate_with_headers(
-        server.addr(),
-        "{\"prompt_tokens\":4,\"decode_tokens\":2}",
-        &[],
-    );
-    assert_eq!(head.status, 200);
+    let server = tiny_server(2, 8, Duration::from_millis(1), None);
+    let addr = server.addr();
+    let mut response =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":2}", &[]).expect("generate");
+    let chunks = response.chunks().expect("read chunks");
+    assert_eq!(response.head.status, 200);
     assert!(chunks
         .last()
         .expect("terminal chunk")
         .contains("\"done\":true"));
-    let (status, body) = get_body(server.addr(), "/healthz");
+    let (status, body) = get(addr, "/healthz").expect("GET /healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"ok\""), "got {body:?}");
     server.shutdown();

@@ -1,113 +1,20 @@
 //! Integration tests for the TCP serving front-end: streaming, admission
 //! control (queue depth, load shed, drain), and SLO accounting.
 //!
-//! Every test drives a real server over loopback TCP with a raw
-//! hand-rolled HTTP/1.1 client, the same protocol helpers the `load_gen`
-//! bench uses. Pacing floors (`min_step`) make queueing structure
-//! deterministic without depending on host speed: assertions are
-//! orderings and lower bounds, never exact timings.
+//! Every test drives a real server over loopback TCP through
+//! `serve::server::client`, the same client the `load_gen` bench uses.
+//! Pacing floors (`min_step`) make queueing structure deterministic
+//! without depending on host speed: assertions are orderings and lower
+//! bounds, never exact timings.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hybrimoe::serve::server::{
-    read_one_chunk, read_response_head, Server, ServerConfig, ServerHandle, ServerMetrics,
-};
-use hybrimoe::{EngineConfig, Framework};
-use hybrimoe_model::ModelConfig;
-
-/// Starts a tiny-model server with the knobs the tests care about.
-fn tiny_server(
-    max_batch: usize,
-    queue_depth: usize,
-    min_step: Duration,
-    shed_watermark: Option<Duration>,
-) -> ServerHandle {
-    let mut config = ServerConfig::new(EngineConfig::preset(
-        Framework::HybriMoe,
-        ModelConfig::tiny_test(),
-        0.5,
-    ));
-    config.max_batch = max_batch;
-    config.queue_depth = queue_depth;
-    config.min_step = Some(min_step);
-    config.shed_watermark = shed_watermark;
-    Server::start(config).expect("server binds a loopback port")
-}
-
-/// One `POST /v1/generate`: returns the status and, for streamed
-/// responses, every chunk in order.
-fn generate(addr: SocketAddr, body: &str) -> (u16, Vec<String>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    write!(
-        stream,
-        "POST /v1/generate HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut reader = BufReader::new(stream);
-    let (status, chunked, _) = read_response_head(&mut reader).expect("response head");
-    let mut chunks = Vec::new();
-    if chunked {
-        while let Some(chunk) = read_one_chunk(&mut reader).expect("read chunk") {
-            chunks.push(chunk);
-        }
-    }
-    (status, chunks)
-}
-
-/// Like [`generate`], but blocks only until the *first* chunk arrives,
-/// then hands back the reader: lets a test know a request entered the
-/// batch while it keeps streaming.
-fn generate_streaming(addr: SocketAddr, body: &str) -> (BufReader<TcpStream>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    write!(
-        stream,
-        "POST /v1/generate HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut reader = BufReader::new(stream);
-    let (status, chunked, _) = read_response_head(&mut reader).expect("response head");
-    assert_eq!(status, 200, "request should be admitted");
-    assert!(chunked, "admitted responses stream");
-    let first = read_one_chunk(&mut reader)
-        .expect("read first chunk")
-        .expect("stream has a first chunk");
-    (reader, first)
-}
-
-/// Drains a streaming reader to its terminal chunk.
-fn finish_stream(mut reader: BufReader<TcpStream>) -> Vec<String> {
-    let mut chunks = Vec::new();
-    while let Some(chunk) = read_one_chunk(&mut reader).expect("read chunk") {
-        chunks.push(chunk);
-    }
-    chunks
-}
-
-/// Polls the server's metrics until `pred` holds. Fixed sleeps are not
-/// enough on a loaded single-core host, where a client thread can take
-/// hundreds of milliseconds to even connect.
-fn wait_for_metrics(server: &ServerHandle, what: &str, pred: impl Fn(&ServerMetrics) -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !pred(&server.metrics()) {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        thread::sleep(Duration::from_millis(10));
-    }
-}
+use hybrimoe::serve::server::client::{generate, get};
+use hybrimoe::serve::server::{read_response_head_full, ServerMetrics};
+use hybrimoe_tests::{tiny_server, wait_for_metrics};
 
 /// Pulls a named `"key":<f64>` field out of a flat JSON chunk.
 fn json_f64(chunk: &str, key: &str) -> f64 {
@@ -124,8 +31,11 @@ fn json_f64(chunk: &str, key: &str) -> f64 {
 #[test]
 fn streams_one_chunk_per_token_then_done() {
     let server = tiny_server(4, 64, Duration::from_millis(5), None);
-    let (status, chunks) = generate(server.addr(), "{\"prompt_tokens\":8,\"decode_tokens\":4}");
-    assert_eq!(status, 200);
+    let addr = server.addr();
+    let mut response =
+        generate(addr, "{\"prompt_tokens\":8,\"decode_tokens\":4}", &[]).expect("generate");
+    let chunks = response.chunks().expect("read chunks");
+    assert_eq!(response.head.status, 200);
     // One first token + one per decode step + the terminal accounting.
     let tokens = chunks.iter().filter(|c| c.contains("\"token\"")).count();
     assert_eq!(tokens, 5, "chunks: {chunks:?}");
@@ -144,19 +54,29 @@ fn full_queue_rejects_with_503() {
     // One batch slot, one waiting slot: with a long request running and
     // another waiting, the third arrival must bounce.
     let server = tiny_server(1, 1, Duration::from_millis(30), None);
-    let occupant = generate_streaming(server.addr(), "{\"prompt_tokens\":4,\"decode_tokens\":30}");
-    // The occupant's first token means it left the waiting queue.
     let addr = server.addr();
-    let waiter = thread::spawn(move || generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}"));
+    let mut occupant =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":30}", &[]).expect("occupant");
+    assert_eq!(occupant.head.status, 200, "request should be admitted");
+    let first = occupant.next_chunk().expect("read first chunk");
+    assert!(first.is_some(), "stream has a first chunk");
+    // The occupant's first token means it left the waiting queue.
+    let waiter = thread::spawn(move || {
+        let mut waiter =
+            generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[]).expect("waiter");
+        waiter.chunks().expect("waiter chunks");
+        waiter.head.status
+    });
     // The waiter holds the one queue slot once its reservation shows up.
     wait_for_metrics(&server, "the waiter's queue slot", |m| m.queued >= 1);
-    let (status, _) = generate(server.addr(), "{\"prompt_tokens\":4,\"decode_tokens\":1}");
+    let third = generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[]).expect("third");
+    let status = third.head.status;
     assert_eq!(status, 503, "third request should find the queue full");
     assert!(server.metrics().rejected_queue_full >= 1);
 
-    let (waiter_status, _) = waiter.join().expect("waiter thread");
+    let waiter_status = waiter.join().expect("waiter thread");
     assert_eq!(waiter_status, 200, "the queued request still completes");
-    finish_stream(occupant.0);
+    occupant.chunks().expect("finish the occupant");
     let metrics = server.shutdown();
     assert_eq!(metrics.completed, 2);
 }
@@ -171,29 +91,41 @@ fn shed_watermark_sheds_best_effort_but_not_priority_zero() {
         Duration::from_millis(30),
         Some(Duration::from_millis(1)),
     );
-    let occupant = generate_streaming(server.addr(), "{\"prompt_tokens\":4,\"decode_tokens\":40}");
     let addr = server.addr();
-    let waiter = thread::spawn(move || generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}"));
+    let mut occupant =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":40}", &[]).expect("occupant");
+    assert_eq!(occupant.head.status, 200, "request should be admitted");
+    let first = occupant.next_chunk().expect("read first chunk");
+    assert!(first.is_some(), "stream has a first chunk");
+    let waiter = thread::spawn(move || {
+        let mut waiter =
+            generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[]).expect("waiter");
+        waiter.chunks().expect("waiter chunks");
+        waiter.head.status
+    });
     // Wait for the waiter to reach the engine's waiting queue (two
     // admissions counted: occupant + waiter), then let it age past the
     // 1 ms watermark.
     wait_for_metrics(&server, "the waiter's admission", |m| m.admitted >= 2);
     thread::sleep(Duration::from_millis(150));
 
-    let (shed_status, _) = generate(server.addr(), "{\"prompt_tokens\":4,\"decode_tokens\":1}");
+    let shed = generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[]).expect("shed");
+    let shed_status = shed.head.status;
     assert_eq!(shed_status, 503, "best-effort traffic sheds under overload");
     assert!(server.metrics().rejected_shed >= 1);
 
-    let (vip_status, vip_chunks) = generate(
-        server.addr(),
+    let mut vip = generate(
+        addr,
         "{\"prompt_tokens\":4,\"decode_tokens\":1,\"priority\":0}",
-    );
-    assert_eq!(vip_status, 200, "priority 0 is exempt from shedding");
+        &[],
+    )
+    .expect("vip request");
+    let vip_chunks = vip.chunks().expect("vip chunks");
+    assert_eq!(vip.head.status, 200, "priority 0 is exempt from shedding");
     assert!(vip_chunks.last().expect("vip stream").contains("\"done\""));
 
-    let (waiter_status, _) = waiter.join().expect("waiter thread");
-    assert_eq!(waiter_status, 200);
-    finish_stream(occupant.0);
+    assert_eq!(waiter.join().expect("waiter thread"), 200);
+    occupant.chunks().expect("finish the occupant");
     server.shutdown();
 }
 
@@ -202,14 +134,20 @@ fn graceful_drain_completes_every_admitted_request() {
     let server = tiny_server(2, 64, Duration::from_millis(10), None);
     let addr = server.addr();
     let clients: Vec<_> = (0..4)
-        .map(|_| thread::spawn(move || generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":8}")))
+        .map(|_| {
+            thread::spawn(move || {
+                let mut client = generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":8}", &[])
+                    .expect("client request");
+                (client.head.status, client.chunks().expect("client chunks"))
+            })
+        })
         .collect();
     // Let all four through admission before closing it.
     wait_for_metrics(&server, "all four admissions", |m| m.admitted >= 4);
     server.drain();
 
-    let (status, _) = generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}");
-    assert_eq!(status, 503, "a draining server admits nothing");
+    let late = generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[]).expect("late");
+    assert_eq!(late.head.status, 503, "a draining server admits nothing");
 
     for client in clients {
         let (status, chunks) = client.join().expect("client thread");
@@ -235,16 +173,23 @@ fn ttft_includes_queue_wait() {
     // One batch slot: the second request's first token can only land
     // after the occupant finishes, so its TTFT is dominated by queue wait.
     let server = tiny_server(1, 64, Duration::from_millis(20), None);
-    let occupant = generate_streaming(server.addr(), "{\"prompt_tokens\":4,\"decode_tokens\":10}");
-    let (status, chunks) = generate(server.addr(), "{\"prompt_tokens\":4,\"decode_tokens\":1}");
-    assert_eq!(status, 200);
+    let addr = server.addr();
+    let mut occupant =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":10}", &[]).expect("occupant");
+    assert_eq!(occupant.head.status, 200, "request should be admitted");
+    let first = occupant.next_chunk().expect("read first chunk");
+    assert!(first.is_some(), "stream has a first chunk");
+    let mut queued =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":1}", &[]).expect("queued request");
+    let chunks = queued.chunks().expect("queued chunks");
+    assert_eq!(queued.head.status, 200);
     let done = chunks.last().expect("stream has chunks").clone();
     let queue_wait = json_f64(&done, "queue_wait_ms");
     let ttft = json_f64(&done, "ttft_ms");
     // ~10 remaining occupant steps at a 20 ms floor: well over 100 ms.
     assert!(queue_wait > 100.0, "queue wait was only {queue_wait} ms");
     assert!(ttft >= queue_wait, "ttft {ttft} < queue wait {queue_wait}");
-    finish_stream(occupant.0);
+    occupant.chunks().expect("finish the occupant");
 
     let metrics = server.shutdown();
     assert!(metrics.ttft_p99_ms >= metrics.queue_wait_p50_ms);
@@ -253,31 +198,40 @@ fn ttft_includes_queue_wait() {
 #[test]
 fn priority_zero_jumps_the_waiting_queue() {
     let server = tiny_server(1, 64, Duration::from_millis(25), None);
-    let occupant = generate_streaming(server.addr(), "{\"prompt_tokens\":4,\"decode_tokens\":20}");
     let addr = server.addr();
+    let mut occupant =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":20}", &[]).expect("occupant");
+    assert_eq!(occupant.head.status, 200, "request should be admitted");
+    let first = occupant.next_chunk().expect("read first chunk");
+    assert!(first.is_some(), "stream has a first chunk");
     let best_effort = thread::spawn(move || {
-        let outcome = generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":2}");
-        (outcome, Instant::now())
+        let mut be = generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":2}", &[])
+            .expect("best-effort request");
+        be.chunks().expect("best-effort chunks");
+        (be.head.status, Instant::now())
     });
     // The best-effort request must be queued before the VIP arrives.
     wait_for_metrics(&server, "the best-effort admission", |m| m.admitted >= 2);
     let vip = thread::spawn(move || {
-        let outcome = generate(
+        let mut vip = generate(
             addr,
             "{\"prompt_tokens\":4,\"decode_tokens\":2,\"priority\":0}",
-        );
-        (outcome, Instant::now())
+            &[],
+        )
+        .expect("vip request");
+        vip.chunks().expect("vip chunks");
+        (vip.head.status, Instant::now())
     });
 
-    let ((be_status, _), be_done) = best_effort.join().expect("best-effort thread");
-    let ((vip_status, _), vip_done) = vip.join().expect("vip thread");
+    let (be_status, be_done) = best_effort.join().expect("best-effort thread");
+    let (vip_status, vip_done) = vip.join().expect("vip thread");
     assert_eq!(be_status, 200);
     assert_eq!(vip_status, 200);
     assert!(
         vip_done < be_done,
         "the priority-0 request should finish first despite arriving later"
     );
-    finish_stream(occupant.0);
+    occupant.chunks().expect("finish the occupant");
     server.shutdown();
 }
 
@@ -288,9 +242,17 @@ fn mid_stream_disconnect_cancels_and_frees_the_slot() {
     // next step boundary — counted in `cancelled` — and hand its slot to
     // the waiter, which completes normally.
     let server = tiny_server(1, 64, Duration::from_millis(20), None);
-    let occupant = generate_streaming(server.addr(), "{\"prompt_tokens\":4,\"decode_tokens\":200}");
     let addr = server.addr();
-    let waiter = thread::spawn(move || generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":2}"));
+    let mut occupant =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":200}", &[]).expect("occupant");
+    assert_eq!(occupant.head.status, 200, "request should be admitted");
+    let first = occupant.next_chunk().expect("read first chunk");
+    assert!(first.is_some(), "stream has a first chunk");
+    let waiter = thread::spawn(move || {
+        let mut waiter =
+            generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":2}", &[]).expect("waiter");
+        (waiter.head.status, waiter.chunks().expect("waiter chunks"))
+    });
     wait_for_metrics(&server, "the waiter's admission", |m| m.admitted >= 2);
 
     // Hang up on the occupant mid-stream.
@@ -331,10 +293,7 @@ fn raw_status(addr: SocketAddr, bytes: &[u8], half_close: bool) -> u16 {
             .expect("half-close");
     }
     let mut reader = BufReader::new(stream);
-    match read_response_head(&mut reader) {
-        Ok((status, _, _)) => status,
-        Err(_) => 0,
-    }
+    read_response_head_full(&mut reader).map_or(0, |head| head.status)
 }
 
 #[test]
@@ -380,8 +339,10 @@ fn malformed_requests_answer_400_and_never_hang() {
     assert_eq!(raw_status(addr, &oversized, false), 400);
 
     // The server is still fully operational afterwards.
-    let (status, chunks) = generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":2}");
-    assert_eq!(status, 200);
+    let mut response =
+        generate(addr, "{\"prompt_tokens\":4,\"decode_tokens\":2}", &[]).expect("generate");
+    let chunks = response.chunks().expect("read chunks");
+    assert_eq!(response.head.status, 200);
     assert!(chunks.last().expect("stream").contains("\"done\""));
     let metrics = server.shutdown();
     assert_eq!(metrics.completed, 1);
@@ -390,39 +351,24 @@ fn malformed_requests_answer_400_and_never_hang() {
 #[test]
 fn metrics_and_healthz_endpoints_answer() {
     let server = tiny_server(4, 64, Duration::from_millis(5), None);
+    let addr = server.addr();
     for _ in 0..2 {
-        let (status, _) = generate(server.addr(), "{\"prompt_tokens\":8,\"decode_tokens\":2}");
-        assert_eq!(status, 200);
+        let mut response =
+            generate(addr, "{\"prompt_tokens\":8,\"decode_tokens\":2}", &[]).expect("generate");
+        response.chunks().expect("read chunks");
+        assert_eq!(response.head.status, 200);
     }
 
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    write!(
-        stream,
-        "GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
-    )
-    .expect("write request");
-    let mut reader = BufReader::new(stream);
-    let (status, chunked, length) = read_response_head(&mut reader).expect("response head");
+    let (status, body) = get(addr, "/metrics").expect("GET /metrics");
     assert_eq!(status, 200);
-    assert!(!chunked);
-    assert!(length > 0, "metrics responses carry a length");
-    let mut body = vec![0u8; length];
-    std::io::Read::read_exact(&mut reader, &mut body).expect("read body");
-    let metrics: ServerMetrics =
-        serde_json::from_str(std::str::from_utf8(&body).expect("utf-8")).expect("metrics parse");
+    assert!(!body.is_empty(), "metrics responses carry a length");
+    let metrics: ServerMetrics = serde_json::from_str(&body).expect("metrics parse");
     assert_eq!(metrics.completed, 2);
     assert_eq!(metrics.admitted, 2);
     assert!(!metrics.draining);
     assert!(metrics.ttft_p50_ms > 0.0);
 
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    write!(
-        stream,
-        "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
-    )
-    .expect("write request");
-    let mut reader = BufReader::new(stream);
-    let (status, _, _) = read_response_head(&mut reader).expect("response head");
+    let (status, _) = get(addr, "/healthz").expect("GET /healthz");
     assert_eq!(status, 200);
     server.shutdown();
 }
@@ -430,36 +376,19 @@ fn metrics_and_healthz_endpoints_answer() {
 /// `GET /metrics` exposes the engine's prefetch telemetry on the default
 /// preset: the raw wire JSON carries the fields, and the parsed snapshot
 /// reports prefetch counters and per-shard hit ratios consistent with each
-/// other. ("predictor" in the name is historical: the engine has no learned
-/// predictor.)
+/// other.
 #[test]
-fn metrics_expose_prefetch_and_predictor_telemetry() {
-    let mut config = ServerConfig::new(EngineConfig::preset(
-        Framework::HybriMoe,
-        ModelConfig::tiny_test(),
-        0.5,
-    ));
-    config.max_batch = 4;
-    config.queue_depth = 64;
-    config.min_step = Some(Duration::from_millis(5));
-    let server = Server::start(config).expect("server binds a loopback port");
+fn metrics_expose_prefetch_telemetry() {
+    let server = tiny_server(4, 64, Duration::from_millis(5), None);
+    let addr = server.addr();
 
-    let (status, _) = generate(server.addr(), "{\"prompt_tokens\":8,\"decode_tokens\":4}");
-    assert_eq!(status, 200);
+    let mut response =
+        generate(addr, "{\"prompt_tokens\":8,\"decode_tokens\":4}", &[]).expect("generate");
+    response.chunks().expect("read chunks");
+    assert_eq!(response.head.status, 200);
 
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    write!(
-        stream,
-        "GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
-    )
-    .expect("write request");
-    let mut reader = BufReader::new(stream);
-    let (status, chunked, length) = read_response_head(&mut reader).expect("response head");
+    let (status, body) = get(addr, "/metrics").expect("GET /metrics");
     assert_eq!(status, 200);
-    assert!(!chunked);
-    let mut body = vec![0u8; length];
-    std::io::Read::read_exact(&mut reader, &mut body).expect("read body");
-    let body = std::str::from_utf8(&body).expect("utf-8");
     for field in [
         "\"prefetch_issued\"",
         "\"prefetch_landed\"",
@@ -469,7 +398,7 @@ fn metrics_expose_prefetch_and_predictor_telemetry() {
         assert!(body.contains(field), "wire JSON lacks {field}: {body}");
     }
 
-    let metrics: ServerMetrics = serde_json::from_str(body).expect("metrics parse");
+    let metrics: ServerMetrics = serde_json::from_str(&body).expect("metrics parse");
     assert!(metrics.engine_steps > 0, "the request must have stepped");
     // Every landed or wasted transfer was issued first.
     assert!(metrics.prefetch_landed + metrics.prefetch_wasted <= metrics.prefetch_issued);
