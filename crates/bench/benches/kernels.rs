@@ -1,8 +1,9 @@
 //! Compute kernel throughput: the scalar reference GEMV, then the
 //! production path per backend — one `qdot_rows` band and a whole expert
-//! FFN forward. The FFN numbers are what `CpuMeasurement::profile()`
-//! distills from a live run, so they double as a sanity check that the
-//! calibrated CPU GFLOP/s is self-consistent.
+//! FFN forward. The FFN numbers are what `hybrimoe::CpuMeasurement::profile()`
+//! distills from an engine executing for real (`BackendKind::RealCpu`), so
+//! they double as a sanity check that the calibrated CPU GFLOP/s is
+//! self-consistent.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hybrimoe_kernels::{backend, ExecScratch, ExpertFfn, Q8Acts, QuantizedMatrix, WorkerPool};

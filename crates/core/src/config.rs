@@ -11,22 +11,24 @@ use hybrimoe_sched::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{ExecutionBackend, RealCpuBackend, SimBackend};
 use crate::realexec::RealExecOptions;
 use crate::remote::RemoteWorkerOptions;
 
-/// Which execution backend runs each layer's schedule (see
-/// [`crate::backend`]).
+/// Whether the engine also executes each layer for real. Every kind is
+/// charged on the one plan clock ([`PlanReplay`](hybrimoe_sched::PlanReplay));
+/// the real kinds compute the layer outputs with the quantized CPU kernels
+/// and put their measured CPU op times on that clock (see
+/// [`crate::realexec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// Analytic simulation on the platform cost model (the default; the
-    /// only backend that scales to the paper's full-size models).
+    /// The modeled clock alone (the default; the only kind that scales to
+    /// the paper's full-size models).
     Sim,
     /// Real CPU execution with the quantized kernels; needs traces carrying
     /// [`TokenStates`](hybrimoe_trace::TokenStates) and a model that fits
     /// the weight budget in [`EngineConfig::real_exec`].
     RealCpu,
-    /// The same real backend with expert batches offered to out-of-process
+    /// The same real execution with expert batches offered to out-of-process
     /// workers first ([`EngineConfig::remote_workers`]), falling back to
     /// the local kernels per expert when a worker is down. What
     /// [`EngineConfig::with_remote_workers`] selects; with no endpoints it
@@ -35,23 +37,10 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Instantiates the backend for an engine configuration.
-    pub fn build(self, config: &EngineConfig) -> Box<dyn ExecutionBackend> {
-        match self {
-            BackendKind::Sim => Box::new(SimBackend::new()),
-            // One real backend: only `with_remote_workers` sets endpoints,
-            // and it selects `RemoteWorkers` too.
-            BackendKind::RealCpu | BackendKind::RemoteWorkers => Box::new(RealCpuBackend::new(
-                config.model.clone(),
-                config.seed,
-                config.real_exec,
-                &config.remote_workers,
-            )),
-        }
-    }
-
-    /// Whether this backend consumes per-token hidden states (so trace
-    /// generation must capture them).
+    /// Whether this kind executes for real, consuming per-token hidden
+    /// states (so trace generation must capture them). Both real kinds
+    /// build the one executor: only `with_remote_workers` sets endpoints,
+    /// and it selects `RemoteWorkers` too.
     pub fn needs_token_states(self) -> bool {
         matches!(self, BackendKind::RealCpu | BackendKind::RemoteWorkers)
     }
@@ -255,13 +244,13 @@ pub struct EngineConfig {
     /// device timelines by minimum completion time. `1` reproduces the
     /// paper's single-GPU system exactly.
     pub num_gpus: usize,
-    /// Which execution backend runs the schedules (analytic simulation by
-    /// default).
+    /// Whether the engine also executes each layer for real (the modeled
+    /// clock alone by default).
     pub backend: BackendKind,
-    /// Resource limits of the real-execution backend (ignored by
+    /// Resource limits of real execution (ignored by
     /// [`BackendKind::Sim`]).
     pub real_exec: RealExecOptions,
-    /// Worker endpoints and wire knobs of the real backend's worker fleet
+    /// Worker endpoints and wire knobs of real execution's worker fleet
     /// (set through [`EngineConfig::with_remote_workers`]; with no
     /// endpoints every expert runs on the local kernels).
     pub remote_workers: RemoteWorkerOptions,
@@ -412,7 +401,7 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the execution backend (default: analytic simulation).
+    /// Overrides the execution kind (default: the modeled clock alone).
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
@@ -425,7 +414,7 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the real backend with the given worker fleet.
+    /// Selects real execution with the given worker fleet.
     pub fn with_remote_workers(mut self, options: RemoteWorkerOptions) -> Self {
         self.backend = BackendKind::RemoteWorkers;
         self.remote_workers = options;
@@ -570,8 +559,6 @@ mod tests {
             .with_real_exec(opts);
         assert!(c.backend.needs_token_states());
         assert_eq!(c.real_exec, opts);
-        assert_eq!(c.backend.build(&c).name(), "real-cpu");
-        assert_eq!(BackendKind::Sim.build(&c).name(), "sim");
     }
 
     #[test]

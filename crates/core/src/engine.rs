@@ -11,13 +11,12 @@ use hybrimoe_hw::{
 use hybrimoe_model::{shard_of, ExpertId, ExpertKey, LayerId};
 use hybrimoe_sched::baselines::PREFILL_BATCH_THRESHOLD;
 use hybrimoe_sched::{
-    ExpertTask, PredictedLayer, PrefetchContext, PrefetchScratch, Prefetcher, ScheduleContext,
-    ScheduleScratch, Scheduler,
+    ExpertTask, PlanReplay, PredictedLayer, PrefetchContext, PrefetchScratch, Prefetcher,
+    ScheduleContext, ScheduleScratch, Scheduler,
 };
 use hybrimoe_trace::{ActivationTrace, LayerRecord, TraceConfig, TraceGenerator, TraceStep};
 
-use crate::backend::{ExecutionBackend, LayerOutcome, LayerRequest};
-use crate::realexec::RealLayerOutput;
+use crate::realexec::{RealExecution, RealLayerOutput};
 use crate::{EngineConfig, PlacementKind, StageMetrics, StepMetrics};
 
 /// Runs MoE inference over activation traces on the modeled hybrid
@@ -41,18 +40,17 @@ use crate::{EngineConfig, PlacementKind, StageMetrics, StepMetrics};
 /// merged batches formed from concurrently active requests (see
 /// [`crate::serve`]).
 ///
-/// # Execution backends
+/// # One clock, optional real execution
 ///
-/// Schedule *construction* (routing, cache lookups, scheduling) is always
-/// analytic; schedule *execution* is delegated to the configured
-/// [`ExecutionBackend`]: the default [`SimBackend`](crate::SimBackend)
-/// replays plans on the simulated device timelines, while
-/// [`RealCpuBackend`](crate::RealCpuBackend) runs every expert partition
-/// with the quantized CPU kernels — on out-of-process workers first when
-/// [`EngineConfig::remote_workers`] names endpoints — and reports measured
-/// wall-clock (see [`crate::backend`]). The real backend requires traces
-/// generated with
-/// [`TraceGenerator::with_token_states`].
+/// Every layer's cost is its plan replayed on the device clocks
+/// ([`PlanReplay`]), on every configuration. With a real-execution
+/// [`BackendKind`](crate::BackendKind) the engine also computes each
+/// layer's outputs with the quantized CPU kernels — on out-of-process
+/// workers first when [`EngineConfig::remote_workers`] names endpoints —
+/// and the replay takes each CPU-planned expert's measured time in place
+/// of the modeled one; GPU compute, the shared experts and PCIe stay
+/// modeled (see [`crate::realexec`]). Real execution requires traces
+/// generated with [`TraceGenerator::with_token_states`].
 ///
 /// # Example
 ///
@@ -76,9 +74,11 @@ pub struct Engine {
     cache: ShardedExpertCache,
     scheduler: Box<dyn Scheduler>,
     prefetcher: Box<dyn Prefetcher>,
-    /// Executes each layer's schedule: analytic simulation or real kernels
-    /// (see [`crate::backend`]). Schedule construction is backend-agnostic.
-    backend: Box<dyn ExecutionBackend>,
+    /// The one clock every layer's plan is charged on.
+    replay: PlanReplay,
+    /// Real kernels computing each layer's outputs and measuring its CPU
+    /// ops, when the configuration asks for them.
+    real: Option<RealExecution>,
     /// Number of fully GPU-resident layers (whole-layer placement).
     resident_layers: u16,
     /// Background PCIe transfers in flight (prefetches and refills), whose
@@ -271,13 +271,12 @@ impl BackgroundQueue {
 /// steady-state step allocates nothing but the metrics it returns. The
 /// stages of a layer hand their results to each other through it: `lookup`
 /// fills `sched.tasks`/`sched.protect`, `schedule_and_execute` fills
-/// `sched.plan` and `outcome`, and the later stages read those.
+/// `sched.plan` (and the engine's replay its busy times), and the later
+/// stages read those.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// The layer's tasks, protected keys, scheduler queues and plan.
     sched: ScheduleScratch,
-    /// The backend's report on the layer just executed.
-    outcome: LayerOutcome,
     /// The layer's mean router scores, ranking its missed experts.
     mean_scores: Vec<f32>,
     /// The layer's missed experts that no demand transfer covered, ranked
@@ -435,7 +434,11 @@ impl Engine {
         Engine {
             scheduler: config.scheduler.build(),
             prefetcher: config.prefetcher.build(),
-            backend: config.backend.build(&config),
+            replay: PlanReplay::default(),
+            real: config
+                .backend
+                .needs_token_states()
+                .then(|| RealExecution::new(&config)),
             cost,
             cache,
             resident_layers: 0,
@@ -495,29 +498,27 @@ impl Engine {
         &self.cache
     }
 
-    /// The execution backend running the schedules.
-    pub fn backend(&self) -> &dyn ExecutionBackend {
-        self.backend.as_ref()
-    }
-
     /// Drains the numerical layer outputs of the most recent step, in layer
-    /// order. Empty unless the engine runs a real-execution backend.
+    /// order. Empty unless the engine executes for real.
     pub fn take_real_outputs(&mut self) -> Vec<RealLayerOutput> {
-        self.backend.take_step_outputs()
+        self.real
+            .as_mut()
+            .map_or_else(Vec::new, RealExecution::take_outputs)
     }
 
-    /// The CPU calibration the backend has accumulated so far, if it
-    /// measures real kernels. Feed it back through
+    /// The CPU calibration real execution has measured so far, if the
+    /// engine executes for real and has run CPU work. Feed it back through
     /// [`Platform::with_calibration`](hybrimoe_hw::Platform::with_calibration)
     /// to ground the simulator's CPU constants in measured runs.
     pub fn backend_calibration(&self) -> Option<CalibrationProfile> {
-        self.backend.calibration()
+        self.real.as_ref()?.measurement().profile()
     }
 
-    /// Worker fleet health, if the engine's real backend was given worker
-    /// endpoints ([`EngineConfig::with_remote_workers`]); `None` otherwise.
+    /// Worker fleet health, if the engine executes for real and was given
+    /// worker endpoints ([`EngineConfig::with_remote_workers`]); `None`
+    /// otherwise.
     pub fn worker_health(&self) -> Option<crate::remote::WorkerHealthSnapshot> {
-        self.backend.worker_health()
+        self.real.as_ref()?.worker_health()
     }
 
     /// Cumulative prefetch accounting (issued / landed / wasted) since the
@@ -584,9 +585,10 @@ impl Engine {
     ///
     /// Every layer goes through the same stages, in this order: the cache
     /// policy observes the routing, attention is costed, cache lookups
-    /// define the task set, the scheduler plans it and the backend
-    /// executes the plan, demand transfers are admitted to the cache, and
-    /// the layer's idle PCIe time goes to the background queue.
+    /// define the task set, the scheduler plans it and the plan is replayed
+    /// (and executed, with real execution), demand transfers are admitted
+    /// to the cache, and the layer's idle PCIe time goes to the background
+    /// queue.
     ///
     /// # Panics
     ///
@@ -598,7 +600,9 @@ impl Engine {
             "trace was generated for a different model"
         );
         let spike = self.roll_faults();
-        self.backend.begin_step();
+        if let Some(real) = &mut self.real {
+            real.begin_step();
+        }
         let consts = self.step_consts(step.tokens);
         let mut metrics = StepMetrics {
             tokens: step.tokens,
@@ -755,8 +759,8 @@ impl Engine {
         self.background.drop_stale(cx.layer, transfer_time);
     }
 
-    /// Stage 4: schedules the task set and executes the plan on the
-    /// backend; returns the MoE makespan.
+    /// Stage 4: schedules the task set, executes the plan if the engine
+    /// executes for real, and replays it; returns the MoE makespan.
     fn schedule_and_execute(
         &mut self,
         cx: &LayerCtx<'_>,
@@ -770,7 +774,6 @@ impl Engine {
                     plan,
                     ..
                 },
-            outcome,
             inflight,
             carried_prefetches,
             ..
@@ -787,15 +790,10 @@ impl Engine {
         .with_inflight(inflight);
         self.scheduler.schedule_into(&ctx, queues, plan);
         debug_assert_eq!(plan.validate(tasks), Ok(()), "invalid plan from scheduler");
-        self.backend.execute_layer(
-            &LayerRequest {
-                layer: cx.layer,
-                plan,
-                ctx: &ctx,
-                states: cx.rec.states.as_ref(),
-            },
-            outcome,
-        );
+        let makespan = match &mut self.real {
+            Some(real) => real.execute_layer(&mut self.replay, plan, &ctx, cx.rec.states.as_ref()),
+            None => self.replay.run(plan, &ctx),
+        };
 
         // A carried prefetch landed if the plan finished its transfer.
         for expert in carried_prefetches.iter() {
@@ -809,11 +807,12 @@ impl Engine {
         metrics.cpu_experts += plan.cpu_order.len() as u32;
         metrics.gpu_experts += plan.gpu_order.len() as u32;
         metrics.demand_transfers += plan.pcie_order.len() as u32;
-        debug_assert_eq!(outcome.busy.len(), metrics.device_busy.len());
-        for (acc, b) in metrics.device_busy.iter_mut().zip(outcome.busy.iter()) {
+        let busy = self.replay.busy_times();
+        debug_assert_eq!(busy.len(), metrics.device_busy.len());
+        for (acc, b) in metrics.device_busy.iter_mut().zip(busy) {
             *acc += *b;
         }
-        outcome.makespan
+        makespan
     }
 
     /// Stage 5: on-demand transfers become resident (may evict per policy,
@@ -851,7 +850,7 @@ impl Engine {
         metrics: &mut StepMetrics,
     ) {
         let num_gpus = cx.step.num_gpus;
-        let lane_busy = &self.scratch.outcome.busy;
+        let lane_busy = self.replay.busy_times();
         let pcie_busy = (0..num_gpus)
             .map(|g| lane_busy[Device::pcie(g as u8).ordinal(num_gpus)])
             .fold(SimDuration::ZERO, SimDuration::max);

@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 mod config;
 mod engine;
 mod metrics;
@@ -52,16 +51,13 @@ pub mod report;
 #[deny(clippy::unwrap_used)]
 pub mod serve;
 
-pub use backend::{
-    CpuMeasurement, ExecutionBackend, LayerOutcome, LayerRequest, RealCpuBackend, SimBackend,
-};
 pub use config::{
     BackendKind, CachePolicyKind, EngineConfig, Framework, PlacementKind, PrefetcherKind,
     SchedulerKind, DEFAULT_MAX_INFLIGHT,
 };
 pub use engine::{Engine, PrefetchCounters};
 pub use metrics::{StageMetrics, StepMetrics};
-pub use realexec::RealExecOptions;
+pub use realexec::{CpuMeasurement, RealExecOptions};
 // Exists only for `benchmark/src/probes.rs:21,470` (frozen); the next
 // benchmark-type PR drops it together with that import.
 pub use realexec::RealLayerExecutor as RemoteLayerExecutor;

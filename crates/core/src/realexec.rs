@@ -13,6 +13,13 @@
 //! 2. **Calibration ground truth** — the measured wall-clock of the
 //!    CPU-assigned portion grounds the cost model's CPU constants.
 //!
+//! In an [`Engine`](crate::Engine) configured for real execution the
+//! executor does not keep a clock of its own: the engine replays each
+//! layer's plan ([`PlanReplay::run_measured`]) with the executor's
+//! measured time of every CPU-planned expert in place of the modeled one,
+//! while GPU compute, the shared experts and PCIe stay modeled (no GPU and
+//! no link exist to measure here).
+//!
 //! # Expert-major batched execution
 //!
 //! The hot path is **expert-major**: per layer it builds each expert's
@@ -45,18 +52,20 @@
 
 use std::time::{Duration, Instant};
 
+use hybrimoe_hw::{CalibrationProfile, SimDuration};
 use hybrimoe_kernels::threadpool::default_threads;
 use hybrimoe_kernels::{ExecScratch, KernelBackend, KernelBackendKind, WorkerPool};
 use hybrimoe_model::{
     ExpertId, ExpertKey, LayerId, ModelConfig, RouterOutput, WeightStore, WeightStoreError,
 };
-use hybrimoe_sched::SchedulePlan;
+use hybrimoe_sched::{PlanReplay, ScheduleContext, SchedulePlan};
+use hybrimoe_trace::TokenStates;
 use serde::{Deserialize, Serialize};
 
 use crate::remote::{RemoteWorkerOptions, WorkerFleet, WorkerHealthSnapshot};
+use crate::EngineConfig;
 
-/// Resource limits and execution strategy of a [`RealLayerExecutor`] (and
-/// of the [`RealCpuBackend`](crate::RealCpuBackend) built on it).
+/// Resource limits and execution strategy of a [`RealLayerExecutor`].
 ///
 /// # Example
 ///
@@ -116,17 +125,10 @@ pub struct RealLayerOutput {
     pub output: Vec<f32>,
     /// Wall-clock time spent on the CPU-assigned experts.
     pub cpu_wall: Duration,
-    /// Total wall-clock time spent on the GPU-assigned experts (also
-    /// executed on the CPU here — no GPU in this environment — but timed
-    /// separately so the partition's balance can be inspected). Equals the
-    /// sum of [`RealLayerOutput::gpu_walls`].
+    /// Wall-clock time spent on the GPU-assigned experts, all shards
+    /// together (also executed on the CPU here — no GPU in this
+    /// environment — so the engine's clock models them instead).
     pub gpu_wall: Duration,
-    /// Wall-clock time per GPU shard, indexed by
-    /// [`GpuId`](hybrimoe_hw::GpuId); length covers the highest shard the
-    /// plan targets. On a multi-GPU platform each shard would run its
-    /// partition concurrently, so the layer's GPU-side makespan is the
-    /// *maximum* entry while `gpu_wall` is the serial total.
-    pub gpu_walls: Vec<Duration>,
     /// Number of experts the plan assigned to the CPU.
     pub cpu_tasks: usize,
     /// Number of experts the plan assigned to the GPUs.
@@ -169,9 +171,8 @@ impl From<WeightStoreError> for RealExecError {
     }
 }
 
-/// Reusable per-layer buffers of the expert-major path: cleared — not
-/// freed — between layers, so steady-state execution allocates only the
-/// returned output vector.
+/// Reusable per-layer buffers: cleared — not freed — between layers, so
+/// steady-state execution allocates only the returned output vector.
 #[derive(Debug, Default)]
 struct LayerScratch {
     /// Per-expert routed token lists, `(token index, router weight)`,
@@ -187,14 +188,36 @@ struct LayerScratch {
     /// CPU partition of the plan, sorted ascending (binary-searched for
     /// membership instead of a per-layer `HashSet`).
     cpu: Vec<u16>,
-    /// GPU partition of the plan, sorted ascending.
-    gpu: Vec<u16>,
-    /// Union of the partitions, sorted ascending — the fixed accumulation
+    /// Every planned expert, sorted ascending — the fixed accumulation
     /// order (float addition is not associative, so summing in plan order
     /// would make the output depend on the placement).
     planned: Vec<u16>,
-    /// `(expert, shard)` pairs sorted by expert, for per-shard timing.
-    shard: Vec<(u16, u16)>,
+    /// Each planned expert's elapsed wall-clock in the last layer, indexed
+    /// by expert id (entries of unplanned experts are stale).
+    elapsed: Vec<SimDuration>,
+}
+
+impl LayerScratch {
+    /// The layer's result: its output and the recorded times summed per
+    /// device partition.
+    fn finish(&self, output: Vec<f32>) -> RealLayerOutput {
+        let (mut cpu_wall, mut gpu_wall) = (Duration::ZERO, Duration::ZERO);
+        for &expert in &self.planned {
+            let wall = Duration::from_nanos(self.elapsed[expert as usize].as_nanos());
+            if self.cpu.binary_search(&expert).is_ok() {
+                cpu_wall += wall;
+            } else {
+                gpu_wall += wall;
+            }
+        }
+        RealLayerOutput {
+            output,
+            cpu_wall,
+            gpu_wall,
+            cpu_tasks: self.cpu.len(),
+            gpu_tasks: self.planned.len() - self.cpu.len(),
+        }
+    }
 }
 
 /// Executes MoE layers for real on the CPU, using deterministic synthetic
@@ -291,13 +314,21 @@ impl RealLayerExecutor {
         self.fleet.drain();
     }
 
+    /// Each planned expert's elapsed wall-clock in the last executed layer,
+    /// indexed by expert id: its local kernels, or the wait for its reply
+    /// when a worker returned it. What
+    /// [`PlanReplay::run_measured`] substitutes for the modeled CPU ops.
+    pub fn expert_times(&self) -> &[SimDuration] {
+        &self.scratch.elapsed
+    }
+
     /// Executes one layer for real.
     ///
     /// `inputs` holds each token's hidden state (`hidden` floats) and
     /// `routes` the matching routing decisions (same order); `plan` is the
-    /// schedule whose placement is timed. The output combines each token's
-    /// selected experts with its renormalized router weights (Eq. 1 of the
-    /// paper). Experts accumulate into the output in ascending id order
+    /// schedule whose placement is timed ([`Self::expert_times`]). The
+    /// output combines each token's selected experts with its renormalized
+    /// router weights (Eq. 1 of the paper). Experts accumulate into the output in ascending id order
     /// regardless of the plan's device orders, so the result is
     /// **bit-identical across placements** — the property the scheduler
     /// correctness suite pins — across remote/local execution mixes, and
@@ -322,7 +353,6 @@ impl RealLayerExecutor {
         if self.options.token_major {
             return self.run_token_major(layer, inputs, routes);
         }
-        let num_shards = self.num_shards();
         let RealLayerExecutor {
             store,
             pool,
@@ -336,10 +366,8 @@ impl RealLayerExecutor {
             tokens_of,
             gather,
             result,
-            cpu,
-            gpu,
             planned,
-            shard,
+            elapsed,
             ..
         } = scratch;
         let hidden = store.config().routed_shape.hidden() as usize;
@@ -378,9 +406,6 @@ impl RealLayerExecutor {
         // weights are resolved, so neither first-use weight generation nor
         // the wait on a reply that never came is booked as kernel time.
         let mut output = vec![0.0f32; inputs.len() * hidden];
-        let mut cpu_wall = Duration::ZERO;
-        let mut gpu_wall = Duration::ZERO;
-        let mut gpu_walls = vec![Duration::ZERO; num_shards];
         for (i, &expert) in planned.iter().enumerate() {
             let list = &tokens_of[expert as usize];
             let batch = list.len();
@@ -399,25 +424,9 @@ impl RealLayerExecutor {
                 ffn.forward_batch_into(x, batch, result, ffn_scratch, pool, *backend);
                 scatter(result, list, hidden, &mut output);
             }
-            account(
-                expert,
-                start.elapsed(),
-                cpu,
-                shard,
-                &mut cpu_wall,
-                &mut gpu_wall,
-                &mut gpu_walls,
-            );
+            elapsed[expert as usize] = sim_duration(start.elapsed());
         }
-
-        Ok(RealLayerOutput {
-            output,
-            cpu_wall,
-            gpu_wall,
-            gpu_walls,
-            cpu_tasks: cpu.len(),
-            gpu_tasks: gpu.len(),
-        })
+        Ok(scratch.finish(output))
     }
 
     /// Checks the inputs and distills the plan into the sorted scratch
@@ -457,52 +466,29 @@ impl RealLayerExecutor {
         scratch.cpu.clear();
         scratch.cpu.extend(plan.cpu_experts().map(|e| e.0));
         scratch.cpu.sort_unstable();
-        scratch.cpu.dedup();
-        scratch.gpu.clear();
-        scratch.gpu.extend(plan.gpu_experts().map(|e| e.0));
-        scratch.gpu.sort_unstable();
-        scratch.gpu.dedup();
-        if scratch
-            .cpu
-            .iter()
-            .any(|e| scratch.gpu.binary_search(e).is_ok())
-        {
-            return Err(RealExecError::InvalidPlan(
-                "an expert is assigned to both devices".to_owned(),
-            ));
-        }
-
-        // Sorted union of two sorted, disjoint partitions.
         scratch.planned.clear();
         scratch.planned.extend_from_slice(&scratch.cpu);
-        scratch.planned.extend_from_slice(&scratch.gpu);
+        scratch.planned.extend(plan.gpu_experts().map(|e| e.0));
         scratch.planned.sort_unstable();
+        // Not deduplicated: an expert listed twice, on one device or both,
+        // would be charged twice by the clock but computed once.
+        if let Some(twice) = scratch.planned.windows(2).find(|w| w[0] == w[1]) {
+            return Err(RealExecError::InvalidPlan(format!(
+                "expert {} is planned twice",
+                ExpertId(twice[0])
+            )));
+        }
         if scratch.planned != scratch.activated {
             return Err(RealExecError::InvalidPlan(format!(
                 "plan covers {:?}, activated {:?}",
                 scratch.planned, scratch.activated
             )));
         }
-
-        // Which shard each GPU-assigned expert runs on (per-shard timing).
-        scratch.shard.clear();
-        scratch.shard.extend(
-            plan.gpu_order
-                .iter()
-                .filter_map(|g| g.placement.gpu().map(|gpu| (g.task.expert.0, gpu.0 as u16))),
+        scratch.elapsed.resize(
+            self.store.config().routed_experts as usize,
+            SimDuration::ZERO,
         );
-        scratch.shard.sort_unstable();
         Ok(())
-    }
-
-    /// Number of GPU shards the validated plan targets.
-    fn num_shards(&self) -> usize {
-        self.scratch
-            .shard
-            .iter()
-            .map(|(_, s)| *s as usize)
-            .max()
-            .map_or(1, |m| m + 1)
     }
 
     /// The retained token-major reference path: one single-token scalar
@@ -514,22 +500,11 @@ impl RealLayerExecutor {
         inputs: &[Vec<f32>],
         routes: &[RouterOutput],
     ) -> Result<RealLayerOutput, RealExecError> {
-        let num_shards = self.num_shards();
         let RealLayerExecutor { store, scratch, .. } = self;
-        let LayerScratch {
-            cpu,
-            gpu,
-            planned,
-            shard,
-            ..
-        } = scratch;
         let hidden = store.config().routed_shape.hidden() as usize;
 
         let mut output = vec![0.0f32; inputs.len() * hidden];
-        let mut cpu_wall = Duration::ZERO;
-        let mut gpu_wall = Duration::ZERO;
-        let mut gpu_walls = vec![Duration::ZERO; num_shards];
-        for &expert in planned.iter() {
+        for &expert in &scratch.planned {
             let ffn = store.expert(ExpertKey::new(layer, ExpertId(expert)))?;
             let start = Instant::now();
             for (t, (x, routing)) in inputs.iter().zip(routes.iter()).enumerate() {
@@ -544,27 +519,15 @@ impl RealLayerExecutor {
                     *o += weight * v;
                 }
             }
-            let elapsed = start.elapsed();
-            account(
-                expert,
-                elapsed,
-                cpu,
-                shard,
-                &mut cpu_wall,
-                &mut gpu_wall,
-                &mut gpu_walls,
-            );
+            scratch.elapsed[expert as usize] = sim_duration(start.elapsed());
         }
-
-        Ok(RealLayerOutput {
-            output,
-            cpu_wall,
-            gpu_wall,
-            gpu_walls,
-            cpu_tasks: cpu.len(),
-            gpu_tasks: gpu.len(),
-        })
+        Ok(scratch.finish(output))
     }
+}
+
+/// A measured wall-clock on the modeled clock's nanosecond scale.
+fn sim_duration(wall: Duration) -> SimDuration {
+    SimDuration::from_nanos(wall.as_nanos() as u64)
 }
 
 /// Gathers `list`'s tokens into a contiguous `batch x hidden` buffer and
@@ -596,37 +559,141 @@ fn scatter(result: &[f32], list: &[(u32, f32)], hidden: usize, output: &mut [f32
     }
 }
 
-/// Books one expert's elapsed wall-clock against the device the plan put
-/// it on, whether the batch ran locally or on a worker (sorted-slice
-/// membership; GPU shard looked up by binary search).
-fn account(
-    expert: u16,
-    elapsed: Duration,
-    cpu: &[u16],
-    shard: &[(u16, u16)],
-    cpu_wall: &mut Duration,
-    gpu_wall: &mut Duration,
-    gpu_walls: &mut [Duration],
-) {
-    if cpu.binary_search(&expert).is_ok() {
-        *cpu_wall += elapsed;
-    } else {
-        *gpu_wall += elapsed;
-        let s = shard
-            .binary_search_by_key(&expert, |(e, _)| *e)
-            .map(|i| shard[i].1 as usize)
-            .unwrap_or(0);
-        gpu_walls[s] += elapsed;
+/// Aggregate CPU-side measurements of an engine's real execution.
+///
+/// `flops` counts the CPU-assigned experts' work (load × per-token FLOPs).
+/// `bytes` counts each CPU task's weight bytes **once per task**, matching
+/// the convention of the cost model that consumes the distilled profile:
+/// [`AffineCostModel`](hybrimoe_hw::AffineCostModel)'s memory floor charges
+/// `expert.bytes() / bw` once per task, so the effective bandwidth must be
+/// distilled against the same denominator (the real kernel streams the
+/// weights once per token forward, but folding that into the rate would
+/// inflate the simulated bandwidth for batched loads).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CpuMeasurement {
+    /// Wall-clock spent in CPU-assigned expert kernels.
+    pub wall: Duration,
+    /// FLOPs those kernels performed.
+    pub flops: u64,
+    /// Weight bytes charged once per task (the cost model's stream-once
+    /// convention — see the struct docs).
+    pub bytes: u64,
+    /// CPU expert tasks executed.
+    pub tasks: u32,
+}
+
+impl CpuMeasurement {
+    /// Distills the measurement into a [`CalibrationProfile`] of effective
+    /// achieved rates, or `None` if no CPU work has been measured yet
+    /// (see [`CalibrationProfile::from_effective_rates`]).
+    pub fn profile(&self) -> Option<CalibrationProfile> {
+        CalibrationProfile::from_effective_rates(
+            self.flops,
+            self.bytes,
+            self.wall.as_secs_f64(),
+            self.tasks,
+        )
+    }
+}
+
+/// The engine's real-execution part, present when its configuration
+/// [`needs_token_states`](crate::BackendKind::needs_token_states): the
+/// executor, the outputs of the step in progress and the CPU measurement
+/// accumulated so far.
+#[derive(Debug)]
+pub(crate) struct RealExecution {
+    exec: RealLayerExecutor,
+    outputs: Vec<RealLayerOutput>,
+    measured: CpuMeasurement,
+}
+
+impl RealExecution {
+    /// Builds the executor for the configuration's model, seed, resource
+    /// limits and worker fleet (connections open lazily).
+    pub(crate) fn new(config: &EngineConfig) -> RealExecution {
+        RealExecution {
+            exec: RealLayerExecutor::new(
+                config.model.clone(),
+                config.seed,
+                config.real_exec,
+                &config.remote_workers,
+            ),
+            outputs: Vec::new(),
+            measured: CpuMeasurement::default(),
+        }
+    }
+
+    /// Starts a step: the previous step's outputs are dropped, and the
+    /// list has room for one output per layer.
+    pub(crate) fn begin_step(&mut self) {
+        self.outputs.clear();
+        self.outputs.reserve(self.exec.model().layers as usize);
+    }
+
+    /// Computes one layer's outputs, then replays its plan with the
+    /// measured time of every CPU-planned expert; returns the replayed
+    /// makespan (the busy times are `replay`'s).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace carries no token states, or the executor
+    /// rejects the plan or the inputs.
+    pub(crate) fn execute_layer(
+        &mut self,
+        replay: &mut PlanReplay,
+        plan: &SchedulePlan,
+        ctx: &ScheduleContext<'_>,
+        states: Option<&TokenStates>,
+    ) -> SimDuration {
+        let states = states.unwrap_or_else(|| {
+            panic!(
+                "real execution needs per-token states at {}: generate the trace with \
+                 TraceGenerator::with_token_states",
+                ctx.layer
+            )
+        });
+        let out = self
+            .exec
+            .execute_layer(ctx.layer, plan, &states.inputs, &states.routes)
+            .unwrap_or_else(|e| panic!("real execution failed at {}: {e}", ctx.layer));
+
+        // Bytes are charged once per task: the cost model's stream-once
+        // convention (see [`CpuMeasurement`]).
+        let profile = ctx.routed_profile;
+        let tasks = plan.cpu_order.len() as u64;
+        self.measured.flops +=
+            plan.cpu_order.iter().map(|t| t.load as u64).sum::<u64>() * profile.flops_per_token();
+        self.measured.bytes += tasks * profile.bytes();
+        self.measured.tasks += tasks as u32;
+        self.measured.wall += out.cpu_wall;
+        self.outputs.push(out);
+        replay.run_measured(plan, ctx, self.exec.expert_times())
+    }
+
+    /// Drains the outputs of the most recent step, in layer order.
+    pub(crate) fn take_outputs(&mut self) -> Vec<RealLayerOutput> {
+        std::mem::take(&mut self.outputs)
+    }
+
+    /// The accumulated CPU measurement.
+    pub(crate) fn measurement(&self) -> CpuMeasurement {
+        self.measured
+    }
+
+    /// Worker fleet health, if endpoints were configured.
+    pub(crate) fn worker_health(&self) -> Option<WorkerHealthSnapshot> {
+        let health = self.exec.health();
+        (health.configured > 0).then_some(health)
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use hybrimoe_hw::UnitCostModel;
+    use hybrimoe_hw::{AffineCostModel, CostModel, Device, GpuId, UnitCostModel};
     use hybrimoe_model::LayerRouting;
     use hybrimoe_sched::baselines::FixedMappingScheduler;
-    use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+    use hybrimoe_sched::{DevicePlacement, ExpertTask, HybridScheduler, PlannedTask, Scheduler};
 
     pub(crate) fn token_inputs(
         model: &ModelConfig,
@@ -795,70 +862,40 @@ pub(crate) mod tests {
             plan.cpu_order.len() + plan.gpu_order.len()
         );
         assert!(out.cpu_wall + out.gpu_wall > Duration::ZERO);
-    }
-
-    #[test]
-    fn gpu_walls_are_timed_per_shard() {
-        // A 2-GPU plan: each shard's wall-clock is timed separately, and
-        // the per-shard walls account for exactly the total GPU time.
-        let model = ModelConfig::tiny_test();
-        let hidden = model.routed_shape.hidden() as usize;
-        let k = model.activated_experts as usize;
-        // Route every token to experts 0 (shard 0) and 1 (shard 1).
-        let (inputs, routes): (Vec<Vec<f32>>, Vec<RouterOutput>) = (0..3)
-            .map(|t| {
-                let x: Vec<f32> = (0..hidden)
-                    .map(|i| ((t * 37 + i * 11) % 100) as f32 / 500.0 - 0.1)
-                    .collect();
-                let mut logits = vec![0.0f32; model.routed_experts as usize];
-                logits[0] = 5.0;
-                logits[1] = 4.0;
-                (x, RouterOutput::route(&logits, k))
-            })
-            .unzip();
-        let routing = LayerRouting::from_tokens(LayerId(0), model.routed_experts, &routes);
-        let tasks: Vec<ExpertTask> = routing
-            .activated()
-            .into_iter()
-            .map(|(e, load)| ExpertTask::cached(e, load))
-            .collect();
-        let cost = UnitCostModel::paper_fig5();
-        let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost).with_gpus(2);
-        let plan = HybridScheduler::without_cpu_steal().schedule(&ctx);
-        let shards_hit: std::collections::HashSet<_> = plan
-            .gpu_order
-            .iter()
-            .filter_map(|g| g.placement.gpu())
-            .collect();
-        assert!(shards_hit.len() > 1, "routing should hit both shards");
-
-        let mut exec = RealLayerExecutor::with_options(model, 7, RealExecOptions::default());
-        let out = exec
-            .execute_layer(LayerId(0), &plan, &inputs, &routes)
-            .unwrap();
-        assert_eq!(out.gpu_walls.len(), 2);
-        assert_eq!(out.gpu_walls.iter().sum::<Duration>(), out.gpu_wall);
-        for (g, wall) in out.gpu_walls.iter().enumerate() {
-            assert!(*wall > Duration::ZERO, "shard {g} untimed");
-        }
+        // The walls are the planned experts' recorded times, per device.
+        let times = exec.expert_times();
+        let cpu: SimDuration = plan.cpu_experts().map(|e| times[e.0 as usize]).sum();
+        let gpu: SimDuration = plan.gpu_experts().map(|e| times[e.0 as usize]).sum();
+        assert_eq!(cpu, sim_duration(out.cpu_wall));
+        assert_eq!(gpu, sim_duration(out.gpu_wall));
     }
 
     #[test]
     fn incomplete_plan_rejected() {
         let model = ModelConfig::tiny_test();
         let (inputs, routes) = token_inputs(&model, 2, 5);
-        let mut plan = tasks_and_plan(&model, &routes, 2, true);
-        if !plan.cpu_order.is_empty() {
-            plan.cpu_order.pop();
+        let plan = tasks_and_plan(&model, &routes, 2, true);
+        let mut missing = plan.clone();
+        if !missing.cpu_order.is_empty() {
+            missing.cpu_order.pop();
         } else {
-            plan.gpu_order.pop();
+            missing.gpu_order.pop();
+        }
+        // Every expert is covered, but one is listed twice: the clock
+        // would charge it twice while it is computed once.
+        let mut twice = plan.clone();
+        match twice.cpu_order.first() {
+            Some(&t) => twice.cpu_order.push(t),
+            None => twice.gpu_order.push(twice.gpu_order[0]),
         }
         let mut exec = RealLayerExecutor::with_options(model, 7, RealExecOptions::default());
-        let err = exec
-            .execute_layer(LayerId(0), &plan, &inputs, &routes)
-            .unwrap_err();
-        assert!(matches!(err, RealExecError::InvalidPlan(_)), "{err}");
-        assert!(!err.to_string().is_empty());
+        for bad in [missing, twice] {
+            let err = exec
+                .execute_layer(LayerId(0), &bad, &inputs, &routes)
+                .unwrap_err();
+            assert!(matches!(err, RealExecError::InvalidPlan(_)), "{err}");
+            assert!(!err.to_string().is_empty());
+        }
     }
 
     #[test]
@@ -919,6 +956,120 @@ pub(crate) mod tests {
                     .unwrap();
             assert_eq!(got.output, fresh.output, "tokens={tokens}");
         }
+    }
+
+    /// An engine configuration executing the tiny model for real.
+    fn real_config() -> EngineConfig {
+        EngineConfig::preset(crate::Framework::HybriMoe, ModelConfig::tiny_test(), 0.5)
+            .with_backend(crate::BackendKind::RealCpu)
+            .with_real_exec(RealExecOptions {
+                max_threads: 1,
+                ..Default::default()
+            })
+    }
+
+    #[test]
+    fn a_real_layer_runs_on_the_plan_clock() {
+        // The first activated expert is transferred, the second cached,
+        // the rest run on the CPU; the model has a shared expert.
+        let config = real_config();
+        let model = config.model.clone();
+        let (inputs, routes) = token_inputs(&model, 3, 9);
+        let routing = LayerRouting::from_tokens(LayerId(0), model.routed_experts, &routes);
+        let activated = routing.activated();
+        assert!(activated.len() >= 3, "{activated:?}");
+        let mut plan = SchedulePlan::empty(LayerId(0), 3);
+        let mut tasks = Vec::new();
+        for (i, (expert, load)) in activated.into_iter().enumerate() {
+            let task = ExpertTask {
+                expert,
+                load,
+                cached: i == 1,
+            };
+            tasks.push(task);
+            match i {
+                0 => {
+                    plan.pcie_order.push(task);
+                    plan.gpu_order.push(PlannedTask {
+                        task,
+                        placement: DevicePlacement::GpuAfterTransfer(GpuId(0)),
+                    });
+                }
+                1 => plan.gpu_order.push(PlannedTask {
+                    task,
+                    placement: DevicePlacement::Gpu(GpuId(0)),
+                }),
+                _ => plan.cpu_order.push(task),
+            }
+        }
+        assert_eq!(plan.validate(&tasks), Ok(()));
+        let cost = AffineCostModel::from_platform(&config.platform);
+        let (routed, shared) = (model.routed_profile(), model.shared_profile());
+        let ctx = ScheduleContext::new(LayerId(0), 3, &tasks, routed, shared, &cost);
+
+        let mut real = RealExecution::new(&config);
+        real.begin_step();
+        let mut replay = PlanReplay::default();
+        let states = TokenStates { inputs, routes };
+        let makespan = real.execute_layer(&mut replay, &plan, &ctx, Some(&states));
+        let busy = replay.busy_times().to_vec();
+        let out = real.take_outputs().pop().expect("one layer executed");
+
+        let mut modeled = PlanReplay::default();
+        modeled.run(&plan, &ctx);
+        let (cpu, gpu, pcie) = (
+            Device::Cpu.ordinal(1),
+            Device::gpu(0).ordinal(1),
+            Device::pcie(0).ordinal(1),
+        );
+        assert_eq!(busy[gpu], modeled.busy_times()[gpu]);
+        assert_eq!(busy[pcie], modeled.busy_times()[pcie]);
+        assert_eq!(busy[cpu], sim_duration(out.cpu_wall));
+        // The shared expert is charged on GPU 0 next to the routed ones.
+        let shared_time = cost.gpu_compute(&shared.expect("tiny model has one"), 3);
+        let routed_time: SimDuration = plan
+            .gpu_order
+            .iter()
+            .map(|g| cost.gpu_compute(&routed, g.task.load))
+            .sum();
+        assert_eq!(busy[gpu], shared_time + routed_time);
+        // The transferred expert computes after its transfer lands.
+        let moved = plan.gpu_order[0].task;
+        assert!(makespan >= cost.transfer(&routed) + cost.gpu_compute(&routed, moved.load));
+        assert!(makespan >= busy[cpu]);
+    }
+
+    #[test]
+    fn real_execution_executes_and_measures() {
+        let config = real_config();
+        let trace = hybrimoe_trace::TraceGenerator::new(config.model.clone(), 7)
+            .with_token_states()
+            .decode_trace(4);
+        let mut engine = crate::Engine::new(config);
+        let metrics = engine.run(&trace);
+        assert!(metrics.total > SimDuration::ZERO);
+        let outputs = engine.take_real_outputs();
+        assert_eq!(outputs.len(), trace.steps[0].layers.len());
+        assert!(outputs[0].output.iter().any(|v| *v != 0.0));
+        assert!(engine.take_real_outputs().is_empty());
+        assert_eq!(engine.worker_health(), None, "no endpoints, no fleet");
+        if metrics.steps.iter().any(|s| s.cpu_experts > 0) {
+            let cal = engine.backend_calibration().expect("cpu work measured");
+            assert!(cal.is_plausible());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs per-token states")]
+    fn real_execution_rejects_stateless_traces() {
+        let config = real_config();
+        let trace = hybrimoe_trace::TraceGenerator::new(config.model.clone(), 7).decode_trace(1);
+        crate::Engine::new(config).step(&trace.steps[0]);
+    }
+
+    #[test]
+    fn empty_measurement_has_no_profile() {
+        assert_eq!(CpuMeasurement::default().profile(), None);
     }
 
     #[test]

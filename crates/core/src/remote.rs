@@ -372,13 +372,12 @@ impl WorkerFleet {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::backend::{ExecutionBackend, LayerOutcome, LayerRequest, RealCpuBackend};
     use crate::realexec::tests::{tasks_and_plan, token_inputs};
     use crate::realexec::{RealExecOptions, RealLayerExecutor};
     use hybrimoe_fault::{FaultPlan, FaultRates};
     use hybrimoe_hw::SimDuration;
-    use hybrimoe_model::{LayerRouting, RouterOutput};
-    use hybrimoe_sched::{ExpertTask, ScheduleContext, SchedulePlan};
+    use hybrimoe_model::RouterOutput;
+    use hybrimoe_sched::SchedulePlan;
     use hybrimoe_worker::{WorkerHandle, WorkerServer, WorkerServerOptions};
 
     fn scalar_options() -> RealExecOptions {
@@ -730,48 +729,25 @@ mod tests {
 
     #[test]
     fn remote_backend_reports_health_and_outputs() {
-        // The one real backend with one live worker.
+        // An engine executing for real with one live worker.
         let model = ModelConfig::tiny_test();
         let (handles, endpoints) = spawn_workers(1, WorkerServerOptions::default());
-        let remote = RemoteWorkerOptions {
-            endpoints,
-            ..Default::default()
-        };
-        let mut backend = RealCpuBackend::new(model.clone(), 7, scalar_options(), &remote);
-        assert_eq!(backend.name(), "real-cpu");
-
-        let (inputs, routes) = token_inputs(&model, 2, 3);
-        let plan = plan_for(&model, &routes);
-        let states = hybrimoe_trace::TokenStates { inputs, routes };
-        let routing = LayerRouting::from_tokens(LayerId(0), model.routed_experts, &states.routes);
-        let tasks: Vec<ExpertTask> = routing
-            .activated()
-            .into_iter()
-            .map(|(e, load)| ExpertTask {
-                expert: e,
-                load,
-                cached: e.0 % 2 == 0,
-            })
-            .collect();
-        let cost = hybrimoe_hw::UnitCostModel::paper_fig5();
-        let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
-
-        backend.begin_step();
-        let mut outcome = LayerOutcome::default();
-        backend.execute_layer(
-            &LayerRequest {
-                layer: LayerId(0),
-                plan: &plan,
-                ctx: &ctx,
-                states: Some(&states),
-            },
-            &mut outcome,
-        );
-        assert!(outcome.makespan > SimDuration::ZERO);
-        let outputs = backend.take_step_outputs();
-        assert_eq!(outputs.len(), 1);
+        let config = crate::EngineConfig::preset(crate::Framework::HybriMoe, model.clone(), 0.5)
+            .with_real_exec(scalar_options())
+            .with_remote_workers(RemoteWorkerOptions {
+                endpoints,
+                ..Default::default()
+            });
+        let mut engine = crate::Engine::new(config);
+        let trace = hybrimoe_trace::TraceGenerator::new(model.clone(), 3)
+            .with_token_states()
+            .decode_trace(1);
+        let metrics = engine.step(&trace.steps[0]);
+        assert!(metrics.latency > SimDuration::ZERO);
+        let outputs = engine.take_real_outputs();
+        assert_eq!(outputs.len(), model.layers as usize);
         assert!(outputs[0].output.iter().any(|v| *v != 0.0));
-        let health = backend.worker_health().expect("endpoints configured");
+        let health = engine.worker_health().expect("endpoints configured");
         assert_eq!(health.configured, 1);
         assert!(health.requests > 0);
         for h in handles {

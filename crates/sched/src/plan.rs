@@ -299,6 +299,7 @@ struct LoweredOp {
     kind: OpKind,
 }
 
+#[derive(Clone, Copy)]
 enum OpKind {
     /// The shared experts.
     Shared,
@@ -346,6 +347,34 @@ impl PlanReplay {
     /// Replays `plan` on idle devices and returns its makespan: the finish
     /// time of the last op on any device, PCIe lanes included.
     pub fn run(&mut self, plan: &SchedulePlan, ctx: &ScheduleContext<'_>) -> SimDuration {
+        self.replay(plan, ctx, None)
+    }
+
+    /// Replays `plan` like [`PlanReplay::run`], except that each routed
+    /// expert `e` the plan computes on the CPU takes `cpu_times[e]` (a
+    /// measured time, indexed by expert id) instead of its modeled cost.
+    /// The shared experts, GPU computes and transfers stay modeled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu_times` has no entry for a CPU-planned expert.
+    pub fn run_measured(
+        &mut self,
+        plan: &SchedulePlan,
+        ctx: &ScheduleContext<'_>,
+        cpu_times: &[SimDuration],
+    ) -> SimDuration {
+        self.replay(plan, ctx, Some(cpu_times))
+    }
+
+    /// The one replay behind [`PlanReplay::run`] (`cpu_times` = `None`)
+    /// and [`PlanReplay::run_measured`].
+    fn replay(
+        &mut self,
+        plan: &SchedulePlan,
+        ctx: &ScheduleContext<'_>,
+        cpu_times: Option<&[SimDuration]>,
+    ) -> SimDuration {
         let PlanReplay { clocks, arrivals } = self;
         clocks.reset(ctx.num_gpus.max(1));
         arrivals.clear();
@@ -357,7 +386,11 @@ impl PlanReplay {
                     .map_or(SimTime::ZERO, |(_, arrived)| *arrived),
                 _ => SimTime::ZERO,
             };
-            let end = clocks.run(op.device, release, op.duration);
+            let duration = match (cpu_times, op.kind, op.device) {
+                (Some(times), OpKind::Compute(e, _), Device::Cpu) => times[e.0 as usize],
+                _ => op.duration,
+            };
+            let end = clocks.run(op.device, release, duration);
             if let OpKind::Load(e) = op.kind {
                 arrivals.push((e, end));
             }
@@ -522,6 +555,38 @@ mod tests {
             assert_eq!(replay.run(&plan, &ctx), executed.makespan);
             assert_eq!(replay.busy_times(), executed.timelines.busy_times());
         }
+    }
+
+    #[test]
+    fn measured_cpu_times_replace_only_the_routed_cpu_ops() {
+        let tasks = fig5_tasks();
+        let cost = UnitCostModel::paper_fig5();
+        let ctx = ScheduleContext::new(
+            LayerId(0),
+            4,
+            &tasks,
+            hybrimoe_hw::ExpertProfile::new(1, 1),
+            Some(hybrimoe_hw::ExpertProfile::new(1, 1)),
+            &cost,
+        );
+        let mut plan = fig5_plan();
+        let mut times = vec![SimDuration::ZERO; 5];
+        times[0] = SimDuration::from_micros(5);
+        let mut replay = PlanReplay::default();
+        let mut modeled = PlanReplay::default();
+        assert_eq!(
+            replay.run_measured(&plan, &ctx, &times),
+            SimDuration::from_micros(5)
+        );
+        modeled.run(&plan, &ctx);
+        assert_eq!(replay.busy_times()[0], SimDuration::from_micros(5));
+        assert_eq!(replay.busy_times()[1..], modeled.busy_times()[1..]);
+        // Shared experts on the CPU stay modeled: 4 tokens, then E0's 5.
+        plan.shared_on = Device::Cpu;
+        assert_eq!(
+            replay.run_measured(&plan, &ctx, &times),
+            SimDuration::from_micros(9)
+        );
     }
 
     #[test]

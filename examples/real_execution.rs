@@ -1,6 +1,8 @@
-//! Real execution end to end: run a tiny model on the `RealCpuBackend`,
-//! where every scheduled expert partition is actually computed with the
-//! quantized CPU kernels, then close the calibration loop — the measured
+//! Real execution end to end: run a tiny model with
+//! `BackendKind::RealCpu`, where every scheduled expert is actually
+//! computed with the quantized CPU kernels and each CPU-planned expert's
+//! measured time replaces its modeled one on the engine's clock (GPU and
+//! PCIe stay modeled), then close the calibration loop — the measured
 //! wall-clock grounds the simulator's CPU constants, and the re-grounded
 //! simulator predicts the same workload's CPU time.
 //!
@@ -29,10 +31,8 @@ fn main() {
         .with_max_inflight(0);
 
     println!(
-        "Real CPU execution — {} | {} decode steps, backend `{}`\n",
-        model.name,
-        steps,
-        config.backend.build(&config).name()
+        "Real CPU execution — {} | {} decode steps, {:?}\n",
+        model.name, steps, config.backend
     );
 
     // The trace must carry per-token hidden states for real execution.
@@ -42,7 +42,7 @@ fn main() {
 
     let mut engine = Engine::new(config.clone());
     let mut checksum = 0.0f64;
-    println!("step |  cpu wall |  gpu wall | cpu experts | gpu experts");
+    println!("step | cpu (measured) | gpu (modeled) | cpu experts | gpu experts");
     for (i, step) in trace.steps.iter().enumerate() {
         let metrics = engine.step(step);
         let outputs = engine.take_real_outputs();
@@ -50,7 +50,7 @@ fn main() {
             checksum += layer.output.iter().map(|v| *v as f64).sum::<f64>();
         }
         println!(
-            "{i:>4} | {:>7.1}µs | {:>7.1}µs | {:>11} | {:>11}",
+            "{i:>4} | {:>12.1}µs | {:>11.1}µs | {:>11} | {:>11}",
             metrics.busy(Device::Cpu).as_micros_f64(),
             metrics.busy(Device::gpu(0)).as_micros_f64(),
             metrics.cpu_experts,

@@ -5,14 +5,15 @@
 //! returns. A counting global allocator pins that, so a stray `Vec`,
 //! `format!` or hash map on the per-layer path fails here instead of
 //! quietly costing every token a few microseconds again. The same
-//! allocator pins the real-execution unit of work: a warm expert forward
+//! allocator pins the real-execution path: a warm real decode step
+//! allocates only the outputs it hands out, a warm expert forward
 //! allocates nothing, and a warm trace-generator step allocates only the
 //! trace it returns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hybrimoe::{Engine, EngineConfig, Framework};
+use hybrimoe::{BackendKind, Engine, EngineConfig, Framework, RealExecOptions};
 use hybrimoe_kernels::{ExecScratch, ExpertFfn, KernelBackendKind, WorkerPool};
 use hybrimoe_model::ModelConfig;
 use hybrimoe_trace::TraceGenerator;
@@ -99,6 +100,48 @@ fn a_warm_decode_step_stays_off_the_heap() {
             "{}: {total} allocations over {} warm decode steps",
             framework.name(),
             measured.len()
+        );
+    }
+}
+
+/// A warm decode step executing for real allocates what it hands out and
+/// nothing more: each layer's output vector, the list carrying them
+/// (drained by `take_real_outputs`) and the busy vector of the returned
+/// metrics. The plan is charged on the engine's reused replay, and the
+/// executor records its expert times in a reused buffer.
+#[test]
+fn a_warm_real_decode_step_allocates_only_its_outputs() {
+    let model = ModelConfig::tiny_test();
+    let config = EngineConfig::preset(Framework::HybriMoe, model.clone(), 0.5)
+        .with_backend(BackendKind::RealCpu)
+        .with_real_exec(RealExecOptions {
+            max_threads: 1,
+            ..Default::default()
+        });
+    let mut engine = Engine::new(config);
+    let generator = TraceGenerator::new(model.clone(), 17).with_token_states();
+    // A long prompt activates, and so materializes, every expert's
+    // weights; the first decode steps grow every reused buffer to its
+    // working size.
+    let prompt = generator.prefill_trace(64);
+    let trace = generator.decode_trace(48);
+    let (warmup, measured) = trace.steps.split_at(16);
+    for step in prompt.steps.iter().chain(warmup) {
+        engine.step(step);
+        engine.take_real_outputs();
+    }
+
+    let owned = u64::from(model.layers) + 2;
+    for step in measured {
+        let before = allocations();
+        let metrics = engine.step(step);
+        let outputs = engine.take_real_outputs();
+        let spent = allocations() - before;
+        assert_eq!(outputs.len(), model.layers as usize);
+        drop((metrics, outputs));
+        assert!(
+            spent <= owned,
+            "a warm real decode step allocated {spent} times, it hands out {owned} buffers"
         );
     }
 }

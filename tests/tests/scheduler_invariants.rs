@@ -1,12 +1,13 @@
 //! Property-based invariants on the schedulers, checked across random task
 //! sets: plans are complete and valid, a plan costs on the replay clock
 //! (what the engine charges) exactly what the ground-truth plan executor
-//! and — for the hybrid — the scheduler's own simulation say, the shared
+//! says — makespan and every device's busy time — and, for the hybrid,
+//! what the scheduler's own simulation says, the shared
 //! experts are always charged, transfers carried in from an earlier layer
 //! cost exactly their remaining wire time, and the hybrid schedule never
 //! loses to the fixed mapping.
 
-use hybrimoe_hw::{Device, ExpertProfile, PlanExecutor, SimDuration, UnitCostModel};
+use hybrimoe_hw::{Device, ExecutedPlan, ExpertProfile, PlanExecutor, SimDuration, UnitCostModel};
 use hybrimoe_model::{shard_of, ExpertId, LayerId};
 use hybrimoe_sched::baselines::{
     FixedMappingScheduler, GpuOnlyScheduler, StaticSplitScheduler, PREFILL_BATCH_THRESHOLD,
@@ -47,6 +48,18 @@ fn replayed(plan: &SchedulePlan, ctx: &ScheduleContext<'_>) -> SimDuration {
     PlanReplay::default().run(plan, ctx)
 }
 
+/// The replay clock's makespan and per-device busy times for `plan`.
+fn replay_clock(plan: &SchedulePlan, ctx: &ScheduleContext<'_>) -> (SimDuration, Vec<SimDuration>) {
+    let mut replay = PlanReplay::default();
+    (replay.run(plan, ctx), replay.busy_times().to_vec())
+}
+
+/// The executor's makespan and per-device busy times, to compare with
+/// [`replay_clock`].
+fn executor_clock(executed: &ExecutedPlan) -> (SimDuration, Vec<SimDuration>) {
+    (executed.makespan, executed.timelines.busy_times())
+}
+
 fn arb_cost() -> impl Strategy<Value = UnitCostModel> {
     (1u64..6, 1u64..6, 1u64..12).prop_map(|(cpu, gpu, xfer)| UnitCostModel {
         cpu_per_load: SimDuration::from_micros(cpu),
@@ -72,7 +85,7 @@ proptest! {
         // excludes them, but every transfer is consumed by a GPU compute so
         // the two agree exactly.
         prop_assert_eq!(executed.makespan, hybrid.makespan(&ctx, &mut ScheduleQueues::new()));
-        prop_assert_eq!(executed.makespan, replayed(&plan, &ctx));
+        prop_assert_eq!(executor_clock(&executed), replay_clock(&plan, &ctx));
     }
 
     #[test]
@@ -88,7 +101,7 @@ proptest! {
             let plan = scheduler.schedule(&ctx);
             prop_assert_eq!(plan.validate(&tasks), Ok(()));
             let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
-            prop_assert_eq!(executed.makespan, replayed(&plan, &ctx));
+            prop_assert_eq!(executor_clock(&executed), replay_clock(&plan, &ctx));
         }
     }
 
@@ -171,7 +184,10 @@ proptest! {
                 "{}: makespan {} != max(CPU {}, GPU {})",
                 scheduler.name(), executed.makespan, cpu_end, gpu_end
             );
-            prop_assert_eq!(executed.makespan, replayed(&plan, &ctx), "{} replay off", scheduler.name());
+            prop_assert_eq!(
+                executor_clock(&executed), replay_clock(&plan, &ctx),
+                "{} replay off", scheduler.name()
+            );
         }
     }
 
@@ -197,7 +213,7 @@ proptest! {
             prop_assert_eq!(plan.validate(&tasks), Ok(()), "{} invalid at prefill", scheduler.name());
             let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
             prop_assert_eq!(
-                executed.makespan, replayed(&plan, &ctx),
+                executor_clock(&executed), replay_clock(&plan, &ctx),
                 "{} prefill replay off", scheduler.name()
             );
         }
@@ -367,7 +383,7 @@ proptest! {
                 "{} N={}: PCIe tail not consumed", scheduler.name(), num_gpus
             );
             prop_assert_eq!(
-                executed.makespan, replayed(&plan, &ctx),
+                executor_clock(&executed), replay_clock(&plan, &ctx),
                 "{} N={}: replay off", scheduler.name(), num_gpus
             );
         }
