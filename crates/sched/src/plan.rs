@@ -558,6 +558,24 @@ mod tests {
     }
 
     #[test]
+    fn hybrid_plan_replay_matches_the_plan_executor() {
+        use crate::{HybridScheduler, Scheduler};
+
+        let tasks = vec![
+            ExpertTask::uncached(ExpertId(0), 1),
+            ExpertTask::cached(ExpertId(1), 2),
+        ];
+        let cost = UnitCostModel::paper_fig5();
+        let ctx = ScheduleContext::for_test(LayerId(0), &tasks, &cost);
+        let plan = HybridScheduler::new().schedule(&ctx);
+        let executed = PlanExecutor::new().execute(plan.to_ops(&ctx)).unwrap();
+
+        let mut replay = PlanReplay::default();
+        assert_eq!(replay.run(&plan, &ctx), executed.makespan);
+        assert_eq!(replay.busy_times(), executed.timelines.busy_times());
+    }
+
+    #[test]
     fn measured_cpu_times_replace_only_the_routed_cpu_ops() {
         let tasks = fig5_tasks();
         let cost = UnitCostModel::paper_fig5();
