@@ -197,7 +197,12 @@ impl std::fmt::Display for Framework {
 pub struct EngineConfig {
     /// The model architecture.
     pub model: ModelConfig,
-    /// The hardware platform.
+    /// The hardware platform. Its `num_gpus` is the number of GPU shards:
+    /// experts are distributed across the GPUs by the static affinity map
+    /// ([`shard_of`](hybrimoe_model::shard_of)), each GPU owns a cache
+    /// shard and a PCIe lane, and the scheduler fills all device timelines
+    /// by minimum completion time. `1` reproduces the paper's single-GPU
+    /// system exactly.
     pub platform: Platform,
     /// Fraction of all routed experts the GPU cache holds (25/50/75 % in
     /// the paper).
@@ -238,12 +243,6 @@ pub struct EngineConfig {
     /// Bounding the queue keeps prefetches from going stale; `0` disables
     /// background transfers entirely (on-demand transfers still happen).
     pub max_inflight: usize,
-    /// Number of GPU shards. Experts are distributed across the GPUs by the
-    /// static affinity map ([`shard_of`](hybrimoe_model::shard_of)): each
-    /// GPU owns a cache shard and a PCIe lane, and the scheduler fills all
-    /// device timelines by minimum completion time. `1` reproduces the
-    /// paper's single-GPU system exactly.
-    pub num_gpus: usize,
     /// Whether the engine also executes each layer for real (the modeled
     /// clock alone by default).
     pub backend: BackendKind,
@@ -296,7 +295,6 @@ impl EngineConfig {
             mrs_alpha: 0.3,
             seed: 0xB0B,
             max_inflight: DEFAULT_MAX_INFLIGHT,
-            num_gpus: 1,
             backend: BackendKind::Sim,
             real_exec: RealExecOptions::default(),
             remote_workers: RemoteWorkerOptions::default(),
@@ -337,10 +335,9 @@ impl EngineConfig {
         }
     }
 
-    /// Overrides the platform (default: the paper's A6000 + Xeon) and
-    /// adopts its GPU count.
+    /// Overrides the platform (default: the paper's A6000 + Xeon),
+    /// including its GPU count.
     pub fn with_platform(mut self, platform: Platform) -> Self {
-        self.num_gpus = platform.num_gpus.max(1);
         self.platform = platform;
         self
     }
@@ -389,15 +386,13 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the GPU count (expert sharding across identical GPUs).
-    /// Keeps the platform description in sync.
+    /// Overrides the platform's GPU count ([`Platform::with_gpus`]).
     ///
     /// # Panics
     ///
     /// Panics if `num_gpus` is zero or exceeds 64.
     pub fn with_num_gpus(mut self, num_gpus: usize) -> Self {
         self.platform = self.platform.with_gpus(num_gpus);
-        self.num_gpus = num_gpus;
         self
     }
 
@@ -518,16 +513,15 @@ mod tests {
     }
 
     #[test]
-    fn num_gpus_defaults_to_one_and_syncs_platform() {
+    fn num_gpus_defaults_to_one_and_lives_on_the_platform() {
         let c = EngineConfig::preset(Framework::HybriMoe, ModelConfig::tiny_test(), 0.5);
-        assert_eq!(c.num_gpus, 1);
         assert_eq!(c.platform.num_gpus, 1);
-        let multi = c.clone().with_num_gpus(4);
-        assert_eq!(multi.num_gpus, 4);
-        assert_eq!(multi.platform.num_gpus, 4);
-        // with_platform adopts the platform's GPU count.
-        let adopted = c.with_platform(Platform::test_round_numbers().with_gpus(2));
-        assert_eq!(adopted.num_gpus, 2);
+        assert_eq!(c.clone().with_num_gpus(4).platform.num_gpus, 4);
+        // Both builders describe the same two-GPU engine.
+        assert_eq!(
+            c.clone().with_num_gpus(2),
+            c.with_platform(Platform::a6000_xeon10().with_gpus(2))
+        );
     }
 
     #[test]

@@ -420,7 +420,7 @@ impl Engine {
         let capacity = config.cache_capacity();
         // One cache shard (and one policy instance) per GPU: residency and
         // score estimates are device-local under the affinity map.
-        let cache = ShardedExpertCache::new(capacity, config.num_gpus.max(1), || {
+        let cache = ShardedExpertCache::new(capacity, config.platform.num_gpus.max(1), || {
             config.cache_policy.build(config.mrs_alpha)
         });
 
@@ -666,7 +666,7 @@ impl Engine {
             shared_profile: model.shared_profile(),
             attn_profile: model.attention_profile(),
             transfer_time: self.cost.transfer(&routed_profile),
-            num_gpus: self.config.num_gpus.max(1),
+            num_gpus: self.config.platform.num_gpus.max(1),
         }
     }
 
@@ -1181,6 +1181,21 @@ mod tests {
         let via_steps = e.end_stage();
         assert_eq!(via_run, via_steps);
         assert_eq!(via_run.steps, manual);
+    }
+
+    #[test]
+    fn gpu_count_is_read_from_the_platform() {
+        // A struct update that sets only the platform must still shard:
+        // the platform is the one place the GPU count lives.
+        let preset = EngineConfig::preset(Framework::HybriMoe, ModelConfig::tiny_test(), 0.5);
+        let config = EngineConfig {
+            platform: hybrimoe_hw::Platform::a6000_xeon10().with_gpus(2),
+            ..preset
+        };
+        let mut e = Engine::new(config);
+        assert_eq!(e.cache().num_shards(), 2);
+        let m = e.step(&tiny_trace(5, 1).steps[0]);
+        assert_eq!(m.device_busy.len(), 1 + 2 * 2);
     }
 
     #[test]

@@ -100,16 +100,22 @@ impl Lifecycle {
     }
 
     /// The one way out: counts the request's terminal, whichever path
-    /// ended it. The terminal event goes out with the next
-    /// [`Lifecycle::say_farewells`], after the books that show it.
+    /// ended it, and records a completion's SLO samples. The terminal
+    /// event goes out with the next [`Lifecycle::say_farewells`], after
+    /// the books that show it.
     fn terminate(&mut self, id: u32, how: Terminal) {
-        let counter = match how {
-            Terminal::Completed(_) => &mut self.ledger.completed,
-            Terminal::Cancelled => &mut self.ledger.cancelled,
-            Terminal::TimedOut => &mut self.ledger.timed_out,
-            Terminal::Failed => &mut self.ledger.failed,
-        };
-        *counter += 1;
+        let ledger = &mut self.ledger;
+        match &how {
+            Terminal::Completed(m) => {
+                ledger.completed += 1;
+                ledger.queue_wait.record(m.queue_wait());
+                ledger.ttft.record(m.ttft());
+                ledger.tpot.record(m.tpot());
+            }
+            Terminal::Cancelled => ledger.cancelled += 1,
+            Terminal::TimedOut => ledger.timed_out += 1,
+            Terminal::Failed => ledger.failed += 1,
+        }
         self.farewells.push((id, how));
     }
 
@@ -126,6 +132,12 @@ impl Lifecycle {
                 + ledger.failed
                 + (batcher.waiting_len() + batcher.running_len()) as u64,
             "every admitted request is waiting, running, or at exactly one terminal"
+        );
+        debug_assert!(
+            [&ledger.queue_wait, &ledger.ttft, &ledger.tpot]
+                .iter()
+                .all(|series| series.count() == ledger.completed),
+            "every completion is one sample in each SLO series"
         );
         shared.snapshot().refresh(ledger, batcher);
     }
@@ -229,7 +241,6 @@ pub(crate) fn run(
             life.terminate(*id, Terminal::TimedOut);
         }
         for metrics in &outcome.completed {
-            shared.slo.record(metrics);
             life.terminate(metrics.id, Terminal::Completed(*metrics));
         }
         // Publish BEFORE delivering tokens: a client acts the moment its

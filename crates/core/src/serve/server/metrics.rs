@@ -1,19 +1,22 @@
-//! The serving front-end's books: the engine loop's published snapshot,
-//! the `/metrics` view built from it, and per-request SLO percentiles.
-
-use std::collections::VecDeque;
-use std::sync::Mutex;
+//! The serving front-end's books: the engine loop's [`Ledger`] (lifecycle
+//! counts and per-request SLO histograms), the snapshot it publishes, and
+//! the `/metrics` view built from it.
 
 use hybrimoe_hw::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::remote::WorkerHealthSnapshot;
-use crate::serve::summary::percentile;
-use crate::serve::{ContinuousBatcher, RequestMetrics};
+use crate::serve::summary::nearest_rank;
+use crate::serve::ContinuousBatcher;
 use crate::PrefetchCounters;
 
 /// A point-in-time snapshot of the server's SLO accounting, served as JSON
 /// at `GET /metrics`.
+///
+/// The queue-wait/TTFT/TPOT percentiles cover every request completed
+/// since startup. They are read from fixed log-linear histograms, so each
+/// is never below the exact nearest-rank value and at most 12.5 % (or
+/// 1 µs) above it; one past about 67 s reports the largest sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerMetrics {
     /// Requests admitted into the waiting queue since startup.
@@ -49,22 +52,18 @@ pub struct ServerMetrics {
     pub output_tokens: u64,
     /// Whether the server is draining (admission closed).
     pub draining: bool,
-    /// Median queue wait over the last 4096 completed requests, ms.
+    /// Median queue wait of completed requests, ms.
     pub queue_wait_p50_ms: f64,
-    /// 99th-percentile queue wait over the last 4096 completed requests,
-    /// ms.
+    /// 99th-percentile queue wait of completed requests, ms.
     pub queue_wait_p99_ms: f64,
-    /// Median time to first token (measured from arrival) over the last
-    /// 4096 completed requests, ms.
+    /// Median time to first token (measured from arrival) of completed
+    /// requests, ms.
     pub ttft_p50_ms: f64,
-    /// 99th-percentile time to first token over the last 4096 completed
-    /// requests, ms.
+    /// 99th-percentile time to first token of completed requests, ms.
     pub ttft_p99_ms: f64,
-    /// Median time per output token over the last 4096 completed
-    /// requests, ms.
+    /// Median time per output token of completed requests, ms.
     pub tpot_p50_ms: f64,
-    /// 99th-percentile time per output token over the last 4096 completed
-    /// requests, ms.
+    /// 99th-percentile time per output token of completed requests, ms.
     pub tpot_p99_ms: f64,
     /// Background expert transfers issued by the prefetcher since startup.
     /// Each ends landed or wasted, or is still queued (see
@@ -100,10 +99,11 @@ pub struct ServerMetrics {
     pub engine_restarts: u64,
 }
 
-/// The engine loop's lifecycle counts: one plain, loop-local integer per
-/// transition of a request's life (Submitted → Waiting → Running → one
-/// of four terminals). Only the loop writes them, each at exactly one
-/// place — `admit` and `terminate` in the engine loop.
+/// The engine loop's books: one plain, loop-local integer per transition
+/// of a request's life (Submitted → Waiting → Running → one of four
+/// terminals), plus one SLO histogram per series over the completed
+/// requests. Only the loop writes them, each at exactly one place —
+/// `admit` and `terminate` in the engine loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Ledger {
     pub admitted: u64,
@@ -114,6 +114,9 @@ pub(crate) struct Ledger {
     pub engine_restarts: u64,
     pub steps: u64,
     pub output_tokens: u64,
+    pub queue_wait: SloHistogram,
+    pub ttft: SloHistogram,
+    pub tpot: SloHistogram,
 }
 
 /// Everything the engine loop knows, published whole: its [`Ledger`] plus
@@ -159,123 +162,201 @@ impl Snapshot {
     }
 }
 
-/// Completions the latency percentiles look back over.
-pub const SLO_WINDOW: usize = 4096;
+/// Linear sub-buckets per power of two.
+const SUB_BUCKETS: usize = 8;
+/// Powers of two covered above [`HISTOGRAM_BASE`]: 1 µs up to 2²⁶ µs
+/// (about 67 s). Longer samples land in the overflow bucket.
+const OCTAVES: usize = 26;
+/// The lowest octave's lower edge (1 µs); one bucket holds everything
+/// below it.
+const HISTOGRAM_BASE: SimDuration = SimDuration::from_micros(1);
+/// One bucket below the base, the log-linear buckets, one overflow bucket.
+const BUCKETS: usize = 1 + OCTAVES * SUB_BUCKETS + 1;
 
-/// Keeps the SLO samples of the last [`SLO_WINDOW`] completions behind a
-/// mutex, so memory and scrape cost stay constant however long the server
-/// runs. The engine loop pushes one sample per completion; `/metrics`
-/// handlers read percentiles.
-#[derive(Debug, Default)]
-pub struct SloRecorder {
-    /// One `[queue_wait, ttft, tpot]` triple per completion, oldest first.
-    inner: Mutex<VecDeque<[SimDuration; 3]>>,
+/// A fixed-size log-linear histogram of durations: [`SUB_BUCKETS`] equal
+/// buckets per power of two from 1 µs, one bucket below that and one
+/// overflow bucket. Recording is O(1) and a percentile O(buckets); the
+/// whole histogram is about 1.7 KiB, so the ledger it lives in stays cheap
+/// to publish.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SloHistogram {
+    counts: [u64; BUCKETS],
+    /// The largest sample: what a percentile in the overflow bucket
+    /// reports.
+    max: SimDuration,
 }
 
-impl SloRecorder {
-    /// Records one completed request, ageing out the oldest past the
-    /// window.
-    ///
-    /// Poison-tolerant: every update leaves the ring valid, so if another
-    /// thread panicked holding the lock, recovering the guard keeps
-    /// `/metrics` and the drain path alive for everyone else.
-    pub fn record(&self, m: &RequestMetrics) {
-        let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.len() == SLO_WINDOW {
-            ring.pop_front();
+impl Default for SloHistogram {
+    fn default() -> Self {
+        SloHistogram {
+            counts: [0; BUCKETS],
+            max: SimDuration::ZERO,
         }
-        ring.push_back([m.queue_wait(), m.ttft(), m.tpot()]);
+    }
+}
+
+impl SloHistogram {
+    /// Counts one sample.
+    pub fn record(&mut self, sample: SimDuration) {
+        self.counts[bucket_of(sample)] += 1;
+        self.max = self.max.max(sample);
     }
 
-    /// Percentiles over the window, in milliseconds:
-    /// `(queue_wait p50/p99, ttft p50/p99, tpot p50/p99)`.
-    /// Poison-tolerant like [`SloRecorder::record`]. The window is copied
-    /// out and sorted off the lock, so a scrape never holds up the engine
-    /// loop's next `record`.
-    pub fn percentiles_ms(&self) -> [f64; 6] {
-        let samples: Vec<[SimDuration; 3]> = {
-            let ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            ring.iter().copied().collect()
-        };
-        let mut sorted = Vec::with_capacity(samples.len());
-        let mut out = [0.0; 6];
-        for series in 0..3 {
-            sorted.clear();
-            sorted.extend(samples.iter().map(|sample| sample[series]));
-            sorted.sort_unstable();
-            out[2 * series] = percentile(&sorted, 50.0).as_millis_f64();
-            out[2 * series + 1] = percentile(&sorted, 99.0).as_millis_f64();
-        }
-        out
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.counts.iter().sum()
     }
+
+    /// The `p`th nearest-rank percentile, reported as the upper edge of the
+    /// bucket holding that sample (the largest sample for the overflow
+    /// bucket); zero when empty. Never below the exact value, and at most
+    /// 12.5 % or 1 µs above it below the overflow bucket.
+    pub fn percentile(&self, p: f64) -> SimDuration {
+        let n = self.count();
+        if n == 0 {
+            return SimDuration::ZERO;
+        }
+        let rank = nearest_rank(n, p);
+        let mut seen = 0;
+        for (bucket, &count) in self.counts.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return self.upper_edge(bucket);
+            }
+        }
+        unreachable!("rank {rank} is at most the sample count {n}")
+    }
+
+    /// What a percentile landing in `bucket` reports: the bucket's
+    /// exclusive upper edge, or the largest sample for the overflow bucket.
+    fn upper_edge(&self, bucket: usize) -> SimDuration {
+        if bucket == 0 {
+            return HISTOGRAM_BASE;
+        }
+        if bucket == BUCKETS - 1 {
+            return self.max;
+        }
+        let (octave, sub) = ((bucket - 1) / SUB_BUCKETS, (bucket - 1) % SUB_BUCKETS);
+        let width = (HISTOGRAM_BASE.as_nanos() << octave) / SUB_BUCKETS as u64;
+        SimDuration::from_nanos(width * (SUB_BUCKETS + sub + 1) as u64)
+    }
+}
+
+/// The bucket a sample lands in.
+fn bucket_of(sample: SimDuration) -> usize {
+    let base = HISTOGRAM_BASE.as_nanos();
+    let ns = sample.as_nanos();
+    if ns < base {
+        return 0;
+    }
+    // ⌊log₂(ns / base)⌋ equals ⌊log₂⌊ns / base⌋⌋: powers of two are
+    // integers.
+    let octave = (ns / base).ilog2() as usize;
+    if octave >= OCTAVES {
+        return BUCKETS - 1;
+    }
+    let width = (base << octave) / SUB_BUCKETS as u64;
+    let sub = ((ns - (base << octave)) / width) as usize;
+    1 + octave * SUB_BUCKETS + sub
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::serve::summary::percentile;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn metrics(id: u32, wait_ms: u64, ttft_ms: u64) -> RequestMetrics {
-        RequestMetrics {
-            id,
-            arrival: SimTime::ZERO,
-            admitted: SimTime::ZERO + SimDuration::from_millis(wait_ms),
-            first_token: SimTime::ZERO + SimDuration::from_millis(ttft_ms),
-            completion: SimTime::ZERO + SimDuration::from_millis(ttft_ms + 10),
-            prompt_tokens: 8,
-            decode_tokens: 5,
+    /// The promised bound: `[exact, max(exact × 1.125, exact + 1 µs)]`.
+    fn assert_within_bound(reported: SimDuration, exact: SimDuration, what: &str) {
+        let exact_ns = exact.as_nanos() as f64;
+        let ceiling = (exact_ns * 1.125).max(exact_ns + 1_000.0);
+        let got = reported.as_nanos() as f64;
+        assert!(
+            exact_ns <= got && got <= ceiling,
+            "{what}: reported {got} ns, exact {exact_ns} ns"
+        );
+    }
+
+    #[test]
+    fn histogram_percentiles_bound_the_exact_nearest_rank() {
+        let mut rng = StdRng::seed_from_u64(0x5107);
+        for round in 0..200 {
+            let n = rng.gen_range(1usize..400);
+            // Log-uniform from 10 ns to ~10 s, so every octave and the
+            // below-1 µs bucket see samples.
+            let mut samples: Vec<SimDuration> = (0..n)
+                .map(|_| {
+                    let exp = rng.gen_range(1.0f64..10.0);
+                    SimDuration::from_nanos(10f64.powf(exp) as u64)
+                })
+                .collect();
+            let mut hist = SloHistogram::default();
+            for &sample in &samples {
+                hist.record(sample);
+            }
+            assert_eq!(hist.count(), n as u64);
+            samples.sort_unstable();
+            for p in [0.0, 50.0, 90.0, 99.0, 100.0] {
+                let what = format!("round {round}, p{p}, n {n}");
+                assert_within_bound(hist.percentile(p), percentile(&samples, p), &what);
+            }
         }
     }
 
     #[test]
-    fn recorder_reports_percentiles() {
-        let rec = SloRecorder::default();
-        for i in 0..10 {
-            rec.record(&metrics(i, i as u64 + 1, 2 * (i as u64 + 1)));
+    fn bucket_edges_are_exact_at_every_octave() {
+        for octave in 0..OCTAVES {
+            for sub in 0..SUB_BUCKETS {
+                let bucket = 1 + octave * SUB_BUCKETS + sub;
+                let width = (1_000u64 << octave) / 8;
+                let lower = SimDuration::from_nanos(width * (8 + sub) as u64);
+                let upper = lower + SimDuration::from_nanos(width);
+                assert_eq!(bucket_of(lower), bucket, "lower edge of {bucket}");
+                assert_eq!(
+                    bucket_of(upper - SimDuration::from_nanos(1)),
+                    bucket,
+                    "last value of {bucket}"
+                );
+                assert_eq!(SloHistogram::default().upper_edge(bucket), upper);
+            }
         }
-        let [qw50, qw99, ttft50, ttft99, tpot50, tpot99] = rec.percentiles_ms();
-        assert_eq!(qw50, 5.0);
-        assert_eq!(qw99, 10.0);
-        assert_eq!(ttft50, 10.0);
-        assert_eq!(ttft99, 20.0);
-        assert_eq!(tpot50, 2.0);
-        assert!(tpot99 >= tpot50);
     }
 
     #[test]
-    fn recorder_survives_a_poisoned_lock() {
-        let rec = std::sync::Arc::new(SloRecorder::default());
-        rec.record(&metrics(0, 4, 8));
-        // Panic while holding the lock, poisoning the mutex the way a
-        // crashed handler thread would.
-        let poisoner = std::sync::Arc::clone(&rec);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.inner.lock().unwrap();
-            panic!("die holding the slo lock");
-        })
-        .join();
-        assert!(rec.inner.lock().is_err(), "lock should be poisoned");
-
-        // Both paths must keep working on the recovered state.
-        rec.record(&metrics(1, 6, 12));
-        let [qw50, ..] = rec.percentiles_ms();
-        assert_eq!(qw50, 4.0);
+    fn empty_histogram_reports_zero() {
+        let hist = SloHistogram::default();
+        assert_eq!(hist.count(), 0);
+        assert_eq!(hist.percentile(50.0), SimDuration::ZERO);
+        assert_eq!(hist.percentile(99.0), SimDuration::ZERO);
     }
 
     #[test]
-    fn recorder_keeps_only_the_last_window() {
-        let rec = SloRecorder::default();
-        // Three windows of samples, each window slower than the last.
-        for i in 0..3 * SLO_WINDOW {
-            let window = (i / SLO_WINDOW) as u64;
-            rec.record(&metrics(i as u32, 10 * (window + 1), 100));
+    fn sub_microsecond_samples_report_one_microsecond() {
+        let mut hist = SloHistogram::default();
+        for ns in [0, 1, 500, 999] {
+            hist.record(SimDuration::from_nanos(ns));
         }
-        assert_eq!(rec.inner.lock().unwrap().len(), SLO_WINDOW);
-        // Only the third window (30 ms waits) is left: the 10 ms and
-        // 20 ms samples aged out.
-        let oldest = rec.inner.lock().unwrap().front().copied().unwrap();
-        assert_eq!(oldest[0], SimDuration::from_millis(30));
-        let [qw50, ..] = rec.percentiles_ms();
-        assert_eq!(qw50, 30.0);
+        assert_eq!(bucket_of(SimDuration::from_nanos(999)), 0);
+        assert_eq!(hist.percentile(50.0), HISTOGRAM_BASE);
+        assert_eq!(hist.percentile(100.0), HISTOGRAM_BASE);
+    }
+
+    #[test]
+    fn overflow_samples_report_the_largest_sample() {
+        let top = SimDuration::from_micros(1 << OCTAVES);
+        assert_eq!(bucket_of(top - SimDuration::from_nanos(1)), BUCKETS - 2);
+        assert_eq!(bucket_of(top), BUCKETS - 1);
+        let mut hist = SloHistogram::default();
+        hist.record(SimDuration::from_millis(1));
+        hist.record(top + SimDuration::from_millis(5_000));
+        let largest = top + SimDuration::from_millis(30_000);
+        hist.record(largest);
+        // p50 is the 2nd sample, p99 the 3rd: both overflow, both report
+        // the largest, which is never below either.
+        assert_eq!(hist.percentile(50.0), largest);
+        assert_eq!(hist.percentile(99.0), largest);
+        assert_within_bound(hist.percentile(0.0), SimDuration::from_millis(1), "p0");
     }
 }

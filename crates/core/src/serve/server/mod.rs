@@ -14,8 +14,8 @@
 //!   a completion deadline; a request whose deadline already passed is
 //!   answered `504` without queueing.
 //! * `GET /metrics` returns a [`ServerMetrics`] JSON snapshot: counters
-//!   plus queue-wait/TTFT/TPOT percentiles over the last 4096 completed
-//!   requests.
+//!   plus queue-wait/TTFT/TPOT percentiles of every request completed
+//!   since startup, read from fixed-size histograms.
 //! * `GET /healthz` answers liveness probes: `{"ok":true,"status":"ok"}`
 //!   normally, `"status":"degraded"` (with reasons, still HTTP 200) once
 //!   the engine has been restarted after a panic or a remote worker is
@@ -72,7 +72,7 @@ use hybrimoe_hw::{SimDuration, SimTime};
 use serde::Value;
 
 use crate::serve::server::engine_loop::{StreamEvent, Submission, Terminal};
-use crate::serve::server::metrics::{SloRecorder, Snapshot};
+use crate::serve::server::metrics::Snapshot;
 use crate::serve::{ContinuousBatcher, DEFAULT_PRIORITY};
 use crate::EngineConfig;
 
@@ -165,7 +165,6 @@ pub(crate) struct Shared {
     /// snapshot only under-reports `left_waiting`, so `queued` can
     /// over-count for a moment but never under-count.
     reserved: AtomicU64,
-    pub slo: SloRecorder,
     /// The engine loop's books as of its last publish.
     snapshot: Mutex<Snapshot>,
     /// The server clock's origin; all `SimTime` stamps count from here.
@@ -182,7 +181,6 @@ impl Shared {
             rejected_draining: AtomicU64::new(0),
             rejected_deadline: AtomicU64::new(0),
             reserved: AtomicU64::new(0),
-            slo: SloRecorder::default(),
             snapshot: Mutex::new(Snapshot::default()),
             origin: Instant::now(),
         }
@@ -208,9 +206,9 @@ impl Shared {
         })
     }
 
-    /// A point-in-time metrics snapshot.
+    /// A point-in-time metrics snapshot. The percentiles are read from
+    /// the published ledger's histograms in O(buckets) under the lock.
     fn metrics(&self) -> ServerMetrics {
-        let [qw50, qw99, ttft50, ttft99, tpot50, tpot99] = self.slo.percentiles_ms();
         let snap = self.snapshot();
         let Snapshot {
             ledger,
@@ -235,12 +233,12 @@ impl Shared {
             engine_steps: ledger.steps,
             output_tokens: ledger.output_tokens,
             draining: self.draining.load(Ordering::Relaxed),
-            queue_wait_p50_ms: qw50,
-            queue_wait_p99_ms: qw99,
-            ttft_p50_ms: ttft50,
-            ttft_p99_ms: ttft99,
-            tpot_p50_ms: tpot50,
-            tpot_p99_ms: tpot99,
+            queue_wait_p50_ms: ledger.queue_wait.percentile(50.0).as_millis_f64(),
+            queue_wait_p99_ms: ledger.queue_wait.percentile(99.0).as_millis_f64(),
+            ttft_p50_ms: ledger.ttft.percentile(50.0).as_millis_f64(),
+            ttft_p99_ms: ledger.ttft.percentile(99.0).as_millis_f64(),
+            tpot_p50_ms: ledger.tpot.percentile(50.0).as_millis_f64(),
+            tpot_p99_ms: ledger.tpot.percentile(99.0).as_millis_f64(),
             prefetch_issued: prefetch.issued,
             prefetch_landed: prefetch.landed,
             prefetch_wasted: prefetch.wasted,
@@ -740,6 +738,42 @@ mod tests {
         .unwrap();
         assert_eq!(g.decode_tokens, 0);
         assert_eq!(g.priority, 0);
+    }
+
+    #[test]
+    fn readers_survive_a_poisoned_snapshot_lock() {
+        let shared = Shared::new();
+        // Three requests reserved, admitted and completed.
+        shared.reserved.store(3, Ordering::Relaxed);
+        {
+            let mut snap = shared.snapshot();
+            snap.ledger.admitted = 3;
+            snap.ledger.completed = 3;
+            snap.ledger.engine_restarts = 1;
+            let sample = SimDuration::from_millis(4);
+            for _ in 0..3 {
+                snap.ledger.ttft.record(sample);
+            }
+        }
+        // Panic while holding the lock, poisoning the mutex the way a
+        // crashed thread would.
+        thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = shared.snapshot.lock().unwrap();
+                panic!("die holding the snapshot lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(shared.snapshot.lock().is_err(), "lock should be poisoned");
+
+        // `/metrics` and `/healthz` still answer from the recovered books.
+        let m = shared.metrics();
+        assert_eq!((m.admitted, m.completed, m.engine_restarts), (3, 3, 1));
+        assert!((4.0..=4.5).contains(&m.ttft_p50_ms), "{}", m.ttft_p50_ms);
+        assert_eq!(m.queue_wait_p50_ms, 0.0);
+        let health = healthz_body(&shared);
+        assert!(health.contains("\"status\":\"degraded\""), "{health}");
+        assert!(health.contains("engine restarted 1 time(s)"), "{health}");
     }
 
     #[test]

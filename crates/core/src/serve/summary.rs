@@ -51,7 +51,7 @@ impl ServeReport {
         ServeReport {
             model: config.engine.model.name.clone(),
             cache_ratio: config.engine.cache_ratio,
-            num_gpus: config.engine.num_gpus.max(1),
+            num_gpus: config.engine.platform.num_gpus.max(1),
             max_batch: config.max_batch,
             arrivals: config.arrivals.name().to_owned(),
             mean_interarrival: config.arrivals.mean_interval(),
@@ -163,8 +163,13 @@ pub fn percentile(sorted: &[SimDuration], p: f64) -> SimDuration {
     if sorted.is_empty() {
         return SimDuration::ZERO;
     }
-    let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len() as u64, p) as usize - 1]
+}
+
+/// The 1-based rank of the `p`th percentile among `n ≥ 1` samples:
+/// `⌈p/100 · n⌉`, clamped to `1..=n`.
+pub(crate) fn nearest_rank(n: u64, p: f64) -> u64 {
+    ((p / 100.0 * n as f64).ceil() as u64).clamp(1, n)
 }
 
 fn per_second(count: u64, seconds: f64) -> f64 {

@@ -373,6 +373,75 @@ fn metrics_and_healthz_endpoints_answer() {
     server.shutdown();
 }
 
+/// Nearest-rank percentile of ascending `sorted` (the definition
+/// `/metrics` reports).
+fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// `/metrics` percentiles agree with the terminal chunks the clients saw:
+/// over a mixed batch of requests, each reported p50/p99 is never below
+/// the exact nearest-rank value and at most 12.5 % (or 1 µs) above it.
+#[test]
+fn metrics_percentiles_agree_with_the_terminal_chunks() {
+    const CLIENTS: u32 = 8;
+    const PER_CLIENT: u32 = 5;
+    let server = tiny_server(4, 64, Duration::from_millis(2), None);
+    let addr = server.addr();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            thread::spawn(move || {
+                (0..PER_CLIENT)
+                    .map(|r| {
+                        let i = c * PER_CLIENT + r;
+                        let body = format!(
+                            "{{\"prompt_tokens\":{},\"decode_tokens\":{}}}",
+                            4 + (i * 7) % 60,
+                            (i * 5) % 13,
+                        );
+                        let mut response = generate(addr, &body, &[]).expect("generate");
+                        let chunks = response.chunks().expect("read chunks");
+                        assert_eq!(response.head.status, 200);
+                        let done = chunks.last().expect("stream has chunks").clone();
+                        assert!(done.contains("\"done\":true"), "done chunk: {done}");
+                        ["queue_wait_ms", "ttft_ms", "tpot_ms"].map(|key| json_f64(&done, key))
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let samples: Vec<[f64; 3]> = clients
+        .into_iter()
+        .flat_map(|c| c.join().expect("client thread"))
+        .collect();
+
+    let (status, body) = get(addr, "/metrics").expect("GET /metrics");
+    assert_eq!(status, 200);
+    let metrics: ServerMetrics = serde_json::from_str(&body).expect("metrics parse");
+    assert_eq!(metrics.completed, u64::from(CLIENTS * PER_CLIENT));
+    let reported = [
+        (metrics.queue_wait_p50_ms, metrics.queue_wait_p99_ms),
+        (metrics.ttft_p50_ms, metrics.ttft_p99_ms),
+        (metrics.tpot_p50_ms, metrics.tpot_p99_ms),
+    ];
+    for (series, name) in ["queue_wait", "ttft", "tpot"].iter().enumerate() {
+        let mut exact: Vec<f64> = samples.iter().map(|s| s[series]).collect();
+        exact.sort_by(f64::total_cmp);
+        let (p50, p99) = reported[series];
+        for (p, got) in [(50.0, p50), (99.0, p99)] {
+            let want = nearest_rank(&exact, p);
+            // Chunks carry whole nanoseconds; allow float rounding only.
+            let ceiling = (want * 1.125).max(want + 0.001) + 1e-9;
+            assert!(
+                want - 1e-9 <= got && got <= ceiling,
+                "{name} p{p}: /metrics says {got} ms, exact {want} ms"
+            );
+        }
+    }
+    server.shutdown();
+}
+
 /// `GET /metrics` exposes the engine's prefetch telemetry on the default
 /// preset: the raw wire JSON carries the fields, and the parsed snapshot
 /// reports prefetch counters and per-shard hit ratios consistent with each
