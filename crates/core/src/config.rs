@@ -26,23 +26,19 @@ pub enum BackendKind {
     Sim,
     /// Real CPU execution with the quantized kernels; needs traces carrying
     /// [`TokenStates`](hybrimoe_trace::TokenStates) and a model that fits
-    /// the weight budget in [`EngineConfig::real_exec`].
+    /// the weight budget in [`EngineConfig::real_exec`]. With worker
+    /// endpoints in [`EngineConfig::remote_workers`] (what
+    /// [`EngineConfig::with_remote_workers`] sets), expert batches are
+    /// offered to out-of-process workers first, falling back to the local
+    /// kernels per expert when a worker is down.
     RealCpu,
-    /// The same real execution with expert batches offered to out-of-process
-    /// workers first ([`EngineConfig::remote_workers`]), falling back to
-    /// the local kernels per expert when a worker is down. What
-    /// [`EngineConfig::with_remote_workers`] selects; with no endpoints it
-    /// is [`BackendKind::RealCpu`].
-    RemoteWorkers,
 }
 
 impl BackendKind {
     /// Whether this kind executes for real, consuming per-token hidden
-    /// states (so trace generation must capture them). Both real kinds
-    /// build the one executor: only `with_remote_workers` sets endpoints,
-    /// and it selects `RemoteWorkers` too.
+    /// states (so trace generation must capture them).
     pub fn needs_token_states(self) -> bool {
-        matches!(self, BackendKind::RealCpu | BackendKind::RemoteWorkers)
+        self != BackendKind::Sim
     }
 }
 
@@ -409,9 +405,10 @@ impl EngineConfig {
         self
     }
 
-    /// Selects real execution with the given worker fleet.
+    /// Selects real execution ([`BackendKind::RealCpu`]) with the given
+    /// worker fleet.
     pub fn with_remote_workers(mut self, options: RemoteWorkerOptions) -> Self {
-        self.backend = BackendKind::RemoteWorkers;
+        self.backend = BackendKind::RealCpu;
         self.remote_workers = options;
         self
     }

@@ -15,7 +15,7 @@
 //! its retry time and the fleet's counters — in one place:
 //!
 //! * **Bit-identity.** Tensors travel as exact IEEE-754 bit patterns and
-//!   the [`LoadShard`] handshake pins every worker to the same kernel
+//!   each connection's [`LoadShard`] pins every worker to the same kernel
 //!   backend as the executor's local kernels; the executor accumulates
 //!   experts in ascending id order no matter where each batch ran — so a
 //!   layer's output is bit-identical to fully-local execution for any mix
@@ -31,8 +31,11 @@
 //!   executor's own local weights. An in-flight layer never fails because
 //!   a worker did. While a worker is down its experts route straight to
 //!   the local kernels, paying no connect or deadline cost and changing
-//!   nothing; the first dispatch after the backoff reconnects, and the
-//!   Hello + [`LoadShard`] handshake is the probe. Each failure doubles
+//!   nothing; the first dispatch after the backoff reconnects, and its
+//!   [`LoadShard`] — the connection's first frame — is the probe. The
+//!   deadline bounds every connect, send and reply, so a worker that
+//!   stops accepting, reading or answering fails over like a dead one
+//!   instead of blocking the engine. Each failure doubles
 //!   the backoff (from 50 ms up to 2 s) and only a successful reply resets
 //!   it, so a worker that accepts connections but fails every request
 //!   backs off as surely as one that refuses them.
@@ -66,12 +69,12 @@ const BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RemoteWorkerOptions {
-    /// Worker endpoints, one per worker: TCP `host:port` or
-    /// `unix:/path/to.sock`. Expert ownership is `expert % endpoints.len()`.
+    /// Worker endpoints, one TCP `host:port` per worker. Expert ownership
+    /// is `expert % endpoints.len()`.
     /// Empty (the default) runs every expert on the local kernels.
     pub endpoints: Vec<String>,
-    /// Per-request deadline in milliseconds, enforced as the socket read
-    /// timeout while waiting for each reply. `0` waits forever.
+    /// Deadline in milliseconds on every wait on a worker: each connect,
+    /// each request write and each reply read. `0` waits forever.
     pub deadline_ms: u64,
 }
 
@@ -309,8 +312,8 @@ impl WorkerFleet {
     }
 
     /// Worker `worker`'s live connection. An idle worker, or a down one
-    /// whose backoff has expired, connects first — the Hello and
-    /// [`LoadShard`] handshake is the probe, and a failed one marks the
+    /// whose backoff has expired, connects first — its [`LoadShard`], the
+    /// connection's first frame, is the probe, and a failed one marks the
     /// worker down again. A down worker inside its backoff returns `None`
     /// and nothing changes.
     fn client(&mut self, worker: usize) -> Option<&mut WorkerClient> {
@@ -636,7 +639,7 @@ mod tests {
 
     #[test]
     fn a_worker_failing_every_reply_backs_off_exponentially() {
-        // The worker accepts every connection (handshake and LoadShard stay
+        // The worker accepts every connection (LoadShard stays
         // clean) but drops each reply. A reconnect is not a success, so the
         // backoff keeps doubling: reconnects at ~0.05, 0.15, 0.35, 0.75 and
         // 1.55 s, where a backoff reset on connect would give ~60 in 3 s.

@@ -4,10 +4,9 @@
 //! hybrimoe_worker --listen 127.0.0.1:0 [--threads N] [--fault-plan SPEC]
 //! ```
 //!
-//! Binds the endpoint (TCP `host:port`, port 0 allowed, or
-//! `unix:/path.sock`), prints `listening on <endpoint>` on stdout so a
-//! parent process can read back the resolved port, and serves until a
-//! client sends Drain.
+//! Binds the TCP `host:port` endpoint (port 0 allowed), prints
+//! `listening on <endpoint>` on stdout so a parent process can read back
+//! the resolved port, and serves until a client sends Drain.
 //!
 //! `--fault-plan seed=S,key=val,...` arms the deterministic fault
 //! injector (see `hybrimoe_fault::FaultPlan::parse_spec` for the knobs:
@@ -46,7 +45,7 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: hybrimoe_worker [--listen ADDR|unix:PATH] [--threads N] \
+                    "usage: hybrimoe_worker [--listen ADDR] [--threads N] \
                      [--fault-plan seed=S,key=val,...]"
                 );
                 return ExitCode::SUCCESS;

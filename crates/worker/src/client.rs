@@ -1,66 +1,55 @@
 //! The blocking worker client.
 //!
-//! [`WorkerClient`] owns one connection: it performs the Hello handshake
-//! on connect (both sides must speak [`VERSION`]), enforces a per-request
-//! deadline via socket read timeouts, and supports request pipelining
-//! (send several [`ExecuteBatch`] frames, then collect their in-order
-//! replies — the worker answers strictly FIFO). Which worker to connect
-//! to, and when to retry one that failed, is the engine's worker fleet's
-//! business (`hybrimoe::remote`).
+//! [`WorkerClient`] owns one TCP connection. It sends no greeting: every
+//! frame header carries [`VERSION`](crate::protocol::VERSION), and each side
+//! rejects a frame of another version, so the first request
+//! ([`LoadShard`]) is the version check. The client bounds every socket
+//! wait — connect, write and read — by its deadline, and supports request
+//! pipelining (send several [`ExecuteBatch`] frames, then collect their
+//! in-order replies — the worker answers strictly FIFO). Which worker to
+//! connect to, and when to retry one that failed, is the engine's worker
+//! fleet's business (`hybrimoe::remote`).
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
-use std::path::PathBuf;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorReply, ExecuteBatch, ExecuteBatchAck, Hello, HelloAck, LoadShard,
-    LoadShardAck, Opcode, ProtocolError, VERSION,
+    read_frame, write_frame, ErrorReply, ExecuteBatch, ExecuteBatchAck, LoadShard, LoadShardAck,
+    Opcode, ProtocolError,
 };
-use crate::transport::WireStream;
 
-/// Where a worker listens: a TCP address or a Unix-domain socket path.
+/// Where a worker listens: a TCP `host:port` address.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Endpoint {
-    /// A TCP `host:port` address.
-    Tcp(String),
-    /// A Unix-domain socket path.
-    Unix(PathBuf),
-}
+pub struct Endpoint(String);
 
 impl Endpoint {
-    /// Parses an endpoint string: `unix:/path/to.sock` selects a
-    /// Unix-domain socket, anything else is a TCP `host:port`.
+    /// Parses an endpoint string, a TCP `host:port` address. Nothing is
+    /// resolved until a connect or bind.
     ///
     /// # Example
     ///
     /// ```
     /// use hybrimoe_worker::Endpoint;
     ///
-    /// assert_eq!(
-    ///     Endpoint::parse("127.0.0.1:7070"),
-    ///     Endpoint::Tcp("127.0.0.1:7070".into())
-    /// );
-    /// assert_eq!(
-    ///     Endpoint::parse("unix:/tmp/w0.sock"),
-    ///     Endpoint::Unix("/tmp/w0.sock".into())
-    /// );
+    /// let endpoint = Endpoint::parse("127.0.0.1:7070");
+    /// assert_eq!(endpoint.to_string(), "127.0.0.1:7070");
     /// ```
     pub fn parse(s: &str) -> Endpoint {
-        match s.strip_prefix("unix:") {
-            Some(path) => Endpoint::Unix(PathBuf::from(path)),
-            None => Endpoint::Tcp(s.to_owned()),
-        }
+        Endpoint(s.to_owned())
+    }
+
+    /// The `host:port` address.
+    pub(crate) fn as_str(&self) -> &str {
+        &self.0
     }
 }
 
 impl fmt::Display for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Tcp(addr) => f.write_str(addr),
-            Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
-        }
+        f.write_str(&self.0)
     }
 }
 
@@ -102,8 +91,10 @@ impl From<io::Error> for ClientError {
 /// Connection knobs of a [`WorkerClient`].
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
-    /// Per-request deadline, enforced as the socket read timeout while
-    /// waiting for each reply. `None` waits forever.
+    /// Bounds every wait on the worker: each connect attempt (one per
+    /// resolved address), each socket write and each reply read. A worker
+    /// that stops accepting, reading or answering fails the call with a
+    /// timeout instead of blocking the caller. `None` waits forever.
     pub deadline: Option<Duration>,
 }
 
@@ -165,7 +156,7 @@ impl Default for ClientOptions {
 /// ```
 #[derive(Debug)]
 pub struct WorkerClient {
-    stream: WireStream,
+    stream: TcpStream,
     next_id: u32,
     /// Request ids awaiting their FIFO replies (pipelined executes).
     inflight: VecDeque<u32>,
@@ -176,27 +167,27 @@ pub struct WorkerClient {
 }
 
 impl WorkerClient {
-    /// Connects and performs the Hello handshake.
+    /// Connects to `endpoint`, trying each address it resolves to for at
+    /// most the deadline. No frame is sent: [`WorkerClient::load_shard`]
+    /// is the first request.
     pub fn connect(
         endpoint: &Endpoint,
         options: ClientOptions,
     ) -> Result<WorkerClient, ClientError> {
-        let stream = WireStream::connect(endpoint)?;
+        let stream = match options.deadline {
+            Some(deadline) => connect_within(endpoint, deadline)?,
+            None => TcpStream::connect(endpoint.as_str())?,
+        };
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(options.deadline)?;
-        let mut client = WorkerClient {
+        stream.set_write_timeout(options.deadline)?;
+        Ok(WorkerClient {
             stream,
             next_id: 1,
             inflight: VecDeque::new(),
             payload: Vec::new(),
             frame: Vec::new(),
-        };
-        let id = client.send(Opcode::Hello, |out| Hello::current().encode(out))?;
-        client.recv(id, Opcode::HelloAck)?;
-        let ack = HelloAck::decode(&client.payload)?;
-        if ack.version != VERSION {
-            return Err(ProtocolError::UnsupportedVersion(ack.version).into());
-        }
-        Ok(client)
+        })
     }
 
     /// Loads the worker's weight shard.
@@ -297,4 +288,20 @@ impl WorkerClient {
         }
         Ok(())
     }
+}
+
+/// Connects to the first of `endpoint`'s addresses that accepts within
+/// `deadline`, returning the last failure if none does.
+fn connect_within(endpoint: &Endpoint, deadline: Duration) -> io::Result<TcpStream> {
+    let mut last = io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("{endpoint} resolves to no address"),
+    );
+    for addr in endpoint.as_str().to_socket_addrs()? {
+        match TcpStream::connect_timeout(&addr, deadline) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
 }

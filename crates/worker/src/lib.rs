@@ -7,18 +7,19 @@
 //! box. A worker owns a deterministic weight shard (the same
 //! `expert % num_workers` affinity map the multi-GPU cache shards use) and
 //! executes each expert's gathered token batch on request, speaking a
-//! compact length-prefixed framed protocol over TCP or Unix-domain
-//! sockets:
+//! compact length-prefixed framed protocol over one TCP connection per
+//! engine:
 //!
 //! * [`protocol`] — the codec: 14-byte big-endian frame header (magic,
 //!   version, opcode, request id, payload length), typed payloads, and the
-//!   error-reply and version-check rules. Byte-level documentation
-//!   lives in `docs/protocol.md`, kept honest by a round-trip test.
+//!   error-reply rules. The header's version byte is the only version
+//!   check; there is no handshake. Byte-level documentation lives in
+//!   `docs/protocol.md`, kept honest by a round-trip test.
 //! * [`server`] — [`WorkerServer`]: the worker side. Runs in-process on a
 //!   thread (deterministic tests/benches) or standalone via the
 //!   `hybrimoe_worker` bin.
 //! * [`client`] — [`WorkerClient`]: one blocking connection, pipelined,
-//!   with a per-request deadline.
+//!   with a deadline on every connect, write and read.
 //!
 //! The engine side lives in the `hybrimoe` core crate: its one real
 //! executor gathers tokens expert-major, offers each batch to the
@@ -77,7 +78,6 @@
 pub mod client;
 pub mod protocol;
 pub mod server;
-pub mod transport;
 
 pub use client::{ClientError, ClientOptions, Endpoint, WorkerClient};
 pub use server::{WorkerHandle, WorkerServer, WorkerServerOptions};

@@ -8,25 +8,29 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        0x48594D57 ("HYMW")
-//! 4       1     version      protocol version (currently 2)
+//! 4       1     version      protocol version (currently 3)
 //! 5       1     opcode       see the opcode table
 //! 6       4     request id   echoed verbatim in the reply
 //! 10      4     payload len  bytes following the header (<= 32 MiB)
 //! ```
 //!
-//! The byte-level layout, the opcode table, and the handshake and
-//! error-reply semantics are documented in `docs/protocol.md`, which a test
-//! keeps in sync by round-tripping its example frames through this codec.
+//! There is no handshake: [`read_frame`] rejects a header of any version
+//! but [`VERSION`], in both directions, and a worker answers such a frame
+//! with [`ErrorCode::VersionMismatch`] before it closes the connection.
+//! The byte-level layout, the opcode table, and the error-reply semantics
+//! are documented in `docs/protocol.md`, which a test keeps in sync by
+//! round-tripping its example frames through this codec.
 //!
 //! # Example
 //!
 //! ```
-//! use hybrimoe_worker::protocol::{decode_frame, encode_frame, Opcode, HEADER_LEN};
+//! use hybrimoe_worker::protocol::{encode_frame, read_frame, Opcode, HEADER_LEN};
 //!
 //! let mut wire = Vec::new();
 //! encode_frame(Opcode::Drain, 7, &[], &mut wire);
 //! assert_eq!(wire.len(), HEADER_LEN);
-//! let (header, payload) = decode_frame(&wire).unwrap();
+//! let mut payload = Vec::new();
+//! let header = read_frame(&mut &wire[..], &mut payload).unwrap();
 //! assert_eq!(header.opcode, Opcode::Drain);
 //! assert_eq!(header.request_id, 7);
 //! assert!(payload.is_empty());
@@ -38,10 +42,11 @@ use std::io::{self, Read, Write};
 /// The frame magic, ASCII `HYMW`.
 pub const MAGIC: u32 = 0x4859_4D57;
 
-/// The one protocol version this build speaks. Version 2 carries a single
-/// version in [`Hello`]; a version-1 peer gets
-/// [`ErrorCode::VersionMismatch`] on its first frame.
-pub const VERSION: u8 = 2;
+/// The one protocol version this build speaks, carried in every frame
+/// header. Version 3 dropped the version-2 `Hello`/`HelloAck` handshake
+/// (opcodes `0x01`/`0x02`), so a version-2 peer's `Hello` gets
+/// [`ErrorCode::VersionMismatch`].
+pub const VERSION: u8 = 3;
 
 /// Frame header length in bytes: magic + version + opcode + request id +
 /// payload length.
@@ -57,11 +62,8 @@ pub const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
-    /// The handshake; first frame on every connection.
-    Hello = 0x01,
-    /// Accepts a [`Opcode::Hello`], echoing the version.
-    HelloAck = 0x02,
-    /// Sets up the worker's weight shard for this connection.
+    /// Sets up the worker's weight shard for this connection; the first
+    /// request on every connection.
     LoadShard = 0x03,
     /// Acknowledges a shard load with the number of experts owned.
     LoadShardAck = 0x04,
@@ -81,8 +83,6 @@ impl Opcode {
     /// Parses a wire opcode byte.
     pub fn from_u8(byte: u8) -> Option<Opcode> {
         Some(match byte {
-            0x01 => Opcode::Hello,
-            0x02 => Opcode::HelloAck,
             0x03 => Opcode::LoadShard,
             0x04 => Opcode::LoadShardAck,
             0x05 => Opcode::ExecuteBatch,
@@ -99,8 +99,9 @@ impl Opcode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum ErrorCode {
-    /// The client speaks a protocol version other than [`VERSION`]. The
-    /// worker closes the connection after this reply.
+    /// A frame's version byte is not [`VERSION`]. The worker sends this
+    /// reply with request id 0 (the rest of such a header is untrusted)
+    /// and closes the connection.
     VersionMismatch = 1,
     /// The requested expert is not in this worker's shard.
     NotMyShard = 2,
@@ -186,8 +187,6 @@ impl From<io::Error> for ProtocolError {
 /// A decoded frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// The frame's protocol version byte.
-    pub version: u8,
     /// What the frame carries.
     pub opcode: Opcode,
     /// Correlates a reply with its request under pipelining.
@@ -235,11 +234,8 @@ pub fn encode_frame_with(
     out[start + 10..start + HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
 }
 
-/// Decodes the 14-byte header at the start of `bytes`.
-pub fn decode_header(bytes: &[u8]) -> Result<FrameHeader, ProtocolError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(ProtocolError::Truncated);
-    }
+/// Decodes a 14-byte header: the one place a frame's version is checked.
+fn decode_header(bytes: &[u8; HEADER_LEN]) -> Result<FrameHeader, ProtocolError> {
     let magic = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     if magic != MAGIC {
         return Err(ProtocolError::BadMagic(magic));
@@ -258,27 +254,17 @@ pub fn decode_header(bytes: &[u8]) -> Result<FrameHeader, ProtocolError> {
         });
     }
     Ok(FrameHeader {
-        version,
         opcode,
         request_id,
         len,
     })
 }
 
-/// Decodes one whole frame from a byte buffer, returning its header and a
-/// view of the payload. Fails with [`ProtocolError::Truncated`] if the
-/// buffer ends inside the announced payload.
-pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), ProtocolError> {
-    let header = decode_header(bytes)?;
-    let end = HEADER_LEN + header.len as usize;
-    if bytes.len() < end {
-        return Err(ProtocolError::Truncated);
-    }
-    Ok((header, &bytes[HEADER_LEN..end]))
-}
-
 /// Reads exactly one frame from a blocking stream. The payload lands in
-/// `payload` (cleared first, so the buffer is reusable across calls).
+/// `payload` (cleared first, so the buffer is reusable across calls). A
+/// bad magic, another version, an unknown opcode or a length above
+/// [`MAX_PAYLOAD`] fails before any payload byte is read or allocated; a
+/// stream that ends mid-frame is [`ProtocolError::Truncated`].
 pub fn read_frame<R: Read>(
     stream: &mut R,
     payload: &mut Vec<u8>,
@@ -364,57 +350,6 @@ impl<'a> Reader<'a> {
                 self.bytes.len() - self.at
             )))
         }
-    }
-}
-
-/// The handshake, the first frame of every connection: the client names
-/// the one version it speaks; the worker acknowledges when that is
-/// [`VERSION`], or answers [`ErrorCode::VersionMismatch`] and closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hello {
-    /// The protocol version the client speaks.
-    pub version: u8,
-}
-
-impl Hello {
-    /// The hello this build sends.
-    pub fn current() -> Hello {
-        Hello { version: VERSION }
-    }
-
-    /// Serializes the payload.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.version);
-    }
-
-    /// Deserializes the payload.
-    pub fn decode(payload: &[u8]) -> Result<Hello, ProtocolError> {
-        let mut r = Reader::new(payload);
-        let hello = Hello { version: r.u8()? };
-        r.finish()?;
-        Ok(hello)
-    }
-}
-
-/// Accepts a [`Hello`], echoing its version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HelloAck {
-    /// The protocol version of the connection.
-    pub version: u8,
-}
-
-impl HelloAck {
-    /// Serializes the payload.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.version);
-    }
-
-    /// Deserializes the payload.
-    pub fn decode(payload: &[u8]) -> Result<HelloAck, ProtocolError> {
-        let mut r = Reader::new(payload);
-        let ack = HelloAck { version: r.u8()? };
-        r.finish()?;
-        Ok(ack)
     }
 }
 
@@ -693,16 +628,22 @@ impl ErrorReply {
 mod tests {
     use super::*;
 
+    /// Reads one frame from `wire` through [`read_frame`].
+    fn read(wire: &[u8]) -> Result<(FrameHeader, Vec<u8>), ProtocolError> {
+        let mut payload = Vec::new();
+        read_frame(&mut &wire[..], &mut payload).map(|header| (header, payload))
+    }
+
     #[test]
     fn frame_round_trip() {
         let mut wire = Vec::new();
         encode_frame(Opcode::ExecuteBatch, 0xDEAD_BEEF, &[1, 2, 3], &mut wire);
-        let (header, payload) = decode_frame(&wire).unwrap();
-        assert_eq!(header.version, VERSION);
+        assert_eq!(wire[4], VERSION);
+        let (header, payload) = read(&wire).unwrap();
         assert_eq!(header.opcode, Opcode::ExecuteBatch);
         assert_eq!(header.request_id, 0xDEAD_BEEF);
         assert_eq!(header.len, 3);
-        assert_eq!(payload, &[1, 2, 3]);
+        assert_eq!(payload, [1, 2, 3]);
     }
 
     #[test]
@@ -710,20 +651,17 @@ mod tests {
         let mut wire = Vec::new();
         encode_frame(Opcode::Drain, 1, &[], &mut wire);
         wire[0] = 0x00;
-        assert!(matches!(
-            decode_frame(&wire),
-            Err(ProtocolError::BadMagic(_))
-        ));
+        assert!(matches!(read(&wire), Err(ProtocolError::BadMagic(_))));
     }
 
     #[test]
     fn unsupported_version_rejected() {
         let mut wire = Vec::new();
         encode_frame(Opcode::Drain, 1, &[], &mut wire);
-        for version in [1, VERSION + 1, 99] {
+        for version in [1, VERSION - 1, VERSION + 1, 99] {
             wire[4] = version;
             assert!(matches!(
-                decode_frame(&wire),
+                read(&wire),
                 Err(ProtocolError::UnsupportedVersion(v)) if v == version
             ));
         }
@@ -733,11 +671,14 @@ mod tests {
     fn unknown_opcode_rejected() {
         let mut wire = Vec::new();
         encode_frame(Opcode::Drain, 1, &[], &mut wire);
-        wire[5] = 0x7E;
-        assert!(matches!(
-            decode_frame(&wire),
-            Err(ProtocolError::UnknownOpcode(0x7E))
-        ));
+        // The retired handshake opcodes are unknown too.
+        for opcode in [0x01, 0x02, 0x7E] {
+            wire[5] = opcode;
+            assert!(matches!(
+                read(&wire),
+                Err(ProtocolError::UnknownOpcode(op)) if op == opcode
+            ));
+        }
     }
 
     #[test]
@@ -746,7 +687,7 @@ mod tests {
         encode_frame(Opcode::ExecuteBatch, 1, &[9; 16], &mut wire);
         for cut in [0, 1, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 7] {
             assert!(
-                matches!(decode_frame(&wire[..cut]), Err(ProtocolError::Truncated)),
+                matches!(read(&wire[..cut]), Err(ProtocolError::Truncated)),
                 "cut at {cut}"
             );
         }
@@ -757,10 +698,12 @@ mod tests {
         let mut wire = Vec::new();
         encode_frame(Opcode::ExecuteBatch, 1, &[], &mut wire);
         wire[10..14].copy_from_slice(&(MAX_PAYLOAD + 1).to_be_bytes());
+        let mut payload = Vec::new();
         assert!(matches!(
-            decode_header(&wire),
+            read_frame(&mut &wire[..], &mut payload),
             Err(ProtocolError::Oversized { .. })
         ));
+        assert_eq!(payload.capacity(), 0);
     }
 
     #[test]
@@ -800,19 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn hello_carries_the_build_version() {
-        let mut buf = Vec::new();
-        Hello::current().encode(&mut buf);
-        assert_eq!(buf, [VERSION]);
-        assert_eq!(Hello::decode(&buf).unwrap().version, VERSION);
-        // A version-1 hello carried a two-byte range; it no longer decodes.
-        assert!(matches!(
-            Hello::decode(&[1, 1]),
-            Err(ProtocolError::BadPayload(_))
-        ));
-    }
-
-    #[test]
     fn error_codes_the_worker_never_sends_are_rejected() {
         for code in [0u16, 5, 7, 8] {
             let mut buf = code.to_be_bytes().to_vec();
@@ -827,11 +757,6 @@ mod tests {
     #[test]
     fn payloads_round_trip() {
         let mut buf = Vec::new();
-        let hello = Hello::current();
-        hello.encode(&mut buf);
-        assert_eq!(Hello::decode(&buf).unwrap(), hello);
-
-        buf.clear();
         let spec = LoadShard {
             seed: 7,
             worker: 1,
@@ -918,10 +843,10 @@ mod tests {
     #[test]
     fn trailing_bytes_rejected() {
         let mut buf = Vec::new();
-        Hello::current().encode(&mut buf);
+        LoadShardAck { experts_owned: 3 }.encode(&mut buf);
         buf.push(0xFF);
         assert!(matches!(
-            Hello::decode(&buf),
+            LoadShardAck::decode(&buf),
             Err(ProtocolError::BadPayload(_))
         ));
     }

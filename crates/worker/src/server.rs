@@ -1,15 +1,16 @@
 //! The worker server: owns a weight shard and executes expert batches.
 //!
-//! A [`WorkerServer`] listens on a TCP address or a Unix-domain socket,
-//! accepts engine connections, and serves the framed protocol of
-//! [`crate::protocol`]: the version check, [`LoadShard`] to set up its
-//! deterministic weight shard (an empty store per connection, filled
-//! expert by expert on first use), then a stream of pipelined
-//! [`ExecuteBatch`] requests answered strictly in order. The same server
-//! runs in-process (behind [`WorkerServer::spawn`]) for deterministic tests
-//! and benches, and as a standalone process via the `hybrimoe_worker` bin.
+//! A [`WorkerServer`] listens on a TCP address, accepts engine
+//! connections, and serves the framed protocol of [`crate::protocol`]:
+//! [`LoadShard`] to set up its deterministic weight shard (an empty store
+//! per connection, filled expert by expert on first use), then a stream of
+//! pipelined [`ExecuteBatch`] requests answered strictly in order. The same
+//! server runs in-process (behind [`WorkerServer::spawn`]) for deterministic
+//! tests and benches, and as a standalone process via the `hybrimoe_worker`
+//! bin.
 
 use std::io::{self, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -26,10 +27,8 @@ use hybrimoe_fault::{FaultPlan, FaultRates, FaultStream};
 use crate::client::Endpoint;
 use crate::protocol::{
     encode_frame_with, read_frame, write_frame, ErrorCode, ErrorReply, ExecuteBatch,
-    ExecuteBatchAck, Hello, HelloAck, LoadShard, LoadShardAck, Opcode, ProtocolError, HEADER_LEN,
-    VERSION,
+    ExecuteBatchAck, LoadShard, LoadShardAck, Opcode, ProtocolError, HEADER_LEN,
 };
-use crate::transport::{BoundListener, WireStream};
 use crate::wire_backend;
 
 /// Tuning and fault-injection knobs of a [`WorkerServer`].
@@ -84,7 +83,7 @@ impl ReplyFaults {
     /// codec detects the damage instead of consuming wrong data), cut
     /// short, or not at all. Returns `false` when the fault drops the
     /// connection, after a cut-short write or without any write.
-    fn write(&mut self, stream: &mut WireStream, frame: &mut [u8]) -> io::Result<bool> {
+    fn write(&mut self, stream: &mut TcpStream, frame: &mut [u8]) -> io::Result<bool> {
         if let Some((rates, faults)) = &mut self.0 {
             let drop = faults.roll_ppm(rates.conn_drop_ppm);
             let truncate = faults.roll_ppm(rates.truncate_ppm);
@@ -114,7 +113,7 @@ impl ReplyFaults {
 /// An expert worker serving the framed protocol on one endpoint.
 #[derive(Debug)]
 pub struct WorkerServer {
-    listener: BoundListener,
+    listener: TcpListener,
     endpoint: Endpoint,
     options: WorkerServerOptions,
     shutdown: Arc<AtomicBool>,
@@ -122,11 +121,11 @@ pub struct WorkerServer {
 }
 
 impl WorkerServer {
-    /// Binds to `endpoint` without accepting yet. A TCP endpoint may use
+    /// Binds to `endpoint` without accepting yet. The endpoint may use
     /// port `0`; [`WorkerServer::endpoint`] reports the resolved port.
     pub fn bind(endpoint: &Endpoint, options: WorkerServerOptions) -> io::Result<WorkerServer> {
-        let listener = BoundListener::bind(endpoint)?;
-        let endpoint = listener.local_endpoint()?;
+        let listener = TcpListener::bind(endpoint.as_str())?;
+        let endpoint = Endpoint::parse(&listener.local_addr()?.to_string());
         Ok(WorkerServer {
             listener,
             endpoint,
@@ -136,7 +135,7 @@ impl WorkerServer {
         })
     }
 
-    /// The bound endpoint, with any TCP port-0 resolved.
+    /// The bound endpoint, with any port 0 resolved.
     pub fn endpoint(&self) -> &Endpoint {
         &self.endpoint
     }
@@ -167,7 +166,8 @@ impl WorkerServer {
                 break;
             }
             match self.listener.accept() {
-                Ok(stream) => {
+                Ok((stream, _)) => {
+                    stream.set_nodelay(true)?;
                     stream.set_nonblocking(false)?;
                     let options = self.options.clone();
                     let shutdown = Arc::clone(&self.shutdown);
@@ -232,11 +232,12 @@ struct Loaded {
     output: Vec<f32>,
 }
 
-/// Serves one engine connection: handshake, then a request loop that
-/// answers every frame in arrival order (the wire-level FIFO the client's
-/// pipelining relies on).
+/// Serves one engine connection: a request loop that answers every frame
+/// in arrival order (the wire-level FIFO the client's pipelining relies
+/// on). A frame of another protocol version, first or later, is answered
+/// [`ErrorCode::VersionMismatch`] and the connection closed.
 fn serve_connection(
-    mut stream: WireStream,
+    mut stream: TcpStream,
     options: WorkerServerOptions,
     shutdown: Arc<AtomicBool>,
     executed: Arc<AtomicU64>,
@@ -244,52 +245,11 @@ fn serve_connection(
 ) -> Result<(), ProtocolError> {
     let mut payload = Vec::new();
     // The chaos seam: only execute replies suffer the plan's faults.
-    // Handshake and shard loading stay clean so a chaos run still
-    // exercises the execute path, not just setup.
+    // Shard loading stays clean so a chaos run still exercises the execute
+    // path, not just setup.
     let mut faults = ReplyFaults::new(&options.fault_plan, connection);
     // Every frame this connection sends is encoded here.
     let mut frame = Vec::new();
-
-    // Handshake: the first frame must be a Hello for this build's
-    // version. A frame of another version is answered with the same
-    // VersionMismatch error a Hello naming one gets.
-    let header = match read_frame(&mut stream, &mut payload) {
-        Ok(h) => h,
-        Err(ProtocolError::UnsupportedVersion(v)) => {
-            return reply_error(
-                &mut stream,
-                0,
-                ErrorCode::VersionMismatch,
-                format!("frame version {v} unsupported"),
-            );
-        }
-        Err(e) => return Err(e),
-    };
-    if header.opcode != Opcode::Hello {
-        return reply_error(
-            &mut stream,
-            header.request_id,
-            ErrorCode::BadPayload,
-            "expected Hello as the first frame",
-        );
-    }
-    let hello = Hello::decode(&payload)?;
-    if hello.version != VERSION {
-        return reply_error(
-            &mut stream,
-            header.request_id,
-            ErrorCode::VersionMismatch,
-            format!("version {} unsupported", hello.version),
-        );
-    }
-    write_frame(
-        &mut stream,
-        Opcode::HelloAck,
-        header.request_id,
-        &mut frame,
-        |out| HelloAck { version: VERSION }.encode(out),
-    )?;
-
     let mut loaded: Option<Loaded> = None;
 
     loop {
@@ -297,6 +257,16 @@ fn serve_connection(
             Ok(h) => h,
             // Peer hung up between requests: normal teardown.
             Err(ProtocolError::Truncated) => return Ok(()),
+            // The rest of another version's header cannot be trusted, its
+            // request id included.
+            Err(ProtocolError::UnsupportedVersion(v)) => {
+                return reply_error(
+                    &mut stream,
+                    0,
+                    ErrorCode::VersionMismatch,
+                    format!("frame version {v} unsupported"),
+                );
+            }
             Err(e) => return Err(e),
         };
         // A stopped worker answers nothing more: its peers see the same
@@ -382,20 +352,14 @@ fn serve_connection(
                 }
                 return Ok(());
             }
-            // A second Hello, or a reply opcode arriving as a request, is
-            // a protocol violation; answer and keep the connection (the
-            // client can resync).
-            Opcode::Hello
-            | Opcode::HelloAck
-            | Opcode::LoadShardAck
-            | Opcode::ExecuteBatchAck
-            | Opcode::DrainAck
-            | Opcode::Error => {
+            // A reply opcode arriving as a request is a protocol violation;
+            // answer and keep the connection (the client can resync).
+            Opcode::LoadShardAck | Opcode::ExecuteBatchAck | Opcode::DrainAck | Opcode::Error => {
                 reply_error(
                     &mut stream,
                     id,
                     ErrorCode::BadPayload,
-                    format!("{:?} is not a request after the handshake", header.opcode),
+                    format!("{:?} is not a request", header.opcode),
                 )?;
             }
         }
@@ -478,7 +442,7 @@ fn execute_batch(state: &mut Loaded, batch: &ExecuteBatch) -> Result<(), (ErrorC
 
 /// Sends an [`Opcode::Error`] reply.
 fn reply_error(
-    stream: &mut WireStream,
+    stream: &mut TcpStream,
     request_id: u32,
     code: ErrorCode,
     message: impl Into<String>,

@@ -1,13 +1,16 @@
 //! Out-of-process worker suite: socket-level protocol robustness (a raw
 //! client driving a real worker over loopback TCP with hand-crafted
-//! frames), failover integration (a worker that crashes mid-request must
+//! frames), the client's deadline on a worker that stops accepting or
+//! reading, failover integration (a worker that crashes mid-request must
 //! degrade to local execution without failing any in-flight request),
 //! remote ≡ local bit-identity (property-tested across worker counts,
 //! pipelining and routing), and the `docs/protocol.md` example frames
 //! round-tripped through the real codec.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
+use std::thread;
 use std::time::Duration;
 
 use hybrimoe::fault::{FaultPlan, FaultRates};
@@ -22,9 +25,12 @@ use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
 use hybrimoe_trace::TraceGenerator;
 use hybrimoe_worker::protocol::{
     encode_frame, read_frame, ErrorCode, ErrorReply, ExecuteBatch, ExecuteBatchAck, FrameHeader,
-    Hello, HelloAck, LoadShard, LoadShardAck, Opcode, HEADER_LEN, MAX_PAYLOAD, VERSION,
+    LoadShard, LoadShardAck, Opcode, ProtocolError, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
-use hybrimoe_worker::{wire_backend, Endpoint, WorkerHandle, WorkerServer, WorkerServerOptions};
+use hybrimoe_worker::{
+    wire_backend, ClientError, ClientOptions, Endpoint, WorkerClient, WorkerHandle, WorkerServer,
+    WorkerServerOptions,
+};
 use proptest::prelude::*;
 
 /// Spawns an in-thread worker on a loopback port.
@@ -36,13 +42,7 @@ fn spawn_worker(options: WorkerServerOptions) -> WorkerHandle {
 
 /// Connects a raw TCP client to a worker.
 fn connect(worker: &WorkerHandle) -> TcpStream {
-    let addr = worker
-        .endpoint()
-        .to_string()
-        .strip_prefix("tcp:")
-        .map(str::to_owned)
-        .unwrap_or_else(|| worker.endpoint().to_string());
-    let stream = TcpStream::connect(addr).expect("connect to worker");
+    let stream = TcpStream::connect(worker.endpoint().to_string()).expect("connect to worker");
     stream.set_nodelay(true).expect("nodelay");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -65,18 +65,6 @@ fn roundtrip(
     (header, reply)
 }
 
-/// Performs the Hello handshake on a fresh connection.
-fn handshake(stream: &mut TcpStream) {
-    let mut payload = Vec::new();
-    Hello::current().encode(&mut payload);
-    let (header, reply) = roundtrip(stream, Opcode::Hello, 0, &payload);
-    assert_eq!(header.opcode, Opcode::HelloAck);
-    assert_eq!(
-        HelloAck::decode(&reply).expect("hello ack").version,
-        VERSION
-    );
-}
-
 /// Asserts the stream is closed: the next read returns EOF or a reset
 /// (the worker may close with bytes still unread in its receive buffer,
 /// which surfaces as ECONNRESET instead of a clean FIN).
@@ -90,48 +78,181 @@ fn assert_closed(stream: &mut TcpStream) {
     }
 }
 
-#[test]
-fn version_mismatch_is_answered_then_closed() {
-    let worker = spawn_worker(WorkerServerOptions::default());
-    let mut stream = connect(&worker);
-    // A client from the future: its Hello names a version we do not speak.
+/// Asserts the next reply is an `Error(VersionMismatch)` (with request id
+/// 0: the rest of another version's header is untrusted) and that the
+/// worker then closes the connection.
+fn assert_version_mismatch_then_closed(stream: &mut TcpStream, what: &str) {
+    let mut reply = Vec::new();
+    let header = read_frame(stream, &mut reply).expect("read reply");
+    assert_eq!(header.opcode, Opcode::Error, "{what}");
+    assert_eq!(header.request_id, 0, "{what}");
+    let err = ErrorReply::decode(&reply).expect("error reply");
+    assert_eq!(err.code, ErrorCode::VersionMismatch, "{what}");
+    assert_closed(stream);
+}
+
+/// The encoded `LoadShard` of a one-worker, four-expert shard.
+fn one_worker_shard() -> Vec<u8> {
     let mut payload = Vec::new();
-    Hello {
-        version: VERSION + 1,
+    LoadShard {
+        seed: 7,
+        worker: 0,
+        num_workers: 1,
+        layers: 1,
+        routed_experts: 4,
+        hidden: 4,
+        inter: 8,
+        weight_budget_bytes: 1 << 20,
+        backend: 1,
     }
     .encode(&mut payload);
-    let (header, reply) = roundtrip(&mut stream, Opcode::Hello, 4, &payload);
-    assert_eq!(header.opcode, Opcode::Error);
-    assert_eq!(header.request_id, 4, "error echoes the request id");
-    let err = ErrorReply::decode(&reply).expect("error reply");
-    assert_eq!(err.code, ErrorCode::VersionMismatch);
-    assert_closed(&mut stream);
-    worker.shutdown();
+    payload
 }
 
 #[test]
 fn unsupported_frame_version_is_answered_then_closed() {
     let worker = spawn_worker(WorkerServerOptions::default());
-    // The first frame a version-1 build sends (a Hello for the range
-    // 1..=1), and one from a version far ahead of ours.
-    let mut v1 = Vec::new();
-    encode_frame(Opcode::Hello, 1, &[1, 1], &mut v1);
-    v1[4] = 1;
-    let mut payload = Vec::new();
-    Hello::current().encode(&mut payload);
-    let mut v99 = Vec::new();
-    encode_frame(Opcode::Hello, 0, &payload, &mut v99);
-    v99[4] = 99;
-    for wire in [v1, v99] {
+    // The first frame a version-2 build sends (a Hello naming version 2),
+    // and a LoadShard from a version far ahead of ours.
+    let mut v2_hello = MAGIC.to_be_bytes().to_vec();
+    v2_hello.extend_from_slice(&[2, 0x01, 0, 0, 0, 1, 0, 0, 0, 1, 2]);
+    let payload = one_worker_shard();
+    let mut v99_load_shard = Vec::new();
+    encode_frame(Opcode::LoadShard, 1, &payload, &mut v99_load_shard);
+    v99_load_shard[4] = 99;
+    for (what, wire) in [("v2 Hello", v2_hello), ("v99 LoadShard", v99_load_shard)] {
         let mut stream = connect(&worker);
         stream.write_all(&wire).expect("write frame");
-        let mut reply = Vec::new();
-        let header = read_frame(&mut stream, &mut reply).expect("read reply");
-        assert_eq!(header.opcode, Opcode::Error);
-        let err = ErrorReply::decode(&reply).expect("error reply");
-        assert_eq!(err.code, ErrorCode::VersionMismatch, "version {}", wire[4]);
-        assert_closed(&mut stream);
+        assert_version_mismatch_then_closed(&mut stream, what);
     }
+    worker.shutdown();
+}
+
+#[test]
+fn a_frame_of_another_version_after_load_shard_is_answered_then_closed() {
+    let worker = spawn_worker(WorkerServerOptions::default());
+    let mut stream = connect(&worker);
+    let payload = one_worker_shard();
+    let (header, _) = roundtrip(&mut stream, Opcode::LoadShard, 1, &payload);
+    assert_eq!(header.opcode, Opcode::LoadShardAck);
+    // Mid-connection, the version byte is checked as on the first frame: a
+    // Drain this worker would otherwise acknowledge is refused instead.
+    let mut wire = Vec::new();
+    encode_frame(Opcode::Drain, 2, &[], &mut wire);
+    wire[4] = VERSION + 1;
+    stream.write_all(&wire).expect("write frame");
+    assert_version_mismatch_then_closed(&mut stream, "a later frame");
+    worker.shutdown();
+}
+
+/// The client deadline of the two stall tests.
+const DEADLINE: Duration = Duration::from_millis(200);
+
+/// Runs `op` on its own thread and returns its result, failing the test
+/// if the thread is still blocked 5 s after starting: far past
+/// [`DEADLINE`], so a client that ignores its deadline fails the test
+/// instead of hanging it.
+fn within_guard<T: Send + 'static>(what: &str, op: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(op());
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("{what} was still blocked 5 s after a {DEADLINE:?} deadline"))
+}
+
+/// Whether a client call failed because a socket wait hit its timeout.
+fn timed_out(result: &Result<(), ClientError>) -> bool {
+    matches!(
+        result,
+        Err(ClientError::Protocol(ProtocolError::Io(e)))
+            if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock)
+    )
+}
+
+/// A worker bound but not accepting, its accept queue filled: Linux drops
+/// every further SYN, so an unbounded connect waits out the SYN retries
+/// (minutes). The client's connect must fail at its deadline instead.
+#[cfg(target_os = "linux")]
+#[test]
+fn connect_to_a_worker_with_a_full_accept_queue_fails_at_the_deadline() {
+    let worker = WorkerServer::bind(
+        &Endpoint::parse("127.0.0.1:0"),
+        WorkerServerOptions::default(),
+    )
+    .expect("bind a loopback worker");
+    let endpoint = worker.endpoint().clone();
+    let addr = endpoint.to_string().parse().expect("an ip:port endpoint");
+    // Connect until the queue is full: the first connect that times out.
+    let mut queued = Vec::new();
+    loop {
+        match TcpStream::connect_timeout(&addr, Duration::from_millis(100)) {
+            Ok(stream) => queued.push(stream),
+            Err(e) if e.kind() == ErrorKind::TimedOut => break,
+            Err(e) => panic!(
+                "filling the accept queue after {} connects: {e}",
+                queued.len()
+            ),
+        }
+    }
+    let result = within_guard("WorkerClient::connect", move || {
+        WorkerClient::connect(
+            &endpoint,
+            ClientOptions {
+                deadline: Some(DEADLINE),
+            },
+        )
+        .map(drop)
+    });
+    assert!(timed_out(&result), "{result:?}");
+}
+
+/// A worker that stopped reading: it reads the first batch, then sleeps
+/// 30 s before its reply, so nothing more is read from the connection and
+/// the socket buffers fill. A pipelined send must fail at the deadline —
+/// where the engine's fleet fails over — instead of blocking its caller.
+#[test]
+fn send_to_a_worker_that_stopped_reading_fails_at_the_deadline() {
+    let worker = spawn_worker(WorkerServerOptions {
+        threads: 1,
+        fault_plan: FaultPlan {
+            rates: FaultRates {
+                reply_delay_ppm: 1_000_000,
+                reply_delay_ms: 30_000,
+                ..Default::default()
+            },
+            ..FaultPlan::off()
+        },
+        ..Default::default()
+    });
+    let endpoint = worker.endpoint().clone();
+    let result = within_guard("WorkerClient::send_execute_parts", move || {
+        let mut client = WorkerClient::connect(
+            &endpoint,
+            ClientOptions {
+                deadline: Some(DEADLINE),
+            },
+        )?;
+        client.load_shard(&LoadShard {
+            seed: 7,
+            worker: 0,
+            num_workers: 1,
+            layers: 1,
+            routed_experts: 4,
+            hidden: 64,
+            inter: 96,
+            weight_budget_bytes: 1 << 20,
+            backend: 0,
+        })?;
+        // 1 MiB batches: 256 of them are far more than loopback buffers.
+        let (tokens, hidden) = (4096u32, 64u32);
+        let data = vec![0.0f32; (tokens * hidden) as usize];
+        for _ in 0..256 {
+            client.send_execute_parts(0, 0, tokens, hidden, &data)?;
+        }
+        Ok(())
+    });
+    assert!(timed_out(&result), "{result:?}");
     worker.shutdown();
 }
 
@@ -139,7 +260,6 @@ fn unsupported_frame_version_is_answered_then_closed() {
 fn bad_magic_closes_the_connection_without_a_reply() {
     let worker = spawn_worker(WorkerServerOptions::default());
     let mut stream = connect(&worker);
-    handshake(&mut stream);
     // Garbage where a header should be: the stream has desynchronized and
     // there is no way to find the next frame boundary, so the worker must
     // hang up rather than answer.
@@ -152,7 +272,6 @@ fn bad_magic_closes_the_connection_without_a_reply() {
 fn oversized_payload_length_closes_the_connection() {
     let worker = spawn_worker(WorkerServerOptions::default());
     let mut stream = connect(&worker);
-    handshake(&mut stream);
     // A hostile length field: headers above MAX_PAYLOAD must be rejected
     // before any allocation, and the connection dropped.
     let mut wire = Vec::new();
@@ -167,7 +286,6 @@ fn oversized_payload_length_closes_the_connection() {
 fn truncated_frame_is_a_clean_teardown() {
     let worker = spawn_worker(WorkerServerOptions::default());
     let mut stream = connect(&worker);
-    handshake(&mut stream);
     // Announce a 64-byte payload, deliver 10 bytes, hang up mid-frame.
     let mut wire = Vec::new();
     encode_frame(Opcode::ExecuteBatch, 1, &[0u8; 64], &mut wire);
@@ -187,7 +305,6 @@ fn truncated_frame_is_a_clean_teardown() {
 fn requests_before_load_shard_get_not_loaded_and_the_connection_survives() {
     let worker = spawn_worker(WorkerServerOptions::default());
     let mut stream = connect(&worker);
-    handshake(&mut stream);
     let mut payload = Vec::new();
     ExecuteBatch {
         layer: 0,
@@ -212,7 +329,6 @@ fn requests_before_load_shard_get_not_loaded_and_the_connection_survives() {
 fn wrong_shard_and_reply_opcodes_get_error_replies() {
     let worker = spawn_worker(WorkerServerOptions::default());
     let mut stream = connect(&worker);
-    handshake(&mut stream);
     let mut shard = Vec::new();
     LoadShard {
         seed: 7,
@@ -256,15 +372,6 @@ fn wrong_shard_and_reply_opcodes_get_error_replies() {
         ErrorReply::decode(&reply).expect("error").code,
         ErrorCode::BadPayload
     );
-    // So is a second Hello: the handshake happens once per connection.
-    payload.clear();
-    Hello::current().encode(&mut payload);
-    let (header, reply) = roundtrip(&mut stream, Opcode::Hello, 4, &payload);
-    assert_eq!(header.opcode, Opcode::Error);
-    assert_eq!(
-        ErrorReply::decode(&reply).expect("error").code,
-        ErrorCode::BadPayload
-    );
     let (header, _) = roundtrip(&mut stream, Opcode::LoadShard, 5, &shard);
     assert_eq!(header.opcode, Opcode::LoadShardAck);
     worker.shutdown();
@@ -283,7 +390,6 @@ fn avx512_pinned_shard_loads_on_any_host_and_matches_local() {
     for backend_byte in [4u8, 2] {
         let worker = spawn_worker(WorkerServerOptions::default());
         let mut stream = connect(&worker);
-        handshake(&mut stream);
         let mut payload = Vec::new();
         LoadShard {
             seed: 7,
@@ -525,18 +631,6 @@ fn protocol_doc_examples_round_trip() {
 
     let mut wire = Vec::new();
     let mut payload = Vec::new();
-    Hello::current().encode(&mut payload);
-    encode_frame(Opcode::Hello, 1, &payload, &mut wire);
-    assert_documented("Hello", &wire);
-
-    wire.clear();
-    payload.clear();
-    HelloAck { version: VERSION }.encode(&mut payload);
-    encode_frame(Opcode::HelloAck, 1, &payload, &mut wire);
-    assert_documented("HelloAck", &wire);
-
-    wire.clear();
-    payload.clear();
     LoadShard {
         seed: 42,
         worker: 0,
@@ -582,8 +676,8 @@ fn protocol_doc_examples_round_trip() {
 
     wire.clear();
     payload.clear();
-    ErrorReply::new(ErrorCode::VersionMismatch, "frame version 1 unsupported").encode(&mut payload);
-    encode_frame(Opcode::Error, 9, &payload, &mut wire);
+    ErrorReply::new(ErrorCode::VersionMismatch, "frame version 2 unsupported").encode(&mut payload);
+    encode_frame(Opcode::Error, 0, &payload, &mut wire);
     assert_documented("Error", &wire);
 
     // The opcode and error-code tables list exactly the codec's variants.
