@@ -103,7 +103,7 @@ fn main() {
 
     install_signal_handlers();
     let handle = Server::start(config).unwrap_or_else(|e| {
-        eprintln!("server: cannot bind: {e}");
+        eprintln!("server: cannot start: {e}");
         std::process::exit(2);
     });
     println!("server: listening on {}", handle.addr());

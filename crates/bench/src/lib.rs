@@ -126,18 +126,6 @@ pub fn replay_hit_rate(
     cache.stats().hit_rate()
 }
 
-/// Nearest-rank percentile of an unsorted sample of milliseconds; zero for
-/// an empty sample. (The core crate's percentile works on `SimDuration`
-/// series; the load generator measures client-side floats.)
-pub fn percentile_f64(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-    let rank = (p / 100.0 * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
-}
-
 /// What one `load_gen` run against the serving front-end measured:
 /// client-side SLO percentiles over completed streams. `load_gen` prints
 /// it and exits 1 unless every request completed.
@@ -203,16 +191,6 @@ mod tests {
         let p = run_prefill(Framework::HybriMoe, &model, 0.5, 16, 2);
         assert_eq!(p.steps.len(), 1);
         assert!(p.total.as_nanos() > 0);
-    }
-
-    #[test]
-    fn percentile_f64_nearest_rank() {
-        let mut v: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        assert_eq!(percentile_f64(&mut v, 50.0), 5.0);
-        assert_eq!(percentile_f64(&mut v, 99.0), 10.0);
-        assert_eq!(percentile_f64(&mut [], 50.0), 0.0);
-        let mut unsorted = vec![9.0, 1.0, 5.0];
-        assert_eq!(percentile_f64(&mut unsorted, 0.0), 1.0);
     }
 
     #[test]

@@ -12,9 +12,11 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use hybrimoe::serve::percentile;
 use hybrimoe::serve::server::client::{self, ClientError};
 use hybrimoe::serve::server::{Server, ServerConfig};
 use hybrimoe::{EngineConfig, Framework};
+use hybrimoe_hw::SimDuration;
 use hybrimoe_model::ModelConfig;
 use serde::Value;
 
@@ -87,11 +89,12 @@ const ADMISSION_ATTEMPTS: usize = 2;
 /// cannot stall the load generator indefinitely.
 const MAX_RETRY_AFTER: Duration = Duration::from_secs(2);
 
-/// One completed stream, timed by the client's clock.
+/// One completed stream, timed by the client's clock (the queue wait is
+/// the server's, from the terminal chunk).
 struct Sample {
-    ttft_ms: f64,
-    latency_ms: f64,
-    queue_wait_ms: f64,
+    ttft: SimDuration,
+    latency: SimDuration,
+    queue_wait: SimDuration,
     tokens: u64,
 }
 
@@ -218,9 +221,15 @@ fn summarize(
     let completed = tally.samples.len() as u64;
     let output_tokens: u64 = tally.samples.iter().map(|s| s.tokens).sum();
     let secs = elapsed.as_secs_f64();
-    let mut ttft: Vec<f64> = tally.samples.iter().map(|s| s.ttft_ms).collect();
-    let mut latency: Vec<f64> = tally.samples.iter().map(|s| s.latency_ms).collect();
-    let mut queue_wait: Vec<f64> = tally.samples.iter().map(|s| s.queue_wait_ms).collect();
+    // The p50 and p99 of one per-sample duration, in ms.
+    let p50_p99 = |metric: fn(&Sample) -> SimDuration| {
+        let mut sorted: Vec<SimDuration> = tally.samples.iter().map(metric).collect();
+        sorted.sort_unstable();
+        [50.0, 99.0].map(|p| percentile(&sorted, p).as_millis_f64())
+    };
+    let [ttft_p50_ms, ttft_p99_ms] = p50_p99(|s| s.ttft);
+    let [latency_p50_ms, latency_p99_ms] = p50_p99(|s| s.latency);
+    let [queue_wait_p50_ms, queue_wait_p99_ms] = p50_p99(|s| s.queue_wait);
     ServerBenchSummary {
         model: model.to_owned(),
         concurrency: load.concurrency,
@@ -242,12 +251,12 @@ fn summarize(
         } else {
             0.0
         },
-        ttft_p50_ms: crate::percentile_f64(&mut ttft, 50.0),
-        ttft_p99_ms: crate::percentile_f64(&mut ttft, 99.0),
-        latency_p50_ms: crate::percentile_f64(&mut latency, 50.0),
-        latency_p99_ms: crate::percentile_f64(&mut latency, 99.0),
-        queue_wait_p50_ms: crate::percentile_f64(&mut queue_wait, 50.0),
-        queue_wait_p99_ms: crate::percentile_f64(&mut queue_wait, 99.0),
+        ttft_p50_ms,
+        ttft_p99_ms,
+        latency_p50_ms,
+        latency_p99_ms,
+        queue_wait_p50_ms,
+        queue_wait_p99_ms,
     }
 }
 
@@ -297,24 +306,24 @@ fn one_request(addr: SocketAddr, prompt: u32, decode: u32) -> Result<Sample, Req
     }
 
     let start = response.sent;
-    let mut ttft_ms = None;
+    let mut ttft = None;
     let mut tokens: u64 = 0;
     let mut last_chunk = None;
     while let Some(chunk) = response
         .next_chunk()
         .map_err(|e| RequestError::Failed(format!("chunk: {e}")))?
     {
-        if ttft_ms.is_none() {
-            ttft_ms = Some(start.elapsed().as_secs_f64() * 1e3);
+        if ttft.is_none() {
+            ttft = Some(SimDuration::from_secs_f64(start.elapsed().as_secs_f64()));
         }
         if chunk.contains("\"token\"") {
             tokens += 1;
         }
         last_chunk = Some(chunk);
     }
-    let latency_ms = start.elapsed().as_secs_f64() * 1e3;
+    let latency = SimDuration::from_secs_f64(start.elapsed().as_secs_f64());
     // The terminal chunk carries the server-side accounting.
-    let (Some(ttft_ms), Some(done)) = (ttft_ms, last_chunk) else {
+    let (Some(ttft), Some(done)) = (ttft, last_chunk) else {
         return Err(RequestError::Failed(
             "stream closed with zero chunks".into(),
         ));
@@ -335,9 +344,9 @@ fn one_request(addr: SocketAddr, prompt: u32, decode: u32) -> Result<Sample, Req
         })
         .unwrap_or(0.0);
     Ok(Sample {
-        ttft_ms,
-        latency_ms,
-        queue_wait_ms,
+        ttft,
+        latency,
+        queue_wait: SimDuration::from_secs_f64(queue_wait_ms / 1e3),
         tokens,
     })
 }

@@ -1,6 +1,6 @@
 //! The GPU-resident expert cache.
 
-use hybrimoe_model::{ExpertId, ExpertKey, LayerId, LayerRouting};
+use hybrimoe_model::{ExpertKey, LayerRouting};
 
 use crate::{CachePolicy, CacheStats, Candidates, KeySet, RoutingScores};
 
@@ -14,7 +14,7 @@ pub enum InsertOutcome {
     /// Inserted after evicting the contained expert.
     InsertedEvicting(ExpertKey),
     /// The insertion was refused (capacity zero, or every resident expert is
-    /// pinned/protected).
+    /// protected).
     Refused,
 }
 
@@ -29,7 +29,11 @@ impl InsertOutcome {
 ///
 /// Capacity is counted in experts, matching the paper's "GPU expert cache
 /// ratio" axis (all routed experts of a model are the same size; shared
-/// experts are pinned and live outside this budget).
+/// experts always stay on the GPU and live outside this budget).
+///
+/// Nothing here is pinned: residency changes only through the insert
+/// methods, and an insertion never evicts a key in its `protect` set. A
+/// caller that wants a placement to stay put stops inserting.
 ///
 /// The cache is policy-agnostic: all replacement decisions are delegated to
 /// the [`CachePolicy`] it owns. The logical clock passed to the policy
@@ -54,7 +58,6 @@ impl InsertOutcome {
 pub struct ExpertCache {
     capacity: usize,
     resident: KeySet,
-    pinned: KeySet,
     policy: Box<dyn CachePolicy>,
     clock: u64,
     stats: CacheStats,
@@ -68,7 +71,6 @@ impl ExpertCache {
         ExpertCache {
             capacity,
             resident: KeySet::new(),
-            pinned: KeySet::new(),
             policy,
             clock: 0,
             stats: CacheStats::default(),
@@ -161,9 +163,9 @@ impl ExpertCache {
             self.policy.on_insert(key, self.clock);
             return InsertOutcome::Inserted;
         }
-        // Candidates: resident, unpinned, unprotected — scanned in key
-        // order straight off the residency bits.
-        let candidates = Candidates::new(&self.resident, &self.pinned, protect);
+        // Candidates: resident and unprotected — scanned in key order
+        // straight off the residency bits.
+        let candidates = Candidates::new(&self.resident, protect);
         let Some(victim) = self.policy.choose_victim(candidates) else {
             return InsertOutcome::Refused;
         };
@@ -194,27 +196,6 @@ impl ExpertCache {
         InsertOutcome::Inserted
     }
 
-    /// Pins `key` so it can never be chosen as an eviction victim. Pinning
-    /// does not insert; combine with [`insert`](Self::insert).
-    pub fn pin(&mut self, key: ExpertKey) {
-        self.pinned.insert(key);
-    }
-
-    /// Removes the pin from `key`.
-    pub fn unpin(&mut self, key: ExpertKey) {
-        self.pinned.remove(key);
-    }
-
-    /// Whether `key` is pinned.
-    pub fn is_pinned(&self, key: ExpertKey) -> bool {
-        self.pinned.contains(key)
-    }
-
-    /// The resident experts of `layer`, ascending by expert id.
-    pub fn cached_in_layer(&self, layer: LayerId) -> Vec<ExpertId> {
-        self.resident.in_layer(layer).collect()
-    }
-
     /// All resident experts, ascending.
     pub fn resident_keys(&self) -> impl Iterator<Item = ExpertKey> + '_ {
         self.resident.iter()
@@ -235,8 +216,8 @@ impl ExpertCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Lfu, Lru, Mrs};
-    use hybrimoe_model::RouterOutput;
+    use crate::{Lru, Mrs};
+    use hybrimoe_model::{ExpertId, LayerId, RouterOutput};
 
     fn key(l: u16, e: u16) -> ExpertKey {
         ExpertKey::new(LayerId(l), ExpertId(e))
@@ -268,29 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_experts_never_evicted() {
-        let mut c = ExpertCache::new(2, Box::new(Lru::new()));
-        c.insert(key(0, 0));
-        c.pin(key(0, 0));
-        c.insert(key(0, 1));
-        let outcome = c.insert(key(0, 2));
-        assert_eq!(outcome, InsertOutcome::InsertedEvicting(key(0, 1)));
-        assert!(c.contains(key(0, 0)));
-        assert!(c.is_pinned(key(0, 0)));
-        c.unpin(key(0, 0));
-        assert!(!c.is_pinned(key(0, 0)));
-    }
-
-    #[test]
-    fn all_pinned_refuses_insert() {
-        let mut c = ExpertCache::new(1, Box::new(Lru::new()));
-        c.insert(key(0, 0));
-        c.pin(key(0, 0));
-        assert_eq!(c.insert(key(0, 1)), InsertOutcome::Refused);
-        assert!(!InsertOutcome::Refused.is_resident());
-    }
-
-    #[test]
     fn protected_experts_not_victims() {
         let mut c = ExpertCache::new(2, Box::new(Lru::new()));
         c.insert(key(0, 0));
@@ -298,6 +256,10 @@ mod tests {
         // key(0,0) is LRU but protected; the victim must be key(0,1).
         let outcome = c.insert_protected(key(0, 2), &[key(0, 0)]);
         assert_eq!(outcome, InsertOutcome::InsertedEvicting(key(0, 1)));
+        // With every resident protected there is no victim.
+        let outcome = c.insert_protected(key(0, 3), &[key(0, 0), key(0, 2)]);
+        assert_eq!(outcome, InsertOutcome::Refused);
+        assert!(!outcome.is_resident());
     }
 
     #[test]
@@ -315,20 +277,6 @@ mod tests {
         assert_eq!(c.insert_if_free(key(0, 0)), InsertOutcome::AlreadyResident);
         assert_eq!(c.stats().prefetch_insertions, 1);
         assert_eq!(c.stats().evictions, 0);
-    }
-
-    #[test]
-    fn cached_in_layer_filters() {
-        let mut c = ExpertCache::new(8, Box::new(Lfu::new()));
-        c.insert(key(0, 3));
-        c.insert(key(1, 1));
-        c.insert(key(1, 7));
-        c.insert(key(2, 0));
-        assert_eq!(
-            c.cached_in_layer(LayerId(1)),
-            vec![ExpertId(1), ExpertId(7)]
-        );
-        assert_eq!(c.cached_in_layer(LayerId(3)), Vec::<ExpertId>::new());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The cache and its policies sit on the per-layer critical path of every
 //! engine step, so they keep their state in flat arrays indexed by
 //! [`ExpertKey::dense_index`] instead of ordered sets and hash maps:
-//! residency and pins are bitsets ([`KeySet`]), per-expert policy values
+//! residency is a bitset ([`KeySet`]), per-expert policy values
 //! (score, last access, frequency) live in a [`KeyMap`]. Neither is told
 //! the model's shape up front — the row width grows to cover the largest
 //! expert id seen and rows are appended as later layers appear — so the
@@ -206,28 +206,11 @@ impl KeySet {
         self.candidates().iter()
     }
 
-    /// The experts of `layer` in the set, ascending.
-    pub fn in_layer(&self, layer: LayerId) -> impl Iterator<Item = ExpertId> + '_ {
-        let row = layer.0 as usize * self.words_per_layer;
-        let words = self
-            .words
-            .get(row..row + self.words_per_layer)
-            .unwrap_or(&[]);
-        words.iter().enumerate().flat_map(|(w, bits)| {
-            Ones(*bits).map(move |bit| ExpertId((w * 64 + bit as usize) as u16))
-        })
-    }
-
-    /// Every key of the set as eviction candidates (nothing pinned or
-    /// protected) — what a policy's unit test hands to
+    /// Every key of the set as eviction candidates (nothing protected) —
+    /// what a policy's unit test hands to
     /// [`CachePolicy::choose_victim`](crate::CachePolicy::choose_victim).
     pub fn candidates(&self) -> Candidates<'_> {
-        static NONE_PINNED: KeySet = KeySet::new();
-        Candidates {
-            resident: self,
-            pinned: &NONE_PINNED,
-            protect: &[],
-        }
+        Candidates::new(self, &[])
     }
 }
 
@@ -241,25 +224,8 @@ impl FromIterator<ExpertKey> for KeySet {
     }
 }
 
-/// The set bit positions of one word, ascending.
-struct Ones(u64);
-
-impl Iterator for Ones {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.0 == 0 {
-            return None;
-        }
-        let bit = self.0.trailing_zeros();
-        self.0 &= self.0 - 1;
-        Some(bit)
-    }
-}
-
 /// The eviction candidates of one insertion: the resident experts that
-/// are neither pinned nor protected, **in ascending key order**.
+/// are not protected, **in ascending key order**.
 ///
 /// This is a view over the cache's own residency bits — nothing is
 /// collected — so a policy picks its victim in one pass, usually
@@ -267,19 +233,14 @@ impl Iterator for Ones {
 #[derive(Debug, Clone, Copy)]
 pub struct Candidates<'a> {
     resident: &'a KeySet,
-    pinned: &'a KeySet,
     protect: &'a [ExpertKey],
 }
 
 impl<'a> Candidates<'a> {
-    /// The candidates among `resident`: everything except the `pinned`
-    /// keys and the keys in `protect`.
-    pub(crate) fn new(resident: &'a KeySet, pinned: &'a KeySet, protect: &'a [ExpertKey]) -> Self {
-        Candidates {
-            resident,
-            pinned,
-            protect,
-        }
+    /// The candidates among `resident`: everything except the keys in
+    /// `protect`.
+    pub(crate) fn new(resident: &'a KeySet, protect: &'a [ExpertKey]) -> Self {
+        Candidates { resident, protect }
     }
 
     /// The candidate keys, ascending.
@@ -314,9 +275,9 @@ impl<'a> Candidates<'a> {
     }
 
     /// The residency bits `resident` of word `word` of `layer`'s row with
-    /// the pinned and protected bits cleared.
+    /// the protected bits cleared.
     fn eligible(&self, layer: usize, word: usize, resident: u64) -> u64 {
-        let mut bits = resident & !self.pinned.word(layer, word);
+        let mut bits = resident;
         for key in self.protect {
             let (w, mask) = word_and_mask(key.expert);
             if key.layer.0 as usize == layer && w == word {
@@ -343,8 +304,6 @@ impl Iterator for CandidateIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<ExpertKey> {
-        // A bare word rather than `Ones`: this is the inner loop of every
-        // eviction scan, and it measured faster without the nested Option.
         while self.bits == 0 {
             let resident = *self.set.resident.words.get(self.next_word)?;
             if resident != 0 {
@@ -425,28 +384,19 @@ mod tests {
         let mut sorted = keys.to_vec();
         sorted.sort();
         assert_eq!(set.iter().collect::<Vec<_>>(), sorted);
-        assert_eq!(
-            set.in_layer(LayerId(0)).collect::<Vec<_>>(),
-            vec![ExpertId(0), ExpertId(63), ExpertId(64)]
-        );
-        assert_eq!(set.in_layer(LayerId(5)).count(), 0);
     }
 
     #[test]
-    fn candidates_exclude_pinned_and_protected() {
+    fn candidates_exclude_protected() {
         let resident: KeySet = [key(0, 1), key(0, 2), key(1, 1), key(1, 65)]
             .into_iter()
             .collect();
-        // A pinned set of another shape, holding a non-resident key too.
-        let pinned: KeySet = [key(0, 2), key(4, 900)].into_iter().collect();
-        let protect = [key(1, 65), key(3, 3)];
-        let c = Candidates::new(&resident, &pinned, &protect);
+        // Protected keys past the first word, and some not resident at all.
+        let protect = [key(0, 2), key(1, 65), key(3, 3), key(4, 900)];
+        let c = Candidates::new(&resident, &protect);
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![key(0, 1), key(1, 1)]);
-        let everyone = [key(0, 1), key(1, 1), protect[0]];
-        assert_eq!(
-            Candidates::new(&resident, &pinned, &everyone).iter().next(),
-            None
-        );
+        let everyone = [key(0, 1), key(0, 2), key(1, 1), key(1, 65)];
+        assert_eq!(Candidates::new(&resident, &everyone).iter().next(), None);
         assert_eq!(KeySet::new().candidates().iter().next(), None);
     }
 

@@ -1,7 +1,7 @@
 //! Differential test: the dense cache against a reference model of the
 //! container-based implementation it replaced.
 //!
-//! The reference keeps residency and pins in ordered sets and every
+//! The reference keeps residency in an ordered set and every
 //! policy's values in hash maps, collects the eviction candidates into a
 //! `Vec` and lets every shard's policy update every expert on a routing —
 //! the semantics every determinism pin in the repository was recorded
@@ -134,7 +134,6 @@ impl RefPolicy {
 struct RefCache {
     capacity: usize,
     resident: BTreeSet<ExpertKey>,
-    pinned: BTreeSet<ExpertKey>,
     policy: RefPolicy,
     clock: u64,
     stats: CacheStats,
@@ -171,7 +170,7 @@ impl RefCache {
             .resident
             .iter()
             .copied()
-            .filter(|k| !self.pinned.contains(k) && !protect.contains(k))
+            .filter(|k| !protect.contains(k))
             .collect();
         let Some(victim) = self.policy.choose_victim(&candidates) else {
             return InsertOutcome::Refused;
@@ -215,7 +214,6 @@ impl RefSharded {
             .map(|s| RefCache {
                 capacity: base + usize::from(s < remainder),
                 resident: BTreeSet::new(),
-                pinned: BTreeSet::new(),
                 policy: RefPolicy::new(kind),
                 clock: 0,
                 stats: CacheStats::default(),
@@ -261,8 +259,6 @@ enum Op {
     Insert(ExpertKey),
     InsertProtected(ExpertKey, Vec<ExpertKey>),
     InsertIfFree(ExpertKey),
-    Pin(ExpertKey),
-    Unpin(ExpertKey),
 }
 
 /// Keys over four layers and twenty experts, eight of which sit past the
@@ -305,8 +301,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (arb_key(), proptest::collection::vec(arb_key(), 0..6))
             .prop_map(|(k, protect)| Op::InsertProtected(k, protect)),
         arb_key().prop_map(Op::InsertIfFree),
-        arb_key().prop_map(Op::Pin),
-        arb_key().prop_map(Op::Unpin),
     ]
 }
 
@@ -349,14 +343,6 @@ proptest! {
                 Op::InsertIfFree(key) => {
                     let expect = reference.shard(*key).insert_if_free(*key);
                     prop_assert_eq!(dense.insert_if_free(*key), expect, "op {}: {:?}", i, op);
-                }
-                Op::Pin(key) => {
-                    dense.pin(*key);
-                    reference.shard(*key).pinned.insert(*key);
-                }
-                Op::Unpin(key) => {
-                    dense.unpin(*key);
-                    reference.shard(*key).pinned.remove(key);
                 }
             }
             prop_assert_eq!(dense.stats(), reference.stats(), "after op {}: {:?}", i, op);

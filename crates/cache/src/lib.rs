@@ -13,14 +13,14 @@
 //!   estimate.
 //!
 //! The [`ExpertCache`] container tracks which experts are resident in GPU
-//! memory, supports pinning (shared experts are never evicted), and records
-//! hit/miss/eviction statistics. On multi-GPU platforms a
+//! memory, never evicts the experts an insertion protects (the ones still
+//! in flight), and records hit/miss/eviction statistics. On multi-GPU platforms a
 //! [`ShardedExpertCache`] keeps one cache (and one policy instance) per
 //! GPU shard, routed by the expert→shard affinity map, so residency and
 //! score estimates stay device-local.
 //!
 //! Every operation here runs on the per-layer critical path of an engine
-//! step, so residency, pins and the policies' per-expert values are dense
+//! step, so residency and the policies' per-expert values are dense
 //! arrays indexed by expert key ([`KeySet`], [`KeyMap`]) and an eviction
 //! scans the resident slots in key order ([`Candidates`]) — no hashing, no
 //! per-call collections. [`CachePolicy`] documents the contract a custom

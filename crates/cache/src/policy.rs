@@ -29,7 +29,7 @@ use crate::Candidates;
 ///   [`KeyMap`](crate::KeyMap) rather than a hash map, so that neither
 ///   side hashes or allocates in steady state.
 /// * **Candidates come in ascending key order** and contain exactly the
-///   resident experts that are neither pinned nor protected by the caller.
+///   resident experts that the caller does not protect.
 ///   The victim must be one of them.
 /// * **Determinism.** Given the same event sequence a policy must pick the
 ///   same victim. The built-in policies order candidates by
@@ -56,8 +56,8 @@ pub trait CachePolicy: fmt::Debug + Send {
     /// Observes `key` being evicted.
     fn on_evict(&mut self, key: ExpertKey);
 
-    /// Picks the victim among `candidates` (the unpinned, unprotected
-    /// resident experts, in ascending key order). Returns `None` only if
+    /// Picks the victim among `candidates` (the unprotected resident
+    /// experts, in ascending key order). Returns `None` only if
     /// there is no candidate.
     fn choose_victim(&mut self, candidates: Candidates<'_>) -> Option<ExpertKey>;
 }

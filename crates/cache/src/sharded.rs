@@ -8,7 +8,7 @@
 //! every operation to the key's affinity shard; with a single shard it is
 //! exactly the flat cache of the paper's single-GPU setup.
 
-use hybrimoe_model::{shard_of, ExpertId, ExpertKey, LayerId, LayerRouting};
+use hybrimoe_model::{shard_of, ExpertKey, LayerRouting};
 
 use crate::{CachePolicy, CacheStats, ExpertCache, InsertOutcome, RoutingScores};
 
@@ -157,33 +157,6 @@ impl ShardedExpertCache {
         self.shard_mut(key).insert_if_free(key)
     }
 
-    /// Pins `key` on its affinity shard.
-    pub fn pin(&mut self, key: ExpertKey) {
-        self.shard_mut(key).pin(key)
-    }
-
-    /// Removes the pin from `key`.
-    pub fn unpin(&mut self, key: ExpertKey) {
-        self.shard_mut(key).unpin(key)
-    }
-
-    /// Whether `key` is pinned on its affinity shard.
-    pub fn is_pinned(&self, key: ExpertKey) -> bool {
-        self.shard_ref(key).is_pinned(key)
-    }
-
-    /// The resident experts of `layer` across all shards, ascending by
-    /// expert id.
-    pub fn cached_in_layer(&self, layer: LayerId) -> Vec<ExpertId> {
-        let mut all: Vec<ExpertId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.cached_in_layer(layer))
-            .collect();
-        all.sort_unstable();
-        all
-    }
-
     /// All resident experts across all shards, ascending by key.
     pub fn resident_keys(&self) -> Vec<ExpertKey> {
         let mut all: Vec<ExpertKey> = self.shards.iter().flat_map(|s| s.resident_keys()).collect();
@@ -213,6 +186,7 @@ impl ShardedExpertCache {
 mod tests {
     use super::*;
     use crate::{Lru, Mrs};
+    use hybrimoe_model::{ExpertId, LayerId};
 
     fn key(l: u16, e: u16) -> ExpertKey {
         ExpertKey::new(LayerId(l), ExpertId(e))
@@ -242,6 +216,8 @@ mod tests {
         assert!(c.contains(key(0, 1)));
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
+        // Residents merge across shards in key order.
+        assert_eq!(c.resident_keys(), vec![key(0, 0), key(0, 1), key(3, 2)]);
     }
 
     #[test]
@@ -281,33 +257,6 @@ mod tests {
         assert_eq!(c.insert_if_free(key(0, 2)), InsertOutcome::Refused);
         assert_eq!(c.insert_if_free(key(0, 1)), InsertOutcome::Inserted);
         assert_eq!(c.free_slots(), 0);
-    }
-
-    #[test]
-    fn pinning_is_per_shard() {
-        let mut c = sharded(2, 2);
-        c.insert(key(0, 0));
-        c.pin(key(0, 0));
-        assert!(c.is_pinned(key(0, 0)));
-        assert_eq!(c.insert(key(0, 2)), InsertOutcome::Refused);
-        c.unpin(key(0, 0));
-        assert!(!c.is_pinned(key(0, 0)));
-        assert_eq!(
-            c.insert(key(0, 2)),
-            InsertOutcome::InsertedEvicting(key(0, 0))
-        );
-    }
-
-    #[test]
-    fn cached_in_layer_merges_shards_sorted() {
-        let mut c = sharded(8, 2);
-        for e in [3u16, 0, 1, 6] {
-            c.insert(key(1, e));
-        }
-        assert_eq!(
-            c.cached_in_layer(LayerId(1)),
-            vec![ExpertId(0), ExpertId(1), ExpertId(3), ExpertId(6)]
-        );
     }
 
     #[test]

@@ -51,7 +51,10 @@ pub enum SchedulerKind {
     FixedMapping,
     /// AdapMoE-style GPU-only with on-demand loading.
     GpuOnly,
-    /// llama.cpp-style static whole-layer split.
+    /// llama.cpp-style static whole-layer split (`-ngl`): the warmup places
+    /// whole layers from layer 0 up instead of per-layer hot experts, and
+    /// attention runs on the CPU for a decode batch of a layer that is not
+    /// resident.
     StaticSplit,
 }
 
@@ -121,18 +124,14 @@ impl CachePolicyKind {
     }
 }
 
-/// How the cache is filled before measurement starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PlacementKind {
-    /// Whole layers resident from layer 0 up (llama.cpp `-ngl` style).
-    WholeLayers,
-    /// Per-layer quotas filled with the highest-frequency experts of a
-    /// warmup trace (kTransformers style; also the warm start of the
-    /// dynamic frameworks).
-    PerLayerFrequency,
-}
-
 /// The four systems the paper evaluates (§VI-A3).
+///
+/// A framework is nothing more than its components (Table I): a scheduler,
+/// a prefetcher, a cache policy and the cache-write switches of
+/// [`EngineConfig`]. The static frameworks (llama.cpp, kTransformers) keep
+/// their warmup placement because their presets turn off every cache
+/// write — `demand_inserts`, `refill_on_miss` and the prefetcher — not
+/// through a separate pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Framework {
     /// llama.cpp: static whole-layer CPU/GPU split, no expert-level
@@ -175,7 +174,12 @@ impl std::fmt::Display for Framework {
 /// Full configuration of an [`Engine`](crate::Engine).
 ///
 /// Use [`EngineConfig::preset`] for the paper's frameworks and the builder
-/// methods for ablations.
+/// methods for ablations. Nothing here pins the cache: a configuration is
+/// static exactly when it writes nothing to the cache after warmup
+/// (`demand_inserts` and `refill_on_miss` off, [`PrefetcherKind::None`]),
+/// which is how the llama.cpp and kTransformers presets are built. The
+/// builders that make a component dynamic also turn on the cache writes
+/// that component needs.
 ///
 /// # Example
 ///
@@ -209,18 +213,14 @@ pub struct EngineConfig {
     pub prefetcher: PrefetcherKind,
     /// Cache replacement policy.
     pub cache_policy: CachePolicyKind,
-    /// Initial cache placement.
-    pub placement: PlacementKind,
-    /// Whether the initial placement is pinned (static mapping; kTrans and
-    /// llama.cpp never change their placement).
-    pub pinned: bool,
     /// Whether missed experts computed on the CPU are refilled into the
     /// cache over leftover idle PCIe time (part of the paper's cache
     /// management; static frameworks have it off).
     pub refill_on_miss: bool,
     /// Whether on-demand transfers enter the cache. kTransformers and
-    /// llama.cpp keep their placements static and discard on-demand loads;
-    /// AdapMoE and HybriMoE cache them.
+    /// llama.cpp discard on-demand loads (with refill and prefetch off, this
+    /// is what keeps their placements static); AdapMoE and HybriMoE cache
+    /// them.
     pub demand_inserts: bool,
     /// Whether cache insertions during a *prefill* batch may evict resident
     /// experts. HybriMoE restricts prefill insertions to free slots (each
@@ -228,9 +228,6 @@ pub struct EngineConfig {
     /// strictly harmful); AdapMoE's LRU caches every on-demand load
     /// unconditionally, which is one reason its prefill trails.
     pub prefill_evict_inserts: bool,
-    /// Whether attention runs on the CPU for CPU-mapped layers (llama.cpp
-    /// semantics) instead of always on the GPU.
-    pub attention_follows_layer: bool,
     /// MRS averaging coefficient α (Eq. 3).
     pub mrs_alpha: f64,
     /// Seed for the warmup trace that drives initial placement.
@@ -282,12 +279,9 @@ impl EngineConfig {
             scheduler: SchedulerKind::Hybrid,
             prefetcher: PrefetcherKind::ImpactDriven,
             cache_policy: CachePolicyKind::Mrs,
-            placement: PlacementKind::PerLayerFrequency,
-            pinned: false,
             refill_on_miss: true,
             demand_inserts: true,
             prefill_evict_inserts: false,
-            attention_follows_layer: false,
             mrs_alpha: 0.3,
             seed: 0xB0B,
             max_inflight: DEFAULT_MAX_INFLIGHT,
@@ -303,7 +297,6 @@ impl EngineConfig {
                 scheduler: SchedulerKind::FixedMapping,
                 prefetcher: PrefetcherKind::None,
                 cache_policy: CachePolicyKind::Lfu,
-                pinned: true,
                 refill_on_miss: false,
                 demand_inserts: false,
                 ..base
@@ -312,7 +305,6 @@ impl EngineConfig {
                 scheduler: SchedulerKind::GpuOnly,
                 prefetcher: PrefetcherKind::NextLayerTopK,
                 cache_policy: CachePolicyKind::Lru,
-                pinned: false,
                 refill_on_miss: false,
                 prefill_evict_inserts: true,
                 ..base
@@ -321,11 +313,8 @@ impl EngineConfig {
                 scheduler: SchedulerKind::StaticSplit,
                 prefetcher: PrefetcherKind::None,
                 cache_policy: CachePolicyKind::Lfu,
-                placement: PlacementKind::WholeLayers,
-                pinned: true,
                 refill_on_miss: false,
                 demand_inserts: false,
-                attention_follows_layer: true,
                 ..base
             },
         }
@@ -344,7 +333,6 @@ impl EngineConfig {
         // A dynamic scheduler implies a dynamic cache: its transfers are
         // worth keeping.
         if scheduler == SchedulerKind::Hybrid || scheduler == SchedulerKind::GpuOnly {
-            self.pinned = false;
             self.demand_inserts = true;
         }
         self
@@ -353,17 +341,13 @@ impl EngineConfig {
     /// Overrides the prefetcher (ablations).
     pub fn with_prefetcher(mut self, prefetcher: PrefetcherKind) -> Self {
         self.prefetcher = prefetcher;
-        if prefetcher != PrefetcherKind::None {
-            self.pinned = false;
-        }
         self
     }
 
     /// Overrides the cache policy (ablations). Enables dynamic cache
-    /// management (unpinned, demand inserts, refill-on-miss).
+    /// management (demand inserts and refill-on-miss).
     pub fn with_cache_policy(mut self, policy: CachePolicyKind) -> Self {
         self.cache_policy = policy;
-        self.pinned = false;
         self.refill_on_miss = true;
         self.demand_inserts = true;
         self
@@ -461,20 +445,28 @@ mod tests {
         assert_eq!(a.scheduler, SchedulerKind::GpuOnly);
         assert_eq!(l.scheduler, SchedulerKind::StaticSplit);
 
-        assert!(k.pinned && l.pinned);
-        assert!(!h.pinned && !a.pinned);
+        // The static frameworks write nothing to the cache after warmup.
+        for c in [&k, &l] {
+            assert!(!c.demand_inserts && !c.refill_on_miss);
+            assert_eq!(c.prefetcher, PrefetcherKind::None);
+        }
+        assert!(h.demand_inserts && a.demand_inserts);
         assert_eq!(h.cache_policy, CachePolicyKind::Mrs);
         assert_eq!(a.cache_policy, CachePolicyKind::Lru);
-        assert!(l.attention_follows_layer);
     }
 
     #[test]
     fn ablation_builders_unpin() {
+        // A builder that makes a component dynamic turns on the cache
+        // writes it needs, so the static placement can move.
         let m = ModelConfig::qwen2();
-        let c = EngineConfig::preset(Framework::KTransformers, m, 0.25)
+        let c = EngineConfig::preset(Framework::KTransformers, m.clone(), 0.25)
             .with_scheduler(SchedulerKind::Hybrid);
-        assert!(!c.pinned);
+        assert!(c.demand_inserts && !c.refill_on_miss);
         assert_eq!(c.prefetcher, PrefetcherKind::None);
+        let c = EngineConfig::preset(Framework::KTransformers, m, 0.25)
+            .with_cache_policy(CachePolicyKind::Mrs);
+        assert!(c.demand_inserts && c.refill_on_miss);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use hybrimoe_sched::{
 use hybrimoe_trace::{ActivationTrace, LayerRecord, TraceConfig, TraceGenerator, TraceStep};
 
 use crate::realexec::{RealExecution, RealLayerOutput};
-use crate::{EngineConfig, PlacementKind, StageMetrics, StepMetrics};
+use crate::{EngineConfig, SchedulerKind, StageMetrics, StepMetrics};
 
 /// Runs MoE inference over activation traces on the modeled hybrid
 /// platform, with pluggable scheduler, prefetcher and cache policy.
@@ -79,7 +79,12 @@ pub struct Engine {
     /// Real kernels computing each layer's outputs and measuring its CPU
     /// ops, when the configuration asks for them.
     real: Option<RealExecution>,
-    /// Number of fully GPU-resident layers (whole-layer placement).
+    /// Whether the engine maps whole layers (llama.cpp's `-ngl`, what
+    /// [`SchedulerKind::StaticSplit`] means): the warmup places layers
+    /// `0..resident_layers` entirely, and a decode batch runs the
+    /// attention of every other layer on the CPU.
+    whole_layers: bool,
+    /// Number of fully GPU-resident layers (whole-layer placement only).
     resident_layers: u16,
     /// Background PCIe transfers in flight (prefetches and refills), whose
     /// progress carries across layers into the plans that need them, and
@@ -441,6 +446,7 @@ impl Engine {
                 .then(|| RealExecution::new(&config)),
             cost,
             cache,
+            whole_layers: config.scheduler == SchedulerKind::StaticSplit,
             resident_layers: 0,
             background: BackgroundQueue::new(config.max_inflight),
             scratch: StepScratch::default(),
@@ -450,13 +456,14 @@ impl Engine {
         }
     }
 
-    /// Runs the warmup phase (§IV-A): fills the cache according to the
-    /// configured placement, pins it if the framework is static, primes the
+    /// Runs the warmup phase (§IV-A): fills the cache with whole layers
+    /// (llama.cpp) or per-layer hot experts (everyone else), primes the
     /// policy's score estimates, and resets the cache statistics so
-    /// measurement starts clean. Warming an already-warm engine re-primes
-    /// the policy, re-applies the placement (which can evict residents that
-    /// drifted from it while the cache was full), and resets the
-    /// statistics.
+    /// measurement starts clean. A static framework keeps this placement
+    /// because its configuration writes nothing to the cache afterwards.
+    /// Warming an already-warm engine re-primes the policy, re-applies the
+    /// placement (which can evict residents that drifted from it while the
+    /// cache was full), and resets the statistics.
     ///
     /// # Panics
     ///
@@ -467,23 +474,19 @@ impl Engine {
         // Background transfers queued by a previous workload would leak
         // into the next measurement; warmup starts clean.
         self.background.discard();
-        match self.config.placement {
-            PlacementKind::WholeLayers => {
-                let capacity = self.cache.capacity();
-                self.resident_layers =
-                    (capacity / self.config.model.routed_experts.max(1) as usize) as u16;
-                let placement: Vec<ExpertKey> =
-                    (0..self.resident_layers.min(self.config.model.layers))
-                        .flat_map(|l| {
-                            (0..self.config.model.routed_experts)
-                                .map(move |e| ExpertKey::new(LayerId(l), ExpertId(e)))
-                        })
-                        .collect();
-                apply_placement(&mut self.cache, &placement, self.config.pinned);
-            }
-            PlacementKind::PerLayerFrequency => {
-                place_by_frequency(&mut self.cache, &self.config);
-            }
+        if self.whole_layers {
+            let capacity = self.cache.capacity();
+            self.resident_layers =
+                (capacity / self.config.model.routed_experts.max(1) as usize) as u16;
+            let placement: Vec<ExpertKey> = (0..self.resident_layers.min(self.config.model.layers))
+                .flat_map(|l| {
+                    (0..self.config.model.routed_experts)
+                        .map(move |e| ExpertKey::new(LayerId(l), ExpertId(e)))
+                })
+                .collect();
+            apply_placement(&mut self.cache, &placement);
+        } else {
+            place_by_frequency(&mut self.cache, &self.config);
         }
         self.cache.reset_stats();
     }
@@ -686,7 +689,7 @@ impl Engine {
     /// layer is mapped to at decode — for prefill batches even CPU layers
     /// push the heavy matmuls to the GPU (cuBLAS offload). Everyone else
     /// keeps it on the GPU — GPU 0: attention is not expert-sharded, so it
-    /// stays on the shard holding the pinned shared experts.
+    /// stays on the shard holding the always-resident shared experts.
     fn attention(&self, cx: &LayerCtx<'_>, metrics: &mut StepMetrics) -> SimDuration {
         let StepConsts {
             tokens,
@@ -695,8 +698,7 @@ impl Engine {
             num_gpus,
             ..
         } = *cx.step;
-        let on_gpu =
-            !self.config.attention_follows_layer || prefill_batch || self.layer_resident(cx.layer);
+        let on_gpu = !self.whole_layers || prefill_batch || cx.layer.0 < self.resident_layers;
         let (device, time) = if on_gpu {
             (Device::gpu(0), self.cost.gpu_compute(&attn_profile, tokens))
         } else {
@@ -705,16 +707,6 @@ impl Engine {
         };
         metrics.device_busy[device.ordinal(num_gpus)] += time;
         time
-    }
-
-    /// Whether every routed expert of `layer` is resident (whole-layer
-    /// mapping semantics). Kept lazy: the residency scan only runs for
-    /// configurations whose attention placement depends on it.
-    fn layer_resident(&self, layer: LayerId) -> bool {
-        if self.config.placement == PlacementKind::WholeLayers {
-            return layer.0 < self.resident_layers;
-        }
-        self.cache.cached_in_layer(layer).len() == self.config.model.routed_experts as usize
     }
 
     /// Stage 3: cache lookups define the task set; the activated experts
@@ -956,16 +948,14 @@ impl Engine {
 }
 
 /// Inserts a placement into the cache, protecting the whole placement set
-/// so that on a drifted full cache (re-warming an unpinned engine) the
-/// evicted experts are the drifted residents — never the placement keys
-/// inserted moments earlier, which a score-based policy would otherwise
-/// rank lowest. On a cold cache this is identical to plain insertion.
-fn apply_placement(cache: &mut ShardedExpertCache, placement: &[ExpertKey], pin: bool) {
+/// so that on a drifted full cache (re-warming an engine whose cache took
+/// writes) the evicted experts are the drifted residents — never the
+/// placement keys inserted moments earlier, which a score-based policy
+/// would otherwise rank lowest. On a cold cache this is identical to plain
+/// insertion.
+fn apply_placement(cache: &mut ShardedExpertCache, placement: &[ExpertKey]) {
     for key in placement {
-        let outcome = cache.insert_protected(*key, placement);
-        if pin && outcome.is_resident() {
-            cache.pin(*key);
-        }
+        cache.insert_protected(*key, placement);
     }
 }
 
@@ -1023,7 +1013,7 @@ fn place_by_frequency(cache: &mut ShardedExpertCache, config: &EngineConfig) {
             }
         }
     }
-    apply_placement(cache, &placement, config.pinned);
+    apply_placement(cache, &placement);
 
     // Prime score/recency estimates with the warmup routings.
     for step in &warm_trace.steps {
@@ -1080,13 +1070,32 @@ mod tests {
     }
 
     #[test]
-    fn pinned_frameworks_keep_their_placement() {
-        let trace = tiny_trace(5, 8);
-        let mut e = tiny_engine(Framework::KTransformers, 0.25);
-        let before: Vec<ExpertKey> = e.cache().resident_keys();
-        e.run(&trace);
-        let after: Vec<ExpertKey> = e.cache().resident_keys();
-        assert_eq!(before, after);
+    fn static_frameworks_keep_their_placement() {
+        // Nothing pins the cache: a static framework keeps its placement
+        // because its preset writes nothing to the cache, not even the
+        // on-demand transfers of a prefill (FixedMapping moves misses,
+        // StaticSplit streams the CPU layers).
+        let prefill = TraceGenerator::new(ModelConfig::tiny_test(), 5)
+            .prefill_trace(2 * PREFILL_BATCH_THRESHOLD);
+        let decode = tiny_trace(5, 8);
+        for framework in [Framework::KTransformers, Framework::LlamaCpp] {
+            for ratio in [0.25, 0.5] {
+                let mut e = tiny_engine(framework, ratio);
+                let placement = e.cache().resident_keys();
+                let p = e.run(&prefill);
+                assert!(
+                    p.demand_transfers() > 0,
+                    "{framework} {ratio}: no transfers"
+                );
+                let d = e.run(&decode);
+                assert_eq!(
+                    p.cache.insertions + d.cache.insertions,
+                    0,
+                    "{framework} {ratio}"
+                );
+                assert_eq!(e.cache().resident_keys(), placement, "{framework} {ratio}");
+            }
+        }
     }
 
     #[test]
@@ -1235,22 +1244,22 @@ mod tests {
 
     #[test]
     fn rewarming_reapplies_placement_on_drifted_cache() {
-        // Unpinned whole-layer placement with a dynamic scheduler: the run
-        // drifts the cache, and re-warming must restore full residency of
-        // the placed layers rather than letting fresh zero-score placement
-        // keys evict each other.
-        let config = EngineConfig::preset(Framework::LlamaCpp, ModelConfig::tiny_test(), 0.25)
-            .with_scheduler(crate::SchedulerKind::Hybrid);
+        // A dynamic cache drifts from its warmup placement during a run;
+        // re-warming must restore every placement key rather than letting
+        // the fresh zero-score placement keys evict each other.
+        let config = EngineConfig::preset(Framework::HybriMoe, ModelConfig::tiny_test(), 0.25);
+        let placement = Engine::new(config.clone()).cache().resident_keys();
         let mut e = Engine::new(config);
         e.run(&tiny_trace(29, 10));
+        let missing = |e: &Engine| {
+            placement
+                .iter()
+                .filter(|k| !e.cache().contains(**k))
+                .count()
+        };
+        assert!(missing(&e) > 0, "the run left the placement intact");
         e.warmup();
-        for l in 0..e.resident_layers {
-            assert_eq!(
-                e.cache().cached_in_layer(LayerId(l)).len(),
-                e.config().model.routed_experts as usize,
-                "layer {l} not fully resident after re-warm"
-            );
-        }
+        assert_eq!(missing(&e), 0, "placement keys missing after re-warm");
     }
 
     #[test]

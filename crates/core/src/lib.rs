@@ -52,8 +52,8 @@ pub mod report;
 pub mod serve;
 
 pub use config::{
-    BackendKind, CachePolicyKind, EngineConfig, Framework, PlacementKind, PrefetcherKind,
-    SchedulerKind, DEFAULT_MAX_INFLIGHT,
+    BackendKind, CachePolicyKind, EngineConfig, Framework, PrefetcherKind, SchedulerKind,
+    DEFAULT_MAX_INFLIGHT,
 };
 pub use engine::{Engine, PrefetchCounters};
 pub use metrics::{StageMetrics, StepMetrics};

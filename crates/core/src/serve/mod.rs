@@ -67,4 +67,4 @@ pub use arrivals::{ArrivalKind, ArrivalProcess};
 pub use batcher::{ContinuousBatcher, StepOutcome};
 pub use request::{RequestMetrics, RequestSpec, DEFAULT_PRIORITY};
 pub use sim::{ServeConfig, ServeSim, StepStat};
-pub use summary::{ServeReport, ServeSummary};
+pub use summary::{percentile, ServeReport, ServeSummary};

@@ -272,12 +272,27 @@ impl Server {
     /// Binds the listener, warms up the engine, and spawns the engine
     /// loop and acceptor threads. Returns once the server is accepting.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `config.max_batch` is invalid (see
-    /// [`ContinuousBatcher::new`]) or `config.queue_depth` is zero.
+    /// Returns [`io::ErrorKind::InvalidInput`] — before binding a port or
+    /// spawning a thread — if `config.max_batch` is outside
+    /// `1..PREFILL_BATCH_THRESHOLD` (see [`ContinuousBatcher::new`]) or
+    /// `config.queue_depth` is zero, and the bind or spawn error if either
+    /// fails.
     pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
-        assert!(config.queue_depth > 0, "queue_depth must be at least 1");
+        let threshold = hybrimoe_sched::baselines::PREFILL_BATCH_THRESHOLD;
+        if config.max_batch == 0 || config.max_batch as u64 >= u64::from(threshold) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("max_batch {} is outside 1..{threshold}", config.max_batch),
+            ));
+        }
+        if config.queue_depth == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "queue_depth must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 

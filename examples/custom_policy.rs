@@ -11,7 +11,7 @@
 //! by expert key, unwritten keys read as the default), `on_routing` gets
 //! the layer's mean scores as a reused `RoutingScores`, and
 //! `choose_victim` scans the `Candidates` — already in ascending key
-//! order, pinned and protected experts already excluded — in one pass.
+//! order, protected experts already excluded — in one pass.
 //!
 //! ```text
 //! cargo run -p hybrimoe-examples --release --bin custom_policy

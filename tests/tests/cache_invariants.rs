@@ -1,6 +1,6 @@
 //! Property-based invariants on the expert cache: capacity is never
-//! exceeded, pinned experts are never evicted, statistics balance, and all
-//! three policies maintain these invariants under random workloads.
+//! exceeded, protected experts are never evicted, statistics balance, and
+//! all three policies maintain these invariants under random workloads.
 
 use hybrimoe_cache::{CachePolicy, ExpertCache, InsertOutcome, Lfu, Lru, Mrs};
 use hybrimoe_model::{ExpertId, ExpertKey, LayerId, LayerRouting, RouterOutput};
@@ -11,18 +11,14 @@ enum OpSpec {
     Lookup(u16, u16),
     Insert(u16, u16),
     InsertIfFree(u16, u16),
-    Pin(u16, u16),
-    Unpin(u16, u16),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<OpSpec>> {
     proptest::collection::vec(
-        (0u8..5, 0u16..4, 0u16..16).prop_map(|(kind, l, e)| match kind {
+        (0u8..3, 0u16..4, 0u16..16).prop_map(|(kind, l, e)| match kind {
             0 => OpSpec::Lookup(l, e),
             1 => OpSpec::Insert(l, e),
-            2 => OpSpec::InsertIfFree(l, e),
-            3 => OpSpec::Pin(l, e),
-            _ => OpSpec::Unpin(l, e),
+            _ => OpSpec::InsertIfFree(l, e),
         }),
         1..120,
     )
@@ -47,7 +43,6 @@ proptest! {
     fn capacity_never_exceeded(ops in arb_ops(), capacity in 0usize..12) {
         for policy in policies() {
             let mut cache = ExpertCache::new(capacity, policy);
-            let mut pinned = std::collections::HashSet::new();
             for op in &ops {
                 match op {
                     OpSpec::Lookup(l, e) => {
@@ -59,14 +54,6 @@ proptest! {
                     OpSpec::InsertIfFree(l, e) => {
                         cache.insert_if_free(key(*l, *e));
                     }
-                    OpSpec::Pin(l, e) => {
-                        cache.pin(key(*l, *e));
-                        pinned.insert(key(*l, *e));
-                    }
-                    OpSpec::Unpin(l, e) => {
-                        cache.unpin(key(*l, *e));
-                        pinned.remove(&key(*l, *e));
-                    }
                 }
                 prop_assert!(cache.len() <= capacity.max(cache.len().min(capacity)));
                 prop_assert!(cache.len() <= capacity);
@@ -75,25 +62,22 @@ proptest! {
     }
 
     #[test]
-    fn pinned_resident_experts_survive(ops in arb_ops()) {
+    fn protected_resident_experts_survive(ops in arb_ops()) {
         for policy in policies() {
             let mut cache = ExpertCache::new(4, policy);
-            // Insert and pin one key up front.
+            // Insert one key up front and protect it on every insert.
             let protected = key(0, 0);
             cache.insert(protected);
-            cache.pin(protected);
             for op in &ops {
                 match op {
                     OpSpec::Lookup(l, e) => {
                         cache.lookup(key(*l, *e));
                     }
-                    // Never unpin or re-pin in this scenario.
-                    OpSpec::Insert(l, e) | OpSpec::InsertIfFree(l, e)
-                    | OpSpec::Pin(l, e) | OpSpec::Unpin(l, e) => {
-                        cache.insert(key(*l, *e));
+                    OpSpec::Insert(l, e) | OpSpec::InsertIfFree(l, e) => {
+                        cache.insert_protected(key(*l, *e), &[protected]);
                     }
                 }
-                prop_assert!(cache.contains(protected), "pinned key evicted");
+                prop_assert!(cache.contains(protected), "protected key evicted");
             }
         }
     }
@@ -115,7 +99,6 @@ proptest! {
                     OpSpec::InsertIfFree(l, e) => {
                         cache.insert_if_free(key(*l, *e));
                     }
-                    _ => {}
                 }
             }
             let stats = cache.stats();
@@ -147,8 +130,6 @@ enum BatchedOp {
     Insert(u16, u16),
     InsertProtected(u16, u16, u16),
     InsertIfFree(u16, u16),
-    Pin(u16, u16),
-    Unpin(u16, u16),
     /// `NoteRouting(layer, batch)`: a batch of tokens routes on `layer`
     /// (scores derived deterministically from the tuple).
     NoteRouting(u16, u8),
@@ -156,13 +137,11 @@ enum BatchedOp {
 
 fn arb_batched_ops() -> impl Strategy<Value = Vec<BatchedOp>> {
     proptest::collection::vec(
-        (0u8..7, 0u16..4, 0u16..16, 1u8..6).prop_map(|(kind, l, e, b)| match kind {
+        (0u8..5, 0u16..4, 0u16..16, 1u8..6).prop_map(|(kind, l, e, b)| match kind {
             0 => BatchedOp::Lookup(l, e),
             1 => BatchedOp::Insert(l, e),
             2 => BatchedOp::InsertProtected(l, e, e / 2),
             3 => BatchedOp::InsertIfFree(l, e),
-            4 => BatchedOp::Pin(l, e),
-            5 => BatchedOp::Unpin(l, e),
             _ => BatchedOp::NoteRouting(l, b),
         }),
         1..150,
@@ -204,8 +183,6 @@ fn replay(
             BatchedOp::InsertIfFree(l, e) => {
                 cache.insert_if_free(key(*l, *e));
             }
-            BatchedOp::Pin(l, e) => cache.pin(key(*l, *e)),
-            BatchedOp::Unpin(l, e) => cache.unpin(key(*l, *e)),
             BatchedOp::NoteRouting(l, b) => cache.note_routing(&routing_for(*l, *b), 2),
         }
     }
@@ -231,7 +208,7 @@ proptest! {
     }
 
     /// Every [`InsertOutcome`] tells the truth about the state transition
-    /// it reports, and capacity/pinning invariants hold after each op.
+    /// it reports, and the capacity invariant holds after each op.
     #[test]
     fn insert_outcomes_match_state_transitions(
         ops in arb_batched_ops(),
@@ -239,14 +216,7 @@ proptest! {
     ) {
         for policy in policies() {
             let mut cache = ExpertCache::new(capacity, policy);
-            let mut pinned = std::collections::HashSet::new();
             for op in &ops {
-                if let BatchedOp::Pin(l, e) = op {
-                    pinned.insert(key(*l, *e));
-                }
-                if let BatchedOp::Unpin(l, e) = op {
-                    pinned.remove(&key(*l, *e));
-                }
                 let insert: Option<(ExpertKey, Option<ExpertKey>, bool)> = match op {
                     BatchedOp::Insert(l, e) => Some((key(*l, *e), None, true)),
                     BatchedOp::InsertProtected(l, e, p) => {
@@ -259,14 +229,6 @@ proptest! {
                     }
                     BatchedOp::NoteRouting(l, b) => {
                         cache.note_routing(&routing_for(*l, *b), 2);
-                        None
-                    }
-                    BatchedOp::Pin(l, e) => {
-                        cache.pin(key(*l, *e));
-                        None
-                    }
-                    BatchedOp::Unpin(l, e) => {
-                        cache.unpin(key(*l, *e));
                         None
                     }
                 };
@@ -291,7 +253,6 @@ proptest! {
                         }
                         InsertOutcome::InsertedEvicting(victim) => {
                             prop_assert!(!was_resident && was_full && may_evict);
-                            prop_assert!(!pinned.contains(&victim), "evicted pinned {victim:?}");
                             if let Some(p) = protect {
                                 prop_assert!(victim != p, "evicted protected {victim:?}");
                             }
@@ -311,15 +272,14 @@ proptest! {
         }
     }
 
-    /// Pinned residents survive arbitrary batched workloads, including
-    /// `insert_protected` eviction pressure.
+    /// A resident held in every insert's protect set survives arbitrary
+    /// batched workloads, next to a second protected key per insert.
     #[test]
-    fn pinned_residents_survive_batched_workloads(ops in arb_batched_ops()) {
+    fn protected_residents_survive_batched_workloads(ops in arb_batched_ops()) {
         for policy in policies() {
             let mut cache = ExpertCache::new(3, policy);
             let protected = key(0, 0);
             cache.insert(protected);
-            cache.pin(protected);
             for op in &ops {
                 match op {
                     BatchedOp::Lookup(l, e) => {
@@ -328,18 +288,14 @@ proptest! {
                     BatchedOp::NoteRouting(l, b) => {
                         cache.note_routing(&routing_for(*l, *b), 2);
                     }
-                    // Map every mutation (except unpinning the sentinel)
-                    // onto eviction-pressure inserts.
+                    // Map every mutation onto eviction-pressure inserts.
                     BatchedOp::Insert(l, e)
                     | BatchedOp::InsertProtected(l, e, _)
-                    | BatchedOp::InsertIfFree(l, e)
-                    | BatchedOp::Pin(l, e)
-                    | BatchedOp::Unpin(l, e) => {
-                        cache.insert_protected(key(*l, *e), &[key(*l, e / 2)]);
+                    | BatchedOp::InsertIfFree(l, e) => {
+                        cache.insert_protected(key(*l, *e), &[protected, key(*l, e / 2)]);
                     }
                 }
-                prop_assert!(cache.contains(protected), "pinned key evicted");
-                prop_assert!(cache.is_pinned(protected));
+                prop_assert!(cache.contains(protected), "protected key evicted");
             }
         }
     }

@@ -69,7 +69,6 @@ proptest! {
         scheduler in arb_scheduler(),
         policy in arb_policy(),
         prefetcher in arb_prefetcher(),
-        pinned in any::<bool>(),
         refill in any::<bool>(),
         demand in any::<bool>(),
         ratio in 0.1f64..0.9,
@@ -81,7 +80,6 @@ proptest! {
             scheduler,
             cache_policy: policy,
             prefetcher,
-            pinned,
             refill_on_miss: refill,
             demand_inserts: demand,
             ..EngineConfig::preset(Framework::HybriMoe, model, ratio)

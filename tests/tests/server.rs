@@ -13,8 +13,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use hybrimoe::serve::server::client::{generate, get};
-use hybrimoe::serve::server::{read_response_head_full, ServerMetrics};
-use hybrimoe_tests::{tiny_server, wait_for_metrics};
+use hybrimoe::serve::server::{read_response_head_full, Server, ServerMetrics};
+use hybrimoe_tests::{tiny_config, tiny_server, wait_for_metrics};
 
 /// Pulls a named `"key":<f64>` field out of a flat JSON chunk.
 fn json_f64(chunk: &str, key: &str) -> f64 {
@@ -371,6 +371,23 @@ fn metrics_and_healthz_endpoints_answer() {
     let (status, _) = get(addr, "/healthz").expect("GET /healthz");
     assert_eq!(status, 200);
     server.shutdown();
+}
+
+#[test]
+fn invalid_limits_are_refused_not_panicked_on() {
+    // max_batch 40 reaches the prefill threshold (32): a pure-decode batch
+    // that large would schedule as prefill.
+    for (max_batch, queue_depth) in [(0, 64), (40, 64), (4, 0)] {
+        let config = tiny_config(max_batch, queue_depth, Duration::from_millis(5));
+        let err = Server::start(config)
+            .err()
+            .expect("an invalid config starts nothing");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "max_batch {max_batch}, queue_depth {queue_depth}: {err}"
+        );
+    }
 }
 
 /// Nearest-rank percentile of ascending `sorted` (the definition
