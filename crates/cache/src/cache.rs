@@ -179,8 +179,9 @@ impl ExpertCache {
         InsertOutcome::InsertedEvicting(victim)
     }
 
-    /// Inserts `key` only if there is free space (the prefetch path: the
-    /// paper prefetches into idle capacity rather than forcing evictions).
+    /// Inserts `key` only if there is free space, never evicting (the
+    /// engine's path during a prefill batch, whose inserts go to free slots
+    /// only).
     pub fn insert_if_free(&mut self, key: ExpertKey) -> InsertOutcome {
         if self.resident.contains(key) {
             return InsertOutcome::AlreadyResident;
@@ -191,7 +192,6 @@ impl ExpertCache {
         self.clock += 1;
         self.resident.insert(key);
         self.stats.insertions += 1;
-        self.stats.prefetch_insertions += 1;
         self.policy.on_insert(key, self.clock);
         InsertOutcome::Inserted
     }
@@ -275,7 +275,7 @@ mod tests {
         assert_eq!(c.insert_if_free(key(0, 0)), InsertOutcome::Inserted);
         assert_eq!(c.insert_if_free(key(0, 1)), InsertOutcome::Refused);
         assert_eq!(c.insert_if_free(key(0, 0)), InsertOutcome::AlreadyResident);
-        assert_eq!(c.stats().prefetch_insertions, 1);
+        assert_eq!(c.stats().insertions, 1);
         assert_eq!(c.stats().evictions, 0);
     }
 

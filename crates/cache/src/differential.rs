@@ -194,7 +194,6 @@ impl RefCache {
         self.clock += 1;
         self.resident.insert(key);
         self.stats.insertions += 1;
-        self.stats.prefetch_insertions += 1;
         self.policy.on_insert(key, self.clock);
         InsertOutcome::Inserted
     }

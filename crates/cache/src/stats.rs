@@ -24,8 +24,6 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Experts evicted to make room.
     pub evictions: u64,
-    /// Insertions attributed to prefetching.
-    pub prefetch_insertions: u64,
 }
 
 impl CacheStats {
@@ -50,7 +48,6 @@ impl CacheStats {
         self.misses += other.misses;
         self.insertions += other.insertions;
         self.evictions += other.evictions;
-        self.prefetch_insertions += other.prefetch_insertions;
     }
 }
 
@@ -70,13 +67,11 @@ mod tests {
             misses: 2,
             insertions: 3,
             evictions: 4,
-            prefetch_insertions: 5,
         };
         a.merge(&a.clone());
         assert_eq!(a.hits, 2);
         assert_eq!(a.misses, 4);
         assert_eq!(a.insertions, 6);
         assert_eq!(a.evictions, 8);
-        assert_eq!(a.prefetch_insertions, 10);
     }
 }

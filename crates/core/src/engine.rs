@@ -33,10 +33,9 @@ use crate::{EngineConfig, SchedulerKind, StageMetrics, StepMetrics};
 ///
 /// The fundamental unit of work is one forward pass: [`Engine::step`] runs
 /// a single [`TraceStep`] (a decode token batch or a prefill batch) and
-/// returns its [`StepMetrics`]. [`Engine::run`] is a thin loop over `step`
-/// bracketed by [`Engine::begin_stage`]/[`Engine::end_stage`], which
-/// aggregate per-step metrics and cache-statistics deltas into
-/// [`StageMetrics`]. A serving layer drives `step` directly, feeding it
+/// returns its [`StepMetrics`]. [`Engine::run`] folds `step` over a trace
+/// into [`StageMetrics`]: the per-step metrics plus the cache-statistics
+/// delta over the run. A serving layer drives `step` directly, feeding it
 /// merged batches formed from concurrently active requests (see
 /// [`crate::serve`]).
 ///
@@ -92,8 +91,6 @@ pub struct Engine {
     background: BackgroundQueue,
     /// Reused per-layer buffers (no steady-state allocation in a step).
     scratch: StepScratch,
-    /// The currently open stage, if any.
-    stage: Option<StageAccum>,
     /// Seeded fault injector for the step loop, present only when the
     /// configured [`EngineConfig::fault_plan`] arms an engine knob
     /// (`spike_ppm` or `panic_ppm`) — the off path costs one branch.
@@ -155,13 +152,6 @@ impl BackgroundQueue {
     /// How many more transfers the queue takes.
     fn free_slots(&self) -> usize {
         self.max_inflight.saturating_sub(self.inflight.len())
-    }
-
-    /// Drops every queued transfer; discarded prefetches never reach the
-    /// GPU.
-    fn discard(&mut self) {
-        self.counters.wasted += self.inflight.iter().filter(|t| t.prefetch).count() as u64;
-        self.inflight.clear();
     }
 
     /// Takes `key`'s transfer out of the queue, if one is queued.
@@ -379,7 +369,7 @@ struct LayerCtx<'a> {
 }
 
 /// Cumulative background-prefetch accounting since the engine was built
-/// (never reset by [`Engine::warmup`]; surfaced at `GET /metrics`).
+/// (surfaced at `GET /metrics`).
 ///
 /// Every issued prefetch ends in exactly one of `landed` or `wasted`, or
 /// is still queued: `issued == landed + wasted + queued`
@@ -395,32 +385,22 @@ pub struct PrefetchCounters {
     /// Prefetch transfers that never delivered: dropped unstarted because
     /// their layer ran first (it activated the expert, which its plan then
     /// moved afresh, or did not need it), cut short because the plan
-    /// computed their expert on the CPU instead, completed but unable to
-    /// enter the cache (no eligible slot), or discarded by a re-warm.
+    /// computed their expert on the CPU instead, or completed but unable
+    /// to enter the cache (no eligible slot).
     pub wasted: u64,
-}
-
-/// Accumulates the metrics of an open stage.
-#[derive(Debug)]
-struct StageAccum {
-    base: CacheStats,
-    steps: Vec<StepMetrics>,
 }
 
 impl Engine {
     /// Builds the engine and runs the warmup phase (initial placement and
-    /// policy priming). Equivalent to [`Engine::cold`] followed by
-    /// [`Engine::warmup`].
+    /// policy priming), once, on its empty cache.
     pub fn new(config: EngineConfig) -> Engine {
         let mut engine = Engine::cold(config);
         engine.warmup();
         engine
     }
 
-    /// Builds the engine **without** warming up: the cache starts empty and
-    /// the policy unprimed. Call [`Engine::warmup`] before measuring, or
-    /// run cold deliberately (e.g. to study cold-start behaviour).
-    pub fn cold(config: EngineConfig) -> Engine {
+    /// The engine before warmup: an empty cache and an unprimed policy.
+    fn cold(config: EngineConfig) -> Engine {
         let cost = AffineCostModel::from_platform(&config.platform);
         let capacity = config.cache_capacity();
         // One cache shard (and one policy instance) per GPU: residency and
@@ -450,34 +430,20 @@ impl Engine {
             resident_layers: 0,
             background: BackgroundQueue::new(config.max_inflight),
             scratch: StepScratch::default(),
-            stage: None,
             faults,
             config,
         }
     }
 
-    /// Runs the warmup phase (§IV-A): fills the cache with whole layers
-    /// (llama.cpp) or per-layer hot experts (everyone else), primes the
-    /// policy's score estimates, and resets the cache statistics so
-    /// measurement starts clean. A static framework keeps this placement
-    /// because its configuration writes nothing to the cache afterwards.
-    /// Warming an already-warm engine re-primes the policy, re-applies the
-    /// placement (which can evict residents that drifted from it while the
-    /// cache was full), and resets the statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a stage is open: resetting statistics mid-stage would
-    /// invalidate the stage's baseline snapshot.
-    pub fn warmup(&mut self) {
-        assert!(self.stage.is_none(), "cannot warm up while a stage is open");
-        // Background transfers queued by a previous workload would leak
-        // into the next measurement; warmup starts clean.
-        self.background.discard();
+    /// The warmup phase (§IV-A) of a cold engine: fills the empty cache
+    /// with whole layers (llama.cpp) or per-layer hot experts (everyone
+    /// else), primes the policy's score estimates, and resets the cache
+    /// statistics so measurement starts clean. A static framework keeps
+    /// this placement because its configuration writes nothing to the
+    /// cache afterwards.
+    fn warmup(&mut self) {
         if self.whole_layers {
-            let capacity = self.cache.capacity();
-            self.resident_layers =
-                (capacity / self.config.model.routed_experts.max(1) as usize) as u16;
+            self.resident_layers = resident_layers(&self.cache, self.config.model.routed_experts);
             let placement: Vec<ExpertKey> = (0..self.resident_layers.min(self.config.model.layers))
                 .flat_map(|l| {
                     (0..self.config.model.routed_experts)
@@ -536,55 +502,21 @@ impl Engine {
         self.background.queued_prefetches()
     }
 
-    /// Opens a stage: subsequent [`Engine::step`] calls accumulate into it
-    /// until [`Engine::end_stage`] closes it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a stage is already open.
-    pub fn begin_stage(&mut self) {
-        assert!(self.stage.is_none(), "a stage is already open");
-        self.stage = Some(StageAccum {
-            base: self.cache.stats(),
-            steps: Vec::new(),
-        });
-    }
-
-    /// Closes the open stage and returns its aggregated metrics (per-step
-    /// metrics plus the cache-statistics delta over the stage).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no stage is open.
-    pub fn end_stage(&mut self) -> StageMetrics {
-        let stage = self
-            .stage
-            .take()
-            .expect("no open stage: call begin_stage first");
-        StageMetrics::from_steps(stage.steps, diff_stats(stage.base, self.cache.stats()))
-    }
-
-    /// Runs every step of `trace` and returns the stage metrics. A thin
-    /// loop over the incremental API:
-    /// [`begin_stage`](Self::begin_stage) → [`step`](Self::step)* →
-    /// [`end_stage`](Self::end_stage).
+    /// Runs every step of `trace` through [`step`](Self::step) and returns
+    /// the per-step metrics with the cache-statistics delta over the run.
     ///
     /// # Panics
     ///
     /// Panics if the trace was generated for a different model (the layer
-    /// count is always checked, the expert count in debug builds) or a
-    /// stage is already open.
+    /// count is always checked, the expert count in debug builds).
     pub fn run(&mut self, trace: &ActivationTrace) -> StageMetrics {
-        self.begin_stage();
-        for step in &trace.steps {
-            self.step(step);
-        }
-        self.end_stage()
+        let base = self.cache.stats();
+        let steps = trace.steps.iter().map(|s| self.step(s)).collect();
+        StageMetrics::from_steps(steps, diff_stats(base, self.cache.stats()))
     }
 
     /// Runs one forward pass (a decode token batch or a prefill batch) and
-    /// returns its metrics. If a stage is open, the step is also
-    /// accumulated into it.
+    /// returns its metrics.
     ///
     /// Every layer goes through the same stages, in this order: the cache
     /// policy observes the routing, attention is costed, cache lookups
@@ -596,6 +528,28 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the step was generated for a different model.
+    ///
+    /// # Example
+    ///
+    /// A decode loop driven one pass at a time; [`run`](Self::run) is this
+    /// loop plus the cache-statistics delta.
+    ///
+    /// ```
+    /// use hybrimoe::{Engine, EngineConfig, Framework};
+    /// use hybrimoe_model::ModelConfig;
+    /// use hybrimoe_trace::TraceGenerator;
+    ///
+    /// let model = ModelConfig::deepseek();
+    /// let mut engine = Engine::new(EngineConfig::preset(Framework::HybriMoe, model.clone(), 0.25));
+    /// let trace = TraceGenerator::new(model, 42).decode_trace(8);
+    ///
+    /// let mut total = hybrimoe_hw::SimDuration::ZERO;
+    /// for step in &trace.steps {
+    ///     let m = engine.step(step); // one forward pass → StepMetrics
+    ///     total += m.latency;
+    /// }
+    /// assert!(total > hybrimoe_hw::SimDuration::ZERO);
+    /// ```
     pub fn step(&mut self, step: &TraceStep) -> StepMetrics {
         assert_eq!(
             step.layers.len(),
@@ -629,9 +583,6 @@ impl Engine {
             self.admit_demand_transfers(&cx);
             self.background(&cx, attn_time, moe_makespan, &mut metrics);
             metrics.latency += attn_time + moe_makespan;
-        }
-        if let Some(stage) = &mut self.stage {
-            stage.steps.push(metrics.clone());
         }
         metrics
     }
@@ -947,16 +898,29 @@ impl Engine {
     }
 }
 
-/// Inserts a placement into the cache, protecting the whole placement set
-/// so that on a drifted full cache (re-warming an engine whose cache took
-/// writes) the evicted experts are the drifted residents — never the
-/// placement keys inserted moments earlier, which a score-based policy
-/// would otherwise rank lowest. On a cold cache this is identical to plain
-/// insertion.
+/// Inserts a placement into the empty cache; every placement fits its
+/// shard, so nothing is evicted or refused.
 fn apply_placement(cache: &mut ShardedExpertCache, placement: &[ExpertKey]) {
     for key in placement {
-        cache.insert_protected(*key, placement);
+        let outcome = cache.insert(*key);
+        debug_assert_eq!(outcome, InsertOutcome::Inserted, "{key:?}");
     }
+}
+
+/// How many whole layers fit on the GPUs: each shard holds its affinity
+/// share of every resident layer, so the tightest shard bounds the count.
+/// With one shard this is the cache capacity over the experts per layer.
+fn resident_layers(cache: &ShardedExpertCache, experts: u16) -> u16 {
+    let num_shards = cache.num_shards();
+    (0..num_shards)
+        .filter_map(|s| {
+            let owned = (0..experts)
+                .filter(|e| shard_of(ExpertId(*e), num_shards) == s)
+                .count();
+            (owned > 0).then(|| cache.shard(s).capacity() / owned)
+        })
+        .min()
+        .unwrap_or(0) as u16
 }
 
 /// Initial placement: fill per-layer quotas with the experts that were
@@ -1030,7 +994,6 @@ fn diff_stats(before: CacheStats, after: CacheStats) -> CacheStats {
         misses: after.misses - before.misses,
         insertions: after.insertions - before.insertions,
         evictions: after.evictions - before.evictions,
-        prefetch_insertions: after.prefetch_insertions - before.prefetch_insertions,
     }
 }
 
@@ -1182,14 +1145,11 @@ mod tests {
         let via_run = tiny_engine(Framework::HybriMoe, 0.5).run(&trace);
 
         let mut e = tiny_engine(Framework::HybriMoe, 0.5);
-        e.begin_stage();
-        let mut manual = Vec::new();
-        for s in &trace.steps {
-            manual.push(e.step(s));
-        }
-        let via_steps = e.end_stage();
-        assert_eq!(via_run, via_steps);
+        let manual: Vec<StepMetrics> = trace.steps.iter().map(|s| e.step(s)).collect();
         assert_eq!(via_run.steps, manual);
+        // Warmup reset the statistics, so the fresh engine's totals are the
+        // run's delta.
+        assert_eq!(via_run.cache, e.cache().stats());
     }
 
     #[test]
@@ -1208,73 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn steps_outside_a_stage_are_standalone() {
-        let trace = tiny_trace(21, 3);
-        let mut e = tiny_engine(Framework::HybriMoe, 0.5);
-        let m = e.step(&trace.steps[0]);
-        assert!(m.latency > SimDuration::ZERO);
-        // No stage open: end_stage must panic, so open/close an empty one.
-        e.begin_stage();
-        let empty = e.end_stage();
-        assert!(empty.steps.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "already open")]
-    fn nested_stages_rejected() {
-        let mut e = tiny_engine(Framework::HybriMoe, 0.5);
-        e.begin_stage();
-        e.begin_stage();
-    }
-
-    #[test]
-    #[should_panic(expected = "no open stage")]
-    fn end_without_begin_rejected() {
-        let mut e = tiny_engine(Framework::HybriMoe, 0.5);
-        let _ = e.end_stage();
-    }
-
-    #[test]
-    #[should_panic(expected = "stage is open")]
-    fn warmup_mid_stage_rejected() {
-        let mut e = tiny_engine(Framework::HybriMoe, 0.5);
-        e.begin_stage();
-        e.warmup();
-    }
-
-    #[test]
-    fn rewarming_reapplies_placement_on_drifted_cache() {
-        // A dynamic cache drifts from its warmup placement during a run;
-        // re-warming must restore every placement key rather than letting
-        // the fresh zero-score placement keys evict each other.
-        let config = EngineConfig::preset(Framework::HybriMoe, ModelConfig::tiny_test(), 0.25);
-        let placement = Engine::new(config.clone()).cache().resident_keys();
-        let mut e = Engine::new(config);
-        e.run(&tiny_trace(29, 10));
-        let missing = |e: &Engine| {
-            placement
-                .iter()
-                .filter(|k| !e.cache().contains(**k))
-                .count()
-        };
-        assert!(missing(&e) > 0, "the run left the placement intact");
-        e.warmup();
-        assert_eq!(missing(&e), 0, "placement keys missing after re-warm");
-    }
-
-    #[test]
-    fn rewarming_clears_background_queue() {
-        let trace = tiny_trace(27, 8);
-        let mut e = tiny_engine(Framework::HybriMoe, 0.25);
-        e.run(&trace);
-        e.warmup();
-        // A fresh stage after re-warming starts with clean statistics and
-        // no carried-over transfers from the previous workload.
-        assert_eq!(e.cache().stats(), CacheStats::default());
-        assert!(e.background.inflight.is_empty());
-    }
-
-    #[test]
     fn cold_engine_starts_empty_and_warmup_fills() {
         let config = EngineConfig::preset(Framework::HybriMoe, ModelConfig::tiny_test(), 0.5);
         let mut e = Engine::cold(config);
@@ -1282,6 +1175,30 @@ mod tests {
         e.warmup();
         assert_eq!(e.cache().len(), 16);
         assert_eq!(e.cache().stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn whole_layer_placement_fits_every_shard() {
+        // DeepSeek's 64 experts split 22/21/21 over 3 GPUs: the shard that
+        // owns 22 of each layer bounds how many whole layers are resident.
+        let model = ModelConfig::deepseek();
+        for (ratio, layers) in [(0.5, 12), (0.75, 18)] {
+            let config =
+                EngineConfig::preset(Framework::LlamaCpp, model.clone(), ratio).with_num_gpus(3);
+            let e = Engine::new(config);
+            let missing = (0..e.resident_layers)
+                .flat_map(|l| {
+                    (0..model.routed_experts).map(move |x| ExpertKey::new(LayerId(l), ExpertId(x)))
+                })
+                .filter(|k| !e.cache().contains(*k))
+                .count();
+            assert_eq!(e.resident_layers, layers, "ratio {ratio}");
+            assert_eq!(
+                missing, 0,
+                "ratio {ratio}: {} resident layers",
+                e.resident_layers
+            );
+        }
     }
 
     #[test]
@@ -1357,10 +1274,6 @@ mod tests {
                 );
             }
             assert!(e.prefetch_counters().issued > 0, "{framework}");
-            // Re-warming discards the queue: what was queued is wasted.
-            e.warmup();
-            let c = e.prefetch_counters();
-            assert_eq!(c.issued, c.landed + c.wasted, "{framework}");
         }
     }
 

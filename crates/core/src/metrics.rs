@@ -20,7 +20,8 @@ pub struct StepMetrics {
     pub gpu_experts: u32,
     /// Experts transferred on demand within layers.
     pub demand_transfers: u32,
-    /// Experts prefetched for later layers.
+    /// Background transfers that ended with their expert resident:
+    /// prefetches and refills of missed experts alike.
     pub prefetches: u32,
 }
 
@@ -125,7 +126,8 @@ impl StageMetrics {
         self.steps.iter().map(|s| s.demand_transfers as u64).sum()
     }
 
-    /// Total prefetched experts.
+    /// Total background transfers that ended with their expert resident
+    /// (prefetches and refills; see [`StepMetrics::prefetches`]).
     pub fn prefetches(&self) -> u64 {
         self.steps.iter().map(|s| s.prefetches as u64).sum()
     }

@@ -74,7 +74,7 @@ pub struct ServerMetrics {
     pub prefetch_landed: u64,
     /// Prefetches that never delivered: dropped unstarted when their layer
     /// ran first, cut short when the plan computed the expert on the CPU,
-    /// completed with no slot to enter, or discarded by a re-warm.
+    /// or completed with no slot to enter.
     pub prefetch_wasted: u64,
     /// Expert-cache hit ratio per GPU shard, refreshed every engine step.
     pub shard_hit_ratio: Vec<f64>,

@@ -108,7 +108,6 @@ proptest! {
                 cache.len() as u64,
                 stats.insertions - stats.evictions
             );
-            prop_assert!(stats.prefetch_insertions <= stats.insertions);
         }
     }
 

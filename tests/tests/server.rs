@@ -12,8 +12,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use hybrimoe::serve::percentile;
 use hybrimoe::serve::server::client::{generate, get};
 use hybrimoe::serve::server::{read_response_head_full, Server, ServerMetrics};
+use hybrimoe_hw::SimDuration;
 use hybrimoe_tests::{tiny_config, tiny_server, wait_for_metrics};
 
 /// Pulls a named `"key":<f64>` field out of a flat JSON chunk.
@@ -390,13 +392,6 @@ fn invalid_limits_are_refused_not_panicked_on() {
     }
 }
 
-/// Nearest-rank percentile of ascending `sorted` (the definition
-/// `/metrics` reports).
-fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
-    let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// `/metrics` percentiles agree with the terminal chunks the clients saw:
 /// over a mixed batch of requests, each reported p50/p99 is never below
 /// the exact nearest-rank value and at most 12.5 % (or 1 µs) above it.
@@ -443,11 +438,14 @@ fn metrics_percentiles_agree_with_the_terminal_chunks() {
         (metrics.tpot_p50_ms, metrics.tpot_p99_ms),
     ];
     for (series, name) in ["queue_wait", "ttft", "tpot"].iter().enumerate() {
-        let mut exact: Vec<f64> = samples.iter().map(|s| s[series]).collect();
-        exact.sort_by(f64::total_cmp);
+        let mut exact: Vec<SimDuration> = samples
+            .iter()
+            .map(|s| SimDuration::from_nanos((s[series] * 1e6).round() as u64))
+            .collect();
+        exact.sort_unstable();
         let (p50, p99) = reported[series];
         for (p, got) in [(50.0, p50), (99.0, p99)] {
-            let want = nearest_rank(&exact, p);
+            let want = percentile(&exact, p).as_millis_f64();
             // Chunks carry whole nanoseconds; allow float rounding only.
             let ceiling = (want * 1.125).max(want + 0.001) + 1e-9;
             assert!(
