@@ -268,7 +268,9 @@ impl ContinuousBatcher {
         let chunk_size = self.engine.config().chunked_prefill_size;
         let slots = self.max_batch.saturating_sub(self.running.len());
         let mut admitted: Vec<ActiveRequest> = Vec::new();
-        let mut prefill_steps: Vec<TraceStep> = Vec::new();
+        // The step's parts in merge order: admitted prompts' first chunks,
+        // then every running request's contribution.
+        let mut parts: Vec<TraceStep> = Vec::with_capacity(slots + self.running.len());
         for _ in 0..slots {
             let Some(spec) = self.waiting.pop_front() else {
                 break;
@@ -292,7 +294,7 @@ impl ContinuousBatcher {
                     (VecDeque::from([prefill]), stream)
                 }
             };
-            prefill_steps.push(chunks.pop_front().expect("a prompt has at least one chunk"));
+            parts.push(chunks.pop_front().expect("a prompt has at least one chunk"));
             admitted.push(ActiveRequest {
                 spec,
                 stream,
@@ -305,26 +307,27 @@ impl ContinuousBatcher {
 
         // Every running request contributes its next prefill chunk if it
         // still has one, otherwise its next decode token.
-        let mut decode_steps: Vec<TraceStep> = Vec::with_capacity(self.running.len());
         let mut contributed_chunk: Vec<bool> = Vec::with_capacity(self.running.len());
         for r in self.running.iter_mut() {
             if let Some(chunk) = r.pending_chunks.pop_front() {
-                decode_steps.push(chunk);
+                parts.push(chunk);
                 contributed_chunk.push(true);
             } else {
-                decode_steps.push(r.stream.next_step());
+                parts.push(r.stream.next_step());
                 contributed_chunk.push(false);
             }
         }
 
-        let parts: Vec<&TraceStep> = prefill_steps.iter().chain(decode_steps.iter()).collect();
-        // A single-member batch needs no merge (and no deep clone).
-        let (metrics, step_tokens) = if let [single] = parts.as_slice() {
-            (self.engine.step(single), single.tokens)
-        } else {
-            let merged = TraceStep::merge(&parts);
-            (self.engine.step(&merged), merged.tokens)
-        };
+        // The batcher owns its parts, so the rest merge into the first in
+        // place.
+        let (merged, rest) = parts
+            .split_first_mut()
+            .expect("a non-idle batcher runs at least one part");
+        for part in rest.iter() {
+            merged.absorb(part);
+        }
+        let metrics = self.engine.step(merged);
+        let step_tokens = merged.tokens;
         let end = land(metrics.latency);
         assert!(end >= now, "step landed before it started");
         let stat = StepStat {

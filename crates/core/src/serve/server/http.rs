@@ -156,49 +156,117 @@ fn reason(status: u16) -> &'static str {
 
 /// Writes a complete JSON response with `Content-Length` and closes the
 /// logical exchange (`Connection: close` — one request per connection).
-pub fn respond_json(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
+pub fn respond_json<W: Write>(stream: &mut W, status: u16, body: &str) -> io::Result<()> {
     respond_json_with(stream, status, body, &[])
 }
 
 /// [`respond_json`] with extra response headers (name, value) — the
-/// retryable 503s attach `Retry-After` this way.
-pub fn respond_json_with(
-    stream: &mut TcpStream,
+/// retryable 503s attach `Retry-After` this way. The whole response goes
+/// out in one `write`: with `TCP_NODELAY` set, every write can leave as
+/// its own segment.
+pub fn respond_json_with<W: Write>(
+    stream: &mut W,
     status: u16,
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> io::Result<()> {
+    let mut response = Vec::with_capacity(160 + body.len());
     write!(
-        stream,
+        response,
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         reason(status),
         body.len(),
     )?;
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        write!(response, "{name}: {value}\r\n")?;
     }
-    write!(stream, "Connection: close\r\n\r\n{body}")?;
+    write!(response, "Connection: close\r\n\r\n{body}")?;
+    stream.write_all(&response)?;
     stream.flush()
 }
 
 /// Starts a chunked streaming response. Follow with [`write_chunk`] per
 /// token and [`end_chunks`] to terminate.
-pub fn begin_stream(stream: &mut TcpStream) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+pub fn begin_stream<W: Write>(stream: &mut W) -> io::Result<()> {
+    stream.write_all(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
     )?;
     stream.flush()
 }
 
 /// Writes one HTTP chunk and flushes it so the client sees the token now.
-pub fn write_chunk(stream: &mut TcpStream, payload: &str) -> io::Result<()> {
-    write!(stream, "{:x}\r\n{payload}\r\n", payload.len())?;
+/// The chunk is framed in `frame`, a buffer the caller reuses from chunk
+/// to chunk, and goes out in one `write`.
+pub fn write_chunk<W: Write>(stream: &mut W, frame: &mut Vec<u8>, payload: &str) -> io::Result<()> {
+    frame.clear();
+    write!(frame, "{:x}\r\n{payload}\r\n", payload.len())?;
+    stream.write_all(frame)?;
     stream.flush()
 }
 
 /// Terminates a chunked response.
-pub fn end_chunks(stream: &mut TcpStream) -> io::Result<()> {
+pub fn end_chunks<W: Write>(stream: &mut W) -> io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` it is given.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs `send` on a fresh recorder and returns its one write.
+    fn one_write(send: impl FnOnce(&mut Writes) -> io::Result<()>) -> String {
+        let mut writes = Writes::default();
+        send(&mut writes).expect("a recorder never fails a write");
+        assert_eq!(writes.0.len(), 1, "{:?}", writes.0);
+        String::from_utf8(writes.0.remove(0)).expect("HTTP heads and payloads are UTF-8")
+    }
+
+    #[test]
+    fn every_response_head_and_chunk_is_one_write() {
+        assert_eq!(
+            one_write(|w| respond_json_with(
+                w,
+                503,
+                "{\"error\":\"queue full\"}",
+                &[("Retry-After", "1")]
+            )),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 22\r\nRetry-After: 1\r\nConnection: close\r\n\r\n\
+             {\"error\":\"queue full\"}"
+        );
+        assert_eq!(
+            one_write(|w| respond_json(w, 200, "{}")),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
+             Connection: close\r\n\r\n{}"
+        );
+        assert_eq!(
+            one_write(begin_stream),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+             Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+        );
+        let mut frame = Vec::new();
+        for (payload, chunk) in [
+            ("{\"token\":7}\n", "c\r\n{\"token\":7}\n\r\n"),
+            ("{\"timed_out\":true}\n", "13\r\n{\"timed_out\":true}\n\r\n"),
+        ] {
+            assert_eq!(one_write(|w| write_chunk(w, &mut frame, payload)), chunk);
+        }
+        assert_eq!(one_write(end_chunks), "0\r\n\r\n");
+    }
 }

@@ -60,6 +60,7 @@ mod metrics;
 pub use client::{read_one_chunk, read_response_head_full, ResponseHead};
 pub use metrics::ServerMetrics;
 
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -611,34 +612,44 @@ fn handle_generate(
     stream_events(stream, &events_rx)
 }
 
-/// Streams engine events for one admitted request as HTTP chunks.
+/// Streams engine events for one admitted request as HTTP chunks. Each
+/// payload is formatted into `payload` and framed into `frame`, both
+/// reused for the whole stream.
 fn stream_events(stream: &mut TcpStream, events: &mpsc::Receiver<StreamEvent>) -> io::Result<()> {
     http::begin_stream(stream)?;
+    let mut payload = String::new();
+    let mut frame = Vec::new();
     loop {
         match events.recv() {
             Ok(StreamEvent::Token { index }) => {
-                http::write_chunk(stream, &format!("{{\"token\":{index}}}\n"))?;
+                payload.clear();
+                let _ = writeln!(payload, "{{\"token\":{index}}}");
+                http::write_chunk(stream, &mut frame, &payload)?;
             }
             Ok(StreamEvent::End(Terminal::Completed(metrics))) => {
-                http::write_chunk(
-                    stream,
-                    &format!(
-                        "{{\"done\":true,\"id\":{},\"queue_wait_ms\":{:.6},\"ttft_ms\":{:.6},\"tpot_ms\":{:.6},\"latency_ms\":{:.6}}}\n",
-                        metrics.id,
-                        metrics.queue_wait().as_millis_f64(),
-                        metrics.ttft().as_millis_f64(),
-                        metrics.tpot().as_millis_f64(),
-                        metrics.latency().as_millis_f64(),
-                    ),
-                )?;
+                payload.clear();
+                let _ = writeln!(
+                    payload,
+                    "{{\"done\":true,\"id\":{},\"queue_wait_ms\":{:.6},\"ttft_ms\":{:.6},\"tpot_ms\":{:.6},\"latency_ms\":{:.6}}}",
+                    metrics.id,
+                    metrics.queue_wait().as_millis_f64(),
+                    metrics.ttft().as_millis_f64(),
+                    metrics.tpot().as_millis_f64(),
+                    metrics.latency().as_millis_f64(),
+                );
+                http::write_chunk(stream, &mut frame, &payload)?;
                 return http::end_chunks(stream);
             }
             Ok(StreamEvent::End(Terminal::TimedOut)) => {
-                http::write_chunk(stream, "{\"timed_out\":true}\n")?;
+                http::write_chunk(stream, &mut frame, "{\"timed_out\":true}\n")?;
                 return http::end_chunks(stream);
             }
             Ok(StreamEvent::End(Terminal::Failed)) => {
-                http::write_chunk(stream, "{\"failed\":true,\"error\":\"engine restarted\"}\n")?;
+                http::write_chunk(
+                    stream,
+                    &mut frame,
+                    "{\"failed\":true,\"error\":\"engine restarted\"}\n",
+                )?;
                 return http::end_chunks(stream);
             }
             // The engine loop is gone mid-request (or, for `Cancelled`,

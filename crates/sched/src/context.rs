@@ -9,8 +9,8 @@ use crate::{ExpertTask, SchedulePlan};
 ///
 /// The [`HybridScheduler`](crate::HybridScheduler) simulates per-device
 /// queues and clocks (one CPU queue, `N` GPU queues, `N` PCIe lane queues)
-/// for every layer of every engine step — and once more per candidate of
-/// the impact-driven prefetcher; allocating them fresh each time churns
+/// for every layer of every engine step — and once more per load class of
+/// the impact-driven prefetcher's candidates; allocating them fresh each time churns
 /// the allocator on the hot path. A `ScheduleQueues` owns those vectors
 /// and is cleared — not freed — between uses. Pass it to
 /// [`Scheduler::schedule_into`](crate::Scheduler::schedule_into) or

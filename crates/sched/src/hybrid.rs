@@ -83,8 +83,9 @@ impl HybridScheduler {
     /// The makespan of the plan [`schedule`](Scheduler::schedule) would
     /// build for `ctx`, without building it: the same simulation, with the
     /// committed orders dropped instead of recorded. The impact-driven
-    /// prefetcher asks this once per candidate expert, so it runs on the
-    /// caller's reusable `queues` and allocates nothing in steady state.
+    /// prefetcher asks this once per load class of a predicted layer's
+    /// candidates, so it runs on the caller's reusable `queues` and
+    /// allocates nothing in steady state.
     pub fn makespan(&self, ctx: &ScheduleContext<'_>, queues: &mut ScheduleQueues) -> SimDuration {
         self.simulate(ctx, queues, None)
     }

@@ -76,14 +76,16 @@ pub struct PrefetchContext<'a> {
 }
 
 /// Reusable buffers for one prefetch plan after another: the ranking and
-/// selection lists, and the scheduler queues and task set the
-/// impact-driven simulation re-runs on. The engine plans a prefetch on
-/// every layer of every step; with a `PrefetchScratch` kept across calls
-/// that planning allocates nothing in steady state.
+/// selection lists, the scheduler queues and task set the impact-driven
+/// simulation re-runs on, and the per-layer memo of its simulated
+/// makespans. The engine plans a prefetch on every layer of every step;
+/// with a `PrefetchScratch` kept across calls that planning allocates
+/// nothing in steady state.
 #[derive(Debug, Default, Clone)]
 pub struct PrefetchScratch {
     queues: ScheduleQueues,
     tasks: Vec<ExpertTask>,
+    with_memo: Vec<(ImpactClass, SimDuration)>,
     ranked: Vec<(f64, ExpertKey)>,
     top_gains: Vec<f64>,
     lane_used: Vec<usize>,
@@ -187,6 +189,16 @@ impl Prefetcher for NextLayerTopKPrefetcher {
 /// decode every load is 1, so the candidates of a layer gain alike and
 /// the probability decides.
 ///
+/// Candidates of the same load on the same shard make the same makespan
+/// when cached, so the with-expert simulation runs once per such class of
+/// a predicted layer and the rest of the class reuses it (with more than
+/// one GPU a class also splits where an equal-load expert of another
+/// shard sits between two candidates in id order, since the greedy orders
+/// equal loads by id across shards). Each candidate still weighs the
+/// shared makespan by its own probability, so gains, ranking and picks
+/// are those of one simulation per candidate. At one-token decode on one
+/// GPU a predicted layer costs two simulations, whatever its candidates.
+///
 /// # Example
 ///
 /// ```
@@ -275,6 +287,7 @@ impl Prefetcher for ImpactDrivenPrefetcher {
             if layer_bound <= 0.0 {
                 continue; // no candidate of this layer can gain anything
             }
+            scratch.with_memo.clear();
             for t in predicted.tasks.iter().filter(|t| !t.cached) {
                 let weight = predicted
                     .scores
@@ -284,7 +297,7 @@ impl Prefetcher for ImpactDrivenPrefetcher {
                 if top_gains.len() >= cap && layer_bound * weight < top_gains[cap - 1] {
                     continue;
                 }
-                let with = simulate_makespan(&scheduler, ctx, predicted, Some(t.expert), scratch);
+                let with = with_makespan(&scheduler, ctx, predicted, t, scratch);
                 let gain = base.saturating_sub(with).as_nanos() as f64 * discount * weight;
                 if gain > 0.0 {
                     scratch
@@ -385,6 +398,64 @@ fn select_across_lanes<'s>(
     picks
 }
 
+/// The candidates of one predicted layer whose with-expert simulations
+/// are the same simulation.
+///
+/// The hybrid scheduler costs an expert by its load alone and places it by
+/// its shard, and the prefetch simulations carry no in-flight transfers.
+/// Expert ids only break ties between equal loads: within one shard's
+/// queues equal-load experts are interchangeable, but the CPU queue and
+/// its steals order equal loads across shards. So two candidates of the
+/// same load on the same shard make the same makespan when cached unless
+/// an equal-load expert of another shard sits between them in id order;
+/// `rank` counts those below the candidate. With one GPU it is always 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ImpactClass {
+    load: u32,
+    shard: usize,
+    rank: usize,
+}
+
+impl ImpactClass {
+    fn of(predicted: &PredictedLayer, candidate: &ExpertTask, num_gpus: usize) -> Self {
+        let shard = shard_of(candidate.expert, num_gpus);
+        let rank = predicted
+            .tasks
+            .iter()
+            .filter(|t| {
+                t.load == candidate.load
+                    && t.expert < candidate.expert
+                    && shard_of(t.expert, num_gpus) != shard
+            })
+            .count();
+        ImpactClass {
+            load: candidate.load,
+            shard,
+            rank,
+        }
+    }
+}
+
+/// Simulated makespan of `predicted` with `candidate` treated as cached,
+/// simulated once per [`ImpactClass`] of the layer: later candidates of a
+/// class reuse the first one's from `scratch.with_memo`, which the caller
+/// clears per predicted layer.
+fn with_makespan(
+    scheduler: &HybridScheduler,
+    ctx: &PrefetchContext<'_>,
+    predicted: &PredictedLayer,
+    candidate: &ExpertTask,
+    scratch: &mut PrefetchScratch,
+) -> SimDuration {
+    let class = ImpactClass::of(predicted, candidate, ctx.num_gpus.max(1));
+    if let Some(&(_, with)) = scratch.with_memo.iter().find(|(c, _)| *c == class) {
+        return with;
+    }
+    let with = simulate_makespan(scheduler, ctx, predicted, Some(candidate.expert), scratch);
+    scratch.with_memo.push((class, with));
+    with
+}
+
 /// Simulated makespan of a predicted layer, optionally with one extra
 /// expert treated as cached.
 fn simulate_makespan(
@@ -416,7 +487,10 @@ fn simulate_makespan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybrimoe_hw::UnitCostModel;
+    use hybrimoe_hw::{AffineCostModel, Platform, UnitCostModel};
+    use hybrimoe_model::ModelConfig;
+    use proptest::collection::vec;
+    use proptest::prelude::{any, ProptestConfig};
 
     fn ctx<'a>(
         lookahead: &'a [PredictedLayer],
@@ -651,6 +725,114 @@ mod tests {
         ];
         let picks = ImpactDrivenPrefetcher::new().plan(&ctx(&look, 1, 100, &cost));
         assert_eq!(picks, vec![ExpertKey::new(LayerId(1), ExpertId(0))]);
+    }
+
+    /// The reference the per-class memo must match: the impact-driven plan
+    /// with one with-expert simulation per uncached candidate, under the
+    /// same pruning bound.
+    fn plan_per_candidate(ctx: &PrefetchContext<'_>) -> Vec<ExpertKey> {
+        let mut scratch = PrefetchScratch::default();
+        if max_selectable(ctx) == 0 {
+            return select_across_lanes(ctx, &mut scratch).to_vec();
+        }
+        let scheduler = HybridScheduler::new();
+        let cap = ctx.free_slots;
+        for (distance, predicted) in ctx.lookahead.iter().enumerate() {
+            let discount = confidence_discount(ctx, distance);
+            let base = simulate_makespan(&scheduler, ctx, predicted, None, &mut scratch);
+            let layer_bound = base.as_nanos() as f64 * discount;
+            if layer_bound <= 0.0 {
+                continue;
+            }
+            for t in predicted.tasks.iter().filter(|t| !t.cached) {
+                let weight = predicted
+                    .scores
+                    .get(t.expert.0 as usize)
+                    .map_or(1.0, |p| f64::from(*p));
+                let top_gains = &scratch.top_gains;
+                if top_gains.len() >= cap && layer_bound * weight < top_gains[cap - 1] {
+                    continue;
+                }
+                let with =
+                    simulate_makespan(&scheduler, ctx, predicted, Some(t.expert), &mut scratch);
+                let gain = base.saturating_sub(with).as_nanos() as f64 * discount * weight;
+                if gain > 0.0 {
+                    scratch
+                        .ranked
+                        .push((gain, ExpertKey::new(predicted.layer, t.expert)));
+                    let pos = scratch.top_gains.partition_point(|&g| g >= gain);
+                    if pos < cap {
+                        scratch.top_gains.insert(pos, gain);
+                        scratch.top_gains.truncate(cap);
+                    }
+                }
+            }
+        }
+        select_across_lanes(ctx, &mut scratch).to_vec()
+    }
+
+    /// A predicted layer from `(expert, load level, cached)` draws:
+    /// duplicate experts dropped, and the four load levels spread over
+    /// `1..=tokens`, so equal loads on different shards are common. Router
+    /// scores come from `scores` (an empty list leaves every weight at 1).
+    fn drawn_layer(
+        layer: u16,
+        tokens: u32,
+        draws: &[(u16, u32, bool)],
+        scores: &[u16],
+    ) -> PredictedLayer {
+        let mut tasks: Vec<ExpertTask> = Vec::new();
+        for &(expert, level, cached) in draws {
+            if tasks.iter().all(|t| t.expert.0 != expert) {
+                tasks.push(ExpertTask {
+                    expert: ExpertId(expert),
+                    load: 1 + level * (tokens - 1) / 3,
+                    cached,
+                });
+            }
+        }
+        PredictedLayer {
+            layer: LayerId(layer),
+            tasks,
+            scores: scores.iter().map(|&s| f32::from(s) / 100.0).collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8192))]
+        #[test]
+        fn one_simulation_per_class_plans_like_one_per_candidate(
+            num_gpus in 1usize..4,
+            tokens in 1u32..65,
+            free_slots in 1usize..5,
+            budget_us in 0u64..40,
+            affine in any::<bool>(),
+            layers in vec(
+                (vec((0u16..20, 0u32..4, any::<bool>()), 1..16), vec(0u16..100, 0..20)),
+                1..4,
+            ),
+        ) {
+            let unit = UnitCostModel::paper_fig5();
+            let platform = AffineCostModel::from_platform(&Platform::a6000_xeon10());
+            let model = ModelConfig::deepseek();
+            let lookahead: Vec<PredictedLayer> = layers
+                .iter()
+                .enumerate()
+                .map(|(i, (draws, scores))| drawn_layer(i as u16 + 1, tokens, draws, scores))
+                .collect();
+            let mut ctx = ctx(&lookahead, free_slots, budget_us, &unit);
+            ctx.tokens = tokens;
+            ctx.num_gpus = num_gpus;
+            if affine {
+                ctx.cost = &platform;
+                ctx.routed_profile = model.routed_profile();
+                ctx.shared_profile = model.shared_profile();
+                ctx.budget = platform.transfer(&ctx.routed_profile) * free_slots as u64;
+            }
+            let reference = plan_per_candidate(&ctx);
+            let planned = ImpactDrivenPrefetcher::new().plan(&ctx);
+            proptest::prop_assert_eq!(planned, reference);
+        }
     }
 
     #[test]

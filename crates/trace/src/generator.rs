@@ -155,10 +155,11 @@ impl TraceGenerator {
     /// per-request generation path of the serving layer, where a request's
     /// output length is not known up front.
     ///
-    /// The token latent *and* every layer's innovation evolve with the
-    /// temporal AR(1) coefficient, so the hidden state at **every** depth is
-    /// equally correlated across iterations — fresh per-iteration layer
-    /// noise would destroy temporal reuse in deep layers.
+    /// The token latent *and* every layer transition's innovation evolve
+    /// with the temporal AR(1) coefficient, so the hidden state at
+    /// **every** depth is equally correlated across iterations — fresh
+    /// per-iteration layer noise would destroy temporal reuse in deep
+    /// layers.
     ///
     /// # Example
     ///
@@ -183,9 +184,11 @@ impl TraceGenerator {
     /// [`request`](Self::request) bit-identical on the decode side.
     fn stream_from(&self, bundle: ModelParams, mut rng: StdRng) -> DecodeStream {
         let d = self.config.latent_dim;
-        let layers = self.model.layers as usize;
         let token_latent = gaussian_vec(&mut rng, d);
-        let innovations: Vec<Vec<f64>> = (0..layers).map(|_| gaussian_vec(&mut rng, d)).collect();
+        let innovations: Vec<Vec<f64>> = (0..self.read_innovations())
+            .map(|_| gaussian_vec(&mut rng, d))
+            .collect();
+        skip_gaussians(&mut rng, self.unread_innovation_draws());
         DecodeStream {
             generator: self.clone(),
             bundle,
@@ -207,13 +210,18 @@ impl TraceGenerator {
         let bundle = self.model_params(&mut rng);
         let d = self.config.latent_dim;
         let rho_t = self.config.temporal_correlation;
-        let layers = self.model.layers as usize;
         let n = sequences as usize;
 
         // Independent latent chains and per-layer innovations per sequence.
         let mut token_latents: Vec<Vec<f64>> = (0..n).map(|_| gaussian_vec(&mut rng, d)).collect();
         let mut innovations: Vec<Vec<Vec<f64>>> = (0..n)
-            .map(|_| (0..layers).map(|_| gaussian_vec(&mut rng, d)).collect())
+            .map(|_| {
+                let read = (0..self.read_innovations())
+                    .map(|_| gaussian_vec(&mut rng, d))
+                    .collect();
+                skip_gaussians(&mut rng, self.unread_innovation_draws());
+                read
+            })
             .collect();
 
         let mut scratch = ForwardScratch::default();
@@ -226,6 +234,7 @@ impl TraceGenerator {
                 for inno in seq.iter_mut() {
                     evolve(inno, rho_t, &mut rng);
                 }
+                skip_gaussians(&mut rng, self.unread_innovation_draws());
             }
             let layer_records = self.forward(
                 &bundle,
@@ -354,7 +363,7 @@ impl TraceGenerator {
     ) -> Vec<TraceStep> {
         let d = self.config.latent_dim;
         let cohesion = self.config.prompt_cohesion;
-        let layers = self.model.layers as usize;
+        let read = self.read_innovations();
 
         // Tokens of one prompt share a topic latent plus private noise.
         let topic = gaussian_vec(rng, d);
@@ -370,9 +379,11 @@ impl TraceGenerator {
             .collect();
         // Per-token, per-layer innovations (a single pass: no temporal
         // dimension to correlate), token-major in one buffer.
-        let innovations: Vec<f64> = (0..tokens as usize * layers * d)
-            .map(|_| gaussian(rng))
-            .collect();
+        let mut innovations: Vec<f64> = Vec::with_capacity(tokens as usize * read * d);
+        for _ in 0..tokens {
+            innovations.extend((0..read * d).map(|_| gaussian(rng)));
+            skip_gaussians(rng, self.unread_innovation_draws());
+        }
 
         let n = tokens as usize;
         let size = (chunk_size as usize).max(1);
@@ -391,7 +402,7 @@ impl TraceGenerator {
             let records = self.forward(
                 bundle,
                 &latents[start..start + take],
-                |t, l| &innovations[((start + t) * layers + l) * d..][..d],
+                |t, l| &innovations[((start + t) * read + l) * d..][..d],
                 &mut scratch,
             );
             steps.push(TraceStep {
@@ -410,6 +421,20 @@ impl TraceGenerator {
             });
         }
         steps
+    }
+
+    /// How many innovation vectors a forward pass reads: one per layer
+    /// transition. The last layer's would only evolve the hidden state
+    /// after the last router, which nothing reads.
+    fn read_innovations(&self) -> usize {
+        (self.model.layers as usize).saturating_sub(1)
+    }
+
+    /// The gaussian draws of the innovations a forward pass does not read
+    /// (see [`read_innovations`](Self::read_innovations)): the rng still
+    /// advances past them, so every later draw stays where it was.
+    fn unread_innovation_draws(&self) -> usize {
+        (self.model.layers as usize - self.read_innovations()) * self.config.latent_dim
     }
 
     /// The per-seed model parameters: router projections (AR(1)-correlated
@@ -447,7 +472,9 @@ impl TraceGenerator {
     /// Runs the latent process through all layers for a batch of token
     /// latents, producing true and predicted routings. `innovation(t, l)`
     /// supplies the layer-transition noise of token `t` entering layer
-    /// `l+1`. Everything but the returned records lives in `scratch`.
+    /// `l+1`; it is never asked for the last layer, whose hidden state
+    /// would feed no router. Everything but the returned records lives in
+    /// `scratch`.
     fn forward<'a>(
         &self,
         params: &ModelParams,
@@ -496,6 +523,9 @@ impl TraceGenerator {
             });
 
             // Evolve each token's hidden state into the next layer.
+            if l + 1 == layers {
+                break;
+            }
             for t in 0..tokens {
                 let h = &mut scratch.hidden[t * d..(t + 1) * d];
                 for (v, n) in h.iter_mut().zip(innovation(t, l)) {
@@ -616,6 +646,11 @@ struct ModelParams {
 /// the AR(1) hidden state carried across calls. Obtained from
 /// [`TraceGenerator::decode_stream`]; also usable as an [`Iterator`]
 /// (infinite — bound it with `take`).
+///
+/// The stream keeps one innovation per layer transition. The last layer's
+/// innovation would only evolve the hidden state after the last router,
+/// which nothing reads, so its draws advance the rng without being
+/// computed: every routing is bit-identical to drawing it.
 #[derive(Debug, Clone)]
 pub struct DecodeStream {
     generator: TraceGenerator,
@@ -635,6 +670,7 @@ impl DecodeStream {
         for inno in &mut self.innovations {
             evolve(inno, rho_t, &mut self.rng);
         }
+        skip_gaussians(&mut self.rng, self.generator.unread_innovation_draws());
         let layer_records = self.generator.forward(
             &self.bundle,
             std::slice::from_ref(&self.token_latent),
@@ -690,6 +726,15 @@ fn gaussian(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
+/// Advances `rng` past `n` [`gaussian`] draws without their `ln`, `sqrt`
+/// and `cos`: the same two uniform draws each, discarded.
+fn skip_gaussians(rng: &mut StdRng, n: usize) {
+    for _ in 0..n {
+        let _: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let _: f64 = rng.gen_range(0.0..1.0);
+    }
+}
+
 fn gaussian_vec(rng: &mut StdRng, n: usize) -> Vec<f64> {
     (0..n).map(|_| gaussian(rng)).collect()
 }
@@ -698,6 +743,23 @@ fn gaussian_vec(rng: &mut StdRng, n: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use hybrimoe_model::ModelConfig;
+
+    #[test]
+    fn skipping_gaussians_leaves_the_rng_where_drawing_them_does() {
+        for n in [0, 1, 2, 31, 32] {
+            let mut drawn = StdRng::seed_from_u64(19);
+            let mut skipped = drawn.clone();
+            for _ in 0..n {
+                gaussian(&mut drawn);
+            }
+            skip_gaussians(&mut skipped, n);
+            assert_eq!(
+                gaussian(&mut skipped),
+                gaussian(&mut drawn),
+                "after {n} draws"
+            );
+        }
+    }
 
     #[test]
     fn decode_trace_shape() {

@@ -87,30 +87,41 @@ impl TraceStep {
         let (first, rest) = steps.split_first().expect("merging zero trace steps");
         let mut out = (*first).clone();
         for step in rest {
-            assert_eq!(
-                out.layers.len(),
-                step.layers.len(),
-                "merging steps of different models"
-            );
-            out.tokens += step.tokens;
-            for (dst, src) in out.layers.iter_mut().zip(step.layers.iter()) {
-                dst.routing.merge(&src.routing);
-                assert_eq!(
-                    dst.predicted.len(),
-                    src.predicted.len(),
-                    "merging steps with different lookahead depths"
-                );
-                for (p, q) in dst.predicted.iter_mut().zip(src.predicted.iter()) {
-                    p.merge(q);
-                }
-                match (&mut dst.states, &src.states) {
-                    (Some(d), Some(s)) => d.merge(s),
-                    (None, None) => {}
-                    _ => panic!("merging steps with and without token states"),
-                }
-            }
+            out.absorb(step);
         }
         out
+    }
+
+    /// Merges `other`'s forward pass into this one in place, as
+    /// [`merge`](Self::merge) merges its second step into its first: a
+    /// batcher that owns its parts merges them without cloning one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the steps' shapes disagree.
+    pub fn absorb(&mut self, other: &TraceStep) {
+        assert_eq!(
+            self.layers.len(),
+            other.layers.len(),
+            "merging steps of different models"
+        );
+        self.tokens += other.tokens;
+        for (dst, src) in self.layers.iter_mut().zip(other.layers.iter()) {
+            dst.routing.merge(&src.routing);
+            assert_eq!(
+                dst.predicted.len(),
+                src.predicted.len(),
+                "merging steps with different lookahead depths"
+            );
+            for (p, q) in dst.predicted.iter_mut().zip(src.predicted.iter()) {
+                p.merge(q);
+            }
+            match (&mut dst.states, &src.states) {
+                (Some(d), Some(s)) => d.merge(s),
+                (None, None) => {}
+                _ => panic!("merging steps with and without token states"),
+            }
+        }
     }
 }
 
@@ -167,7 +178,8 @@ impl ActivationTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybrimoe_model::{LayerId, LayerRouting};
+    use crate::TraceGenerator;
+    use hybrimoe_model::{LayerId, LayerRouting, ModelConfig};
 
     fn tiny_trace() -> ActivationTrace {
         ActivationTrace {
@@ -259,6 +271,33 @@ mod tests {
         assert_eq!(states.inputs[0], vec![0.1; 4]);
         assert_eq!(states.inputs[1], vec![0.2; 4]);
         assert_eq!(states.routes.len(), 2);
+    }
+
+    #[test]
+    fn absorb_matches_merge() {
+        let plain = |seed| {
+            TraceGenerator::new(ModelConfig::tiny_test(), seed)
+                .decode_trace(1)
+                .steps
+                .remove(0)
+        };
+        let with_states = |seed| {
+            TraceGenerator::new(ModelConfig::tiny_test(), seed)
+                .with_token_states()
+                .request(5)
+                .0
+        };
+        for parts in [
+            [plain(1), plain(2), plain(3)],
+            [with_states(1), with_states(2), with_states(3)],
+        ] {
+            let merged = TraceStep::merge(&parts.iter().collect::<Vec<_>>());
+            let [mut first, rest @ ..] = parts;
+            for part in &rest {
+                first.absorb(part);
+            }
+            assert_eq!(first, merged);
+        }
     }
 
     #[test]

@@ -49,12 +49,19 @@ fn main() {
         "speedup:       {:>8.2}x",
         base.total.as_nanos() as f64 / ours.total.as_nanos() as f64
     );
+    let prefetch = hybri.prefetch_counters();
     println!(
-        "\nHybriMoE placed {} experts on the CPU, {} on the GPU, \
-         moved {} on demand and prefetched {}.",
+        "\nHybriMoE placed {} experts on the CPU, {} on the GPU and moved {} on demand.",
         ours.cpu_experts(),
         ours.gpu_experts(),
         ours.demand_transfers(),
+    );
+    println!(
+        "Prefetches: {} issued, {} landed, {} wasted; \
+         background transfers landed (prefetches and refills): {}.",
+        prefetch.issued,
+        prefetch.landed,
+        prefetch.wasted,
         ours.prefetches()
     );
 }

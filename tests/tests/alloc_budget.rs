@@ -8,15 +8,18 @@
 //! allocator pins the real-execution path: a warm real decode step
 //! allocates only the outputs it hands out, a warm expert forward
 //! allocates nothing, and a warm trace-generator step allocates only the
-//! trace it returns.
+//! trace it returns. A warm continuous-batcher step allocates the traces
+//! of its parts and a few per-step lists, never a copy of a part.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use hybrimoe::serve::{ContinuousBatcher, RequestSpec, DEFAULT_PRIORITY};
 use hybrimoe::{BackendKind, Engine, EngineConfig, Framework, RealExecOptions};
+use hybrimoe_hw::SimTime;
 use hybrimoe_kernels::{ExecScratch, ExpertFfn, KernelBackendKind, WorkerPool};
 use hybrimoe_model::ModelConfig;
-use hybrimoe_trace::TraceGenerator;
+use hybrimoe_trace::{TraceGenerator, TraceStep};
 
 /// Counts the allocations (and growing reallocations) of the calling
 /// thread, so the test harness's own threads do not disturb the count.
@@ -161,20 +164,79 @@ fn a_warm_trace_step_allocates_only_what_it_returns() {
             let before = allocations();
             let step = stream.next_step();
             let spent = allocations() - before;
-            let owned = 1 + step
-                .layers
-                .iter()
-                .map(|rec| {
-                    let routings = 1 + rec.predicted.len() as u64;
-                    2 * routings + u64::from(!rec.predicted.is_empty())
-                })
-                .sum::<u64>();
+            let owned = owned_buffers(&step);
             assert_eq!(
                 spent, owned,
                 "{}: a warm decode step allocated {spent} times, its step owns {owned} buffers",
                 model.name
             );
         }
+    }
+}
+
+/// The heap buffers a simulation-only `TraceStep` owns: its layers `Vec`,
+/// and per layer the loads and score masses of each routing (true and
+/// predicted) plus the `predicted` list when it is non-empty.
+fn owned_buffers(step: &TraceStep) -> u64 {
+    1 + step
+        .layers
+        .iter()
+        .map(|rec| {
+            let routings = 1 + rec.predicted.len() as u64;
+            2 * routings + u64::from(!rec.predicted.is_empty())
+        })
+        .sum::<u64>()
+}
+
+/// The lists a continuous-batcher decode step allocates besides its parts
+/// and the engine step: the parts themselves, which of them carried a
+/// prefill chunk, and the decoded tokens it reports.
+const BATCHER_STEP_LISTS: u64 = 3;
+
+/// A warm decode step of a two-request batch generates one trace step per
+/// request and merges the second into the first in place: it allocates
+/// the buffers those two parts own, the batcher's per-step lists and what
+/// one engine step may, and no copy of a part.
+#[test]
+fn a_warm_batcher_decode_step_allocates_only_its_parts() {
+    let model = ModelConfig::tiny_test();
+    let mut batcher = ContinuousBatcher::new(
+        EngineConfig::preset(Framework::HybriMoe, model.clone(), 0.5),
+        2,
+        7,
+    );
+    for id in 0..2 {
+        batcher.enqueue(RequestSpec {
+            id,
+            arrival: SimTime::ZERO,
+            prompt_tokens: 8,
+            decode_tokens: 64,
+            priority: DEFAULT_PRIORITY,
+            deadline: None,
+        });
+    }
+    let mut now = SimTime::ZERO;
+    // The admitting step, then decode steps that grow every reused buffer
+    // to its working size.
+    for _ in 0..24 {
+        now = batcher.step(now, |latency| now + latency).end;
+    }
+
+    let part = owned_buffers(&TraceGenerator::new(model, 0).decode_trace(1).steps[0]);
+    let budget = 2 * part + BATCHER_STEP_LISTS + STEP_ALLOCATION_BUDGET;
+    for _ in 0..16 {
+        let before = allocations();
+        let outcome = batcher.step(now, |latency| now + latency);
+        let spent = allocations() - before;
+        assert_eq!(outcome.decoded.len(), 2);
+        now = outcome.end;
+        drop(outcome);
+        assert!(
+            spent <= budget,
+            "a warm two-request batcher step allocated {spent} times; its two parts own \
+             {} buffers, budget {budget}",
+            2 * part
+        );
     }
 }
 
