@@ -59,8 +59,7 @@ fn bench_qdot_rows(c: &mut Criterion) {
             group.bench_function(
                 BenchmarkId::new(b.kind().name(), format!("T{tokens}")),
                 |bench| {
-                    bench
-                        .iter(|| b.qdot_rows(&packed, rows, std::hint::black_box(&acts), &mut out));
+                    bench.iter(|| b.qdot_rows(packed, rows, std::hint::black_box(&acts), &mut out));
                 },
             );
         }

@@ -33,7 +33,7 @@ pub use server_bench::{run_server_bench, ServerLoad};
 use hybrimoe::{Engine, EngineConfig, Framework, StageMetrics};
 use hybrimoe_cache::{CachePolicy, ExpertCache};
 use hybrimoe_model::{ExpertKey, ModelConfig};
-use hybrimoe_trace::{ActivationTrace, TraceGenerator};
+use hybrimoe_trace::ActivationTrace;
 use serde::Serialize;
 
 /// Number of decode steps used by the decode experiments.
@@ -46,46 +46,23 @@ pub const CACHE_RATIOS: [f64; 3] = [0.25, 0.50, 0.75];
 /// reproducibility).
 pub const SEED: u64 = 0x5EED_2025;
 
-/// Runs a decode stage for `framework` and returns its metrics.
+/// Runs `framework`'s preset engine, seeded with `seed`, over an already
+/// generated trace and returns its metrics. A trace depends on neither the
+/// framework nor the cache ratio, so a sweep generates each one once and
+/// runs every configuration on it.
 ///
 /// # Example
 ///
 /// ```
 /// use hybrimoe::Framework;
 /// use hybrimoe_model::ModelConfig;
+/// use hybrimoe_trace::TraceGenerator;
 ///
-/// let m = hybrimoe_bench::run_decode(
-///     Framework::HybriMoe, &ModelConfig::tiny_test(), 0.5, 4, 1);
+/// let model = ModelConfig::tiny_test();
+/// let trace = TraceGenerator::new(model.clone(), 1).decode_trace(4);
+/// let m = hybrimoe_bench::run_on(&trace, Framework::HybriMoe, &model, 0.5, 1);
 /// assert_eq!(m.steps.len(), 4);
 /// ```
-pub fn run_decode(
-    framework: Framework,
-    model: &ModelConfig,
-    cache_ratio: f64,
-    steps: usize,
-    seed: u64,
-) -> StageMetrics {
-    let trace = TraceGenerator::new(model.clone(), seed).decode_trace(steps);
-    run_on(&trace, framework, model, cache_ratio, seed)
-}
-
-/// Runs a prefill stage of `tokens` prompt tokens and returns its metrics.
-pub fn run_prefill(
-    framework: Framework,
-    model: &ModelConfig,
-    cache_ratio: f64,
-    tokens: u32,
-    seed: u64,
-) -> StageMetrics {
-    let trace = TraceGenerator::new(model.clone(), seed).prefill_trace(tokens);
-    run_on(&trace, framework, model, cache_ratio, seed)
-}
-
-/// Runs `framework`'s preset engine, seeded with `seed`, over an already
-/// generated trace. A trace depends on neither the framework nor the cache
-/// ratio, so a sweep generates each one once and runs every configuration
-/// on it; with the trace from the same `seed` this is exactly
-/// [`run_decode`] / [`run_prefill`].
 pub fn run_on(
     trace: &ActivationTrace,
     framework: Framework,
@@ -182,13 +159,27 @@ pub fn millis(d: hybrimoe_hw::SimDuration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybrimoe_trace::TraceGenerator;
 
     #[test]
     fn decode_and_prefill_run_on_tiny_model() {
         let model = ModelConfig::tiny_test();
-        let d = run_decode(Framework::KTransformers, &model, 0.5, 3, 2);
+        let generator = TraceGenerator::new(model.clone(), 2);
+        let d = run_on(
+            &generator.decode_trace(3),
+            Framework::KTransformers,
+            &model,
+            0.5,
+            2,
+        );
         assert_eq!(d.steps.len(), 3);
-        let p = run_prefill(Framework::HybriMoe, &model, 0.5, 16, 2);
+        let p = run_on(
+            &generator.prefill_trace(16),
+            Framework::HybriMoe,
+            &model,
+            0.5,
+            2,
+        );
         assert_eq!(p.steps.len(), 1);
         assert!(p.total.as_nanos() > 0);
     }

@@ -568,7 +568,7 @@ impl Engine {
             cpu_experts: 0,
             gpu_experts: 0,
             demand_transfers: 0,
-            prefetches: 0,
+            background_landed: 0,
         };
         for (l, rec) in step.layers.iter().enumerate() {
             let cx = LayerCtx {
@@ -812,7 +812,7 @@ impl Engine {
         budget: &mut SimDuration,
         metrics: &mut StepMetrics,
     ) {
-        metrics.prefetches += self.background.drain(
+        metrics.background_landed += self.background.drain(
             &mut self.cache,
             budget,
             cx.step.evict_ok,
@@ -1210,7 +1210,7 @@ mod tests {
         let m = e.run(&trace);
         // The run completes (no deadlock) and performs no background work.
         assert_eq!(m.steps.len(), 12);
-        assert_eq!(m.prefetches(), 0);
+        assert_eq!(m.background_landed(), 0);
         assert!(m.total > SimDuration::ZERO);
     }
 
@@ -1284,6 +1284,6 @@ mod tests {
         let base = EngineConfig::preset(Framework::HybriMoe, ModelConfig::tiny_test(), 0.25);
         let narrow = Engine::new(base.clone().with_max_inflight(1)).run(&trace);
         let wide = Engine::new(base.with_max_inflight(8)).run(&trace);
-        assert!(wide.prefetches() >= narrow.prefetches());
+        assert!(wide.background_landed() >= narrow.background_landed());
     }
 }

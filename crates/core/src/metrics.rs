@@ -20,9 +20,13 @@ pub struct StepMetrics {
     pub gpu_experts: u32,
     /// Experts transferred on demand within layers.
     pub demand_transfers: u32,
-    /// Background transfers that ended with their expert resident:
-    /// prefetches and refills of missed experts alike.
-    pub prefetches: u32,
+    /// Background transfers, prefetches and refills of missed experts
+    /// alike, that finished in a layer's idle window and entered the
+    /// cache. A prefetch still on the wire when its own layer runs, and
+    /// finished by that layer's plan, is not counted here: it counts in
+    /// [`demand_transfers`](Self::demand_transfers) and in the engine's
+    /// [`PrefetchCounters::landed`](crate::PrefetchCounters::landed).
+    pub background_landed: u32,
 }
 
 impl StepMetrics {
@@ -126,10 +130,10 @@ impl StageMetrics {
         self.steps.iter().map(|s| s.demand_transfers as u64).sum()
     }
 
-    /// Total background transfers that ended with their expert resident
-    /// (prefetches and refills; see [`StepMetrics::prefetches`]).
-    pub fn prefetches(&self) -> u64 {
-        self.steps.iter().map(|s| s.prefetches as u64).sum()
+    /// Total background transfers that finished in an idle window and
+    /// entered the cache (see [`StepMetrics::background_landed`]).
+    pub fn background_landed(&self) -> u64 {
+        self.steps.iter().map(|s| s.background_landed as u64).sum()
     }
 }
 
@@ -149,7 +153,7 @@ mod tests {
             cpu_experts: 2,
             gpu_experts: 3,
             demand_transfers: 1,
-            prefetches: 1,
+            background_landed: 1,
         }
     }
 
@@ -161,7 +165,7 @@ mod tests {
         assert_eq!(m.cpu_experts(), 4);
         assert_eq!(m.gpu_experts(), 6);
         assert_eq!(m.demand_transfers(), 2);
-        assert_eq!(m.prefetches(), 2);
+        assert_eq!(m.background_landed(), 2);
     }
 
     #[test]
@@ -183,7 +187,7 @@ mod tests {
             cpu_experts: 0,
             gpu_experts: 0,
             demand_transfers: 0,
-            prefetches: 0,
+            background_landed: 0,
         };
         assert_eq!(s.num_gpus(), 2);
         assert_eq!(s.busy(Device::gpu(1)), SimDuration::from_micros(1));

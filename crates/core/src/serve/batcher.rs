@@ -284,16 +284,9 @@ impl ContinuousBatcher {
             }
             // One router-parameter bundle serves both the prompt and the
             // decode stream of the request.
-            let (mut chunks, stream) = match chunk_size {
-                Some(size) if spec.prompt_tokens >= size => {
-                    let (chunks, stream) = generator.request_chunked(spec.prompt_tokens, size);
-                    (VecDeque::from(chunks), stream)
-                }
-                _ => {
-                    let (prefill, stream) = generator.request(spec.prompt_tokens);
-                    (VecDeque::from([prefill]), stream)
-                }
-            };
+            let (chunks, stream) =
+                generator.request_chunked(spec.prompt_tokens, chunk_size.unwrap_or(u32::MAX));
+            let mut chunks = VecDeque::from(chunks);
             parts.push(chunks.pop_front().expect("a prompt has at least one chunk"));
             admitted.push(ActiveRequest {
                 spec,

@@ -1098,7 +1098,7 @@ mod tests {
     /// `qdot_rows` over the whole matrix, as bit patterns.
     fn dot_bits(backend: &dyn KernelBackend, q: &QuantizedMatrix, acts: &Q8Acts) -> Vec<u32> {
         let mut out = vec![f32::NAN; q.rows() * acts.tokens()];
-        backend.qdot_rows(&q.data(), q.rows(), acts, &mut out);
+        backend.qdot_rows(q.data(), q.rows(), acts, &mut out);
         out.iter().map(|v| v.to_bits()).collect()
     }
 
@@ -1158,7 +1158,7 @@ mod tests {
             assert_eq!(acts.scales()[1], f32::INFINITY);
             assert!(acts.codes()[Q4_BLOCK..].iter().all(|c| *c == 0));
             let mut out = [0.0f32];
-            backend.qdot_row(&q.data(), &acts, &mut out);
+            backend.qdot_row(q.data(), &acts, &mut out);
             assert!(out[0].is_nan(), "{:?}", backend.kind());
         }
     }
@@ -1189,7 +1189,7 @@ mod tests {
                 let mut acts = Q8Acts::new();
                 backend.quantize(&x, cols, &mut acts);
                 let mut out = vec![0.0f32; rows * tokens];
-                backend.qdot_rows(&q.data(), rows, &acts, &mut out);
+                backend.qdot_rows(q.data(), rows, &acts, &mut out);
                 for (i, got) in out.iter().enumerate() {
                     let w = &dense[i / tokens * cols..][..cols];
                     let xt = &x[i % tokens * cols..][..cols];
@@ -1229,7 +1229,7 @@ mod tests {
                 let want = 2.0 * 8.0 * lane;
                 for backend in available() {
                     let mut out = vec![0.0f32; 4 * 2];
-                    backend.qdot_rows(&q.data(), 4, &acts, &mut out);
+                    backend.qdot_rows(q.data(), 4, &acts, &mut out);
                     assert!(
                         out.iter().all(|v| *v == want),
                         "{:?} w={w} x={x}: {out:?} vs {want}",
@@ -1344,9 +1344,9 @@ mod tests {
         let acts = quantized(&pseudo(cols, 52), cols);
         for backend in available() {
             let mut dirty = vec![123.0f32; 1];
-            backend.qdot_row(&q.data(), &acts, &mut dirty);
+            backend.qdot_row(q.data(), &acts, &mut dirty);
             let mut clean = vec![0.0f32; 1];
-            backend.qdot_row(&q.data(), &acts, &mut clean);
+            backend.qdot_row(q.data(), &acts, &mut clean);
             assert_eq!(dirty, clean, "{:?}", backend.kind());
         }
     }

@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::Q8Acts;
 use crate::gemm::swiglu_gate;
@@ -72,7 +71,7 @@ impl ExecScratch {
 /// assert_eq!(y.len(), 64);
 /// assert!(y.iter().all(|v| v.is_finite()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpertFfn {
     hidden: usize,
     inter: usize,

@@ -24,9 +24,7 @@
 //! virtual dispatch per band. Both produce the same bits.
 
 use std::fmt;
-
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::backend::{scalar, KernelBackend, Q8Acts};
 use crate::threadpool::WorkerPool;
@@ -76,8 +74,8 @@ impl std::error::Error for QuantError {}
 
 /// A `rows x cols` matrix stored in `Q4_0` blocks, row-major.
 ///
-/// The packed buffer is a cheaply-cloneable [`Bytes`], so a weight store can
-/// hand out shared references to expert weights without copying.
+/// The packed buffer is a shared `Arc<[u8]>`, so cloning a matrix copies
+/// no weights.
 ///
 /// # Example
 ///
@@ -93,13 +91,23 @@ impl std::error::Error for QuantError {}
 /// }
 /// # Ok::<(), hybrimoe_kernels::QuantError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,
     /// Packed blocks: per row, `cols / Q4_BLOCK` blocks of
     /// [`Q4_BLOCK_BYTES`].
-    data: Bytes,
+    data: Arc<[u8]>,
+}
+
+impl fmt::Debug for QuantizedMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QuantizedMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("packed_bytes", &self.data.len())
+            .finish()
+    }
 }
 
 impl QuantizedMatrix {
@@ -140,7 +148,7 @@ impl QuantizedMatrix {
         QuantizedMatrix {
             rows,
             cols,
-            data: Bytes::from(data),
+            data: Arc::from(data),
         }
     }
 
@@ -159,9 +167,9 @@ impl QuantizedMatrix {
         self.data.len()
     }
 
-    /// A shared handle to the packed bytes (zero-copy clone).
-    pub fn data(&self) -> Bytes {
-        self.data.clone()
+    /// The packed bytes.
+    pub fn data(&self) -> &[u8] {
+        &self.data
     }
 
     /// The largest quantization step across all blocks (`scale` of the block
@@ -495,14 +503,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn data_clone_is_shared() {
-        let q = QuantizedMatrix::quantize(&pseudo(32, 7), 1, 32).unwrap();
-        let a = q.data();
-        let b = q.data();
-        assert_eq!(a, b);
     }
 
     #[test]

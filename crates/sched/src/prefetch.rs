@@ -77,17 +77,17 @@ pub struct PrefetchContext<'a> {
 
 /// Reusable buffers for one prefetch plan after another: the ranking and
 /// selection lists, the scheduler queues and task set the impact-driven
-/// simulation re-runs on, and the per-layer memo of its simulated
-/// makespans. The engine plans a prefetch on every layer of every step;
-/// with a `PrefetchScratch` kept across calls that planning allocates
-/// nothing in steady state.
+/// simulation re-runs on, and the per-layer memo holding one simulated
+/// makespan per impact class, which every candidate of the class reads.
+/// The engine plans a prefetch on every layer of every step; with a
+/// `PrefetchScratch` kept across calls that planning allocates nothing in
+/// steady state.
 #[derive(Debug, Default, Clone)]
 pub struct PrefetchScratch {
     queues: ScheduleQueues,
     tasks: Vec<ExpertTask>,
     with_memo: Vec<(ImpactClass, SimDuration)>,
     ranked: Vec<(f64, ExpertKey)>,
-    top_gains: Vec<f64>,
     lane_used: Vec<usize>,
     shard_left: Vec<usize>,
     picks: Vec<ExpertKey>,
@@ -189,15 +189,17 @@ impl Prefetcher for NextLayerTopKPrefetcher {
 /// decode every load is 1, so the candidates of a layer gain alike and
 /// the probability decides.
 ///
-/// Candidates of the same load on the same shard make the same makespan
-/// when cached, so the with-expert simulation runs once per such class of
-/// a predicted layer and the rest of the class reuses it (with more than
-/// one GPU a class also splits where an equal-load expert of another
-/// shard sits between two candidates in id order, since the greedy orders
-/// equal loads by id across shards). Each candidate still weighs the
-/// shared makespan by its own probability, so gains, ranking and picks
-/// are those of one simulation per candidate. At one-token decode on one
-/// GPU a predicted layer costs two simulations, whatever its candidates.
+/// Every uncached candidate is scored; none is skipped on a bound. The
+/// simulations are shared instead: candidates of the same load on the
+/// same shard make the same makespan when cached, so a predicted layer
+/// runs one base simulation and one with-expert simulation per such class
+/// (with more than one GPU a class also splits where an equal-load expert
+/// of another shard sits between two candidates in id order, since the
+/// greedy orders equal loads by id across shards). Each candidate still
+/// weighs the shared makespan by its own probability, so gains, ranking
+/// and picks are those of one simulation per candidate. At one-token
+/// decode on one GPU a predicted layer costs two simulations, whatever
+/// its candidates.
 ///
 /// # Example
 ///
@@ -259,61 +261,34 @@ impl Prefetcher for ImpactDrivenPrefetcher {
         scratch: &'s mut PrefetchScratch,
     ) -> &'s [ExpertKey] {
         scratch.ranked.clear();
-        // Nothing can be selected (no budget, no free slot, no shard
-        // space): skip the schedule simulations entirely — they sit on
-        // the per-step hot path.
-        if max_selectable(ctx) == 0 {
-            return select_across_lanes(ctx, scratch);
-        }
         let scheduler = HybridScheduler::new();
-
-        // Pruning bound: the final selection keeps at most `free_slots`
-        // keys, so once that many gains are known, a candidate whose
-        // *upper-bound* gain — the layer's full base makespan, discounted
-        // and weighted by its probability — is strictly below the
-        // `free_slots`'th best can never appear in the selection; its
-        // with-expert simulation is skipped. The surviving candidates
-        // score exactly as before, so the output is bit-identical to the
-        // unpruned plan.
-        let cap = ctx.free_slots;
-        scratch.top_gains.clear();
-
         for (distance, predicted) in ctx.lookahead.iter().enumerate() {
             let discount = confidence_discount(ctx, distance);
-            // Base makespan memoized once per predicted layer; every
-            // candidate of the layer shares it.
             let base = simulate_makespan(&scheduler, ctx, predicted, None, scratch);
-            let layer_bound = base.as_nanos() as f64 * discount;
-            if layer_bound <= 0.0 {
-                continue; // no candidate of this layer can gain anything
-            }
             scratch.with_memo.clear();
             for t in predicted.tasks.iter().filter(|t| !t.cached) {
-                let weight = predicted
-                    .scores
-                    .get(t.expert.0 as usize)
-                    .map_or(1.0, |p| f64::from(*p));
-                let top_gains = &scratch.top_gains;
-                if top_gains.len() >= cap && layer_bound * weight < top_gains[cap - 1] {
-                    continue;
-                }
                 let with = with_makespan(&scheduler, ctx, predicted, t, scratch);
-                let gain = base.saturating_sub(with).as_nanos() as f64 * discount * weight;
+                let gain = base.saturating_sub(with).as_nanos() as f64
+                    * discount
+                    * probability(predicted, t.expert);
                 if gain > 0.0 {
                     scratch
                         .ranked
                         .push((gain, ExpertKey::new(predicted.layer, t.expert)));
-                    let top_gains = &mut scratch.top_gains;
-                    let pos = top_gains.partition_point(|&g| g >= gain);
-                    if pos < cap {
-                        top_gains.insert(pos, gain);
-                        top_gains.truncate(cap);
-                    }
                 }
             }
         }
         select_across_lanes(ctx, scratch)
     }
+}
+
+/// The predicted router probability of `expert` in `predicted`: its entry
+/// in [`PredictedLayer::scores`], or `1` when the scores hold none for it.
+fn probability(predicted: &PredictedLayer, expert: ExpertId) -> f64 {
+    predicted
+        .scores
+        .get(expert.0 as usize)
+        .map_or(1.0, |p| f64::from(*p))
 }
 
 /// The per-distance gain discount: the context's confidence when it
@@ -333,16 +308,6 @@ fn per_lane_cap(ctx: &PrefetchContext<'_>) -> usize {
     } else {
         (ctx.budget.as_nanos() / per_transfer.as_nanos()) as usize
     }
-}
-
-/// Upper bound on how many keys [`select_across_lanes`] could return.
-fn max_selectable(ctx: &PrefetchContext<'_>) -> usize {
-    let lanes = ctx.num_gpus.max(1);
-    let by_lanes = per_lane_cap(ctx).saturating_mul(lanes);
-    let by_shards = ctx
-        .shard_free
-        .map_or(usize::MAX, |s| s.iter().copied().sum());
-    ctx.free_slots.min(by_lanes).min(by_shards)
 }
 
 /// Ranks `scratch.ranked` (highest value first, ties to the smaller key)
@@ -688,7 +653,7 @@ mod tests {
         c.shard_free = Some(&shard_free);
         let picks = ImpactDrivenPrefetcher::new().plan(&c);
         assert_eq!(picks, vec![ExpertKey::new(LayerId(2), ExpertId(1))]);
-        // No shard space at all: the plan early-exits empty.
+        // No shard space at all: nothing is picked.
         let none = [0usize, 0];
         c.shard_free = Some(&none);
         assert!(ImpactDrivenPrefetcher::new().plan(&c).is_empty());
@@ -713,11 +678,10 @@ mod tests {
     }
 
     #[test]
-    fn pruning_keeps_the_best_candidate() {
+    fn one_slot_takes_the_best_candidate() {
         let cost = UnitCostModel::paper_fig5();
-        // Several candidates, one slot: the upper-bound pruning must
-        // still select exactly the highest-gain expert (the heavy, near
-        // one) while skipping the simulations of dominated later layers.
+        // Several candidates, one slot: the plan selects exactly the
+        // highest-gain expert, the heavy one of the nearest layer.
         let look = [
             predicted(1, vec![ExpertTask::uncached(ExpertId(0), 8)]),
             predicted(2, vec![ExpertTask::uncached(ExpertId(0), 3)]),
@@ -727,44 +691,60 @@ mod tests {
         assert_eq!(picks, vec![ExpertKey::new(LayerId(1), ExpertId(0))]);
     }
 
-    /// The reference the per-class memo must match: the impact-driven plan
-    /// with one with-expert simulation per uncached candidate, under the
-    /// same pruning bound.
+    #[test]
+    fn a_candidate_below_the_best_gains_fills_an_idle_lane() {
+        let cost = UnitCostModel::paper_fig5(); // transfers take 3us
+                                                // Two GPUs, one 3us transfer per lane, two slots. Layer 1's E0 and
+                                                // E2 both sit on shard 0 and outgain layer 2's E1 (discounted by
+                                                // distance), so E1 ranks third, below the two best gains. E0 takes
+                                                // lane 0, E2 finds it full, and E1 fills lane 1.
+        let look = [
+            PredictedLayer {
+                layer: LayerId(1),
+                tasks: vec![
+                    ExpertTask::uncached(ExpertId(0), 8),
+                    ExpertTask::uncached(ExpertId(2), 8),
+                ],
+                scores: vec![1.0; 3],
+            },
+            PredictedLayer {
+                layer: LayerId(2),
+                tasks: vec![ExpertTask::uncached(ExpertId(1), 8)],
+                scores: vec![1.0; 2],
+            },
+        ];
+        let mut c = ctx(&look, 2, 3, &cost);
+        c.num_gpus = 2;
+        let picks = ImpactDrivenPrefetcher::new().plan(&c);
+        assert_eq!(
+            picks,
+            vec![
+                ExpertKey::new(LayerId(1), ExpertId(0)),
+                ExpertKey::new(LayerId(2), ExpertId(1)),
+            ]
+        );
+        assert_eq!(picks, plan_per_candidate(&c));
+    }
+
+    /// §IV-C stated directly, the reference the impact-driven plan must
+    /// match: simulate the predicted layer with each uncached candidate
+    /// cached, rank the candidates by their gains, select.
     fn plan_per_candidate(ctx: &PrefetchContext<'_>) -> Vec<ExpertKey> {
         let mut scratch = PrefetchScratch::default();
-        if max_selectable(ctx) == 0 {
-            return select_across_lanes(ctx, &mut scratch).to_vec();
-        }
         let scheduler = HybridScheduler::new();
-        let cap = ctx.free_slots;
         for (distance, predicted) in ctx.lookahead.iter().enumerate() {
             let discount = confidence_discount(ctx, distance);
             let base = simulate_makespan(&scheduler, ctx, predicted, None, &mut scratch);
-            let layer_bound = base.as_nanos() as f64 * discount;
-            if layer_bound <= 0.0 {
-                continue;
-            }
             for t in predicted.tasks.iter().filter(|t| !t.cached) {
-                let weight = predicted
-                    .scores
-                    .get(t.expert.0 as usize)
-                    .map_or(1.0, |p| f64::from(*p));
-                let top_gains = &scratch.top_gains;
-                if top_gains.len() >= cap && layer_bound * weight < top_gains[cap - 1] {
-                    continue;
-                }
                 let with =
                     simulate_makespan(&scheduler, ctx, predicted, Some(t.expert), &mut scratch);
-                let gain = base.saturating_sub(with).as_nanos() as f64 * discount * weight;
+                let gain = base.saturating_sub(with).as_nanos() as f64
+                    * discount
+                    * probability(predicted, t.expert);
                 if gain > 0.0 {
                     scratch
                         .ranked
                         .push((gain, ExpertKey::new(predicted.layer, t.expert)));
-                    let pos = scratch.top_gains.partition_point(|&g| g >= gain);
-                    if pos < cap {
-                        scratch.top_gains.insert(pos, gain);
-                        scratch.top_gains.truncate(cap);
-                    }
                 }
             }
         }

@@ -259,11 +259,10 @@ impl TraceGenerator {
     pub fn prefill_trace(&self, tokens: u32) -> ActivationTrace {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5EED_F111);
         let bundle = self.model_params(&mut rng);
-        let step = self.prefill_step_with(&bundle, &mut rng, tokens);
         ActivationTrace {
             model_name: self.model.name.clone(),
             seed: self.seed,
-            steps: vec![step],
+            steps: self.prefill_chunks_with(&bundle, &mut rng, tokens, u32::MAX),
         }
     }
 
@@ -290,12 +289,9 @@ impl TraceGenerator {
     /// assert_eq!(stream.next_step(), g.decode_stream().next_step());
     /// ```
     pub fn request(&self, prompt_tokens: u32) -> (TraceStep, DecodeStream) {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let bundle = self.model_params(&mut rng);
-
-        let mut prefill_rng = StdRng::seed_from_u64(self.seed ^ 0x5EED_F111);
-        let prefill = self.prefill_step_with(&bundle, &mut prefill_rng, prompt_tokens);
-        (prefill, self.stream_from(bundle, rng))
+        let (mut chunks, stream) = self.request_chunked(prompt_tokens, u32::MAX);
+        let prefill = chunks.pop().expect("an unchunked prompt is one chunk");
+        (prefill, stream)
     }
 
     /// [`TraceGenerator::request`] with the prompt split into
@@ -306,12 +302,12 @@ impl TraceGenerator {
     /// final chunk (every chunk spans `[chunk_size, 2·chunk_size)` tokens)
     /// so no trailing sliver schedules as a decode-regime batch.
     ///
-    /// The randomness is drawn in **exactly** the order of
-    /// [`TraceGenerator::request`] and only the forward pass is sliced, so
-    /// every token's latent, routes and captured hidden states are
-    /// bit-identical to the unchunked prefill — chunking changes *when*
-    /// tokens run, never *what* they compute. With `chunk_size >=
-    /// prompt_tokens` the single chunk equals the unchunked prefill step.
+    /// The randomness is drawn in **exactly** the same order whatever
+    /// `chunk_size`, and only the forward pass is sliced, so every token's
+    /// latent, routes and captured hidden states are bit-identical to the
+    /// unchunked prefill of [`TraceGenerator::request`] — chunking changes
+    /// *when* tokens run, never *what* they compute. With `chunk_size >=
+    /// prompt_tokens` the single chunk is that prefill step.
     ///
     /// # Panics
     ///
@@ -340,14 +336,6 @@ impl TraceGenerator {
         let mut prefill_rng = StdRng::seed_from_u64(self.seed ^ 0x5EED_F111);
         let chunks = self.prefill_chunks_with(&bundle, &mut prefill_rng, prompt_tokens, chunk_size);
         (chunks, self.stream_from(bundle, rng))
-    }
-
-    /// One prefill pass over `tokens` prompt tokens with the given router
-    /// parameters, drawing latents from `rng`.
-    fn prefill_step_with(&self, bundle: &ModelParams, rng: &mut StdRng, tokens: u32) -> TraceStep {
-        let mut chunks = self.prefill_chunks_with(bundle, rng, tokens, tokens.max(1));
-        debug_assert_eq!(chunks.len(), 1);
-        chunks.pop().expect("a prefill pass has one chunk")
     }
 
     /// The shared prefill path: draws the whole prompt's randomness up
@@ -412,8 +400,7 @@ impl TraceGenerator {
             start += take;
         }
         if steps.is_empty() {
-            // A zero-token prompt still produces one (empty) forward pass,
-            // matching the unchunked path.
+            // A zero-token prompt still produces one (empty) forward pass.
             let records = self.forward(bundle, &[], |_, _| &[], &mut scratch);
             steps.push(TraceStep {
                 tokens: 0,

@@ -42,7 +42,7 @@ fn main() {
                 format!("{per_step:.1}"),
                 format!("{:.1}", per_step / batch as f64),
                 m.cpu_experts().to_string(),
-                (m.demand_transfers() + m.prefetches()).to_string(),
+                (m.demand_transfers() + m.background_landed()).to_string(),
             ]);
         }
     }

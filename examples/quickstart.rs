@@ -62,6 +62,6 @@ fn main() {
         prefetch.issued,
         prefetch.landed,
         prefetch.wasted,
-        ours.prefetches()
+        ours.background_landed()
     );
 }

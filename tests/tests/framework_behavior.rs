@@ -26,7 +26,7 @@ fn ktransformers_decode_never_transfers() {
     for model in ModelConfig::paper_models() {
         let d = decode(Framework::KTransformers, &model, 0.25, 4);
         assert_eq!(d.demand_transfers(), 0, "{} decode", model.name);
-        assert_eq!(d.prefetches(), 0);
+        assert_eq!(d.background_landed(), 0);
     }
 }
 
@@ -67,7 +67,7 @@ fn hybrimoe_uses_all_three_mechanisms() {
     let m = decode(Framework::HybriMoe, &model, 0.25, 16);
     assert!(m.cpu_experts() > 0, "hybrid must use the CPU");
     assert!(m.gpu_experts() > 0, "hybrid must use the GPU");
-    assert!(m.prefetches() > 0, "prefetch/refill must fire");
+    assert!(m.background_landed() > 0, "prefetch/refill must fire");
     assert!(m.cache.evictions > 0, "MRS must manage the cache");
 }
 

@@ -232,7 +232,7 @@ proptest! {
                 b.qdot_row(&row_bytes(&q, r), &acts, out);
             }
             let mut banded = vec![f32::NAN; rows * tokens];
-            b.qdot_rows(&q.data(), rows, &acts, &mut banded);
+            b.qdot_rows(q.data(), rows, &acts, &mut banded);
             prop_assert_eq!(
                 bits(&banded),
                 bits(&per_row),
@@ -368,9 +368,9 @@ fn wider_backends_are_not_slower_on_this_host() {
         let mut best = vec![Duration::MAX; rungs.len()];
         for _ in 0..9 {
             for (b, best) in rungs.iter().zip(&mut best) {
-                b.qdot_rows(black_box(&data), nrows, black_box(&acts), &mut out);
+                b.qdot_rows(black_box(data), nrows, black_box(&acts), &mut out);
                 let start = Instant::now();
-                b.qdot_rows(black_box(&data), nrows, black_box(&acts), &mut out);
+                b.qdot_rows(black_box(data), nrows, black_box(&acts), &mut out);
                 black_box(&mut out);
                 *best = (*best).min(start.elapsed());
             }
