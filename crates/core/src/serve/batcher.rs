@@ -3,10 +3,10 @@
 //!
 //! [`ContinuousBatcher`] owns the engine, the waiting queue and the running
 //! batch, and exposes exactly one operation: [`ContinuousBatcher::step`],
-//! which admits waiting requests into free batch slots, merges their
-//! prefill passes with one decode token from every running request, runs
-//! the merged pass through [`Engine::step`](crate::Engine::step), and
-//! reports what happened as a [`StepOutcome`].
+//! which admits waiting requests into free batch slots, builds one pass
+//! from their prefill chunks and one decode token of every running request,
+//! runs it through [`Engine::step`](crate::Engine::step), and reports what
+//! happened as a [`StepOutcome`].
 //!
 //! The caller owns the *clock*. [`ServeSim`](crate::serve::ServeSim)
 //! advances a simulated clock by each step's modeled latency;
@@ -106,6 +106,11 @@ pub struct ContinuousBatcher {
     max_batch: usize,
     waiting: VecDeque<RequestSpec>,
     running: Vec<ActiveRequest>,
+    /// The step's forward pass: a step that admits builds it on its first
+    /// prompt chunk, and every other step clears and refills it, so a warm
+    /// decode step allocates no trace buffers. Empty (no layers) until the
+    /// first step, which always admits.
+    merged: TraceStep,
 }
 
 impl ContinuousBatcher {
@@ -138,6 +143,10 @@ impl ContinuousBatcher {
             max_batch,
             waiting: VecDeque::new(),
             running: Vec::new(),
+            merged: TraceStep {
+                tokens: 0,
+                layers: Vec::new(),
+            },
         }
     }
 
@@ -269,8 +278,17 @@ impl ContinuousBatcher {
         let slots = self.max_batch.saturating_sub(self.running.len());
         let mut admitted: Vec<ActiveRequest> = Vec::new();
         // The step's parts in merge order: admitted prompts' first chunks,
-        // then every running request's contribution.
-        let mut parts: Vec<TraceStep> = Vec::with_capacity(slots + self.running.len());
+        // then every running request's contribution. A chunk is absorbed
+        // whole and a decode token routed straight in, so every sum runs
+        // in the order merging whole parts would run it. A step that
+        // admits drops the reused pass and starts from its first chunk:
+        // generating a prompt is the heap's high-water mark, and the
+        // reused pass would only add to it.
+        if slots > 0 && !self.waiting.is_empty() {
+            self.merged.layers = Vec::new();
+        } else {
+            self.merged.clear();
+        }
         for _ in 0..slots {
             let Some(spec) = self.waiting.pop_front() else {
                 break;
@@ -287,7 +305,12 @@ impl ContinuousBatcher {
             let (chunks, stream) =
                 generator.request_chunked(spec.prompt_tokens, chunk_size.unwrap_or(u32::MAX));
             let mut chunks = VecDeque::from(chunks);
-            parts.push(chunks.pop_front().expect("a prompt has at least one chunk"));
+            let first = chunks.pop_front().expect("a prompt has at least one chunk");
+            if self.merged.layers.is_empty() {
+                self.merged = first;
+            } else {
+                self.merged.absorb(&first);
+            }
             admitted.push(ActiveRequest {
                 spec,
                 stream,
@@ -303,24 +326,16 @@ impl ContinuousBatcher {
         let mut contributed_chunk: Vec<bool> = Vec::with_capacity(self.running.len());
         for r in self.running.iter_mut() {
             if let Some(chunk) = r.pending_chunks.pop_front() {
-                parts.push(chunk);
+                self.merged.absorb(&chunk);
                 contributed_chunk.push(true);
             } else {
-                parts.push(r.stream.next_step());
+                r.stream.next_step_into(&mut self.merged);
                 contributed_chunk.push(false);
             }
         }
 
-        // The batcher owns its parts, so the rest merge into the first in
-        // place.
-        let (merged, rest) = parts
-            .split_first_mut()
-            .expect("a non-idle batcher runs at least one part");
-        for part in rest.iter() {
-            merged.absorb(part);
-        }
-        let metrics = self.engine.step(merged);
-        let step_tokens = merged.tokens;
+        let metrics = self.engine.step(&self.merged);
+        let step_tokens = self.merged.tokens;
         let end = land(metrics.latency);
         assert!(end >= now, "step landed before it started");
         let stat = StepStat {

@@ -14,7 +14,11 @@
 //!   waiting requests join (their prefill pass merges into the batch),
 //!   finished requests leave, and at most
 //!   [`ServeConfig::max_batch`] requests run concurrently;
-//! * the merged [`TraceStep`](hybrimoe_trace::TraceStep) goes through
+//! * the batcher builds one [`TraceStep`](hybrimoe_trace::TraceStep) per
+//!   engine step, in buffers it reuses across decode steps — prompt chunks
+//!   absorbed whole, each decode token routed straight in with
+//!   [`DecodeStream::next_step_into`](hybrimoe_trace::DecodeStream::next_step_into),
+//!   bit for bit the merge of every request's own step — runs it through
 //!   [`Engine::step`](crate::Engine::step), and the simulated clock
 //!   advances by the step latency;
 //! * per-request TTFT/TPOT/latency and aggregate throughput come out as a

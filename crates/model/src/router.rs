@@ -233,6 +233,14 @@ impl LayerRouting {
         }
     }
 
+    /// Empties the routing in place, keeping its buffers: afterwards it
+    /// equals [`empty`](Self::empty) of the same layer and expert count.
+    pub fn clear(&mut self) {
+        self.tokens = 0;
+        self.loads.fill(0);
+        self.score_mass.fill(0.0);
+    }
+
     /// Adds one token: its softmax `scores` to the score masses and one
     /// load to each `selected` expert index. Adding tokens one by one in
     /// batch order is exactly [`from_tokens`](Self::from_tokens).
@@ -444,6 +452,13 @@ mod tests {
         assert_eq!(a.tokens(), 3);
         assert_eq!(a.loads(), &[1, 2, 1]);
         assert!((a.score_mass()[1] - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn clear_equals_empty() {
+        let mut a = LayerRouting::from_parts(LayerId(2), 2, vec![1, 0, 1], vec![0.5, 0.2, 0.3]);
+        a.clear();
+        assert_eq!(a, LayerRouting::empty(LayerId(2), 3));
     }
 
     #[test]

@@ -236,16 +236,15 @@ impl TraceGenerator {
                 }
                 skip_gaussians(&mut rng, self.unread_innovation_draws());
             }
-            let layer_records = self.forward(
+            let mut step = self.empty_step();
+            self.forward_into(
                 &bundle,
                 &token_latents,
                 |t, l| &innovations[t][l],
                 &mut scratch,
+                &mut step,
             );
-            steps.push(TraceStep {
-                tokens: sequences,
-                layers: layer_records,
-            });
+            steps.push(step);
         }
         ActivationTrace {
             model_name: self.model.name.clone(),
@@ -387,27 +386,66 @@ impl TraceGenerator {
             } else {
                 size
             };
-            let records = self.forward(
+            let mut step = self.empty_step();
+            self.forward_into(
                 bundle,
                 &latents[start..start + take],
                 |t, l| &innovations[((start + t) * read + l) * d..][..d],
                 &mut scratch,
+                &mut step,
             );
-            steps.push(TraceStep {
-                tokens: take as u32,
-                layers: records,
-            });
+            steps.push(step);
             start += take;
         }
         if steps.is_empty() {
             // A zero-token prompt still produces one (empty) forward pass.
-            let records = self.forward(bundle, &[], |_, _| &[], &mut scratch);
-            steps.push(TraceStep {
-                tokens: 0,
-                layers: records,
-            });
+            steps.push(self.empty_step());
         }
         steps
+    }
+
+    /// A forward pass of zero tokens in this generator's shape: every
+    /// layer's routing and its predicted routings are empty, and token
+    /// states are present (and empty) exactly when the generator captures
+    /// them. [`DecodeStream::next_step_into`] and
+    /// [`TraceStep::absorb`] fill it; a filled step returns to this value
+    /// with [`TraceStep::clear`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hybrimoe_model::ModelConfig;
+    /// use hybrimoe_trace::TraceGenerator;
+    ///
+    /// let g = TraceGenerator::new(ModelConfig::tiny_test(), 3);
+    /// let mut step = g.empty_step();
+    /// g.decode_stream().next_step_into(&mut step);
+    /// assert_eq!(step, g.decode_trace(1).steps[0]);
+    /// ```
+    pub fn empty_step(&self) -> TraceStep {
+        let experts = self.model.routed_experts;
+        let empty = |l: usize| LayerRouting::empty(LayerId(l as u16), experts);
+        TraceStep {
+            tokens: 0,
+            layers: (0..self.model.layers as usize)
+                .map(|l| LayerRecord {
+                    routing: empty(l),
+                    predicted: (l + 1..=l + self.lookahead(l)).map(empty).collect(),
+                    states: self.capture_states.then(|| TokenStates {
+                        inputs: Vec::new(),
+                        routes: Vec::new(),
+                    }),
+                })
+                .collect(),
+        }
+    }
+
+    /// How many later routers layer `l` predicts: the configured lookahead,
+    /// cut at the model's last layer.
+    fn lookahead(&self, l: usize) -> usize {
+        self.config
+            .lookahead
+            .min(self.model.layers as usize - 1 - l)
     }
 
     /// How many innovation vectors a forward pass reads: one per layer
@@ -431,9 +469,17 @@ impl TraceGenerator {
         let d = self.config.latent_dim;
         let rho = self.config.projection_correlation;
         let noise_scale = (1.0 - rho * rho).max(0.0).sqrt();
-        // Drawn expert-major, stored latent-major for the logit tiles.
-        let latent_major =
-            |w: &[f64]| -> Vec<f64> { (0..d * e).map(|x| w[(x % e) * d + x / e]).collect() };
+        // Drawn expert-major, stored latent-major (and padded) for the
+        // logit tiles.
+        let latent_major = |w: &[f64]| -> Vec<f64> {
+            let pad = e.next_multiple_of(TILE) - e;
+            let mut out = Vec::with_capacity(d * e + pad);
+            for j in 0..d {
+                out.extend(w[j..].iter().step_by(d).take(e));
+            }
+            out.resize(d * e + pad, 0.0);
+            out
+        };
         let mut current: Vec<f64> = (0..e * d).map(|_| gaussian(rng)).collect();
         let mut projections = Vec::with_capacity(self.model.layers as usize);
         projections.push(latent_major(&current));
@@ -457,22 +503,35 @@ impl TraceGenerator {
     }
 
     /// Runs the latent process through all layers for a batch of token
-    /// latents, producing true and predicted routings. `innovation(t, l)`
-    /// supplies the layer-transition noise of token `t` entering layer
-    /// `l+1`; it is never asked for the last layer, whose hidden state
-    /// would feed no router. Everything but the returned records lives in
+    /// latents and adds the tokens to `step`, after any it already holds:
+    /// per layer, each token's true routing, its predicted routings and
+    /// (when captured) its state, token by token in batch order.
+    /// `innovation(t, l)` supplies the layer-transition noise of token `t`
+    /// entering layer `l+1`; it is never asked for the last layer, whose
+    /// hidden state would feed no router. Everything but `step` lives in
     /// `scratch`.
-    fn forward<'a>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is not in this generator's shape (see
+    /// [`empty_step`](Self::empty_step)).
+    fn forward_into<'a>(
         &self,
         params: &ModelParams,
         token_latents: &[Vec<f64>],
         innovation: impl Fn(usize, usize) -> &'a [f64],
         scratch: &mut ForwardScratch,
-    ) -> Vec<LayerRecord> {
+        step: &mut TraceStep,
+    ) {
         let layers = self.model.layers as usize;
         let d = self.config.latent_dim;
         let rho_l = self.config.layer_correlation;
         let noise_scale = (1.0 - rho_l * rho_l).max(0.0).sqrt();
+        assert_eq!(
+            step.layers.len(),
+            layers,
+            "routing into a step of another model"
+        );
 
         // Per-token hidden state evolving across layers, token-major.
         scratch.hidden.clear();
@@ -480,34 +539,44 @@ impl TraceGenerator {
             scratch.hidden.extend_from_slice(latent);
         }
         let tokens = token_latents.len();
-        let mut records = Vec::with_capacity(layers);
+        step.tokens += tokens as u32;
         let model_hidden = self.model.routed_shape.hidden() as usize;
-        for l in 0..layers {
+        for (l, record) in step.layers.iter_mut().enumerate() {
+            let LayerRecord {
+                routing,
+                predicted,
+                states,
+            } = record;
+            assert_eq!(
+                states.is_some(),
+                self.capture_states,
+                "routing into a step with and without token states"
+            );
             // Real-execution inputs: the latent expanded to the model's
             // hidden dimension plus this layer's per-token routes. Captured
             // *before* the latent evolves, so the states are the layer's
             // actual inputs.
-            let mut states = self.capture_states.then(|| TokenStates {
-                inputs: (0..tokens)
-                    .map(|t| expand_latent(&scratch.hidden[t * d..(t + 1) * d], model_hidden))
-                    .collect(),
-                routes: Vec::with_capacity(tokens),
-            });
+            if let Some(states) = states.as_mut() {
+                states.inputs.extend(
+                    (0..tokens)
+                        .map(|t| expand_latent(&scratch.hidden[t * d..(t + 1) * d], model_hidden)),
+                );
+                states.routes.reserve(tokens);
+            }
             // True routing from the current hidden states.
             let routes = states.as_mut().map(|s| &mut s.routes);
-            let routing = self.route_layer(params, l, tokens, scratch, routes);
+            self.route_layer(params, l, tokens, scratch, routing, routes);
 
             // Predicted routings: current hidden state through the *later*
             // routers (paper Fig. 6).
-            let ahead = self.config.lookahead.min(layers - 1 - l);
-            let predicted = (l + 1..=l + ahead)
-                .map(|later| self.route_layer(params, later, tokens, scratch, None))
-                .collect();
-            records.push(LayerRecord {
-                routing,
-                predicted,
-                states,
-            });
+            assert_eq!(
+                predicted.len(),
+                self.lookahead(l),
+                "routing into a step with another lookahead depth"
+            );
+            for (later, p) in (l + 1..).zip(predicted.iter_mut()) {
+                self.route_layer(params, later, tokens, scratch, p, None);
+            }
 
             // Evolve each token's hidden state into the next layer.
             if l + 1 == layers {
@@ -520,11 +589,10 @@ impl TraceGenerator {
                 }
             }
         }
-        records
     }
 
     /// Routes the `tokens` hidden states of `scratch` through `layer`'s
-    /// router, adding them to the routing in batch order. With `routes`,
+    /// router, adding them to `routing` in batch order. With `routes`,
     /// each token's [`RouterOutput`] is kept too.
     fn route_layer(
         &self,
@@ -532,20 +600,20 @@ impl TraceGenerator {
         layer: usize,
         tokens: usize,
         scratch: &mut ForwardScratch,
+        routing: &mut LayerRouting,
         mut routes: Option<&mut Vec<RouterOutput>>,
-    ) -> LayerRouting {
+    ) {
         let d = self.config.latent_dim;
         let k = self.model.activated_experts as usize;
-        let experts = self.model.routed_experts;
+        let experts = self.model.routed_experts as usize;
         let ForwardScratch {
             hidden,
             dots,
             scores,
             top,
         } = scratch;
-        dots.resize(experts as usize, 0.0);
-        scores.resize(experts as usize, 0.0);
-        let mut routing = LayerRouting::empty(LayerId(layer as u16), experts);
+        dots.resize(experts, 0.0);
+        scores.resize(experts, 0.0);
         for t in 0..tokens {
             self.logits_into(params, layer, &hidden[t * d..(t + 1) * d], dots, scores);
             route_in_place(scores, k, top);
@@ -554,14 +622,17 @@ impl TraceGenerator {
                 routes.push(RouterOutput::from_top_k(scores.clone(), top));
             }
         }
-        routing
     }
 
     /// Router logits for one token at one layer, written to `logits`
     /// (`dots` is scratch). Each expert's dot is summed from `-0.0` in
     /// latent order — the bits of `row.iter().zip(hidden).map(|(a, b)| a *
     /// b).sum()` — but [`TILE`] experts' sums run side by side, so they
-    /// vectorize and no one sum waits on its own adder.
+    /// vectorize and no one sum waits on its own adder. The last `e %
+    /// TILE` experts run in one more full-width tile, whose spare lanes
+    /// read past the row (into the next latent's weights or the
+    /// projection's zero padding) and are dropped: every tile has the same
+    /// const width, so the remainder is as fast as a full tile.
     fn logits_into(
         &self,
         params: &ModelParams,
@@ -572,8 +643,7 @@ impl TraceGenerator {
     ) {
         let e = self.model.routed_experts as usize;
         let projection = &params.projections[layer];
-        let mut tiles = dots.chunks_exact_mut(TILE);
-        for (t, tile) in (&mut tiles).enumerate() {
+        for (t, tile) in dots.chunks_mut(TILE).enumerate() {
             let mut acc = [-0.0f64; TILE];
             for (j, &h) in hidden.iter().enumerate() {
                 let w = &projection[j * e + t * TILE..][..TILE];
@@ -581,14 +651,7 @@ impl TraceGenerator {
                     *a += w * h;
                 }
             }
-            tile.copy_from_slice(&acc);
-        }
-        let first = e - e % TILE;
-        for (i, dot) in tiles.into_remainder().iter_mut().enumerate() {
-            *dot = -0.0;
-            for (j, &h) in hidden.iter().enumerate() {
-                *dot += projection[j * e + first + i] * h;
-            }
+            tile.copy_from_slice(&acc[..tile.len()]);
         }
         let norm = (self.config.latent_dim as f64).sqrt();
         let gain = self.config.gate_gain;
@@ -623,14 +686,18 @@ struct ForwardScratch {
 #[derive(Debug, Clone)]
 struct ModelParams {
     /// Per-layer projection matrices, `latent_dim x experts`: expert `i`'s
-    /// weight on latent `j` is at `j * experts + i`.
+    /// weight on latent `j` is at `j * experts + i`. Zeros pad each to
+    /// `(latent_dim - 1) * experts` plus a whole number of [`TILE`]s, so
+    /// the last tile of the last latent reads in bounds.
     projections: Vec<Vec<f64>>,
     /// Per-layer, per-expert popularity biases.
     biases: Vec<Vec<f64>>,
 }
 
-/// An incremental autoregressive decode: one [`TraceStep`] per call, with
-/// the AR(1) hidden state carried across calls. Obtained from
+/// An incremental autoregressive decode: one token per call, with the
+/// AR(1) hidden state carried across calls — as its own [`TraceStep`]
+/// ([`next_step`](Self::next_step)) or routed into a batch's step
+/// ([`next_step_into`](Self::next_step_into)). Obtained from
 /// [`TraceGenerator::decode_stream`]; also usable as an [`Iterator`]
 /// (infinite — bound it with `take`).
 ///
@@ -652,22 +719,36 @@ impl DecodeStream {
     /// Advances the latent process one iteration and routes the next token
     /// through every layer.
     pub fn next_step(&mut self) -> TraceStep {
+        let mut step = self.generator.empty_step();
+        self.next_step_into(&mut step);
+        step
+    }
+
+    /// [`next_step`](Self::next_step), with the token added to `step`
+    /// after whatever it already holds: bit for bit
+    /// `step.absorb(&stream.next_step())`, because a one-token part's score
+    /// mass is `0.0 + s == s`. A continuous batcher routes every decode
+    /// token of a batch straight into the batch's step this way; a warm
+    /// call allocates nothing unless the stream captures token states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is not in the shape of this stream's
+    /// [`TraceGenerator::empty_step`] (layers, lookahead, token states).
+    pub fn next_step_into(&mut self, step: &mut TraceStep) {
         let rho_t = self.generator.config.temporal_correlation;
         evolve(&mut self.token_latent, rho_t, &mut self.rng);
         for inno in &mut self.innovations {
             evolve(inno, rho_t, &mut self.rng);
         }
         skip_gaussians(&mut self.rng, self.generator.unread_innovation_draws());
-        let layer_records = self.generator.forward(
+        self.generator.forward_into(
             &self.bundle,
             std::slice::from_ref(&self.token_latent),
             |_, l| &self.innovations[l],
             &mut self.scratch,
+            step,
         );
-        TraceStep {
-            tokens: 1,
-            layers: layer_records,
-        }
     }
 
     /// The model this stream decodes for.
@@ -746,6 +827,63 @@ mod tests {
                 "after {n} draws"
             );
         }
+    }
+
+    /// Every dot, full tile or remainder, has the bits of the plain
+    /// latent-order sum from `-0.0`.
+    #[test]
+    fn tiled_dots_equal_the_plain_sum() {
+        for experts in [1u16, 7, 8, 15, 16, 17, 60, 64] {
+            let model = ModelConfig {
+                routed_experts: experts,
+                activated_experts: 1,
+                ..ModelConfig::tiny_test()
+            };
+            let g = TraceGenerator::new(model, 43);
+            let mut rng = StdRng::seed_from_u64(43);
+            let params = g.model_params(&mut rng);
+            let d = g.config.latent_dim;
+            let e = experts as usize;
+            let hidden = gaussian_vec(&mut rng, d);
+            let mut dots = vec![f64::NAN; e];
+            let mut logits = vec![0.0f32; e];
+            for layer in 0..g.model.layers as usize {
+                g.logits_into(&params, layer, &hidden, &mut dots, &mut logits);
+                let projection = &params.projections[layer];
+                for (i, dot) in dots.iter().enumerate() {
+                    let row: Vec<f64> = (0..d).map(|j| projection[j * e + i]).collect();
+                    let plain: f64 = row.iter().zip(&hidden).map(|(a, b)| a * b).sum();
+                    assert_eq!(
+                        dot.to_bits(),
+                        plain.to_bits(),
+                        "{experts} experts, layer {layer}, expert {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The latent-major projections are the expert-major draws, transposed,
+    /// then zero-padded to the end of the last latent's last tile.
+    #[test]
+    fn projections_are_the_transposed_draws() {
+        let model = ModelConfig {
+            layers: 1,
+            routed_experts: 5,
+            ..ModelConfig::tiny_test()
+        };
+        let g = TraceGenerator::new(model, 47);
+        let params = g.model_params(&mut StdRng::seed_from_u64(47));
+        let mut rng = StdRng::seed_from_u64(47);
+        let drawn: Vec<f64> = (0..5 * g.config.latent_dim)
+            .map(|_| gaussian(&mut rng))
+            .collect();
+        for (i, row) in drawn.chunks_exact(g.config.latent_dim).enumerate() {
+            for (j, w) in row.iter().enumerate() {
+                assert_eq!(params.projections[0][j * 5 + i].to_bits(), w.to_bits());
+            }
+        }
+        assert_eq!(params.projections[0][drawn.len()..], [0.0; TILE - 5]);
     }
 
     #[test]

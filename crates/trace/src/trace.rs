@@ -61,11 +61,14 @@ pub struct TraceStep {
 }
 
 impl TraceStep {
-    /// Merges the forward passes of several concurrent requests into the
-    /// single batched pass a continuous-batching server runs: per layer,
-    /// loads and score masses add up, and the predicted routings of the
-    /// lookahead layers merge elementwise. All inputs must come from the
-    /// same model (same layer count, expert count and lookahead depth).
+    /// Merges the forward passes of several concurrent requests into one
+    /// batched pass: per layer, loads and score masses add up, and the
+    /// predicted routings of the lookahead layers merge elementwise. All
+    /// inputs must come from the same model (same layer count, expert
+    /// count and lookahead depth). A continuous batcher builds the same
+    /// pass without whole parts: it [`absorb`](Self::absorb)s prompt chunks
+    /// and routes decode tokens straight in with
+    /// [`DecodeStream::next_step_into`](crate::DecodeStream::next_step_into).
     ///
     /// # Panics
     ///
@@ -93,8 +96,9 @@ impl TraceStep {
     }
 
     /// Merges `other`'s forward pass into this one in place, as
-    /// [`merge`](Self::merge) merges its second step into its first: a
-    /// batcher that owns its parts merges them without cloning one.
+    /// [`merge`](Self::merge) merges its second step into its first. A
+    /// part absorbed into a [`clear`](Self::clear)ed step keeps its bits:
+    /// every score mass is `0.0 + m == m`.
     ///
     /// # Panics
     ///
@@ -120,6 +124,25 @@ impl TraceStep {
                 (Some(d), Some(s)) => d.merge(s),
                 (None, None) => {}
                 _ => panic!("merging steps with and without token states"),
+            }
+        }
+    }
+
+    /// Empties the step in place, keeping every buffer: zero tokens, every
+    /// routing (true and predicted) cleared, captured token states emptied
+    /// (but still present). A batcher
+    /// clears one step per engine step and refills it, so a warm step
+    /// allocates no trace buffers.
+    pub fn clear(&mut self) {
+        self.tokens = 0;
+        for rec in &mut self.layers {
+            rec.routing.clear();
+            for p in &mut rec.predicted {
+                p.clear();
+            }
+            if let Some(states) = &mut rec.states {
+                states.inputs.clear();
+                states.routes.clear();
             }
         }
     }

@@ -7,9 +7,11 @@
 //! quietly costing every token a few microseconds again. The same
 //! allocator pins the real-execution path: a warm real decode step
 //! allocates only the outputs it hands out, a warm expert forward
-//! allocates nothing, and a warm trace-generator step allocates only the
-//! trace it returns. A warm continuous-batcher step allocates the traces
-//! of its parts and a few per-step lists, never a copy of a part.
+//! allocates nothing, a warm trace-generator step allocates only the
+//! trace it returns and a decode token routed into an existing step
+//! allocates nothing. A warm continuous-batcher step routes its tokens
+//! into one reused step, so it allocates a few per-step lists and no
+//! trace buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -174,6 +176,31 @@ fn a_warm_trace_step_allocates_only_what_it_returns() {
     }
 }
 
+/// A warm decode stream routes a token into an existing step without a
+/// heap buffer: the step's routings have their size, and the stream's
+/// scratch has its working size after the first token.
+#[test]
+fn a_warm_routed_decode_token_allocates_nothing() {
+    let models = std::iter::once(ModelConfig::tiny_test()).chain(ModelConfig::paper_models());
+    for model in models {
+        let generator = TraceGenerator::new(model.clone(), 17);
+        let mut stream = generator.decode_stream();
+        let mut step = generator.empty_step();
+        stream.next_step_into(&mut step);
+        for _ in 0..8 {
+            let before = allocations();
+            stream.next_step_into(&mut step);
+            let spent = allocations() - before;
+            assert_eq!(
+                spent, 0,
+                "{}: a warm routed decode token allocated {spent} times",
+                model.name
+            );
+        }
+        assert_eq!(step.tokens, 9);
+    }
+}
+
 /// The heap buffers a simulation-only `TraceStep` owns: its layers `Vec`,
 /// and per layer the loads and score masses of each routing (true and
 /// predicted) plus the `predicted` list when it is non-empty.
@@ -188,20 +215,18 @@ fn owned_buffers(step: &TraceStep) -> u64 {
         .sum::<u64>()
 }
 
-/// The lists a continuous-batcher decode step allocates besides its parts
-/// and the engine step: the parts themselves, which of them carried a
-/// prefill chunk, and the decoded tokens it reports.
-const BATCHER_STEP_LISTS: u64 = 3;
+/// The lists a continuous-batcher decode step allocates besides the
+/// engine step: which requests carried a prefill chunk, and the decoded
+/// tokens it reports.
+const BATCHER_STEP_LISTS: u64 = 2;
 
-/// A warm decode step of a two-request batch generates one trace step per
-/// request and merges the second into the first in place: it allocates
-/// the buffers those two parts own, the batcher's per-step lists and what
-/// one engine step may, and no copy of a part.
+/// A warm decode step of a two-request batch routes each request's token
+/// straight into the batcher's reused step: it allocates the batcher's
+/// per-step lists and what one engine step may, and no trace buffer.
 #[test]
-fn a_warm_batcher_decode_step_allocates_only_its_parts() {
-    let model = ModelConfig::tiny_test();
+fn a_warm_batcher_decode_step_allocates_no_trace_buffers() {
     let mut batcher = ContinuousBatcher::new(
-        EngineConfig::preset(Framework::HybriMoe, model.clone(), 0.5),
+        EngineConfig::preset(Framework::HybriMoe, ModelConfig::tiny_test(), 0.5),
         2,
         7,
     );
@@ -222,8 +247,7 @@ fn a_warm_batcher_decode_step_allocates_only_its_parts() {
         now = batcher.step(now, |latency| now + latency).end;
     }
 
-    let part = owned_buffers(&TraceGenerator::new(model, 0).decode_trace(1).steps[0]);
-    let budget = 2 * part + BATCHER_STEP_LISTS + STEP_ALLOCATION_BUDGET;
+    let budget = BATCHER_STEP_LISTS + STEP_ALLOCATION_BUDGET;
     for _ in 0..16 {
         let before = allocations();
         let outcome = batcher.step(now, |latency| now + latency);
@@ -233,9 +257,7 @@ fn a_warm_batcher_decode_step_allocates_only_its_parts() {
         drop(outcome);
         assert!(
             spent <= budget,
-            "a warm two-request batcher step allocated {spent} times; its two parts own \
-             {} buffers, budget {budget}",
-            2 * part
+            "a warm two-request batcher step allocated {spent} times, budget {budget}"
         );
     }
 }

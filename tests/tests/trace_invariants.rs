@@ -1,7 +1,7 @@
 //! Property-based invariants on trace generation and the routing math.
 
-use hybrimoe_model::{top_k, ExpertId, ModelConfig, RouterOutput};
-use hybrimoe_trace::{ActivationTrace, TraceGenerator};
+use hybrimoe_model::{top_k, ExpertId, LayerRouting, ModelConfig, RouterOutput};
+use hybrimoe_trace::{ActivationTrace, DecodeStream, TraceGenerator, TraceStep};
 use proptest::prelude::*;
 
 proptest! {
@@ -70,6 +70,53 @@ proptest! {
         prop_assert!((mass - 1.0).abs() < 1e-4);
     }
 
+    /// A decode token routed straight into a step that already holds a
+    /// prompt chunk and other tokens lands there bit for bit as its own
+    /// step would merge in, and a cleared step refills to what a fresh
+    /// one fills to. Tiny-test and Mixtral route through the partial
+    /// tile only, Qwen2 through full tiles only.
+    #[test]
+    fn routing_a_token_into_a_step_equals_absorbing_its_step(
+        seed in 0u64..1000,
+        model in 0usize..3,
+        states in any::<bool>(),
+        prompt in 1u32..24,
+        held in 0u64..4,
+    ) {
+        let model = [ModelConfig::tiny_test(), ModelConfig::mixtral(), ModelConfig::qwen2()]
+            [model]
+            .clone();
+        let generator = |seed: u64| {
+            let g = TraceGenerator::new(model.clone(), seed);
+            if states { g.with_token_states() } else { g }
+        };
+        let (chunk, first) = generator(seed).request(prompt);
+        // One stream per token: the prompt's own, then `held` others.
+        let streams: Vec<DecodeStream> = std::iter::once(first)
+            .chain((1..=held).map(|i| generator(seed + i).decode_stream()))
+            .collect();
+
+        let mut merged = generator(seed).empty_step();
+        merged.absorb(&chunk);
+        for stream in &mut streams.clone() {
+            merged.absorb(&stream.next_step());
+        }
+        let fill = |step: &mut TraceStep| {
+            step.absorb(&chunk);
+            for stream in &mut streams.clone() {
+                stream.next_step_into(step);
+            }
+        };
+        let mut routed = generator(seed).empty_step();
+        fill(&mut routed);
+        prop_assert_eq!(step_bits(&routed), step_bits(&merged));
+
+        routed.clear();
+        prop_assert_eq!(&routed, &generator(seed).empty_step());
+        fill(&mut routed);
+        prop_assert_eq!(step_bits(&routed), step_bits(&merged));
+    }
+
     #[test]
     fn predicted_layers_are_always_future_layers(seed in 0u64..200) {
         let model = ModelConfig::tiny_test();
@@ -128,6 +175,57 @@ fn with_ties(raw: &[f32], levels: &[u8]) -> Vec<f32> {
             _ => -2.25,
         })
         .collect()
+}
+
+/// Everything a step holds, floats as bits: per layer the true and
+/// predicted routings (layer, tokens, loads, score masses) and the token
+/// states.
+fn step_bits(step: &TraceStep) -> (u32, Vec<StepLayerBits>) {
+    let routing = |r: &LayerRouting| RoutingBits {
+        layer: r.layer().0,
+        tokens: r.tokens(),
+        loads: r.loads().to_vec(),
+        mass: bits_of(r.score_mass()),
+    };
+    let layers = step
+        .layers
+        .iter()
+        .map(|rec| StepLayerBits {
+            routing: routing(&rec.routing),
+            predicted: rec.predicted.iter().map(routing).collect(),
+            states: rec.states.as_ref().map(|s| {
+                let inputs = s.inputs.iter().map(|x| bits_of(x)).collect();
+                let routes = s
+                    .routes
+                    .iter()
+                    .map(|r| {
+                        let selected = r.selected.iter().map(|(e, w)| (e.0, w.to_bits()));
+                        (bits_of(&r.scores), selected.collect())
+                    })
+                    .collect();
+                (inputs, routes)
+            }),
+        })
+        .collect();
+    (step.tokens, layers)
+}
+
+#[derive(Debug, PartialEq)]
+struct RoutingBits {
+    layer: u16,
+    tokens: u32,
+    loads: Vec<u32>,
+    mass: Vec<u32>,
+}
+
+/// Per-token inputs, and per-token scores and selected `(expert, weight)`.
+type StatesBits = (Vec<Vec<u32>>, Vec<(Vec<u32>, Vec<(u16, u32)>)>);
+
+#[derive(Debug, PartialEq)]
+struct StepLayerBits {
+    routing: RoutingBits,
+    predicted: Vec<RoutingBits>,
+    states: Option<StatesBits>,
 }
 
 fn bits_of(v: &[f32]) -> Vec<u32> {
