@@ -1,6 +1,7 @@
 //! Compute kernel throughput: the scalar reference GEMV, then the
 //! production path per backend — one `qdot_rows` band and a whole expert
-//! FFN forward. The FFN numbers are what `hybrimoe::CpuMeasurement::profile()`
+//! FFN forward, on one cache-hot expert and on 64 experts in rotation
+//! whose weights stream past the L2. The FFN numbers are what `hybrimoe::CpuMeasurement::profile()`
 //! distills from an engine executing for real (`BackendKind::RealCpu`), so
 //! they double as a sanity check that the calibrated CPU GFLOP/s is
 //! self-consistent.
@@ -95,12 +96,52 @@ fn bench_ffn(c: &mut Criterion) {
     group.finish();
 }
 
+/// The batch sizes a decode step's CPU experts mostly see: at one to
+/// four tokens an expert is bound by how fast its weight bytes arrive.
+const STREAM_BATCHES: [usize; 3] = [1, 2, 4];
+
+/// [`bench_ffn`] with the weights cold: 64 distinct experts of the same
+/// shape in rotation, one per iteration, as `real_serve` walks bench-moe's
+/// 64 experts a layer. Their 15.7 MB of packed weights exceed the L2, so
+/// each call streams its expert's bytes from L3 or memory; against the
+/// hot group at the same batch this is the cost of weight streaming.
+fn bench_ffn_stream(c: &mut Criterion) {
+    let mut group = c.benchmark_group("expert_ffn_stream");
+    let (hidden, inter) = (256usize, 512usize);
+    let experts: Vec<ExpertFfn> = (0..64)
+        .map(|seed| ExpertFfn::random(hidden, inter, seed))
+        .collect();
+    let pool = WorkerPool::new(1);
+    let mut scratch = ExecScratch::new();
+    for tokens in STREAM_BATCHES {
+        let x = vec![0.1f32; tokens * hidden];
+        let mut y = vec![0.0f32; tokens * hidden];
+        group.throughput(Throughput::Elements(
+            experts[0].flops_per_token() * tokens as u64,
+        ));
+        for b in backend::available() {
+            let mut next = experts.iter().cycle();
+            group.bench_function(
+                BenchmarkId::new(b.kind().name(), format!("T{tokens}")),
+                |bench| {
+                    bench.iter(|| {
+                        let ffn = next.next().expect("a cycle never ends");
+                        let x = std::hint::black_box(&x);
+                        ffn.forward_batch_into(x, tokens, &mut y, &mut scratch, &pool, b);
+                    });
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(15)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_qgemv, bench_qdot_rows, bench_ffn
+    targets = bench_qgemv, bench_qdot_rows, bench_ffn, bench_ffn_stream
 }
 criterion_main!(benches);

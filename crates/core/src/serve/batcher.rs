@@ -309,7 +309,7 @@ impl ContinuousBatcher {
             if self.merged.layers.is_empty() {
                 self.merged = first;
             } else {
-                self.merged.absorb(&first);
+                self.merged.absorb(first);
             }
             admitted.push(ActiveRequest {
                 spec,
@@ -326,7 +326,7 @@ impl ContinuousBatcher {
         let mut contributed_chunk: Vec<bool> = Vec::with_capacity(self.running.len());
         for r in self.running.iter_mut() {
             if let Some(chunk) = r.pending_chunks.pop_front() {
-                self.merged.absorb(&chunk);
+                self.merged.absorb(chunk);
                 contributed_chunk.push(true);
             } else {
                 r.stream.next_step_into(&mut self.merged);

@@ -88,6 +88,30 @@
 //! Both families are driven by one `row_groups` loop: full tiles across a
 //! group of rows, then one narrower tile for the tokens left over.
 //!
+//! # Prefetch
+//!
+//! At one to a few tokens a band is bound by how fast its weight bytes
+//! arrive, not by its arithmetic. A served model walks many experts per
+//! step (bench-moe's 64 routed experts are 15.7 MB of packed weights,
+//! against a 2 MB L2), so an expert's weights have usually left the L2
+//! by the time it runs again. At the top of each row group `row_groups`
+//! therefore hints the bytes ahead into the cache: one `prefetcht0` per
+//! 64-byte line over one group's worth of the band, starting
+//! `PREFETCH_DISTANCE` (2 KB) past the start of the next group and
+//! clamped to the band's end (`prefetch_window`; the windows of
+//! consecutive groups abut). A hint loads nothing into a register and
+//! its address is never dereferenced, so every backend, tile shape and
+//! batch keeps its bits.
+//!
+//! The distance is a constant, not a knob: 1, 2 and 4 KB measured alike
+//! on `real_serve`, and nothing a deployment knows would pick between
+//! them. Measured on a 2-vCPU Sapphire Rapids container, one thread, a
+//! whole 256 × 512 expert at one token on AVX-512 (medians): with the
+//! same expert every call, weights hot, 17.7 → 18.6 µs (the hints are
+//! pure overhead there); with 64 experts in rotation 45.6 → 34.6 µs; per
+//! expert call inside a one-token decode loop of the real engine 39–42 →
+//! 25–29 µs.
+//!
 //! # Selection
 //!
 //! [`KernelBackendKind::resolve`] picks the implementation once at
@@ -573,9 +597,35 @@ impl KernelBackend for Avx512 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod tiling {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
     use std::marker::PhantomData;
+    use std::ops::Range;
 
     use super::{check_shapes, packed_row_bytes, Q8Acts, Q4_BLOCK};
+
+    /// How far past the next row group [`row_groups`] prefetches, in bytes
+    /// (see the [module docs](super#prefetch)).
+    pub(super) const PREFETCH_DISTANCE: usize = 2048;
+
+    /// The prefetch stride: one hint per 64-byte cache line.
+    pub(super) const CACHE_LINE: usize = 64;
+
+    /// The band bytes [`row_groups`] prefetches at the top of the group
+    /// that starts at row `r`: one group's worth, `dist` bytes past the
+    /// start of the next group, clamped to the band's `nrows * row_bytes`
+    /// (so possibly empty). Over one pass the windows of consecutive groups
+    /// abut, covering `[group * row_bytes + dist, band end)`.
+    pub(super) fn prefetch_window(
+        r: usize,
+        group: usize,
+        row_bytes: usize,
+        nrows: usize,
+        dist: usize,
+    ) -> Range<usize> {
+        let end = nrows * row_bytes;
+        let start = (r + group) * row_bytes + dist;
+        start.min(end)..(start + group * row_bytes).min(end)
+    }
 
     /// One [`qdot_rows`](super::KernelBackend::qdot_rows) call as the raw
     /// pointers the tiles index. [`Band::new`] is the only constructor and
@@ -692,6 +742,12 @@ mod tiling {
         let group = R * K::ROWS;
         let mut r = 0;
         while r + group <= band.nrows {
+            // A hint, never dereferenced, so the address needs no bounds
+            // proof; the window keeps it inside the band regardless.
+            let ahead = prefetch_window(r, group, row_bytes, band.nrows, PREFETCH_DISTANCE);
+            for offset in ahead.step_by(CACHE_LINE) {
+                _mm_prefetch::<_MM_HINT_T0>(band.rows.wrapping_add(offset) as *const i8);
+            }
             let rows = band.rows.add(r * row_bytes);
             let out = band.out.add(r * tokens);
             // SAFETY (all calls): rows `r..r + group` are in bounds, tokens
@@ -1335,6 +1391,68 @@ mod tests {
     #[should_panic(expected = "output shape")]
     fn short_output_panics_in_release_builds_too() {
         shape_check_call(2 * Q4_BLOCK_BYTES, 3 * Q4_BLOCK, 5);
+    }
+
+    /// Walks the row groups one `row_groups` pass over `nrows` rows visits
+    /// and checks their prefetch windows: each lies inside the band and
+    /// ahead of its group, each starts where the previous one ended, the
+    /// first at `group * row_bytes + dist`, and the last ends at the band's
+    /// end. The lines issued over the pass are then at most one line apart
+    /// from the first offset to within a line of the band's end.
+    #[cfg(target_arch = "x86_64")]
+    fn check_prefetch_pass(
+        nrows: usize,
+        group: usize,
+        row_bytes: usize,
+        dist: usize,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::prelude::*;
+        use tiling::{prefetch_window, CACHE_LINE};
+
+        let end = nrows * row_bytes;
+        let mut next = (group * row_bytes + dist).min(end);
+        let mut issued = Vec::new();
+        let mut r = 0;
+        while r + group <= nrows {
+            let window = prefetch_window(r, group, row_bytes, nrows, dist);
+            prop_assert_eq!(window.start, next, "r={} window {:?}", r, window);
+            prop_assert!(window.start <= window.end && window.end <= end);
+            prop_assert!(window.is_empty() || window.start >= (r + group) * row_bytes);
+            next = window.end;
+            issued.extend(window.step_by(CACHE_LINE));
+            r += group;
+        }
+        if r > 0 {
+            prop_assert_eq!(next, end, "the last window stops short of the band's end");
+        }
+        prop_assert!(issued.iter().all(|&offset| offset < end));
+        prop_assert!(issued
+            .windows(2)
+            .all(|pair| pair[0] < pair[1] && pair[1] - pair[0] <= CACHE_LINE));
+        if let (Some(first), Some(last)) = (issued.first(), issued.last()) {
+            prop_assert_eq!(*first, group * row_bytes + dist);
+            prop_assert!(*last + CACHE_LINE >= end);
+        }
+        Ok(())
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    proptest::proptest! {
+        /// The prefetch window `row_groups` issues before each row group,
+        /// for every tile family's group size (AVX2: 4, 2, 1 rows; AVX-512:
+        /// 4 and 1 row pairs) at the shipped distance and at others.
+        #[test]
+        fn prefetch_windows_stay_in_the_band_and_leave_no_gap(
+            blocks in 1usize..33,
+            nrows in 1usize..65,
+            family in 0usize..4,
+            dist in 0usize..8192,
+        ) {
+            let group = [1, 2, 4, 8][family];
+            let row_bytes = packed_row_bytes(blocks * Q4_BLOCK);
+            check_prefetch_pass(nrows, group, row_bytes, tiling::PREFETCH_DISTANCE)?;
+            check_prefetch_pass(nrows, group, row_bytes, dist)?;
+        }
     }
 
     #[test]

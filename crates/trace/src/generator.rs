@@ -726,7 +726,7 @@ impl DecodeStream {
 
     /// [`next_step`](Self::next_step), with the token added to `step`
     /// after whatever it already holds: bit for bit
-    /// `step.absorb(&stream.next_step())`, because a one-token part's score
+    /// `step.absorb(stream.next_step())`, because a one-token part's score
     /// mass is `0.0 + s == s`. A continuous batcher routes every decode
     /// token of a batch straight into the batch's step this way; a warm
     /// call allocates nothing unless the stream captures token states.

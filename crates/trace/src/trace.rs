@@ -24,12 +24,12 @@ impl TokenStates {
         self.inputs.len()
     }
 
-    /// Appends another batch's states (continuous-batching merge): the
-    /// other step's tokens follow this step's tokens, matching the order
-    /// in which [`LayerRouting::merge`] adds their loads.
-    pub fn merge(&mut self, other: &TokenStates) {
-        self.inputs.extend(other.inputs.iter().cloned());
-        self.routes.extend(other.routes.iter().cloned());
+    /// Moves another batch's states onto the end of these (continuous-batching
+    /// merge): the other step's tokens follow this step's tokens, matching
+    /// the order in which [`LayerRouting::merge`] adds their loads.
+    pub fn append(&mut self, mut other: TokenStates) {
+        self.inputs.append(&mut other.inputs);
+        self.routes.append(&mut other.routes);
     }
 }
 
@@ -90,7 +90,7 @@ impl TraceStep {
         let (first, rest) = steps.split_first().expect("merging zero trace steps");
         let mut out = (*first).clone();
         for step in rest {
-            out.absorb(step);
+            out.absorb((*step).clone());
         }
         out
     }
@@ -98,19 +98,20 @@ impl TraceStep {
     /// Merges `other`'s forward pass into this one in place, as
     /// [`merge`](Self::merge) merges its second step into its first. A
     /// part absorbed into a [`clear`](Self::clear)ed step keeps its bits:
-    /// every score mass is `0.0 + m == m`.
+    /// every score mass is `0.0 + m == m`. The part is consumed: its
+    /// captured token states move over instead of being copied.
     ///
     /// # Panics
     ///
     /// Panics if the steps' shapes disagree.
-    pub fn absorb(&mut self, other: &TraceStep) {
+    pub fn absorb(&mut self, other: TraceStep) {
         assert_eq!(
             self.layers.len(),
             other.layers.len(),
             "merging steps of different models"
         );
         self.tokens += other.tokens;
-        for (dst, src) in self.layers.iter_mut().zip(other.layers.iter()) {
+        for (dst, src) in self.layers.iter_mut().zip(other.layers) {
             dst.routing.merge(&src.routing);
             assert_eq!(
                 dst.predicted.len(),
@@ -120,8 +121,8 @@ impl TraceStep {
             for (p, q) in dst.predicted.iter_mut().zip(src.predicted.iter()) {
                 p.merge(q);
             }
-            match (&mut dst.states, &src.states) {
-                (Some(d), Some(s)) => d.merge(s),
+            match (&mut dst.states, src.states) {
+                (Some(d), Some(s)) => d.append(s),
                 (None, None) => {}
                 _ => panic!("merging steps with and without token states"),
             }
@@ -316,7 +317,7 @@ mod tests {
         ] {
             let merged = TraceStep::merge(&parts.iter().collect::<Vec<_>>());
             let [mut first, rest @ ..] = parts;
-            for part in &rest {
+            for part in rest {
                 first.absorb(part);
             }
             assert_eq!(first, merged);

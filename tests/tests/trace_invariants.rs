@@ -97,12 +97,12 @@ proptest! {
             .collect();
 
         let mut merged = generator(seed).empty_step();
-        merged.absorb(&chunk);
+        merged.absorb(chunk.clone());
         for stream in &mut streams.clone() {
-            merged.absorb(&stream.next_step());
+            merged.absorb(stream.next_step());
         }
         let fill = |step: &mut TraceStep| {
-            step.absorb(&chunk);
+            step.absorb(chunk.clone());
             for stream in &mut streams.clone() {
                 stream.next_step_into(step);
             }
