@@ -316,8 +316,11 @@ impl RealLayerExecutor {
 
     /// Each planned expert's elapsed wall-clock in the last executed layer,
     /// indexed by expert id: its local kernels, or the wait for its reply
-    /// when a worker returned it. What
-    /// [`PlanReplay::run_measured`] substitutes for the modeled CPU ops.
+    /// when a worker returned it. A worker receives its layer's batches in
+    /// one write and answers in as few, so the first expert read from a
+    /// worker carries most of the wait and the later ones almost none.
+    /// What [`PlanReplay::run_measured`] substitutes for the modeled CPU
+    /// ops.
     pub fn expert_times(&self) -> &[SimDuration] {
         &self.scratch.elapsed
     }
@@ -386,8 +389,9 @@ impl RealLayerExecutor {
             }
         }
 
-        // Dispatch phase: every batch a worker will take is on the wire
-        // before any reply is read (nothing is, with no workers). Replies
+        // Dispatch phase: every batch a worker will take is queued, and the
+        // flush puts each worker's queue on the wire in one write, before
+        // any reply is read (nothing is, with no workers). Replies
         // arrive strictly FIFO per connection and the loop below walks the
         // same ascending expert order, so correlation is positional.
         fleet.begin_layer(planned.len());
@@ -397,6 +401,7 @@ impl RealLayerExecutor {
                 gather_batch(gather, list, inputs, hidden)
             });
         }
+        fleet.flush();
 
         // Collect-or-compute phase, in ascending expert order — the fixed
         // accumulation order that makes outputs placement- and

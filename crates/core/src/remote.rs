@@ -24,8 +24,13 @@
 //!   (`WorkerFleet::send`) before any reply is collected
 //!   (`WorkerFleet::collect`); each connection answers strictly FIFO,
 //!   and replies are collected in the same ascending expert order they
-//!   were sent.
-//! * **Failover.** A failed connect, send or reply drops the worker's
+//!   were sent. A dispatch only queues the batch on its worker's
+//!   connection; `WorkerFleet::flush` then writes each connection's queue,
+//!   so a layer costs each worker one write (one per
+//!   [`IO_BUFFER`](hybrimoe_worker::IO_BUFFER) bytes of batches),
+//!   and the worker answers with as few. Replies decode into one buffer
+//!   the fleet reuses.
+//! * **Failover.** A failed connect, send, flush or reply drops the worker's
 //!   connection and marks it down; the affected experts — including any
 //!   whose pipelined replies died with the connection — are left to the
 //!   executor's own local weights. An in-flight layer never fails because
@@ -45,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use hybrimoe_kernels::KernelBackendKind;
 use hybrimoe_model::{ids::shard_of, ExpertId, LayerId, ModelConfig};
-use hybrimoe_worker::protocol::LoadShard;
+use hybrimoe_worker::protocol::{ExecuteBatchAck, LoadShard};
 use hybrimoe_worker::{wire_backend, ClientOptions, Endpoint, WorkerClient};
 use serde::{Deserialize, Serialize};
 
@@ -155,6 +160,8 @@ pub(crate) struct WorkerFleet {
     /// in ascending order (the index [`WorkerFleet::send`] and
     /// [`WorkerFleet::collect`] take).
     dispatch: Vec<Dispatch>,
+    /// The reply collected last, decoded into a reused buffer.
+    reply: ExecuteBatchAck,
     requests: u64,
     failovers: u64,
     reconnects: u64,
@@ -202,6 +209,7 @@ impl WorkerFleet {
                     .then(|| Duration::from_millis(remote.deadline_ms)),
             },
             dispatch: Vec::new(),
+            reply: ExecuteBatchAck::default(),
             requests: 0,
             failovers: 0,
             reconnects: 0,
@@ -216,8 +224,10 @@ impl WorkerFleet {
 
     /// Offers planned expert `i`'s batch of `tokens x hidden` activations
     /// to its shard-affine worker; `gather` builds the batch only if a
-    /// connection is there to take it. A no-op with no workers, and
-    /// whatever is not sent stays [`Dispatch::Local`].
+    /// connection is there to take it. The batch is queued on the
+    /// connection, which writes it with [`WorkerFleet::flush`] or once its
+    /// queue is full. A no-op with no workers, and whatever is not sent
+    /// stays [`Dispatch::Local`].
     pub(crate) fn send<'a>(
         &mut self,
         i: usize,
@@ -249,6 +259,19 @@ impl WorkerFleet {
         }
     }
 
+    /// Writes every connection's queued batches, once per layer after the
+    /// last [`WorkerFleet::send`]. A failed write fails over every expert
+    /// sent to that worker in the layer, as a failed send does.
+    pub(crate) fn flush(&mut self) {
+        for worker in 0..self.workers.len() {
+            if let Conn::Up { client, .. } = &mut self.workers[worker].conn {
+                if client.flush().is_err() {
+                    self.fail(worker, 0..self.dispatch.len());
+                }
+            }
+        }
+    }
+
     /// Receives planned expert `i`'s pipelined reply and hands its
     /// `tokens x hidden` data to `sink`. Returns `false` — the caller
     /// computes the batch locally — if the expert was never sent or its
@@ -271,9 +294,10 @@ impl WorkerFleet {
         let Conn::Up { client, backoff } = &mut self.workers[worker].conn else {
             unreachable!("a remote dispatch outlived its connection");
         };
-        match client.recv_execute() {
-            Ok(ack) if ack.tokens as usize == tokens && ack.hidden as usize == hidden => {
-                sink(&ack.data);
+        let reply = &mut self.reply;
+        match client.recv_execute_into(reply) {
+            Ok(()) if reply.tokens as usize == tokens && reply.hidden as usize == hidden => {
+                sink(&reply.data);
                 *backoff = BACKOFF_INITIAL;
                 true
             }

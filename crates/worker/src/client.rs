@@ -6,20 +6,24 @@
 //! ([`LoadShard`]) is the version check. The client bounds every socket
 //! wait — connect, write and read — by its deadline, and supports request
 //! pipelining (send several [`ExecuteBatch`] frames, then collect their
-//! in-order replies — the worker answers strictly FIFO). Which worker to
-//! connect to, and when to retry one that failed, is the engine's worker
-//! fleet's business (`hybrimoe::remote`).
+//! in-order replies — the worker answers strictly FIFO). Sent frames are
+//! encoded back to back into one buffer and written together: by
+//! [`WorkerClient::flush`], once [`IO_BUFFER`] bytes are queued, or before
+//! any receive. Replies are read through a buffer of the same size. Which
+//! worker to connect to, and when to retry one that failed, is the
+//! engine's worker fleet's business (`hybrimoe::remote`).
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorReply, ExecuteBatch, ExecuteBatchAck, LoadShard, LoadShardAck,
-    Opcode, ProtocolError,
+    encode_frame_with, read_frame, ErrorReply, ExecuteBatch, ExecuteBatchAck, LoadShard,
+    LoadShardAck, Opcode, ProtocolError,
 };
+use crate::IO_BUFFER;
 
 /// Where a worker listens: a TCP `host:port` address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,14 +160,16 @@ impl Default for ClientOptions {
 /// ```
 #[derive(Debug)]
 pub struct WorkerClient {
-    stream: TcpStream,
+    /// The connection: replies are read through the buffer, requests are
+    /// written to the stream underneath.
+    reader: BufReader<TcpStream>,
     next_id: u32,
     /// Request ids awaiting their FIFO replies (pipelined executes).
     inflight: VecDeque<u32>,
     /// The payload of the reply read last.
     payload: Vec<u8>,
-    /// Every frame this connection sends is encoded here.
-    frame: Vec<u8>,
+    /// Frames sent but not yet written, back to back.
+    outgoing: Vec<u8>,
 }
 
 impl WorkerClient {
@@ -182,11 +188,11 @@ impl WorkerClient {
         stream.set_read_timeout(options.deadline)?;
         stream.set_write_timeout(options.deadline)?;
         Ok(WorkerClient {
-            stream,
+            reader: BufReader::with_capacity(IO_BUFFER, stream),
             next_id: 1,
             inflight: VecDeque::new(),
             payload: Vec::new(),
-            frame: Vec::new(),
+            outgoing: Vec::new(),
         })
     }
 
@@ -210,9 +216,10 @@ impl WorkerClient {
     }
 
     /// Sends an [`ExecuteBatch`], given as its fields, without waiting
-    /// (pipelining): the tensor is encoded straight from `data` into the
-    /// connection's frame buffer. Replies must be collected with
-    /// [`WorkerClient::recv_execute`] in send order.
+    /// (pipelining): the tensor is encoded straight from `data` behind the
+    /// frames already queued, and the queue is written once it holds
+    /// [`IO_BUFFER`] bytes (an error here is that write's). Replies must be
+    /// collected with [`WorkerClient::recv_execute`] in send order.
     pub fn send_execute_parts(
         &mut self,
         layer: u16,
@@ -230,12 +237,33 @@ impl WorkerClient {
 
     /// Receives the oldest in-flight execute reply.
     pub fn recv_execute(&mut self) -> Result<ExecuteBatchAck, ClientError> {
+        let mut ack = ExecuteBatchAck::default();
+        self.recv_execute_into(&mut ack)?;
+        Ok(ack)
+    }
+
+    /// [`WorkerClient::recv_execute`] into `ack`, reusing its tensor
+    /// buffer: a caller that keeps one reply allocates nothing once it has
+    /// seen its largest.
+    pub fn recv_execute_into(&mut self, ack: &mut ExecuteBatchAck) -> Result<(), ClientError> {
         let id = self
             .inflight
             .pop_front()
             .expect("recv_execute with no in-flight request");
         self.recv(id, Opcode::ExecuteBatchAck)?;
-        Ok(ExecuteBatchAck::decode(&self.payload)?)
+        Ok(ack.decode_from(&self.payload)?)
+    }
+
+    /// Writes every queued frame. A failed write leaves the connection
+    /// unusable: the frames are gone, and so are the replies of any
+    /// request still in flight.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        if self.outgoing.is_empty() {
+            return Ok(());
+        }
+        let written = self.reader.get_mut().write_all(&self.outgoing);
+        self.outgoing.clear();
+        Ok(written?)
     }
 
     /// In-flight pipelined requests awaiting replies.
@@ -261,15 +289,19 @@ impl WorkerClient {
         );
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        write_frame(&mut self.stream, opcode, id, &mut self.frame, payload)?;
+        encode_frame_with(opcode, id, &mut self.outgoing, payload);
+        if self.outgoing.len() >= IO_BUFFER {
+            self.flush()?;
+        }
         Ok(id)
     }
 
-    /// Reads the next reply frame, checking FIFO id correlation, and
-    /// leaves its payload in `self.payload`. An [`Opcode::Error`] reply
-    /// becomes [`ClientError::Remote`].
+    /// Writes the queued frames, then reads the next reply frame, checking
+    /// FIFO id correlation, and leaves its payload in `self.payload`. An
+    /// [`Opcode::Error`] reply becomes [`ClientError::Remote`].
     fn recv(&mut self, id: u32, expect: Opcode) -> Result<(), ClientError> {
-        let header = read_frame(&mut self.stream, &mut self.payload)?;
+        self.flush()?;
+        let header = read_frame(&mut self.reader, &mut self.payload)?;
         if header.request_id != id {
             return Err(ClientError::Protocol(ProtocolError::BadPayload(format!(
                 "reply id {} does not match oldest in-flight id {id}",

@@ -19,7 +19,8 @@
 //!   thread (deterministic tests/benches) or standalone via the
 //!   `hybrimoe_worker` bin.
 //! * [`client`] — [`WorkerClient`]: one blocking connection, pipelined,
-//!   with a deadline on every connect, write and read.
+//!   with a deadline on every connect, write and read. Frames queue up
+//!   and are written together, up to [`IO_BUFFER`] bytes a write.
 //!
 //! The engine side lives in the `hybrimoe` core crate: its one real
 //! executor gathers tokens expert-major, offers each batch to the
@@ -81,6 +82,13 @@ pub mod server;
 
 pub use client::{ClientError, ClientOptions, Endpoint, WorkerClient};
 pub use server::{WorkerHandle, WorkerServer, WorkerServerOptions};
+
+/// Bytes a connection buffers each way. The client writes its queued
+/// frames once this many are queued and the worker its held replies once
+/// this many are held, so a layer's frames to one worker, and their
+/// replies, travel in few writes; each side reads through a buffer of
+/// this size.
+pub const IO_BUFFER: usize = 16 * 1024;
 
 /// The wire encoding of `KernelBackendKind` used by
 /// [`protocol::LoadShard::backend`]: the engine pins the worker's kernel

@@ -37,7 +37,7 @@
 //! ```
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// The frame magic, ASCII `HYMW`.
 pub const MAGIC: u32 = 0x4859_4D57;
@@ -260,6 +260,15 @@ fn decode_header(bytes: &[u8; HEADER_LEN]) -> Result<FrameHeader, ProtocolError>
     })
 }
 
+/// Whether `bytes` begins with a whole frame: a header and as many payload
+/// bytes as it announces. What a buffered reader holds decides this
+/// without a read, so reading such a frame from the buffer cannot block.
+pub(crate) fn starts_with_whole_frame(bytes: &[u8]) -> bool {
+    bytes.len() >= HEADER_LEN
+        && u32::from_be_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]) as usize
+            <= bytes.len() - HEADER_LEN
+}
+
 /// Reads exactly one frame from a blocking stream. The payload lands in
 /// `payload` (cleared first, so the buffer is reusable across calls). A
 /// bad magic, another version, an unknown opcode or a length above
@@ -276,24 +285,6 @@ pub fn read_frame<R: Read>(
     payload.resize(header.len as usize, 0);
     stream.read_exact(payload)?;
     Ok(header)
-}
-
-/// Writes one frame to a blocking stream, its payload being whatever
-/// `payload` appends. The frame is encoded in `frame` (cleared first): a
-/// connection passes the same buffer for every frame it sends, so its
-/// steady-state sends allocate nothing.
-pub fn write_frame<W: Write>(
-    stream: &mut W,
-    opcode: Opcode,
-    request_id: u32,
-    frame: &mut Vec<u8>,
-    payload: impl FnOnce(&mut Vec<u8>),
-) -> Result<(), ProtocolError> {
-    frame.clear();
-    encode_frame_with(opcode, request_id, frame, payload);
-    stream.write_all(frame)?;
-    stream.flush()?;
-    Ok(())
 }
 
 // ---- payload codecs ----
@@ -458,7 +449,7 @@ impl LoadShardAck {
 /// routed tokens into a contiguous `tokens x hidden` tensor (expert-major,
 /// exactly like the local batched path) and ships it to the expert's
 /// shard-affine worker.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecuteBatch {
     /// The MoE layer of the expert.
     pub layer: u16,
@@ -506,25 +497,27 @@ impl ExecuteBatch {
     /// Deserializes the payload, checking the tensor length against the
     /// announced `tokens * hidden`.
     pub fn decode(payload: &[u8]) -> Result<ExecuteBatch, ProtocolError> {
+        let mut batch = ExecuteBatch::default();
+        batch.decode_from(payload)?;
+        Ok(batch)
+    }
+
+    /// [`ExecuteBatch::decode`] into `self`, reusing its tensor buffer: a
+    /// receiver that keeps one batch allocates nothing once it has seen
+    /// its largest. On an error `self` holds no meaningful batch.
+    pub(crate) fn decode_from(&mut self, payload: &[u8]) -> Result<(), ProtocolError> {
         let mut r = Reader::new(payload);
-        let layer = r.u16()?;
-        let expert = r.u16()?;
-        let tokens = r.u32()?;
-        let hidden = r.u32()?;
-        let data = decode_tensor(&mut r, tokens, hidden)?;
-        r.finish()?;
-        Ok(ExecuteBatch {
-            layer,
-            expert,
-            tokens,
-            hidden,
-            data,
-        })
+        self.layer = r.u16()?;
+        self.expert = r.u16()?;
+        self.tokens = r.u32()?;
+        self.hidden = r.u32()?;
+        decode_tensor(&mut r, self.tokens, self.hidden, &mut self.data)?;
+        r.finish()
     }
 }
 
 /// The outputs of an [`ExecuteBatch`], same shape as the request tensor.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecuteBatchAck {
     /// Tokens in the batch (echoed).
     pub tokens: u32,
@@ -550,16 +543,19 @@ impl ExecuteBatchAck {
 
     /// Deserializes the payload.
     pub fn decode(payload: &[u8]) -> Result<ExecuteBatchAck, ProtocolError> {
+        let mut ack = ExecuteBatchAck::default();
+        ack.decode_from(payload)?;
+        Ok(ack)
+    }
+
+    /// [`ExecuteBatchAck::decode`] into `self`, reusing its tensor buffer.
+    /// On an error `self` holds no meaningful reply.
+    pub(crate) fn decode_from(&mut self, payload: &[u8]) -> Result<(), ProtocolError> {
         let mut r = Reader::new(payload);
-        let tokens = r.u32()?;
-        let hidden = r.u32()?;
-        let data = decode_tensor(&mut r, tokens, hidden)?;
-        r.finish()?;
-        Ok(ExecuteBatchAck {
-            tokens,
-            hidden,
-            data,
-        })
+        self.tokens = r.u32()?;
+        self.hidden = r.u32()?;
+        decode_tensor(&mut r, self.tokens, self.hidden, &mut self.data)?;
+        r.finish()
     }
 }
 
@@ -571,22 +567,27 @@ fn encode_tensor(data: &[f32], out: &mut Vec<u8>) {
     }
 }
 
-/// Reads a `tokens x hidden` f32 tensor, validating the element count
-/// against the payload before allocating.
-fn decode_tensor(r: &mut Reader<'_>, tokens: u32, hidden: u32) -> Result<Vec<f32>, ProtocolError> {
+/// Reads a `tokens x hidden` f32 tensor into `data` (cleared first),
+/// validating the element count against the payload before allocating.
+fn decode_tensor(
+    r: &mut Reader<'_>,
+    tokens: u32,
+    hidden: u32,
+    data: &mut Vec<f32>,
+) -> Result<(), ProtocolError> {
     let elems = (tokens as u64)
         .checked_mul(hidden as u64)
         .filter(|&n| n.checked_mul(4).is_some_and(|b| b <= MAX_PAYLOAD as u64))
         .ok_or_else(|| ProtocolError::BadPayload("tensor dimensions overflow".into()))?
         as usize;
     let bytes = r.take(elems * 4)?;
-    let mut data = Vec::with_capacity(elems);
-    for chunk in bytes.chunks_exact(4) {
-        data.push(f32::from_bits(u32::from_be_bytes([
-            chunk[0], chunk[1], chunk[2], chunk[3],
-        ])));
-    }
-    Ok(data)
+    data.clear();
+    data.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_bits(u32::from_be_bytes([c[0], c[1], c[2], c[3]]))),
+    );
+    Ok(())
 }
 
 /// An error reply: a [`ErrorCode`] and a human-readable message.
@@ -720,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn write_frame_reuses_its_buffer_and_matches_encode_frame() {
+    fn frames_encoded_back_to_back_match_encode_frame_and_split_whole() {
         let ack = ExecuteBatchAck {
             tokens: 2,
             hidden: 3,
@@ -732,14 +733,21 @@ mod tests {
         encode_frame(Opcode::ExecuteBatchAck, 9, &payload, &mut want);
         encode_frame(Opcode::DrainAck, 10, &[], &mut want);
 
-        // A long frame, then a short one, through the same frame buffer.
-        let (mut wire, mut frame) = (Vec::new(), Vec::new());
-        write_frame(&mut wire, Opcode::ExecuteBatchAck, 9, &mut frame, |out| {
+        // A long frame, then a short one, appended to one buffer.
+        let mut wire = Vec::new();
+        encode_frame_with(Opcode::ExecuteBatchAck, 9, &mut wire, |out| {
             ExecuteBatchAck::encode_parts(ack.tokens, ack.hidden, &ack.data, out)
-        })
-        .unwrap();
-        write_frame(&mut wire, Opcode::DrainAck, 10, &mut frame, |_| {}).unwrap();
+        });
+        encode_frame_with(Opcode::DrainAck, 10, &mut wire, |_| {});
         assert_eq!(wire, want);
+
+        // Only a prefix holding a header and all its payload is whole.
+        let first = HEADER_LEN + payload.len();
+        for cut in 0..=wire.len() {
+            assert_eq!(starts_with_whole_frame(&wire[..cut]), cut >= first, "{cut}");
+        }
+        assert!(starts_with_whole_frame(&wire[first..]));
+        assert!(!starts_with_whole_frame(&wire[first..wire.len() - 1]));
     }
 
     #[test]

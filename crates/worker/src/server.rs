@@ -4,12 +4,14 @@
 //! connections, and serves the framed protocol of [`crate::protocol`]:
 //! [`LoadShard`] to set up its deterministic weight shard (an empty store
 //! per connection, filled expert by expert on first use), then a stream of
-//! pipelined [`ExecuteBatch`] requests answered strictly in order. The same
-//! server runs in-process (behind [`WorkerServer::spawn`]) for deterministic
-//! tests and benches, and as a standalone process via the `hybrimoe_worker`
-//! bin.
+//! pipelined [`ExecuteBatch`] requests answered strictly in order. While
+//! more requests are already buffered, execute replies are held and then
+//! written together, up to [`IO_BUFFER`] bytes a write. The same server
+//! runs in-process (behind [`WorkerServer::spawn`]) for deterministic
+//! tests and benches, and as a standalone process via the
+//! `hybrimoe_worker` bin.
 
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,10 +28,10 @@ use hybrimoe_fault::{FaultPlan, FaultRates, FaultStream};
 
 use crate::client::Endpoint;
 use crate::protocol::{
-    encode_frame_with, read_frame, write_frame, ErrorCode, ErrorReply, ExecuteBatch,
+    encode_frame_with, read_frame, starts_with_whole_frame, ErrorCode, ErrorReply, ExecuteBatch,
     ExecuteBatchAck, LoadShard, LoadShardAck, Opcode, ProtocolError, HEADER_LEN,
 };
-use crate::wire_backend;
+use crate::{wire_backend, IO_BUFFER};
 
 /// Tuning and fault-injection knobs of a [`WorkerServer`].
 #[derive(Debug, Clone)]
@@ -78,35 +80,85 @@ impl ReplyFaults {
         }))
     }
 
-    /// Writes the encoded reply `frame` as this reply's fault has it:
-    /// whole, after a delay, with one header byte flipped (so the peer's
-    /// codec detects the damage instead of consuming wrong data), cut
-    /// short, or not at all. Returns `false` when the fault drops the
-    /// connection, after a cut-short write or without any write.
-    fn write(&mut self, stream: &mut TcpStream, frame: &mut [u8]) -> io::Result<bool> {
-        if let Some((rates, faults)) = &mut self.0 {
-            let drop = faults.roll_ppm(rates.conn_drop_ppm);
-            let truncate = faults.roll_ppm(rates.truncate_ppm);
-            let corrupt = faults.roll_ppm(rates.corrupt_ppm);
-            let delay = faults.roll_ppm(rates.reply_delay_ppm);
-            let noise = faults.next_u64() as usize;
-            if drop {
-                return Ok(false);
-            }
-            if truncate {
-                stream.write_all(&frame[..noise % frame.len()])?;
-                let _ = stream.flush();
-                return Ok(false);
-            }
-            if corrupt {
-                frame[noise % HEADER_LEN] ^= 0xFF;
-            } else if delay {
-                thread::sleep(Duration::from_millis(rates.reply_delay_ms));
-            }
+    /// Applies this reply's fault to the reply last held in `out`, which
+    /// starts at byte `start`. With no fault the reply stays held. A fault
+    /// first writes the replies held before it, then writes the reply as
+    /// the fault has it: after a delay, with one header byte flipped (so
+    /// the peer's codec detects the damage instead of consuming wrong
+    /// data), cut short, or not at all. Returns `false` when the fault
+    /// drops the connection, after a cut-short write or without any write.
+    fn apply(&mut self, out: &mut Outbox<'_>, start: usize) -> io::Result<bool> {
+        let Some((rates, faults)) = &mut self.0 else {
+            return Ok(true);
+        };
+        let drop = faults.roll_ppm(rates.conn_drop_ppm);
+        let truncate = faults.roll_ppm(rates.truncate_ppm);
+        let corrupt = faults.roll_ppm(rates.corrupt_ppm);
+        let delay = faults.roll_ppm(rates.reply_delay_ppm);
+        let noise = faults.next_u64() as usize;
+        if !(drop || truncate || corrupt || delay) {
+            return Ok(true);
         }
-        stream.write_all(frame)?;
-        stream.flush()?;
+        out.write_front(start)?;
+        if drop {
+            return Ok(false);
+        }
+        if truncate {
+            let len = out.held.len();
+            out.held.truncate(noise % len);
+            out.flush()?;
+            return Ok(false);
+        }
+        if corrupt {
+            out.held[noise % HEADER_LEN] ^= 0xFF;
+        } else {
+            thread::sleep(Duration::from_millis(rates.reply_delay_ms));
+        }
+        out.flush()?;
         Ok(true)
+    }
+}
+
+/// A connection's outgoing frames, encoded back to back and written
+/// together. Execute replies are held here until [`serve_connection`]
+/// writes them; every other frame is written at once, behind them.
+struct Outbox<'a> {
+    stream: &'a TcpStream,
+    held: Vec<u8>,
+}
+
+impl Outbox<'_> {
+    /// Encodes a frame behind the held ones and returns where it starts.
+    fn hold(&mut self, opcode: Opcode, id: u32, payload: impl FnOnce(&mut Vec<u8>)) -> usize {
+        let start = self.held.len();
+        encode_frame_with(opcode, id, &mut self.held, payload);
+        start
+    }
+
+    /// Writes the first `len` held bytes and drops them.
+    fn write_front(&mut self, len: usize) -> io::Result<()> {
+        if len > 0 {
+            let written = self.stream.write_all(&self.held[..len]);
+            self.held.drain(..len);
+            written?;
+        }
+        Ok(())
+    }
+
+    /// Writes every held frame.
+    fn flush(&mut self) -> io::Result<()> {
+        self.write_front(self.held.len())
+    }
+
+    /// Writes the held frames and then this one, in one write.
+    fn send(
+        &mut self,
+        opcode: Opcode,
+        id: u32,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
+        self.hold(opcode, id, payload);
+        self.flush()
     }
 }
 
@@ -229,6 +281,8 @@ struct Loaded {
     pool: WorkerPool,
     scratch: ExecScratch,
     backend: &'static dyn KernelBackend,
+    /// The request being executed, decoded into a reused buffer.
+    request: ExecuteBatch,
     output: Vec<f32>,
 }
 
@@ -236,42 +290,62 @@ struct Loaded {
 /// in arrival order (the wire-level FIFO the client's pipelining relies
 /// on). A frame of another protocol version, first or later, is answered
 /// [`ErrorCode::VersionMismatch`] and the connection closed.
+///
+/// Requests are read through an [`IO_BUFFER`]-byte buffer. Each execute
+/// reply is held, and the held replies are written together once the
+/// buffer holds no further whole frame or [`IO_BUFFER`] bytes are held, so
+/// the loop never blocks on a read while it holds a reply. Every other
+/// write — an ack, an error, an injected fault — and every return writes
+/// the held replies first, so the peer sees the same frames in the same
+/// order as if each reply had been written on its own.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     options: WorkerServerOptions,
     shutdown: Arc<AtomicBool>,
     executed: Arc<AtomicU64>,
     connection: u64,
 ) -> Result<(), ProtocolError> {
+    let mut reader = BufReader::with_capacity(IO_BUFFER, &stream);
+    let mut out = Outbox {
+        stream: &stream,
+        held: Vec::new(),
+    };
     let mut payload = Vec::new();
     // The chaos seam: only execute replies suffer the plan's faults.
     // Shard loading stays clean so a chaos run still exercises the execute
     // path, not just setup.
     let mut faults = ReplyFaults::new(&options.fault_plan, connection);
-    // Every frame this connection sends is encoded here.
-    let mut frame = Vec::new();
     let mut loaded: Option<Loaded> = None;
 
     loop {
-        let header = match read_frame(&mut stream, &mut payload) {
+        if out.held.len() >= IO_BUFFER || !starts_with_whole_frame(reader.buffer()) {
+            out.flush()?;
+        }
+        let header = match read_frame(&mut reader, &mut payload) {
             Ok(h) => h,
-            // Peer hung up between requests: normal teardown.
-            Err(ProtocolError::Truncated) => return Ok(()),
-            // The rest of another version's header cannot be trusted, its
-            // request id included.
-            Err(ProtocolError::UnsupportedVersion(v)) => {
-                return reply_error(
-                    &mut stream,
-                    0,
-                    ErrorCode::VersionMismatch,
-                    format!("frame version {v} unsupported"),
-                );
+            Err(e) => {
+                // A buffered frame that fails to decode: the requests read
+                // before it still get their replies.
+                out.flush()?;
+                return match e {
+                    // Peer hung up between requests: normal teardown.
+                    ProtocolError::Truncated => Ok(()),
+                    // The rest of another version's header cannot be
+                    // trusted, its request id included.
+                    ProtocolError::UnsupportedVersion(v) => reply_error(
+                        &mut out,
+                        0,
+                        ErrorCode::VersionMismatch,
+                        format!("frame version {v} unsupported"),
+                    ),
+                    e => Err(e),
+                };
             }
-            Err(e) => return Err(e),
         };
         // A stopped worker answers nothing more: its peers see the same
         // mid-request disconnect a killed worker process gives them.
         if shutdown.load(Ordering::Relaxed) {
+            out.flush()?;
             return Ok(());
         }
         let id = header.request_id;
@@ -287,12 +361,10 @@ fn serve_connection(
                     let ack = LoadShardAck {
                         experts_owned: owned,
                     };
-                    write_frame(&mut stream, Opcode::LoadShardAck, id, &mut frame, |out| {
-                        ack.encode(out)
-                    })?;
+                    out.send(Opcode::LoadShardAck, id, |p| ack.encode(p))?;
                 }
                 Err(e) => {
-                    reply_error(&mut stream, id, ErrorCode::BadPayload, e.to_string())?;
+                    reply_error(&mut out, id, ErrorCode::BadPayload, e.to_string())?;
                 }
             },
             Opcode::ExecuteBatch => {
@@ -302,42 +374,43 @@ fn serve_connection(
                     if executed.fetch_add(1, Ordering::Relaxed) >= limit {
                         shutdown.store(true, Ordering::Relaxed);
                         // Drop the stream without a reply: the client sees
-                        // a mid-request disconnect.
+                        // a mid-request disconnect, after the replies of
+                        // the requests before this one.
+                        out.flush()?;
                         return Ok(());
                     }
                 } else {
                     executed.fetch_add(1, Ordering::Relaxed);
                 }
                 let Some(state) = loaded.as_mut() else {
-                    reply_error(&mut stream, id, ErrorCode::NotLoaded, "no shard loaded")?;
+                    reply_error(&mut out, id, ErrorCode::NotLoaded, "no shard loaded")?;
                     continue;
                 };
-                match ExecuteBatch::decode(&payload) {
-                    Ok(batch) => match execute_batch(state, &batch) {
-                        Ok(()) => {
-                            // Straight from the output buffer into the
-                            // connection's frame buffer.
-                            frame.clear();
-                            encode_frame_with(Opcode::ExecuteBatchAck, id, &mut frame, |out| {
-                                ExecuteBatchAck::encode_parts(
-                                    batch.tokens,
-                                    batch.hidden,
-                                    &state.output,
-                                    out,
-                                )
-                            });
-                            if !faults.write(&mut stream, &mut frame)? {
-                                // A fault dropped (or cut short) the reply:
-                                // the client sees a mid-request disconnect.
-                                return Ok(());
-                            }
+                if let Err(e) = state.request.decode_from(&payload) {
+                    reply_error(&mut out, id, ErrorCode::BadPayload, e.to_string())?;
+                    continue;
+                }
+                match execute_batch(state) {
+                    Ok(()) => {
+                        // Straight from the output buffer behind the held
+                        // replies.
+                        let batch = &state.request;
+                        let start = out.hold(Opcode::ExecuteBatchAck, id, |p| {
+                            ExecuteBatchAck::encode_parts(
+                                batch.tokens,
+                                batch.hidden,
+                                &state.output,
+                                p,
+                            )
+                        });
+                        if !faults.apply(&mut out, start)? {
+                            // A fault dropped (or cut short) the reply:
+                            // the client sees a mid-request disconnect.
+                            return Ok(());
                         }
-                        Err((code, msg)) => {
-                            reply_error(&mut stream, id, code, msg)?;
-                        }
-                    },
-                    Err(e) => {
-                        reply_error(&mut stream, id, ErrorCode::BadPayload, e.to_string())?;
+                    }
+                    Err((code, msg)) => {
+                        reply_error(&mut out, id, code, msg)?;
                     }
                 }
             }
@@ -346,7 +419,7 @@ fn serve_connection(
                 // request sent before the Drain has already been replied
                 // to by the time this frame is read — draining never
                 // abandons in-flight work.
-                write_frame(&mut stream, Opcode::DrainAck, id, &mut frame, |_| {})?;
+                out.send(Opcode::DrainAck, id, |_| {})?;
                 if options.drain_stops_server {
                     shutdown.store(true, Ordering::Relaxed);
                 }
@@ -356,7 +429,7 @@ fn serve_connection(
             // answer and keep the connection (the client can resync).
             Opcode::LoadShardAck | Opcode::ExecuteBatchAck | Opcode::DrainAck | Opcode::Error => {
                 reply_error(
-                    &mut stream,
+                    &mut out,
                     id,
                     ErrorCode::BadPayload,
                     format!("{:?} is not a request", header.opcode),
@@ -387,14 +460,24 @@ fn load_shard(spec: &LoadShard, options: &WorkerServerOptions) -> Loaded {
         backend: wire_backend::from_wire(spec.backend)
             .unwrap_or_default()
             .resolve(),
+        request: ExecuteBatch::default(),
         output: Vec::new(),
         spec: *spec,
     }
 }
 
-/// Runs one expert batch, leaving the outputs in `state.output`.
-fn execute_batch(state: &mut Loaded, batch: &ExecuteBatch) -> Result<(), (ErrorCode, String)> {
-    let spec = &state.spec;
+/// Runs the batch in `state.request`, leaving the outputs in
+/// `state.output`.
+fn execute_batch(state: &mut Loaded) -> Result<(), (ErrorCode, String)> {
+    let Loaded {
+        spec,
+        store,
+        pool,
+        scratch,
+        backend,
+        request: batch,
+        output,
+    } = state;
     if shard_of(ExpertId(batch.expert), spec.num_workers as usize) != spec.worker as usize {
         return Err((
             ErrorCode::NotMyShard,
@@ -414,12 +497,12 @@ fn execute_batch(state: &mut Loaded, batch: &ExecuteBatch) -> Result<(), (ErrorC
     }
     let key = ExpertKey::new(LayerId(batch.layer), ExpertId(batch.expert));
     let tokens = batch.tokens as usize;
-    state.output.clear();
-    state.output.resize(tokens * batch.hidden as usize, 0.0);
+    output.clear();
+    output.resize(tokens * batch.hidden as usize, 0.0);
     if tokens == 0 {
         return Ok(());
     }
-    let ffn = match state.store.expert(key) {
+    let ffn = match store.expert(key) {
         Ok(ffn) => ffn,
         Err(WeightStoreError::BudgetExceeded { needed, budget }) => {
             return Err((
@@ -429,26 +512,17 @@ fn execute_batch(state: &mut Loaded, batch: &ExecuteBatch) -> Result<(), (ErrorC
         }
         Err(e) => return Err((ErrorCode::BadPayload, e.to_string())),
     };
-    ffn.forward_batch_into(
-        &batch.data,
-        tokens,
-        &mut state.output,
-        &mut state.scratch,
-        &state.pool,
-        state.backend,
-    );
+    ffn.forward_batch_into(&batch.data, tokens, output, scratch, pool, *backend);
     Ok(())
 }
 
-/// Sends an [`Opcode::Error`] reply.
+/// Sends an [`Opcode::Error`] reply, behind the held replies.
 fn reply_error(
-    stream: &mut TcpStream,
+    out: &mut Outbox<'_>,
     request_id: u32,
     code: ErrorCode,
     message: impl Into<String>,
 ) -> Result<(), ProtocolError> {
     let reply = ErrorReply::new(code, message);
-    write_frame(stream, Opcode::Error, request_id, &mut Vec::new(), |out| {
-        reply.encode(out)
-    })
+    Ok(out.send(Opcode::Error, request_id, |p| reply.encode(p))?)
 }

@@ -6,7 +6,8 @@
 //! `format!` or hash map on the per-layer path fails here instead of
 //! quietly costing every token a few microseconds again. The same
 //! allocator pins the real-execution path: a warm real decode step
-//! allocates only the outputs it hands out, a warm expert forward
+//! allocates only the outputs it hands out, with its experts computed
+//! locally or on loopback workers, a warm expert forward
 //! allocates nothing, a warm trace-generator step allocates only the
 //! trace it returns and a decode token routed into an existing step
 //! allocates nothing. A warm continuous-batcher step routes its tokens
@@ -16,12 +17,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use hybrimoe::remote::RemoteWorkerOptions;
 use hybrimoe::serve::{ContinuousBatcher, RequestSpec, DEFAULT_PRIORITY};
 use hybrimoe::{BackendKind, Engine, EngineConfig, Framework, RealExecOptions};
 use hybrimoe_hw::SimTime;
 use hybrimoe_kernels::{ExecScratch, ExpertFfn, KernelBackendKind, WorkerPool};
 use hybrimoe_model::ModelConfig;
 use hybrimoe_trace::{TraceGenerator, TraceStep};
+use hybrimoe_worker::{Endpoint, WorkerHandle, WorkerServer, WorkerServerOptions};
 
 /// Counts the allocations (and growing reallocations) of the calling
 /// thread, so the test harness's own threads do not disturb the count.
@@ -116,14 +119,57 @@ fn a_warm_decode_step_stays_off_the_heap() {
 /// executor records its expert times in a reused buffer.
 #[test]
 fn a_warm_real_decode_step_allocates_only_its_outputs() {
-    let model = ModelConfig::tiny_test();
-    let config = EngineConfig::preset(Framework::HybriMoe, model.clone(), 0.5)
+    let mut engine = Engine::new(real_config(RemoteWorkerOptions::default()));
+    warm_real_decode_steps_allocate_only_their_outputs(&mut engine);
+}
+
+/// The same steps with every expert sent to one of two loopback workers:
+/// the fleet queues each batch on a reused buffer and decodes each reply
+/// into another, so the engine thread allocates what it does locally. The
+/// counter is per thread, so the workers' own allocations do not count.
+#[test]
+fn a_warm_remote_decode_step_allocates_only_its_outputs() {
+    let workers: Vec<WorkerHandle> = (0..2)
+        .map(|_| {
+            WorkerServer::bind(
+                &Endpoint::parse("127.0.0.1:0"),
+                WorkerServerOptions {
+                    threads: 1,
+                    ..Default::default()
+                },
+            )
+            .expect("bind a loopback worker")
+            .spawn()
+        })
+        .collect();
+    let endpoints = workers.iter().map(|w| w.endpoint().to_string()).collect();
+    let mut engine = Engine::new(real_config(RemoteWorkerOptions {
+        endpoints,
+        ..Default::default()
+    }));
+    warm_real_decode_steps_allocate_only_their_outputs(&mut engine);
+    let health = engine.worker_health().expect("endpoints configured");
+    assert!(health.requests > 0, "no batch ran remotely: {health:?}");
+    assert_eq!(health.failovers, 0, "{health:?}");
+    for worker in workers {
+        worker.shutdown();
+    }
+}
+
+/// A HybriMoE engine executing the tiny model for real on one kernel
+/// thread, its experts offered to `remote`'s workers.
+fn real_config(remote: RemoteWorkerOptions) -> EngineConfig {
+    EngineConfig::preset(Framework::HybriMoe, ModelConfig::tiny_test(), 0.5)
         .with_backend(BackendKind::RealCpu)
         .with_real_exec(RealExecOptions {
             max_threads: 1,
             ..Default::default()
-        });
-    let mut engine = Engine::new(config);
+        })
+        .with_remote_workers(remote)
+}
+
+fn warm_real_decode_steps_allocate_only_their_outputs(engine: &mut Engine) {
+    let model = ModelConfig::tiny_test();
     let generator = TraceGenerator::new(model.clone(), 17).with_token_states();
     // A long prompt activates, and so materializes, every expert's
     // weights; the first decode steps grow every reused buffer to its

@@ -4,7 +4,8 @@
 //! reading, failover integration (a worker that crashes mid-request must
 //! degrade to local execution without failing any in-flight request),
 //! remote ≡ local bit-identity (property-tested across worker counts,
-//! pipelining and routing), and the `docs/protocol.md` example frames
+//! pipelining and routing, and pinned on layers whose frames overflow the
+//! connections' write buffers), and the `docs/protocol.md` example frames
 //! round-tripped through the real codec.
 
 use std::io::{ErrorKind, Read, Write};
@@ -15,13 +16,13 @@ use std::time::Duration;
 
 use hybrimoe::fault::{FaultPlan, FaultRates};
 use hybrimoe::realexec::{RealExecOptions, RealLayerExecutor};
-use hybrimoe::remote::RemoteWorkerOptions;
+use hybrimoe::remote::{RemoteWorkerOptions, WorkerHealthSnapshot};
 use hybrimoe::{Engine, EngineConfig, Framework};
 use hybrimoe_kernels::{backend, ExecScratch, KernelBackendKind, WorkerPool};
 use hybrimoe_model::{
     ExpertId, ExpertKey, LayerId, LayerRouting, ModelConfig, RouterOutput, WeightStore,
 };
-use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, Scheduler};
+use hybrimoe_sched::{ExpertTask, HybridScheduler, ScheduleContext, SchedulePlan, Scheduler};
 use hybrimoe_trace::TraceGenerator;
 use hybrimoe_worker::protocol::{
     encode_frame, read_frame, ErrorCode, ErrorReply, ExecuteBatch, ExecuteBatchAck, FrameHeader,
@@ -29,7 +30,7 @@ use hybrimoe_worker::protocol::{
 };
 use hybrimoe_worker::{
     wire_backend, ClientError, ClientOptions, Endpoint, WorkerClient, WorkerHandle, WorkerServer,
-    WorkerServerOptions,
+    WorkerServerOptions, IO_BUFFER,
 };
 use proptest::prelude::*;
 
@@ -611,6 +612,180 @@ proptest! {
             handle.shutdown();
         }
     }
+}
+
+/// One tiny-model layer of `tokens` tokens, scheduled by HybriMoE with
+/// the even experts cached.
+struct Layer {
+    model: ModelConfig,
+    inputs: Vec<Vec<f32>>,
+    routes: Vec<RouterOutput>,
+    plan: SchedulePlan,
+    /// The token-major scalar oracle's output.
+    expected: Vec<f32>,
+}
+
+impl Layer {
+    fn new(tokens: usize, seed: u64) -> Layer {
+        let model = ModelConfig::tiny_test();
+        let (inputs, routes) = layer_tokens(&model, tokens, seed);
+        let routing = LayerRouting::from_tokens(LayerId(0), model.routed_experts, &routes);
+        let tasks: Vec<ExpertTask> = routing
+            .activated()
+            .into_iter()
+            .map(|(e, load)| ExpertTask {
+                expert: e,
+                load,
+                cached: e.0 % 2 == 0,
+            })
+            .collect();
+        let cost = hybrimoe_hw::UnitCostModel::paper_fig5();
+        let plan =
+            HybridScheduler::new().schedule(&ScheduleContext::for_test(LayerId(0), &tasks, &cost));
+        let oracle = RealExecOptions {
+            token_major: true,
+            ..scalar_one_thread()
+        };
+        let expected = RealLayerExecutor::with_options(model.clone(), 7, oracle)
+            .execute_layer(LayerId(0), &plan, &inputs, &routes)
+            .expect("token-major execution")
+            .output;
+        Layer {
+            model,
+            inputs,
+            routes,
+            plan,
+            expected,
+        }
+    }
+
+    /// The experts the layer activates.
+    fn experts(&self) -> u64 {
+        (self.plan.cpu_experts().count() + self.plan.gpu_experts().count()) as u64
+    }
+
+    /// The `ExecuteBatch` bytes the layer sends each of `workers` workers.
+    fn request_bytes(&self, workers: usize) -> Vec<usize> {
+        let hidden = self.model.routed_shape.hidden() as usize;
+        let mut bytes = vec![0; workers];
+        let expert_ids = self.plan.cpu_experts().chain(self.plan.gpu_experts());
+        for expert in expert_ids {
+            let tokens = self
+                .routes
+                .iter()
+                .filter(|r| r.selected.iter().any(|(e, _)| *e == expert))
+                .count();
+            // Header, the four batch fields, then the tensor.
+            bytes[expert.0 as usize % workers] += HEADER_LEN + 12 + tokens * hidden * 4;
+        }
+        bytes
+    }
+
+    /// Runs the layer on `workers` loopback workers, each started with
+    /// `options`, and asserts its output equals the oracle's bit for bit.
+    /// Returns the fleet's health after the layer.
+    fn run_remote(&self, workers: usize, options: WorkerServerOptions) -> WorkerHealthSnapshot {
+        let handles: Vec<WorkerHandle> = (0..workers)
+            .map(|_| spawn_worker(options.clone()))
+            .collect();
+        let endpoints = handles.iter().map(|h| h.endpoint().to_string()).collect();
+        let mut exec = RealLayerExecutor::new(
+            self.model.clone(),
+            7,
+            scalar_one_thread(),
+            &RemoteWorkerOptions {
+                endpoints,
+                deadline_ms: 2_000,
+            },
+        );
+        let got = exec
+            .execute_layer(LayerId(0), &self.plan, &self.inputs, &self.routes)
+            .expect("remote execution");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.output),
+            bits(&self.expected),
+            "{workers} workers, {} tokens",
+            self.inputs.len()
+        );
+        let health = exec.health();
+        exec.drain();
+        for handle in handles {
+            handle.shutdown();
+        }
+        health
+    }
+}
+
+/// Scalar kernels on one thread: what both sides of the bit-identity
+/// cases pin.
+fn scalar_one_thread() -> RealExecOptions {
+    RealExecOptions {
+        max_threads: 1,
+        kernel_backend: KernelBackendKind::Scalar,
+        ..Default::default()
+    }
+}
+
+/// Layers whose batches to one worker overflow [`IO_BUFFER`]: the client
+/// writes its queue in the middle of the dispatch loop, and the worker
+/// writes held replies in the middle of its queue, yet the output is the
+/// oracle's bit for bit and nothing fails over.
+#[test]
+fn layers_past_the_io_buffer_stay_bit_identical_to_local() {
+    let mut largest = 0;
+    for tokens in [64, 128] {
+        let layer = Layer::new(tokens, 41);
+        for workers in 1..=3 {
+            let health = layer.run_remote(
+                workers,
+                WorkerServerOptions {
+                    threads: 1,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(health.failovers, 0, "{workers} workers: {health:?}");
+            assert_eq!(health.requests, layer.experts(), "{health:?}");
+            let sent = layer.request_bytes(workers);
+            largest = largest.max(sent.into_iter().max().unwrap_or(0));
+        }
+    }
+    assert!(
+        largest > 2 * IO_BUFFER,
+        "no layer sent one worker more than two buffers: {largest} bytes"
+    );
+}
+
+/// A worker that crashes on its third request, while the replies to the
+/// first two are held (the whole layer fits one buffer): it writes them
+/// before it drops the connection, so exactly the experts whose replies
+/// were never written fail over, and the output is still the oracle's.
+#[test]
+fn a_crash_inside_a_held_group_fails_over_only_the_unanswered_experts() {
+    let layer = Layer::new(8, 41);
+    assert!(layer.request_bytes(1)[0] < IO_BUFFER);
+    let answered = 2;
+    assert!(
+        layer.experts() > answered + 1,
+        "{} experts",
+        layer.experts()
+    );
+    let health = layer.run_remote(
+        1,
+        WorkerServerOptions {
+            threads: 1,
+            fault_plan: FaultPlan {
+                rates: FaultRates {
+                    fail_after: Some(answered),
+                    ..Default::default()
+                },
+                ..FaultPlan::off()
+            },
+            ..Default::default()
+        },
+    );
+    assert_eq!(health.requests, layer.experts(), "{health:?}");
+    assert_eq!(health.failovers, layer.experts() - answered, "{health:?}");
 }
 
 /// Re-encodes every example frame of `docs/protocol.md` through the real
