@@ -161,12 +161,14 @@ impl BackgroundQueue {
     }
 
     /// Drops the unstarted prefetches aimed at `layer`, which is running
-    /// now without them: they count as wasted.
+    /// now without them: they count as wasted, and stale.
     fn drop_stale(&mut self, layer: LayerId, transfer_time: SimDuration) {
         let before = self.inflight.len();
         self.inflight
             .retain(|t| !(t.prefetch && t.key.layer == layer && t.remaining == transfer_time));
-        self.counters.wasted += (before - self.inflight.len()) as u64;
+        let dropped = (before - self.inflight.len()) as u64;
+        self.counters.wasted += dropped;
+        self.counters.stale += dropped;
     }
 
     /// Queues a transfer unless the expert is already resident or queued,
@@ -249,6 +251,7 @@ impl BackgroundQueue {
                     self.counters.landed += 1;
                 } else {
                     self.counters.wasted += 1;
+                    self.counters.unadmitted += 1;
                 }
             }
         }
@@ -373,7 +376,9 @@ struct LayerCtx<'a> {
 ///
 /// Every issued prefetch ends in exactly one of `landed` or `wasted`, or
 /// is still queued: `issued == landed + wasted + queued`
-/// ([`Engine::queued_prefetches`]).
+/// ([`Engine::queued_prefetches`]). Each wasted prefetch is counted in
+/// exactly one of the three causes that follow `wasted`, so `wasted ==
+/// stale + cut_short + unadmitted`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchCounters {
     /// Prefetch transfers enqueued on the background PCIe queue.
@@ -388,6 +393,15 @@ pub struct PrefetchCounters {
     /// computed their expert on the CPU instead, or completed but unable
     /// to enter the cache (no eligible slot).
     pub wasted: u64,
+    /// The part of `wasted` dropped before it started: its layer ran first.
+    pub stale: u64,
+    /// The part of `wasted` that had started but that its layer's plan did
+    /// not finish: the plan computed the expert on the CPU instead.
+    pub cut_short: u64,
+    /// The part of `wasted` that completed but could not enter the cache:
+    /// no eligible slot (during a prefill batch, inserts take free slots
+    /// only).
+    pub unadmitted: u64,
 }
 
 impl Engine {
@@ -695,7 +709,10 @@ impl Engine {
                         carried_prefetches.push(expert);
                     }
                 }
-                Some(t) if t.prefetch => self.background.counters.wasted += 1,
+                Some(t) if t.prefetch => {
+                    self.background.counters.wasted += 1;
+                    self.background.counters.stale += 1;
+                }
                 _ => {}
             }
         }
@@ -744,6 +761,7 @@ impl Engine {
                 self.background.counters.landed += 1;
             } else {
                 self.background.counters.wasted += 1;
+                self.background.counters.cut_short += 1;
             }
         }
 
@@ -1270,6 +1288,11 @@ mod tests {
                 assert_eq!(
                     c.issued,
                     c.landed + c.wasted + e.queued_prefetches(),
+                    "{framework} max_inflight {max_inflight}: {c:?}"
+                );
+                assert_eq!(
+                    c.wasted,
+                    c.stale + c.cut_short + c.unadmitted,
                     "{framework} max_inflight {max_inflight}: {c:?}"
                 );
             }

@@ -66,6 +66,11 @@ pub struct StepOutcome {
 /// boundary. Admission is FIFO within a priority class; lower
 /// [`RequestSpec::priority`] values are admitted first.
 ///
+/// Each request's trace comes from its own generator, seeded per request
+/// id, so each request also draws its own router (projections and
+/// per-expert popularity biases). A running request's decode stream holds
+/// that bundle: about 81 KB on Mixtral and 449 KB on DeepSeek.
+///
 /// # Example
 ///
 /// ```
@@ -281,9 +286,9 @@ impl ContinuousBatcher {
         // then every running request's contribution. A chunk is absorbed
         // whole and a decode token routed straight in, so every sum runs
         // in the order merging whole parts would run it. A step that
-        // admits drops the reused pass and starts from its first chunk:
-        // generating a prompt is the heap's high-water mark, and the
-        // reused pass would only add to it.
+        // admits drops the reused pass and starts from its first chunk,
+        // which already holds every buffer a pass needs: the reused
+        // pass's buffers would only add to the heap.
         if slots > 0 && !self.waiting.is_empty() {
             self.merged.layers = Vec::new();
         } else {
@@ -402,6 +407,10 @@ impl ContinuousBatcher {
 
 /// The trace seed of one request: decorrelated from its neighbours but a
 /// pure function of the experiment seed and the request id.
+///
+/// The generator derives its router parameters from this seed too, so
+/// every request routes through its own router projections and
+/// per-expert popularity biases: no expert is popular across requests.
 fn request_seed(seed: u64, id: u32) -> u64 {
     seed ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }

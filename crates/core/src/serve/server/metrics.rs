@@ -76,6 +76,15 @@ pub struct ServerMetrics {
     /// ran first, cut short when the plan computed the expert on the CPU,
     /// or completed with no slot to enter.
     pub prefetch_wasted: u64,
+    /// The part of `prefetch_wasted` dropped unstarted because its layer
+    /// ran first ([`PrefetchCounters::stale`]).
+    pub prefetch_wasted_stale: u64,
+    /// The part of `prefetch_wasted` on the wire when its layer ran, whose
+    /// plan did not finish it ([`PrefetchCounters::cut_short`]).
+    pub prefetch_wasted_cut_short: u64,
+    /// The part of `prefetch_wasted` that completed with no slot to enter
+    /// ([`PrefetchCounters::unadmitted`]).
+    pub prefetch_wasted_unadmitted: u64,
     /// Expert-cache hit ratio per GPU shard, refreshed every engine step.
     pub shard_hit_ratio: Vec<f64>,
     /// Remote expert workers configured (zero unless the engine runs the

@@ -243,6 +243,9 @@ impl Shared {
             prefetch_issued: prefetch.issued,
             prefetch_landed: prefetch.landed,
             prefetch_wasted: prefetch.wasted,
+            prefetch_wasted_stale: prefetch.stale,
+            prefetch_wasted_cut_short: prefetch.cut_short,
+            prefetch_wasted_unadmitted: prefetch.unadmitted,
             shard_hit_ratio: snap.shard_hit_ratio.clone(),
             workers_configured: workers.configured,
             workers_up: workers.up,

@@ -237,13 +237,9 @@ impl TraceGenerator {
                 skip_gaussians(&mut rng, self.unread_innovation_draws());
             }
             let mut step = self.empty_step();
-            self.forward_into(
-                &bundle,
-                &token_latents,
-                |t, l| &innovations[t][l],
-                &mut scratch,
-                &mut step,
-            );
+            for (latent, seq) in token_latents.iter().zip(&innovations) {
+                self.forward_into(&bundle, latent, |l| &seq[l], &mut scratch, &mut step);
+            }
             steps.push(step);
         }
         ActivationTrace {
@@ -337,10 +333,15 @@ impl TraceGenerator {
         (chunks, self.stream_from(bundle, rng))
     }
 
-    /// The shared prefill path: draws the whole prompt's randomness up
-    /// front (topic, per-token latents, per-token per-layer innovations —
-    /// the exact draw order of the unchunked prefill), then runs the
-    /// forward pass once per contiguous `chunk_size` token span.
+    /// The shared prefill path. It draws the prompt's topic and every
+    /// token's latent first, into one flat `tokens × latent_dim` buffer,
+    /// then runs the prompt one token at a time in contiguous `chunk_size`
+    /// spans: just before each token's forward pass it draws that token's
+    /// layer innovations into one reused buffer (skipping the unread
+    /// ones). That is the draw order of drawing every innovation up front,
+    /// and each routing still receives its tokens in prompt order, so
+    /// every bit matches; only the working memory shrinks, from the whole
+    /// prompt's innovations to one token's.
     fn prefill_chunks_with(
         &self,
         bundle: &ModelParams,
@@ -350,29 +351,19 @@ impl TraceGenerator {
     ) -> Vec<TraceStep> {
         let d = self.config.latent_dim;
         let cohesion = self.config.prompt_cohesion;
-        let read = self.read_innovations();
+        let private = (1.0 - cohesion * cohesion).sqrt();
+        let n = tokens as usize;
 
         // Tokens of one prompt share a topic latent plus private noise.
         let topic = gaussian_vec(rng, d);
-        let latents: Vec<Vec<f64>> = (0..tokens)
-            .map(|_| {
-                let noise = gaussian_vec(rng, d);
-                topic
-                    .iter()
-                    .zip(noise.iter())
-                    .map(|(t, n)| cohesion * t + (1.0 - cohesion * cohesion).sqrt() * n)
-                    .collect()
-            })
-            .collect();
-        // Per-token, per-layer innovations (a single pass: no temporal
-        // dimension to correlate), token-major in one buffer.
-        let mut innovations: Vec<f64> = Vec::with_capacity(tokens as usize * read * d);
-        for _ in 0..tokens {
-            innovations.extend((0..read * d).map(|_| gaussian(rng)));
-            skip_gaussians(rng, self.unread_innovation_draws());
+        let mut latents = Vec::with_capacity(n * d);
+        for _ in 0..n {
+            latents.extend(topic.iter().map(|t| cohesion * t + private * gaussian(rng)));
         }
 
-        let n = tokens as usize;
+        // One token's per-layer innovations (a single pass: no temporal
+        // dimension to correlate), redrawn before each token's pass.
+        let mut innovations = vec![0.0; self.read_innovations() * d];
         let size = (chunk_size as usize).max(1);
         let mut scratch = ForwardScratch::default();
         let mut steps = Vec::with_capacity(n / size + 1);
@@ -387,13 +378,19 @@ impl TraceGenerator {
                 size
             };
             let mut step = self.empty_step();
-            self.forward_into(
-                bundle,
-                &latents[start..start + take],
-                |t, l| &innovations[((start + t) * read + l) * d..][..d],
-                &mut scratch,
-                &mut step,
-            );
+            // The chunk's tokens are routed one at a time: size its state
+            // lists once.
+            for states in step.layers.iter_mut().filter_map(|r| r.states.as_mut()) {
+                states.inputs.reserve_exact(take);
+                states.routes.reserve_exact(take);
+            }
+            for t in start..start + take {
+                innovations.fill_with(|| gaussian(rng));
+                skip_gaussians(rng, self.unread_innovation_draws());
+                let latent = &latents[t * d..(t + 1) * d];
+                let innovation = |l: usize| &innovations[l * d..][..d];
+                self.forward_into(bundle, latent, innovation, &mut scratch, &mut step);
+            }
             steps.push(step);
             start += take;
         }
@@ -502,14 +499,13 @@ impl TraceGenerator {
         }
     }
 
-    /// Runs the latent process through all layers for a batch of token
-    /// latents and adds the tokens to `step`, after any it already holds:
-    /// per layer, each token's true routing, its predicted routings and
-    /// (when captured) its state, token by token in batch order.
-    /// `innovation(t, l)` supplies the layer-transition noise of token `t`
-    /// entering layer `l+1`; it is never asked for the last layer, whose
-    /// hidden state would feed no router. Everything but `step` lives in
-    /// `scratch`.
+    /// Runs one token's latent through every layer and adds the token to
+    /// `step`, after any it already holds: per layer, its true routing, its
+    /// predicted routings and (when captured) its state. `innovation(l)`
+    /// supplies the layer-transition noise entering layer `l+1`; it is
+    /// never asked for the last layer, whose hidden state would feed no
+    /// router. A batch is one call per token, in batch order. Everything
+    /// but `step` lives in `scratch`.
     ///
     /// # Panics
     ///
@@ -518,13 +514,12 @@ impl TraceGenerator {
     fn forward_into<'a>(
         &self,
         params: &ModelParams,
-        token_latents: &[Vec<f64>],
-        innovation: impl Fn(usize, usize) -> &'a [f64],
+        latent: &[f64],
+        innovation: impl Fn(usize) -> &'a [f64],
         scratch: &mut ForwardScratch,
         step: &mut TraceStep,
     ) {
         let layers = self.model.layers as usize;
-        let d = self.config.latent_dim;
         let rho_l = self.config.layer_correlation;
         let noise_scale = (1.0 - rho_l * rho_l).max(0.0).sqrt();
         assert_eq!(
@@ -533,13 +528,10 @@ impl TraceGenerator {
             "routing into a step of another model"
         );
 
-        // Per-token hidden state evolving across layers, token-major.
+        // The token's hidden state, evolving across layers.
         scratch.hidden.clear();
-        for latent in token_latents {
-            scratch.hidden.extend_from_slice(latent);
-        }
-        let tokens = token_latents.len();
-        step.tokens += tokens as u32;
+        scratch.hidden.extend_from_slice(latent);
+        step.tokens += 1;
         let model_hidden = self.model.routed_shape.hidden() as usize;
         for (l, record) in step.layers.iter_mut().enumerate() {
             let LayerRecord {
@@ -553,19 +545,14 @@ impl TraceGenerator {
                 "routing into a step with and without token states"
             );
             // Real-execution inputs: the latent expanded to the model's
-            // hidden dimension plus this layer's per-token routes. Captured
-            // *before* the latent evolves, so the states are the layer's
-            // actual inputs.
-            if let Some(states) = states.as_mut() {
-                states.inputs.extend(
-                    (0..tokens)
-                        .map(|t| expand_latent(&scratch.hidden[t * d..(t + 1) * d], model_hidden)),
-                );
-                states.routes.reserve(tokens);
-            }
-            // True routing from the current hidden states.
-            let routes = states.as_mut().map(|s| &mut s.routes);
-            self.route_layer(params, l, tokens, scratch, routing, routes);
+            // hidden dimension plus this layer's route. Captured *before*
+            // the latent evolves, so the state is the layer's actual input.
+            let routes = states.as_mut().map(|s| {
+                s.inputs.push(expand_latent(&scratch.hidden, model_hidden));
+                &mut s.routes
+            });
+            // True routing from the current hidden state.
+            self.route_layer(params, l, scratch, routing, routes);
 
             // Predicted routings: current hidden state through the *later*
             // routers (paper Fig. 6).
@@ -575,35 +562,30 @@ impl TraceGenerator {
                 "routing into a step with another lookahead depth"
             );
             for (later, p) in (l + 1..).zip(predicted.iter_mut()) {
-                self.route_layer(params, later, tokens, scratch, p, None);
+                self.route_layer(params, later, scratch, p, None);
             }
 
-            // Evolve each token's hidden state into the next layer.
+            // Evolve the hidden state into the next layer.
             if l + 1 == layers {
                 break;
             }
-            for t in 0..tokens {
-                let h = &mut scratch.hidden[t * d..(t + 1) * d];
-                for (v, n) in h.iter_mut().zip(innovation(t, l)) {
-                    *v = rho_l * *v + noise_scale * n;
-                }
+            for (v, n) in scratch.hidden.iter_mut().zip(innovation(l)) {
+                *v = rho_l * *v + noise_scale * n;
             }
         }
     }
 
-    /// Routes the `tokens` hidden states of `scratch` through `layer`'s
-    /// router, adding them to `routing` in batch order. With `routes`,
-    /// each token's [`RouterOutput`] is kept too.
+    /// Routes the hidden state in `scratch` through `layer`'s router and
+    /// adds the token to `routing`. With `routes`, its [`RouterOutput`] is
+    /// kept too.
     fn route_layer(
         &self,
         params: &ModelParams,
         layer: usize,
-        tokens: usize,
         scratch: &mut ForwardScratch,
         routing: &mut LayerRouting,
-        mut routes: Option<&mut Vec<RouterOutput>>,
+        routes: Option<&mut Vec<RouterOutput>>,
     ) {
-        let d = self.config.latent_dim;
         let k = self.model.activated_experts as usize;
         let experts = self.model.routed_experts as usize;
         let ForwardScratch {
@@ -614,13 +596,11 @@ impl TraceGenerator {
         } = scratch;
         dots.resize(experts, 0.0);
         scores.resize(experts, 0.0);
-        for t in 0..tokens {
-            self.logits_into(params, layer, &hidden[t * d..(t + 1) * d], dots, scores);
-            route_in_place(scores, k, top);
-            routing.add_token(scores, top.iter().map(|&(e, _)| e));
-            if let Some(routes) = routes.as_deref_mut() {
-                routes.push(RouterOutput::from_top_k(scores.clone(), top));
-            }
+        self.logits_into(params, layer, hidden, dots, scores);
+        route_in_place(scores, k, top);
+        routing.add_token(scores, top.iter().map(|&(e, _)| e));
+        if let Some(routes) = routes {
+            routes.push(RouterOutput::from_top_k(scores.clone(), top));
         }
     }
 
@@ -672,7 +652,7 @@ const TILE: usize = 16;
 /// [`DecodeStream`]) steps.
 #[derive(Debug, Clone, Default)]
 struct ForwardScratch {
-    /// Every token's hidden state, `latent_dim` floats each.
+    /// The routed token's hidden state, `latent_dim` floats.
     hidden: Vec<f64>,
     /// One token's router dots, one per expert.
     dots: Vec<f64>,
@@ -744,8 +724,8 @@ impl DecodeStream {
         skip_gaussians(&mut self.rng, self.generator.unread_innovation_draws());
         self.generator.forward_into(
             &self.bundle,
-            std::slice::from_ref(&self.token_latent),
-            |_, l| &self.innovations[l],
+            &self.token_latent,
+            |l| &self.innovations[l],
             &mut self.scratch,
             step,
         );

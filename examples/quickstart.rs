@@ -57,11 +57,15 @@ fn main() {
         ours.demand_transfers(),
     );
     println!(
-        "Prefetches: {} issued, {} landed, {} wasted; \
+        "Prefetches: {} issued, {} landed, {} wasted \
+         ({} stale, {} cut short, {} unadmitted); \
          background transfers landed (prefetches and refills): {}.",
         prefetch.issued,
         prefetch.landed,
         prefetch.wasted,
+        prefetch.stale,
+        prefetch.cut_short,
+        prefetch.unadmitted,
         ours.background_landed()
     );
 }

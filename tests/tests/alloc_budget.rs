@@ -12,7 +12,9 @@
 //! trace it returns and a decode token routed into an existing step
 //! allocates nothing. A warm continuous-batcher step routes its tokens
 //! into one reused step, so it allocates a few per-step lists and no
-//! trace buffers.
+//! trace buffers. The allocator also tracks the calling thread's live and
+//! peak bytes, which pins how much working memory generating a prompt
+//! holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,35 +29,65 @@ use hybrimoe_trace::{TraceGenerator, TraceStep};
 use hybrimoe_worker::{Endpoint, WorkerHandle, WorkerServer, WorkerServerOptions};
 
 /// Counts the allocations (and growing reallocations) of the calling
-/// thread, so the test harness's own threads do not disturb the count.
+/// thread, and the bytes it holds live and at its peak, so the test
+/// harness's own threads do not disturb the counts.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (negative when it
+    /// frees what another thread allocated).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+fn peak_bytes() -> i64 {
+    PEAK.with(Cell::get)
+}
+
+/// Restarts the calling thread's peak from what it holds live now.
+fn reset_peak() {
+    PEAK.with(|p| p.set(live_bytes()));
+}
+
+/// Moves the calling thread's live bytes by `delta`, raising its peak.
+fn track(delta: i64) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a thread-local counter bump, which neither allocates
-// (the cell is const-initialized and has no destructor) nor touches the
+// only additions are thread-local counter updates, which neither allocate
+// (the cells are const-initialized and have no destructor) nor touch the
 // memory being managed.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        track(layout.size() as i64);
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        track(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr`, `layout` and `new_size` are the caller's, passed
         // through as is.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -244,6 +276,35 @@ fn a_warm_routed_decode_token_allocates_nothing() {
             );
         }
         assert_eq!(step.tokens, 9);
+    }
+}
+
+/// Working memory a prompt pass may hold beyond the prompt's latents:
+/// one token's innovations, the router scratch and the bookkeeping.
+const PROMPT_PASS_SLACK: i64 = 64 * 1024;
+
+/// Generating a request's prompt holds at most the prompt's latents (one
+/// `latent_dim` vector of `f64` per token) beyond what it returns: each
+/// token's layer noise is drawn just before that token's pass, into one
+/// reused buffer, so no buffer grows with tokens × layers.
+#[test]
+fn a_prompt_pass_holds_only_its_latents_beyond_what_it_returns() {
+    for model in [ModelConfig::mixtral(), ModelConfig::deepseek()] {
+        let generator = TraceGenerator::new(model.clone(), 17);
+        let latent_dim = generator.config().latent_dim as i64;
+        for tokens in [512u32, 4096] {
+            reset_peak();
+            let request = generator.request(tokens);
+            let transient = peak_bytes() - live_bytes();
+            drop(request);
+            let bound = i64::from(tokens) * latent_dim * 8 + PROMPT_PASS_SLACK;
+            assert!(
+                transient <= bound,
+                "{}: a {tokens}-token prompt held {transient} bytes beyond what it \
+                 returned (bound {bound})",
+                model.name
+            );
+        }
     }
 }
 

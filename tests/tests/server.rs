@@ -484,8 +484,15 @@ fn metrics_expose_prefetch_telemetry() {
 
     let metrics: ServerMetrics = serde_json::from_str(&body).expect("metrics parse");
     assert!(metrics.engine_steps > 0, "the request must have stepped");
-    // Every landed or wasted transfer was issued first.
+    // Every landed or wasted transfer was issued first, and each wasted
+    // one is counted under exactly one cause.
     assert!(metrics.prefetch_landed + metrics.prefetch_wasted <= metrics.prefetch_issued);
+    assert_eq!(
+        metrics.prefetch_wasted,
+        metrics.prefetch_wasted_stale
+            + metrics.prefetch_wasted_cut_short
+            + metrics.prefetch_wasted_unadmitted
+    );
     assert!(
         !metrics.shard_hit_ratio.is_empty(),
         "per-shard hit ratios are published every step"
